@@ -2,8 +2,9 @@
 
 Every subcommand emits one self-describing JSON document (or TSV for
 the table commands) echoing its resolved configuration and a schema
-version.  Exit codes: 0 success, 1 a verification failed (the report
-carries the witness), 2 usage error.
+version.  Exit codes: 0 success, 1 a verification failed (the report,
+or for a VerificationError the message on stderr, carries the witness),
+2 usage error.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from .confcoh import ParseError, dim_cohomology, parse_class
 from .fields import field_by_name
 from .geometry import ALL_LEMMAS, check_lemma
 from .hochschild import build_sinha_complex, e2_report
+from .linalg import VerificationError
 from .operads import d_squared_report
 from .partgraph import verify_commutation
 from .spectral import ss_pages
@@ -238,6 +240,9 @@ def main(argv=None):
         return 2 if exc.code else 0
     try:
         report, ok = args.fn(args)
+    except VerificationError as exc:
+        print("error: verification failed: %s" % exc, file=sys.stderr)
+        return 1
     except (ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -26,8 +26,9 @@ coface pullbacks.
 from .confcoh import (admissible_basis, class_to_vector, coface_pullback,
                       codegeneracy_pullback, dim_cohomology, normal_form,
                       zero_class)
-from .linalg import Eliminator, Matrix, kernel_basis, rank, solve
-from .spectral import FilteredComplex, ss_pages
+from .linalg import (Eliminator, Matrix, VerificationError, kernel_basis,
+                     rank, solve)
+from .spectral import FilteredComplex, _sparse_squares_to_zero, ss_pages
 
 MODES = ("signed", "verbatim")
 
@@ -136,21 +137,13 @@ def hochschild_delta(O, x, p, q, mode="signed"):
     return out
 
 
-def _sparse_squares_to_zero(field, columns):
-    """D^2 = 0 for D given as sparse columns {j: {i: val}}."""
-    F = field
+def _dense(field, n, columns):
+    """The n x n Matrix of sparse columns {j: {i: val}}."""
+    D = Matrix.zeros(field, n, n)
     for j, col in columns.items():
-        acc = {}
         for i, val in col.items():
-            for t, w in columns.get(i, {}).items():
-                s = F.add(acc.get(t, F.zero), F.mul(val, w))
-                if s:
-                    acc[t] = s
-                elif t in acc:
-                    del acc[t]
-        if acc:
-            raise ValueError("differential does not square to zero "
-                             "(witness column %d)" % j)
+            D.rows[i][j] = val
+    return D
 
 
 def hochschild_complex(O, max_p=None, mode="signed", check=True):
@@ -197,11 +190,8 @@ def hochschild_complex(O, max_p=None, mode="signed", check=True):
                 columns[j] = col
     if check:
         _sparse_squares_to_zero(F, columns)
-    D = Matrix.zeros(F, n, n)
-    for j, col in columns.items():
-        for i, val in col.items():
-            D.rows[i][j] = val
-    return FilteredComplex(F, slots, D, labels=labels, check=False)
+    return FilteredComplex(F, slots, _dense(F, n, columns), labels=labels,
+                           check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +328,7 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
         slots.extend([k] * len(reps))
         basis = admissible_basis(*k)
         labels.extend([(k[0], k[1], basis[t]) for t in reps])
-    n = len(slots)
-    D = Matrix.zeros(F, n, n)
+    columns = {}
     for (p, q) in keys:
         if p < 2 or (p - 1, q) not in offsets:
             continue
@@ -353,16 +342,18 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
             if coords is None:
                 # image is independent of degenerates + earlier reps; this
                 # cannot happen since unit vectors exhaust the space
-                raise AssertionError("normalization failed at slot %s" % ((p, q),))
-            j = offsets[(p, q)] + s
+                raise VerificationError("normalization failed at slot %s"
+                                        % ((p, q),))
+            col = {}
             for idx, c in enumerate(coords):
                 if c and idx >= info[(p - 1, q)][1]:
                     rep_index = idx - info[(p - 1, q)][1]
-                    D.rows[offsets[(p - 1, q)] + rep_index][j] = c
-    C = FilteredComplex(F, slots, D, labels=labels, check=False)
-    if not C.D.mul_matrix(C.D).is_zero():
-        raise ValueError("normalized differential does not square to zero")
-    return C
+                    col[offsets[(p - 1, q)] + rep_index] = c
+            if col:
+                columns[offsets[(p, q)] + s] = col
+    _sparse_squares_to_zero(F, columns)
+    return FilteredComplex(F, slots, _dense(F, len(slots), columns),
+                           labels=labels, check=False)
 
 
 class _TowerAsPresentation:

@@ -1,10 +1,18 @@
-"""Dense exact linear algebra over a Field: rank, kernels, solving,
+"""Exact linear algebra over a Field: rank, kernels, solving,
 subquotients, and induced maps on subquotients.
 
-Everything is plain Gaussian elimination on lists of lists.  The
-matrices in this project top out at a few hundred rows, so no sparse or
-block machinery is attempted.
+Matrices are dense lists of lists; induced_map also takes any map with
+.field and .mul_vector, such as the sparse view of spectral.ss_pages.
+Entries pass through Field.of only at the edges: Matrix(field, rows),
+Subspace(..., check=True) and the right-hand side of solve.  Matrices
+and subspaces built from field values (from_columns, products, kernels)
+keep them as they are.
 """
+
+
+class VerificationError(ValueError):
+    """An exactness check failed on computed data; the message names
+    the witness (a column, a slot or a vector)."""
 
 
 class Matrix:
@@ -40,9 +48,12 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, cols, ambient=None):
+        """Matrix with the given columns, whose entries must already be
+        field values."""
         if not cols:
             return cls.zeros(field, ambient or 0, 0)
-        return cls(field, [[c[i] for c in cols] for i in range(len(cols[0]))])
+        return cls(field, [[c[i] for c in cols] for i in range(len(cols[0]))],
+                   coerce=False)
 
     def column(self, j):
         return [row[j] for row in self.rows]
@@ -133,7 +144,8 @@ def kernel_basis(M):
         for i, pc in enumerate(pivots):
             v[pc] = F.neg(rows[i][fc])
         basis.append(v)
-    return Subspace(F, M.ncols, basis)
+    # independent by construction: only basis vector k is nonzero at free[k]
+    return Subspace(F, M.ncols, basis, check=False)
 
 
 def solve(M, b):
@@ -222,12 +234,19 @@ class Eliminator:
 
 
 class Subspace:
-    """Span of independent column vectors inside an ambient k^n."""
+    """Span of independent column vectors inside an ambient k^n.
+
+    check=True coerces every entry and verifies independence; check=False
+    takes independent vectors of field values as they are.
+    """
 
     def __init__(self, field, ambient, basis, check=True):
         self.field = field
         self.ambient = ambient
-        self.basis = [[field.of(x) for x in v] for v in basis]
+        if check:
+            self.basis = [[field.of(x) for x in v] for v in basis]
+        else:
+            self.basis = [list(v) for v in basis]
         for v in self.basis:
             if len(v) != ambient:
                 raise ValueError("basis vector of wrong length")
@@ -248,9 +267,6 @@ class Subspace:
 
     def contains(self, v):
         return self.coords_of(v) is not None
-
-    def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.basis)
 
 
 def subquotient(Z, B):
@@ -276,8 +292,9 @@ def subquotient(Z, B):
 def induced_map(f, source_z, source_b, target_z, target_b):
     """Matrix of the map induced by f on (source Z/B) -> (target Z/B).
 
-    Checks that f carries Z into Z and B into B; a violation is reported
-    with the witness vector.
+    f is a Matrix or any linear map with .field and .mul_vector.  Checks
+    that f carries Z into Z and B into B; a violation raises
+    VerificationError with the witness vector.
     """
     F = f.field
     belim = Eliminator(F)
@@ -287,7 +304,7 @@ def induced_map(f, source_z, source_b, target_z, target_b):
     for v in source_b.basis:
         fv = f.mul_vector(v)
         if belim.add(fv):
-            raise ValueError("not well defined: image of %r leaves the boundary subspace" % (v,))
+            raise VerificationError("not well defined: image of %r leaves the boundary subspace" % (v,))
     assert belim.rank == brank
     _, src_reps = subquotient(source_z, source_b)
     _, tgt_reps = subquotient(target_z, target_b)
@@ -300,6 +317,6 @@ def induced_map(f, source_z, source_b, target_z, target_b):
         fv = f.mul_vector(v)
         coords = full.coords_in_span(fv)
         if coords is None:
-            raise ValueError("not well defined: image of %r leaves the cycle subspace" % (v,))
+            raise VerificationError("not well defined: image of %r leaves the cycle subspace" % (v,))
         cols.append(coords[target_b.dim:])
     return Matrix.from_columns(F, cols, ambient=len(tgt_reps))

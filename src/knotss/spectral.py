@@ -8,14 +8,17 @@ are the classical subquotients
     Z_r(p, n) = {x in F_p, degree n : D x in F_{p-r}}
     E_r(p, n) = Z_r(p, n) / (Z_{r-1}(p-1, n) + D Z_{r-1}(p+r-1, n-1))
 
-with d_r induced by D.  Everything is computed by dense exact linear
-algebra over the complex's field.
+with d_r induced by D, all by exact linear algebra over the complex's
+field.  ss_pages applies D through a sparse view of its nonzero columns,
+built per call and dropped with it; subspaces stay dense vectors of
+field values that are never coerced again.  total_homology_graded, the
+independent oracle, keeps its own dense route through D.
 """
 
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import (Eliminator, Matrix, Subspace, induced_map, kernel_basis,
-                     rank, solve, subquotient)
+from .linalg import (Eliminator, Matrix, Subspace, VerificationError,
+                     induced_map, kernel_basis, rank, solve, subquotient)
 
 
 class FilteredComplex:
@@ -37,16 +40,18 @@ class FilteredComplex:
             self._validate()
 
     def _validate(self):
-        if not self.D.mul_matrix(self.D).is_zero():
-            raise ValueError("differential does not square to zero")
-        for j, (pj, qj) in enumerate(self.slots):
-            for i, (pi, qi) in enumerate(self.slots):
-                if self.D.rows[i][j]:
-                    r = pj - pi
-                    if r < 0 or (qi, ) != (qj - r + 1, ):
-                        raise ValueError(
-                            "block (%s)->(%s) violates the filtration pattern"
-                            % ((pj, qj), (pi, qi)))
+        columns = {j: dict(col)
+                   for j, col in enumerate(_SparseColumns(self.D).cols) if col}
+        _sparse_squares_to_zero(self.field, columns)
+        for j, col in columns.items():
+            pj, qj = self.slots[j]
+            for i in col:
+                pi, qi = self.slots[i]
+                r = pj - pi
+                if r < 0 or qi != qj - r + 1:
+                    raise ValueError(
+                        "block (%s)->(%s) violates the filtration pattern"
+                        % ((pj, qj), (pi, qi)))
 
     @property
     def dim(self):
@@ -109,13 +114,44 @@ def _span(field, ambient, vectors):
     return Subspace(field, ambient, chosen, check=False)
 
 
-def _span_sum(field, ambient, *spaces):
-    vectors = [v for S in spaces for v in S.basis]
-    return _span(field, ambient, vectors)
+def _sparse_squares_to_zero(field, columns):
+    """D^2 = 0 for D given as sparse columns {j: {i: val}}."""
+    F = field
+    for j, col in columns.items():
+        acc = {}
+        for i, val in col.items():
+            for t, w in columns.get(i, {}).items():
+                s = F.add(acc.get(t, F.zero), F.mul(val, w))
+                if s:
+                    acc[t] = s
+                elif t in acc:
+                    del acc[t]
+        if acc:
+            raise VerificationError("differential does not square to zero "
+                                    "(witness column %d)" % j)
 
 
-def _image(C, S):
-    return _span(C.field, C.dim, [C.D.mul_vector(v) for v in S.basis])
+class _SparseColumns:
+    """D as its nonzero columns, j -> [(i, D[i][j])]; mul_vector walks
+    only the support of its argument."""
+
+    def __init__(self, D):
+        self.field = D.field
+        self.nrows = D.nrows
+        self.cols = [[] for _ in range(D.ncols)]
+        for i, row in enumerate(D.rows):
+            for j, x in enumerate(row):
+                if x:
+                    self.cols[j].append((i, x))
+
+    def mul_vector(self, v):
+        F = self.field
+        out = [F.zero] * self.nrows
+        for j, x in enumerate(v):
+            if x:
+                for i, a in self.cols[j]:
+                    out[i] = F.add(out[i], F.mul(a, x))
+        return out
 
 
 @dataclass
@@ -145,48 +181,39 @@ def ss_pages(C, r_max):
     every slot (homology consistency of consecutive pages).
     """
     F = C.field
+    D = _SparseColumns(C.D)
     pq_slots = sorted(set(C.slots))
     pages = []
-    cache_z = {}
+    cache_z, cache_slot = {}, {}
 
     def Z(r, p, n):
         key = (r, p, n)
         if key not in cache_z:
-            cache_z[key] = _z_subspace(C, r, p, n) if r >= 0 else \
-                _z_subspace(C, 0, p, n)
+            cache_z[key] = _z_subspace(C, r, p, n)
         return cache_z[key]
 
-    data = {}  # (r, p, q) -> dict with z, b, dim, reps
-    for r in range(r_max + 1):
-        page = SSPage(r)
-        for (p, q) in pq_slots:
+    def slot(r, p, q):
+        """(z, b, dim, reps) of E_r at (p, q), computed once."""
+        key = (r, p, q)
+        if key not in cache_slot:
             n = q - p
-            z = Z(r, p, n)
             if r == 0:
                 b = Z(0, p - 1, n)
             else:
-                img_src = Z(r - 1, p + r - 1, n - 1)
-                img = _image(C, img_src)
-                b = _span_sum(F, C.dim, Z(r - 1, p - 1, n), img)
-            dim, reps = subquotient(z, b)
-            data[(r, p, q)] = {"z": z, "b": b, "dim": dim, "reps": reps}
+                img = [D.mul_vector(v) for v in Z(r - 1, p + r - 1, n - 1).basis]
+                b = _span(F, C.dim, Z(r - 1, p - 1, n).basis + img)
+            z = Z(r, p, n)
+            cache_slot[key] = (z, b) + subquotient(z, b)
+        return cache_slot[key]
+
+    for r in range(r_max + 1):
+        page = SSPage(r)
         for (p, q) in pq_slots:
-            ent = data[(r, p, q)]
+            z, b, dim, reps = slot(r, p, q)
             tp, tq = p - r, q - r + 1
-            tgt = data.get((r, tp, tq))
-            if tgt is None:
-                n1 = tq - tp
-                tz = Z(r, tp, n1)
-                if r == 0:
-                    tb = Z(0, tp - 1, n1)
-                else:
-                    tb = _span_sum(F, C.dim, Z(r - 1, tp - 1, n1),
-                                   _image(C, Z(r - 1, tp + r - 1, n1 - 1)))
-                tdim, treps = subquotient(tz, tb)
-                tgt = {"z": tz, "b": tb, "dim": tdim, "reps": treps}
-                data[(r, tp, tq)] = tgt
-            d = induced_map(C.D, ent["z"], ent["b"], tgt["z"], tgt["b"])
-            page.table[(-p, q)] = {"dim": ent["dim"], "reps": ent["reps"],
+            tz, tb, _, _ = slot(r, tp, tq)
+            d = induced_map(D, z, b, tz, tb)
+            page.table[(-p, q)] = {"dim": dim, "reps": reps,
                                    "d": d, "d_rank": rank(d),
                                    "target": (-tp, tq)}
         pages.append(page)

@@ -30,8 +30,9 @@ CHAR3_CYCLE = ("-g(1,3)*g(2,3)*g(4,5)+g(1,4)*g(2,4)*g(3,5)"
                "+g(1,4)*g(2,5)*g(3,4)+g(1,5)*g(2,4)*g(3,4)")
 
 
-def _line(num, desc, ok):
-    print("criterion %02d %-44s %s" % (num, desc, "pass" if ok else "FAIL"))
+def _line(num, desc, ok, t0):
+    print("criterion %02d %-44s %s (%.1fs)"
+          % (num, desc, "pass" if ok else "FAIL", time.time() - t0))
     assert ok, "criterion %d failed: %s" % (num, desc)
 
 
@@ -54,11 +55,11 @@ def test_criterion_01_dimension_tables():
     ok = all(dim_cohomology(p, q, F) == _poincare(p)[q]
              for F in FIELDS for p in range(1, 8) for q in range(p))
     elapsed = time.time() - t0
-    _line(1, "dimension tables p<=7, 3 fields (%.1fs)" % elapsed,
-          ok and elapsed < 60)
+    _line(1, "dimension tables p<=7, 3 fields", ok and elapsed < 60, t0)
 
 
 def test_criterion_02_d1_squares_to_zero():
+    t0 = time.time()
     from knotss.hochschild import conf_delta_matrix
     ok = True
     for F in FIELDS:
@@ -71,55 +72,61 @@ def test_criterion_02_d1_squares_to_zero():
                 continue
             for j in range(M.ncols):
                 ok = ok and not any(N.mul_vector(M.column(j)))
-    _line(2, "d_1^2 = 0 on every slot, p<=7, 3 fields", ok)
+    _line(2, "d_1^2 = 0 on every slot, p<=7, 3 fields", ok, t0)
 
 
 def test_criterion_03_char2_cycle():
+    t0 = time.time()
     zero2 = sinha_d1(parse_class(CHAR2_CYCLE, 4, F2)).is_zero()
     zeroq = sinha_d1(parse_class(CHAR2_CYCLE, 4, QQ)).is_zero()
     _line(3, "quadratic class: cycle over F2, not over Q",
-          zero2 and not zeroq)
+          zero2 and not zeroq, t0)
 
 
 def test_criterion_04_char3_cycle():
+    t0 = time.time()
     zero3 = sinha_d1(parse_class(CHAR3_CYCLE, 5, F3)).is_zero()
     zeroq = sinha_d1(parse_class(CHAR3_CYCLE, 5, QQ)).is_zero()
     _line(4, "four-term class: cycle over F3, not over Q",
-          zero3 and not zeroq)
+          zero3 and not zeroq, t0)
 
 
 def test_criterion_05_e2_generators():
+    t0 = time.time()
     a = e2_report(parse_class("g13*g24", 4, F3))
     b = e2_report(parse_class("g12", 2, F3))
     ok = (a["dim_e2"] == 1 and a["is_cycle"] and not a["is_boundary"]
           and any(a["coordinates"])
           and b["dim_e2"] == 1 and b["is_cycle"] and not b["is_boundary"]
           and any(b["coordinates"]))
-    _line(5, "E2 slots (-4,2) and (-2,1) are one dimensional", ok)
+    _line(5, "E2 slots (-4,2) and (-2,1) are one dimensional", ok, t0)
 
 
 def test_criterion_06_mu3_obstruction():
+    t0 = time.time()
     ok = all(mu3_obstruction_rank(F) == 3 for F in FIELDS)
-    _line(6, "mu_3 obstruction pairing has rank 3, 3 fields", ok)
+    _line(6, "mu_3 obstruction pairing has rank 3, 3 fields", ok, t0)
 
 
 def test_criterion_07_algebraic_degeneration():
+    t0 = time.time()
     ok = all(higher_differentials_vanish(6, F)["pass"] for F in FIELDS)
     v = class_to_vector(parse_class("g13*g24", 4, F3), admissible_basis(4, 2))
     out = d2_via_lifting(_tower(F3, 5), v, 4, 2)
     _line(7, "d_r = 0 for r>=2, p<=6; lifted d_2 vanishes",
-          ok and not any(out))
+          ok and not any(out), t0)
 
 
 def test_criterion_08_ainf_d_squared():
     t0 = time.time()
     rep = d_squared_report(6, F2, mode="verbatim")
     elapsed = time.time() - t0
-    _line(8, "tree differential squares to zero, arity<=6 (%.1fs)" % elapsed,
-          rep["pass"] and elapsed < 30)
+    _line(8, "tree differential squares to zero, arity<=6",
+          rep["pass"] and elapsed < 30, t0)
 
 
 def test_criterion_09_pointwise_d1_and_toy_d2():
+    t0 = time.time()
     rng = random.Random(20260823)
     ok, checked = True, 0
     for k in range(21):
@@ -146,13 +153,14 @@ def test_criterion_09_pointwise_d1_and_toy_d2():
         chain = d2_via_lifting(O, [F.one], 4, 2)
         ok = ok and ent["d_rank"] == 1 and any(chain)
     _line(9, "two-route d_1 on %d slots; toy d_2 by lifting" % checked,
-          ok and checked >= 100)
+          ok and checked >= 100, t0)
 
 
 def test_criterion_10_triple_complex_commutation():
+    t0 = time.time()
     ok = all(verify_commutation(n, QQ)["pass"] for n in (2, 3, 4))
     ok = ok and verify_commutation(5, QQ, discrete_only=True)["pass"]
-    _line(10, "merge/Cech commutation n<=4 full, n=5 discrete", ok)
+    _line(10, "merge/Cech commutation n<=4 full, n=5 discrete", ok, t0)
 
 
 def _case_chains(name, spec):
@@ -183,6 +191,7 @@ def _case_chains(name, spec):
 
 
 def test_criterion_11_ledger_cases():
+    t0 = time.time()
     facts = ZeroFacts.load()
     ok = all(run_case(name, facts=facts)["pass"] for name in all_cases())
     n_chains = 0
@@ -193,24 +202,26 @@ def test_criterion_11_ledger_cases():
             dd = boundary_D(boundary_D(ch, conv), conv)
             ok = ok and dd.reduce(char).is_zero()
             n_chains += 1
-    _line(11, "six ledger cases; D^2 = 0 on %d chains" % n_chains, ok)
+    _line(11, "six ledger cases; D^2 = 0 on %d chains" % n_chains, ok, t0)
 
 
 def test_criterion_12_geometry():
+    t0 = time.time()
     ok = closed_form_projection_checks(trials=100)["pass"]
     for name in ALL_LEMMAS:
         ok = ok and check_lemma(name, samples=1000)["pass"]
     rep = attack_zero_facts(ZeroFacts.load(), restarts=200)
     n = len(rep["reports"])
     _line(12, "projections, 6 harnesses, %d facts attacked" % n,
-          ok and rep["pass"] and n >= 50)
+          ok and rep["pass"] and n >= 50, t0)
 
 
 def test_criterion_13_spectral_engine_oracle():
+    t0 = time.time()
     rng = random.Random(20260823)
     ok = True
     for k in range(50):
         F = FIELDS[k % 3]
         C = random_filtered_complex(rng, F, max_basis=30)
         ok = ok and einf_dims(C) == total_homology_graded(C)
-    _line(13, "E_infinity vs graded homology, 50 complexes", ok)
+    _line(13, "E_infinity vs graded homology, 50 complexes", ok, t0)

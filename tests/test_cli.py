@@ -43,6 +43,24 @@ def test_bad_field_is_usage_error(capsys):
     assert main(["conf-dims", "--field", "f7"]) == 2
 
 
+def test_failed_verification_exits_1_with_witness(capsys, flipped_delta_sign):
+    code = main(["ss-table", "--max-arity", "6", "--field", "f3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "does not square to zero (witness column" in err
+    assert "Traceback" not in err
+
+
+def test_page_inconsistency_is_reported(capsys, monkeypatch):
+    def inconsistent(C, r_max):
+        raise AssertionError("page inconsistency at r=1 slot (-2, 1)")
+
+    monkeypatch.setattr("knotss.cli.ss_pages", inconsistent)
+    code, doc = run_json(capsys, "ss-table", "--max-arity", "3")
+    assert code == 1 and not doc["pass"]
+    assert doc["report"] == {"error": "page inconsistency at r=1 slot (-2, 1)"}
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["ss-table", "--bogus"]) == 2
 

@@ -10,7 +10,7 @@ from knotss.hochschild import (ConfTower, OperadPresentation,
                                hochschild_delta, higher_differentials_vanish,
                                mu3_obstruction_rank, pointwise_presentation,
                                toy_mu3_presentation)
-from knotss.linalg import Matrix
+from knotss.linalg import Matrix, VerificationError
 from knotss.spectral import ss_pages, total_homology_graded, einf_dims
 
 FIELDS = [F2, F3, QQ]
@@ -89,6 +89,11 @@ def test_normalized_and_plain_towers_agree_on_page_two():
         pu = ss_pages(Cu, 3)
         assert interior(pn[2], 4) == interior(pu[2], 4)
         assert interior(pn[3], 4) == interior(pu[3], 4)
+
+
+def test_flipped_delta_sign_fails_d_squared(flipped_delta_sign):
+    with pytest.raises(VerificationError, match=r"witness column \d+"):
+        build_sinha_complex(6, F3)
 
 
 def test_higher_differentials_vanish_small():

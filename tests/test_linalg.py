@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotss.fields import F2, F3, QQ, Field, Scalar, field_by_name
-from knotss.linalg import (Matrix, Subspace, induced_map, kernel_basis,
-                           rank, solve, subquotient)
+from knotss.linalg import (Matrix, Subspace, VerificationError, induced_map,
+                           kernel_basis, rank, solve, subquotient)
 
 FIELDS = [F2, F3, QQ]
 
@@ -103,7 +103,7 @@ def test_induced_map_rejects_ill_defined():
     B = Subspace(QQ, 2, [[1, 0]])
     # sends the boundary outside the target boundary
     f = Matrix(QQ, [[0, 0], [1, 0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError, match="not well defined"):
         induced_map(f, Z, B, Z, B)
 
 

@@ -4,8 +4,9 @@ import pytest
 
 from knotss.fields import F2, F3, QQ
 from knotss.linalg import Matrix
-from knotss.spectral import (FilteredComplex, einf_dims, random_filtered_complex,
-                             ss_pages, total_homology_graded)
+from knotss.spectral import (FilteredComplex, _SparseColumns, einf_dims,
+                             random_filtered_complex, ss_pages,
+                             total_homology_graded)
 
 FIELDS = [F2, F3, QQ]
 
@@ -74,3 +75,24 @@ def test_einf_matches_total_homology_oracle():
         C = random_filtered_complex(rng, field, max_basis=20)
         assert einf_dims(C) == total_homology_graded(C), \
             "oracle mismatch on complex %d" % k
+
+
+def test_sparse_columns_match_dense_product():
+    rng = random.Random(11)
+    for k in range(30):
+        field = FIELDS[k % 3]
+        C = random_filtered_complex(rng, field, max_basis=16)
+        view = _SparseColumns(C.D)
+        vectors = Matrix.identity(field, C.dim).columns()
+        vectors.append([field.of(rng.randint(-3, 3)) for _ in range(C.dim)])
+        for v in vectors:
+            assert view.mul_vector(v) == C.D.mul_vector(v)
+
+
+def test_ss_pages_leaves_no_state_on_the_complex():
+    rng = random.Random(5)
+    for field in FIELDS:
+        C = random_filtered_complex(rng, field, max_basis=16)
+        before = dict(vars(C))
+        ss_pages(C, 3)
+        assert vars(C) == before
