@@ -489,9 +489,6 @@ class Chain:
             out.add_term(c, t)
         return out
 
-    def equal_mod(self, other, char):
-        return (self - other).reduce(char).is_zero()
-
     def diff_report(self, other, char):
         d = (self - other).reduce(char)
         return [(str(c), t.expr.text(), str(t.label)) for c, t in d.items()]

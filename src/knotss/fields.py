@@ -3,11 +3,9 @@
 Elements are stored as plain Python values (int residues in 0..p-1 for
 F_p, Fraction for Q); a Field object supplies the arithmetic.  Matrices
 and chains carry a field tag instead of wrapping every entry, which
-keeps elimination loops cheap.  The Scalar wrapper below exists for API
-surfaces that want a self-describing value.
+keeps elimination loops cheap.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -95,39 +93,3 @@ def field_by_name(name):
         return _BY_NAME[name.lower()]
     except KeyError:
         raise ValueError("unknown field %r; shipped fields are f2, f3, q" % name)
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """A field element tagged with its field."""
-
-    field: Field
-    value: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.field.of(self.value))
-
-    def _same(self, other):
-        if self.field != other.field:
-            raise ValueError("mixed fields: %r vs %r" % (self.field, other.field))
-
-    def __add__(self, other):
-        self._same(other)
-        return Scalar(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._same(other)
-        return Scalar(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._same(other)
-        return Scalar(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def __bool__(self):
-        return bool(self.value)

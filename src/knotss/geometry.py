@@ -304,16 +304,6 @@ def in_space(params, P, xs):
     return True
 
 
-def region_membership(params, P, xs, which, pos=None, pos_b=None):
-    if which == "E":
-        return in_E_alpha(params, P, xs, pos) if pos else in_E(params, P, xs)
-    if which == "D":
-        return in_D_ab(params, P, xs, pos, pos_b)
-    if which == "space":
-        return in_space(params, P, xs)
-    raise ValueError("unknown region %r" % which)
-
-
 def is_nonbasepoint(params, P, ys):
     """A point of the ambient space represents a non-basepoint of the
     collapsed tube iff it lies inside the tube and its projection
@@ -321,11 +311,6 @@ def is_nonbasepoint(params, P, ys):
     d2, xs = tube_dist2(params, P, ys)
     ep = eps_P(params, P)
     return d2 < ep * ep and not in_E(params, P, xs)
-
-
-def eval_condensed(expr, x, y, values=None):
-    """Exact image of a ledger map expression at a configuration."""
-    return expr.evaluate(x, y, values or {})
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ coface pullbacks.
 """
 
 from .confcoh import (admissible_basis, class_to_vector, coface_pullback,
-                      codegeneracy_pullback, dim_cohomology, normal_form,
-                      zero_class)
+                      codegeneracy_pullback, dim_cohomology, normal_form)
 from .linalg import (Eliminator, Matrix, VerificationError, kernel_basis,
                      rank, solve)
 from .spectral import FilteredComplex, _sparse_squares_to_zero, ss_pages
@@ -198,66 +197,63 @@ def hochschild_complex(O, max_p=None, mode="signed", check=True):
 # the configuration-space tower as an operad presentation (dual side)
 
 class ConfTower:
-    """Dual presentation whose slot (p, q) is H^q of the arity-p
-    configuration space, with delta realized by coface pullbacks.
+    """Dual presentation of the configuration tower up to arity max_p:
+    slot (p, q) is H^q(Conf_p(R^2)) on the admissible basis.
 
     Only mu_2 acts; its dual summands in position order 0..p are the
     coface pullbacks 0..p, so signed delta is the alternating coface
     sum and verbatim delta is the plain sum.
     """
 
-    def __init__(self, field):
+    mu_arities = [2]
+    internal_d = {}
+    name = "conf-tower"
+
+    def __init__(self, field, max_p):
         self.field = field
-        self.mu_arities = [2]
-        self.name = "conf-tower"
+        self.dims = {(p, q): dim_cohomology(p, q)
+                     for p in range(1, max_p + 1) for q in range(p)}
 
     def dim(self, p, q):
-        return dim_cohomology(p, q)
-
-    def basis(self, p, q):
-        return admissible_basis(p, q)
+        return self.dims.get((p, q), 0)
 
     def dual_terms(self, l, p, q):
-        if l != 2 or p < 2:
+        if l != 2 or not self.dim(p, q) or not self.dim(p - 1, q):
             return (p - l + 1, q - l + 2), []
         F = self.field
-        src_basis = self.basis(p, q)
-        tgt_basis = self.basis(p - 1, q)
-        if not src_basis or not tgt_basis:
-            return (p - 1, q), []
-        mats = []
-        for i in range(p + 1):
-            cols = []
-            for m in src_basis:
-                img = coface_pullback(i, normal_form(p, m, F))
-                cols.append(class_to_vector(img, tgt_basis))
-            mats.append(Matrix.from_columns(F, cols, ambient=len(tgt_basis)))
-        return (p - 1, q), mats
-
-    @property
-    def dims(self):
-        raise AttributeError("dims table is implicit; use dim(p, q)")
-
-    internal_d = {}
+        tgt_basis = admissible_basis(p - 1, q)
+        cols = [[] for _ in range(p + 1)]
+        for m in admissible_basis(p, q):
+            x = normal_form(p, m, F)
+            for i in range(p + 1):
+                cols[i].append(class_to_vector(coface_pullback(i, x), tgt_basis))
+        return (p - 1, q), [Matrix.from_columns(F, c, ambient=len(tgt_basis))
+                            for c in cols]
 
 
 def conf_delta_matrix(p, q, field, mode="signed"):
-    """Matrix of delta on the admissible basis, slot (p, q) -> (p-1, q)."""
+    """Matrix of delta on the admissible basis, slot (p, q) -> (p-1, q).
+
+    Column j is the sum of the coface pullbacks of the j-th admissible
+    monomial, the i-th signed (-1)^i in signed mode.  This route keeps
+    its own signs, apart from ConfTower.dual_terms and hochschild_delta.
+    """
     _check_mode(mode)
     F = field
-    tower = ConfTower(F)
-    n_src = len(tower.basis(p, q))
-    n_tgt = len(tower.basis(p - 1, q)) if p >= 2 else 0
-    _, mats = tower.dual_terms(2, p, q)
-    out = Matrix.zeros(F, n_tgt, n_src)
-    for pos, M in enumerate(mats):
-        sign = F.of(-1 if (mode == "signed" and pos % 2) else 1)
-        for i in range(n_tgt):
-            row_out, row_in = out.rows[i], M.rows[i]
-            for j in range(n_src):
-                if row_in[j]:
-                    row_out[j] = F.add(row_out[j], F.mul(sign, row_in[j]))
-    return out
+    tgt_basis = admissible_basis(p - 1, q) if p >= 2 else []
+    index = {m: t for t, m in enumerate(tgt_basis)}
+    signs = [F.neg(F.one) if mode == "signed" and i % 2 else F.one
+             for i in range(p + 1)] if tgt_basis else []
+    cols = []
+    for m in admissible_basis(p, q):
+        x = normal_form(p, m, F)
+        col = [F.zero] * len(tgt_basis)
+        for i, sign in enumerate(signs):
+            for mm, c in coface_pullback(i, x).terms.items():
+                t = index[mm]
+                col[t] = F.add(col[t], F.mul(sign, c))
+        cols.append(col)
+    return Matrix.from_columns(F, cols, ambient=len(tgt_basis))
 
 
 def _unit_vector(field, n, i):
@@ -310,13 +306,10 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
     if not (1 <= max_p <= 8):
         raise ValueError("max_p must be between 1 and 8")
     F = field
+    if not normalized:
+        return hochschild_complex(ConfTower(F, max_p), mode=mode, check=True)
     keys = [(p, q) for p in range(1, max_p + 1) for q in range(p)
             if dim_cohomology(p, q)]
-    if not normalized:
-        tower = ConfTower(F)
-        dims = {k: dim_cohomology(*k) for k in keys}
-        pres = _TowerAsPresentation(tower, dims)
-        return hochschild_complex(pres, mode=mode, check=True)
 
     # normalized: per slot a basis of unit-vector representatives mod the
     # degenerate span; the differential is delta followed by reduction
@@ -354,23 +347,6 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
     _sparse_squares_to_zero(F, columns)
     return FilteredComplex(F, slots, _dense(F, len(slots), columns),
                            labels=labels, check=False)
-
-
-class _TowerAsPresentation:
-    """Adapter giving ConfTower the OperadPresentation interface."""
-
-    def __init__(self, tower, dims):
-        self.field = tower.field
-        self.dims = dims
-        self.mu_arities = tower.mu_arities
-        self.internal_d = {}
-        self._tower = tower
-
-    def dim(self, p, q):
-        return self.dims.get((p, q), 0)
-
-    def dual_terms(self, l, p, q):
-        return self._tower.dual_terms(l, p, q)
 
 
 def mu3_obstruction_rank(field):

@@ -49,11 +49,11 @@ class Matrix:
     @classmethod
     def from_columns(cls, field, cols, ambient=None):
         """Matrix with the given columns, whose entries must already be
-        field values."""
-        if not cols:
-            return cls.zeros(field, ambient or 0, 0)
-        return cls(field, [[c[i] for c in cols] for i in range(len(cols[0]))],
-                   coerce=False)
+        field values; ambient is the row count when there are none."""
+        nrows = len(cols[0]) if cols else ambient or 0
+        m = cls(field, [[c[i] for c in cols] for i in range(nrows)], coerce=False)
+        m.nrows, m.ncols = nrows, len(cols)
+        return m
 
     def column(self, j):
         return [row[j] for row in self.rows]
@@ -261,13 +261,6 @@ class Subspace:
     def matrix(self):
         return Matrix.from_columns(self.field, self.basis, ambient=self.ambient)
 
-    def coords_of(self, v):
-        """Coordinates of v in this basis, or None if v is outside."""
-        return solve(self.matrix(), v)
-
-    def contains(self, v):
-        return self.coords_of(v) is not None
-
 
 def subquotient(Z, B):
     """Dimension and representatives of Z/B; B must sit inside Z."""
@@ -289,12 +282,14 @@ def subquotient(Z, B):
     return len(reps), reps
 
 
-def induced_map(f, source_z, source_b, target_z, target_b):
+def induced_map(f, source_b, source_reps, target_b, target_reps):
     """Matrix of the map induced by f on (source Z/B) -> (target Z/B).
 
-    f is a Matrix or any linear map with .field and .mul_vector.  Checks
-    that f carries Z into Z and B into B; a violation raises
-    VerificationError with the witness vector.
+    Each side is given by its boundary subspace B and the
+    representatives of Z/B that subquotient returned, so B and the
+    representatives together span Z.  f is a Matrix or any linear map
+    with .field and .mul_vector.  Checks that f carries Z into Z and B
+    into B; a violation raises VerificationError with the witness vector.
     """
     F = f.field
     belim = Eliminator(F)
@@ -306,17 +301,15 @@ def induced_map(f, source_z, source_b, target_z, target_b):
         if belim.add(fv):
             raise VerificationError("not well defined: image of %r leaves the boundary subspace" % (v,))
     assert belim.rank == brank
-    _, src_reps = subquotient(source_z, source_b)
-    _, tgt_reps = subquotient(target_z, target_b)
     # Solve against [B-basis | representatives] and read off the rep part.
     full = Eliminator(F, track=True)
-    for v in target_b.basis + tgt_reps:
+    for v in target_b.basis + target_reps:
         full.add(v)
     cols = []
-    for v in src_reps:
+    for v in source_reps:
         fv = f.mul_vector(v)
         coords = full.coords_in_span(fv)
         if coords is None:
             raise VerificationError("not well defined: image of %r leaves the cycle subspace" % (v,))
         cols.append(coords[target_b.dim:])
-    return Matrix.from_columns(F, cols, ambient=len(tgt_reps))
+    return Matrix.from_columns(F, cols, ambient=len(target_reps))

@@ -193,7 +193,7 @@ def ss_pages(C, r_max):
         return cache_z[key]
 
     def slot(r, p, q):
-        """(z, b, dim, reps) of E_r at (p, q), computed once."""
+        """(b, dim, reps) of E_r at (p, q), computed once."""
         key = (r, p, q)
         if key not in cache_slot:
             n = q - p
@@ -202,17 +202,16 @@ def ss_pages(C, r_max):
             else:
                 img = [D.mul_vector(v) for v in Z(r - 1, p + r - 1, n - 1).basis]
                 b = _span(F, C.dim, Z(r - 1, p - 1, n).basis + img)
-            z = Z(r, p, n)
-            cache_slot[key] = (z, b) + subquotient(z, b)
+            cache_slot[key] = (b,) + subquotient(Z(r, p, n), b)
         return cache_slot[key]
 
     for r in range(r_max + 1):
         page = SSPage(r)
         for (p, q) in pq_slots:
-            z, b, dim, reps = slot(r, p, q)
+            b, dim, reps = slot(r, p, q)
             tp, tq = p - r, q - r + 1
-            tz, tb, _, _ = slot(r, tp, tq)
-            d = induced_map(D, z, b, tz, tb)
+            tb, _, treps = slot(r, tp, tq)
+            d = induced_map(D, b, reps, tb, treps)
             page.table[(-p, q)] = {"dim": dim, "reps": reps,
                                    "d": d, "d_rank": rank(d),
                                    "target": (-tp, tq)}

@@ -13,7 +13,7 @@ from knotss.confcoh import (admissible_basis, class_to_vector, dim_cohomology,
 from knotss.fields import F2, F3, QQ
 from knotss.geometry import (ALL_LEMMAS, attack_zero_facts, check_lemma,
                              closed_form_projection_checks)
-from knotss.hochschild import (ConfTower, Matrix, _TowerAsPresentation,
+from knotss.hochschild import (ConfTower, Matrix,
                                build_sinha_complex, d2_via_lifting, e2_report,
                                hochschild_complex, hochschild_delta,
                                higher_differentials_vanish,
@@ -42,12 +42,6 @@ def _poincare(p):
         coeffs = [c + k * (coeffs[i - 1] if i else 0)
                   for i, c in enumerate(coeffs + [0])]
     return coeffs[:p]
-
-
-def _tower(field, max_p):
-    dims = {(p, q): dim_cohomology(p, q)
-            for p in range(1, max_p + 1) for q in range(p)}
-    return _TowerAsPresentation(ConfTower(field), dims)
 
 
 def test_criterion_01_dimension_tables():
@@ -112,7 +106,7 @@ def test_criterion_07_algebraic_degeneration():
     t0 = time.time()
     ok = all(higher_differentials_vanish(6, F)["pass"] for F in FIELDS)
     v = class_to_vector(parse_class("g13*g24", 4, F3), admissible_basis(4, 2))
-    out = d2_via_lifting(_tower(F3, 5), v, 4, 2)
+    out = d2_via_lifting(ConfTower(F3, 5), v, 4, 2)
     _line(7, "d_r = 0 for r>=2, p<=6; lifted d_2 vanishes",
           ok and not any(out), t0)
 

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from knotss.confcoh import admissible_basis, dim_cohomology, parse_class
+from knotss.confcoh import (admissible_basis, class_to_vector, coface_pullback,
+                            dim_cohomology, normal_form, parse_class, sinha_d1,
+                            zero_class)
 from knotss.fields import F2, F3, QQ
 from knotss.hochschild import (ConfTower, OperadPresentation,
                                build_sinha_complex, conf_delta_matrix,
@@ -34,13 +36,23 @@ def test_presentation_validation():
 
 
 def test_delta_is_signed_coface_sum_on_tower():
-    # the dual mu_2 action on the configuration tower is the coface sum
+    # column j of the delta matrix is d_1 of the j-th admissible monomial:
+    # the alternating coface sum, or the plain sum in verbatim mode (a
+    # differential over F2 only, but checked over every field so that a
+    # stray sign shows)
     for F in FIELDS:
-        for (p, q) in [(3, 1), (3, 2), (4, 2), (5, 3)]:
+        for (p, q) in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)]:
             M = conf_delta_matrix(p, q, F, mode="signed")
-            basis = admissible_basis(p, q)
-            assert M.ncols == len(basis)
-            assert M.nrows == dim_cohomology(p - 1, q)
+            V = conf_delta_matrix(p, q, F, mode="verbatim")
+            basis, tgt = admissible_basis(p, q), admissible_basis(p - 1, q)
+            assert (M.nrows, M.ncols) == (dim_cohomology(p - 1, q), len(basis))
+            for j, m in enumerate(basis):
+                x = normal_form(p, m, F)
+                assert M.column(j) == class_to_vector(sinha_d1(x), tgt)
+                plain = zero_class(p - 1, q, F)
+                for i in range(p + 1):
+                    plain = plain + coface_pullback(i, x)
+                assert V.column(j) == class_to_vector(plain, tgt)
 
 
 def test_char2_cycle_through_delta():
@@ -178,7 +190,7 @@ def test_tower_lifting_always_zero():
     # every cycle, matching the vanishing page-2 differential
     x = parse_class(CHAR2_CYCLE, 4, F2)
     from knotss.confcoh import class_to_vector
-    tower = _tower_presentation(F2, 5)
+    tower = ConfTower(F2, 5)
     v = class_to_vector(x, admissible_basis(4, 2))
     out = d2_via_lifting(tower, v, 4, 2, mode="verbatim")
     assert not any(out)
@@ -186,11 +198,5 @@ def test_tower_lifting_always_zero():
         # a non-cycle has no lift
         w = class_to_vector(parse_class(CHAR2_CYCLE, 4, QQ),
                             admissible_basis(4, 2))
-        d2_via_lifting(_tower_presentation(QQ, 5), w, 4, 2)
+        d2_via_lifting(ConfTower(QQ, 5), w, 4, 2)
 
-
-def _tower_presentation(field, max_p):
-    from knotss.hochschild import _TowerAsPresentation
-    dims = {(p, q): dim_cohomology(p, q)
-            for p in range(1, max_p + 1) for q in range(p)}
-    return _TowerAsPresentation(ConfTower(field), dims)

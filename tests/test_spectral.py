@@ -50,6 +50,9 @@ def test_free_generator_survives():
     pages = ss_pages(C, 4)
     for page in pages:
         assert page.dims() == {(-3, 4): 1}
+        d = page.table[(-3, 4)]["d"]
+        assert (d.nrows, d.ncols) == (0, 1)
+        assert d.mul_vector([1]) == []
     assert einf_dims(C) == {(3, 4): 1}
     assert total_homology_graded(C) == {(3, 4): 1}
 
