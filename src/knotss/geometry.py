@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, solve
+from .linalg import Matrix, solve, solve_many
 from .fields import QQ
 from .partgraph import PGraph, Partition, discrete_partition, is_subdivision
 
@@ -238,37 +238,107 @@ def project_pi(params, P, ys):
     return [(xu[i], xv[i]) for i in range(p)]
 
 
+class Tube:
+    """The tube of one stage P under params, compiled once for callers
+    that query it many times: the anchored numbers with the first
+    coordinates of their anchors, the internal pieces with the
+    u-offsets of their members, eps_P^2, and the excision window of
+    each internal piece.  Numbers are stored by index k - 1."""
+
+    def __init__(self, params, P):
+        rho, c = params.rho, params.c
+        pieces = P.pieces()
+        last = len(pieces) - 1
+        self.anchored = []  # (k - 1, anchor u); anchors sit at v = 0
+        self.pieces = []    # (1 / size, [(k - 1, u-offset)]) per internal piece
+        for pos, piece in enumerate(pieces):
+            ca = c_piece(params, piece)
+            members, before = [], Fraction(0)
+            for k in piece:
+                mid = rho * (before + c[k] / 2)  # from the piece's left end
+                before += c[k]
+                if not 1 <= k <= P.n:
+                    continue
+                if pos == 0:
+                    self.anchored.append((k - 1, -1 + mid))
+                elif pos == last:
+                    self.anchored.append((k - 1, 1 - rho * ca + mid))
+                else:
+                    members.append((k - 1, mid - rho * ca / 2))
+            if 0 < pos < last:
+                self.pieces.append((Fraction(1, len(members)), members))
+        epsp = eps_P(params, P)
+        self.eps2 = epsp * epsp
+        self.windows = [_excision_window(params, P, pos)
+                        for pos in range(1, last)]
+
+    def dist2(self, ys):
+        """Exact squared distance from ys to the embedded configuration
+        space, with the projection coordinates.  The projection of a
+        piece is the mean of its members' positions less their offsets,
+        so each member's distance to its center is its distance, less
+        its offset, to that mean."""
+        total = Fraction(0)
+        for i, a in self.anchored:
+            u, v = ys[i]
+            total += (u - a) * (u - a) + v * v
+        xs = []
+        for inv, members in self.pieces:
+            if len(members) == 1:
+                i, off = members[0]
+                xs.append((ys[i][0] - off, ys[i][1]))
+                continue
+            zs = [(ys[i][0] - off, ys[i][1]) for i, off in members]
+            mu = inv * sum(z[0] for z in zs)
+            mv = inv * sum(z[1] for z in zs)
+            for zu, zv in zs:
+                total += (zu - mu) * (zu - mu) + (zv - mv) * (zv - mv)
+            xs.append((mu, mv))
+        return total, xs
+
+    def excised(self, xs):
+        """in_E at the projection coordinates xs."""
+        return any(_excised(x, w) for x, w in zip(xs, self.windows))
+
+    def nonbase_projection(self, ys):
+        """The projection coordinates of ys when ys represents a
+        non-basepoint of the collapsed tube (inside the tube, projection
+        clear of every excision region), else None."""
+        d2, xs = self.dist2(ys)
+        if d2 < self.eps2 and not self.excised(xs):
+            return xs
+        return None
+
+
 def tube_dist2(params, P, ys):
     """Exact squared distance from ys to the embedded configuration
     space, with the projection coordinates."""
-    xs = project_mean(params, P, ys)
-    centers = e_P(params, P, xs)
-    anchors = anchor_centers(params, P)
-    total = Fraction(0)
-    for k in range(1, P.n + 1):
-        target = anchors[k] if k in anchors else centers[k - 1]
-        total += _norm2(_sub(ys[k - 1], target))
-    return total, xs
+    return Tube(params, P).dist2(ys)
 
 
 # ---------------------------------------------------------------------------
 # regions
 
 
+def _excision_window(params, P, pos):
+    """(r^2, lo, hi) at an internal piece: its center is excised when
+    |x|^2 >= r^2 or its first coordinate is at most lo or at least hi."""
+    epsp = eps_P(params, P)
+    ca = c_piece(params, P.pieces()[pos])
+    r = 1 - params.rho * ca / 2 + epsp
+    return (r * r, -1 + params.rho * c_le(params, P, pos) - epsp,
+            1 - params.rho * c_ge(params, P, pos) + epsp)
+
+
+def _excised(x, window):
+    r2, lo, hi = window
+    return _norm2(x) >= r2 or x[0] <= lo or x[0] >= hi
+
+
 def in_E_alpha(params, P, xs, pos):
     """Excision region at an internal piece: near the outer sphere, or
     beyond the first-coordinate window on either side."""
-    epsp = eps_P(params, P)
-    x = xs[pos - 1]
-    ca = c_piece(params, P.pieces()[pos])
-    r = 1 - params.rho * ca / 2 + epsp
-    if _norm2(x) >= r * r:
-        return True
-    if x[0] <= -1 + params.rho * c_le(params, P, pos) - epsp:
-        return True
-    if x[0] >= 1 - params.rho * c_ge(params, P, pos) + epsp:
-        return True
-    return False
+    return _excised(xs[pos - 1], _excision_window(params, P, pos))
 
 
 def in_E(params, P, xs):
@@ -308,9 +378,7 @@ def is_nonbasepoint(params, P, ys):
     """A point of the ambient space represents a non-basepoint of the
     collapsed tube iff it lies inside the tube and its projection
     avoids every excision region."""
-    d2, xs = tube_dist2(params, P, ys)
-    ep = eps_P(params, P)
-    return d2 < ep * ep and not in_E(params, P, xs)
+    return Tube(params, P).nonbase_projection(ys) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -394,46 +462,47 @@ def _diagonal_sample(params, P, rng):
 # witness attack: exact alternating least squares
 
 
-def _ls_assemble(params, P, expr, values, coord):
-    """Rows of the least squares system for one coordinate: unknowns
-    (x_c, y_c, a_1..a_p); the tube coordinates enter with -1 at the
-    column of the piece of each number; anchored numbers contribute
-    constant targets."""
-    offs = _offsets(params, P)
-    anchors = anchor_centers(params, P)
-    pieces = P.pieces()
-    pos_of = {}
-    for pos in range(1, len(pieces) - 1):
-        for k in pieces[pos]:
-            pos_of[k] = pos - 1
-    p = P.num_internal
-    rows, rhs = [], []
-    for k in range(1, P.n + 1):
-        cx, cy, qu, qv = expr.comps[k - 1]
-        q = (qu if coord == 0 else qv).evaluate(values)
-        row = [cx.evaluate(values), cy.evaluate(values)] + [Fraction(0)] * p
-        if k in pos_of:
-            row[2 + pos_of[k]] = Fraction(-1)
-            target = offs[k] if coord == 0 else Fraction(0)
-        else:
-            target = anchors[k][coord]
-        rows.append(row)
-        rhs.append(target - q)
-    return rows, rhs
+def _ls_step(tube, expr, values):
+    """One exact least squares step for the configuration (x, y) at
+    fixed parameters.  Unknowns (x_c, y_c, a_1..a_p): number k asks
+    cx_k x_c + cy_k y_c - a_(piece of k) = offset_k - q_k when it lies in
+    an internal piece, and cx_k x_c + cy_k y_c = anchor_k - q_k when it
+    is anchored.  Both coordinates share the normal matrix N, so it is
+    reduced once with the u and v right-hand sides."""
+    coeffs = [[p.evaluate(values) for p in comp] for comp in expr.comps]
+    m = 2 + len(tube.pieces)
+    N = [[Fraction(0)] * m for _ in range(m)]
+    tu, tv = [Fraction(0)] * m, [Fraction(0)] * m
 
+    def add(i, col, target):
+        cx, cy, qu, qv = coeffs[i]
+        bu, bv = target - qu, -qv
+        N[0][0] += cx * cx
+        N[0][1] += cx * cy
+        N[1][1] += cy * cy
+        tu[0] += cx * bu
+        tu[1] += cy * bu
+        tv[0] += cx * bv
+        tv[1] += cy * bv
+        if col is not None:
+            N[0][col] -= cx
+            N[1][col] -= cy
+            N[col][col] += 1
+            tu[col] -= bu
+            tv[col] -= bv
 
-def _ls_solve(rows, rhs):
-    m = len(rows[0])
-    N = [[sum(r[i] * r[j] for r in rows) for j in range(m)] for i in range(m)]
-    t = [sum(r[i] * b for r, b in zip(rows, rhs)) for i in range(m)]
-    sol = solve(Matrix(QQ, N), t)
-    if sol is None:  # normal equations are always consistent
+    for i, a in tube.anchored:
+        add(i, None, a)
+    for j, (_, members) in enumerate(tube.pieces):
+        for i, off in members:
+            add(i, 2 + j, off)
+    for j in range(1, m):
+        for i in range(min(j, 2)):
+            N[j][i] = N[i][j]
+    su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
+    if su is None or sv is None:  # normal equations are always consistent
         raise AssertionError("inconsistent normal equations")
-    return sol
-
-
-def _dist2_at(params, P, expr, values, x, y):
-    return tube_dist2(params, P, expr.evaluate(x, y, values))
+    return (su[0], sv[0]), (su[1], sv[1])
 
 
 def _param_domain(name):
@@ -456,10 +525,11 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
     A witness is an exact rational input whose image lies inside the
     tube with projection clear of every excision region; finding one
     disproves the zero fact for the term."""
-    P = term.label.partition
+    if restarts < 1 or rounds < 1:
+        raise ValueError("the attack needs at least one restart and one round")
+    tube = Tube(params, term.label.partition)
     expr = term.expr
     names = sorted(expr.names())
-    epsp = eps_P(params, P)
     best = None
     witness = None
     scale_hint = params.rho * min(params.c)
@@ -472,21 +542,19 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
                                        * rng.choice((1, 4, 16, 64)))
             else:
                 values[nm] = rand_frac(rng, 0, 1)
-        x = y = (Fraction(0), Fraction(0))
         for _ in range(rounds):
-            su = _ls_solve(*_ls_assemble(params, P, expr, values, 0))
-            sv = _ls_solve(*_ls_assemble(params, P, expr, values, 1))
-            x, y = (su[0], sv[0]), (su[1], sv[1])
+            x, y = _ls_step(tube, expr, values)
             for nm in names:
                 lo, hi = _param_domain(nm)
                 cur = values[nm]
-                d0 = _dist2_at(params, P, expr, {**values, nm: Fraction(0)},
-                               x, y)[0]
-                dh = _dist2_at(params, P, expr, {**values, nm: Fraction(1, 2)},
-                               x, y)[0]
-                d1 = _dist2_at(params, P, expr, {**values, nm: Fraction(1)},
-                               x, y)[0]
-                # dist^2 is an exact quadratic in any single parameter
+                ys0 = expr.evaluate(x, y, {**values, nm: Fraction(0)})
+                ys1 = expr.evaluate(x, y, {**values, nm: Fraction(1)})
+                # the image is affine in any single parameter, so at 1/2
+                # it is the mean of its two ends, and dist^2 is an exact
+                # quadratic in the parameter
+                ysh = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
+                       for a, b in zip(ys0, ys1)]
+                d0, dh, d1 = (tube.dist2(ys)[0] for ys in (ys0, ysh, ys1))
                 a2 = 2 * d0 - 4 * dh + 2 * d1
                 a1 = -3 * d0 + 4 * dh - d1
                 if a2 > 0:
@@ -498,11 +566,11 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
                 else:
                     opt = cur
                 values[nm] = _clamp(opt, lo, hi).limit_denominator(denom)
-        d2, xs = _dist2_at(params, P, expr, values, x, y)
+        d2, xs = tube.dist2(expr.evaluate(x, y, values))
         if best is None or d2 < best:
             best = d2
-        if d2 < epsp * epsp:
-            hit = _try_escape_excision(params, P, expr, values, x, y)
+        if d2 < tube.eps2:
+            hit = _try_escape_excision(tube, expr, values, x, y, xs)
             if hit is not None:
                 witness = {"x": [str(c) for c in hit[0]],
                            "y": [str(c) for c in hit[1]],
@@ -511,7 +579,7 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
                 break
     return {"expr": expr.text(), "label": str(term.label),
             "restarts": restarts, "witness": witness,
-            "best_dist2": str(best), "eps2": str(epsp * epsp)}
+            "best_dist2": str(best), "eps2": str(tube.eps2)}
 
 
 def _translation_free(expr):
@@ -524,29 +592,22 @@ def _translation_free(expr):
     return True
 
 
-def _try_escape_excision(params, P, expr, values, x, y):
-    """A tube point is a witness only if its projection avoids the
-    excision regions; when the map is translation equivariant, slide it
-    along the first coordinate into the allowed windows."""
-    d2, xs = _dist2_at(params, P, expr, values, x, y)
-    epsp = eps_P(params, P)
-    if d2 < epsp * epsp and not in_E(params, P, xs):
+def _try_escape_excision(tube, expr, values, x, y, xs):
+    """The image of (x, y) lies inside the tube with projection xs.  It
+    is a witness only if that projection avoids the excision regions;
+    when the map is translation equivariant, slide it along the first
+    coordinate into the allowed windows."""
+    if not tube.excised(xs):
         return x, y
     if not _translation_free(expr):
         return None
-    rho = params.rho
-    los, his = [], []
-    for pos in range(1, P.num_pieces - 1):
-        cur = xs[pos - 1][0]
-        los.append((-1 + rho * c_le(params, P, pos) - epsp) - cur)
-        his.append((1 - rho * c_ge(params, P, pos) + epsp) - cur)
-    lo, hi = max(los), min(his)
+    lo = max(w_lo - xc[0] for xc, (_, w_lo, _) in zip(xs, tube.windows))
+    hi = min(w_hi - xc[0] for xc, (_, _, w_hi) in zip(xs, tube.windows))
     if lo >= hi:
         return None
     shift = ((lo + hi) / 2, Fraction(0))
     x2, y2 = _add(x, shift), _add(y, shift)
-    d2b, xs2 = _dist2_at(params, P, expr, values, x2, y2)
-    if d2b < epsp * epsp and not in_E(params, P, xs2):
+    if tube.nonbase_projection(expr.evaluate(x2, y2, values)) is not None:
         return x2, y2
     return None
 
@@ -556,6 +617,8 @@ def attack_zero_facts(facts, restarts=200, seed=20260823):
     admits a witness."""
     from .chainledger import Term, WeightSpec
     from .partgraph import parse_graph
+    if restarts < 1:
+        raise ValueError("the attack needs at least one restart")
     reports = []
     rng = random.Random(seed)
     for (etext, ltext), rec in sorted(facts.table.items()):
@@ -669,10 +732,9 @@ def _refinement_pairs():
             (Partition(4, (1, 4, 1)), Partition(4, (1, 2, 2, 1)))]
 
 
-def _is_basepoint(params, P, ys):
-    d2, xs = tube_dist2(params, P, ys)
-    ep = eps_P(params, P)
-    return d2 >= ep * ep or in_E(params, P, xs)
+def _tubes(params, partitions):
+    """One compiled tube per distinct partition."""
+    return {P: Tube(params, P) for P in set(partitions)}
 
 
 def _check_diagonal_bound(rng, samples, seed):
@@ -681,6 +743,7 @@ def _check_diagonal_bound(rng, samples, seed):
     params = default_params(4)
     bad = []
     pairs = _refinement_pairs()
+    tubes = _tubes(params, [P for pair in pairs for P in pair])
     for k in range(samples):
         P, Q = pairs[k % len(pairs)]
         src = (P, Q)[k % 2]
@@ -688,7 +751,8 @@ def _check_diagonal_bound(rng, samples, seed):
             ys = _excised_sample(params, src, rng)
         else:
             ys = _near_tube_sample(params, src, rng)
-        if _is_basepoint(params, Q, ys) and not _is_basepoint(params, P, ys):
+        if (tubes[Q].nonbase_projection(ys) is None
+                and tubes[P].nonbase_projection(ys) is not None):
             bad.append({"P": str(P), "Q": str(Q),
                         "y": [[str(c) for c in v] for v in ys]})
     return _report("diagonal-bound", samples, bad, seed)
@@ -714,15 +778,16 @@ def _check_diagonal_incl(rng, samples, seed):
     params = default_params(4)
     bad = []
     pairs = _refinement_pairs()
+    tubes = _tubes(params, [P for pair in pairs for P in pair])
     for k in range(samples):
         P, Q = pairs[k % len(pairs)]
         ys = _diagonal_sample(params, Q, rng)
-        if _is_basepoint(params, Q, ys):
+        xq = tubes[Q].nonbase_projection(ys)
+        if xq is None:
             continue
-        _, xq = tube_dist2(params, Q, ys)
         where = _piece_map(P, Q)
-        at_base = _is_basepoint(params, P, ys)
-        xp = None if at_base else tube_dist2(params, P, ys)[1]
+        xp = tubes[P].nonbase_projection(ys)
+        at_base = xp is None
         m = Q.num_pieces - 1
         for a in range(1, m):
             for b in range(a + 1, m):
@@ -764,10 +829,11 @@ def _check_collapse0(rng, samples, seed):
              Partition(n, (1, 4, 1)), Partition(n, (2, 3, 1))]
     ext = {0: (-1 + rho * params.c[0] / 2, Fraction(0)),
            n + 1: (1 - rho * params.c[n + 1] / 2, Fraction(0))}
+    tubes = _tubes(params, parts)
     for k in range(samples):
         P = parts[k % len(parts)]
         ys = _near_tube_sample(params, P, rng)
-        if not is_nonbasepoint(params, P, ys):
+        if tubes[P].nonbase_projection(ys) is None:
             continue
         epsp = eps_P(params, P)
         for kk in range(1, n + 1):
@@ -826,6 +892,7 @@ def _check_condensed_image(rng, samples, seed):
     their stage graph."""
     params = default_params(4)
     instances = _condensed_instances()
+    tubes = _tubes(params, [part for _, part, _ in instances])
     bad = []
     for k in range(samples):
         expr, part, edges = instances[k % len(instances)]
@@ -836,10 +903,9 @@ def _check_condensed_image(rng, samples, seed):
             values = {nm: (rand_frac(rng, 0, 1) if nm.startswith("t")
                            else rand_frac(rng, 0, params.rho))
                       for nm in expr.names()}
-        ys = expr.evaluate(x, y, values)
-        if _is_basepoint(params, part, ys):
+        xp = tubes[part].nonbase_projection(expr.evaluate(x, y, values))
+        if xp is None:
             continue
-        _, xp = tube_dist2(params, part, ys)
         for (a, b) in edges:
             if not in_D_ab(params, part, xp, a, b):
                 bad.append({"edge": (a, b), "expr": expr.text(),
@@ -886,11 +952,12 @@ def _check_collapse_cases(rng, samples, seed):
         rep = attack_term(params, term, rng, restarts=per)
         if rep["witness"] is not None:
             bad.append({"kind": "collapse-witness", "detail": rep})
+        tube = Tube(params, term.label.partition)
         for _ in range(per):
             x, y = rand_point(rng), rand_point(rng)
             s = rand_frac(rng, 0, params.rho)
             ys = term.expr.evaluate(x, y, {"s1": s})
-            if is_nonbasepoint(params, term.label.partition, ys):
+            if tube.nonbase_projection(ys) is not None:
                 bad.append({"expr": term.expr.text(),
                             "kind": "random-witness"})
     for term in _power_check_terms():
@@ -916,6 +983,7 @@ def _check_i_contraction(rng, samples, seed):
     part, edges = dg.partition, dg.edges
     bad = []
     ep = eps_P(params, part)
+    tube = Tube(params, part)
     for k in range(samples):
         x, y = rand_point(rng), rand_point(rng)
         s1 = rand_frac(rng, 0, params.rho * rng.choice((1, Fraction(1, 64))))
@@ -926,10 +994,9 @@ def _check_i_contraction(rng, samples, seed):
             s1 = rand_frac(rng, 0, 2 * ep)
             s2 = params.rho * c_between_numbers(params, 1, 2) / 2 \
                 + rand_frac(rng, -2 * ep, 2 * ep)
-        ys = F.evaluate(x, y, {"s1": s1, "s2": s2})
-        if _is_basepoint(params, part, ys):
+        xp = tube.nonbase_projection(F.evaluate(x, y, {"s1": s1, "s2": s2}))
+        if xp is None:
             continue
-        _, xp = tube_dist2(params, part, ys)
         for (a, b) in edges:
             if not in_D_ab(params, part, xp, a, b):
                 bad.append({"edge": (a, b), "s1": str(s1), "s2": str(s2),

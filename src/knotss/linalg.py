@@ -4,9 +4,9 @@ subquotients, and induced maps on subquotients.
 Matrices are dense lists of lists; induced_map also takes any map with
 .field and .mul_vector, such as the sparse view of spectral.ss_pages.
 Entries pass through Field.of only at the edges: Matrix(field, rows),
-Subspace(..., check=True) and the right-hand side of solve.  Matrices
-and subspaces built from field values (from_columns, products, kernels)
-keep them as they are.
+Subspace(..., check=True) and the right-hand side of solve (solve_many
+takes field values).  Matrices and subspaces built from field values
+(from_columns, products, kernels) keep them as they are.
 """
 
 
@@ -150,18 +150,31 @@ def kernel_basis(M):
 
 def solve(M, b):
     """Some x with Mx = b, or None if inconsistent."""
-    if len(b) != M.nrows:
-        raise ValueError("dimension mismatch: %d rows, rhs of %d" % (M.nrows, len(b)))
     F = M.field
-    rows = [list(r) + [F.of(x)] for r, x in zip(M.rows, b)]
-    pivots = _rref(F, rows, M.ncols)
-    for i in range(len(pivots), M.nrows):
-        if rows[i][M.ncols]:
-            return None
-    x = [F.zero] * M.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][M.ncols]
-    return x
+    return solve_many(M, [[F.of(x) for x in b]])[0]
+
+
+def solve_many(M, bs):
+    """One reduction of M for several right-hand sides of field values:
+    for each b, some x with Mx = b, or None if inconsistent.  Pivots come
+    from M's columns only, so each x is the one solve(M, b) returns."""
+    for b in bs:
+        if len(b) != M.nrows:
+            raise ValueError("dimension mismatch: %d rows, rhs of %d" % (M.nrows, len(b)))
+    F = M.field
+    n = M.ncols
+    rows = [list(r) + [b[i] for b in bs] for i, r in enumerate(M.rows)]
+    pivots = _rref(F, rows, n)
+    out = []
+    for j in range(n, n + len(bs)):
+        if any(rows[i][j] for i in range(len(pivots), M.nrows)):
+            out.append(None)
+            continue
+        x = [F.zero] * n
+        for i, pc in enumerate(pivots):
+            x[pc] = rows[i][j]
+        out.append(x)
+    return out
 
 
 class Eliminator:

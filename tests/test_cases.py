@@ -31,6 +31,19 @@ def test_pair_identities_close_without_facts():
             assert c["pass"] != assembly, c["name"]
 
 
+def test_dropping_one_fact_fails_its_cases():
+    # a wrong fact cannot hide: for each distinct set of cases that the
+    # fact table serves, dropping one of its facts fails every case in it
+    records = list(FACTS.table.values())
+    sets = sorted({tuple(rec["cases"]) for rec in records})
+    assert len(sets) == 5
+    for names in sets:
+        dropped = next(rec for rec in records if tuple(rec["cases"]) == names)
+        rest = ZeroFacts([rec for rec in records if rec is not dropped])
+        for name in names:
+            assert not run_case(name, facts=rest)["pass"], (names, name)
+
+
 def test_one_pair_identity_is_exact_over_Q():
     # no reduction mod 3: the signed identity holds with exact rationals
     G = parse_graph("(1,3)(2,3)(4,5)", 5)

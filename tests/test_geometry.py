@@ -6,7 +6,7 @@ import pytest
 from knotss.chainledger import (Term, WeightSpec, ZeroFacts, contraction,
                                 ee_contraction, f_graph, straight)
 from knotss.geometry import (ALL_LEMMAS, Params, anchor_centers, attack_term,
-                             c_between, check_lemma,
+                             attack_zero_facts, c_between, check_lemma,
                              closed_form_projection_checks, default_params,
                              e_P, e_embed, eps_P, in_D_ab, in_E, in_E_alpha,
                              in_space, is_nonbasepoint, parse_expr,
@@ -14,7 +14,7 @@ from knotss.geometry import (ALL_LEMMAS, Params, anchor_centers, attack_term,
                              sample_space_point, tube_dist2,
                              _power_check_terms)
 from knotss.partgraph import (PGraph, Partition, discrete_partition,
-                              parse_graph)
+                              enumerate_partitions, parse_graph)
 
 
 def test_params_validation():
@@ -68,6 +68,28 @@ def test_tube_distance_zero_on_embedded_points():
         xs = sample_space_point(params, P, rng)
         d2, proj = tube_dist2(params, P, e_P(params, P, xs))
         assert d2 == 0 and proj == xs
+
+
+def test_compiled_tube_matches_projection_and_embedding():
+    # every stage up to five strands, extreme pieces holding several
+    # numbers included: the compiled tube agrees with the matrix
+    # projection, the embedding e_P and the anchors
+    rng = random.Random(29)
+    for n in range(1, 6):
+        params = default_params(n)
+        for P in enumerate_partitions(n):
+            anchors = anchor_centers(params, P)
+            for _ in range(3):
+                ys = [rand_point(rng, 2) for _ in range(n)]
+                xs = project_pi(params, P, ys)
+                centers = e_P(params, P, xs)
+                want = Fraction(0)
+                for k in range(1, n + 1):
+                    if k in anchors:
+                        assert centers[k - 1] == anchors[k]
+                    target = anchors.get(k, centers[k - 1])
+                    want += sum((a - b) ** 2 for a, b in zip(ys[k - 1], target))
+                assert tube_dist2(params, P, ys) == (want, xs), str(P)
 
 
 def test_projection_routes_agree():
@@ -127,13 +149,23 @@ def test_parse_expr_roundtrip():
         parse_expr("x;y", 4)
 
 
+# the attack's exact search path at this seed: the first restart of each
+# power check finds these, and any change to the search's arithmetic
+# that moves a restart shows here
+POWER_WITNESSES = [
+    {"x": ["0", "0"], "y": ["0", "0"], "params": {"s1": "0"}, "trial": 0},
+    {"x": ["1030301/42460806024", "0"], "y": ["-104060401/42460806024", "0"],
+     "params": {"s1": "0", "t1": "5101/10201"}, "trial": 0},
+]
+
+
 def test_attack_finds_genuine_witnesses():
     # power check: maps with real non-basepoint content must be caught
     params = default_params(4)
     rng = random.Random(19)
-    for term in _power_check_terms():
+    for term, pinned in zip(_power_check_terms(), POWER_WITNESSES):
         rep = attack_term(params, term, rng, restarts=40)
-        assert rep["witness"] is not None, rep
+        assert rep["witness"] == pinned, rep
         x = [Fraction(c) for c in rep["witness"]["x"]]
         y = [Fraction(c) for c in rep["witness"]["y"]]
         vals = {k: Fraction(v) for k, v in rep["witness"]["params"].items()}
@@ -141,19 +173,50 @@ def test_attack_finds_genuine_witnesses():
         assert is_nonbasepoint(params, term.label.partition, ys)
 
 
-def test_attack_certifies_an_extreme_merge_fact():
+def _first_fact_term(kind):
     facts = ZeroFacts.load()
     recs = [(k, r) for k, r in sorted(facts.table.items())
-            if r["kind"] == "extreme-merge"]
+            if r["kind"] == kind]
     (etext, ltext), rec = recs[0]
     expr = parse_expr(etext, rec["n"])
     label = parse_graph(ltext, rec["n"])
     sn = tuple(sorted(x for x in expr.names() if x.startswith("s")))
     tn = tuple(sorted(x for x in expr.names() if x.startswith("t")))
-    term = Term(expr, WeightSpec(sn, tn), label)
-    rep = attack_term(default_params(rec["n"]), term, random.Random(23),
-                      restarts=30)
+    return default_params(rec["n"]), Term(expr, WeightSpec(sn, tn), label)
+
+
+def test_attack_certifies_an_extreme_merge_fact():
+    params, term = _first_fact_term("extreme-merge")
+    rep = attack_term(params, term, random.Random(23), restarts=30)
     assert rep["witness"] is None
+    assert rep["best_dist2"] == "0"
+
+
+def test_attack_search_path_on_an_interior_order_fact():
+    # a nonzero best distance pins the search path more tightly than
+    # the "0" that most facts reach
+    params, term = _first_fact_term("interior-order")
+    rep = attack_term(params, term, random.Random(23), restarts=30)
+    assert rep["witness"] is None
+    assert rep["best_dist2"] == "104060401/346582093081075488"
+
+
+def test_attack_needs_a_restart_and_a_round():
+    params, term = _first_fact_term("extreme-merge")
+    for budget in ({"restarts": 0}, {"rounds": 0}, {"restarts": -1}):
+        with pytest.raises(ValueError):
+            attack_term(params, term, random.Random(1), **budget)
+    for facts in (ZeroFacts.load(), ZeroFacts([])):
+        with pytest.raises(ValueError):
+            attack_zero_facts(facts, restarts=0)
+
+
+def test_recorded_tube_widths():
+    # every checked-in fact records the eps_P^2 of its own stage
+    for (_, ltext), rec in ZeroFacts.load().table.items():
+        P = parse_graph(ltext, rec["n"]).partition
+        eps = eps_P(default_params(rec["n"]), P)
+        assert rec["attack"]["eps2"] == str(eps ** 2), ltext
 
 
 @pytest.mark.parametrize("name", ALL_LEMMAS)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from knotss.fields import F2, F3, QQ, Field, field_by_name
 from knotss.linalg import (Matrix, Subspace, VerificationError, induced_map,
-                           kernel_basis, rank, solve, subquotient)
+                           kernel_basis, rank, solve, solve_many, subquotient)
 
 FIELDS = [F2, F3, QQ]
 
@@ -61,6 +61,11 @@ def test_solve_cases():
     assert solve(Matrix(F3, [[2]]), [1]) == [2]
     with pytest.raises(ValueError):
         solve(Matrix(QQ, [[1]]), [1, 2])
+    # a singular system: the reduction's particular solution, and an
+    # inconsistent right-hand side beside a consistent one
+    M = Matrix(QQ, [[1, 1], [2, 2]])
+    assert solve_many(M, [[QQ.of(3), QQ.of(6)], [QQ.one, QQ.zero]]) == \
+        [[3, 0], None]
 
 
 def test_subquotient_cases():
@@ -129,6 +134,24 @@ def test_solve_exact(M, a, b, c, d, e):
     sol = solve(M, rhs)
     assert sol is not None
     assert M.mul_vector(sol) == rhs
+
+
+@given(matrix_strategy(), st.lists(st.lists(st.integers(-6, 6), min_size=5,
+                                             max_size=5), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_solve_many_matches_one_rhs_at_a_time(M, raw):
+    # the other right-hand sides never change a solution: pivots come
+    # from M's columns only, also when M is singular
+    F = M.field
+    bs = [[F.of(v) for v in b[:M.nrows]] for b in raw]
+    sols = solve_many(M, bs)
+    assert sols == [solve(M, b) for b in bs]
+    for b, x in zip(bs, sols):
+        if x is None:
+            aug = Matrix.from_columns(F, M.columns() + [b], ambient=M.nrows)
+            assert rank(aug) > rank(M)
+        else:
+            assert M.mul_vector(x) == b
 
 
 @given(matrix_strategy())
