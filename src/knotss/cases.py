@@ -260,11 +260,11 @@ def _residual_zero(diff, facts, char):
     return kept.reduce(char).is_zero(), kept.diff_report(Chain(), char)
 
 
-def run_case(name, facts=None):
-    """Run one ledger case; returns a report dict with per-check
-    pass/fail entries and an overall flag."""
+def run_case(name, facts=None, specs=None):
+    """Run one ledger case; returns a report dict with per-check pass/fail
+    entries and an overall flag.  facts and specs default to data/."""
     facts = facts or ZeroFacts.load()
-    spec = _load_cases()[name]
+    spec = (specs or _load_cases())[name]
     report = {"case": name, "checks": []}
     kind, char = spec["kind"], spec["char"]
     conv = "char%d" % char

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from .linalg import VerificationError
 from .partgraph import PGraph, Partition, delta_graph, discrete_partition
 
 # ---------------------------------------------------------------------------
@@ -39,6 +40,13 @@ class Poly:
                 self.terms[tuple(mono)] = c
 
     @classmethod
+    def _of(cls, terms):
+        """Internal constructor for terms that are already normalized."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
+
+    @classmethod
     def const(cls, c):
         return cls({(): c})
 
@@ -52,19 +60,11 @@ class Poly:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, 0) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        p = Poly()
-        p.terms = out
-        return p
+            _accumulate(out, m, c)
+        return Poly._of(out)
 
     def __neg__(self):
-        p = Poly()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -77,29 +77,18 @@ class Poly:
             for m2, c2 in other.terms.items():
                 if set(m1) & set(m2):
                     raise ValueError("product is not affine in %r" % (set(m1) & set(m2),))
-                m = tuple(sorted(m1 + m2))
-                v = out.get(m, 0) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        p = Poly()
-        p.terms = out
-        return p
+                _accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
+        return Poly._of(out)
 
     def subst(self, name, value):
         value = Fraction(value)
-        out = Poly()
+        out = {}
         for m, c in self.terms.items():
             if name in m:
-                rest = tuple(x for x in m if x != name)
-                c = c * value
-                if not c:
-                    continue
-                out = out + Poly({rest: c})
+                _accumulate(out, tuple(x for x in m if x != name), c * value)
             else:
-                out = out + Poly({m: c})
-        return out
+                _accumulate(out, m, c)
+        return Poly._of(out)
 
     def rename(self, mapping):
         out = {}
@@ -107,8 +96,8 @@ class Poly:
             m2 = tuple(sorted(mapping.get(x, x) for x in m))
             if len(set(m2)) != len(m2):
                 raise ValueError("renaming collides")
-            out[m2] = out.get(m2, 0) + c
-        return Poly(out)
+            _accumulate(out, m2, c)
+        return Poly._of(out)
 
     def names(self):
         return {x for m in self.terms for x in m}
@@ -138,6 +127,16 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % self.text()
+
+
+def _accumulate(terms, m, c):
+    """terms[m] += c, keeping only nonzero coefficients."""
+    if m in terms:
+        c += terms[m]
+    if c:
+        terms[m] = c
+    else:
+        terms.pop(m, None)
 
 
 _Z = Poly()
@@ -381,15 +380,17 @@ def make_weight(factors):
 
 
 class Term:
-    __slots__ = ("expr", "weight", "label")
+    """expr(weight) on a graph label, carrying ekey = expr.key()."""
+    __slots__ = ("expr", "weight", "label", "ekey")
 
-    def __init__(self, expr, weight, label):
+    def __init__(self, expr, weight, label, ekey=None):
         self.expr = expr
         self.weight = weight
         self.label = label
+        self.ekey = expr.key() if ekey is None else ekey
 
     def key(self):
-        return (self.expr.key(), self.weight, self.label)
+        return (self.ekey, self.weight, self.label)
 
 
 def _perm_sign(perm):
@@ -405,29 +406,35 @@ def canon_term(coeff, expr, weight, label):
     """Canonical representative: bound parameters renamed positionally,
     factor transpositions and the x/y swap of the sphere block resolved
     by picking the least key (transpositions of odd factors carry their
-    permutation sign; the sphere swap is sign-free in even dimension)."""
+    permutation sign; the sphere swap is sign-free in even dimension).
+    The first candidate wins ties; a least key reached with both signs
+    means the term is its own negative, and 0 is returned as coefficient.
+    A canonical term, whatever its label, comes back as it is."""
     free = expr.names()
     for nm in free:
         if nm not in weight.s_names and nm not in weight.t_names:
             raise ValueError("parameter %r not bound by the weight" % nm)
     k, l = len(weight.s_names), len(weight.t_names)
-    best = None
+    best, tied = None, False
     for ps in permutations(range(k)):
         for pt in permutations(range(l)):
-            mapping = {}
-            for pos, old in zip(ps, weight.s_names):
-                mapping[old] = "s%d" % (pos + 1)
-            for pos, old in zip(pt, weight.t_names):
-                mapping[old] = "t%d" % (pos + 1)
+            mapping = dict(zip(weight.s_names, ("s%d" % (i + 1) for i in ps)))
+            mapping.update(zip(weight.t_names, ("t%d" % (i + 1) for i in pt)))
             sign = _perm_sign(ps) * _perm_sign(pt)
             base = expr.rename(mapping)
-            for cand, csign in ((base, sign), (base.swap_xy(), sign)):
-                key = cand.key()
+            bkey = base.key()
+            # the sphere swap exchanges the x and y keys of each component
+            skey = tuple((c[1], c[0], c[2], c[3]) for c in bkey)
+            for key, swap in ((bkey, False), (skey, True)):
                 if best is None or key < best[0]:
-                    best = (key, cand, csign)
+                    best, tied = (key, base, swap, sign), False
+                elif key == best[0] and sign != best[3]:
+                    tied = True
+    key, base, swap, sign = best
     w = WeightSpec(tuple("s%d" % (i + 1) for i in range(k)),
                    tuple("t%d" % (i + 1) for i in range(l)))
-    return coeff * best[2], Term(best[1], w, label)
+    return (0 if tied else coeff * sign), \
+        Term(base.swap_xy() if swap else base, w, label, key)
 
 
 class Chain:
@@ -440,25 +447,27 @@ class Chain:
         coeff = Fraction(coeff)
         if not coeff:
             return self
-        coeff, term = canon_term(coeff, expr, weight, label)
-        key = term.key()
-        if key in self.terms:
-            self.terms[key][0] += coeff
-            if not self.terms[key][0]:
-                del self.terms[key]
-        else:
-            self.terms[key] = [coeff, term]
-        return self
+        return self._put(*canon_term(coeff, expr, weight, label))
 
-    def add_term(self, coeff, term):
-        return self.add(coeff, term.expr, term.weight, term.label)
+    def _put(self, coeff, term):
+        """Add coeff * term for a term that is already canonical."""
+        key = term.key()
+        entry = self.terms.get(key)
+        if entry is None:
+            if coeff:
+                self.terms[key] = [coeff, term]
+        else:
+            entry[0] += coeff
+            if not entry[0]:
+                del self.terms[key]
+        return self
 
     def __add__(self, other):
         out = Chain()
         for c, t in self.items():
-            out.add_term(c, t)
+            out._put(c, t)
         for c, t in other.items():
-            out.add_term(c, t)
+            out._put(c, t)
         return out
 
     def __sub__(self, other):
@@ -466,8 +475,9 @@ class Chain:
 
     def scale(self, c):
         out = Chain()
+        c = Fraction(c)
         for coeff, t in self.items():
-            out.add_term(coeff * Fraction(c), t)
+            out._put(coeff * c, t)
         return out
 
     def items(self):
@@ -483,10 +493,12 @@ class Chain:
         for c, t in self.items():
             if char:
                 if c.denominator % char == 0:
-                    raise ValueError("coefficient %s not defined mod %d" % (c, char))
+                    raise VerificationError(
+                        "coefficient %s of %s on %s not defined mod %d"
+                        % (c, t.expr.text(), t.label, char))
                 if c.numerator % char == 0:
                     continue
-            out.add_term(c, t)
+            out._put(c, t)
         return out
 
     def diff_report(self, other, char):
@@ -547,7 +559,8 @@ def boundary_D(chain, convention, tr=1, drop_degenerate=True):
                 smaller = PGraph(term.label.partition,
                                  edges[:pos] + edges[pos + 1:])
                 esign = 1 if pos % 2 == 0 else -1
-                out.add(coeff * psign * esign, term.expr, w, smaller)
+                out._put(coeff * psign * esign,
+                         Term(term.expr, w, smaller, term.ekey))
     return out
 
 
@@ -626,7 +639,7 @@ def apply_facts(chain, facts=None):
             if rec is not None:
                 report["facts"].append(rec.get("citation", ""))
                 continue
-        out.add_term(coeff, term)
+        out._put(coeff, term)
         report["kept"] += 1
     return out, report
 
@@ -654,11 +667,12 @@ def apply_delta(chain, i=None, facts=None, use_syntactic=True):
             if use_syntactic and first_coord_collapse(term.expr, image.partition):
                 report["syntactic"].append((term.expr.text(), str(image)))
                 continue
+            moved = Term(term.expr, term.weight, image, term.ekey)
             if facts is not None:
-                rec = facts.match(Term(term.expr, term.weight, image))
+                rec = facts.match(moved)
                 if rec is not None:
                     report["facts"].append(rec.get("citation", ""))
                     continue
             report["survivors"].append((term.expr.text(), str(image)))
-            out.add(c, term.expr, term.weight, image)
+            out._put(c, moved)
     return out, report

@@ -90,11 +90,14 @@ def cmd_verify_cycle(args):
 
 
 def cmd_ledger(args):
-    from .cases import all_cases, run_case
-    names = all_cases() if args.case == "all" else [args.case]
-    if not set(names) <= set(all_cases()):
+    from .cases import _load_cases, run_case
+    from .chainledger import ZeroFacts
+    specs = _load_cases()
+    names = sorted(specs) if args.case == "all" else [args.case]
+    if not set(names) <= set(specs):
         raise ValueError("unknown case %r" % args.case)
-    reports = [run_case(name) for name in names]
+    facts = ZeroFacts.load()
+    reports = [run_case(name, facts, specs) for name in names]
     return {"cases": reports}, all(r["pass"] for r in reports)
 
 

@@ -2,7 +2,8 @@ import pytest
 
 from knotss.cases import (all_cases, chain_c_ch3, chain_pair_ch3, run_case,
                           _load_cases)
-from knotss.chainledger import ZeroFacts, apply_delta, boundary_D
+from knotss.chainledger import (Chain, ZeroFacts, apply_delta, boundary_D,
+                                canon_term)
 from knotss.partgraph import parse_graph
 
 FACTS = ZeroFacts.load()
@@ -42,6 +43,26 @@ def test_dropping_one_fact_fails_its_cases():
         rest = ZeroFacts([rec for rec in records if rec is not dropped])
         for name in names:
             assert not run_case(name, facts=rest)["pass"], (names, name)
+
+
+def test_every_inserted_term_is_canonical(monkeypatch):
+    # terms that enter a chain without canon_term (sums, scalings, merges,
+    # the Cech part of D) must already be canonical: canon_term returns
+    # them with the same coefficient and the same key
+    seen = {}
+    put = Chain._put
+
+    def recording_put(self, coeff, term):
+        seen[(coeff, term.key())] = term
+        return put(self, coeff, term)
+
+    monkeypatch.setattr(Chain, "_put", recording_put)
+    for name in all_cases():
+        run_case(name, facts=FACTS)
+    assert len(seen) > 1000
+    for (coeff, key), t in seen.items():
+        c, again = canon_term(coeff, t.expr, t.weight, t.label)
+        assert (c, again.key()) == (coeff, key), (t.expr.text(), str(t.label))
 
 
 def test_one_pair_identity_is_exact_over_Q():

@@ -13,6 +13,7 @@ from knotss.chainledger import (Chain, MapExpr, Poly, Term, WeightSpec,
 from knotss.cases import (chain_c_ch2, chain_c_ch3, chain_cprime,
                           chain_pair_ch2, chain_pair_ch3, pair_data)
 from knotss.geometry import parse_expr
+from knotss.linalg import VerificationError
 from knotss.partgraph import PGraph, Partition, delta_graph, parse_graph
 
 G1 = parse_graph("(1,4)(2,3)", 4)
@@ -107,6 +108,37 @@ def test_canon_term_antisymmetry():
     ch = single(1, f, [("s", "a"), ("s", "b")], G1) \
         + single(1, f, [("s", "b"), ("s", "a")], G1)
     assert ch.is_zero()
+
+
+def test_term_equal_to_its_negative_is_zero():
+    # f is symmetric in a and b, so transposing the two odd factors maps
+    # the term to its own negative: it is zero over Q
+    f = contraction(contraction(f_graph(G1), G1, (1, 4), "a"), G1, (1, 4), "b")
+    w, _ = make_weight([("s", "a"), ("s", "b")])
+    assert canon_term(Fraction(1), f, w, G1)[0] == 0
+    ch = single(1, f, [("s", "a"), ("s", "b")], G1) \
+        + single(1, f, [("s", "b"), ("s", "a")], G1)
+    assert ch.is_zero()
+
+
+def test_canon_term_is_idempotent_and_ignores_the_label():
+    f = ee_contraction(f_graph(G1), G1, (1, 4), (2, 3), "b", "a")
+    w, _ = make_weight([("s", "a"), ("s", "b")])
+    c, t = canon_term(Fraction(3), f, w, G1)
+    for label in (G1, PGraph(G1.partition, ())):
+        c2, t2 = canon_term(c, t.expr, t.weight, label)
+        assert (c2, t2.expr, t2.weight, t2.ekey) == (c, t.expr, t.weight, t.ekey)
+    assert t.ekey == t.expr.key()
+
+
+def test_reduce_rejects_coefficient_undefined_mod_char():
+    ch = single(Fraction(1, 2), f_graph(G1), [], G1)
+    assert ch.reduce(0).items()[0][0] == Fraction(1, 2)
+    assert ch.reduce(3).items()[0][0] == Fraction(1, 2)
+    with pytest.raises(VerificationError) as info:
+        ch.reduce(2)
+    # the canonical representative of x;y;y;x is its sphere swap
+    assert "1/2 of y;x;x;y on (1,4)(2,3) not defined mod 2" in str(info.value)
 
 
 def test_canon_term_sphere_swap_is_free():

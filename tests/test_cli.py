@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -92,6 +94,30 @@ def test_ledger_single_case(capsys):
     assert code == 0 and doc["pass"]
     assert doc["report"]["cases"][0]["case"] == "ch2-cycles"
     assert main(["ledger", "--case", "nope"]) == 2
+
+
+def test_ledger_output_is_pinned(capsys, monkeypatch):
+    # sha256 of `knotss ledger --case all` recorded before terms were
+    # canonicalized once per chain entry; Python 3.10 to 3.13 agree
+    monkeypatch.delenv("KNOTSS_SEED", raising=False)
+    code, out = run(capsys, "ledger", "--case", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "09c37cfad1d8cb87a2b59a0a58c5b16ec1291717e2e22982da838168a0924533"
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(1, 4)])
+def test_ledger_bad_chain_exits_1(capsys, monkeypatch, factor):
+    # D c(G) has even coefficients: halved, D c(G) = 0 fails mod 2; at a
+    # quarter its coefficients are not defined mod 2, and that is a
+    # failed verification, not a usage error
+    from knotss import cases
+    original = cases.chain_c_ch2
+    monkeypatch.setattr(cases, "chain_c_ch2",
+                        lambda G: original(G).scale(factor))
+    assert main(["ledger", "--case", "ch2-cycles"]) == 1
+    err = capsys.readouterr().err
+    assert ("not defined mod 2" in err) == (factor == Fraction(1, 4)), err
 
 
 def test_ainf_check(capsys):
