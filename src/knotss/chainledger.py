@@ -107,7 +107,19 @@ class Poly:
         for m, c in self.terms.items():
             for x in m:
                 c = c * values[x]
-            acc += c
+            acc = acc + c if acc else c
+        return acc
+
+    def derivative(self, name, values):
+        """dp/d(name) at values: p is affine in name, so this is the
+        coefficient of name there, and values[name] is not read."""
+        acc = Fraction(0)
+        for m, c in self.terms.items():
+            if name in m:
+                for x in m:
+                    if x != name:
+                        c = c * values[x]
+                acc = acc + c if acc else c
         return acc
 
     def key(self):
@@ -141,6 +153,16 @@ def _accumulate(terms, m, c):
 
 _Z = Poly()
 _ONE = Poly.const(1)
+
+
+def _affine(a, b, u, v, x, y):
+    """a x + b y + (u, v) for rational a, b, u, v and pairs x, y; zero
+    coefficients are skipped, not multiplied."""
+    if a:
+        u, v = u + a * x[0], v + a * x[1]
+    if b:
+        u, v = u + b * y[0], v + b * y[1]
+    return u, v
 
 # ---------------------------------------------------------------------------
 # map expressions R^4 x params -> R^{2n}
@@ -192,15 +214,28 @@ class MapExpr:
     def swap_xy(self):
         return MapExpr([[c[1], c[0], c[2], c[3]] for c in self.comps])
 
+    def coefficients(self, values):
+        """(c_x, c_y, q_u, q_v) of every component, evaluated at values."""
+        return [[p.evaluate(values) for p in comp] for comp in self.comps]
+
+    @staticmethod
+    def image(coeffs, x, y):
+        """The image point list of x, y (pairs of rationals) under the
+        evaluated coefficients of coefficients()."""
+        return [_affine(*comp, x, y) for comp in coeffs]
+
     def evaluate(self, x, y, values=None):
         """Exact image point list; x, y are pairs of rationals."""
-        values = values or {}
-        out = []
-        for cx, cy, qu, qv in self.comps:
-            a, b, u0, v0 = (p.evaluate(values) for p in (cx, cy, qu, qv))
-            out.append((a * Fraction(x[0]) + b * Fraction(y[0]) + u0,
-                        a * Fraction(x[1]) + b * Fraction(y[1]) + v0))
-        return out
+        x = (Fraction(x[0]), Fraction(x[1]))
+        y = (Fraction(y[0]), Fraction(y[1]))
+        return self.image(self.coefficients(values or {}), x, y)
+
+    def derivative(self, x, y, values, name):
+        """The image's change per unit of the parameter name at x, y and
+        values.  The image is affine in each parameter, so at name = t
+        it is the image at values plus (t - values[name]) times this."""
+        return [_affine(*(p.derivative(name, values) for p in comp), x, y)
+                for comp in self.comps]
 
     def key(self):
         return tuple(tuple(a.key() for a in comp) for comp in self.comps)

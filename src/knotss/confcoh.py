@@ -83,10 +83,6 @@ class GMonomial:
     def degree(self):
         return len(self.factors)
 
-    def is_admissible(self):
-        seconds = [j for (_, j) in self.factors]
-        return seconds == sorted(set(seconds))
-
 
 @dataclass
 class CohClass:

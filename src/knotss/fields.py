@@ -67,9 +67,6 @@ class Field:
             return 1 / a
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, solve, solve_many
+from .linalg import Matrix, VerificationError, solve, solve_many
 from .fields import QQ
 from .partgraph import PGraph, Partition, discrete_partition, is_subdivision
 
@@ -142,7 +142,8 @@ def e_embed(params, P, Q, xs):
             if piece[0] <= beta[0] and beta[-1] <= piece[-1]:
                 break
         else:
-            raise AssertionError("piece not covered")
+            raise VerificationError("piece %r of %s is not covered by %s"
+                                    % (beta, Q, P))
         ca = c_piece(params, piece)
         if ppos == 0:
             base = _scale(-1 + rho * ca / 2, U)
@@ -296,6 +297,45 @@ class Tube:
             xs.append((mu, mv))
         return total, xs
 
+    def pencil(self, A, B):
+        """(a1, a2) with dist2(A + tB) = dist2(A) + a1 t + a2 t^2.  An
+        anchored number adds 2<A - anchor, B> and |B|^2; a piece adds
+        the same over its members' positions centred on their mean, the
+        offsets taken from A only.  Over m members with sums of z = A -
+        offset and w = B, the centred sums are sum z.w - (sum z).(sum
+        w) / m and sum w.w - |sum w|^2 / m.  A zero coordinate of B adds
+        no product, and a piece where B is 0 adds nothing."""
+        a1 = a2 = Fraction(0)
+        for i, a in self.anchored:
+            (zu, zv), (wu, wv) = A[i], B[i]
+            if wu:
+                a1 += (zu - a) * wu
+                a2 += wu * wu
+            if wv:
+                a1 += zv * wv
+                a2 += wv * wv
+        for inv, members in self.pieces:
+            if len(members) == 1 or not any(B[i][0] or B[i][1]
+                                            for i, _ in members):
+                continue
+            zu = zv = wu = wv = Fraction(0)
+            for i, off in members:
+                (au, av), (bu, bv) = A[i], B[i]
+                au -= off
+                zu += au
+                zv += av
+                if bu:
+                    wu += bu
+                    a1 += au * bu
+                    a2 += bu * bu
+                if bv:
+                    wv += bv
+                    a1 += av * bv
+                    a2 += bv * bv
+            a1 -= inv * (zu * wu + zv * wv)
+            a2 -= inv * (wu * wu + wv * wv)
+        return 2 * a1, a2
+
     def excised(self, xs):
         """in_E at the projection coordinates xs."""
         return any(_excised(x, w) for x, w in zip(xs, self.windows))
@@ -398,12 +438,11 @@ def sample_space_point(params, P, rng, tries=50):
     """A point of the configuration space, sampled inside the
     first-coordinate windows with small transverse jitter."""
     rho = params.rho
-    m = P.num_pieces - 1
+    windows = [(-1 + rho * c_le(params, P, pos), 1 - rho * c_ge(params, P, pos))
+               for pos in range(1, P.num_pieces - 1)]
     for _ in range(tries):
         xs = []
-        for pos in range(1, m):
-            lo = -1 + rho * c_le(params, P, pos)
-            hi = 1 - rho * c_ge(params, P, pos)
+        for lo, hi in windows:
             u0 = lo + (hi - lo) * rand_frac(rng, Fraction(1, 8), Fraction(7, 8))
             xs.append((u0, rand_frac(rng, Fraction(-1, 100), Fraction(1, 100))))
         if in_space(params, P, xs):
@@ -462,14 +501,10 @@ def _diagonal_sample(params, P, rng):
 # witness attack: exact alternating least squares
 
 
-def _ls_step(tube, expr, values):
-    """One exact least squares step for the configuration (x, y) at
-    fixed parameters.  Unknowns (x_c, y_c, a_1..a_p): number k asks
-    cx_k x_c + cy_k y_c - a_(piece of k) = offset_k - q_k when it lies in
-    an internal piece, and cx_k x_c + cy_k y_c = anchor_k - q_k when it
-    is anchored.  Both coordinates share the normal matrix N, so it is
-    reduced once with the u and v right-hand sides."""
-    coeffs = [[p.evaluate(values) for p in comp] for comp in expr.comps]
+def _normal_equations(tube, coeffs):
+    """The normal matrix N and the u and v right-hand sides of the least
+    squares step in the unknowns (x_c, y_c, a_1..a_p), from the evaluated
+    (cx, cy, qu, qv) of every component."""
     m = 2 + len(tube.pieces)
     N = [[Fraction(0)] * m for _ in range(m)]
     tu, tv = [Fraction(0)] * m, [Fraction(0)] * m
@@ -499,9 +534,115 @@ def _ls_step(tube, expr, values):
     for j in range(1, m):
         for i in range(min(j, 2)):
             N[j][i] = N[i][j]
+    return N, tu, tv
+
+
+def _schur_solve(s00, s01, s11, rhs):
+    """The (x_c, y_c) part of the solution solve_many picks for N z = t,
+    for each right-hand side, from the Schur complement S = (s00 s01;
+    s01 s11) left once the piece unknowns are eliminated.  rhs holds,
+    per right-hand side, the reduced (r0, r1) and, per piece, (sum cx,
+    sum cy, sum b) over its members.
+
+    Cramer's rule when S is invertible.  When S has rank 1, N has the one
+    kernel vector (k, a_j = (sum cx k_0 + sum cy k_1) / size_j), and
+    solve_many sets to 0 the coordinate where it is last nonzero: any
+    solution, less the multiple of that vector that zeroes the
+    coordinate.  None when S = 0 or a rank-1 system is inconsistent."""
+    det = s00 * s11 - s01 * s01
+    if det:
+        return [((r0 * s11 - s01 * r1) / det, (s00 * r1 - s01 * r0) / det)
+                for r0, r1, _ in rhs]
+    if not (s00 or s11):
+        return None
+    # k spans the kernel of S; s00 = 0 forces s01 = 0
+    k0, k1 = (-s01, s00) if s00 else (s11, -s01)
+    out = []
+    for r0, r1, pieces in rhs:
+        if s00:
+            x, y = r0 / s00, Fraction(0)
+            if s01 * x != r1:
+                return None
+        else:
+            x, y = Fraction(0), r1 / s11
+            if r0:
+                return None
+        for ex, ey, e in reversed(pieces):
+            ka = ex * k0 + ey * k1
+            if ka:
+                c = (ex * x + ey * y - e) / ka  # a_j over its kernel entry
+                break
+        else:
+            c = y / k1 if k1 else x / k0
+        out.append((x - c * k0, y - c * k1))
+    return out
+
+
+def _ls_step(tube, coeffs):
+    """One exact least squares step for the configuration (x, y) at
+    fixed parameters, from the evaluated (cx, cy, qu, qv) of every
+    component (MapExpr.coefficients).  Unknowns (x_c, y_c, a_1..a_p):
+    number k asks cx_k x_c + cy_k y_c - a_(piece of k) = offset_k - q_k
+    when it lies in an internal piece, and cx_k x_c + cy_k y_c =
+    anchor_k - q_k when it is anchored.  Both coordinates share the
+    normal matrix N.  The a_j form a diagonal block of N, holding the
+    size of piece j, so they are eliminated and the 2x2 Schur complement
+    S is solved (_schur_solve); only S = 0 is left to solve_many."""
+    s00 = s01 = s11 = ru0 = ru1 = rv0 = rv1 = Fraction(0)
+    sums = []  # per piece: (sum cx, sum cy, sum bu, sum bv)
+    for inv, group in [(None, tube.anchored)] + tube.pieces:
+        if len(group) == 1 and inv is not None:
+            # a_j absorbs its one equation: nothing reaches S
+            i, off = group[0]
+            cx, cy, qu, qv = coeffs[i]
+            sums.append((cx, cy, off - qu, -qv))
+            continue
+        ex = ey = eu = ev = Fraction(0)
+        for i, target in group:
+            cx, cy, qu, qv = coeffs[i]
+            bu = target - qu
+            if cx:
+                s00 += cx * cx
+                ru0 += cx * bu
+                ex += cx
+                if cy:
+                    s01 += cx * cy
+                if qv:
+                    rv0 -= cx * qv
+            if cy:
+                s11 += cy * cy
+                ru1 += cy * bu
+                ey += cy
+                if qv:
+                    rv1 -= cy * qv
+            if inv is not None:
+                eu += bu
+                ev -= qv
+        if inv is None:
+            continue
+        if ex:
+            s00 -= inv * ex * ex
+            ru0 -= inv * ex * eu
+            rv0 -= inv * ex * ev
+        if ey:
+            s11 -= inv * ey * ey
+            ru1 -= inv * ey * eu
+            rv1 -= inv * ey * ev
+            if ex:
+                s01 -= inv * ex * ey
+        sums.append((ex, ey, eu, ev))
+    uv = _schur_solve(s00, s01, s11,
+                      [(ru0, ru1, [e[:3] for e in sums]),
+                       (rv0, rv1, [e[:2] + e[3:] for e in sums])])
+    if uv is not None:
+        (xu, yu), (xv, yv) = uv
+        return (xu, xv), (yu, yv)
+    N, tu, tv = _normal_equations(tube, coeffs)
     su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
     if su is None or sv is None:  # normal equations are always consistent
-        raise AssertionError("inconsistent normal equations")
+        raise VerificationError(
+            "inconsistent normal equations for the coefficients %s"
+            % [[str(c) for c in comp] for comp in coeffs])
     return (su[0], sv[0]), (su[1], sv[1])
 
 
@@ -543,20 +684,17 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
             else:
                 values[nm] = rand_frac(rng, 0, 1)
         for _ in range(rounds):
-            x, y = _ls_step(tube, expr, values)
+            coeffs = expr.coefficients(values)
+            x, y = _ls_step(tube, coeffs)
+            ys = expr.image(coeffs, x, y)
             for nm in names:
                 lo, hi = _param_domain(nm)
                 cur = values[nm]
-                ys0 = expr.evaluate(x, y, {**values, nm: Fraction(0)})
-                ys1 = expr.evaluate(x, y, {**values, nm: Fraction(1)})
-                # the image is affine in any single parameter, so at 1/2
-                # it is the mean of its two ends, and dist^2 is an exact
-                # quadratic in the parameter
-                ysh = [((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-                       for a, b in zip(ys0, ys1)]
-                d0, dh, d1 = (tube.dist2(ys)[0] for ys in (ys0, ysh, ys1))
-                a2 = 2 * d0 - 4 * dh + 2 * d1
-                a1 = -3 * d0 + 4 * dh - d1
+                # the image is affine in any single parameter, ys + (t -
+                # cur) B at nm = t, so dist^2 is an exact quadratic in t
+                B = expr.derivative(x, y, values, nm)
+                b1, a2 = tube.pencil(ys, B)
+                a1 = b1 - 2 * cur * a2
                 if a2 > 0:
                     opt = -a1 / (2 * a2)
                 elif a1 > 0:
@@ -565,7 +703,11 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
                     opt = (cur + 1) * 2 if hi is None else Fraction(1)
                 else:
                     opt = cur
-                values[nm] = _clamp(opt, lo, hi).limit_denominator(denom)
+                values[nm] = new = _clamp(opt, lo, hi).limit_denominator(denom)
+                if new != cur:
+                    step = new - cur
+                    ys = [(p[0] + step * b[0], p[1] + step * b[1])
+                          if b[0] or b[1] else p for p, b in zip(ys, B)]
         d2, xs = tube.dist2(expr.evaluate(x, y, values))
         if best is None or d2 < best:
             best = d2

@@ -286,12 +286,16 @@ def subquotient(Z, B):
     for v in B.basis:
         if zspan.add(v):
             raise ValueError("quotient subspace not contained in the ambient one")
-    assert zspan.rank == zrank
+    if zspan.rank != zrank:
+        raise VerificationError("the quotient vectors raise the rank of Z "
+                                "from %d to %d" % (zrank, zspan.rank))
     elim = Eliminator(Z.field)
     for v in B.basis:
         elim.add(v)
     reps = [v for v in Z.basis if elim.add(v)]
-    assert len(reps) == Z.dim - B.dim
+    if len(reps) != Z.dim - B.dim:
+        raise VerificationError("%d representatives for dim Z - dim B = %d - %d"
+                                % (len(reps), Z.dim, B.dim))
     return len(reps), reps
 
 
@@ -313,7 +317,9 @@ def induced_map(f, source_b, source_reps, target_b, target_reps):
         fv = f.mul_vector(v)
         if belim.add(fv):
             raise VerificationError("not well defined: image of %r leaves the boundary subspace" % (v,))
-    assert belim.rank == brank
+    if belim.rank != brank:
+        raise VerificationError("the boundary images raise the rank of the "
+                                "target B from %d to %d" % (brank, belim.rank))
     # Solve against [B-basis | representatives] and read off the rep part.
     full = Eliminator(F, track=True)
     for v in target_b.basis + target_reps:

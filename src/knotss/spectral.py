@@ -57,10 +57,6 @@ class FilteredComplex:
     def dim(self):
         return len(self.slots)
 
-    def total_degree(self, j):
-        p, q = self.slots[j]
-        return q - p
-
     def degrees(self):
         return sorted({q - p for (p, q) in self.slots})
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,38 @@ def test_mapexpr_evaluate_and_text_roundtrip():
     assert g.text() == "x;y+(1*a)v;y+(-1*a)v;x"
     assert parse_expr(g.text(), 4) == g
     assert g.swap_xy().swap_xy() == g
+
+
+def test_mapexpr_derivative_matches_evaluate():
+    # the image is affine in each parameter: at name = t it is the image
+    # at the current values plus (t - current) times the derivative
+    rng = random.Random(41)
+    f = f_graph(G1)
+    exprs = [straight(f, f.swap_xy(), "t1"),
+             ee_contraction(f, G1, (1, 4), (2, 3), "s1", "s2"),
+             parse_expr("(1-1*t1)x+(1*t1)y+(1*s1)v;(1*t1)x+(1-1*t1)y+(-1*s1)v;"
+                        "y+(-1*s1)v;x+(-1*s1)v+(2*s1*t1)u", 4)]
+
+    def rand():
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+
+    for expr in exprs:
+        for _ in range(5):
+            x, y = (rand(), rand()), (rand(), rand())
+            values = {nm: rand() for nm in expr.names()}
+            here = expr.evaluate(x, y, values)
+            coeffs = expr.coefficients(values)
+            assert expr.image(coeffs, x, y) == here
+            for nm in sorted(expr.names()):
+                D = expr.derivative(x, y, values, nm)
+                for t in (Fraction(0), Fraction(1), rand()):
+                    step = t - values[nm]
+                    assert [(p[0] + step * d[0], p[1] + step * d[1])
+                            for p, d in zip(here, D)] \
+                        == expr.evaluate(x, y, {**values, nm: t})
+    p = Poly({("a", "b"): 3, ("b",): 2, (): 1})
+    assert p.derivative("b", {"a": Fraction(5)}) == 17
+    assert p.derivative("c", {"a": Fraction(5), "b": Fraction(7)}) == 0
 
 
 def test_edge_signs_and_contraction_direction():

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotss import linalg
 from knotss.fields import F2, F3, QQ, Field, field_by_name
-from knotss.linalg import (Matrix, Subspace, VerificationError, induced_map,
-                           kernel_basis, rank, solve, solve_many, subquotient)
+from knotss.linalg import (Eliminator, Matrix, Subspace, VerificationError,
+                           induced_map, kernel_basis, rank, solve, solve_many,
+                           subquotient)
 
 FIELDS = [F2, F3, QQ]
 
@@ -77,6 +79,36 @@ def test_subquotient_cases():
     assert subquotient(Z, Subspace(F3, 3, []))[0] == 2
     with pytest.raises(ValueError):
         subquotient(B, Z)
+
+
+class _SilentEliminator(Eliminator):
+    """Inserts like Eliminator but reports every vector as dependent."""
+
+    def add(self, v):
+        super().add(v)
+        return False
+
+
+def test_subquotient_rejects_bad_subspaces(monkeypatch):
+    Z = Subspace(QQ, 3, [[1, 0, 0], [0, 1, 0]])
+    # a dependent quotient basis, taken unchecked
+    B = Subspace(QQ, 3, [[1, 0, 0], [2, 0, 0]], check=False)
+    with pytest.raises(VerificationError, match="representatives"):
+        subquotient(Z, B)
+    # a quotient vector outside Z that the containment test misses
+    monkeypatch.setattr(linalg, "Eliminator", _SilentEliminator)
+    with pytest.raises(VerificationError, match="rank of Z from 2 to 3"):
+        subquotient(Z, Subspace(QQ, 3, [[0, 0, 1]]))
+
+
+def test_induced_map_rejects_a_missed_boundary_image(monkeypatch):
+    Z = Subspace(QQ, 2, [[1, 0], [0, 1]])
+    B = Subspace(QQ, 2, [[1, 0]])
+    _, reps = subquotient(Z, B)
+    f = Matrix(QQ, [[0, 0], [1, 0]])
+    monkeypatch.setattr(linalg, "Eliminator", _SilentEliminator)
+    with pytest.raises(VerificationError, match="target B from 1 to 2"):
+        induced_map(f, B, reps, B, reps)
 
 
 def test_induced_map_cases():
