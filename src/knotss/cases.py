@@ -63,8 +63,8 @@ def chain_c_ch2(G):
     f = f_graph(G)
     ch = single(1, f, [], G)
     for e in G.edges:
-        ch = ch + single(1, contraction(f, G, e, "a"), [("s", "a")],
-                         subgraph(G, (e,)))
+        ch.add_word(1, contraction(f, G, e, "a"), [("s", "a")],
+                    subgraph(G, (e,)))
     return ch
 
 
@@ -80,7 +80,7 @@ def chain_pair_ch2(G, H, i):
                         contraction(fp, dH, ebar, "a"), "t")
         psij = contraction(psi, dG, ebar, "a")
         for expr in (psij, lam, lamp):
-            ch = ch + single(1, expr, [("s", "a"), ("t", "t")], label)
+            ch.add_word(1, expr, [("s", "a"), ("t", "t")], label)
     return ch
 
 
@@ -94,14 +94,14 @@ def chain_c_ch3(G):
     f = f_graph(G)
     ch = single(1, f, [], G)
     for j, e in enumerate(G.edges, 1):
-        ch = ch + single((-1) ** j, contraction(f, G, e, "a"),
-                         [("s", "a")], subgraph(G, (e,)))
+        ch.add_word((-1) ** j, contraction(f, G, e, "a"),
+                    [("s", "a")], subgraph(G, (e,)))
     for j in range(1, len(G.edges) + 1):
         for k in range(j + 1, len(G.edges) + 1):
             ej, ek = G.edges[j - 1], G.edges[k - 1]
             expr = ee_contraction(f, G, ej, ek, "a", "b")
-            ch = ch + single((-1) ** (j + k + 1), expr,
-                             [("s", "a"), ("s", "b")], subgraph(G, (ej, ek)))
+            ch.add_word((-1) ** (j + k + 1), expr,
+                        [("s", "a"), ("s", "b")], subgraph(G, (ej, ek)))
     return ch
 
 
@@ -118,8 +118,8 @@ def chain_pair_ch3(G, H, i):
                         contraction(fp, dH, ebar, "a"), "t")
         psij = contraction(psi, dG, ebar, "a")
         w = [("s", "a"), ("t", "t")]
-        ch = ch + single(sign, psij, w, label) + single(sign, lam, w, label) \
-            + single(-sign, lamp, w, label)
+        for sgn, expr in ((sign, psij), (sign, lam), (-sign, lamp)):
+            ch.add_word(sgn, expr, w, label)
     for j in range(1, len(edges) + 1):
         for k in range(j + 1, len(edges) + 1):
             sign = (-1) ** (j + k + 1)
@@ -131,8 +131,8 @@ def chain_pair_ch3(G, H, i):
                             ee_contraction(fp, dH, ebj, ebk, "a", "b"), "t")
             psijk = ee_contraction(psi, dG, ebj, ebk, "a", "b")
             w = [("s", "a"), ("s", "b"), ("t", "t")]
-            ch = ch + single(sign, psijk, w, label) \
-                + single(sign, lam, w, label) + single(-sign, lamp, w, label)
+            for sgn, expr in ((sign, psijk), (sign, lam), (-sign, lamp)):
+                ch.add_word(sgn, expr, w, label)
     return ch
 
 
@@ -150,8 +150,8 @@ def chain_cycle_ch3(G, i):
             continue
         for eps in (1, -1):
             expr = i_contraction(contraction(f, G, e, "a"), i, "b", eps)
-            ch = ch + single(half * (-1) ** (j + 1), expr,
-                             [("s", "a"), ("s", "b")], hit[0])
+            ch.add_word(half * (-1) ** (j + 1), expr,
+                        [("s", "a"), ("s", "b")], hit[0])
     for j in range(1, m + 1):
         for k in range(j + 1, m + 1):
             ej, ek = G.edges[j - 1], G.edges[k - 1]
@@ -161,8 +161,8 @@ def chain_cycle_ch3(G, i):
             for eps in (1, -1):
                 expr = i_contraction(ee_contraction(f, G, ej, ek, "a", "b"),
                                      i, "c", eps)
-                ch = ch + single(half * (-1) ** (j + k + 1), expr,
-                                 [("s", "a"), ("s", "b"), ("s", "c")], hit[0])
+                ch.add_word(half * (-1) ** (j + k + 1), expr,
+                            [("s", "a"), ("s", "b"), ("s", "c")], hit[0])
     return ch
 
 
@@ -178,8 +178,8 @@ def chain_cprime(G):
     ch = single(1, f, [], G)
     for j, e in enumerate(G.edges, 1):
         for d in (1, -1):
-            ch = ch + single(half * (-1) ** j, contraction(f, G, e, "a", d),
-                             [("s", "a")], subgraph(G, (e,)))
+            ch.add_word(half * (-1) ** j, contraction(f, G, e, "a", d),
+                        [("s", "a")], subgraph(G, (e,)))
     return ch
 
 
@@ -198,8 +198,8 @@ def chain_cprime_pair(G, H, i):
             lamp = straight(contraction(fp, H, eh, "a", d),
                             contraction(fp, dH, ebar, "a", d), "t")
             psij = contraction(psi, dG, ebar, "a", d)
-            ch = ch + single(sign, psij, w, label) \
-                + single(sign, lam, w, label) + single(-sign, lamp, w, label)
+            for sgn, expr in ((sign, psij), (sign, lam), (-sign, lamp)):
+                ch.add_word(sgn, expr, w, label)
     return ch
 
 
@@ -215,14 +215,15 @@ def chain_triple(G5, G6, G7, i):
     psi = straight(f5, homotopy_target(f5, f6, i), "t")
     phi = straight(f5, homotopy_target(f5, f7, i), "t")
     ch = single(1, f5, [], tri)
-    ch = ch + single(1, psi, [("t", "t")], d6) + single(1, phi, [("t", "t")], d7)
+    ch.add_word(1, psi, [("t", "t")], d6)
+    ch.add_word(1, phi, [("t", "t")], d7)
     w = [("s", "a"), ("t", "t")]
     for hom, dG in ((psi, d6), (phi, d7)):
         for j, ebar in enumerate(dG.edges, 1):
             label = subgraph(dG, (ebar,))
             for d in (1, -1):
-                ch = ch + single(half * (-1) ** (j + 1),
-                                 contraction(hom, dG, ebar, "a", d), w, label)
+                ch.add_word(half * (-1) ** (j + 1),
+                            contraction(hom, dG, ebar, "a", d), w, label)
     for sgn, fk, G, dG in ((1, f5, G5, d5), (-1, f6, G6, d6), (-1, f7, G7, d7)):
         for j, e in enumerate(G.edges, 1):
             ebar = merged_edge(i, G, e)
@@ -230,7 +231,7 @@ def chain_triple(G5, G6, G7, i):
             for d in (1, -1):
                 lam = straight(contraction(fk, G, e, "a", d),
                                contraction(fk, dG, ebar, "a", d), "t")
-                ch = ch + single(sgn * half * (-1) ** (j + 1), lam, w, label)
+                ch.add_word(sgn * half * (-1) ** (j + 1), lam, w, label)
     return ch
 
 

@@ -484,6 +484,11 @@ class Chain:
             return self
         return self._put(*canon_term(coeff, expr, weight, label))
 
+    def add_word(self, coeff, expr, factors, label):
+        """Add in place with factor-order normalization (see make_weight)."""
+        weight, sign = make_weight(factors)
+        return self.add(Fraction(coeff) * sign, expr, weight, label)
+
     def _put(self, coeff, term):
         """Add coeff * term for a term that is already canonical."""
         key = term.key()
@@ -549,8 +554,7 @@ class Chain:
 
 def single(coeff, expr, factors, label):
     """Convenience: one-term chain with factor-order normalization."""
-    weight, sign = make_weight(factors)
-    return Chain().add(Fraction(coeff) * sign, expr, weight, label)
+    return Chain().add_word(coeff, expr, factors, label)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def cmd_ss_table(args):
     C = build_sinha_complex(args.max_arity, F, normalized=args.normalized)
     try:
         pages = ss_pages(C, args.r_max)
-    except AssertionError as exc:
+    except VerificationError as exc:
         return {"error": str(exc)}, False
     out, nonzero = [], []
     for page in pages:

@@ -1,12 +1,14 @@
 """Exact linear algebra over a Field: rank, kernels, solving,
 subquotients, and induced maps on subquotients.
 
-Matrices are dense lists of lists; induced_map also takes any map with
-.field and .mul_vector, such as the sparse view of spectral.ss_pages.
-Entries pass through Field.of only at the edges: Matrix(field, rows),
-Subspace(..., check=True) and the right-hand side of solve (solve_many
-takes field values).  Matrices and subspaces built from field values
-(from_columns, products, kernels) keep them as they are.
+Matrices are dense lists of lists, but the kernels walk supports:
+mul_vector sums over the nonzero entries of its vector, and _rref and
+Eliminator update over those of the pivot row.  induced_map also takes
+any map with .field and .mul_vector, such as the sparse view of
+spectral.ss_pages.  Entries pass through Field.of only at the edges:
+Matrix(field, rows), Subspace(..., check=True) and the right-hand side
+of solve (solve_many takes field values); what is built from field
+values (from_columns, products, kernels) keeps them as they are.
 """
 
 
@@ -71,11 +73,13 @@ class Matrix:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch: %d cols, vector of %d" % (self.ncols, len(v)))
         F = self.field
+        support = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for row in self.rows:
             acc = F.zero
-            for a, x in zip(row, v):
-                if a and x:
+            for j, x in support:
+                a = row[j]
+                if a:
                     acc = F.add(acc, F.mul(a, x))
             out.append(acc)
         return out
@@ -85,9 +89,6 @@ class Matrix:
             raise ValueError("dimension mismatch")
         cols = [self.mul_vector(other.column(j)) for j in range(other.ncols)]
         return Matrix.from_columns(self.field, cols, ambient=self.nrows)
-
-    def is_zero(self):
-        return all(not x for row in self.rows for x in row)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -110,14 +111,16 @@ def _rref(field, rows, ncols):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
+        rr = rows[r]
+        inv = field.inv(rr[c])
         if inv != field.one:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(ri, rr)]
+            rows[r] = rr = [field.mul(inv, x) for x in rr]
+        support = [(t, b) for t, b in enumerate(rr) if b]
+        for i, ri in enumerate(rows):
+            f = ri[c]
+            if f and i != r:
+                for t, b in support:
+                    ri[t] = field.sub(ri[t], field.mul(f, b))
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -180,16 +183,18 @@ def solve_many(M, bs):
 class Eliminator:
     """Incremental Gaussian elimination over a field.
 
-    Maintains a row-echelon set of vectors; add() reports independence,
-    and with track=True coordinates of dependent vectors in terms of the
-    previously inserted independent ones are available.
+    Maintains a row-echelon set of vectors, each kept as its support
+    [(t, value), ...] in increasing t with 1 at the pivot; add() reports
+    independence, and with track=True coordinates of dependent vectors in
+    terms of the previously inserted independent ones are available.
     """
 
     def __init__(self, field, track=False):
         self.field = field
-        self.rows = []  # (pivot index, reduced vector, combination)
+        # (pivot, support of the reduced vector, its coefficients on the
+        # independent vectors inserted up to it)
+        self.rows = []
         self.track = track
-        self.count = 0  # independent vectors inserted
 
     def _reduce(self, v, comb):
         F = self.field
@@ -197,9 +202,8 @@ class Eliminator:
         for pivot, row, rcomb in self.rows:
             c = v[pivot]
             if c:
-                for t in range(len(v)):
-                    if row[t]:
-                        v[t] = F.sub(v[t], F.mul(c, row[t]))
+                for t, x in row:
+                    v[t] = F.sub(v[t], F.mul(c, x))
                 if comb is not None:
                     for t in range(len(rcomb)):
                         if rcomb[t]:
@@ -209,25 +213,17 @@ class Eliminator:
     def add(self, v):
         """Insert v; returns True when v was independent of the span."""
         F = self.field
-        comb = None
-        if self.track:
-            comb = [F.zero] * (self.count + 1)
-            comb[self.count] = F.one
+        comb = [F.zero] * self.rank + [F.one] if self.track else None
         v, comb = self._reduce(v, comb)
-        pivot = next((i for i, c in enumerate(v) if c), None)
-        if pivot is None:
+        row = [(t, x) for t, x in enumerate(v) if x]
+        if not row:
             return False
-        inv = F.inv(v[pivot])
+        inv = F.inv(row[0][1])
         if inv != F.one:
-            v = [F.mul(inv, c) for c in v]
+            row = [(t, F.mul(inv, x)) for t, x in row]
             if comb is not None:
                 comb = [F.mul(inv, c) for c in comb]
-        if self.track:
-            for _, row, rcomb in self.rows:
-                rcomb.append(F.zero)
-            comb = comb + []
-        self.rows.append((pivot, v, comb))
-        self.count += 1
+        self.rows.append((row[0][0], row, comb))
         return True
 
     @property
@@ -239,8 +235,8 @@ class Eliminator:
         if not self.track:
             raise ValueError("eliminator built without tracking")
         F = self.field
-        comb = [F.zero] * self.count
-        v, comb = self._reduce(list(v), comb)
+        comb = [F.zero] * self.rank
+        v, comb = self._reduce(v, comb)
         if any(v):
             return None
         return [F.neg(c) for c in comb]
@@ -264,15 +260,12 @@ class Subspace:
             if len(v) != ambient:
                 raise ValueError("basis vector of wrong length")
         if check and self.basis:
-            if rank(self.matrix()) != len(self.basis):
+            if rank(Matrix.from_columns(field, self.basis)) != len(self.basis):
                 raise ValueError("basis vectors are dependent")
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def matrix(self):
-        return Matrix.from_columns(self.field, self.basis, ambient=self.ambient)
 
 
 def subquotient(Z, B):

@@ -174,7 +174,8 @@ def ss_pages(C, r_max):
     """Pages E_0 .. E_{r_max} with induced differentials.
 
     Each step also verifies dim E_{r+1} = dim ker d_r - rank d_r at
-    every slot (homology consistency of consecutive pages).
+    every slot (homology consistency of consecutive pages); a mismatch
+    raises VerificationError.
     """
     F = C.field
     D = _SparseColumns(C.D)
@@ -224,7 +225,7 @@ def ss_pages(C, r_max):
             expected = e["dim"] - e["d_rank"] - incoming
             got = nxt.dim(mp, q)
             if got != expected:
-                raise AssertionError(
+                raise VerificationError(
                     "page inconsistency at r=%d slot %s: E_{r+1}=%d, "
                     "homology of (E_r,d_r)=%d" % (r, (mp, q), got, expected))
     return pages

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from knotss.cli import main
+from knotss.linalg import VerificationError
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "src",
                                      "knotss", "data", "schema.json")))
@@ -55,7 +56,7 @@ def test_failed_verification_exits_1_with_witness(capsys, flipped_delta_sign):
 
 def test_page_inconsistency_is_reported(capsys, monkeypatch):
     def inconsistent(C, r_max):
-        raise AssertionError("page inconsistency at r=1 slot (-2, 1)")
+        raise VerificationError("page inconsistency at r=1 slot (-2, 1)")
 
     monkeypatch.setattr("knotss.cli.ss_pages", inconsistent)
     code, doc = run_json(capsys, "ss-table", "--max-arity", "3")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -120,7 +121,7 @@ def test_induced_map_cases():
     assert m == Matrix.identity(F3, 1)
     # f mapping everything into the boundary induces zero
     g = Matrix(F3, [[1, 1], [0, 0]])
-    assert induced_map(g, B, reps, B, reps).is_zero()
+    assert induced_map(g, B, reps, B, reps) == Matrix.zeros(F3, 1, 1)
     # scaling a representative by 2 reads off directly
     h = Matrix(F3, [[1, 0], [0, 2]])
     assert induced_map(h, B, reps, B, reps).rows == [[2]]
@@ -203,3 +204,151 @@ def test_subquotient_representatives_independent_mod_b(M):
     assert dim == Z.dim - B.dim
     joint = Matrix.from_columns(F, B.basis + reps, ambient=M.nrows)
     assert rank(joint) == B.dim + len(reps)
+
+
+# ---------------------------------------------------------------------------
+# the support-walking kernels against a dense reference written out here
+
+
+def _ref_mul_vector(F, rows, v):
+    out = []
+    for row in rows:
+        acc = F.zero
+        for a, x in zip(row, v):
+            acc = F.add(acc, F.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def _ref_rref(F, rows, ncols):
+    """Textbook Gauss-Jordan over whole rows, pivots in the first ncols
+    columns: (reduced rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _ref_kernel(F, rows, ncols):
+    red, pivots = _ref_rref(F, rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [F.zero] * ncols
+        v[fc] = F.one
+        for i, pc in enumerate(pivots):
+            v[pc] = F.neg(red[i][fc])
+        basis.append(v)
+    return basis
+
+
+def _ref_solve(F, rows, ncols, b):
+    red, pivots = _ref_rref(F, [r + [x] for r, x in zip(rows, b)], ncols)
+    if any(r[ncols] for r in red[len(pivots):]):
+        return None
+    x = [F.zero] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i][ncols]
+    return x
+
+
+def _random_vector(rng, F, kind, n):
+    if kind == "zero":
+        return [F.zero] * n
+    density = 0.25 if kind == "sparse" else 1.0
+    return [F.of(rng.randint(-6, 6)) if rng.random() < density else F.zero
+            for _ in range(n)]
+
+
+def _random_rows(rng, F, kind, nrows, ncols):
+    return [_random_vector(rng, F, kind, ncols) for _ in range(nrows)]
+
+
+KINDS = ["sparse", "dense", "zero"]
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name)
+def test_mul_vector_matches_dense_reference(F):
+    rng = random.Random(11)
+    for kind in KINDS * 40:
+        nrows, ncols = rng.randint(1, 7), rng.randint(0, 7)
+        M = Matrix(F, _random_rows(rng, F, kind, nrows, ncols))
+        for vkind in KINDS:
+            v = _random_vector(rng, F, vkind, ncols)
+            assert M.mul_vector(v) == _ref_mul_vector(F, M.rows, v)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name)
+def test_rank_kernel_solve_match_dense_reference(F):
+    rng = random.Random(12)
+    for kind in KINDS * 40:
+        nrows, ncols = rng.randint(1, 7), rng.randint(0, 7)
+        rows = _random_rows(rng, F, kind, nrows, ncols)
+        M = Matrix(F, rows)
+        assert rank(M) == len(_ref_rref(F, rows, ncols)[1])
+        assert kernel_basis(M).basis == _ref_kernel(F, rows, ncols)
+        # one right-hand side in the column span, two random ones
+        bs = [M.mul_vector(_random_vector(rng, F, "dense", ncols))]
+        bs += [_random_vector(rng, F, k, nrows) for k in ("sparse", "dense")]
+        assert solve_many(M, bs) == [_ref_solve(F, rows, ncols, b) for b in bs]
+        assert M.rows == rows
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name)
+def test_eliminator_matches_dense_reference(F):
+    rng = random.Random(13)
+    for kind in KINDS * 30:
+        n = rng.randint(1, 7)
+        vectors = []
+        for _ in range(rng.randint(0, 9)):
+            if vectors and rng.random() < 0.3:
+                # a combination of earlier vectors, dependent by design
+                u, w = rng.choice(vectors), rng.choice(vectors)
+                a, b = F.of(rng.randint(-3, 3)), F.of(rng.randint(-3, 3))
+                vectors.append([F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(u, w)])
+            else:
+                vectors.append(_random_vector(rng, F, kind, n))
+        elim, basis = Eliminator(F, track=True), []
+        for v in vectors:
+            cols = [[u[i] for u in basis] for i in range(n)]
+            independent = _ref_solve(F, cols, len(basis), v) is None
+            assert elim.add(v) == independent
+            if independent:
+                basis.append(v)
+        assert elim.rank == len(basis)
+        cols = [[u[i] for u in basis] for i in range(n)]
+        for v in vectors + [_random_vector(rng, F, k, n) for k in KINDS]:
+            assert elim.coords_in_span(v) == _ref_solve(F, cols, len(basis), v)
+
+
+def test_eliminator_normalizes_a_non_unit_pivot():
+    for F in (F3, QQ):
+        elim = Eliminator(F, track=True)
+        u = [F.zero, F.of(2), F.of(1), F.zero]
+        assert elim.add(u)
+        assert not elim.add([F.zero, F.of(4), F.of(2), F.zero])
+        assert elim.coords_in_span([F.zero, F.of(-2), F.of(-1), F.zero]) == [F.of(-1)]
+        assert elim.coords_in_span([F.zero, F.zero, F.one, F.zero]) is None
+
+
+def test_mul_vector_reads_the_rows_as_edited():
+    # the benchmark's fault injection edits M.rows in place after building
+    # M; a product that stopped reading the rows would hide it
+    for F in FIELDS:
+        M = Matrix(F, [[1, 0, 2], [0, 0, 1]])
+        v = [F.one, F.zero, F.one]
+        before = M.mul_vector(v)
+        M.rows[0][0] = F.add(M.rows[0][0], F.one)
+        assert M.mul_vector(v) != before
+        assert M.mul_vector(v) == _ref_mul_vector(F, M.rows, v)

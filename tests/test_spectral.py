@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from knotss import linalg, spectral
 from knotss.fields import F2, F3, QQ
-from knotss.linalg import Matrix
+from knotss.linalg import Matrix, VerificationError
 from knotss.spectral import (FilteredComplex, _SparseColumns, einf_dims,
                              random_filtered_complex, ss_pages,
                              total_homology_graded)
@@ -29,6 +30,15 @@ def test_two_term_drop_one():
     assert pages[1].dims() == {(-2, 1): 1, (-1, 1): 1}
     assert pages[1].dr_rank(-2, 1) == 1
     assert pages[2].dims() == {}
+
+
+def test_page_inconsistency_raises(monkeypatch):
+    # overstated ranks break dim E_{r+1} = homology of (E_r, d_r) at r = 0
+    D = Matrix(QQ, [[0, 0], [1, 0]])
+    C = FilteredComplex(QQ, [(2, 1), (1, 1)], D)
+    monkeypatch.setattr(spectral, "rank", lambda d: linalg.rank(d) + 1)
+    with pytest.raises(VerificationError, match="page inconsistency at r=0"):
+        ss_pages(C, 2)
 
 
 def test_two_term_drop_two():
