@@ -290,17 +290,17 @@ def run_case(name, facts=None, specs=None):
         for (gt, ht, i, sg, sh, w) in spec["pairs"]:
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
             pair = maker_pair(G, H, i)
-            total = total + pair.scale(w)
+            total += pair.scale(w)
             rhs = apply_delta(maker_c(G), i, use_syntactic=False)[0].scale(sg) \
                 + apply_delta(maker_c(H), i, use_syntactic=False)[0].scale(sh)
             diff = boundary_D(pair, conv) - rhs
             ok, detail = _residual_zero(diff, facts, char)
             _check(report, "D c(%s,%s,%d) matches merges" % (gt, ht, i), ok, detail)
         for (gtext, i, w) in spec.get("corrections", []):
-            total = total + chain_cycle_ch3(parse_graph(gtext, spec["n"]), i).scale(w)
+            total += chain_cycle_ch3(parse_graph(gtext, spec["n"]), i).scale(w)
         target = Chain()
         for G, w in zip(graphs, spec["assembly"]):
-            target = target + (chain_c_ch2 if char == 2 else chain_c_ch3)(G).scale(w)
+            target += (chain_c_ch2 if char == 2 else chain_c_ch3)(G).scale(w)
         rhs = apply_delta(target, facts=facts)[0].scale(spec["assembly_sign"])
         ok, detail = _residual_zero(boundary_D(total, conv) - rhs, facts, char)
         _check(report, "D of the assembled chain is the merge image", ok, detail)
@@ -309,7 +309,7 @@ def run_case(name, facts=None, specs=None):
         total = Chain()
         for (gt, ht, i, w) in spec["pairs"]:
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
-            total = total + chain_pair_ch2(G, H, i).scale(w)
+            total += chain_pair_ch2(G, H, i).scale(w)
         survivors, rep = apply_delta(total, facts=facts)
         survivors = survivors.reduce(char)
         got = sorted((t.expr.text(), str(t.label)) for _, t in survivors.items())
@@ -323,7 +323,7 @@ def run_case(name, facts=None, specs=None):
         cs = [chain_cprime(G) for G in graphs]
         total = Chain()
         for ch, w in zip(cs, spec["assembly"]):
-            total = total + ch.scale(w)
+            total += ch.scale(w)
         for G, text in zip(graphs, spec["graphs"]):
             ok = boundary_D(chain_cprime(G), conv).reduce(char).is_zero()
             _check(report, "D c'(%s) = 0" % text, ok)
@@ -331,14 +331,14 @@ def run_case(name, facts=None, specs=None):
         for (gt, ht, i, sg, sh, w) in spec["pairs"]:
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
             pair = chain_cprime_pair(G, H, i)
-            gamma = gamma + pair.scale(w)
+            gamma += pair.scale(w)
             rhs = apply_delta(chain_cprime(G), i, use_syntactic=False)[0].scale(sg) \
                 + apply_delta(chain_cprime(H), i, use_syntactic=False)[0].scale(sh)
             ok, detail = _residual_zero(boundary_D(pair, conv) - rhs, facts, char)
             _check(report, "D c'(%s,%s,%d) matches merges" % (gt, ht, i), ok, detail)
         ti = spec["triple"]
         triple = chain_triple(G5, G6, G7, ti)
-        gamma = gamma + triple.scale(spec["triple_weight"])
+        gamma += triple.scale(spec["triple_weight"])
         rhs = apply_delta(total, ti, facts=facts)[0]
         ok, detail = _residual_zero(boundary_D(triple, conv) - rhs, facts, char)
         _check(report, "D of the triple chain matches merge %d" % ti, ok, detail)

@@ -504,11 +504,14 @@ class Chain:
 
     def __add__(self, other):
         out = Chain()
-        for c, t in self.items():
-            out._put(c, t)
-        for c, t in other.items():
-            out._put(c, t)
+        out += self
+        out += other
         return out
+
+    def __iadd__(self, other):
+        for c, t in other.items():
+            self._put(c, t)
+        return self
 
     def __sub__(self, other):
         return self + other.scale(-1)

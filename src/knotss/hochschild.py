@@ -26,8 +26,8 @@ coface pullbacks.
 from .confcoh import (admissible_basis, class_to_vector, coface_pullback,
                       codegeneracy_pullback, dim_cohomology, normal_form)
 from .linalg import (Eliminator, Matrix, VerificationError, kernel_basis,
-                     rank, solve)
-from .spectral import FilteredComplex, _sparse_squares_to_zero, ss_pages
+                     rank, solve, sparse)
+from .spectral import FilteredComplex, ss_pages
 
 MODES = ("signed", "verbatim")
 
@@ -136,23 +136,14 @@ def hochschild_delta(O, x, p, q, mode="signed"):
     return out
 
 
-def _dense(field, n, columns):
-    """The n x n Matrix of sparse columns {j: {i: val}}."""
-    D = Matrix.zeros(field, n, n)
-    for j, col in columns.items():
-        for i, val in col.items():
-            D.rows[i][j] = val
-    return D
-
-
-def hochschild_complex(O, max_p=None, mode="signed", check=True):
+def hochschild_complex(O, max_p=None, mode="signed"):
     """The dual Hochschild complex of O as a FilteredComplex.
 
     Slots are (p, q) with the arity p as filtration degree.  The dual
     internal differential (transpose of internal_d, an r = 0 block) is
     added with coefficient +1; presentations with a nonzero internal
     differential must hand in data for which the total map squares to
-    zero, and that is verified here on construction.
+    zero, and FilteredComplex verifies that on construction.
     """
     _check_mode(mode)
     F = O.field
@@ -163,7 +154,6 @@ def hochschild_complex(O, max_p=None, mode="signed", check=True):
         d = O.dim(p, q)
         slots.extend([(p, q)] * d)
         labels.extend([(p, q, t) for t in range(d)])
-    n = len(slots)
     columns = {}
     for (p, q) in keys:
         d = O.dim(p, q)
@@ -179,18 +169,16 @@ def hochschild_complex(O, max_p=None, mode="signed", check=True):
                 for s, val in enumerate(vec):
                     if val:
                         col[base + s] = val
+            # the r = 0 block lands in slot (p, q + 1), which no mu_l
+            # block reaches (l >= 2 lowers the arity), so nothing sums
             dmat = O.internal_d.get((p, q + 1))
             if dmat is not None and (p, q + 1) in offsets:
                 base = offsets[(p, q + 1)]
                 for s, val in enumerate(dmat.transpose().mul_vector(x)):
                     if val:
-                        col[base + s] = F.add(col.get(base + s, F.zero), val)
-            if col:
-                columns[j] = col
-    if check:
-        _sparse_squares_to_zero(F, columns)
-    return FilteredComplex(F, slots, _dense(F, n, columns), labels=labels,
-                           check=False)
+                        col[base + s] = val
+            columns[j] = col
+    return FilteredComplex(F, slots, columns, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +272,11 @@ def normalized_slot(p, q, field):
     elim = Eliminator(field, track=True)
     deg = degenerate_subspace_matrix(p, q, field)
     for col in deg.columns():
-        elim.add(col)
+        elim.add(sparse(col))
     n_deg = elim.rank
-    reps = []
-    nb = len(admissible_basis(p, q))
-    for t in range(nb):
-        if elim.add(_unit_vector(field, nb, t)):
-            reps.append(t)
+    one = field.one
+    reps = [t for t in range(len(admissible_basis(p, q)))
+            if elim.add({t: one})]
     return reps, n_deg, elim
 
 
@@ -307,7 +293,7 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
         raise ValueError("max_p must be between 1 and 8")
     F = field
     if not normalized:
-        return hochschild_complex(ConfTower(F, max_p), mode=mode, check=True)
+        return hochschild_complex(ConfTower(F, max_p), mode=mode)
     keys = [(p, q) for p in range(1, max_p + 1) for q in range(p)
             if dim_cohomology(p, q)]
 
@@ -325,28 +311,22 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
     for (p, q) in keys:
         if p < 2 or (p - 1, q) not in offsets:
             continue
-        reps, _, _ = info[(p, q)]
-        t_reps, _, t_elim = info[(p - 1, q)]
-        t_pos = {t: s for s, t in enumerate(t_reps)}
+        reps = info[(p, q)][0]
+        _, t_deg, t_elim = info[(p - 1, q)]
+        base = offsets[(p - 1, q)]
         delta = conf_delta_matrix(p, q, F, mode=mode)
         for s, t in enumerate(reps):
-            img = delta.column(t)
-            coords = t_elim.coords_in_span(img)
+            coords = t_elim.coords_in_span(sparse(delta.column(t)))
             if coords is None:
                 # image is independent of degenerates + earlier reps; this
                 # cannot happen since unit vectors exhaust the space
                 raise VerificationError("normalization failed at slot %s"
                                         % ((p, q),))
-            col = {}
-            for idx, c in enumerate(coords):
-                if c and idx >= info[(p - 1, q)][1]:
-                    rep_index = idx - info[(p - 1, q)][1]
-                    col[offsets[(p - 1, q)] + rep_index] = c
-            if col:
-                columns[offsets[(p, q)] + s] = col
-    _sparse_squares_to_zero(F, columns)
-    return FilteredComplex(F, slots, _dense(F, len(slots), columns),
-                           labels=labels, check=False)
+            # coordinates past the degenerate ones are on the target reps
+            columns[offsets[(p, q)] + s] = {base + idx - t_deg: c
+                                            for idx, c in enumerate(coords)
+                                            if c and idx >= t_deg}
+    return FilteredComplex(F, slots, columns, labels=labels)
 
 
 def mu3_obstruction_rank(field):
@@ -371,26 +351,15 @@ def e2_report(x, mode="signed"):
     is_cycle = not any(img)
     is_boundary = is_cycle and (solve(d_in, v) is not None if d_in.ncols
                                 else not any(v))
-    ker = kernel_basis(d_out)
     elim = Eliminator(F, track=True)
-    n_bnd = 0
     for j in range(d_in.ncols):
-        if elim.add(d_in.column(j)):
-            n_bnd += 1
-    reps = [w for w in ker.basis if elim.add(w)]
-    dim_e2 = len(reps)
+        elim.add(sparse(d_in.column(j)))
+    n_bnd = elim.rank
+    dim_e2 = sum(elim.add(sparse(w)) for w in kernel_basis(d_out))
     coords = None
     if is_cycle:
-        full = Eliminator(F, track=True)
-        for j in range(d_in.ncols):
-            full.add(d_in.column(j))
-        kept = full.rank
-        rep_pos = []
-        for w in ker.basis:
-            if full.add(w):
-                rep_pos.append(w)
-        sol = full.coords_in_span(v)
-        coords = sol[kept:] if sol is not None else None
+        sol = elim.coords_in_span(sparse(v))
+        coords = sol[n_bnd:] if sol is not None else None
     return {"slot": (p, q), "is_cycle": is_cycle, "is_boundary": is_boundary,
             "dim_e2": dim_e2, "coordinates": coords}
 

@@ -1,14 +1,16 @@
 """Exact linear algebra over a Field: rank, kernels, solving,
 subquotients, and induced maps on subquotients.
 
-Matrices are dense lists of lists, but the kernels walk supports:
-mul_vector sums over the nonzero entries of its vector, and _rref and
-Eliminator update over those of the pivot row.  induced_map also takes
-any map with .field and .mul_vector, such as the sparse view of
-spectral.ss_pages.  Entries pass through Field.of only at the edges:
-Matrix(field, rows), Subspace(..., check=True) and the right-hand side
-of solve (solve_many takes field values); what is built from field
-values (from_columns, products, kernels) keeps them as they are.
+Two forms, one per layer.  Matrix, rank, kernel_basis, solve and
+solve_many are dense, for small work: a Matrix is a list of rows, but
+mul_vector sums over the nonzero entries of its vector and _rref
+updates over those of the pivot row.  The subspace layer (Eliminator,
+Subspace, subquotient, induced_map) holds sparse vectors
+{index: nonzero field value}, and induced_map takes its map as a
+callable from sparse vectors to sparse vectors; sparse(v) converts a
+dense vector at the boundary.  Entries pass through Field.of only at the
+edges: Matrix(field, rows) and the right-hand side of solve (solve_many
+takes field values); everything else keeps field values as they are.
 """
 
 
@@ -134,7 +136,7 @@ def rank(M):
 
 
 def kernel_basis(M):
-    """Subspace spanned by {v : Mv = 0}."""
+    """A basis of {v : Mv = 0}, as dense vectors."""
     F = M.field
     rows = [list(r) for r in M.rows]
     pivots = _rref(F, rows, M.ncols)
@@ -147,8 +149,12 @@ def kernel_basis(M):
         for i, pc in enumerate(pivots):
             v[pc] = F.neg(rows[i][fc])
         basis.append(v)
-    # independent by construction: only basis vector k is nonzero at free[k]
-    return Subspace(F, M.ncols, basis, check=False)
+    return basis
+
+
+def sparse(v):
+    """The sparse form {index: value} of a dense vector."""
+    return {i: x for i, x in enumerate(v) if x}
 
 
 def solve(M, b):
@@ -180,8 +186,18 @@ def solve_many(M, bs):
     return out
 
 
+def _sub_scaled(F, zero, v, c, items):
+    """v -= c * w in place, for a sparse v and the (t, w_t) of w's support."""
+    for t, x in items:
+        s = F.sub(v.get(t, zero), F.mul(c, x))
+        if s:
+            v[t] = s
+        else:
+            del v[t]
+
+
 class Eliminator:
-    """Incremental Gaussian elimination over a field.
+    """Incremental Gaussian elimination over a field, on sparse vectors.
 
     Maintains a row-echelon set of vectors, each kept as its support
     [(t, value), ...] in increasing t with 1 at the pivot; add() reports
@@ -191,38 +207,36 @@ class Eliminator:
 
     def __init__(self, field, track=False):
         self.field = field
-        # (pivot, support of the reduced vector, its coefficients on the
-        # independent vectors inserted up to it)
+        # (pivot, support of the reduced vector, its sparse coefficients
+        # on the independent vectors inserted up to it)
         self.rows = []
         self.track = track
 
     def _reduce(self, v, comb):
         F = self.field
-        v = list(v)
+        zero = F.zero
+        v = dict(v)
         for pivot, row, rcomb in self.rows:
-            c = v[pivot]
+            c = v.get(pivot)
             if c:
-                for t, x in row:
-                    v[t] = F.sub(v[t], F.mul(c, x))
+                _sub_scaled(F, zero, v, c, row)
                 if comb is not None:
-                    for t in range(len(rcomb)):
-                        if rcomb[t]:
-                            comb[t] = F.sub(comb[t], F.mul(c, rcomb[t]))
+                    _sub_scaled(F, zero, comb, c, rcomb.items())
         return v, comb
 
     def add(self, v):
         """Insert v; returns True when v was independent of the span."""
         F = self.field
-        comb = [F.zero] * self.rank + [F.one] if self.track else None
+        comb = {self.rank: F.one} if self.track else None
         v, comb = self._reduce(v, comb)
-        row = [(t, x) for t, x in enumerate(v) if x]
-        if not row:
+        if not v:
             return False
+        row = sorted(v.items())
         inv = F.inv(row[0][1])
         if inv != F.one:
             row = [(t, F.mul(inv, x)) for t, x in row]
             if comb is not None:
-                comb = [F.mul(inv, c) for c in comb]
+                comb = {t: F.mul(inv, c) for t, c in comb.items()}
         self.rows.append((row[0][0], row, comb))
         return True
 
@@ -235,33 +249,21 @@ class Eliminator:
         if not self.track:
             raise ValueError("eliminator built without tracking")
         F = self.field
-        comb = [F.zero] * self.rank
-        v, comb = self._reduce(v, comb)
-        if any(v):
+        v, comb = self._reduce(v, {})
+        if v:
             return None
-        return [F.neg(c) for c in comb]
+        zero = F.zero
+        return [F.neg(comb.get(t, zero)) for t in range(self.rank)]
 
 
 class Subspace:
-    """Span of independent column vectors inside an ambient k^n.
+    """Span of independent sparse vectors inside an ambient k^n, taken
+    as they are."""
 
-    check=True coerces every entry and verifies independence; check=False
-    takes independent vectors of field values as they are.
-    """
-
-    def __init__(self, field, ambient, basis, check=True):
+    def __init__(self, field, ambient, basis):
         self.field = field
         self.ambient = ambient
-        if check:
-            self.basis = [[field.of(x) for x in v] for v in basis]
-        else:
-            self.basis = [list(v) for v in basis]
-        for v in self.basis:
-            if len(v) != ambient:
-                raise ValueError("basis vector of wrong length")
-        if check and self.basis:
-            if rank(Matrix.from_columns(field, self.basis)) != len(self.basis):
-                raise ValueError("basis vectors are dependent")
+        self.basis = list(basis)
 
     @property
     def dim(self):
@@ -297,18 +299,18 @@ def induced_map(f, source_b, source_reps, target_b, target_reps):
 
     Each side is given by its boundary subspace B and the
     representatives of Z/B that subquotient returned, so B and the
-    representatives together span Z.  f is a Matrix or any linear map
-    with .field and .mul_vector.  Checks that f carries Z into Z and B
-    into B; a violation raises VerificationError with the witness vector.
+    representatives together span Z.  f is a linear map from sparse
+    vectors to sparse vectors over the subspaces' field.  Checks that f
+    carries Z into Z and B into B; a violation raises VerificationError
+    with the witness vector.
     """
-    F = f.field
+    F = target_b.field
     belim = Eliminator(F)
     for v in target_b.basis:
         belim.add(v)
     brank = belim.rank
     for v in source_b.basis:
-        fv = f.mul_vector(v)
-        if belim.add(fv):
+        if belim.add(f(v)):
             raise VerificationError("not well defined: image of %r leaves the boundary subspace" % (v,))
     if belim.rank != brank:
         raise VerificationError("the boundary images raise the rank of the "
@@ -319,8 +321,7 @@ def induced_map(f, source_b, source_reps, target_b, target_reps):
         full.add(v)
     cols = []
     for v in source_reps:
-        fv = f.mul_vector(v)
-        coords = full.coords_in_span(fv)
+        coords = full.coords_in_span(f(v))
         if coords is None:
             raise VerificationError("not well defined: image of %r leaves the cycle subspace" % (v,))
         cols.append(coords[target_b.dim:])

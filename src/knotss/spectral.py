@@ -9,41 +9,52 @@ are the classical subquotients
     E_r(p, n) = Z_r(p, n) / (Z_{r-1}(p-1, n) + D Z_{r-1}(p+r-1, n-1))
 
 with d_r induced by D, all by exact linear algebra over the complex's
-field.  ss_pages applies D through a sparse view of its nonzero columns,
-built per call and dropped with it; subspaces stay dense vectors of
-field values that are never coerced again.  total_homology_graded, the
-independent oracle, keeps its own dense route through D.
+field.  D is stored once, as its nonzero columns {j: {i: value}}, and
+the page engine applies it to sparse vectors (FilteredComplex.apply);
+every Z, B and representative is a sparse vector {index: value}.  Only
+the small kernels inside _z_subspace and the induced d_r matrices are
+dense.  total_homology_graded, the independent oracle, keeps its own
+dense route through the Matrix C.D.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import (Eliminator, Matrix, Subspace, VerificationError,
-                     induced_map, kernel_basis, rank, solve, subquotient)
+                     induced_map, kernel_basis, rank, solve, sparse,
+                     subquotient)
 
 
 class FilteredComplex:
-    """Finite cochain complex with a filtration; D given as one matrix.
+    """Finite cochain complex with a filtration; D given as sparse columns.
 
-    labels: external names per basis element (opaque); slots: (p, q)
-    per basis element; differential column j = D(basis j).
+    slots: (p, q) per basis element; columns: {j: {i: value}}, the
+    nonzero entries of D(basis j) as field values; labels: external
+    names per basis element (opaque).  The constructor checks that
+    every index lies in the basis, that no stored value is zero, that D
+    squares to zero and that every entry fits the filtration pattern.
     """
 
-    def __init__(self, field, slots, differential, labels=None, check=True):
+    def __init__(self, field, slots, columns, labels=None):
         self.field = field
         self.slots = [tuple(s) for s in slots]
         self.labels = list(labels) if labels is not None else list(range(len(slots)))
-        self.D = differential
         n = len(self.slots)
-        if self.D.nrows != n or self.D.ncols != n:
-            raise ValueError("differential must be square on the basis")
-        if check:
-            self._validate()
-
-    def _validate(self):
-        columns = {j: dict(col)
-                   for j, col in enumerate(_SparseColumns(self.D).cols) if col}
-        _sparse_squares_to_zero(self.field, columns)
+        self.columns = {}
         for j, col in columns.items():
+            if not 0 <= j < n:
+                raise ValueError("column %r outside the basis of %d" % (j, n))
+            for i, val in col.items():
+                if not 0 <= i < n:
+                    raise ValueError("row %r of column %d outside the basis of %d"
+                                     % (i, j, n))
+                if not val:
+                    raise ValueError("stored zero at (%d, %d)" % (i, j))
+            if col:
+                self.columns[j] = dict(col)
+        for j, col in self.columns.items():
+            if self.apply(col):
+                raise VerificationError("differential does not square to zero "
+                                        "(witness column %d)" % j)
             pj, qj = self.slots[j]
             for i in col:
                 pi, qi = self.slots[i]
@@ -52,6 +63,32 @@ class FilteredComplex:
                     raise ValueError(
                         "block (%s)->(%s) violates the filtration pattern"
                         % ((pj, qj), (pi, qi)))
+
+    @property
+    def D(self):
+        """D as a dense Matrix, built on each access."""
+        D = Matrix.zeros(self.field, self.dim, self.dim)
+        for j, col in self.columns.items():
+            for i, val in col.items():
+                D.rows[i][j] = val
+        return D
+
+    def apply(self, v):
+        """The sparse product D v of a sparse vector v."""
+        F = self.field
+        zero = F.zero
+        out = {}
+        for j, x in v.items():
+            col = self.columns.get(j)
+            if col is None:
+                continue
+            for i, a in col.items():
+                s = F.add(out.get(i, zero), F.mul(a, x))
+                if s:
+                    out[i] = s
+                else:
+                    del out[i]
+        return out
 
     @property
     def dim(self):
@@ -75,85 +112,32 @@ class FilteredComplex:
         return out
 
 
-def _coordinate_subspace(field, dim, indices):
-    basis = []
-    for j in indices:
-        v = [field.zero] * dim
-        v[j] = field.one
-        basis.append(v)
-    return Subspace(field, dim, basis, check=False)
-
-
 def _z_subspace(C, r, p, n):
     """{x in F_p, total degree n : D x in F_{p-r}} as an ambient subspace."""
     F = C.field
     cols = C.indices(max_p=p, degree=n)
-    if not cols:
-        return Subspace(F, C.dim, [], check=False)
     bad_rows = [i for i in C.indices(degree=n + 1) if C.slots[i][0] > p - r]
-    if not bad_rows:
-        return _coordinate_subspace(F, C.dim, cols)
-    A = Matrix(F, [[C.D.rows[i][j] for j in cols] for i in bad_rows], coerce=False)
-    small = kernel_basis(A)
-    basis = []
-    for v in small.basis:
-        w = [F.zero] * C.dim
-        for j, c in zip(cols, v):
-            w[j] = c
-        basis.append(w)
-    return Subspace(F, C.dim, basis, check=False)
+    if not cols or not bad_rows:
+        one = F.one
+        return Subspace(F, C.dim, [{j: one} for j in cols])
+    zero = F.zero
+    dcols = [C.columns.get(j, {}) for j in cols]
+    A = Matrix(F, [[col.get(i, zero) for col in dcols] for i in bad_rows],
+               coerce=False)
+    return Subspace(F, C.dim, [{cols[k]: c for k, c in enumerate(v) if c}
+                               for v in kernel_basis(A)])
 
 
 def _span(field, ambient, vectors):
     elim = Eliminator(field)
-    chosen = [v for v in vectors if any(v) and elim.add(v)]
-    return Subspace(field, ambient, chosen, check=False)
-
-
-def _sparse_squares_to_zero(field, columns):
-    """D^2 = 0 for D given as sparse columns {j: {i: val}}."""
-    F = field
-    for j, col in columns.items():
-        acc = {}
-        for i, val in col.items():
-            for t, w in columns.get(i, {}).items():
-                s = F.add(acc.get(t, F.zero), F.mul(val, w))
-                if s:
-                    acc[t] = s
-                elif t in acc:
-                    del acc[t]
-        if acc:
-            raise VerificationError("differential does not square to zero "
-                                    "(witness column %d)" % j)
-
-
-class _SparseColumns:
-    """D as its nonzero columns, j -> [(i, D[i][j])]; mul_vector walks
-    only the support of its argument."""
-
-    def __init__(self, D):
-        self.field = D.field
-        self.nrows = D.nrows
-        self.cols = [[] for _ in range(D.ncols)]
-        for i, row in enumerate(D.rows):
-            for j, x in enumerate(row):
-                if x:
-                    self.cols[j].append((i, x))
-
-    def mul_vector(self, v):
-        F = self.field
-        out = [F.zero] * self.nrows
-        for j, x in enumerate(v):
-            if x:
-                for i, a in self.cols[j]:
-                    out[i] = F.add(out[i], F.mul(a, x))
-        return out
+    return Subspace(field, ambient, [v for v in vectors if v and elim.add(v)])
 
 
 @dataclass
 class SSPage:
     """One page: per slot (-p, q) a dimension, representatives in the
-    total complex, and the matrix of d_r out of the slot."""
+    total complex as sparse vectors, and the matrix of d_r out of the
+    slot."""
 
     r: int
     table: dict = dc_field(default_factory=dict)  # (-p, q) -> entry dict
@@ -178,7 +162,6 @@ def ss_pages(C, r_max):
     raises VerificationError.
     """
     F = C.field
-    D = _SparseColumns(C.D)
     pq_slots = sorted(set(C.slots))
     pages = []
     cache_z, cache_slot = {}, {}
@@ -197,7 +180,7 @@ def ss_pages(C, r_max):
             if r == 0:
                 b = Z(0, p - 1, n)
             else:
-                img = [D.mul_vector(v) for v in Z(r - 1, p + r - 1, n - 1).basis]
+                img = [C.apply(v) for v in Z(r - 1, p + r - 1, n - 1).basis]
                 b = _span(F, C.dim, Z(r - 1, p - 1, n).basis + img)
             cache_slot[key] = (b,) + subquotient(Z(r, p, n), b)
         return cache_slot[key]
@@ -208,7 +191,7 @@ def ss_pages(C, r_max):
             b, dim, reps = slot(r, p, q)
             tp, tq = p - r, q - r + 1
             tb, _, treps = slot(r, tp, tq)
-            d = induced_map(D, b, reps, tb, treps)
+            d = induced_map(C.apply, b, reps, tb, treps)
             page.table[(-p, q)] = {"dim": dim, "reps": reps,
                                    "d": d, "d_rank": rank(d),
                                    "target": (-tp, tq)}
@@ -242,6 +225,7 @@ def total_homology_graded(C):
     via ranks of stacked column matrices only.
     """
     F = C.field
+    D = C.D
     out = {}
     for n in C.degrees():
         deg_idx = C.indices(degree=n)
@@ -249,20 +233,19 @@ def total_homology_graded(C):
         # im D_{n-1}
         im_cols = []
         for j in prev_idx:
-            col = C.D.column(j)
+            col = D.column(j)
             if any(col):
                 im_cols.append(col)
         # ker D_n inside the degree-n coordinate block
         A_rows = C.indices(degree=n + 1)
         if deg_idx:
-            A = Matrix(F, [[C.D.rows[i][j] for j in deg_idx] for i in A_rows],
+            A = Matrix(F, [[D.rows[i][j] for j in deg_idx] for i in A_rows],
                        coerce=False)
-            kb = kernel_basis(A) if A_rows else None
-            if kb is None:
+            if A_rows:
+                small = kernel_basis(A)
+            else:
                 small = [[F.one if a == b else F.zero for a in range(len(deg_idx))]
                          for b in range(len(deg_idx))]
-            else:
-                small = kb.basis
             ker_vecs = []
             for v in small:
                 w = [F.zero] * C.dim
@@ -281,9 +264,8 @@ def total_homology_graded(C):
             if not high:
                 return len(ker_vecs), ker_vecs
             M = Matrix(F, [[v[j] for v in ker_vecs] for j in high], coerce=False)
-            kb = kernel_basis(M)
             vecs = []
-            for coeffs in kb.basis:
+            for coeffs in kernel_basis(M):
                 w = [F.zero] * C.dim
                 for v, c in zip(ker_vecs, coeffs):
                     if c:
@@ -348,7 +330,8 @@ def random_filtered_complex(rng, field, max_basis=30, max_p=4, max_degree=3):
     ginv_cols = [solve(g, Matrix.identity(field, dim).column(j)) for j in range(dim)]
     ginv = Matrix.from_columns(field, ginv_cols, ambient=dim)
     Dc = g.mul_matrix(D).mul_matrix(ginv)
-    return FilteredComplex(field, slots, Dc)
+    return FilteredComplex(field, slots,
+                           {j: sparse(col) for j, col in enumerate(Dc.columns())})
 
 
 def einf_dims(C):

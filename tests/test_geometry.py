@@ -166,7 +166,7 @@ def _component_rows(rng, P, kind):
 def _kernel_kind(N):
     """The kernel of N by where its one vector is last nonzero, or its
     dimension when that is not 1."""
-    basis = kernel_basis(Matrix(QQ, N)).basis
+    basis = kernel_basis(Matrix(QQ, N))
     if len(basis) != 1:
         return "nullity %d" % len(basis)
     last = max(i for i, c in enumerate(basis[0]) if c)

@@ -159,6 +159,16 @@ def test_pointwise_delta_squares_to_zero():
             hochschild_complex(O, mode="verbatim")
 
 
+def test_internal_differential_is_the_r0_block():
+    # the dual of internal_d enters D as an r = 0 block, which E_1 kills
+    for F in FIELDS:
+        O = OperadPresentation(F, {(2, 0): 1, (2, 1): 1}, [2],
+                               internal_d={(2, 1): Matrix(F, [[-1]])})
+        C = hochschild_complex(O)
+        assert C.columns == {0: {1: F.of(-1)}}
+        assert ss_pages(C, 1)[1].dims() == {}
+
+
 def test_toy_mu3_engine_vs_lifting():
     for F in FIELDS:
         O = toy_mu3_presentation(F)
@@ -172,15 +182,15 @@ def test_toy_mu3_engine_vs_lifting():
         assert any(chain)
         # engine and formula give the same chain on the representative
         rep = ent["reps"][0]
-        src_coord = [c for (s, c) in zip(C.slots, rep) if s == (4, 2)]
+        src_coord = rep.get(C.slots.index((4, 2)), F.zero)
         d_img = ent["d"].mul_vector([F.one])
         tgt_reps = pages[2].table[(-2, 1)]["reps"]
         engine_chain = [F.zero] * C.dim
         for c, w in zip(d_img, tgt_reps):
-            for t in range(C.dim):
-                engine_chain[t] = F.add(engine_chain[t], F.mul(c, w[t]))
+            for t, x in w.items():
+                engine_chain[t] = F.add(engine_chain[t], F.mul(c, x))
         lifted = [chain[0] if s == (2, 1) else F.zero for s in C.slots]
-        assert engine_chain == [F.mul(src_coord[0], v) for v in lifted]
+        assert engine_chain == [F.mul(src_coord, v) for v in lifted]
         # after the page-2 hit everything dies except the free slot
         assert pages[3].dims() == {(-3, 1): 1}
 
