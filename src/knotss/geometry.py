@@ -8,7 +8,7 @@ All arithmetic is exact (fractions); there are no tolerances.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Matrix, VerificationError, solve, solve_many
@@ -22,31 +22,35 @@ U = (Fraction(1), Fraction(0))
 class Params:
     """Segment lengths c_0..c_{n+1} (summing to 1), scale rho, and the
     tube half-width eps, constrained so that each segment dwarfs the
-    total length of everything before it."""
+    total length of everything before it.  edges[k] = c_0 + ... +
+    c_{k-1} places every number on [0, 1]."""
     n: int
     rho: Fraction
     eps: Fraction
     c: tuple
+    edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rho", Fraction(self.rho))
         object.__setattr__(self, "eps", Fraction(self.eps))
         object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
+        edges = [Fraction(0)]
+        for x in self.c:
+            edges.append(edges[-1] + x)
+        object.__setattr__(self, "edges", tuple(edges))
         self.validate()
 
     def validate(self):
         if len(self.c) != self.n + 2:
             raise ValueError("need n+2 segment lengths")
-        if sum(self.c) != 1:
+        if self.edges[-1] != 1:
             raise ValueError("segment lengths must sum to 1")
         if not (0 < self.rho < 1):
             raise ValueError("rho must lie in (0,1)")
         if not (0 < 100 * self.eps / self.rho < self.c[0]):
             raise ValueError("eps too large for c_0")
-        acc = Fraction(0)
         for i in range(1, self.n + 2):
-            acc += self.c[i - 1]
-            if not 100 * (self.eps / self.rho + acc) < self.c[i]:
+            if not 100 * (self.eps / self.rho + self.edges[i]) < self.c[i]:
                 raise ValueError("growth condition fails at c_%d" % i)
 
 
@@ -60,7 +64,9 @@ def default_params(n):
 
 
 # ---------------------------------------------------------------------------
-# partition bookkeeping
+# stage layout: a piece, or a single number k as (k,), covers
+# [edges[first], edges[last + 1]] of [0, 1].  Since the c sum to 1, every
+# center, window and gap is rho times a difference of midpoints.
 
 
 def eps_P(params, P):
@@ -68,35 +74,25 @@ def eps_P(params, P):
 
 
 def c_piece(params, piece):
-    return sum((params.c[i] for i in piece), Fraction(0))
+    return params.edges[piece[-1] + 1] - params.edges[piece[0]]
 
 
-def c_le(params, P, pos):
-    """Everything strictly left of the piece at pos plus half of it."""
-    pieces = P.pieces()
-    out = sum((c_piece(params, pieces[q]) for q in range(pos)), Fraction(0))
-    return out + c_piece(params, pieces[pos]) / 2
+def mid(params, piece):
+    return (params.edges[piece[0]] + params.edges[piece[-1] + 1]) / 2
 
 
-def c_ge(params, P, pos):
-    pieces = P.pieces()
-    out = sum((c_piece(params, pieces[q]) for q in range(pos + 1, len(pieces))),
-              Fraction(0))
-    return out + c_piece(params, pieces[pos]) / 2
-
-
-def c_between(params, P, pos_a, pos_b):
-    if pos_a > pos_b:
-        pos_a, pos_b = pos_b, pos_a
-    pieces = P.pieces()
-    out = sum((c_piece(params, pieces[q]) for q in range(pos_a + 1, pos_b)),
-              Fraction(0))
-    return out + (c_piece(params, pieces[pos_a])
-                  + c_piece(params, pieces[pos_b])) / 2
+def space_window(params, piece):
+    """(lo, hi) bounding the first coordinate of the piece's center in
+    the configuration space: lo is its center when it sits leftmost,
+    anchored at -1, and hi when it sits rightmost, anchored at 1."""
+    m = params.rho * mid(params, piece)
+    return -1 + m, 1 - params.rho + m
 
 
 def d_ab(params, P, pos_a, pos_b):
-    return params.rho * c_between(params, P, pos_a, pos_b) - eps_P(params, P)
+    pieces = P.pieces()
+    gap = mid(params, pieces[pos_b]) - mid(params, pieces[pos_a])
+    return params.rho * abs(gap) - eps_P(params, P)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,6 @@ def e_embed(params, P, Q, xs):
         raise ValueError("Q must refine P")
     if len(xs) != P.num_internal:
         raise ValueError("coordinate count mismatch")
-    rho = params.rho
     p_pieces, q_pieces = P.pieces(), Q.pieces()
     out = []
     for qpos in range(1, len(q_pieces) - 1):
@@ -144,16 +139,11 @@ def e_embed(params, P, Q, xs):
         else:
             raise VerificationError("piece %r of %s is not covered by %s"
                                     % (beta, Q, P))
-        ca = c_piece(params, piece)
-        if ppos == 0:
-            base = _scale(-1 + rho * ca / 2, U)
-        elif ppos == len(p_pieces) - 1:
-            base = _scale(1 - rho * ca / 2, U)
+        if 0 < ppos < len(p_pieces) - 1:
+            off = params.rho * (mid(params, beta) - mid(params, piece))
+            out.append(_add(xs[ppos - 1], (off, Fraction(0))))
         else:
-            base = xs[ppos - 1]
-        before = sum((params.c[i] for i in piece if i < beta[0]), Fraction(0))
-        off = -rho * ca / 2 + rho * before + rho * c_piece(params, beta) / 2
-        out.append(_add(base, _scale(off, U)))
+            out.append((space_window(params, beta)[ppos > 0], Fraction(0)))
     return out
 
 
@@ -163,34 +153,18 @@ def e_P(params, P, xs):
 
 
 def anchor_centers(params, P):
-    """Centers of the numbers lying in the extreme pieces (constants)."""
-    rho = params.rho
+    """Centers of the numbers lying in the extreme pieces (constants):
+    each sits at its own window's end on the side of its anchor."""
     pieces = P.pieces()
-    out = {}
-    for pos in (0, len(pieces) - 1):
-        piece = pieces[pos]
-        ca = c_piece(params, piece)
-        base = -1 + rho * ca / 2 if pos == 0 else 1 - rho * ca / 2
-        for k in piece:
-            if 1 <= k <= P.n:
-                before = sum((params.c[i] for i in piece if i < k), Fraction(0))
-                off = -rho * ca / 2 + rho * before + rho * params.c[k] / 2
-                out[k] = (base + off, Fraction(0))
-    return out
+    return {k: (space_window(params, (k,))[side], Fraction(0))
+            for side, pos in ((0, 0), (1, len(pieces) - 1))
+            for k in pieces[pos] if 1 <= k <= P.n}
 
 
 def _offsets(params, P):
     """u-offsets of each number inside its internal piece."""
-    rho = params.rho
-    out = {}
-    pieces = P.pieces()
-    for pos in range(1, len(pieces) - 1):
-        piece = pieces[pos]
-        ca = c_piece(params, piece)
-        for k in piece:
-            before = sum((params.c[i] for i in piece if i < k), Fraction(0))
-            out[k] = -rho * ca / 2 + rho * before + rho * params.c[k] / 2
-    return out
+    return {k: params.rho * (mid(params, (k,)) - mid(params, piece))
+            for piece in P.pieces()[1:-1] for k in piece}
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +174,7 @@ def _offsets(params, P):
 def project_mean(params, P, ys):
     """Closed form for the nearest configuration: per internal piece,
     the mean of the member positions with their offsets subtracted."""
-    offs = _offsets(params, P)
-    pieces = P.pieces()
-    xs = []
-    for pos in range(1, len(pieces) - 1):
-        members = [k for k in pieces[pos] if 1 <= k <= P.n]
-        acc = (Fraction(0), Fraction(0))
-        for k in members:
-            acc = _add(acc, _sub(ys[k - 1], _scale(offs[k], U)))
-        xs.append(_scale(Fraction(1, len(members)), acc))
-    return xs
+    return Tube(params, P).dist2(ys)[1]
 
 
 def project_pi(params, P, ys):
@@ -247,31 +212,18 @@ class Tube:
     each internal piece.  Numbers are stored by index k - 1."""
 
     def __init__(self, params, P):
-        rho, c = params.rho, params.c
-        pieces = P.pieces()
-        last = len(pieces) - 1
-        self.anchored = []  # (k - 1, anchor u); anchors sit at v = 0
-        self.pieces = []    # (1 / size, [(k - 1, u-offset)]) per internal piece
-        for pos, piece in enumerate(pieces):
-            ca = c_piece(params, piece)
-            members, before = [], Fraction(0)
-            for k in piece:
-                mid = rho * (before + c[k] / 2)  # from the piece's left end
-                before += c[k]
-                if not 1 <= k <= P.n:
-                    continue
-                if pos == 0:
-                    self.anchored.append((k - 1, -1 + mid))
-                elif pos == last:
-                    self.anchored.append((k - 1, 1 - rho * ca + mid))
-                else:
-                    members.append((k - 1, mid - rho * ca / 2))
-            if 0 < pos < last:
-                self.pieces.append((Fraction(1, len(members)), members))
+        offs = _offsets(params, P)
+        # (k - 1, anchor u); anchors sit at v = 0
+        self.anchored = [(k - 1, a[0])
+                         for k, a in anchor_centers(params, P).items()]
+        # (1 / size, [(k - 1, u-offset)]) per internal piece
+        self.pieces = [(Fraction(1, len(piece)),
+                        [(k - 1, offs[k]) for k in piece])
+                       for piece in P.pieces()[1:-1]]
         epsp = eps_P(params, P)
         self.eps2 = epsp * epsp
         self.windows = [_excision_window(params, P, pos)
-                        for pos in range(1, last)]
+                        for pos in range(1, P.num_pieces - 1)]
 
     def dist2(self, ys):
         """Exact squared distance from ys to the embedded configuration
@@ -362,12 +314,13 @@ def tube_dist2(params, P, ys):
 
 def _excision_window(params, P, pos):
     """(r^2, lo, hi) at an internal piece: its center is excised when
-    |x|^2 >= r^2 or its first coordinate is at most lo or at least hi."""
+    |x|^2 >= r^2 or its first coordinate is at most lo or at least hi:
+    the space window and the outer sphere, widened by eps_P."""
     epsp = eps_P(params, P)
-    ca = c_piece(params, P.pieces()[pos])
-    r = 1 - params.rho * ca / 2 + epsp
-    return (r * r, -1 + params.rho * c_le(params, P, pos) - epsp,
-            1 - params.rho * c_ge(params, P, pos) + epsp)
+    piece = P.pieces()[pos]
+    r = 1 - params.rho * c_piece(params, piece) / 2 + epsp
+    lo, hi = space_window(params, piece)
+    return r * r, lo - epsp, hi + epsp
 
 
 def _excised(x, window):
@@ -395,21 +348,19 @@ def in_D_ab(params, P, xs, pos_a, pos_b):
 def in_space(params, P, xs):
     """Membership in the exact clustered configuration space."""
     rho = params.rho
-    pieces = P.pieces()
-    m = P.num_pieces - 1
-    for pos in range(1, m):
-        x = xs[pos - 1]
-        ca = c_piece(params, pieces[pos])
-        r = 1 - rho * ca / 2
+    pieces = P.pieces()[1:-1]
+    for x, piece in zip(xs, pieces):
+        r = 1 - rho * c_piece(params, piece) / 2
         if _norm2(x) > r * r:
             return False
-        if not (-1 + rho * c_le(params, P, pos) <= x[0]
-                <= 1 - rho * c_ge(params, P, pos)):
+        lo, hi = space_window(params, piece)
+        if not lo <= x[0] <= hi:
             return False
-    for a in range(1, m):
-        for b in range(a + 1, m):
-            gap = rho * c_between(params, P, a, b)
-            if _norm2(_sub(xs[a - 1], xs[b - 1])) < gap * gap:
+    mids = [mid(params, piece) for piece in pieces]
+    for a in range(len(pieces)):
+        for b in range(a + 1, len(pieces)):
+            gap = rho * (mids[b] - mids[a])
+            if _norm2(_sub(xs[a], xs[b])) < gap * gap:
                 return False
     return True
 
@@ -437,9 +388,7 @@ def rand_point(rng, scale=1):
 def sample_space_point(params, P, rng, tries=50):
     """A point of the configuration space, sampled inside the
     first-coordinate windows with small transverse jitter."""
-    rho = params.rho
-    windows = [(-1 + rho * c_le(params, P, pos), 1 - rho * c_ge(params, P, pos))
-               for pos in range(1, P.num_pieces - 1)]
+    windows = [space_window(params, piece) for piece in P.pieces()[1:-1]]
     for _ in range(tries):
         xs = []
         for lo, hi in windows:
@@ -473,10 +422,8 @@ def _excised_sample(params, P, rng):
     xs = sample_space_point(params, P, rng)
     pos = rng.randrange(1, P.num_pieces - 1)
     epsp = eps_P(params, P)
-    if rng.randrange(2):
-        bad = -1 + params.rho * c_le(params, P, pos) - 2 * epsp
-    else:
-        bad = 1 - params.rho * c_ge(params, P, pos) + 2 * epsp
+    lo, hi = space_window(params, P.pieces()[pos])
+    bad = lo - 2 * epsp if rng.randrange(2) else hi + 2 * epsp
     xs = list(xs)
     xs[pos - 1] = (bad, xs[pos - 1][1])
     ys = e_P(params, P, xs)
@@ -946,19 +893,6 @@ def _check_diagonal_incl(rng, samples, seed):
     return _report("diagonal-incl", samples, bad, seed)
 
 
-def _c_le_number(params, k):
-    return sum(params.c[:k], Fraction(0)) + params.c[k] / 2
-
-
-def _c_ge_number(params, k):
-    return sum(params.c[k + 1:], Fraction(0)) + params.c[k] / 2
-
-
-def c_between_numbers(params, a, b):
-    out = sum((params.c[i] for i in range(a + 1, b)), Fraction(0))
-    return out + (params.c[a] + params.c[b]) / 2
-
-
 def _check_collapse0(rng, samples, seed):
     """Non-basepoint tube membership pins every component into its
     refined first-coordinate window and its exact in-piece gaps, up to
@@ -969,8 +903,8 @@ def _check_collapse0(rng, samples, seed):
     bad = []
     parts = [Partition(n, (1, 2, 2, 1)), Partition(n, (2, 2, 1, 1)),
              Partition(n, (1, 4, 1)), Partition(n, (2, 3, 1))]
-    ext = {0: (-1 + rho * params.c[0] / 2, Fraction(0)),
-           n + 1: (1 - rho * params.c[n + 1] / 2, Fraction(0))}
+    ext = {0: (space_window(params, (0,))[0], Fraction(0)),
+           n + 1: (space_window(params, (n + 1,))[1], Fraction(0))}
     tubes = _tubes(params, parts)
     for k in range(samples):
         P = parts[k % len(parts)]
@@ -979,9 +913,8 @@ def _check_collapse0(rng, samples, seed):
             continue
         epsp = eps_P(params, P)
         for kk in range(1, n + 1):
-            lo = -1 + rho * _c_le_number(params, kk) - 2 * epsp
-            hi = 1 - rho * _c_ge_number(params, kk) + 2 * epsp
-            if not (lo < ys[kk - 1][0] < hi):
+            lo, hi = space_window(params, (kk,))
+            if not (lo - 2 * epsp < ys[kk - 1][0] < hi + 2 * epsp):
                 bad.append({"P": str(P), "k": kk, "kind": "window"})
         for piece in P.pieces():
             for i in range(len(piece)):
@@ -990,7 +923,7 @@ def _check_collapse0(rng, samples, seed):
                     pa = ext[a] if a in ext else ys[a - 1]
                     pb = ext[b] if b in ext else ys[b - 1]
                     gap = pb[0] - pa[0]
-                    cab = rho * c_between_numbers(params, a, b)
+                    cab = rho * (mid(params, (b,)) - mid(params, (a,)))
                     if not (cab - 2 * epsp < gap < cab + 2 * epsp):
                         bad.append({"P": str(P), "pair": (a, b),
                                     "kind": "gap"})
@@ -1019,7 +952,8 @@ def _aimed_inputs(params, P, rng, names):
     to its right by the in-piece spacing of the last two strands."""
     xs = sample_space_point(params, P, rng)
     base = xs[rng.randrange(len(xs))]
-    gap = params.rho * c_between_numbers(params, params.n - 1, params.n)
+    n = params.n
+    gap = params.rho * (mid(params, (n,)) - mid(params, (n - 1,)))
     ep = eps_P(params, P)
     y = _add(base, (rand_frac(rng, -ep, ep), rand_frac(rng, -ep, ep)))
     x = _add(y, (gap + rand_frac(rng, -ep, ep), rand_frac(rng, -ep, ep)))
@@ -1134,7 +1068,7 @@ def _check_i_contraction(rng, samples, seed):
             xs = sample_space_point(params, part, rng)
             x, y = xs[0], xs[-1]
             s1 = rand_frac(rng, 0, 2 * ep)
-            s2 = params.rho * c_between_numbers(params, 1, 2) / 2 \
+            s2 = params.rho * (mid(params, (2,)) - mid(params, (1,))) / 2 \
                 + rand_frac(rng, -2 * ep, 2 * ep)
         xp = tube.nonbase_projection(F.evaluate(x, y, {"s1": s1, "s2": s2}))
         if xp is None:

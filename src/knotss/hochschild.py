@@ -106,33 +106,43 @@ class OperadPresentation:
         return (tp, tq), mats
 
 
+def _delta_blocks(O, p, q, mode):
+    """delta out of the dual slot (p, q) as {target slot: matrix}, one
+    block per contributing mu_l: the sum of its dual summands, the one
+    at position i signed (-1)^i in signed mode.  No two mu_l share a
+    target slot, since each lowers the arity by a different l - 1."""
+    F = O.field
+    minus = F.neg(F.one) if mode == "signed" else F.one
+    out = {}
+    for l in O.mu_arities:
+        (tp, tq), mats = O.dual_terms(l, p, q)
+        if not mats:
+            continue
+        rows = [[F.zero] * mats[0].ncols for _ in range(mats[0].nrows)]
+        for pos, M in enumerate(mats):
+            sign = minus if pos % 2 else F.one
+            for acc, row in zip(rows, M.rows):
+                for j, a in enumerate(row):
+                    if a:
+                        acc[j] = F.add(acc[j], F.mul(sign, a))
+        out[(tp, tq)] = Matrix(F, rows, coerce=False)
+    return out
+
+
 def hochschild_delta(O, x, p, q, mode="signed"):
     """delta applied to a dual coordinate vector x at slot (p, q).
 
     Returns {(p', q'): vector} with one entry per contributing mu_l.
     """
     _check_mode(mode)
-    F = O.field
     if len(x) != O.dim(p, q):
         raise ValueError("vector of length %d at slot %s of dimension %d"
                          % (len(x), (p, q), O.dim(p, q)))
     out = {}
-    for l in O.mu_arities:
-        (tp, tq), mats = O.dual_terms(l, p, q)
-        if not mats:
-            continue
-        acc = [F.zero] * O.dim(tp, tq)
-        for pos, M in enumerate(mats):
-            sign = F.of(-1 if (mode == "signed" and pos % 2) else 1)
-            for t, val in enumerate(M.mul_vector(x)):
-                if val:
-                    acc[t] = F.add(acc[t], F.mul(sign, val))
-        if any(acc):
-            cur = out.get((tp, tq))
-            if cur is None:
-                out[(tp, tq)] = acc
-            else:
-                out[(tp, tq)] = [F.add(a, b) for a, b in zip(cur, acc)]
+    for slot, block in _delta_blocks(O, p, q, mode).items():
+        vec = block.mul_vector(x)
+        if any(vec):
+            out[slot] = vec
     return out
 
 
@@ -156,28 +166,18 @@ def hochschild_complex(O, max_p=None, mode="signed"):
         labels.extend([(p, q, t) for t in range(d)])
     columns = {}
     for (p, q) in keys:
-        d = O.dim(p, q)
-        for t in range(d):
-            j = offsets[(p, q)] + t
-            x = [F.zero] * d
-            x[t] = F.one
-            col = {}
-            for (tp, tq), vec in hochschild_delta(O, x, p, q, mode=mode).items():
-                base = offsets.get((tp, tq))
-                if base is None:
-                    continue
-                for s, val in enumerate(vec):
-                    if val:
-                        col[base + s] = val
-            # the r = 0 block lands in slot (p, q + 1), which no mu_l
-            # block reaches (l >= 2 lowers the arity), so nothing sums
-            dmat = O.internal_d.get((p, q + 1))
-            if dmat is not None and (p, q + 1) in offsets:
-                base = offsets[(p, q + 1)]
-                for s, val in enumerate(dmat.transpose().mul_vector(x)):
-                    if val:
-                        col[base + s] = val
-            columns[j] = col
+        blocks = [(offsets[slot], block.rows) for slot, block
+                  in _delta_blocks(O, p, q, mode).items() if slot in offsets]
+        # the dual internal differential is an r = 0 block into slot
+        # (p, q + 1), which no mu_l block reaches (l >= 2 lowers the arity)
+        dmat = O.internal_d.get((p, q + 1))
+        if dmat is not None and (p, q + 1) in offsets:
+            blocks.append((offsets[(p, q + 1)], dmat.transpose().rows))
+        for t in range(O.dim(p, q)):
+            columns[offsets[(p, q)] + t] = {base + s: row[t]
+                                            for base, rows in blocks
+                                            for s, row in enumerate(rows)
+                                            if row[t]}
     return FilteredComplex(F, slots, columns, labels=labels)
 
 

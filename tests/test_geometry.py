@@ -10,7 +10,7 @@ from knotss.chainledger import (MapExpr, Poly, Term, WeightSpec, ZeroFacts,
                                 contraction, ee_contraction, f_graph, straight)
 from knotss.fields import QQ
 from knotss.geometry import (ALL_LEMMAS, Params, Tube, anchor_centers,
-                             attack_term, attack_zero_facts, c_between,
+                             attack_term, attack_zero_facts, d_ab,
                              check_lemma, closed_form_projection_checks,
                              default_params, e_P, e_embed, eps_P, in_D_ab,
                              in_E, in_E_alpha, in_space, is_nonbasepoint,
@@ -106,6 +106,38 @@ def test_compiled_tube_matches_projection_and_embedding():
                     target = anchors.get(k, centers[k - 1])
                     want += sum((a - b) ** 2 for a, b in zip(ys[k - 1], target))
                 assert tube_dist2(params, P, ys) == (want, xs), str(P)
+
+
+def test_stage_layout_matches_its_definition():
+    # each piece carries a segment of length rho*c(piece), split left to
+    # right among its numbers; the extreme segments start at -1 and end
+    # at 1, an internal one is centred on its coordinate.  The expected
+    # centers are plain sums over params.c, so a wrong midpoint shared by
+    # e_P, the anchors and the tube shows here
+    rng = random.Random(41)
+    for n in range(1, 6):
+        params = default_params(n)
+        rho, c = params.rho, params.c
+        for P in enumerate_partitions(n):
+            pieces = P.pieces()
+            xs = [rand_point(rng) for _ in range(P.num_internal)]
+            want = {}
+            for pos, piece in enumerate(pieces):
+                length = rho * sum(c[i] for i in piece)
+                if pos == 0:
+                    start, v = Fraction(-1), Fraction(0)
+                elif pos == len(pieces) - 1:
+                    start, v = 1 - length, Fraction(0)
+                else:
+                    start, v = xs[pos - 1][0] - length / 2, xs[pos - 1][1]
+                for k in piece:
+                    want[k] = (start + rho * c[k] / 2, v)
+                    start += rho * c[k]
+            centers = e_P(params, P, xs)
+            assert centers == [want[k] for k in range(1, n + 1)], str(P)
+            anchored = set(pieces[0] + pieces[-1]) - {0, n + 1}
+            assert anchor_centers(params, P) == {k: want[k] for k in anchored}
+            assert Tube(params, P).dist2(centers) == (0, xs), str(P)
 
 
 def test_projection_routes_agree():
@@ -256,7 +288,7 @@ def test_region_predicates():
     assert in_E_alpha(params, P, bad, 1)
     # strictly closer than the legal spacing is deep in the diagonal
     close = list(xs)
-    d = params.rho * c_between(params, P, 1, 2)
+    d = d_ab(params, P, 1, 2) + eps_P(params, P)
     close[1] = (close[0][0] + d / 2, close[0][1])
     assert in_D_ab(params, P, close, 1, 2)
     assert not in_space(params, P, close)

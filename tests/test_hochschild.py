@@ -101,6 +101,10 @@ def test_normalized_and_plain_towers_agree_on_page_two():
         pu = ss_pages(Cu, 3)
         assert interior(pn[2], 4) == interior(pu[2], 4)
         assert interior(pn[3], 4) == interior(pu[3], 4)
+    pn = ss_pages(build_sinha_complex(6, F3, normalized=True), 3)
+    pu = ss_pages(build_sinha_complex(6, F3, normalized=False), 3)
+    assert interior(pn[2], 6) == interior(pu[2], 6)
+    assert interior(pn[3], 6) == interior(pu[3], 6)
 
 
 def test_flipped_delta_sign_fails_d_squared(flipped_delta_sign):
