@@ -19,6 +19,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from .linalg import VerificationError
 from .partgraph import PGraph, Partition, delta_graph, discrete_partition
@@ -108,18 +109,6 @@ class Poly:
             for x in m:
                 c = c * values[x]
             acc = acc + c if acc else c
-        return acc
-
-    def derivative(self, name, values):
-        """dp/d(name) at values: p is affine in name, so this is the
-        coefficient of name there, and values[name] is not read."""
-        acc = Fraction(0)
-        for m, c in self.terms.items():
-            if name in m:
-                for x in m:
-                    if x != name:
-                        c = c * values[x]
-                acc = acc + c if acc else c
         return acc
 
     def key(self):
@@ -230,12 +219,37 @@ class MapExpr:
         y = (Fraction(y[0]), Fraction(y[1]))
         return self.image(self.coefficients(values or {}), x, y)
 
-    def derivative(self, x, y, values, name):
-        """The image's change per unit of the parameter name at x, y and
-        values.  The image is affine in each parameter, so at name = t
-        it is the image at values plus (t - values[name]) times this."""
-        return [_affine(*(p.derivative(name, values) for p in comp), x, y)
-                for comp in self.comps]
+    def scaled_coefficients(self, values, name=None):
+        """coefficients(values) as integer numerators over one positive
+        denominator: (rows, den) with den = Dp * prod d_x over the names
+        x in values, values[x] = n_x / d_x in lowest terms and Dp the lcm
+        of the polynomial coefficients' denominators.  A monomial m with
+        coefficient c adds c Dp prod_{x in m} n_x prod_{x not in m} d_x.
+        With name, the same for the derivative along name, over den /
+        d_name: the image is affine in each parameter, so at name = t it
+        is the image at values plus (t - values[name]) times the image
+        under these rows."""
+        nums = {x: v.numerator for x, v in values.items()}
+        dens = {x: v.denominator for x, v in values.items()}
+        if name is not None:
+            nums[name] = dens[name] = 1
+        dp = lcm(*(c.denominator for comp in self.comps for p in comp
+                   for c in p.terms.values()))
+        den = dp
+        for d in dens.values():
+            den *= d
+
+        def scaled(p):
+            acc = 0
+            for m, c in p.terms.items():
+                if name is None or name in m:
+                    k = c.numerator * (den // c.denominator)
+                    for x in m:  # d_x divides k: trade it for n_x
+                        k = k // dens[x] * nums[x]
+                    acc += k
+            return acc
+
+        return [[scaled(p) for p in comp] for comp in self.comps], den
 
     def key(self):
         return tuple(tuple(a.key() for a in comp) for comp in self.comps)

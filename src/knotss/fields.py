@@ -27,23 +27,19 @@ class Field:
         if p is not None and not _is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
         self.p = p
+        self.zero = Fraction(0) if p is None else 0
+        self.one = Fraction(1) if p is None else 1
 
     @property
     def name(self):
         return "q" if self.p is None else "f%d" % self.p
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
-
     def of(self, x):
         """Coerce an int or Fraction into this field."""
         if self.p is None:
             return Fraction(x)
+        if isinstance(x, int):
+            return x % self.p
         x = Fraction(x)
         den_inv = pow(x.denominator % self.p, -1, self.p)
         return (x.numerator * den_inv) % self.p

@@ -4,12 +4,14 @@ tube projections, the excision and deep-diagonal regions, sampling
 harnesses for the geometric collapse lemmas, and the witness attack
 used to certify the zero facts consumed by the chain ledger.
 
-All arithmetic is exact (fractions); there are no tolerances.
+All arithmetic is exact (fractions, and in the attack's rounds integer
+numerators over one denominator); there are no tolerances.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .linalg import Matrix, VerificationError, solve, solve_many
 from .fields import QQ
@@ -209,7 +211,12 @@ class Tube:
     that query it many times: the anchored numbers with the first
     coordinates of their anchors, the internal pieces with the
     u-offsets of their members, eps_P^2, and the excision window of
-    each internal piece.  Numbers are stored by index k - 1."""
+    each internal piece.  Numbers are stored by index k - 1.
+
+    For the attack's integer rounds it also holds T, the lcm of the
+    anchor and offset denominators, the same anchors and offsets as
+    integer numerators over T, and L, the lcm of the sizes of the
+    pieces with more than one member."""
 
     def __init__(self, params, P):
         offs = _offsets(params, P)
@@ -224,6 +231,18 @@ class Tube:
         self.eps2 = epsp * epsp
         self.windows = [_excision_window(params, P, pos)
                         for pos in range(1, P.num_pieces - 1)]
+        self.T = T = lcm(*(a.denominator for _, a in self.anchored),
+                         *(off.denominator for _, members in self.pieces
+                           for _, off in members))
+        self.L = L = lcm(*(len(members) for _, members in self.pieces
+                           if len(members) > 1))
+        self.int_anchored = [(i, a.numerator * (T // a.denominator))
+                             for i, a in self.anchored]
+        # (L / size, [(k - 1, u-offset over T)]) per internal piece
+        self.int_pieces = [(L // len(members),
+                            [(i, off.numerator * (T // off.denominator))
+                             for i, off in members])
+                           for _, members in self.pieces]
 
     def dist2(self, ys):
         """Exact squared distance from ys to the embedded configuration
@@ -249,31 +268,38 @@ class Tube:
             xs.append((mu, mv))
         return total, xs
 
-    def pencil(self, A, B):
-        """(a1, a2) with dist2(A + tB) = dist2(A) + a1 t + a2 t^2.  An
-        anchored number adds 2<A - anchor, B> and |B|^2; a piece adds
-        the same over its members' positions centred on their mean, the
-        offsets taken from A only.  Over m members with sums of z = A -
-        offset and w = B, the centred sums are sum z.w - (sum z).(sum
-        w) / m and sum w.w - |sum w|^2 / m.  A zero coordinate of B adds
+    def pencil(self, A, D, B, Db):
+        """(b1, a2) with dist2(A/D + t B/Db) = dist2(A/D) + b1 t + a2
+        t^2, for point lists A and B of integer numerators over the
+        positive D and Db.  An anchored number adds 2<A/D - anchor, B/Db>
+        and |B/Db|^2; a piece adds the same over its members' positions
+        centred on their mean, the offsets taken from A only.  Over m
+        members with sums of z = A/D - offset and w = B/Db, the centred
+        sums are sum z.w - (sum z).(sum w) / m and sum w.w - |sum w|^2 /
+        m.  Each z is kept over D T and each w over Db, and every sum is
+        multiplied by L, so that 1/m is the integer L/m: a1 = b1/2 sits
+        over D T Db L and a2 over Db^2 L.  A zero coordinate of B adds
         no product, and a piece where B is 0 adds nothing."""
-        a1 = a2 = Fraction(0)
-        for i, a in self.anchored:
+        T = self.T
+        a1 = a2 = 0  # plain sums, multiplied by L below
+        c1 = c2 = 0  # the pieces' centring terms, already times L
+        for i, a in self.int_anchored:
             (zu, zv), (wu, wv) = A[i], B[i]
             if wu:
-                a1 += (zu - a) * wu
+                a1 += (zu * T - a * D) * wu
                 a2 += wu * wu
             if wv:
-                a1 += zv * wv
+                a1 += zv * T * wv
                 a2 += wv * wv
-        for inv, members in self.pieces:
+        for w, members in self.int_pieces:
             if len(members) == 1 or not any(B[i][0] or B[i][1]
                                             for i, _ in members):
                 continue
-            zu = zv = wu = wv = Fraction(0)
+            zu = zv = wu = wv = 0
             for i, off in members:
                 (au, av), (bu, bv) = A[i], B[i]
-                au -= off
+                au = au * T - off * D
+                av *= T
                 zu += au
                 zv += av
                 if bu:
@@ -284,9 +310,11 @@ class Tube:
                     wv += bv
                     a1 += av * bv
                     a2 += bv * bv
-            a1 -= inv * (zu * wu + zv * wv)
-            a2 -= inv * (wu * wu + wv * wv)
-        return 2 * a1, a2
+            c1 += w * (zu * wu + zv * wv)
+            c2 += w * (wu * wu + wv * wv)
+        L = self.L
+        return (Fraction(2 * (L * a1 - c1), D * T * Db * L),
+                Fraction(L * a2 - c2, Db * Db * L))
 
     def excised(self, xs):
         """in_E at the projection coordinates xs."""
@@ -487,103 +515,121 @@ def _normal_equations(tube, coeffs):
 def _schur_solve(s00, s01, s11, rhs):
     """The (x_c, y_c) part of the solution solve_many picks for N z = t,
     for each right-hand side, from the Schur complement S = (s00 s01;
-    s01 s11) left once the piece unknowns are eliminated.  rhs holds,
-    per right-hand side, the reduced (r0, r1) and, per piece, (sum cx,
-    sum cy, sum b) over its members.
+    s01 s11) left once the piece unknowns are eliminated.  All inputs
+    are integers: rhs holds, per right-hand side, the reduced (r0, r1)
+    and, per piece, (sum cx, sum cy, sum b) over its members.  S, the
+    r and the piece sums may carry any common positive scale of the
+    equations (with the piece unknowns scaled to match): x, y and the
+    zero pattern of N's kernel vector do not change under it.
 
     Cramer's rule when S is invertible.  When S has rank 1, N has the one
     kernel vector (k, a_j = (sum cx k_0 + sum cy k_1) / size_j), and
     solve_many sets to 0 the coordinate where it is last nonzero: any
-    solution, less the multiple of that vector that zeroes the
-    coordinate.  None when S = 0 or a rank-1 system is inconsistent."""
+    solution (X/s, Y/s), s = s00 or s11, less the multiple cn / (s ka)
+    of that vector that zeroes the coordinate.  None when S = 0 or a
+    rank-1 system is inconsistent."""
     det = s00 * s11 - s01 * s01
     if det:
-        return [((r0 * s11 - s01 * r1) / det, (s00 * r1 - s01 * r0) / det)
-                for r0, r1, _ in rhs]
+        return [(Fraction(r0 * s11 - s01 * r1, det),
+                 Fraction(s00 * r1 - s01 * r0, det)) for r0, r1, _ in rhs]
     if not (s00 or s11):
         return None
     # k spans the kernel of S; s00 = 0 forces s01 = 0
     k0, k1 = (-s01, s00) if s00 else (s11, -s01)
+    s = s00 or s11
     out = []
     for r0, r1, pieces in rhs:
         if s00:
-            x, y = r0 / s00, Fraction(0)
-            if s01 * x != r1:
+            X, Y = r0, 0
+            if s01 * r0 != r1 * s00:
                 return None
         else:
-            x, y = Fraction(0), r1 / s11
+            X, Y = 0, r1
             if r0:
                 return None
         for ex, ey, e in reversed(pieces):
             ka = ex * k0 + ey * k1
-            if ka:
-                c = (ex * x + ey * y - e) / ka  # a_j over its kernel entry
+            if ka:  # zero a_j: cn / ka is s a_j over its kernel entry
+                cn = ex * X + ey * Y - e * s
                 break
-        else:
-            c = y / k1 if k1 else x / k0
-        out.append((x - c * k0, y - c * k1))
+        else:  # zero y, or x when k1 = 0
+            ka, cn = (k1, Y) if k1 else (k0, X)
+        d = s * ka
+        out.append((Fraction(X * ka - cn * k0, d),
+                    Fraction(Y * ka - cn * k1, d)))
     return out
 
 
-def _ls_step(tube, coeffs):
+def _ls_step(tube, rows, den):
     """One exact least squares step for the configuration (x, y) at
     fixed parameters, from the evaluated (cx, cy, qu, qv) of every
-    component (MapExpr.coefficients).  Unknowns (x_c, y_c, a_1..a_p):
+    component as integer numerators rows over den
+    (MapExpr.scaled_coefficients).  Unknowns (x_c, y_c, a_1..a_p):
     number k asks cx_k x_c + cy_k y_c - a_(piece of k) = offset_k - q_k
     when it lies in an internal piece, and cx_k x_c + cy_k y_c =
     anchor_k - q_k when it is anchored.  Both coordinates share the
     normal matrix N.  The a_j form a diagonal block of N, holding the
     size of piece j, so they are eliminated and the 2x2 Schur complement
-    S is solved (_schur_solve); only S = 0 is left to solve_many."""
-    s00 = s01 = s11 = ru0 = ru1 = rv0 = rv1 = Fraction(0)
-    sums = []  # per piece: (sum cx, sum cy, sum bu, sum bv)
-    for inv, group in [(None, tube.anchored)] + tube.pieces:
-        if len(group) == 1 and inv is not None:
-            # a_j absorbs its one equation: nothing reaches S
-            i, off = group[0]
-            cx, cy, qu, qv = coeffs[i]
-            sums.append((cx, cy, off - qu, -qv))
-            continue
-        ex = ey = eu = ev = Fraction(0)
+    S is solved (_schur_solve); only S = 0 is left to solve_many.
+
+    In integers: every equation is multiplied by K = den T and a_j is
+    replaced by K a_j, so each stays in integers with a_j at coefficient
+    -1; S and r are multiplied by L, so that 1/size_j is the integer
+    L/size_j."""
+    T = tube.T
+    s00 = s01 = s11 = ru0 = ru1 = rv0 = rv1 = 0
+    sums = []  # per piece: (L / size or 0, sum ex, sum ey, sum bu, sum bv)
+    for w, group in [(None, tube.int_anchored)] + tube.int_pieces:
+        # a single-member a_j absorbs its one equation: nothing reaches S
+        alone = w is not None and len(group) == 1
+        ex = ey = eu = ev = 0
         for i, target in group:
-            cx, cy, qu, qv = coeffs[i]
-            bu = target - qu
+            cx, cy, qu, qv = rows[i]
+            cx *= T
+            cy *= T
+            bu, bv = target * den - qu * T, -qv * T
+            if w is not None:
+                ex += cx
+                ey += cy
+                eu += bu
+                ev += bv
+            if alone:
+                continue
             if cx:
                 s00 += cx * cx
                 ru0 += cx * bu
-                ex += cx
+                rv0 += cx * bv
                 if cy:
                     s01 += cx * cy
-                if qv:
-                    rv0 -= cx * qv
             if cy:
                 s11 += cy * cy
                 ru1 += cy * bu
-                ey += cy
-                if qv:
-                    rv1 -= cy * qv
-            if inv is not None:
-                eu += bu
-                ev -= qv
-        if inv is None:
+                rv1 += cy * bv
+        if w is not None:
+            sums.append((0 if alone else w, ex, ey, eu, ev))
+    L = tube.L
+    s00, s01, s11, ru0, ru1, rv0, rv1 = (
+        L * v for v in (s00, s01, s11, ru0, ru1, rv0, rv1))
+    for w, ex, ey, eu, ev in sums:
+        if not w:
             continue
         if ex:
-            s00 -= inv * ex * ex
-            ru0 -= inv * ex * eu
-            rv0 -= inv * ex * ev
+            s00 -= w * ex * ex
+            ru0 -= w * ex * eu
+            rv0 -= w * ex * ev
         if ey:
-            s11 -= inv * ey * ey
-            ru1 -= inv * ey * eu
-            rv1 -= inv * ey * ev
+            s11 -= w * ey * ey
+            ru1 -= w * ey * eu
+            rv1 -= w * ey * ev
             if ex:
-                s01 -= inv * ex * ey
-        sums.append((ex, ey, eu, ev))
+                s01 -= w * ex * ey
     uv = _schur_solve(s00, s01, s11,
-                      [(ru0, ru1, [e[:3] for e in sums]),
-                       (rv0, rv1, [e[:2] + e[3:] for e in sums])])
+                      [(ru0, ru1, [e[1:4] for e in sums]),
+                       (rv0, rv1, [e[1:3] + e[4:] for e in sums])])
     if uv is not None:
         (xu, yu), (xv, yv) = uv
         return (xu, xv), (yu, yv)
+    coeffs = [[Fraction(c, den) for c in row] for row in rows]
     N, tu, tv = _normal_equations(tube, coeffs)
     su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
     if su is None or sv is None:  # normal equations are always consistent
@@ -591,6 +637,13 @@ def _ls_step(tube, coeffs):
             "inconsistent normal equations for the coefficients %s"
             % [[str(c) for c in comp] for comp in coeffs])
     return (su[0], sv[0]), (su[1], sv[1])
+
+
+def _image(rows, X, Y, E):
+    """Numerators of the image of x = X/E, y = Y/E under coefficient
+    numerators rows over den: the image sits over den E."""
+    return [(cx * X[0] + cy * Y[0] + qu * E, cx * X[1] + cy * Y[1] + qv * E)
+            for cx, cy, qu, qv in rows]
 
 
 def _param_domain(name):
@@ -631,16 +684,21 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
             else:
                 values[nm] = rand_frac(rng, 0, 1)
         for _ in range(rounds):
-            coeffs = expr.coefficients(values)
-            x, y = _ls_step(tube, coeffs)
-            ys = expr.image(coeffs, x, y)
+            rows, den = expr.scaled_coefficients(values)
+            x, y = _ls_step(tube, rows, den)
+            # x and y over one E; the image A over D = den E
+            E = lcm(*(c.denominator for c in x + y))
+            X, Y = ([c.numerator * (E // c.denominator) for c in p]
+                    for p in (x, y))
+            A, D = _image(rows, X, Y, E), den * E
             for nm in names:
                 lo, hi = _param_domain(nm)
                 cur = values[nm]
-                # the image is affine in any single parameter, ys + (t -
-                # cur) B at nm = t, so dist^2 is an exact quadratic in t
-                B = expr.derivative(x, y, values, nm)
-                b1, a2 = tube.pencil(ys, B)
+                # the image is affine in any single parameter, A/D + (t -
+                # cur) B/Db at nm = t, so dist^2 is an exact quadratic in t
+                drows, dden = expr.scaled_coefficients(values, nm)
+                B, Db = _image(drows, X, Y, E), dden * E
+                b1, a2 = tube.pencil(A, D, B, Db)
                 a1 = b1 - 2 * cur * a2
                 if a2 > 0:
                     opt = -a1 / (2 * a2)
@@ -653,8 +711,10 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
                 values[nm] = new = _clamp(opt, lo, hi).limit_denominator(denom)
                 if new != cur:
                     step = new - cur
-                    ys = [(p[0] + step * b[0], p[1] + step * b[1])
-                          if b[0] or b[1] else p for p, b in zip(ys, B)]
+                    f, g = step.denominator * Db, step.numerator * D
+                    A = [(p[0] * f + g * b[0], p[1] * f + g * b[1])
+                         for p, b in zip(A, B)]
+                    D *= f
         d2, xs = tube.dist2(expr.evaluate(x, y, values))
         if best is None or d2 < best:
             best = d2

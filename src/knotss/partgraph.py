@@ -198,17 +198,20 @@ class ShapeChain:
     def is_zero(self):
         return not self.terms
 
-    def __add__(self, other):
+    def _put(self, label, c):
+        """Add the field element c to the coefficient of label, in place."""
         F = self.field
-        terms = dict(self.terms)
+        v = F.add(self.terms.get(label, F.zero), c)
+        if v:
+            self.terms[label] = v
+        else:
+            self.terms.pop(label, None)
+
+    def __add__(self, other):
+        out = ShapeChain(self.field)
+        out.terms = dict(self.terms)
         for label, c in other.terms.items():
-            v = F.add(terms.get(label, F.zero), c)
-            if v:
-                terms[label] = v
-            elif label in terms:
-                del terms[label]
-        out = ShapeChain(F)
-        out.terms = terms
+            out._put(label, c)
         return out
 
     def scale(self, c):
@@ -241,7 +244,7 @@ def cech_boundary(chain):
         for k, _ in enumerate(G.edges):
             smaller = PGraph(G.partition, G.edges[:k] + G.edges[k + 1:])
             coeff = c if k % 2 == 0 else F.neg(c)  # (-1)^{k-1} with k 1-based
-            out = out + ShapeChain.single(F, smaller, coeff)
+            out._put(smaller, coeff)
     return out
 
 
@@ -256,7 +259,7 @@ def shape_delta(chain):
                 continue
             image, sign = hit
             coeff = F.mul(F.of(sign if i % 2 == 0 else -sign), c)
-            out = out + ShapeChain.single(F, image, coeff)
+            out._put(image, coeff)
     return out
 
 
@@ -291,7 +294,7 @@ def merge_commutes_with_cech(i, G, field):
             continue
         image2, sign2 = hit2
         coeff = sign2 if k % 2 == 0 else -sign2
-        rhs = rhs + ShapeChain.single(field, image2, coeff)
+        rhs._put(image2, field.of(coeff))
     return lhs == rhs
 
 

@@ -66,15 +66,50 @@ def test_mapexpr_derivative_matches_evaluate():
             coeffs = expr.coefficients(values)
             assert expr.image(coeffs, x, y) == here
             for nm in sorted(expr.names()):
-                D = expr.derivative(x, y, values, nm)
+                rows, den = expr.scaled_coefficients(values, nm)
+                D = expr.image([[Fraction(c, den) for c in row]
+                                for row in rows], x, y)
                 for t in (Fraction(0), Fraction(1), rand()):
                     step = t - values[nm]
                     assert [(p[0] + step * d[0], p[1] + step * d[1])
                             for p, d in zip(here, D)] \
                         == expr.evaluate(x, y, {**values, nm: t})
     p = Poly({("a", "b"): 3, ("b",): 2, (): 1})
-    assert p.derivative("b", {"a": Fraction(5)}) == 17
-    assert p.derivative("c", {"a": Fraction(5), "b": Fraction(7)}) == 0
+    one = MapExpr([[p, Poly(), Poly(), Poly()]])
+    assert one.scaled_coefficients({"a": Fraction(5)}, "b") == ([[17, 0, 0, 0]], 1)
+    assert one.scaled_coefficients({"a": Fraction(5), "b": Fraction(7)},
+                                   "c") == ([[0, 0, 0, 0]], 1)
+
+
+def test_scaled_coefficients_match_poly_evaluate():
+    # integer numerators over one denominator, for the coefficients and
+    # for the derivative along each parameter, against Poly.evaluate on
+    # two-parameter expressions with values of denominators up to 2^24;
+    # the coefficient 1/2 makes Dp = 2
+    rng = random.Random(43)
+    exprs = [parse_expr("(1-1*a)x+(1*a)y+(1*b)v;(1*a*b)x+(1-1*a*b)y+(-1*b)u", 2),
+             parse_expr("(1/2*a)x+(1-1/2*a)y+(3*a*b-1/2*b)u;y+(-2*b)v", 2)]
+    assert exprs[1].scaled_coefficients({"a": Fraction(1), "b": Fraction(1)})[1] == 2
+
+    def rand():
+        return Fraction(rng.randint(-1 << 24, 1 << 24), rng.randint(1, 1 << 24))
+
+    for expr in exprs:
+        for _ in range(20):
+            values = {"a": rand(), "b": rand()}
+            rows, den = expr.scaled_coefficients(values)
+            assert den > 0
+            assert [[Fraction(c, den) for c in row] for row in rows] \
+                == [[p.evaluate(values) for p in comp] for comp in expr.comps]
+            for nm in ("a", "b"):
+                # the coefficient of nm is p(nm = 1) - p(nm = 0)
+                rows, den = expr.scaled_coefficients(values, nm)
+                assert den > 0 and den * values[nm].denominator \
+                    == expr.scaled_coefficients(values)[1]
+                assert [[Fraction(c, den) for c in row] for row in rows] \
+                    == [[p.evaluate({**values, nm: 1})
+                         - p.evaluate({**values, nm: 0}) for p in comp]
+                        for comp in expr.comps]
 
 
 def test_edge_signs_and_contraction_direction():

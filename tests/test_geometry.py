@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -166,8 +167,52 @@ def test_tube_pencil_matches_three_point_quadratic():
                 d0, dh, d1 = (tube.dist2([(a[0] + t * b[0], a[1] + t * b[1])
                                           for a, b in zip(A, B)])[0]
                               for t in (0, half, 1))
-                assert tube.pencil(A, B) == (-3 * d0 + 4 * dh - d1,
-                                             2 * d0 - 4 * dh + 2 * d1), str(P)
+                assert tube.pencil(*_over_one_den(A), *_over_one_den(B)) \
+                    == (-3 * d0 + 4 * dh - d1, 2 * d0 - 4 * dh + 2 * d1), str(P)
+
+
+def _over_one_den(points):
+    """Integer numerators of a point list over the lcm of its
+    denominators, and that lcm."""
+    D = lcm(*(c.denominator for p in points for c in p))
+    return [tuple(c.numerator * (D // c.denominator) for c in p)
+            for p in points], D
+
+
+def test_integer_rounds_on_pieces_of_sizes_two_and_three():
+    # the pencil against the three-point quadratic and the least squares
+    # step against solve_many where L = 6 and the anchors' denominators
+    # differ from each other and from the offsets': seven numbers, 1 and
+    # 7 anchored, under segment lengths of unrelated denominators
+    c = [Fraction(300 ** i, (i + 2) * 300 ** 8) for i in range(8)]
+    c.append(1 - sum(c))
+    P = Partition(7, (2, 2, 3, 2))
+    tube = Tube(Params(n=7, rho=Fraction(1, 2), eps=c[0] / 2000, c=c), P)
+    anchors = [a for _, a in tube.anchored]
+    assert tube.L == 6 and len(anchors) == 2
+    assert anchors[0].denominator != anchors[1].denominator
+    assert all(off.denominator != tube.T for _, members in tube.pieces
+               for _, off in members)
+    rng = random.Random(59)
+    half = Fraction(1, 2)
+    for _ in range(6):
+        A = [rand_point(rng, 2) for _ in range(7)]
+        B = [(u / rng.randint(1, 99), v / rng.randint(1, 99))
+             for u, v in (rand_point(rng, 2) for _ in range(7))]
+        B[rng.randrange(7)] = (Fraction(0), Fraction(0))
+        d0, dh, d1 = (tube.dist2([(a[0] + t * b[0], a[1] + t * b[1])
+                                  for a, b in zip(A, B)])[0]
+                      for t in (0, half, 1))
+        assert tube.pencil(*_over_one_den(A), *_over_one_den(B)) \
+            == (-3 * d0 + 4 * dh - d1, 2 * d0 - 4 * dh + 2 * d1)
+    for kind in ("general", "translation-free", "cx = cy", "no x"):
+        for _ in range(3):
+            rows = _component_rows(rng, P, kind)
+            expr = MapExpr([[Poly.const(c) for c in row] for row in rows])
+            N, tu, tv = _normal_equations(tube, rows)
+            su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
+            assert _ls_step(tube, *expr.scaled_coefficients({})) \
+                == ((su[0], sv[0]), (su[1], sv[1])), kind
 
 
 def _component_rows(rng, P, kind):
@@ -209,19 +254,26 @@ def test_line_search_holds_the_current_image(monkeypatch):
     # the line search moves its image along each parameter's derivative
     # instead of evaluating it again; every pencil must still start at
     # the image of the current (x, y) and parameter values
-    args, checked = [], []
-    derivative, pencil = MapExpr.derivative, Tube.pencil
+    args, checked = [None] * 4, []
+    ls_step, scaled, pencil = (geometry._ls_step, MapExpr.scaled_coefficients,
+                               Tube.pencil)
 
-    def spy_derivative(expr, x, y, values, name):
-        args[:] = [expr, x, y, dict(values)]
-        return derivative(expr, x, y, values, name)
+    def spy_ls_step(tube, rows, den):
+        args[:2] = ls_step(tube, rows, den)
+        return tuple(args[:2])
 
-    def spy_pencil(tube, A, B):
-        expr, x, y, values = args
-        checked.append(A == expr.evaluate(x, y, values))
-        return pencil(tube, A, B)
+    def spy_scaled(expr, values, name=None):
+        args[2:] = [expr, dict(values)]
+        return scaled(expr, values, name)
 
-    monkeypatch.setattr(MapExpr, "derivative", spy_derivative)
+    def spy_pencil(tube, A, D, B, Db):
+        x, y, expr, values = args
+        checked.append([(Fraction(u, D), Fraction(v, D)) for u, v in A]
+                       == expr.evaluate(x, y, values))
+        return pencil(tube, A, D, B, Db)
+
+    monkeypatch.setattr(geometry, "_ls_step", spy_ls_step)
+    monkeypatch.setattr(MapExpr, "scaled_coefficients", spy_scaled)
     monkeypatch.setattr(Tube, "pencil", spy_pencil)
     attack_zero_facts(ZeroFacts.load(), restarts=1, seed=7)
     assert len(checked) > 100 and all(checked)
@@ -252,7 +304,7 @@ def test_closed_form_step_matches_solve_many(monkeypatch):
                 N, tu, tv = _normal_equations(tube, rows)
                 su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
                 before = len(calls)
-                got = _ls_step(tube, expr.coefficients({}))
+                got = _ls_step(tube, *expr.scaled_coefficients({}))
                 assert got == ((su[0], sv[0]), (su[1], sv[1])), (str(P), kind)
                 found = _kernel_kind(N)
                 assert (len(calls) > before) == (found == "nullity 2")
@@ -271,7 +323,7 @@ def test_step_fallback_rejects_inconsistent_equations(monkeypatch):
     expr = parse_expr("x;x;x;x", 4)
     monkeypatch.setattr(geometry, "solve_many", lambda M, bs: [None, None])
     with pytest.raises(VerificationError, match="inconsistent normal equations"):
-        _ls_step(tube, expr.coefficients({}))
+        _ls_step(tube, *expr.scaled_coefficients({}))
 
 
 def test_region_predicates():

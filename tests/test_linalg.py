@@ -43,6 +43,16 @@ def test_field_validation():
     assert field_by_name("F2") is F2
 
 
+def test_int_coercion_matches_the_fraction_route():
+    # Field.of takes ints over F_p straight to their residue; it must give
+    # what the Fraction route gives, and zero and one stay field elements
+    for F in (F2, F3, Field(5)):
+        for x in range(-20, 21):
+            assert F.of(x) == F.of(Fraction(x)) == F.of(Fraction(2 * x, 2))
+        assert (F.zero, F.one) == (0, 1) and type(F.zero) is int
+    assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.of(3)) is Fraction
+
+
 def test_rank_trivial_cases():
     assert rank(Matrix.identity(Field(5), 3)) == 3
     assert rank(Matrix(QQ, [[1, 2], [2, 4]])) == 1
