@@ -291,9 +291,10 @@ def run_case(name, facts=None, specs=None):
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
             pair = maker_pair(G, H, i)
             total += pair.scale(w)
-            rhs = apply_delta(maker_c(G), i, use_syntactic=False)[0].scale(sg) \
-                + apply_delta(maker_c(H), i, use_syntactic=False)[0].scale(sh)
-            diff = boundary_D(pair, conv) - rhs
+            rhs = apply_delta(maker_c(G), i, use_syntactic=False)[0].scale(sg)
+            rhs += apply_delta(maker_c(H), i, use_syntactic=False)[0].scale(sh)
+            diff = boundary_D(pair, conv)
+            diff -= rhs
             ok, detail = _residual_zero(diff, facts, char)
             _check(report, "D c(%s,%s,%d) matches merges" % (gt, ht, i), ok, detail)
         for (gtext, i, w) in spec.get("corrections", []):
@@ -301,8 +302,9 @@ def run_case(name, facts=None, specs=None):
         target = Chain()
         for G, w in zip(graphs, spec["assembly"]):
             target += (chain_c_ch2 if char == 2 else chain_c_ch3)(G).scale(w)
-        rhs = apply_delta(target, facts=facts)[0].scale(spec["assembly_sign"])
-        ok, detail = _residual_zero(boundary_D(total, conv) - rhs, facts, char)
+        diff = boundary_D(total, conv)
+        diff -= apply_delta(target, facts=facts)[0].scale(spec["assembly_sign"])
+        ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the assembled chain is the merge image", ok, detail)
 
     elif kind == "survivors":
@@ -332,18 +334,22 @@ def run_case(name, facts=None, specs=None):
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
             pair = chain_cprime_pair(G, H, i)
             gamma += pair.scale(w)
-            rhs = apply_delta(chain_cprime(G), i, use_syntactic=False)[0].scale(sg) \
-                + apply_delta(chain_cprime(H), i, use_syntactic=False)[0].scale(sh)
-            ok, detail = _residual_zero(boundary_D(pair, conv) - rhs, facts, char)
+            rhs = apply_delta(chain_cprime(G), i, use_syntactic=False)[0].scale(sg)
+            rhs += apply_delta(chain_cprime(H), i, use_syntactic=False)[0].scale(sh)
+            diff = boundary_D(pair, conv)
+            diff -= rhs
+            ok, detail = _residual_zero(diff, facts, char)
             _check(report, "D c'(%s,%s,%d) matches merges" % (gt, ht, i), ok, detail)
         ti = spec["triple"]
         triple = chain_triple(G5, G6, G7, ti)
         gamma += triple.scale(spec["triple_weight"])
-        rhs = apply_delta(total, ti, facts=facts)[0]
-        ok, detail = _residual_zero(boundary_D(triple, conv) - rhs, facts, char)
+        diff = boundary_D(triple, conv)
+        diff -= apply_delta(total, ti, facts=facts)[0]
+        ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the triple chain matches merge %d" % ti, ok, detail)
-        rhs = apply_delta(total, facts=facts)[0].scale(spec["assembly_sign"])
-        ok, detail = _residual_zero(boundary_D(gamma, conv) - rhs, facts, char)
+        diff = boundary_D(gamma, conv)
+        diff -= apply_delta(total, facts=facts)[0].scale(spec["assembly_sign"])
+        ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the relation chain bounds the merge image", ok, detail)
 
     else:

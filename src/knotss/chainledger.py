@@ -160,7 +160,7 @@ def _affine(a, b, u, v, x, y):
 class MapExpr:
     """n components, each c_x*x + c_y*y + q_u*u + q_v*v with Poly coeffs."""
 
-    __slots__ = ("comps",)
+    __slots__ = ("comps", "_dp")
 
     BASIS = ("x", "y", "u", "v")
 
@@ -169,6 +169,16 @@ class MapExpr:
         for comp in self.comps:
             if len(comp) != 4:
                 raise ValueError("component needs (c_x, c_y, q_u, q_v)")
+        self._dp = None
+
+    @property
+    def dp(self):
+        """Dp, the lcm of the polynomial coefficients' denominators,
+        computed on first use: the expression never changes."""
+        if self._dp is None:
+            self._dp = lcm(*(c.denominator for comp in self.comps
+                             for p in comp for c in p.terms.values()))
+        return self._dp
 
     @property
     def n(self):
@@ -233,9 +243,7 @@ class MapExpr:
         dens = {x: v.denominator for x, v in values.items()}
         if name is not None:
             nums[name] = dens[name] = 1
-        dp = lcm(*(c.denominator for comp in self.comps for p in comp
-                   for c in p.terms.values()))
-        den = dp
+        den = self.dp
         for d in dens.values():
             den *= d
 
@@ -527,8 +535,16 @@ class Chain:
             self._put(c, t)
         return self
 
+    def __isub__(self, other):
+        for c, t in other.items():
+            self._put(-c, t)
+        return self
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        out = Chain()
+        out += self
+        out -= other
+        return out
 
     def scale(self, c):
         out = Chain()

@@ -19,7 +19,7 @@ from .hochschild import build_sinha_complex, e2_report
 from .linalg import VerificationError
 from .operads import d_squared_report
 from .partgraph import verify_commutation
-from .spectral import ss_pages
+from .spectral import page_ranks
 
 SCHEMA_VERSION = "knotss-output/1"
 DEFAULT_SEED = 20260823
@@ -60,7 +60,7 @@ def cmd_ss_table(args):
     F = field_by_name(args.field)
     C = build_sinha_complex(args.max_arity, F, normalized=args.normalized)
     try:
-        pages = ss_pages(C, args.r_max)
+        pages = page_ranks(C, args.r_max)
     except VerificationError as exc:
         return {"error": str(exc)}, False
     out, nonzero = [], []

@@ -27,7 +27,7 @@ from .confcoh import (admissible_basis, class_to_vector, coface_pullback,
                       codegeneracy_pullback, dim_cohomology, normal_form)
 from .linalg import (Eliminator, Matrix, VerificationError, kernel_basis,
                      rank, solve, sparse)
-from .spectral import FilteredComplex, ss_pages
+from .spectral import FilteredComplex, page_ranks
 
 MODES = ("signed", "verbatim")
 
@@ -403,7 +403,7 @@ def higher_differentials_vanish(max_p, field, r_max=None, normalized=True,
     C = build_sinha_complex(max_p, field, normalized=normalized, mode=mode)
     if r_max is None:
         r_max = max_p
-    pages = ss_pages(C, r_max)
+    pages = page_ranks(C, r_max)
     nonzero = []
     for r in range(2, r_max + 1):
         for (mp, qq), e in pages[r].table.items():

@@ -186,7 +186,7 @@ def solve_many(M, bs):
     return out
 
 
-def _sub_scaled(F, zero, v, c, items):
+def sub_scaled(F, zero, v, c, items):
     """v -= c * w in place, for a sparse v and the (t, w_t) of w's support."""
     for t, x in items:
         s = F.sub(v.get(t, zero), F.mul(c, x))
@@ -219,9 +219,9 @@ class Eliminator:
         for pivot, row, rcomb in self.rows:
             c = v.get(pivot)
             if c:
-                _sub_scaled(F, zero, v, c, row)
+                sub_scaled(F, zero, v, c, row)
                 if comb is not None:
-                    _sub_scaled(F, zero, comb, c, rcomb.items())
+                    sub_scaled(F, zero, comb, c, rcomb.items())
         return v, comb
 
     def add(self, v):

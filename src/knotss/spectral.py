@@ -1,4 +1,4 @@
-"""Spectral sequence of a filtered cochain complex, by exact subquotients.
+"""Spectral sequence of a filtered cochain complex, by exact linear algebra.
 
 Basis elements carry a bigrading (p, q): p is the filtration degree,
 n = q - p the total degree.  The differential raises n by one and never
@@ -8,20 +8,29 @@ are the classical subquotients
     Z_r(p, n) = {x in F_p, degree n : D x in F_{p-r}}
     E_r(p, n) = Z_r(p, n) / (Z_{r-1}(p-1, n) + D Z_{r-1}(p+r-1, n-1))
 
-with d_r induced by D, all by exact linear algebra over the complex's
-field.  D is stored once, as its nonzero columns {j: {i: value}}, and
-the page engine applies it to sparse vectors (FilteredComplex.apply);
-every Z, B and representative is a sparse vector {index: value}.  Only
-the small kernels inside _z_subspace and the induced d_r matrices are
-dense.  total_homology_graded, the independent oracle, keeps its own
-dense route through the Matrix C.D.
+with d_r induced by D, over the complex's field.  D is stored once, as
+its nonzero columns {j: {i: value}}.
+
+Two routes compute the pages.  ss_pages builds every Z, B,
+representative and induced d_r matrix by subquotients of sparse vectors
+(only the small kernels inside _z_subspace and the d_r matrices are
+dense); the callers that need representatives or the d_r matrices read
+it.
+page_ranks and einf_dims read dimensions and ranks off one column
+reduction of D in filtration order, as in persistent homology: a pair
+(tau, sigma) with r = p_sigma - p_tau lives on E_0 .. E_r at both of its
+slots and adds 1 to the rank of d_r out of sigma's slot, and an unpaired
+element survives to E_infinity.  `knotss ss-table`,
+hochschild.higher_differentials_vanish and einf_dims read the pairs.
+total_homology_graded, the independent oracle for E_infinity, keeps its
+own dense route through the Matrix C.D.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import (Eliminator, Matrix, Subspace, VerificationError,
                      induced_map, kernel_basis, rank, solve, sparse,
-                     subquotient)
+                     sub_scaled, subquotient)
 
 
 class FilteredComplex:
@@ -135,9 +144,10 @@ def _span(field, ambient, vectors):
 
 @dataclass
 class SSPage:
-    """One page: per slot (-p, q) a dimension, representatives in the
-    total complex as sparse vectors, and the matrix of d_r out of the
-    slot."""
+    """One page: per slot (-p, q) an entry with the dimension ("dim"),
+    the rank of d_r out of the slot ("d_rank") and its target slot
+    ("target"); ss_pages adds representatives in the total complex as
+    sparse vectors ("reps") and the matrix of d_r ("d")."""
 
     r: int
     table: dict = dc_field(default_factory=dict)  # (-p, q) -> entry dict
@@ -148,10 +158,6 @@ class SSPage:
 
     def dims(self):
         return {slot: e["dim"] for slot, e in self.table.items() if e["dim"]}
-
-    def dr_rank(self, mp, q):
-        e = self.table.get((mp, q))
-        return e["d_rank"] if e else 0
 
 
 def ss_pages(C, r_max):
@@ -334,10 +340,98 @@ def random_filtered_complex(rng, field, max_basis=30, max_p=4, max_degree=3):
                            {j: sparse(col) for j, col in enumerate(Dc.columns())})
 
 
+def _reduce(C):
+    """Column reduction of D in filtration order: (order, R, V).
+
+    order[j] is the place of basis element j in the (p, j) order, and
+    the pivot of a column is its entry latest in that order.  Columns
+    are reduced left to right: while the pivot of R[j] is the pivot of
+    an earlier column k, the multiple of R[k] that clears it is
+    subtracted, and the same multiple of V[k] from V[j], so that
+    R[j] = D V[j] throughout.  R and V hold only the nonzero columns of
+    D; every other column is its own unreduced zero column.
+    """
+    F = C.field
+    zero = F.zero
+    order = {j: k for k, j in enumerate(
+        sorted(range(C.dim), key=lambda j: (C.slots[j][0], j)))}
+    R, V, owner = {}, {}, {}
+    for j in sorted(C.columns, key=order.get):
+        r, v = dict(C.columns[j]), {j: F.one}
+        while r:
+            i = max(r, key=order.get)
+            k = owner.get(i)
+            if k is None:
+                owner[i] = j
+                break
+            c = F.mul(r[i], F.inv(R[k][i]))
+            sub_scaled(F, zero, r, c, R[k].items())
+            sub_scaled(F, zero, v, c, V[k].items())
+        R[j], V[j] = r, v
+    return order, R, V
+
+
+def filtration_pairs(C):
+    """(pairs, unpaired) of one reduction of D in filtration order.
+
+    pairs lists (tau, sigma) with tau the pivot of sigma's reduced
+    column, in increasing tau; unpaired lists the other basis elements.
+    The reduction is checked before it is read: every V[j] must be
+    triangular in the order with a nonzero diagonal entry, D V[j] must
+    equal R[j], and no two reduced columns may share a pivot.  A
+    violation raises VerificationError naming the column.
+    """
+    order, R, V = _reduce(C)
+    owner = {}
+    for j in C.columns:
+        v, r = V.get(j, {}), R.get(j, {})
+        if not v.get(j) or any(order[t] > order[j] for t in v):
+            raise VerificationError("column operations of column %d are not "
+                                    "triangular in filtration order" % j)
+        if C.apply(v) != r:
+            raise VerificationError("reduced column %d is not D applied to "
+                                    "its column operations" % j)
+        if r:
+            i = max(r, key=order.get)
+            if i in owner:
+                raise VerificationError("reduced columns %d and %d share the "
+                                        "pivot %d" % (owner[i], j, i))
+            owner[i] = j
+    paired = set(owner) | set(owner.values())
+    return (sorted(owner.items()),
+            [j for j in range(C.dim) if j not in paired])
+
+
+def page_ranks(C, r_max):
+    """Pages E_0 .. E_{r_max} read off filtration_pairs.
+
+    The tables have the keys of ss_pages' tables, zero-dimensional slots
+    included, but each entry holds only "dim", "d_rank" and "target".
+    """
+    pairs, unpaired = filtration_pairs(C)
+    pages = [SSPage(r, {(-p, q): {"dim": 0, "d_rank": 0,
+                                  "target": (r - p, q - r + 1)}
+                        for (p, q) in sorted(set(C.slots))})
+             for r in range(r_max + 1)]
+    for j in unpaired:
+        p, q = C.slots[j]
+        for page in pages:
+            page.table[(-p, q)]["dim"] += 1
+    for tau, sigma in pairs:
+        (pt, qt), (ps, qs) = C.slots[tau], C.slots[sigma]
+        r = ps - pt
+        for page in pages[:r + 1]:
+            page.table[(-pt, qt)]["dim"] += 1
+            page.table[(-ps, qs)]["dim"] += 1
+        if r <= r_max:
+            pages[r].table[(-ps, qs)]["d_rank"] += 1
+    return pages
+
+
 def einf_dims(C):
-    """E_infinity dimensions through the page machinery."""
-    lo, hi = C.filtration_range()
-    r_stab = max(hi - lo + 1, 1)
-    pages = ss_pages(C, r_stab + 1)
-    last = pages[-1]
-    return {(-mp, q): e["dim"] for (mp, q), e in last.table.items() if e["dim"]}
+    """E_infinity dimensions: the unpaired elements of filtration_pairs,
+    counted per slot (p, q)."""
+    out = {}
+    for j in filtration_pairs(C)[1]:
+        out[C.slots[j]] = out.get(C.slots[j], 0) + 1
+    return out

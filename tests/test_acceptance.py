@@ -23,8 +23,8 @@ from knotss.hochschild import (ConfTower, Matrix,
                                toy_mu3_presentation)
 from knotss.operads import d_squared_report
 from knotss.partgraph import parse_graph, verify_commutation
-from knotss.spectral import (einf_dims, random_filtered_complex, ss_pages,
-                             total_homology_graded)
+from knotss.spectral import (einf_dims, page_ranks, random_filtered_complex,
+                             ss_pages, total_homology_graded)
 
 FIELDS = (F2, F3, QQ)
 # sha256 of the 200-restart attack report (json, sorted keys): any change
@@ -225,4 +225,11 @@ def test_criterion_13_spectral_engine_oracle():
         F = FIELDS[k % 3]
         C = random_filtered_complex(rng, F, max_basis=30)
         ok = ok and einf_dims(C) == total_homology_graded(C)
+        # every page of the subquotient engine against the pairs
+        lo, hi = C.filtration_range()
+        r_max = max(hi - lo + 1, 1) + 1
+        ok = ok and all(
+            {s: (e["dim"], e["d_rank"], e["target"]) for s, e in a.table.items()}
+            == {s: (e["dim"], e["d_rank"], e["target"]) for s, e in b.table.items()}
+            for a, b in zip(ss_pages(C, r_max), page_ranks(C, r_max)))
     _line(13, "E_infinity vs graded homology, 50 complexes", ok, t0)

@@ -58,7 +58,7 @@ def test_page_inconsistency_is_reported(capsys, monkeypatch):
     def inconsistent(C, r_max):
         raise VerificationError("page inconsistency at r=1 slot (-2, 1)")
 
-    monkeypatch.setattr("knotss.cli.ss_pages", inconsistent)
+    monkeypatch.setattr("knotss.cli.page_ranks", inconsistent)
     code, doc = run_json(capsys, "ss-table", "--max-arity", "3")
     assert code == 1 and not doc["pass"]
     assert doc["report"] == {"error": "page inconsistency at r=1 slot (-2, 1)"}
@@ -105,6 +105,29 @@ def test_ledger_output_is_pinned(capsys, monkeypatch):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "09c37cfad1d8cb87a2b59a0a58c5b16ec1291717e2e22982da838168a0924533"
+
+
+SS_TABLE_SHA256 = {
+    ("f2", "--normalized"):
+        "853c4f5bf4dde9005b9407517dd74bf817f2131586e6cab38c637ebb70f5ace3",
+    ("f3", "--normalized"):
+        "3ee62c0cbfdc67497b0b8bac84a53c89620985f9dac7587cdcbe1b430364f01d",
+    ("q", "--normalized"):
+        "22f18fee90f00bc722be687654fa15348e16218d5195482777eac586516e2704",
+    ("f3", "--no-normalized"):
+        "2f82253d2c9fc8a91a3a21faeb6a318295ba93c0a926522cb4b07db54d06459f",
+}
+
+
+@pytest.mark.parametrize("field, normalized", sorted(SS_TABLE_SHA256))
+def test_ss_table_outputs_are_pinned(capsys, field, normalized):
+    # sha256 of `knotss ss-table --max-arity 6 --r-max 6` recorded while
+    # every page was still built by subquotients (ss_pages)
+    code, out = run(capsys, "ss-table", "--max-arity", "6", "--r-max", "6",
+                    "--field", field, normalized)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        SS_TABLE_SHA256[(field, normalized)]
 
 
 @pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(1, 4)])

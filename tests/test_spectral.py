@@ -5,11 +5,25 @@ import pytest
 from knotss import linalg, spectral
 from knotss.fields import F2, F3, QQ
 from knotss.linalg import Matrix, VerificationError, sparse
-from knotss.spectral import (FilteredComplex, einf_dims,
-                             random_filtered_complex, ss_pages,
+from knotss.hochschild import build_sinha_complex
+from knotss.spectral import (FilteredComplex, einf_dims, filtration_pairs,
+                             page_ranks, random_filtered_complex, ss_pages,
                              total_homology_graded)
 
 FIELDS = [F2, F3, QQ]
+
+
+def ranks(pages):
+    """(dim, d_rank, target) per slot of every page, the part of a page
+    that page_ranks computes."""
+    return [{slot: (e["dim"], e["d_rank"], e["target"])
+             for slot, e in page.table.items()} for page in pages]
+
+
+def stable_page(C):
+    """The page index after which every page is E_infinity."""
+    lo, hi = C.filtration_range()
+    return max(hi - lo + 1, 1) + 1
 
 
 # basis 0 -> basis 1 with coefficient 1
@@ -49,7 +63,7 @@ def test_two_term_drop_one():
     C = FilteredComplex(QQ, [(2, 1), (1, 1)], EDGE)
     pages = ss_pages(C, 2)
     assert pages[1].dims() == {(-2, 1): 1, (-1, 1): 1}
-    assert pages[1].dr_rank(-2, 1) == 1
+    assert pages[1].table[(-2, 1)]["d_rank"] == 1
     assert pages[2].dims() == {}
 
 
@@ -65,9 +79,9 @@ def test_two_term_drop_two():
     # x at (2,1) -> y at (0,0): d_1 = 0, d_2 != 0, E_3 = 0
     C = FilteredComplex(QQ, [(2, 1), (0, 0)], EDGE)
     pages = ss_pages(C, 3)
-    assert pages[1].dr_rank(-2, 1) == 0
+    assert pages[1].table[(-2, 1)]["d_rank"] == 0
     assert pages[2].dims() == {(-2, 1): 1, (0, 0): 1}
-    assert pages[2].dr_rank(-2, 1) == 1
+    assert pages[2].table[(-2, 1)]["d_rank"] == 1
     assert pages[3].dims() == {}
     assert einf_dims(C) == {}
     assert total_homology_graded(C) == {}
@@ -106,6 +120,81 @@ def test_einf_matches_total_homology_oracle():
         C = random_filtered_complex(rng, field, max_basis=20)
         assert einf_dims(C) == total_homology_graded(C), \
             "oracle mismatch on complex %d" % k
+
+
+def test_ss_pages_last_page_matches_total_homology_oracle():
+    # the complexes of test_einf_matches_total_homology_oracle; einf_dims
+    # reads the pairs, so this keeps the page engine under the oracle
+    rng = random.Random(20260823)
+    for k in range(25):
+        field = FIELDS[k % 3]
+        C = random_filtered_complex(rng, field, max_basis=20)
+        last = ss_pages(C, stable_page(C))[-1]
+        assert {(-mp, q): d for (mp, q), d in last.dims().items()} == \
+            total_homology_graded(C), "oracle mismatch on complex %d" % k
+
+
+def test_pairs_match_ss_pages_on_random_complexes():
+    rng = random.Random(31)
+    for k in range(300):
+        field = FIELDS[k % 3]
+        C = random_filtered_complex(rng, field, max_basis=12)
+        r_max = stable_page(C)
+        assert ranks(page_ranks(C, r_max)) == ranks(ss_pages(C, r_max)), \
+            "page mismatch on complex %d" % k
+
+
+@pytest.mark.parametrize("field, normalized", [
+    (F2, True), (F3, True), (QQ, True), (F3, False)],
+    ids=["f2", "f3", "q", "f3-plain"])
+def test_pairs_match_ss_pages_on_the_sinha_complex(field, normalized):
+    C = build_sinha_complex(6, field, normalized=normalized)
+    assert ranks(page_ranks(C, 6)) == ranks(ss_pages(C, 6))
+
+
+def _corrupt(monkeypatch, corruption):
+    """Make spectral._reduce hand a corrupted (order, R, V) on."""
+    original = spectral._reduce
+
+    def corrupted(C):
+        order, R, V = original(C)
+        corruption(R, V)
+        return order, R, V
+
+    monkeypatch.setattr(spectral, "_reduce", corrupted)
+
+
+def _scale_entry(F, col, factor):
+    t = min(col)
+    col[t] = F.mul(col[t], F.of(factor))
+
+
+def test_corrupted_reduction_raises(monkeypatch):
+    # x, u at (2,1) with D x = y at (1,1) and D u = y + w, w at (0,0);
+    # z at (3,1) is a cycle.  Reducing u against x leaves R_u = w with
+    # V_u = u - x
+    C = FilteredComplex(F3, [(2, 1), (1, 1), (2, 1), (0, 0), (3, 1)],
+                        {0: {1: 1}, 2: {1: 1, 3: 1}})
+    assert filtration_pairs(C) == ([(1, 0), (3, 2)], [4])
+    with monkeypatch.context() as m:
+        _corrupt(m, lambda R, V: _scale_entry(F3, R[2], 2))
+        with pytest.raises(VerificationError, match="reduced column 2 is not"):
+            filtration_pairs(C)
+    with monkeypatch.context() as m:
+        _corrupt(m, lambda R, V: _scale_entry(F3, V[2], 2))
+        with pytest.raises(VerificationError, match="reduced column 2 is not"):
+            filtration_pairs(C)
+    with monkeypatch.context() as m:
+        # the unreduced column: D V_u = R_u holds, but the pivot is x's
+        _corrupt(m, lambda R, V: (R.update({2: {1: 1, 3: 1}}),
+                                  V.update({2: {2: 1}})))
+        with pytest.raises(VerificationError, match="share the pivot 1"):
+            filtration_pairs(C)
+    with monkeypatch.context() as m:
+        # R_u = D V_u still, but V_u reaches z, past u in filtration order
+        _corrupt(m, lambda R, V: V[2].update({4: 1}))
+        with pytest.raises(VerificationError, match="not triangular"):
+            filtration_pairs(C)
 
 
 def test_sparse_columns_match_dense_product():
