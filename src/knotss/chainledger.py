@@ -282,16 +282,6 @@ class MapExpr:
         return "MapExpr(%s)" % self.text()
 
 
-def const_map(n, which):
-    """The map all of whose components are x (or y)."""
-    comps = []
-    for _ in range(n):
-        comp = [_Z, _Z, _Z, _Z]
-        comp[0 if which == "x" else 1] = _ONE
-        comps.append(comp)
-    return MapExpr(comps)
-
-
 # ---------------------------------------------------------------------------
 # graph helpers: numbers 1..n versus piece positions of a partition
 

@@ -8,7 +8,9 @@ strictly increasing second indices; admissible monomials form a basis
 of size [t^q] prod_{k=1}^{p-1} (1 + k t).
 
 The cosimplicial structure enters through coface/codegeneracy pullbacks
-on generators and the alternating-sum differential d_1.
+on generators and the alternating-sum differential d_1.  Coface images
+are computed over Z on factor tuples (coface_image); the d_1 matrices
+of hochschild sum them as integers and coerce once per matrix entry.
 """
 
 import re
@@ -41,8 +43,11 @@ def straighten(factors):
     rewrite g_{ik} g_{jk} -> g_{ij} g_{jk} - g_{ij} g_{ik} strictly
     decreases the sum of second indices, so the worklist terminates.
     """
+    fs = tuple(factors)
+    if all(fs[a][1] < fs[a + 1][1] for a in range(len(fs) - 1)):
+        return {fs: 1}  # already admissible
     result = {}
-    stack = [(1, tuple(factors))]
+    stack = [(1, fs)]
     while stack:
         coeff, fs, = stack.pop()
         fs, sgn = _sort_with_sign(fs)
@@ -199,13 +204,35 @@ def class_to_vector(x, basis):
     return v
 
 
-def coface_pullback(i, x):
-    """Pullback along the i-th coface, H^q(Conf_p) -> H^q(Conf_{p-1}).
+def coface_image(i, p, m):
+    """Pullback of the factor tuple m along the i-th coface, over Z:
+    H^q(Conf_p) -> H^q(Conf_{p-1}) as {admissible factor tuple: int}.
 
     On generators: the inner cofaces double the i-th point (collapse
     indices i, i+1 and kill g_{i,i+1}); the outer cofaces i=0 and i=p
     kill generators touching the new end point and shift the rest.
     """
+    mapped = []
+    for (a, b) in m:
+        if i == 0:
+            if a == 1:
+                return {}
+            mapped.append((a - 1, b - 1))
+        elif i == p:
+            if b == p:
+                return {}
+            mapped.append((a, b))
+        else:
+            ca = a if a <= i else a - 1
+            cb = b if b <= i else b - 1
+            if ca == cb:
+                return {}
+            mapped.append((ca, cb))
+    return straighten(mapped)
+
+
+def coface_pullback(i, x):
+    """Pullback of the class x along the i-th coface (see coface_image)."""
     p = x.arity
     if p < 2:
         raise ValueError("arity must be at least 2")
@@ -214,29 +241,7 @@ def coface_pullback(i, x):
     F = x.field
     terms = {}
     for m, c in x.terms.items():
-        mapped = []
-        dead = False
-        for (a, b) in m:
-            if i == 0:
-                if a == 1:
-                    dead = True
-                    break
-                mapped.append((a - 1, b - 1))
-            elif i == p:
-                if b == p:
-                    dead = True
-                    break
-                mapped.append((a, b))
-            else:
-                ca = a if a <= i else a - 1
-                cb = b if b <= i else b - 1
-                if ca == cb:
-                    dead = True
-                    break
-                mapped.append((ca, cb))
-        if dead:
-            continue
-        for mm, z in straighten(tuple(mapped)).items():
+        for mm, z in coface_image(i, p, m).items():
             zc = F.mul(F.of(z), c)
             terms[mm] = F.add(terms.get(mm, F.zero), zc)
     return CohClass(p - 1, x.degree, F, terms)

@@ -393,13 +393,6 @@ def in_space(params, P, xs):
     return True
 
 
-def is_nonbasepoint(params, P, ys):
-    """A point of the ambient space represents a non-basepoint of the
-    collapsed tube iff it lies inside the tube and its projection
-    avoids every excision region."""
-    return Tube(params, P).nonbase_projection(ys) is not None
-
-
 # ---------------------------------------------------------------------------
 # random rational sampling
 

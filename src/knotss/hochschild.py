@@ -23,7 +23,7 @@ confcoh; for it delta is exactly the alternating (or plain) sum of the
 coface pullbacks.
 """
 
-from .confcoh import (admissible_basis, class_to_vector, coface_pullback,
+from .confcoh import (admissible_basis, class_to_vector, coface_image,
                       codegeneracy_pullback, dim_cohomology, normal_form)
 from .linalg import (Eliminator, Matrix, VerificationError, kernel_basis,
                      rank, solve, sparse)
@@ -209,39 +209,41 @@ class ConfTower:
         if l != 2 or not self.dim(p, q) or not self.dim(p - 1, q):
             return (p - l + 1, q - l + 2), []
         F = self.field
-        tgt_basis = admissible_basis(p - 1, q)
-        cols = [[] for _ in range(p + 1)]
-        for m in admissible_basis(p, q):
-            x = normal_form(p, m, F)
-            for i in range(p + 1):
-                cols[i].append(class_to_vector(coface_pullback(i, x), tgt_basis))
-        return (p - 1, q), [Matrix.from_columns(F, c, ambient=len(tgt_basis))
-                            for c in cols]
+        index = {m: t for t, m in enumerate(admissible_basis(p - 1, q))}
+        source = admissible_basis(p, q)
+        mats = [Matrix.zeros(F, len(index), len(source)) for _ in range(p + 1)]
+        for j, m in enumerate(source):
+            for i, M in enumerate(mats):
+                for mm, z in coface_image(i, p, m).items():
+                    M.rows[index[mm]][j] = F.of(z)
+        return (p - 1, q), mats
 
 
 def conf_delta_matrix(p, q, field, mode="signed"):
     """Matrix of delta on the admissible basis, slot (p, q) -> (p-1, q).
 
-    Column j is the sum of the coface pullbacks of the j-th admissible
-    monomial, the i-th signed (-1)^i in signed mode.  This route keeps
-    its own signs, apart from ConfTower.dual_terms and hochschild_delta.
+    Column j is the sum of the coface images of the j-th admissible
+    monomial, the i-th signed (-1)^i in signed mode, added over Z and
+    coerced into the field once per entry.  This route keeps its own
+    signs, apart from ConfTower.dual_terms and hochschild_delta.
     """
     _check_mode(mode)
     F = field
-    tgt_basis = admissible_basis(p - 1, q) if p >= 2 else []
-    index = {m: t for t, m in enumerate(tgt_basis)}
-    signs = [F.neg(F.one) if mode == "signed" and i % 2 else F.one
-             for i in range(p + 1)] if tgt_basis else []
-    cols = []
-    for m in admissible_basis(p, q):
-        x = normal_form(p, m, F)
-        col = [F.zero] * len(tgt_basis)
+    index = {m: t for t, m in enumerate(admissible_basis(p - 1, q))} if p >= 2 else {}
+    signs = [-1 if mode == "signed" and i % 2 else 1
+             for i in range(p + 1)] if index else []
+    source = admissible_basis(p, q)
+    M = Matrix.zeros(F, len(index), len(source))
+    for j, m in enumerate(source):
+        col = {}
         for i, sign in enumerate(signs):
-            for mm, c in coface_pullback(i, x).terms.items():
+            for mm, z in coface_image(i, p, m).items():
                 t = index[mm]
-                col[t] = F.add(col[t], F.mul(sign, c))
-        cols.append(col)
-    return Matrix.from_columns(F, cols, ambient=len(tgt_basis))
+                col[t] = col.get(t, 0) + sign * z
+        for t, z in col.items():
+            if z:
+                M.rows[t][j] = F.of(z)
+    return M
 
 
 def _unit_vector(field, n, i):

@@ -55,7 +55,8 @@ class Matrix:
         """Matrix with the given columns, whose entries must already be
         field values; ambient is the row count when there are none."""
         nrows = len(cols[0]) if cols else ambient or 0
-        m = cls(field, [[c[i] for c in cols] for i in range(nrows)], coerce=False)
+        m = cls(field, [], coerce=False)
+        m.rows = [[c[i] for c in cols] for i in range(nrows)]
         m.nrows, m.ncols = nrows, len(cols)
         return m
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from knotss.chainledger import (Chain, MapExpr, Poly, Term, WeightSpec,
                                 ZeroFacts, apply_delta, apply_facts,
-                                boundary_D, canon_term, const_map, contraction,
+                                boundary_D, canon_term, contraction,
                                 edge_signs, ee_contraction, f_graph,
                                 first_coord_collapse, i_contraction,
                                 make_weight, piece_position, single, straight)
@@ -153,7 +153,8 @@ def test_pair_data_rejects_incompatible_merge():
 
 
 def test_i_contraction_components():
-    f = const_map(4, "x")
+    zero, one = Poly(), Poly.const(1)
+    f = MapExpr([[one, zero, zero, zero]] * 4)  # every component is x
     g = i_contraction(f, 2, "b", -1)
     assert g.comps[1][2] == -Poly.var("b")
     assert g.comps[2][2] == Poly.var("b")

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from knotss.confcoh import (CohClass, ParseError, admissible_basis,
                             class_to_vector, codegeneracy_pullback,
-                            coface_pullback, dim_cohomology, normal_form,
+                            coface_image, coface_pullback, dim_cohomology,
+                            normal_form,
                             parse_class, sinha_d1, straighten, zero_class)
 from knotss.fields import F2, F3, QQ
 
@@ -44,6 +45,56 @@ def test_straighten_terminates_on_long_products():
     # every factor shares second index; forces a cascade of rewrites
     out = straighten(((1, 4), (2, 4), (3, 4)))
     assert all(len({j for (_, j) in m}) == len(m) for m in out)
+
+
+def test_straighten_early_return_edges():
+    # strictly increasing seconds come back as they are; equal seconds, a
+    # repeated factor and unsorted seconds still need the rewrite
+    assert straighten(((1, 2), (1, 3), (2, 4))) == {((1, 2), (1, 3), (2, 4)): 1}
+    assert straighten(()) == {(): 1}
+    assert straighten(((1, 3), (2, 3))) == {((1, 2), (2, 3)): 1,
+                                            ((1, 2), (1, 3)): -1}
+    assert straighten(((1, 2), (1, 2))) == {}
+    assert straighten(((1, 3), (2, 4), (1, 3))) == {}
+    assert straighten(((2, 4), (1, 3))) == {((1, 3), (2, 4)): -1}
+
+
+def _generator_image(i, p, a, b):
+    """g_ab under the i-th coface pullback, read off the map of points:
+    the inner coface i merges points i and i+1, the outer ones drop
+    point 1 (i = 0) or point p (i = p).  None when g_ab dies."""
+    if i == 0:
+        point = {k: k - 1 for k in range(2, p + 1)}
+    elif i == p:
+        point = {k: k for k in range(1, p)}
+    else:
+        point = {k: k - (k > i) for k in range(1, p + 1)}
+    if a not in point or b not in point or point[a] == point[b]:
+        return None
+    return (point[a], point[b])
+
+
+def test_coface_image_is_the_ring_map_of_the_generator_images():
+    # the image of a monomial is the product, by CohClass.__mul__, of
+    # the images of its generators taken one at a time, and it lies on
+    # the admissible basis (both sides straighten, so check that too)
+    for F in FIELDS:
+        for p in range(2, 7):
+            for q in range(p):
+                target = set(admissible_basis(p - 1, q))
+                for m in admissible_basis(p, q):
+                    for i in range(p + 1):
+                        expected = CohClass(p - 1, 0, F, {(): F.one})
+                        for (a, b) in m:
+                            g = _generator_image(i, p, a, b)
+                            if g is None:
+                                expected = zero_class(p - 1, q, F)
+                                break
+                            expected = expected * normal_form(p - 1, [g], F)
+                        got = {mm: F.of(z)
+                               for mm, z in coface_image(i, p, m).items()}
+                        assert set(got) <= target, (p, m, i)
+                        assert CohClass(p - 1, q, F, got) == expected, (p, m, i)
 
 
 def test_dim_cohomology_values():

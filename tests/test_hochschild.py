@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -53,6 +54,25 @@ def test_delta_is_signed_coface_sum_on_tower():
                 for i in range(p + 1):
                     plain = plain + coface_pullback(i, x)
                 assert V.column(j) == class_to_vector(plain, tgt)
+
+
+# sha256 over repr of the rows of every conf_delta_matrix, signed for
+# p <= 7 and verbatim for p <= 6, over F2, F3 and Q; recorded while each
+# coface term was still coerced and summed in the field
+CONF_DELTA_SHA256 = \
+    "7a16c0f38c702721a7f10bcbcbf37deeaae8c4ec2b472f81241a28f0c88a19a3"
+
+
+def test_conf_delta_matrices_are_pinned():
+    h = hashlib.sha256()
+    for mode, max_p in (("signed", 7), ("verbatim", 6)):
+        for F in FIELDS:
+            for p in range(1, max_p + 1):
+                for q in range(p):
+                    M = conf_delta_matrix(p, q, F, mode=mode)
+                    h.update(("%s %s %d %d %r;" % (mode, F.name, p, q, M.rows))
+                             .encode())
+    assert h.hexdigest() == CONF_DELTA_SHA256
 
 
 def test_char2_cycle_through_delta():
