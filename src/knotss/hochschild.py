@@ -229,7 +229,8 @@ def conf_delta_matrix(p, q, field, mode="signed"):
     """
     _check_mode(mode)
     F = field
-    index = {m: t for t, m in enumerate(admissible_basis(p - 1, q))} if p >= 2 else {}
+    tgt_basis = admissible_basis(p - 1, q) if p >= 2 else []
+    index = {m: t for t, m in enumerate(tgt_basis)}
     signs = [-1 if mode == "signed" and i % 2 else 1
              for i in range(p + 1)] if index else []
     source = admissible_basis(p, q)
