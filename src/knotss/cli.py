@@ -34,6 +34,12 @@ def _poincare_dims(p):
     return coeffs[:-1] if coeffs[-1] == 0 else coeffs
 
 
+def _at_least(flag, value, low):
+    """Usage error for a bound that would leave nothing to check."""
+    if value < low:
+        raise ValueError("%s must be at least %d, got %d" % (flag, low, value))
+
+
 def _seed_default():
     try:
         return int(os.environ.get("KNOTSS_SEED", ""))
@@ -46,6 +52,7 @@ def _seed_default():
 
 
 def cmd_conf_dims(args):
+    _at_least("--max-arity", args.max_arity, 1)
     F = field_by_name(args.field)
     rows, ok = [], True
     for p in range(1, args.max_arity + 1):
@@ -57,6 +64,7 @@ def cmd_conf_dims(args):
 
 
 def cmd_ss_table(args):
+    _at_least("--r-max", args.r_max, 0)
     F = field_by_name(args.field)
     C = build_sinha_complex(args.max_arity, F, normalized=args.normalized)
     try:
@@ -102,12 +110,15 @@ def cmd_ledger(args):
 
 
 def cmd_ainf_check(args):
+    _at_least("--max-arity", args.max_arity, 2)
     F = field_by_name(args.field)
     rep = d_squared_report(args.max_arity, F, mode=args.mode)
     return rep, rep["pass"]
 
 
 def cmd_triple_commute(args):
+    if args.max_edges is not None:
+        _at_least("--max-edges", args.max_edges, 0)
     F = field_by_name(args.field)
     rep = verify_commutation(args.n, F, discrete_only=args.discrete_only,
                              max_edges=args.max_edges)
@@ -115,6 +126,7 @@ def cmd_triple_commute(args):
 
 
 def cmd_geom(args):
+    _at_least("--samples", args.samples, 1)
     names = ALL_LEMMAS if args.lemma == "all" else (args.lemma,)
     if not set(names) <= set(ALL_LEMMAS):
         raise ValueError("unknown lemma %r" % args.lemma)

@@ -24,9 +24,8 @@ coface pullbacks.
 """
 
 from .confcoh import (admissible_basis, class_to_vector, coface_image,
-                      codegeneracy_pullback, dim_cohomology, normal_form)
-from .linalg import (Eliminator, Matrix, VerificationError, kernel_basis,
-                     rank, solve, sparse)
+                      dim_cohomology)
+from .linalg import Eliminator, Matrix, kernel_basis, rank, solve, sparse
 from .spectral import FilteredComplex, page_ranks
 
 MODES = ("signed", "verbatim")
@@ -158,12 +157,10 @@ def hochschild_complex(O, max_p=None, mode="signed"):
     _check_mode(mode)
     F = O.field
     keys = sorted(k for k in O.dims if max_p is None or k[0] <= max_p)
-    offsets, slots, labels = {}, [], []
+    offsets, slots = {}, []
     for (p, q) in keys:
         offsets[(p, q)] = len(slots)
-        d = O.dim(p, q)
-        slots.extend([(p, q)] * d)
-        labels.extend([(p, q, t) for t in range(d)])
+        slots.extend([(p, q)] * O.dim(p, q))
     columns = {}
     for (p, q) in keys:
         blocks = [(offsets[slot], block.rows) for slot, block
@@ -178,7 +175,7 @@ def hochschild_complex(O, max_p=None, mode="signed"):
                                             for base, rows in blocks
                                             for s, row in enumerate(rows)
                                             if row[t]}
-    return FilteredComplex(F, slots, columns, labels=labels)
+    return FilteredComplex(F, slots, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -253,43 +250,31 @@ def _unit_vector(field, n, i):
     return v
 
 
-def degenerate_subspace_matrix(p, q, field):
-    """Columns spanning the degenerate subspace of slot (p, q): images
-    of the codegeneracy pullbacks from arity p - 1."""
-    tgt_basis = admissible_basis(p, q)
-    cols = []
-    for m in admissible_basis(p - 1, q):
-        x = normal_form(p - 1, m, field)
-        for i in range(p):
-            img = codegeneracy_pullback(i, x)
-            v = class_to_vector(img, tgt_basis)
-            if any(v):
-                cols.append(v)
-    return Matrix.from_columns(field, cols, ambient=len(tgt_basis))
+def normalized_slot(p, q):
+    """Positions in admissible_basis(p, q) of the monomials whose factors
+    touch every index 1..p: a basis of the quotient by the degenerate
+    subspace.
 
-
-def normalized_slot(p, q, field):
-    """Representatives (as coordinate vectors on the admissible basis)
-    of the quotient by the degenerate subspace, plus the eliminator of
-    the degenerate span for reduction."""
-    elim = Eliminator(field, track=True)
-    deg = degenerate_subspace_matrix(p, q, field)
-    for col in deg.columns():
-        elim.add(sparse(col))
-    n_deg = elim.rank
-    one = field.one
-    reps = [t for t in range(len(admissible_basis(p, q)))
-            if elim.add({t: one})]
-    return reps, n_deg, elim
+    The codegeneracy s^i is strictly monotone on indices, so it sends an
+    admissible monomial to one admissible monomial (coefficient 1) that
+    misses index i + 1, and a monomial missing index k is s^(k-1) of its
+    own down-shift.  The degenerate span is therefore the coordinate
+    subspace of the monomials that miss some index.
+    """
+    return [t for t, m in enumerate(admissible_basis(p, q))
+            if len({a for f in m for a in f}) == p]
 
 
 def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
     """FilteredComplex of the configuration-space tower up to arity max_p.
 
     With normalized=True each slot is the quotient of H^q(Conf_p) by
-    the span of the codegeneracy pullback images (delta descends to the
-    quotient; the second page is unchanged).  Slots are (p, q) for
-    1 <= p <= max_p, 0 <= q <= p - 1.
+    the span of the codegeneracy pullback images, which has the
+    monomials touching every index 1..p as a basis (normalized_slot).
+    Delta maps degenerates to degenerates in signed mode (and in
+    verbatim mode over F2), so D is delta restricted to those monomials
+    in source and target.  Slots are (p, q) for 1 <= p <= max_p,
+    0 <= q <= p - 1.
     """
     _check_mode(mode)
     if not (1 <= max_p <= 8):
@@ -299,37 +284,22 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
         return hochschild_complex(ConfTower(F, max_p), mode=mode)
     keys = [(p, q) for p in range(1, max_p + 1) for q in range(p)
             if dim_cohomology(p, q)]
-
-    # normalized: per slot a basis of unit-vector representatives mod the
-    # degenerate span; the differential is delta followed by reduction
-    info = {k: normalized_slot(k[0], k[1], F) for k in keys}
-    offsets, slots, labels = {}, [], []
+    reps = {k: normalized_slot(*k) for k in keys}
+    offsets, slots = {}, []
     for k in keys:
-        reps = info[k][0]
         offsets[k] = len(slots)
-        slots.extend([k] * len(reps))
-        basis = admissible_basis(*k)
-        labels.extend([(k[0], k[1], basis[t]) for t in reps])
+        slots.extend([k] * len(reps[k]))
     columns = {}
     for (p, q) in keys:
-        if p < 2 or (p - 1, q) not in offsets:
+        if (p - 1, q) not in offsets:
             continue
-        reps = info[(p, q)][0]
-        _, t_deg, t_elim = info[(p - 1, q)]
-        base = offsets[(p - 1, q)]
-        delta = conf_delta_matrix(p, q, F, mode=mode)
-        for s, t in enumerate(reps):
-            coords = t_elim.coords_in_span(sparse(delta.column(t)))
-            if coords is None:
-                # image is independent of degenerates + earlier reps; this
-                # cannot happen since unit vectors exhaust the space
-                raise VerificationError("normalization failed at slot %s"
-                                        % ((p, q),))
-            # coordinates past the degenerate ones are on the target reps
-            columns[offsets[(p, q)] + s] = {base + idx - t_deg: c
-                                            for idx, c in enumerate(coords)
-                                            if c and idx >= t_deg}
-    return FilteredComplex(F, slots, columns, labels=labels)
+        base, tgt = offsets[(p - 1, q)], reps[(p - 1, q)]
+        rows = conf_delta_matrix(p, q, F, mode=mode).rows
+        for s, t in enumerate(reps[(p, q)]):
+            columns[offsets[(p, q)] + s] = {base + i: rows[r][t]
+                                            for i, r in enumerate(tgt)
+                                            if rows[r][t]}
+    return FilteredComplex(F, slots, columns)
 
 
 def mu3_obstruction_rank(field):

@@ -37,16 +37,15 @@ class FilteredComplex:
     """Finite cochain complex with a filtration; D given as sparse columns.
 
     slots: (p, q) per basis element; columns: {j: {i: value}}, the
-    nonzero entries of D(basis j) as field values; labels: external
-    names per basis element (opaque).  The constructor checks that
-    every index lies in the basis, that no stored value is zero, that D
-    squares to zero and that every entry fits the filtration pattern.
+    nonzero entries of D(basis j) as field values.  The constructor
+    checks that every index lies in the basis, that no stored value is
+    zero, that D squares to zero and that every entry fits the
+    filtration pattern.
     """
 
-    def __init__(self, field, slots, columns, labels=None):
+    def __init__(self, field, slots, columns):
         self.field = field
         self.slots = [tuple(s) for s in slots]
-        self.labels = list(labels) if labels is not None else list(range(len(slots)))
         n = len(self.slots)
         self.columns = {}
         for j, col in columns.items():

@@ -46,6 +46,22 @@ def test_bad_field_is_usage_error(capsys):
     assert main(["conf-dims", "--field", "f7"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("ss-table", "--r-max", "-1"),
+    ("conf-dims", "--max-arity", "0"),
+    ("ainf-check", "--max-arity", "1"),
+    ("geom", "--samples", "-5"),
+    ("triple-commute", "--max-edges", "-1"),
+])
+def test_vacuous_run_is_usage_error(capsys, argv):
+    # each of these bounds leaves nothing to check, so a pass would be empty
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert argv[1] in err
+
+
 def test_failed_verification_exits_1_with_witness(capsys, flipped_delta_sign):
     code = main(["ss-table", "--max-arity", "6", "--field", "f3"])
     out, err = capsys.readouterr()

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from knotss.confcoh import (admissible_basis, class_to_vector, coface_pullback,
+from knotss.confcoh import (admissible_basis, class_to_vector,
+                            codegeneracy_pullback, coface_pullback,
                             dim_cohomology, normal_form, parse_class, sinha_d1,
                             zero_class)
 from knotss.fields import F2, F3, QQ
@@ -11,8 +12,8 @@ from knotss.hochschild import (ConfTower, OperadPresentation,
                                build_sinha_complex, conf_delta_matrix,
                                d2_via_lifting, e2_report, hochschild_complex,
                                hochschild_delta, higher_differentials_vanish,
-                               mu3_obstruction_rank, pointwise_presentation,
-                               toy_mu3_presentation)
+                               mu3_obstruction_rank, normalized_slot,
+                               pointwise_presentation, toy_mu3_presentation)
 from knotss.linalg import Matrix, VerificationError
 from knotss.spectral import ss_pages, total_homology_graded, einf_dims
 
@@ -73,6 +74,75 @@ def test_conf_delta_matrices_are_pinned():
                     h.update(("%s %s %d %d %r;" % (mode, F.name, p, q, M.rows))
                              .encode())
     assert h.hexdigest() == CONF_DELTA_SHA256
+
+
+# sha256 over repr of the slots and the column items of every
+# build_sinha_complex(max_p, F): signed for max_p <= 7 over F2, F3 and Q,
+# verbatim for max_p <= 6 over F2; recorded while the normalized slots
+# were still found by eliminating the span of the codegeneracy images
+SINHA_COMPLEX_SHA256 = \
+    "e1fba26f2fb9d818c523d5539403e0f42a9c181ca6f349c423d960b1e2da9221"
+
+
+def test_sinha_complexes_are_pinned():
+    h = hashlib.sha256()
+    for mode, max_p, fields in (("signed", 7, FIELDS), ("verbatim", 6, [F2])):
+        for F in fields:
+            for m in range(1, max_p + 1):
+                C = build_sinha_complex(m, F, mode=mode)
+                h.update(("%s %s %d %r %r;" % (mode, F.name, m, C.slots,
+                                               list(C.columns.items())))
+                         .encode())
+    assert h.hexdigest() == SINHA_COMPLEX_SHA256
+    # verbatim delta is a differential in characteristic 2 only
+    for F in (F3, QQ):
+        build_sinha_complex(5, F, mode="verbatim")
+        with pytest.raises(VerificationError,
+                           match=r"square to zero \(witness column 56\)"):
+            build_sinha_complex(6, F, mode="verbatim")
+
+
+def test_codegeneracy_images_are_the_non_normalized_monomials():
+    # s^i is strictly monotone on indices: each admissible monomial goes
+    # to one admissible monomial with coefficient 1 that misses i + 1,
+    # and the monomials hit are exactly those normalized_slot leaves out
+    for F in FIELDS:
+        for p in range(1, 8):
+            for q in range(p):
+                index = {m: t for t, m in enumerate(admissible_basis(p, q))}
+                hit = set()
+                for m in admissible_basis(p - 1, q):
+                    x = normal_form(p - 1, m, F)
+                    for i in range(p):
+                        (mm, c), = codegeneracy_pullback(i, x).terms.items()
+                        assert c == F.one
+                        assert i + 1 not in {a for f in mm for a in f}
+                        hit.add(index[mm])
+                reps = normalized_slot(p, q)
+                assert reps == sorted(set(range(len(index))) - hit), (F, p, q)
+
+
+def test_delta_descends_to_the_normalized_slots():
+    # delta sends every degenerate column to degenerate rows, so the
+    # normalized D is delta's submatrix on the normalized positions.
+    # Verbatim delta over F3 does not descend (320 entries for p <= 6
+    # land on normalized rows), which the last count shows.
+    def leaks(F, mode, max_p):
+        count = 0
+        for p in range(2, max_p + 1):
+            for q in range(p - 1):
+                rows = conf_delta_matrix(p, q, F, mode=mode).rows
+                reps = set(normalized_slot(p, q))
+                degenerate = [j for j in range(dim_cohomology(p, q))
+                              if j not in reps]
+                count += sum(1 for r in normalized_slot(p - 1, q)
+                             for j in degenerate if rows[r][j])
+        return count
+
+    for F in FIELDS:
+        assert leaks(F, "signed", 7) == 0, F
+    assert leaks(F2, "verbatim", 6) == 0
+    assert leaks(F3, "verbatim", 6) == 320
 
 
 def test_char2_cycle_through_delta():
