@@ -15,7 +15,7 @@ import sys
 from .confcoh import ParseError, dim_cohomology, parse_class
 from .fields import field_by_name
 from .geometry import ALL_LEMMAS, check_lemma
-from .hochschild import build_sinha_complex, e2_report
+from .hochschild import MAX_ARITY, build_sinha_complex, e2_report
 from .linalg import VerificationError
 from .operads import d_squared_report
 from .partgraph import verify_commutation
@@ -34,10 +34,13 @@ def _poincare_dims(p):
     return coeffs[:-1] if coeffs[-1] == 0 else coeffs
 
 
-def _at_least(flag, value, low):
-    """Usage error for a bound that would leave nothing to check."""
+def _at_least(flag, value, low, high=None):
+    """Usage error for a bound that would leave nothing to check, or
+    that passes the largest supported value high."""
     if value < low:
         raise ValueError("%s must be at least %d, got %d" % (flag, low, value))
+    if high is not None and value > high:
+        raise ValueError("%s must be at most %d, got %d" % (flag, high, value))
 
 
 def _seed_default():
@@ -64,7 +67,10 @@ def cmd_conf_dims(args):
 
 
 def cmd_ss_table(args):
-    _at_least("--r-max", args.r_max, 0)
+    # the verdict reads d_r for r >= 2 only, and below arity 3 every such
+    # d_r leaves the complex
+    _at_least("--r-max", args.r_max, 2)
+    _at_least("--max-arity", args.max_arity, 3, MAX_ARITY)
     F = field_by_name(args.field)
     C = build_sinha_complex(args.max_arity, F, normalized=args.normalized)
     try:

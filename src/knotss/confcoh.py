@@ -11,6 +11,11 @@ The cosimplicial structure enters through coface/codegeneracy pullbacks
 on generators and the alternating-sum differential d_1.  Coface images
 are computed over Z on factor tuples (coface_image); the d_1 matrices
 of hochschild sum them as integers and coerce once per matrix entry.
+An image needs straightening only when an inner coface i meets factors
+with second indices i and i+1; every other image is admissible as it
+stands.  straighten recurses on sorted factor tuples and memoizes the
+rewrite nodes in a dict its caller may pass: each d_1 assembly passes
+one for all of its images and drops it when it returns.
 """
 
 import re
@@ -36,39 +41,52 @@ def _sort_with_sign(factors):
     return tuple(fs), sign
 
 
-def straighten(factors):
+def straighten(factors, memo=None):
     """Express a product of generators over Z in the admissible basis.
 
-    Returns {admissible factor tuple: integer coefficient}.  The 3-term
-    rewrite g_{ik} g_{jk} -> g_{ij} g_{jk} - g_{ij} g_{ik} strictly
-    decreases the sum of second indices, so the worklist terminates.
+    Returns {admissible factor tuple: integer coefficient}.  The factors
+    are sorted once (with the sign of the permutation) and the sorted
+    tuple is straightened by _straighten_sorted.  memo is the dict of
+    rewrite nodes that helper fills; one d_1 assembly passes the same
+    dict to every call, and without it each call uses a fresh one.
     """
     fs = tuple(factors)
     if all(fs[a][1] < fs[a + 1][1] for a in range(len(fs) - 1)):
         return {fs: 1}  # already admissible
-    result = {}
-    stack = [(1, fs)]
-    while stack:
-        coeff, fs, = stack.pop()
-        fs, sgn = _sort_with_sign(fs)
-        coeff *= sgn
-        if any(fs[a] == fs[a + 1] for a in range(len(fs) - 1)):
-            continue  # g^2 = 0
-        offender = None
-        for a in range(len(fs) - 1):
-            if fs[a][1] == fs[a + 1][1]:
-                offender = a
-                break
-        if offender is None:
-            result[fs] = result.get(fs, 0) + coeff
-            if result[fs] == 0:
-                del result[fs]
-            continue
-        (i, k), (j, k2) = fs[offender], fs[offender + 1]
-        rest = fs[:offender] + fs[offender + 2:]
-        stack.append((coeff, ((i, j), (j, k)) + rest))
-        stack.append((-coeff, ((i, j), (i, k)) + rest))
-    return result
+    fs, sign = _sort_with_sign(fs)
+    return {m: sign * z
+            for m, z in _straighten_sorted(fs, {} if memo is None else memo)}
+
+
+def _straighten_sorted(fs, memo):
+    """Straighten a factor tuple sorted by (second, first) index.
+
+    Returns a tuple of (admissible factor tuple, nonzero int) pairs.  At
+    the first pair of factors sharing a second index k, the 3-term
+    rewrite g_{ik} g_{jk} -> g_{ij} g_{jk} - g_{ij} g_{ik} strictly
+    decreases the sum of second indices, so the recursion terminates.
+    Only such rewrite nodes enter memo, keyed by the sorted tuple; the
+    stored pairs are those of fs itself, never scaled by a caller's sign.
+    """
+    for a in range(len(fs) - 1):
+        if fs[a][1] == fs[a + 1][1]:
+            break
+    else:
+        return ((fs, 1),)
+    if any(fs[b] == fs[b + 1] for b in range(a, len(fs) - 1)):
+        return ()  # g^2 = 0
+    hit = memo.get(fs)
+    if hit is not None:
+        return hit
+    (i, k), (j, _) = fs[a], fs[a + 1]
+    ij, rest = (i, j), fs[:a] + fs[a + 2:]
+    out = {}
+    for coeff, term in ((-1, (ij, fs[a]) + rest), (1, (ij, fs[a + 1]) + rest)):
+        term, sgn = _sort_with_sign(term)
+        for m, z in _straighten_sorted(term, memo):
+            out[m] = out.get(m, 0) + coeff * sgn * z
+    hit = memo[fs] = tuple((m, z) for m, z in out.items() if z)
+    return hit
 
 
 @dataclass(frozen=True)
@@ -204,31 +222,45 @@ def class_to_vector(x, basis):
     return v
 
 
-def coface_image(i, p, m):
-    """Pullback of the factor tuple m along the i-th coface, over Z:
-    H^q(Conf_p) -> H^q(Conf_{p-1}) as {admissible factor tuple: int}.
+def coface_image(i, p, m, memo=None):
+    """Pullback of the admissible factor tuple m along the i-th coface,
+    over Z: H^q(Conf_p) -> H^q(Conf_{p-1}) as {admissible factor tuple:
+    int}.  memo is handed to straighten.
 
     On generators: the inner cofaces double the i-th point (collapse
     indices i, i+1 and kill g_{i,i+1}); the outer cofaces i=0 and i=p
     kill generators touching the new end point and shift the rest.
+    The outer cofaces keep second indices strictly increasing, and an
+    inner coface i breaks that order only when m has a factor with
+    second index i and one with second index i+1; every other image is
+    already admissible and is returned with coefficient 1 unstraightened.
     """
     mapped = []
-    for (a, b) in m:
-        if i == 0:
+    if i == 0:
+        for (a, b) in m:
             if a == 1:
                 return {}
             mapped.append((a - 1, b - 1))
-        elif i == p:
+        return {tuple(mapped): 1}
+    if i == p:
+        for (_, b) in m:
             if b == p:
                 return {}
-            mapped.append((a, b))
-        else:
-            ca = a if a <= i else a - 1
-            cb = b if b <= i else b - 1
-            if ca == cb:
-                return {}
-            mapped.append((ca, cb))
-    return straighten(mapped)
+        return {tuple(m): 1}
+    clash = False
+    for f in m:
+        a, b = f
+        if b > i:
+            if b == i + 1:
+                if a == i:
+                    return {}
+                # m is admissible: second index i, if any, comes just before
+                clash = bool(mapped) and mapped[-1][1] == i
+            f = (a if a <= i else a - 1, b - 1)
+        mapped.append(f)
+    if clash:
+        return straighten(mapped, memo)
+    return {tuple(mapped): 1}
 
 
 def coface_pullback(i, x):

@@ -29,6 +29,7 @@ from .linalg import Eliminator, Matrix, kernel_basis, rank, solve, sparse
 from .spectral import FilteredComplex, page_ranks
 
 MODES = ("signed", "verbatim")
+MAX_ARITY = 8  # largest max_p of build_sinha_complex
 
 
 def _check_mode(mode):
@@ -209,9 +210,10 @@ class ConfTower:
         index = {m: t for t, m in enumerate(admissible_basis(p - 1, q))}
         source = admissible_basis(p, q)
         mats = [Matrix.zeros(F, len(index), len(source)) for _ in range(p + 1)]
+        memo = {}
         for j, m in enumerate(source):
             for i, M in enumerate(mats):
-                for mm, z in coface_image(i, p, m).items():
+                for mm, z in coface_image(i, p, m, memo).items():
                     M.rows[index[mm]][j] = F.of(z)
         return (p - 1, q), mats
 
@@ -221,8 +223,10 @@ def conf_delta_matrix(p, q, field, mode="signed"):
 
     Column j is the sum of the coface images of the j-th admissible
     monomial, the i-th signed (-1)^i in signed mode, added over Z and
-    coerced into the field once per entry.  This route keeps its own
-    signs, apart from ConfTower.dual_terms and hochschild_delta.
+    coerced into the field once per entry.  One straighten memo serves
+    every image of the call and is dropped when it returns.  This route
+    keeps its own signs, apart from ConfTower.dual_terms and
+    hochschild_delta.
     """
     _check_mode(mode)
     F = field
@@ -232,10 +236,11 @@ def conf_delta_matrix(p, q, field, mode="signed"):
              for i in range(p + 1)] if index else []
     source = admissible_basis(p, q)
     M = Matrix.zeros(F, len(index), len(source))
+    memo = {}
     for j, m in enumerate(source):
         col = {}
         for i, sign in enumerate(signs):
-            for mm, z in coface_image(i, p, m).items():
+            for mm, z in coface_image(i, p, m, memo).items():
                 t = index[mm]
                 col[t] = col.get(t, 0) + sign * z
         for t, z in col.items():
@@ -277,8 +282,8 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
     0 <= q <= p - 1.
     """
     _check_mode(mode)
-    if not (1 <= max_p <= 8):
-        raise ValueError("max_p must be between 1 and 8")
+    if not (1 <= max_p <= MAX_ARITY):
+        raise ValueError("max_p must be between 1 and %d" % MAX_ARITY)
     F = field
     if not normalized:
         return hochschild_complex(ConfTower(F, max_p), mode=mode)

@@ -48,13 +48,19 @@ def test_bad_field_is_usage_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("ss-table", "--r-max", "-1"),
+    ("ss-table", "--r-max", "0"),
+    ("ss-table", "--r-max", "1"),
+    ("ss-table", "--max-arity", "1"),
+    ("ss-table", "--max-arity", "2"),
+    ("ss-table", "--max-arity", "9"),
     ("conf-dims", "--max-arity", "0"),
     ("ainf-check", "--max-arity", "1"),
     ("geom", "--samples", "-5"),
     ("triple-commute", "--max-edges", "-1"),
 ])
 def test_vacuous_run_is_usage_error(capsys, argv):
-    # each of these bounds leaves nothing to check, so a pass would be empty
+    # each of these bounds leaves nothing to check, so a pass would be
+    # empty, or passes the largest supported arity
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
