@@ -618,8 +618,8 @@ def boundary_D(chain, convention, tr=1, drop_degenerate=True):
         edges = term.label.edges
         if len(edges) - 1 >= tr:
             for pos in range(len(edges)):
-                smaller = PGraph(term.label.partition,
-                                 edges[:pos] + edges[pos + 1:])
+                smaller = PGraph._of(term.label.partition,
+                                     edges[:pos] + edges[pos + 1:])
                 esign = 1 if pos % 2 == 0 else -1
                 out._put(coeff * psign * esign,
                          Term(term.expr, w, smaller, term.ekey))

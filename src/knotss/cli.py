@@ -67,10 +67,11 @@ def cmd_conf_dims(args):
 
 
 def cmd_ss_table(args):
-    # the verdict reads d_r for r >= 2 only, and below arity 3 every such
-    # d_r leaves the complex
+    # the verdict reads d_r for r >= 2 only, and below arity 4 no such
+    # d_r has a nonzero source and a nonzero target (arity 4 has
+    # (-4, 2) -> (-2, 1) on E_2)
     _at_least("--r-max", args.r_max, 2)
-    _at_least("--max-arity", args.max_arity, 3, MAX_ARITY)
+    _at_least("--max-arity", args.max_arity, 4, MAX_ARITY)
     F = field_by_name(args.field)
     C = build_sinha_complex(args.max_arity, F, normalized=args.normalized)
     try:
@@ -123,6 +124,7 @@ def cmd_ainf_check(args):
 
 
 def cmd_triple_commute(args):
+    _at_least("--n", args.n, 1, 8)
     if args.max_edges is not None:
         _at_least("--max-edges", args.max_edges, 0)
     F = field_by_name(args.field)

@@ -1,6 +1,6 @@
 """Interval partitions of {0..n+1}, graphs on their internal pieces,
-the merge maps delta_i with their edge-permutation signs, and the Cech
-differential on graph-labeled chains.
+the merge maps delta_i with their edge-permutation signs, and an
+exhaustive check that they commute with the Cech differential.
 
 A partition is stored as the composition of its piece sizes, read left
 to right; piece identity is positional.  Graph vertices are the
@@ -8,13 +8,20 @@ positions of the internal pieces (1 .. #P-2); the minimum and maximum
 pieces never carry edges.  delta_i merges the pieces at positions i and
 i+1; the result is dropped when it acquires a loop, a double edge, or
 an edge touching an extreme piece.
+
+verify_commutation works one graph at a time over Z: every coefficient
+is a signed sum of units, so each identity is a {(sizes, edges): int}
+dict whose nonzero entries are reduced into the field once.  The route over
+field-valued shape chains that it replaced is kept in the tests as the
+reference.  Partition._of and PGraph._of skip validation for the
+partitions and graphs this module derives from valid ones; the public
+constructors and parse_graph validate.
 """
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-
-from .fields import Field
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,14 @@ class Partition:
             raise ValueError("piece sizes must be positive")
         if sum(self.sizes) != self.n + 2:
             raise ValueError("piece sizes must cover {0..n+1}")
+
+    @classmethod
+    def _of(cls, n, sizes):
+        """Internal constructor for sizes already known to be valid."""
+        P = cls.__new__(cls)
+        object.__setattr__(P, "n", n)
+        object.__setattr__(P, "sizes", sizes)
+        return P
 
     @property
     def num_pieces(self):
@@ -106,6 +121,21 @@ class PGraph:
             seen.add((a, b))
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
+    @classmethod
+    def _of(cls, partition, edges):
+        """Internal constructor for sorted edges already valid on partition."""
+        G = cls.__new__(cls)
+        object.__setattr__(G, "partition", partition)
+        object.__setattr__(G, "edges", edges)
+        return G
+
+    def __hash__(self):
+        # computed on first use and stored: graphs label every chain term
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.partition, self.edges))
+        return h
+
     def __str__(self):
         prefix = "" if self.partition.is_discrete() else str(self.partition) + ":"
         return prefix + ("".join("(%d,%d)" % e for e in self.edges) or "()")
@@ -148,119 +178,29 @@ def delta_graph(i, G):
     is piece i or i+1 against the lexicographic order of their images.
     """
     P = G.partition
-    if not (0 <= i <= P.num_pieces - 2):
+    sizes = P.sizes
+    last = len(sizes) - 2  # merge index landing on the maximum piece
+    if not (0 <= i <= last):
         raise ValueError("merge index %d out of range" % i)
-    sizes = P.sizes[:i] + (P.sizes[i] + P.sizes[i + 1],) + P.sizes[i + 2:]
-    if len(sizes) < 2:
+    if not last:
         return None  # the one-piece partition is outside the poset
-    Q = Partition(P.n, sizes)
-    m = P.num_internal
-    last = P.num_pieces - 2  # merge index landing on the maximum piece
-
-    def vmap(v):
-        # internal label v sits at position v; None marks an extreme piece
-        if i == 0:
-            return None if v == 1 else v - 1
-        if i == last:
-            return None if v == m else v
-        return v if v <= i else v - 1
-
-    images = []
+    # internal label v sits at position v and moves down one when v > i;
+    # a label landing on 0 or on last has joined an extreme piece
+    images, restricted = [], []
     for (a, b) in G.edges:
-        va, vb = vmap(a), vmap(b)
-        if va is None or vb is None:
+        va = a - 1 if a > i else a
+        vb = b - 1 if b > i else b
+        if va == 0 or vb == last:
             return None  # edge swallowed by an extreme piece
         if va == vb:
             return None  # loop
-        images.append((min(va, vb), max(va, vb)))
+        images.append((va, vb))
+        if a == i or a == i + 1:
+            restricted.append((va, vb))
     if len(set(images)) != len(images):
         return None  # double edge
-    restricted = [img for (a, b), img in zip(G.edges, images) if a in (i, i + 1)]
-    sign = _inversion_sign(restricted)
-    return PGraph(Q, tuple(images)), sign
-
-
-class ShapeChain:
-    """Formal sum of (Partition, PGraph) labels with field coefficients."""
-
-    def __init__(self, field, terms=None):
-        self.field = field
-        self.terms = {}
-        for label, c in (terms or {}).items():
-            c = field.of(c)
-            if c:
-                self.terms[label] = c
-
-    @classmethod
-    def single(cls, field, graph, coeff=1):
-        return cls(field, {graph: coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def _put(self, label, c):
-        """Add the field element c to the coefficient of label, in place."""
-        F = self.field
-        v = F.add(self.terms.get(label, F.zero), c)
-        if v:
-            self.terms[label] = v
-        else:
-            self.terms.pop(label, None)
-
-    def __add__(self, other):
-        out = ShapeChain(self.field)
-        out.terms = dict(self.terms)
-        for label, c in other.terms.items():
-            out._put(label, c)
-        return out
-
-    def scale(self, c):
-        F = self.field
-        c = F.of(c)
-        out = ShapeChain(F)
-        if c:
-            out.terms = {label: F.mul(c, v) for label, v in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return isinstance(other, ShapeChain) and self.field == other.field \
-            and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("%s·%s" % (c, g) for g, c in sorted(
-            self.terms.items(), key=lambda kv: str(kv[0])))
-
-
-def cech_boundary(chain):
-    """Signed sum of single-edge removals, sum_k (-1)^{k-1} del_k."""
-    F = chain.field
-    out = ShapeChain(F)
-    for G, c in chain.terms.items():
-        for k, _ in enumerate(G.edges):
-            smaller = PGraph(G.partition, G.edges[:k] + G.edges[k + 1:])
-            coeff = c if k % 2 == 0 else F.neg(c)  # (-1)^{k-1} with k 1-based
-            out._put(smaller, coeff)
-    return out
-
-
-def shape_delta(chain):
-    """Signed merge sum delta = sum_{i=0}^{#P-2} (-1)^i delta_i."""
-    F = chain.field
-    out = ShapeChain(F)
-    for G, c in chain.terms.items():
-        for i in range(G.partition.num_pieces - 1):
-            hit = delta_graph(i, G)
-            if hit is None:
-                continue
-            image, sign = hit
-            coeff = F.mul(F.of(sign if i % 2 == 0 else -sign), c)
-            out._put(image, coeff)
-    return out
+    Q = Partition._of(P.n, sizes[:i] + (sizes[i] + sizes[i + 1],) + sizes[i + 2:])
+    return PGraph._of(Q, tuple(sorted(images))), _inversion_sign(restricted)
 
 
 def all_graphs(P, max_edges=None):
@@ -269,54 +209,76 @@ def all_graphs(P, max_edges=None):
     limit = len(pool) if max_edges is None else min(max_edges, len(pool))
     for k in range(limit + 1):
         for edges in combinations(pool, k):
-            yield PGraph(P, edges)
+            yield PGraph._of(P, edges)
 
 
-def merge_commutes_with_cech(i, G, field):
-    """Check cech(delta_i G) = delta_i(cech G) for one surviving merge.
-
-    When delta_i kills G the composite vanishes only on chains supported
-    over G (the kill conditions are conditions on supports, which the
-    shape labels do not carry), so the meaningful identity is the one
-    quantified over surviving merges; that is also the identity whose
-    sign bookkeeping is nontrivial.
-    """
-    hit = delta_graph(i, G)
-    if hit is None:
-        return True
-    image, sign = hit
-    lhs = cech_boundary(ShapeChain.single(field, image, sign))
-    rhs = ShapeChain(field)
-    for k in range(len(G.edges)):
-        smaller = PGraph(G.partition, G.edges[:k] + G.edges[k + 1:])
-        hit2 = delta_graph(i, smaller)
-        if hit2 is None:
-            continue
-        image2, sign2 = hit2
-        coeff = sign2 if k % 2 == 0 else -sign2
-        rhs._put(image2, field.of(coeff))
-    return lhs == rhs
+def _vanishes(counts, field):
+    """True when every integer coefficient reduces to zero in field."""
+    return not any(field.of(c) for c in counts.values() if c)
 
 
 def verify_commutation(n, field, discrete_only=False, max_edges=None):
-    """Exhaustively check that the merge maps commute with the Cech
-    differential (signs included) on every graph, merge by merge, and
+    """Exhaustively check, graph by graph, that the merge maps commute
+    with the Cech differential (signs included), merge by merge, and
     that delta^2 = 0 and cech^2 = 0 as operators on shape chains.
 
-    Returns a report dict; any counterexample label is recorded.
+    For a merge delta_i that keeps G the identity is
+    cech(delta_i G) = delta_i(cech G).  When delta_i kills G the
+    composite vanishes only on chains supported over G (the kill
+    conditions are conditions on supports, which the shape labels do
+    not carry), so the meaningful identity is the one quantified over
+    surviving merges; that is also the identity whose sign bookkeeping
+    is nontrivial.
+
+    Every coefficient is a signed sum of units, so each identity is
+    summed over Z, keyed by (piece sizes, edges), and each nonzero sum
+    is reduced into the field once.  Returns a report dict; any
+    counterexample label is recorded.
     """
+    if not (1 <= n <= 8):
+        raise ValueError("n out of supported range 1..8")
     partitions = [discrete_partition(n)] if discrete_only else enumerate_partitions(n)
     checked = 0
     counterexamples = []
     for P in partitions:
         for G in all_graphs(P, max_edges=max_edges):
-            x = ShapeChain.single(field, G)
+            edges = G.edges
+            faces = [edges[:k] + edges[k + 1:] for k in range(len(edges))]
+            face_graphs = [PGraph._of(P, f) for f in faces]
+            delta2 = defaultdict(int)
             for i in range(P.num_pieces - 1):
-                if not merge_commutes_with_cech(i, G, field):
+                hit = delta_graph(i, G)
+                if hit is None:
+                    continue
+                image, sign = hit
+                # cech(delta_i G) - delta_i(cech G), cech = sum_k (-1)^{k-1} del_k
+                sizes, img = image.partition.sizes, image.edges
+                diff = defaultdict(int)
+                for k in range(len(img)):
+                    diff[sizes, img[:k] + img[k + 1:]] += sign if k % 2 == 0 else -sign
+                for k, face in enumerate(face_graphs):
+                    hit2 = delta_graph(i, face)
+                    if hit2 is not None:
+                        image2, sign2 = hit2
+                        key = (image2.partition.sizes, image2.edges)
+                        diff[key] -= sign2 if k % 2 == 0 else -sign2
+                if not _vanishes(diff, field):
                     counterexamples.append(("commute", i, str(G)))
-            if not shape_delta(shape_delta(x)).is_zero():
+                # delta(delta G) collects +-delta_j delta_i G over both merges
+                coeff = sign if i % 2 == 0 else -sign
+                for j in range(len(sizes) - 1):
+                    hit2 = delta_graph(j, image)
+                    if hit2 is not None:
+                        image2, sign2 = hit2
+                        key = (image2.partition.sizes, image2.edges)
+                        delta2[key] += coeff * sign2 if j % 2 == 0 else -coeff * sign2
+            if not _vanishes(delta2, field):
                 counterexamples.append(("delta2", str(G)))
-            if not cech_boundary(cech_boundary(x)).is_zero():
+            cech2 = defaultdict(int)
+            for k, face in enumerate(faces):
+                for j in range(len(face)):
+                    cech2[P.sizes, face[:j] + face[j + 1:]] += 1 if (k + j) % 2 == 0 else -1
+            if not _vanishes(cech2, field):
                 counterexamples.append(("cech2", str(G)))
             checked += 1
     return {"n": n, "field": field.name, "discrete_only": discrete_only,

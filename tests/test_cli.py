@@ -57,6 +57,9 @@ def test_bad_field_is_usage_error(capsys):
     ("ainf-check", "--max-arity", "1"),
     ("geom", "--samples", "-5"),
     ("triple-commute", "--max-edges", "-1"),
+    ("ss-table", "--max-arity", "3"),
+    ("triple-commute", "--n", "0", "--discrete-only"),
+    ("triple-commute", "--n", "9", "--discrete-only"),
 ])
 def test_vacuous_run_is_usage_error(capsys, argv):
     # each of these bounds leaves nothing to check, so a pass would be
@@ -81,7 +84,7 @@ def test_page_inconsistency_is_reported(capsys, monkeypatch):
         raise VerificationError("page inconsistency at r=1 slot (-2, 1)")
 
     monkeypatch.setattr("knotss.cli.page_ranks", inconsistent)
-    code, doc = run_json(capsys, "ss-table", "--max-arity", "3")
+    code, doc = run_json(capsys, "ss-table", "--max-arity", "4")
     assert code == 1 and not doc["pass"]
     assert doc["report"] == {"error": "page inconsistency at r=1 slot (-2, 1)"}
 

@@ -1,13 +1,150 @@
+import hashlib
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotss import partgraph
+from knotss.cli import main
 from knotss.fields import F2, F3, QQ
-from knotss.partgraph import (Partition, PGraph, ShapeChain, all_graphs,
-                              cech_boundary, delta_graph, discrete_partition,
-                              enumerate_partitions, is_subdivision,
-                              merge_commutes_with_cech, parse_graph,
-                              shape_delta, verify_commutation)
+from knotss.partgraph import (Partition, PGraph, all_graphs, delta_graph,
+                              discrete_partition, enumerate_partitions,
+                              is_subdivision, parse_graph, verify_commutation)
+
+
+# ---------------------------------------------------------------------------
+# reference route: the shape-chain check over field coefficients that
+# verify_commutation replaced, kept here to compare against
+
+
+class ShapeChain:
+    """Formal sum of PGraph labels with field coefficients."""
+
+    def __init__(self, field, terms=None):
+        self.field = field
+        self.terms = {}
+        for label, c in (terms or {}).items():
+            c = field.of(c)
+            if c:
+                self.terms[label] = c
+
+    @classmethod
+    def single(cls, field, graph, coeff=1):
+        return cls(field, {graph: coeff})
+
+    def is_zero(self):
+        return not self.terms
+
+    def _put(self, label, c):
+        F = self.field
+        v = F.add(self.terms.get(label, F.zero), c)
+        if v:
+            self.terms[label] = v
+        else:
+            self.terms.pop(label, None)
+
+    def __eq__(self, other):
+        return isinstance(other, ShapeChain) and self.field == other.field \
+            and self.terms == other.terms
+
+
+def cech_boundary(chain):
+    """Signed sum of single-edge removals, sum_k (-1)^{k-1} del_k."""
+    F = chain.field
+    out = ShapeChain(F)
+    for G, c in chain.terms.items():
+        for k, _ in enumerate(G.edges):
+            smaller = PGraph(G.partition, G.edges[:k] + G.edges[k + 1:])
+            out._put(smaller, c if k % 2 == 0 else F.neg(c))
+    return out
+
+
+def shape_delta(chain):
+    """Signed merge sum delta = sum_{i=0}^{#P-2} (-1)^i delta_i."""
+    F = chain.field
+    out = ShapeChain(F)
+    for G, c in chain.terms.items():
+        for i in range(G.partition.num_pieces - 1):
+            hit = partgraph.delta_graph(i, G)
+            if hit is None:
+                continue
+            image, sign = hit
+            out._put(image, F.mul(F.of(sign if i % 2 == 0 else -sign), c))
+    return out
+
+
+def merge_commutes_with_cech(i, G, field):
+    """cech(delta_i G) = delta_i(cech G) for one surviving merge."""
+    hit = partgraph.delta_graph(i, G)
+    if hit is None:
+        return True
+    image, sign = hit
+    lhs = cech_boundary(ShapeChain.single(field, image, sign))
+    rhs = ShapeChain(field)
+    for k in range(len(G.edges)):
+        smaller = PGraph(G.partition, G.edges[:k] + G.edges[k + 1:])
+        hit2 = partgraph.delta_graph(i, smaller)
+        if hit2 is None:
+            continue
+        image2, sign2 = hit2
+        rhs._put(image2, field.of(sign2 if k % 2 == 0 else -sign2))
+    return lhs == rhs
+
+
+def reference_verify_commutation(n, field, discrete_only=False, max_edges=None):
+    partitions = [discrete_partition(n)] if discrete_only else enumerate_partitions(n)
+    checked = 0
+    counterexamples = []
+    for P in partitions:
+        for G in all_graphs(P, max_edges=max_edges):
+            x = ShapeChain.single(field, G)
+            for i in range(P.num_pieces - 1):
+                if not merge_commutes_with_cech(i, G, field):
+                    counterexamples.append(("commute", i, str(G)))
+            if not shape_delta(shape_delta(x)).is_zero():
+                counterexamples.append(("delta2", str(G)))
+            if not cech_boundary(cech_boundary(x)).is_zero():
+                counterexamples.append(("cech2", str(G)))
+            checked += 1
+    return {"n": n, "field": field.name, "discrete_only": discrete_only,
+            "checked": checked, "counterexamples": counterexamples,
+            "pass": not counterexamples}
+
+
+def vmap_delta_graph(i, G):
+    """delta_graph as a per-edge vertex map, with validated constructors."""
+    P = G.partition
+    if not (0 <= i <= P.num_pieces - 2):
+        raise ValueError("merge index %d out of range" % i)
+    sizes = P.sizes[:i] + (P.sizes[i] + P.sizes[i + 1],) + P.sizes[i + 2:]
+    if len(sizes) < 2:
+        return None
+    Q = Partition(P.n, sizes)
+    m = P.num_internal
+    last = P.num_pieces - 2
+
+    def vmap(v):
+        if i == 0:
+            return None if v == 1 else v - 1
+        if i == last:
+            return None if v == m else v
+        return v if v <= i else v - 1
+
+    images = []
+    for (a, b) in G.edges:
+        va, vb = vmap(a), vmap(b)
+        if va is None or vb is None or va == vb:
+            return None
+        images.append((min(va, vb), max(va, vb)))
+    if len(set(images)) != len(images):
+        return None
+    restricted = [img for (a, b), img in zip(G.edges, images) if a in (i, i + 1)]
+    sign = 1
+    for x, y in combinations(restricted, 2):
+        if x > y:
+            sign = -sign
+    return PGraph(Q, tuple(images)), sign
 
 
 def test_partition_validation():
@@ -119,6 +256,125 @@ def test_shape_delta_edgeless_discrete():
     # alternating sum over the three merges
     assert {g.partition.sizes: c for g, c in d.terms.items()} == {
         (2, 1, 1): QQ.of(1), (1, 2, 1): QQ.of(-1), (1, 1, 2): QQ.of(1)}
+
+
+def test_partition_and_graph_internal_constructors_match():
+    for n in range(1, 5):
+        for P in enumerate_partitions(n):
+            P2 = Partition._of(P.n, P.sizes)
+            assert P2 == P and hash(P2) == hash(P)
+            pool = list(combinations(range(1, P.num_internal + 1), 2))
+            for k in range(min(len(pool), 3) + 1):
+                for edges in combinations(pool, k):
+                    G, H = PGraph(P, edges), PGraph._of(P2, edges)
+                    assert G == H and hash(G) == hash(H)
+                    assert {G: 1}[H] == 1
+
+
+def test_delta_graph_matches_vertex_map_reference():
+    pairs = 0
+    for n in range(1, 6):
+        for P in enumerate_partitions(n):
+            for G in all_graphs(P):
+                for i in range(P.num_pieces - 1):
+                    assert delta_graph(i, G) == vmap_delta_graph(i, G), (i, str(G))
+                    pairs += 1
+    assert pairs == 9356
+    with pytest.raises(ValueError):
+        delta_graph(5, parse_graph("()", 3))
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=lambda F: F.name)
+def test_verify_commutation_matches_reference(field):
+    for n in range(1, 5):
+        assert verify_commutation(n, field) == reference_verify_commutation(n, field)
+    assert verify_commutation(5, field, discrete_only=True) == \
+        reference_verify_commutation(5, field, discrete_only=True)
+
+
+@pytest.mark.parametrize("discrete_only", [False, True])
+def test_verify_commutation_rejects_n_out_of_range(discrete_only):
+    for n in (0, 9):
+        with pytest.raises(ValueError, match="n out of supported range 1..8"):
+            verify_commutation(n, QQ, discrete_only=discrete_only)
+
+
+def _corrupt_one_merge(monkeypatch, target, i, corrupt):
+    """Make delta_graph(i, target) return corrupt(image, sign)."""
+    original = partgraph.delta_graph
+
+    def faulty(j, G):
+        hit = original(j, G)
+        if j == i and G == target:
+            return corrupt(*hit)
+        return hit
+
+    monkeypatch.setattr(partgraph, "delta_graph", faulty)
+
+
+def test_flipped_sign_is_a_counterexample(monkeypatch):
+    G = parse_graph("(1,4)(2,3)", 4)
+    _corrupt_one_merge(monkeypatch, G, 1, lambda image, sign: (image, -sign))
+    for field in (F3, QQ):
+        rep = verify_commutation(4, field, discrete_only=True)
+        assert not rep["pass"]
+        assert ("commute", 1, "(1,4)(2,3)") in rep["counterexamples"]
+
+
+def test_wrong_partition_is_a_counterexample(monkeypatch):
+    # same edges and sign, but on 1+1+2+1+1 instead of 1+2+1+1+1
+    G = parse_graph("(1,4)(2,3)", 4)
+    wrong = Partition(4, (1, 1, 2, 1, 1))
+    _corrupt_one_merge(monkeypatch, G, 1,
+                       lambda image, sign: (PGraph(wrong, image.edges), sign))
+    for field in (F2, QQ):
+        rep = verify_commutation(4, field, discrete_only=True)
+        assert not rep["pass"]
+        assert ("commute", 1, "(1,4)(2,3)") in rep["counterexamples"]
+
+
+def test_sums_are_reduced_in_the_field(monkeypatch):
+    # three times a unit sign is that sign over F2, zero over F3, and a
+    # different coefficient over Q
+    G = parse_graph("(1,4)(2,3)", 4)
+    _corrupt_one_merge(monkeypatch, G, 1, lambda image, sign: (image, 3 * sign))
+    for field in (F2, F3, QQ):
+        rep = verify_commutation(4, field, discrete_only=True)
+        assert rep == reference_verify_commutation(4, field, discrete_only=True)
+        assert rep["pass"] == (field == F2)
+
+
+COMMUTE_SHA256 = {
+    ("--n", "2", "--field", "f2"):
+        "ea091b4844ceeffd3ab5eb2c3b4e7da32ec7e034e105f455dffad961d6e75406",
+    ("--n", "3", "--field", "f2"):
+        "a18f026d8e6a26983cec4c8804aa2f640610313668120826a8f4b387c15b16dd",
+    ("--n", "4", "--field", "f2"):
+        "115ffdb05cf0b96cd233d3a4d40f562eb1b2bde89f3cc1066f0f39ac98200bc1",
+    ("--n", "2", "--field", "f3"):
+        "9b7f746c83cfa106fef090019535625c89801aaa1ee89140e82a7af101b1fc05",
+    ("--n", "3", "--field", "f3"):
+        "f9a504dba725c8561304d317d0fa90ce3a8e281c73f781f369df153306b62859",
+    ("--n", "4", "--field", "f3"):
+        "60a3d8f62c3b2eee09fbbe153c516950164b7bc4dbb771949804bee12f4e9a6e",
+    ("--n", "2", "--field", "q"):
+        "53937be32eeb9d147154db5489212c3ace72c575f9c18e1cd291be1c8f6c28a0",
+    ("--n", "3", "--field", "q"):
+        "9b1f5fcd8bf2397f0c9e746cd33e7552c3f494a8a58a277a22dc06a1fa12680a",
+    ("--n", "4", "--field", "q"):
+        "06484347e64b16e99d0addb8825bc48d51b7873bcb2ec153dadc444cf01e0d07",
+    ("--n", "5", "--discrete-only"):
+        "0b7d2372ee8119a834d9ed62a4e3721ca4f727cc11622f95f69e4a8cd27b06cb",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(COMMUTE_SHA256), ids=" ".join)
+def test_commutation_reports_are_pinned(capsys, flags):
+    # sha256 of `knotss triple-commute` recorded while the check still
+    # ran on field-valued shape chains (reference_verify_commutation)
+    assert main(["triple-commute", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMUTE_SHA256[flags]
 
 
 def test_verify_commutation_small():
