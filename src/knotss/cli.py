@@ -18,11 +18,13 @@ from .geometry import ALL_LEMMAS, check_lemma
 from .hochschild import MAX_ARITY, build_sinha_complex, e2_report
 from .linalg import VerificationError
 from .operads import d_squared_report
-from .partgraph import verify_commutation
+from .partgraph import (count_graphs, discrete_partition, enumerate_partitions,
+                        verify_commutation)
 from .spectral import page_ranks
 
 SCHEMA_VERSION = "knotss-output/1"
 DEFAULT_SEED = 20260823
+MAX_GRAPHS = 2 ** 16  # most graphs one triple-commute run may check
 
 
 def _poincare_dims(p):
@@ -127,6 +129,12 @@ def cmd_triple_commute(args):
     _at_least("--n", args.n, 1, 8)
     if args.max_edges is not None:
         _at_least("--max-edges", args.max_edges, 0)
+    partitions = ([discrete_partition(args.n)] if args.discrete_only
+                  else enumerate_partitions(args.n))
+    graphs = sum(count_graphs(P, args.max_edges) for P in partitions)
+    if graphs > MAX_GRAPHS:
+        raise ValueError("--n %d needs %d graphs, more than %d; bound them "
+                         "with --max-edges" % (args.n, graphs, MAX_GRAPHS))
     F = field_by_name(args.field)
     rep = verify_commutation(args.n, F, discrete_only=args.discrete_only,
                              max_edges=args.max_edges)

@@ -9,8 +9,8 @@ of size [t^q] prod_{k=1}^{p-1} (1 + k t).
 
 The cosimplicial structure enters through coface/codegeneracy pullbacks
 on generators and the alternating-sum differential d_1.  Coface images
-are computed over Z on factor tuples (coface_image); the d_1 matrices
-of hochschild sum them as integers and coerce once per matrix entry.
+are computed over Z on factor tuples (coface_image); hochschild sums
+them into one sparse integer d_1 and coerces once per nonzero entry.
 An image needs straightening only when an inner coface i meets factors
 with second indices i and i+1; every other image is admissible as it
 stands.  straighten recurses on sorted factor tuples and memoizes the

@@ -20,7 +20,8 @@ characteristic 2 only); in "signed" mode the summands above carry
 The motivating operad is the homology of the framed little-intervals
 tower whose dual pieces are the configuration-space cohomology rings of
 confcoh; for it delta is exactly the alternating (or plain) sum of the
-coface pullbacks.
+coface pullbacks.  The normalized Sinha complex takes that d_1 from one
+sparse integer route, delta_columns, restricted in source and target.
 """
 
 from .confcoh import (admissible_basis, class_to_vector, coface_image,
@@ -218,34 +219,42 @@ class ConfTower:
         return (p - 1, q), mats
 
 
-def conf_delta_matrix(p, q, field, mode="signed"):
-    """Matrix of delta on the admissible basis, slot (p, q) -> (p-1, q).
+def delta_columns(p, q, sources, index, mode="signed"):
+    """d_1 over Z out of slot (p, q): yields one sparse column per source.
 
-    Column j is the sum of the coface images of the j-th admissible
-    monomial, the i-th signed (-1)^i in signed mode, added over Z and
-    coerced into the field once per entry.  One straighten memo serves
-    every image of the call and is dropped when it returns.  This route
-    keeps its own signs, apart from ConfTower.dual_terms and
-    hochschild_delta.
+    index maps admissible monomials of slot (p - 1, q) to rows.  Each
+    column sums the coface images of its source, the i-th signed (-1)^i
+    in signed mode, as {row: int}; images outside index are dropped, and
+    a sum that cancels stays as a 0 entry for the caller to skip.  One
+    straighten memo serves the call.  These signs are kept apart from
+    ConfTower.dual_terms and hochschild_delta.
     """
     _check_mode(mode)
-    F = field
-    tgt_basis = admissible_basis(p - 1, q) if p >= 2 else []
-    index = {m: t for t, m in enumerate(tgt_basis)}
     signs = [-1 if mode == "signed" and i % 2 else 1
              for i in range(p + 1)] if index else []
-    source = admissible_basis(p, q)
-    M = Matrix.zeros(F, len(index), len(source))
     memo = {}
-    for j, m in enumerate(source):
+    for m in sources:
         col = {}
         for i, sign in enumerate(signs):
             for mm, z in coface_image(i, p, m, memo).items():
-                t = index[mm]
-                col[t] = col.get(t, 0) + sign * z
+                t = index.get(mm)
+                if t is not None:
+                    col[t] = col.get(t, 0) + sign * z
+        yield col
+
+
+def conf_delta_matrix(p, q, field, mode="signed"):
+    """Matrix of delta on the admissible basis, slot (p, q) -> (p-1, q):
+    the dense view of delta_columns, coerced once per nonzero entry."""
+    _check_mode(mode)
+    tgt = admissible_basis(p - 1, q) if p >= 2 else []
+    source = admissible_basis(p, q)
+    M = Matrix.zeros(field, len(tgt), len(source))
+    index = {m: t for t, m in enumerate(tgt)}
+    for j, col in enumerate(delta_columns(p, q, source, index, mode)):
         for t, z in col.items():
             if z:
-                M.rows[t][j] = F.of(z)
+                M.rows[t][j] = field.of(z)
     return M
 
 
@@ -289,21 +298,21 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
         return hochschild_complex(ConfTower(F, max_p), mode=mode)
     keys = [(p, q) for p in range(1, max_p + 1) for q in range(p)
             if dim_cohomology(p, q)]
-    reps = {k: normalized_slot(*k) for k in keys}
-    offsets, slots = {}, []
+    reps, offsets, slots = {}, {}, []
     for k in keys:
+        basis = admissible_basis(*k)
+        reps[k] = [basis[t] for t in normalized_slot(*k)]
         offsets[k] = len(slots)
         slots.extend([k] * len(reps[k]))
     columns = {}
     for (p, q) in keys:
-        if (p - 1, q) not in offsets:
-            continue
-        base, tgt = offsets[(p - 1, q)], reps[(p - 1, q)]
-        rows = conf_delta_matrix(p, q, F, mode=mode).rows
-        for s, t in enumerate(reps[(p, q)]):
-            columns[offsets[(p, q)] + s] = {base + i: rows[r][t]
-                                            for i, r in enumerate(tgt)
-                                            if rows[r][t]}
+        if (p - 1, q) in offsets:
+            base = offsets[(p - 1, q)]
+            index = {m: base + i for i, m in enumerate(reps[(p - 1, q)])}
+            cols = delta_columns(p, q, reps[(p, q)], index, mode)
+            for s, col in enumerate(cols, offsets[(p, q)]):
+                columns[s] = {t: x for t in sorted(col)
+                              if (x := F.of(col[t]))}
     return FilteredComplex(F, slots, columns)
 
 

@@ -22,6 +22,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 
 @dataclass(frozen=True)
@@ -210,6 +211,13 @@ def all_graphs(P, max_edges=None):
     for k in range(limit + 1):
         for edges in combinations(pool, k):
             yield PGraph._of(P, edges)
+
+
+def count_graphs(P, max_edges=None):
+    """How many graphs all_graphs(P, max_edges) yields, by binomials."""
+    pairs = comb(P.num_internal, 2)
+    limit = pairs if max_edges is None else min(max_edges, pairs)
+    return sum(comb(pairs, k) for k in range(limit + 1))
 
 
 def _vanishes(counts, field):

@@ -5,17 +5,20 @@ from knotss import hochschild
 
 @pytest.fixture
 def flipped_delta_sign(monkeypatch):
-    """Negate the first nonzero entry of conf_delta_matrix(5, 3), the
-    slot (5, 3) -> (4, 3) that composes with (6, 3) -> (5, 3); the
-    normalized Sinha complex to arity 6 then fails D^2 = 0."""
-    original = hochschild.conf_delta_matrix
+    """Negate the first nonzero entry, in row-major order, of the integer
+    d_1 columns out of slot (5, 3), the slot (5, 3) -> (4, 3) that
+    composes with (6, 3) -> (5, 3); the normalized Sinha complex to
+    arity 6 then fails D^2 = 0.  The first nonzero row of the dense
+    matrix is a normalized one, so the dense conf_delta_matrix(5, 3) and
+    its normalized restriction see the same entry flipped."""
+    original = hochschild.delta_columns
 
-    def flipped(p, q, field, mode="signed"):
-        M = original(p, q, field, mode=mode)
+    def flipped(p, q, sources, index, mode="signed"):
+        cols = list(original(p, q, sources, index, mode))
         if (p, q) == (5, 3):
-            i, j = next((i, j) for i, row in enumerate(M.rows)
-                        for j, x in enumerate(row) if x)
-            M.rows[i][j] = field.neg(M.rows[i][j])
-        return M
+            t = min(t for col in cols for t, z in col.items() if z)
+            col = next(col for col in cols if col.get(t))
+            col[t] = -col[t]
+        return cols
 
-    monkeypatch.setattr(hochschild, "conf_delta_matrix", flipped)
+    monkeypatch.setattr(hochschild, "delta_columns", flipped)

@@ -60,15 +60,40 @@ def test_bad_field_is_usage_error(capsys):
     ("ss-table", "--max-arity", "3"),
     ("triple-commute", "--n", "0", "--discrete-only"),
     ("triple-commute", "--n", "9", "--discrete-only"),
+    ("triple-commute", "--n", "7"),
+    ("triple-commute", "--n", "7", "--discrete-only"),
+    ("triple-commute", "--n", "8"),
+    ("triple-commute", "--n", "8", "--max-edges", "4"),
 ])
 def test_vacuous_run_is_usage_error(capsys, argv):
     # each of these bounds leaves nothing to check, so a pass would be
-    # empty, or passes the largest supported arity
+    # empty, or passes the largest supported arity or graph count
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert argv[1] in err
+
+
+def test_triple_commute_bounds_the_graph_count(capsys, monkeypatch):
+    # the count is taken by binomials before any graph is built: --n 6
+    # (41,658 graphs) and --n 8 --max-edges 2 (15,422) fit under 2^16,
+    # --n 7 (2,392,260) does not, and the error names the flag to add
+    calls = []
+
+    def stub(n, field, discrete_only, max_edges):
+        calls.append((n, max_edges))
+        return {"pass": True}
+
+    monkeypatch.setattr("knotss.cli.verify_commutation", stub)
+    assert main(["triple-commute", "--n", "6"]) == 0
+    assert main(["triple-commute", "--n", "8", "--max-edges", "2"]) == 0
+    assert calls == [(6, None), (8, 2)]
+    capsys.readouterr()
+    assert main(["triple-commute", "--n", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "--n 7 needs 2392260 graphs" in err and "--max-edges" in err
+    assert calls == [(6, None), (8, 2)]
 
 
 def test_failed_verification_exits_1_with_witness(capsys, flipped_delta_sign):

@@ -8,14 +8,15 @@ from knotss.confcoh import (admissible_basis, class_to_vector,
                             dim_cohomology, normal_form, parse_class, sinha_d1,
                             zero_class)
 from knotss.fields import F2, F3, QQ
-from knotss.hochschild import (ConfTower, OperadPresentation,
+from knotss.hochschild import (MAX_ARITY, ConfTower, OperadPresentation,
                                build_sinha_complex, conf_delta_matrix,
                                d2_via_lifting, e2_report, hochschild_complex,
                                hochschild_delta, higher_differentials_vanish,
                                mu3_obstruction_rank, normalized_slot,
                                pointwise_presentation, toy_mu3_presentation)
 from knotss.linalg import Matrix, VerificationError
-from knotss.spectral import ss_pages, total_homology_graded, einf_dims
+from knotss.spectral import (FilteredComplex, ss_pages, total_homology_graded,
+                             einf_dims)
 
 FIELDS = [F2, F3, QQ]
 
@@ -100,6 +101,69 @@ def test_sinha_complexes_are_pinned():
         with pytest.raises(VerificationError,
                            match=r"square to zero \(witness column 56\)"):
             build_sinha_complex(6, F, mode="verbatim")
+
+
+# build_sinha_complex(8, F2), hashed as above; recorded while the
+# complex was still read off the dense conf_delta_matrix
+SINHA_COMPLEX_MAX_ARITY_SHA256 = \
+    "82678e4bdaab98e657e71ca22db055a7416328cc055219aa4a46b7b66a2a6e0a"
+
+
+def test_sinha_complex_at_max_arity_is_pinned():
+    C = build_sinha_complex(MAX_ARITY, F2)
+    h = hashlib.sha256(("signed %s %d %r %r;"
+                        % (F2.name, MAX_ARITY, C.slots,
+                           list(C.columns.items()))).encode())
+    assert h.hexdigest() == SINHA_COMPLEX_MAX_ARITY_SHA256
+
+
+def reference_sinha_complex(max_p, F, mode, dense):
+    """Slots and columns of the normalized Sinha complex by the dense
+    route: conf_delta_matrix over every admissible monomial, read on
+    the normalized_slot rows and columns.  dense caches the matrices
+    by (p, q) for one field and mode."""
+    keys = [(p, q) for p in range(1, max_p + 1) for q in range(p)
+            if dim_cohomology(p, q)]
+    reps = {k: normalized_slot(*k) for k in keys}
+    offsets, slots = {}, []
+    for k in keys:
+        offsets[k] = len(slots)
+        slots.extend([k] * len(reps[k]))
+    columns = {}
+    for (p, q) in keys:
+        if (p - 1, q) not in offsets:
+            continue
+        if (p, q) not in dense:
+            dense[(p, q)] = conf_delta_matrix(p, q, F, mode=mode).rows
+        base, tgt, rows = offsets[(p - 1, q)], reps[(p - 1, q)], dense[(p, q)]
+        for s, t in enumerate(reps[(p, q)]):
+            columns[offsets[(p, q)] + s] = {base + i: rows[r][t]
+                                            for i, r in enumerate(tgt)
+                                            if rows[r][t]}
+    return slots, columns
+
+
+def test_sinha_complex_matches_the_dense_reference_route():
+    for mode, max_p, fields in (("signed", 7, FIELDS), ("verbatim", 6, [F2])):
+        for F in fields:
+            dense = {}
+            for m in range(1, max_p + 1):
+                slots, columns = reference_sinha_complex(m, F, mode, dense)
+                C = build_sinha_complex(m, F, mode=mode)
+                # FilteredComplex keeps only the nonzero columns; repr
+                # compares the key order of every column too
+                assert C.slots == slots, (mode, F, m)
+                kept = [(j, col) for j, col in columns.items() if col]
+                assert repr(list(C.columns.items())) == repr(kept), \
+                    (mode, F, m)
+    # verbatim delta is no differential over F3 or Q, by either route
+    for F in (F3, QQ):
+        slots, columns = reference_sinha_complex(6, F, "verbatim", {})
+        for build in (lambda: FilteredComplex(F, slots, columns),
+                      lambda: build_sinha_complex(6, F, mode="verbatim")):
+            with pytest.raises(VerificationError,
+                               match=r"square to zero \(witness column 56\)"):
+                build()
 
 
 def test_codegeneracy_images_are_the_non_normalized_monomials():

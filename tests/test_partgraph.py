@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from knotss import partgraph
 from knotss.cli import main
 from knotss.fields import F2, F3, QQ
-from knotss.partgraph import (Partition, PGraph, all_graphs, delta_graph,
-                              discrete_partition, enumerate_partitions,
-                              is_subdivision, parse_graph, verify_commutation)
+from knotss.partgraph import (Partition, PGraph, all_graphs, count_graphs,
+                              delta_graph, discrete_partition,
+                              enumerate_partitions, is_subdivision,
+                              parse_graph, verify_commutation)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +376,17 @@ def test_commutation_reports_are_pinned(capsys, flags):
     assert main(["triple-commute", *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == COMMUTE_SHA256[flags]
+
+
+def test_count_graphs_matches_the_enumeration():
+    for n in range(1, 6):
+        for P in enumerate_partitions(n):
+            for max_edges in (None, 0, 1, 2):
+                assert count_graphs(P, max_edges) == \
+                    sum(1 for _ in all_graphs(P, max_edges=max_edges))
+    assert sum(count_graphs(P) for P in enumerate_partitions(6)) == 41658
+    assert count_graphs(discrete_partition(7)) == 2 ** 21
+    assert sum(count_graphs(P, 2) for P in enumerate_partitions(8)) == 15422
 
 
 def test_verify_commutation_small():
