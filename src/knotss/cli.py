@@ -205,7 +205,8 @@ def build_parser():
                         help="merge maps against the Cech differential")
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--field", default="q")
-    sp.add_argument("--discrete-only", action="store_true")
+    sp.add_argument("--discrete-only", action=argparse.BooleanOptionalAction,
+                    default=False)
     sp.add_argument("--max-edges", type=int, default=None)
     sp.set_defaults(fn=cmd_triple_commute)
     _add_common(sp)
@@ -267,10 +268,9 @@ def main(argv=None):
             extra = _read_config(args.config)
             sub = argv[0]
             args = parser.parse_args([sub] + extra + argv[1:])
+        report, ok = args.fn(args)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:
-        report, ok = args.fn(args)
     except VerificationError as exc:
         print("error: verification failed: %s" % exc, file=sys.stderr)
         return 1

@@ -20,22 +20,21 @@ characteristic 2 only); in "signed" mode the summands above carry
 The motivating operad is the homology of the framed little-intervals
 tower whose dual pieces are the configuration-space cohomology rings of
 confcoh; for it delta is exactly the alternating (or plain) sum of the
-coface pullbacks.  The normalized Sinha complex takes that d_1 from one
-sparse integer route, delta_columns, restricted in source and target.
+coface pullbacks.  build_sinha_complex takes that d_1 from one sparse
+integer route, delta_columns, on the slots' monomials in source and
+target: all admissible monomials for the plain complex, the normalized
+ones for the normalized complex.  ConfTower with hochschild_complex is
+the dense field route kept beside it, for the reference checks and for
+d2_via_lifting.
 """
 
 from .confcoh import (admissible_basis, class_to_vector, coface_image,
                       dim_cohomology)
 from .linalg import Eliminator, Matrix, kernel_basis, rank, solve, sparse
+from .operads import check_mode
 from .spectral import FilteredComplex, page_ranks
 
-MODES = ("signed", "verbatim")
 MAX_ARITY = 8  # largest max_p of build_sinha_complex
-
-
-def _check_mode(mode):
-    if mode not in MODES:
-        raise ValueError("unknown mode %r; expected one of %s" % (mode, MODES))
 
 
 class OperadPresentation:
@@ -135,7 +134,7 @@ def hochschild_delta(O, x, p, q, mode="signed"):
 
     Returns {(p', q'): vector} with one entry per contributing mu_l.
     """
-    _check_mode(mode)
+    check_mode(mode)
     if len(x) != O.dim(p, q):
         raise ValueError("vector of length %d at slot %s of dimension %d"
                          % (len(x), (p, q), O.dim(p, q)))
@@ -156,7 +155,7 @@ def hochschild_complex(O, max_p=None, mode="signed"):
     differential must hand in data for which the total map squares to
     zero, and FilteredComplex verifies that on construction.
     """
-    _check_mode(mode)
+    check_mode(mode)
     F = O.field
     keys = sorted(k for k in O.dims if max_p is None or k[0] <= max_p)
     offsets, slots = {}, []
@@ -189,7 +188,9 @@ class ConfTower:
 
     Only mu_2 acts; its dual summands in position order 0..p are the
     coface pullbacks 0..p, so signed delta is the alternating coface
-    sum and verbatim delta is the plain sum.
+    sum and verbatim delta is the plain sum.  This is the dense route:
+    p + 1 field matrices per slot.  build_sinha_complex(normalized=False)
+    builds the same complex from delta_columns.
     """
 
     mu_arities = [2]
@@ -229,7 +230,7 @@ def delta_columns(p, q, sources, index, mode="signed"):
     straighten memo serves the call.  These signs are kept apart from
     ConfTower.dual_terms and hochschild_delta.
     """
-    _check_mode(mode)
+    check_mode(mode)
     signs = [-1 if mode == "signed" and i % 2 else 1
              for i in range(p + 1)] if index else []
     memo = {}
@@ -246,7 +247,7 @@ def delta_columns(p, q, sources, index, mode="signed"):
 def conf_delta_matrix(p, q, field, mode="signed"):
     """Matrix of delta on the admissible basis, slot (p, q) -> (p-1, q):
     the dense view of delta_columns, coerced once per nonzero entry."""
-    _check_mode(mode)
+    check_mode(mode)
     tgt = admissible_basis(p - 1, q) if p >= 2 else []
     source = admissible_basis(p, q)
     M = Matrix.zeros(field, len(tgt), len(source))
@@ -265,7 +266,7 @@ def _unit_vector(field, n, i):
 
 
 def normalized_slot(p, q):
-    """Positions in admissible_basis(p, q) of the monomials whose factors
+    """The monomials of admissible_basis(p, q), in order, whose factors
     touch every index 1..p: a basis of the quotient by the degenerate
     subspace.
 
@@ -275,33 +276,33 @@ def normalized_slot(p, q):
     own down-shift.  The degenerate span is therefore the coordinate
     subspace of the monomials that miss some index.
     """
-    return [t for t, m in enumerate(admissible_basis(p, q))
+    return [m for m in admissible_basis(p, q)
             if len({a for f in m for a in f}) == p]
 
 
 def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
     """FilteredComplex of the configuration-space tower up to arity max_p.
 
-    With normalized=True each slot is the quotient of H^q(Conf_p) by
-    the span of the codegeneracy pullback images, which has the
-    monomials touching every index 1..p as a basis (normalized_slot).
-    Delta maps degenerates to degenerates in signed mode (and in
-    verbatim mode over F2), so D is delta restricted to those monomials
-    in source and target.  Slots are (p, q) for 1 <= p <= max_p,
-    0 <= q <= p - 1.
+    Slots are (p, q) for 1 <= p <= max_p, 0 <= q <= p - 1, and D is
+    delta_columns on each slot's monomials in source and target.  The
+    plain complex takes every admissible monomial; it equals
+    hochschild_complex(ConfTower(field, max_p)), the dense route.  With
+    normalized=True a slot keeps the monomials touching every index
+    1..p (normalized_slot), a basis of the quotient of H^q(Conf_p) by
+    the codegeneracy pullback images; delta maps degenerates to
+    degenerates in signed mode (and in verbatim mode over F2), so D is
+    delta on the quotient.
     """
-    _check_mode(mode)
+    check_mode(mode)
     if not (1 <= max_p <= MAX_ARITY):
         raise ValueError("max_p must be between 1 and %d" % MAX_ARITY)
     F = field
-    if not normalized:
-        return hochschild_complex(ConfTower(F, max_p), mode=mode)
+    basis = normalized_slot if normalized else admissible_basis
     keys = [(p, q) for p in range(1, max_p + 1) for q in range(p)
             if dim_cohomology(p, q)]
     reps, offsets, slots = {}, {}, []
     for k in keys:
-        basis = admissible_basis(*k)
-        reps[k] = [basis[t] for t in normalized_slot(*k)]
+        reps[k] = basis(*k)
         offsets[k] = len(slots)
         slots.extend([k] * len(reps[k]))
     columns = {}
@@ -334,10 +335,9 @@ def e2_report(x, mode="signed"):
     v = class_to_vector(x, basis)
     d_out = conf_delta_matrix(p, q, F, mode=mode)
     d_in = conf_delta_matrix(p + 1, q, F, mode=mode)
-    img = d_out.mul_vector(v) if d_out.ncols else []
-    is_cycle = not any(img)
-    is_boundary = is_cycle and (solve(d_in, v) is not None if d_in.ncols
-                                else not any(v))
+    is_cycle = not (d_out.ncols and any(d_out.mul_vector(v)))
+    # the kept columns are independent, so [x] has unique coordinates on
+    # them, and x is a boundary exactly when those past n_bnd vanish
     elim = Eliminator(F, track=True)
     for j in range(d_in.ncols):
         elim.add(sparse(d_in.column(j)))
@@ -347,6 +347,7 @@ def e2_report(x, mode="signed"):
     if is_cycle:
         sol = elim.coords_in_span(sparse(v))
         coords = sol[n_bnd:] if sol is not None else None
+    is_boundary = coords is not None and not any(coords)
     return {"slot": (p, q), "is_cycle": is_cycle, "is_boundary": is_boundary,
             "dim_e2": dim_e2, "coordinates": coords}
 
@@ -359,7 +360,7 @@ def d2_via_lifting(O, x, p, q, mode="signed"):
     mu_2 * y + mu_3 * x at slot (p - 2, q - 1).  Raises ValueError when
     x is not a first-page cycle.
     """
-    _check_mode(mode)
+    check_mode(mode)
     F = O.field
     parts = hochschild_delta(O, x, p, q, mode=mode)
     m2x = parts.get((p - 1, q), [F.zero] * O.dim(p - 1, q))

@@ -15,6 +15,13 @@ over any field.
 """
 
 LEAF = "*"
+MODES = ("signed", "verbatim")
+
+
+def check_mode(mode):
+    """Reject a sign convention other than those in MODES."""
+    if mode not in MODES:
+        raise ValueError("unknown mode %r; expected one of %s" % (mode, MODES))
 
 
 def leaf_count(tree):
@@ -41,6 +48,8 @@ def graft(a, i, b):
     total = leaf_count(a)
     if not (1 <= i <= total):
         raise ValueError("slot %d out of range 1..%d" % (i, total))
+    if b == LEAF:  # the leaf is the unit of grafting
+        return a
 
     def go(tree, i):
         if tree == LEAF:
@@ -75,10 +84,6 @@ class FreeElement:
             raise ValueError("inhomogeneous element: degrees %s" % sorted(degs))
 
     @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
     def single(cls, field, tree, coeff=1):
         return cls(field, {tree: coeff})
 
@@ -97,14 +102,6 @@ class FreeElement:
         out = FreeElement(F)
         out.terms = terms
         return out
-
-    def scale(self, c):
-        F = self.field
-        c = F.of(c)
-        return FreeElement(F, {t: F.mul(c, v) for t, v in self.terms.items()} if c else {})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __eq__(self, other):
         return isinstance(other, FreeElement) and self.field == other.field \
@@ -128,25 +125,9 @@ def compose_free(a, i, b):
 
 
 def ainf_differential(k, field, mode="verbatim"):
-    """d mu_k as a free element; zero for k = 2."""
-    if k < 2:
-        raise ValueError("arity must be >= 2")
-    F = field
-    out = FreeElement(F)
-    for l in range(2, k):
-        q = k + 1 - l
-        if q < 2:
-            continue
-        for p in range(l):
-            tree = graft(generator(l), p + 1, generator(q))
-            if mode == "signed":
-                sign = (-1) ** (p + q * (l - p - 1))
-            elif mode == "verbatim":
-                sign = 1
-            else:
-                raise ValueError("unknown mode %r" % mode)
-            out = out + FreeElement.single(F, tree, sign)
-    return out
+    """d mu_k as a free element: the root summands of the derivation on
+    generator(k); zero for k = 2."""
+    return free_differential(FreeElement.single(field, generator(k)), mode)
 
 
 def _d_tree(tree, field, mode):
@@ -164,8 +145,6 @@ def _d_tree(tree, field, mode):
     # mode) past their vertices, which costs (-1)^{q * deg(c_1..c_p)}.
     for l in range(2, k):
         q = k + 1 - l
-        if q < 2:
-            continue
         for p in range(l):
             full = graft(generator(l), p + 1, generator(q))
             for pos in range(k, 0, -1):
@@ -190,6 +169,7 @@ def _d_tree(tree, field, mode):
 
 def free_differential(x, mode="verbatim"):
     """d on a formal sum of trees."""
+    check_mode(mode)
     F = x.field
     out = FreeElement(F)
     for t, c in x.terms.items():
@@ -200,6 +180,7 @@ def free_differential(x, mode="verbatim"):
 
 def d_squared_report(max_arity, field, mode="verbatim"):
     """Check d(d mu_k) = 0 for all k <= max_arity; returns a report."""
+    check_mode(mode)
     failures = []
     for k in range(2, max_arity + 1):
         dd = free_differential(ainf_differential(k, field, mode=mode), mode=mode)

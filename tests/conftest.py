@@ -7,8 +7,8 @@ from knotss import hochschild
 def flipped_delta_sign(monkeypatch):
     """Negate the first nonzero entry, in row-major order, of the integer
     d_1 columns out of slot (5, 3), the slot (5, 3) -> (4, 3) that
-    composes with (6, 3) -> (5, 3); the normalized Sinha complex to
-    arity 6 then fails D^2 = 0.  The first nonzero row of the dense
+    composes with (6, 3) -> (5, 3); the normalized and the plain Sinha
+    complexes to arity 6 then fail D^2 = 0.  The first nonzero row of the dense
     matrix is a normalized one, so the dense conf_delta_matrix(5, 3) and
     its normalized restriction see the same entry flipped."""
     original = hochschild.delta_columns

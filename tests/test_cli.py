@@ -42,6 +42,29 @@ def test_conf_dims_tsv(capsys):
     assert out.splitlines() == ["1\t1", "2\t1\t1", "3\t1\t3\t2"]
 
 
+def test_ss_table_tsv(capsys):
+    code, out = run(capsys, "ss-table", "--max-arity", "4", "--field", "f2",
+                    "--r-max", "2", "--format", "tsv")
+    assert code == 0
+    assert out.splitlines() == [
+        "0\t-2,1\t1\t0", "0\t-3,2\t2\t0", "0\t-4,2\t3\t0",
+        "0\t-4,3\t6\t0",
+        "1\t-2,1\t1\t0", "1\t-3,2\t2\t0", "1\t-4,2\t3\t1",
+        "1\t-4,3\t6\t0",
+        "2\t-2,1\t1\t0", "2\t-3,2\t1\t0", "2\t-4,2\t2\t0",
+        "2\t-4,3\t6\t0"]
+
+
+def test_ainf_check_tsv(capsys):
+    # commands without a table of their own print one key per line
+    code, out = run(capsys, "ainf-check", "--max-arity", "4", "--field", "f3",
+                    "--format", "tsv")
+    assert code == 0
+    assert out.splitlines() == ["failures\t[]", 'field\t"f3"',
+                                "max_arity\t4", 'mode\t"signed"',
+                                "pass\ttrue"]
+
+
 def test_bad_field_is_usage_error(capsys):
     assert main(["conf-dims", "--field", "f7"]) == 2
 
@@ -231,6 +254,28 @@ def test_config_file_defaults_and_overrides(capsys, tmp_path):
     code, doc = run_json(capsys, "conf-dims", "--config", str(cfg),
                          "--field", "q")
     assert doc["config"]["field"] == "q"  # explicit flags win
+
+
+@pytest.mark.parametrize("value, expected", [("false", False),
+                                             ("true", True)])
+def test_config_file_boolean_lines(capsys, tmp_path, value, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("discrete-only=%s\n" % value)
+    code, doc = run_json(capsys, "triple-commute", "--n", "3",
+                         "--config", str(cfg))
+    assert code == 0 and doc["config"]["discrete_only"] is expected
+
+
+def test_bad_config_line_is_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max-arity 3\n")
+    assert main(["conf-dims", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bad config line 'max-arity 3'\n"
+    # a missing config file is a usage error too, not a traceback
+    assert main(["conf-dims", "--config", str(tmp_path / "none.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_output_file_and_determinism(capsys, tmp_path):

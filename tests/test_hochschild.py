@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from knotss.confcoh import (admissible_basis, class_to_vector,
+from knotss.confcoh import (CohClass, admissible_basis, class_to_vector,
                             codegeneracy_pullback, coface_pullback,
                             dim_cohomology, normal_form, parse_class, sinha_d1,
                             zero_class)
+from knotss import hochschild
 from knotss.fields import F2, F3, QQ
 from knotss.hochschild import (MAX_ARITY, ConfTower, OperadPresentation,
                                build_sinha_complex, conf_delta_matrix,
@@ -14,7 +15,8 @@ from knotss.hochschild import (MAX_ARITY, ConfTower, OperadPresentation,
                                hochschild_delta, higher_differentials_vanish,
                                mu3_obstruction_rank, normalized_slot,
                                pointwise_presentation, toy_mu3_presentation)
-from knotss.linalg import Matrix, VerificationError
+from knotss.linalg import (Eliminator, Matrix, VerificationError,
+                           kernel_basis, solve_many, sparse)
 from knotss.spectral import (FilteredComplex, ss_pages, total_homology_graded,
                              einf_dims)
 
@@ -117,6 +119,12 @@ def test_sinha_complex_at_max_arity_is_pinned():
     assert h.hexdigest() == SINHA_COMPLEX_MAX_ARITY_SHA256
 
 
+def _positions(slot, monomials):
+    """Positions of the given monomials in admissible_basis(*slot)."""
+    index = {m: t for t, m in enumerate(admissible_basis(*slot))}
+    return [index[m] for m in monomials]
+
+
 def reference_sinha_complex(max_p, F, mode, dense):
     """Slots and columns of the normalized Sinha complex by the dense
     route: conf_delta_matrix over every admissible monomial, read on
@@ -124,7 +132,7 @@ def reference_sinha_complex(max_p, F, mode, dense):
     by (p, q) for one field and mode."""
     keys = [(p, q) for p in range(1, max_p + 1) for q in range(p)
             if dim_cohomology(p, q)]
-    reps = {k: normalized_slot(*k) for k in keys}
+    reps = {k: _positions(k, normalized_slot(*k)) for k in keys}
     offsets, slots = {}, []
     for k in keys:
         offsets[k] = len(slots)
@@ -166,6 +174,38 @@ def test_sinha_complex_matches_the_dense_reference_route():
                 build()
 
 
+def _built(build):
+    """Slots and repr of the column items of build(), or the text of
+    the VerificationError it raises."""
+    try:
+        C = build()
+    except VerificationError as exc:
+        return str(exc)
+    return C.slots, repr(list(C.columns.items()))
+
+
+def test_plain_sinha_complex_matches_the_dense_reference_route():
+    # the plain complex comes from delta_columns on every admissible
+    # monomial; ConfTower sums p + 1 dense coface matrices per slot.
+    # Verbatim delta squares to zero only over F2, so over F3 and Q
+    # both routes must fail with the same witness column.
+    failures = []
+    for mode, max_p in (("signed", 7), ("verbatim", 6)):
+        for F in FIELDS:
+            for m in range(1, max_p + 1):
+                built = _built(lambda: build_sinha_complex(
+                    m, F, normalized=False, mode=mode))
+                reference = _built(lambda: hochschild_complex(
+                    ConfTower(F, m), mode=mode))
+                assert built == reference, (mode, F, m)
+                if isinstance(built, str):
+                    failures.append((F, m, built))
+    assert [(F, m) for F, m, _ in failures] == [
+        (F3, 4), (F3, 5), (F3, 6), (QQ, 3), (QQ, 4), (QQ, 5), (QQ, 6)]
+    assert all("does not square to zero (witness column" in text
+               for _, _, text in failures)
+
+
 def test_codegeneracy_images_are_the_non_normalized_monomials():
     # s^i is strictly monotone on indices: each admissible monomial goes
     # to one admissible monomial with coefficient 1 that misses i + 1,
@@ -182,7 +222,7 @@ def test_codegeneracy_images_are_the_non_normalized_monomials():
                         assert c == F.one
                         assert i + 1 not in {a for f in mm for a in f}
                         hit.add(index[mm])
-                reps = normalized_slot(p, q)
+                reps = _positions((p, q), normalized_slot(p, q))
                 assert reps == sorted(set(range(len(index))) - hit), (F, p, q)
 
 
@@ -196,10 +236,11 @@ def test_delta_descends_to_the_normalized_slots():
         for p in range(2, max_p + 1):
             for q in range(p - 1):
                 rows = conf_delta_matrix(p, q, F, mode=mode).rows
-                reps = set(normalized_slot(p, q))
+                reps = set(_positions((p, q), normalized_slot(p, q)))
                 degenerate = [j for j in range(dim_cohomology(p, q))
                               if j not in reps]
-                count += sum(1 for r in normalized_slot(p - 1, q)
+                count += sum(1 for r in _positions((p - 1, q),
+                                                   normalized_slot(p - 1, q))
                              for j in degenerate if rows[r][j])
         return count
 
@@ -235,6 +276,68 @@ def test_boundary_detection():
         assert all(not c for c in rep["coordinates"])
 
 
+def reference_e2_reports(classes, mode):
+    """e2_report on classes of one slot, with is_boundary decided by a
+    second, dense elimination: solving d_in y = v."""
+    x = classes[0]
+    F, p, q = x.field, x.arity, x.degree
+    d_out = hochschild.conf_delta_matrix(p, q, F, mode=mode)
+    d_in = hochschild.conf_delta_matrix(p + 1, q, F, mode=mode)
+    vs = [class_to_vector(x, admissible_basis(p, q)) for x in classes]
+    elim = Eliminator(F, track=True)
+    for j in range(d_in.ncols):
+        elim.add(sparse(d_in.column(j)))
+    n_bnd = elim.rank
+    dim_e2 = sum(elim.add(sparse(w)) for w in kernel_basis(d_out))
+    for v, y in zip(vs, solve_many(d_in, vs)):
+        is_cycle = not any(d_out.mul_vector(v))
+        coords = None
+        if is_cycle:
+            sol = elim.coords_in_span(sparse(v))
+            coords = sol[n_bnd:] if sol is not None else None
+        yield {"slot": (p, q), "is_cycle": is_cycle,
+               "is_boundary": is_cycle and y is not None,
+               "dim_e2": dim_e2, "coordinates": coords}
+
+
+def test_e2_report_matches_the_two_elimination_route(monkeypatch):
+    # every admissible monomial, random combinations of them, and the
+    # signed d_1 images of random classes one arity up (boundaries in
+    # signed mode), for p <= 5 over every field in both modes; both
+    # routes read the same d_1 matrices, built once
+    matrices = {}
+
+    def cached(p, q, field, mode="signed"):
+        key = (p, q, field.name, mode)
+        if key not in matrices:
+            matrices[key] = conf_delta_matrix(p, q, field, mode=mode)
+        return matrices[key]
+
+    monkeypatch.setattr(hochschild, "conf_delta_matrix", cached)
+    rng = random.Random(20261019)
+    boundaries = 0
+    for F in FIELDS:
+        for p in range(1, 6):
+            for q in range(p):
+                basis = admissible_basis(p, q)
+                up = admissible_basis(p + 1, q)
+                classes = [normal_form(p, m, F) for m in basis]
+                for _ in range(4):
+                    classes.append(CohClass(p, q, F, {
+                        m: F.of(rng.randint(-2, 2))
+                        for m in rng.sample(basis, min(3, len(basis)))}))
+                    classes.append(sinha_d1(CohClass(p + 1, q, F, {
+                        m: F.of(rng.randint(-2, 2))
+                        for m in rng.sample(up, min(3, len(up)))})))
+                for mode in ("signed", "verbatim"):
+                    reference = reference_e2_reports(classes, mode)
+                    for x, want in zip(classes, reference):
+                        rep = e2_report(x, mode=mode)
+                        assert rep == want, (F, mode, x)
+                        boundaries += rep["is_boundary"]
+    assert boundaries > 200
+
+
 def test_mu3_obstruction_rank():
     for F in FIELDS:
         assert mu3_obstruction_rank(F) == 3
@@ -264,6 +367,9 @@ def test_normalized_and_plain_towers_agree_on_page_two():
 def test_flipped_delta_sign_fails_d_squared(flipped_delta_sign):
     with pytest.raises(VerificationError, match=r"witness column \d+"):
         build_sinha_complex(6, F3)
+    # the plain complex reads the same integer d_1
+    with pytest.raises(VerificationError, match=r"witness column \d+"):
+        build_sinha_complex(6, F3, normalized=False)
 
 
 def test_higher_differentials_vanish_small():

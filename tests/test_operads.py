@@ -31,6 +31,7 @@ def test_graft_planar_order():
     # grafting at each leaf slot of a 3-leaf tree
     assert graft(t, 3, MU3) == (2, MU2, MU3)
     assert graft(t, 1, MU2) == (2, (2, MU2, LEAF), LEAF)
+    assert graft(t, 2, LEAF) == t
     with pytest.raises(ValueError):
         graft(t, 4, MU2)
     with pytest.raises(ValueError):
@@ -71,6 +72,32 @@ def test_differential_arity4_term_count():
     assert graft(MU2, 1, MU3) in trees
     assert graft(MU2, 2, MU3) in trees
     assert {graft(MU3, i, MU2) for i in (1, 2, 3)} <= trees
+
+
+def test_ainf_differential_matches_the_root_sign_formula():
+    # d mu_k is the root summands of the derivation on generator(k):
+    # mu_l o_{p+1} mu_q signed (-1)^{p + q(l-p-1)}, or +1 in verbatim mode
+    for F in FIELDS:
+        for mode in ("signed", "verbatim"):
+            for k in range(2, 7):
+                terms = {}
+                for l in range(2, k):
+                    q = k + 1 - l
+                    for p in range(l):
+                        sign = (-1) ** (p + q * (l - p - 1))
+                        terms[graft(generator(l), p + 1, generator(q))] = \
+                            sign if mode == "signed" else 1
+                assert ainf_differential(k, F, mode) == \
+                    FreeElement(F, terms), (F, mode, k)
+
+
+def test_unknown_mode_is_rejected():
+    x = FreeElement.single(F3, MU3)
+    for call in (lambda: d_squared_report(2, F3, mode="bogus"),
+                 lambda: free_differential(x, mode="bogus"),
+                 lambda: ainf_differential(3, F3, mode="bogus")):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            call()
 
 
 def test_d_squared_verbatim_char2_only():
