@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 
 from .linalg import VerificationError
 from .partgraph import PGraph, Partition, delta_graph, discrete_partition
@@ -160,7 +159,7 @@ def _affine(a, b, u, v, x, y):
 class MapExpr:
     """n components, each c_x*x + c_y*y + q_u*u + q_v*v with Poly coeffs."""
 
-    __slots__ = ("comps", "_dp")
+    __slots__ = ("comps",)
 
     BASIS = ("x", "y", "u", "v")
 
@@ -169,16 +168,6 @@ class MapExpr:
         for comp in self.comps:
             if len(comp) != 4:
                 raise ValueError("component needs (c_x, c_y, q_u, q_v)")
-        self._dp = None
-
-    @property
-    def dp(self):
-        """Dp, the lcm of the polynomial coefficients' denominators,
-        computed on first use: the expression never changes."""
-        if self._dp is None:
-            self._dp = lcm(*(c.denominator for comp in self.comps
-                             for p in comp for c in p.terms.values()))
-        return self._dp
 
     @property
     def n(self):
@@ -228,36 +217,6 @@ class MapExpr:
         x = (Fraction(x[0]), Fraction(x[1]))
         y = (Fraction(y[0]), Fraction(y[1]))
         return self.image(self.coefficients(values or {}), x, y)
-
-    def scaled_coefficients(self, values, name=None):
-        """coefficients(values) as integer numerators over one positive
-        denominator: (rows, den) with den = Dp * prod d_x over the names
-        x in values, values[x] = n_x / d_x in lowest terms and Dp the lcm
-        of the polynomial coefficients' denominators.  A monomial m with
-        coefficient c adds c Dp prod_{x in m} n_x prod_{x not in m} d_x.
-        With name, the same for the derivative along name, over den /
-        d_name: the image is affine in each parameter, so at name = t it
-        is the image at values plus (t - values[name]) times the image
-        under these rows."""
-        nums = {x: v.numerator for x, v in values.items()}
-        dens = {x: v.denominator for x, v in values.items()}
-        if name is not None:
-            nums[name] = dens[name] = 1
-        den = self.dp
-        for d in dens.values():
-            den *= d
-
-        def scaled(p):
-            acc = 0
-            for m, c in p.terms.items():
-                if name is None or name in m:
-                    k = c.numerator * (den // c.denominator)
-                    for x in m:  # d_x divides k: trade it for n_x
-                        k = k // dens[x] * nums[x]
-                    acc += k
-            return acc
-
-        return [[scaled(p) for p in comp] for comp in self.comps], den
 
     def key(self):
         return tuple(tuple(a.key() for a in comp) for comp in self.comps)

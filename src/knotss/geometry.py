@@ -4,8 +4,9 @@ tube projections, the excision and deep-diagonal regions, sampling
 harnesses for the geometric collapse lemmas, and the witness attack
 used to certify the zero facts consumed by the chain ledger.
 
-All arithmetic is exact (fractions, and in the attack's rounds integer
-numerators over one denominator); there are no tolerances.
+All arithmetic is exact: fractions, and in the attack integer numerators
+over one denominator, from each term's polynomial coefficients compiled
+once into integer rows (TermRows).  There are no tolerances.
 """
 
 import random
@@ -557,7 +558,7 @@ def _ls_step(tube, rows, den):
     """One exact least squares step for the configuration (x, y) at
     fixed parameters, from the evaluated (cx, cy, qu, qv) of every
     component as integer numerators rows over den
-    (MapExpr.scaled_coefficients).  Unknowns (x_c, y_c, a_1..a_p):
+    (TermRows).  Unknowns (x_c, y_c, a_1..a_p):
     number k asks cx_k x_c + cy_k y_c - a_(piece of k) = offset_k - q_k
     when it lies in an internal piece, and cx_k x_c + cy_k y_c =
     anchor_k - q_k when it is anchored.  Both coordinates share the
@@ -639,6 +640,46 @@ def _image(rows, X, Y, E):
             for cx, cy, qu, qv in rows]
 
 
+class TermRows:
+    """A map expression compiled once for the attack: (slot, c Dp, mask)
+    per monomial of each coefficient, slot its place in the flattened
+    (cx, cy, qu, qv) of every component, Dp the lcm of the coefficients'
+    denominators, bit j of mask set when the monomial holds names[j]."""
+
+    def __init__(self, expr):
+        self.names = names = sorted(expr.names())
+        bit = {nm: 1 << j for j, nm in enumerate(names)}
+        self.dp = dp = lcm(*(c.denominator for comp in expr.comps
+                             for p in comp for c in p.terms.values()))
+        self.size = 4 * expr.n
+        self.monomials = [(4 * i + k, c.numerator * (dp // c.denominator),
+                           sum(bit[x] for x in m))
+                          for i, comp in enumerate(expr.comps)
+                          for k, p in enumerate(comp)
+                          for m, c in p.terms.items()]
+
+    def __call__(self, values, name=None):
+        """(rows, den): the coefficients (cx, cy, qu, qv) at values as
+        integer numerators over den = Dp prod d_x, values[x] = n_x / d_x
+        in lowest terms; a monomial m weighs prod_{x in m} n_x prod_{x
+        not in m} d_x.  With name, the same for the derivative along
+        name, over den / d_name: the image is affine in each parameter,
+        so at name = t it is the image at values plus (t - values[name])
+        times the image under these rows."""
+        w = [1]  # the weight of each mask, one name at a time
+        for nm in self.names:
+            if nm == name:  # n = d = 1, and monomials without name drop
+                w = [0] * len(w) + w
+            else:
+                d, n = values[nm].denominator, values[nm].numerator
+                w = [a * d for a in w] + [a * n for a in w]
+        out = [0] * self.size
+        for i, c, m in self.monomials:
+            out[i] += c * w[m]
+        den = self.dp * (w[1 << self.names.index(name)] if name else w[0])
+        return [out[i:i + 4] for i in range(0, self.size, 4)], den
+
+
 def _param_domain(name):
     return (Fraction(0), None) if name.startswith("s") else (Fraction(0), Fraction(1))
 
@@ -663,13 +704,14 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
         raise ValueError("the attack needs at least one restart and one round")
     tube = Tube(params, term.label.partition)
     expr = term.expr
-    names = sorted(expr.names())
+    coefficients = TermRows(expr)
+    free = _translation_free(expr)
     best = None
     witness = None
     scale_hint = params.rho * min(params.c)
     for trial in range(restarts):
         values = {}
-        for nm in names:
+        for nm in coefficients.names:
             lo, hi = _param_domain(nm)
             if hi is None:
                 values[nm] = rand_frac(rng, 0, scale_hint
@@ -677,19 +719,19 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
             else:
                 values[nm] = rand_frac(rng, 0, 1)
         for _ in range(rounds):
-            rows, den = expr.scaled_coefficients(values)
+            rows, den = coefficients(values)
             x, y = _ls_step(tube, rows, den)
             # x and y over one E; the image A over D = den E
             E = lcm(*(c.denominator for c in x + y))
             X, Y = ([c.numerator * (E // c.denominator) for c in p]
                     for p in (x, y))
             A, D = _image(rows, X, Y, E), den * E
-            for nm in names:
+            for nm in coefficients.names:
                 lo, hi = _param_domain(nm)
                 cur = values[nm]
                 # the image is affine in any single parameter, A/D + (t -
                 # cur) B/Db at nm = t, so dist^2 is an exact quadratic in t
-                drows, dden = expr.scaled_coefficients(values, nm)
+                drows, dden = coefficients(values, nm)
                 B, Db = _image(drows, X, Y, E), dden * E
                 b1, a2 = tube.pencil(A, D, B, Db)
                 a1 = b1 - 2 * cur * a2
@@ -708,11 +750,13 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
                     A = [(p[0] * f + g * b[0], p[1] * f + g * b[1])
                          for p, b in zip(A, B)]
                     D *= f
-        d2, xs = tube.dist2(expr.evaluate(x, y, values))
+        # A / D is the image at the final (x, y) and values
+        ys = [(Fraction(u, D), Fraction(v, D)) for u, v in A]
+        d2, xs = tube.dist2(ys)
         if best is None or d2 < best:
             best = d2
         if d2 < tube.eps2:
-            hit = _try_escape_excision(tube, expr, values, x, y, xs)
+            hit = _try_escape_excision(tube, free, x, y, ys, xs)
             if hit is not None:
                 witness = {"x": [str(c) for c in hit[0]],
                            "y": [str(c) for c in hit[1]],
@@ -727,30 +771,25 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
 def _translation_free(expr):
     """True when every component is an affine combination of x and y,
     so a common shift of x and y shifts the whole image."""
-    one = Fraction(1)
-    for cx, cy, _, _ in expr.comps:
-        if (cx + cy).terms != {(): one}:
-            return False
-    return True
+    return all((cx + cy).terms == {(): 1} for cx, cy, _, _ in expr.comps)
 
 
-def _try_escape_excision(tube, expr, values, x, y, xs):
-    """The image of (x, y) lies inside the tube with projection xs.  It
-    is a witness only if that projection avoids the excision regions;
-    when the map is translation equivariant, slide it along the first
-    coordinate into the allowed windows."""
+def _try_escape_excision(tube, free, x, y, ys, xs):
+    """ys, the image of (x, y), lies inside the tube with projection xs.
+    It is a witness only if that projection avoids the excision regions;
+    when the map is translation free (free), slide (x, y) along the first
+    coordinate into the allowed windows: the image slides with it."""
     if not tube.excised(xs):
         return x, y
-    if not _translation_free(expr):
+    if not free:
         return None
     lo = max(w_lo - xc[0] for xc, (_, w_lo, _) in zip(xs, tube.windows))
     hi = min(w_hi - xc[0] for xc, (_, _, w_hi) in zip(xs, tube.windows))
     if lo >= hi:
         return None
     shift = ((lo + hi) / 2, Fraction(0))
-    x2, y2 = _add(x, shift), _add(y, shift)
-    if tube.nonbase_projection(expr.evaluate(x2, y2, values)) is not None:
-        return x2, y2
+    if tube.nonbase_projection([_add(p, shift) for p in ys]) is not None:
+        return _add(x, shift), _add(y, shift)
     return None
 
 
@@ -762,6 +801,8 @@ def attack_zero_facts(facts, restarts=200, seed=20260823):
     if restarts < 1:
         raise ValueError("the attack needs at least one restart")
     reports = []
+    params = {n: default_params(n)
+              for n in {rec["n"] for rec in facts.table.values()}}
     rng = random.Random(seed)
     for (etext, ltext), rec in sorted(facts.table.items()):
         n = rec["n"]
@@ -770,7 +811,7 @@ def attack_zero_facts(facts, restarts=200, seed=20260823):
         snames = tuple(sorted(x for x in expr.names() if x.startswith("s")))
         tnames = tuple(sorted(x for x in expr.names() if x.startswith("t")))
         term = Term(expr, WeightSpec(snames, tnames), label)
-        rep = attack_term(default_params(n), term, rng, restarts=restarts)
+        rep = attack_term(params[n], term, rng, restarts=restarts)
         rep["kind"] = rec.get("kind", "")
         reports.append(rep)
     return {"reports": reports,

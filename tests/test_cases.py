@@ -1,5 +1,6 @@
 import pytest
 
+from knotss import cases
 from knotss.cases import (all_cases, chain_c_ch3, chain_pair_ch3, run_case,
                           _load_cases)
 from knotss.chainledger import (Chain, ZeroFacts, apply_delta, boundary_D,
@@ -63,6 +64,33 @@ def test_every_inserted_term_is_canonical(monkeypatch):
     for (coeff, key), t in seen.items():
         c, again = canon_term(coeff, t.expr, t.weight, t.label)
         assert (c, again.key()) == (coeff, key), (t.expr.text(), str(t.label))
+
+
+def test_each_chain_is_built_once_per_case_and_left_unchanged(monkeypatch):
+    # run_case builds each chain once and reuses it, which is sound only
+    # while nothing mutates a built chain: no constructor call repeats
+    # within a case, and every chain holds the same terms after its case
+    # as when it was built
+    def snapshot(ch):
+        return [(c, t.key()) for c, t in ch.items()]
+
+    built = []
+    for name in ("chain_c_ch2", "chain_c_ch3", "chain_pair_ch2",
+                 "chain_pair_ch3", "chain_cycle_ch3", "chain_cprime",
+                 "chain_cprime_pair", "chain_triple"):
+        def recording(*args, make=getattr(cases, name), name=name):
+            ch = make(*args)
+            built.append(((name,) + args, ch, snapshot(ch)))
+            return ch
+
+        monkeypatch.setattr(cases, name, recording)
+    for name in all_cases():
+        del built[:]
+        assert run_case(name, facts=FACTS)["pass"]
+        calls = [call for call, _, _ in built]
+        assert calls and len(calls) == len(set(calls)), name
+        for call, ch, before in built:
+            assert snapshot(ch) == before, (name, call)
 
 
 def test_one_pair_identity_is_exact_over_Q():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,44 @@ from knotss.chainledger import (Chain, MapExpr, Poly, Term, WeightSpec,
                                 make_weight, piece_position, single, straight)
 from knotss.cases import (chain_c_ch2, chain_c_ch3, chain_cprime,
                           chain_pair_ch2, chain_pair_ch3, pair_data)
-from knotss.geometry import parse_expr
+from knotss.geometry import TermRows, _power_check_terms, parse_expr
 from knotss.linalg import VerificationError
 from knotss.partgraph import PGraph, Partition, delta_graph, parse_graph
 
 G1 = parse_graph("(1,4)(2,3)", 4)
 G2 = parse_graph("(1,3)(2,4)", 4)
 G3 = parse_graph("(1,2)(3,4)", 4)
+
+
+def reference_scaled_coefficients(expr, values, name=None):
+    """The attack's coefficient rows by a walk over each polynomial's
+    terms, the reference for geometry.TermRows: expr.coefficients(values)
+    as integer numerators over one positive denominator, (rows, den) with
+    den = Dp * prod d_x over the names x in values, values[x] = n_x / d_x
+    in lowest terms and Dp the lcm of the polynomial coefficients'
+    denominators.  A monomial m with coefficient c adds c Dp prod_{x in
+    m} n_x prod_{x not in m} d_x.  With name, the same for the derivative
+    along name, over den / d_name."""
+    nums = {x: v.numerator for x, v in values.items()}
+    dens = {x: v.denominator for x, v in values.items()}
+    if name is not None:
+        nums[name] = dens[name] = 1
+    den = lcm(*(c.denominator for comp in expr.comps
+                for p in comp for c in p.terms.values()))
+    for d in dens.values():
+        den *= d
+
+    def scaled(p):
+        acc = 0
+        for m, c in p.terms.items():
+            if name is None or name in m:
+                k = c.numerator * (den // c.denominator)
+                for x in m:  # d_x divides k: trade it for n_x
+                    k = k // dens[x] * nums[x]
+                acc += k
+        return acc
+
+    return [[scaled(p) for p in comp] for comp in expr.comps], den
 
 
 def test_poly_basics():
@@ -66,7 +98,7 @@ def test_mapexpr_derivative_matches_evaluate():
             coeffs = expr.coefficients(values)
             assert expr.image(coeffs, x, y) == here
             for nm in sorted(expr.names()):
-                rows, den = expr.scaled_coefficients(values, nm)
+                rows, den = reference_scaled_coefficients(expr, values, nm)
                 D = expr.image([[Fraction(c, den) for c in row]
                                 for row in rows], x, y)
                 for t in (Fraction(0), Fraction(1), rand()):
@@ -76,9 +108,10 @@ def test_mapexpr_derivative_matches_evaluate():
                         == expr.evaluate(x, y, {**values, nm: t})
     p = Poly({("a", "b"): 3, ("b",): 2, (): 1})
     one = MapExpr([[p, Poly(), Poly(), Poly()]])
-    assert one.scaled_coefficients({"a": Fraction(5)}, "b") == ([[17, 0, 0, 0]], 1)
-    assert one.scaled_coefficients({"a": Fraction(5), "b": Fraction(7)},
-                                   "c") == ([[0, 0, 0, 0]], 1)
+    assert reference_scaled_coefficients(one, {"a": Fraction(5)}, "b") \
+        == ([[17, 0, 0, 0]], 1)
+    assert reference_scaled_coefficients(
+        one, {"a": Fraction(5), "b": Fraction(7)}, "c") == ([[0, 0, 0, 0]], 1)
 
 
 def test_scaled_coefficients_match_poly_evaluate():
@@ -89,7 +122,8 @@ def test_scaled_coefficients_match_poly_evaluate():
     rng = random.Random(43)
     exprs = [parse_expr("(1-1*a)x+(1*a)y+(1*b)v;(1*a*b)x+(1-1*a*b)y+(-1*b)u", 2),
              parse_expr("(1/2*a)x+(1-1/2*a)y+(3*a*b-1/2*b)u;y+(-2*b)v", 2)]
-    assert exprs[1].scaled_coefficients({"a": Fraction(1), "b": Fraction(1)})[1] == 2
+    assert reference_scaled_coefficients(
+        exprs[1], {"a": Fraction(1), "b": Fraction(1)})[1] == 2
 
     def rand():
         return Fraction(rng.randint(-1 << 24, 1 << 24), rng.randint(1, 1 << 24))
@@ -97,19 +131,56 @@ def test_scaled_coefficients_match_poly_evaluate():
     for expr in exprs:
         for _ in range(20):
             values = {"a": rand(), "b": rand()}
-            rows, den = expr.scaled_coefficients(values)
+            rows, den = reference_scaled_coefficients(expr, values)
             assert den > 0
             assert [[Fraction(c, den) for c in row] for row in rows] \
                 == [[p.evaluate(values) for p in comp] for comp in expr.comps]
             for nm in ("a", "b"):
                 # the coefficient of nm is p(nm = 1) - p(nm = 0)
-                rows, den = expr.scaled_coefficients(values, nm)
+                rows, den = reference_scaled_coefficients(expr, values, nm)
                 assert den > 0 and den * values[nm].denominator \
-                    == expr.scaled_coefficients(values)[1]
+                    == reference_scaled_coefficients(expr, values)[1]
                 assert [[Fraction(c, den) for c in row] for row in rows] \
                     == [[p.evaluate({**values, nm: 1})
                          - p.evaluate({**values, nm: 0}) for p in comp]
                         for comp in expr.comps]
+
+
+def test_compiled_rows_match_the_reference_route():
+    # geometry.TermRows, the attack's compiled rows, against the dict walk
+    # and against MapExpr.coefficients on every zero fact's expression and
+    # both power checks, for the rows and the derivative along each name;
+    # values run from 0 and 1 to denominators past 2^24 and large s
+    rng = random.Random(47)
+    exprs = [parse_expr(etext, rec["n"])
+             for (etext, _), rec in sorted(ZeroFacts.load().table.items())]
+    exprs += [term.expr for term in _power_check_terms()]
+    assert len(exprs) == 64
+
+    def rand(nm):
+        d = rng.choice((1, 1 << 24, rng.randrange(1, 1 << 24),
+                        rng.randrange(1, 1 << 90)))
+        top = d if nm.startswith("t") else d * rng.choice((1, 64, 1 << 30))
+        return Fraction(rng.randint(0, top), d)
+
+    for expr in exprs:
+        compiled = TermRows(expr)
+        assert compiled.names == sorted(expr.names())
+        for _ in range(6):
+            values = {nm: rand(nm) for nm in compiled.names}
+            rows, den = compiled(values)
+            assert (rows, den) == reference_scaled_coefficients(expr, values)
+            assert [[Fraction(c, den) for c in row] for row in rows] \
+                == expr.coefficients(values)
+            for nm in compiled.names:
+                rows, den = compiled(values, nm)
+                assert (rows, den) \
+                    == reference_scaled_coefficients(expr, values, nm)
+                one, zero = (expr.coefficients({**values, nm: Fraction(v)})
+                             for v in (1, 0))
+                assert [[Fraction(c, den) for c in row] for row in rows] \
+                    == [[a - b for a, b in zip(r1, r0)]
+                        for r1, r0 in zip(one, zero)]
 
 
 def test_edge_signs_and_contraction_direction():

@@ -10,14 +10,15 @@ from knotss import geometry
 from knotss.chainledger import (MapExpr, Poly, Term, WeightSpec, ZeroFacts,
                                 contraction, ee_contraction, f_graph, straight)
 from knotss.fields import QQ
-from knotss.geometry import (ALL_LEMMAS, Params, Tube, anchor_centers,
-                             attack_term, attack_zero_facts, d_ab,
-                             check_lemma, closed_form_projection_checks,
+from knotss.geometry import (ALL_LEMMAS, Params, TermRows, Tube,
+                             anchor_centers, attack_term, attack_zero_facts,
+                             d_ab, check_lemma, closed_form_projection_checks,
                              default_params, e_P, e_embed, eps_P, in_D_ab,
                              in_E, in_E_alpha, in_space,
                              parse_expr, project_mean, project_pi, rand_point,
                              sample_space_point, tube_dist2,
-                             _ls_step, _normal_equations, _power_check_terms)
+                             _ls_step, _normal_equations, _power_check_terms,
+                             _translation_free, _try_escape_excision)
 from knotss.linalg import Matrix, VerificationError, kernel_basis, solve_many
 from knotss.partgraph import (PGraph, Partition, discrete_partition,
                               enumerate_partitions, parse_graph)
@@ -211,7 +212,7 @@ def test_integer_rounds_on_pieces_of_sizes_two_and_three():
             expr = MapExpr([[Poly.const(c) for c in row] for row in rows])
             N, tu, tv = _normal_equations(tube, rows)
             su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
-            assert _ls_step(tube, *expr.scaled_coefficients({})) \
+            assert _ls_step(tube, *TermRows(expr)({})) \
                 == ((su[0], sv[0]), (su[1], sv[1])), kind
 
 
@@ -255,16 +256,20 @@ def test_line_search_holds_the_current_image(monkeypatch):
     # instead of evaluating it again; every pencil must still start at
     # the image of the current (x, y) and parameter values
     args, checked = [None] * 4, []
-    ls_step, scaled, pencil = (geometry._ls_step, MapExpr.scaled_coefficients,
-                               Tube.pencil)
+    ls_step, compile_rows, rows_at, pencil = (
+        geometry._ls_step, TermRows.__init__, TermRows.__call__, Tube.pencil)
 
     def spy_ls_step(tube, rows, den):
         args[:2] = ls_step(tube, rows, den)
         return tuple(args[:2])
 
-    def spy_scaled(expr, values, name=None):
-        args[2:] = [expr, dict(values)]
-        return scaled(expr, values, name)
+    def spy_compile(compiled, expr):
+        args[2] = expr
+        compile_rows(compiled, expr)
+
+    def spy_rows(compiled, values, name=None):
+        args[3] = dict(values)
+        return rows_at(compiled, values, name)
 
     def spy_pencil(tube, A, D, B, Db):
         x, y, expr, values = args
@@ -273,7 +278,8 @@ def test_line_search_holds_the_current_image(monkeypatch):
         return pencil(tube, A, D, B, Db)
 
     monkeypatch.setattr(geometry, "_ls_step", spy_ls_step)
-    monkeypatch.setattr(MapExpr, "scaled_coefficients", spy_scaled)
+    monkeypatch.setattr(TermRows, "__init__", spy_compile)
+    monkeypatch.setattr(TermRows, "__call__", spy_rows)
     monkeypatch.setattr(Tube, "pencil", spy_pencil)
     attack_zero_facts(ZeroFacts.load(), restarts=1, seed=7)
     assert len(checked) > 100 and all(checked)
@@ -304,7 +310,7 @@ def test_closed_form_step_matches_solve_many(monkeypatch):
                 N, tu, tv = _normal_equations(tube, rows)
                 su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
                 before = len(calls)
-                got = _ls_step(tube, *expr.scaled_coefficients({}))
+                got = _ls_step(tube, *TermRows(expr)({}))
                 assert got == ((su[0], sv[0]), (su[1], sv[1])), (str(P), kind)
                 found = _kernel_kind(N)
                 assert (len(calls) > before) == (found == "nullity 2")
@@ -323,7 +329,7 @@ def test_step_fallback_rejects_inconsistent_equations(monkeypatch):
     expr = parse_expr("x;x;x;x", 4)
     monkeypatch.setattr(geometry, "solve_many", lambda M, bs: [None, None])
     with pytest.raises(VerificationError, match="inconsistent normal equations"):
-        _ls_step(tube, *expr.scaled_coefficients({}))
+        _ls_step(tube, *TermRows(expr)({}))
 
 
 def test_region_predicates():
@@ -395,6 +401,31 @@ def test_attack_finds_genuine_witnesses():
         ys = term.expr.evaluate(x, y, vals)
         tube = Tube(params, term.label.partition)
         assert tube.nonbase_projection(ys) is not None
+
+
+def test_excision_slide_of_a_translation_free_term():
+    # images at (5, 0) sit inside the discrete tube at n = 4 but are
+    # excised; a translation-free term slides (x, y) into the windows,
+    # and its image there, evaluated afresh, is a non-basepoint
+    tube = Tube(default_params(4), discrete_partition(4))
+    x = y = (Fraction(5), Fraction(0))
+    values = {"s1": Fraction(1, 3)}
+    for text, free in (("x;y;y;y", True),
+                       ("x;y+(1*s1)v;y+(-1*s1)v;x", True),
+                       ("x;y;y;0", False)):
+        expr = parse_expr(text, 4)
+        assert _translation_free(expr) == free
+        ys = expr.evaluate(x, y, values)
+        d2, xs = tube.dist2(ys)
+        assert d2 < tube.eps2 and tube.excised(xs)
+        hit = _try_escape_excision(tube, free, x, y, ys, xs)
+        if not free:
+            assert hit is None, text
+            continue
+        slid = expr.evaluate(*hit, values)
+        xs = tube.nonbase_projection(slid)
+        assert xs is not None, text
+        assert _try_escape_excision(tube, free, *hit, slid, xs) == hit
 
 
 def _first_fact_term(kind):
