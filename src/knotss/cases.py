@@ -1,16 +1,22 @@
 """Concrete bounding-chain constructions for the arity-4 and arity-5
 cocycles, and the three-term relation used for the page-2 differential.
 
-Chains are assembled from the generic constructors in chainledger; the
-graph lists, pairing data, and expected identities are checked-in data
-(data/cases.json) interpreted by run_case.
+One signed construction serves both characteristics: chain_c and
+chain_pair carry the alternating signs of D = d + (-1)^deg partial, and
+a case's characteristic enters only when run_case reduces a result
+mod 2 (arity 4) or mod 3 (arity 5).  The three-term relation takes the
+same two constructors with each contraction averaged over both push
+directions.  Chains are assembled from the generic constructors in
+chainledger; the graph lists, pairing data, and expected identities are
+checked-in data (data/cases.json) interpreted by run_case.
 """
 
 import json
 import os
 from fractions import Fraction
+from itertools import combinations
 
-from .chainledger import (Chain, MapExpr, ZeroFacts, apply_delta, apply_facts,
+from .chainledger import (Chain, ZeroFacts, apply_delta, apply_facts,
                           boundary_D, contraction, ee_contraction, f_graph,
                           i_contraction, single, straight)
 from .partgraph import PGraph, delta_graph, parse_graph
@@ -55,84 +61,63 @@ def pair_data(G, H, i):
 
 
 # ---------------------------------------------------------------------------
-# arity 4 (two-edge graphs, coefficients mod 2)
+# signed chains, reduced mod 2 at arity 4 and mod 3 at arity 5
 
 
-def chain_c_ch2(G):
-    """c(G) = f(w_0) + f_1(w_1) + f_2(w_1)."""
-    f = f_graph(G)
-    ch = single(1, f, [], G)
-    for e in G.edges:
-        ch.add_word(1, contraction(f, G, e, "a"), [("s", "a")],
-                    subgraph(G, (e,)))
-    return ch
+def _contracted(G, directions):
+    """(edge positions js, coefficient (-1)^(sum js + 1) / #directions)
+    of each contracted term: every edge, then every pair of edges when G
+    has more than two."""
+    m, wt = len(G.edges), Fraction(1, len(directions))
+    subsets = [(j,) for j in range(1, m + 1)]
+    if m > 2:
+        subsets += combinations(range(1, m + 1), 2)
+    return [(js, wt * (-1) ** (sum(js) + 1)) for js in subsets]
 
 
-def chain_pair_ch2(G, H, i):
-    """c(G,H,i) = psi(w_01) + sum_j (psi_j + lambda_j + lambda'_j)(w_11)."""
-    f, fp, dG, dH, edges, psi = pair_data(G, H, i)
-    ch = single(1, psi, [("t", "t")], dG)
-    for (e, ebar, eh) in edges:
-        label = subgraph(dG, (ebar,))
-        lam = straight(contraction(f, G, e, "a"),
-                       contraction(f, dG, ebar, "a"), "t")
-        lamp = straight(contraction(fp, H, eh, "a"),
-                        contraction(fp, dH, ebar, "a"), "t")
-        psij = contraction(psi, dG, ebar, "a")
-        for expr in (psij, lam, lamp):
-            ch.add_word(1, expr, [("s", "a"), ("t", "t")], label)
-    return ch
+def _contract(expr, G, edges, direction):
+    """expr with each edge contracted in turn, bound to a, then b."""
+    for e, s in zip(edges, "ab"):
+        expr = contraction(expr, G, e, s, direction)
+    return expr
 
 
-# ---------------------------------------------------------------------------
-# arity 5 (three-edge graphs, signed convention)
-
-
-def chain_c_ch3(G):
+def chain_c(G, directions=(1,)):
     """c(G) = f(w_0) + sum_j (-1)^j f_j(w_1)
-                     + sum_{j<k} (-1)^{j+k+1} f_{jk}(w_2)."""
+                     + sum_{j<k} (-1)^{j+k+1} f_{jk}(w_2),
+    each contraction averaged over the push directions.  On the
+    two-edge graphs this is the paper's f(w_0) + f_1(w_1) + f_2(w_1)
+    mod 2, and with directions (1, -1) it is c'(G) of the three-term
+    relation."""
     f = f_graph(G)
     ch = single(1, f, [], G)
-    for j, e in enumerate(G.edges, 1):
-        ch.add_word((-1) ** j, contraction(f, G, e, "a"),
-                    [("s", "a")], subgraph(G, (e,)))
-    for j in range(1, len(G.edges) + 1):
-        for k in range(j + 1, len(G.edges) + 1):
-            ej, ek = G.edges[j - 1], G.edges[k - 1]
-            expr = ee_contraction(f, G, ej, ek, "a", "b")
-            ch.add_word((-1) ** (j + k + 1), expr,
-                        [("s", "a"), ("s", "b")], subgraph(G, (ej, ek)))
+    for js, coeff in _contracted(G, directions):
+        edges = [G.edges[j - 1] for j in js]
+        word = [("s", s) for s in "ab"[:len(js)]]
+        for d in directions:
+            ch.add_word(coeff * (-1) ** len(js), _contract(f, G, edges, d),
+                        word, subgraph(G, edges))
     return ch
 
 
-def chain_pair_ch3(G, H, i):
-    """c(G,H,i) with the alternating signs of the three-edge setting."""
+def chain_pair(G, H, i, directions=(1,)):
+    """c(G,H,i) = psi(w_01) + sum_j (-1)^{j+1} (psi_j + lambda_j
+    - lambda'_j)(w_11) + the same over edge pairs with (-1)^{j+k+1} on
+    w_21, each contraction averaged over the push directions."""
     f, fp, dG, dH, edges, psi = pair_data(G, H, i)
     ch = single(1, psi, [("t", "t")], dG)
-    for j, (e, ebar, eh) in enumerate(edges, 1):
-        sign = (-1) ** (j + 1)
-        label = subgraph(dG, (ebar,))
-        lam = straight(contraction(f, G, e, "a"),
-                       contraction(f, dG, ebar, "a"), "t")
-        lamp = straight(contraction(fp, H, eh, "a"),
-                        contraction(fp, dH, ebar, "a"), "t")
-        psij = contraction(psi, dG, ebar, "a")
-        w = [("s", "a"), ("t", "t")]
-        for sgn, expr in ((sign, psij), (sign, lam), (-sign, lamp)):
-            ch.add_word(sgn, expr, w, label)
-    for j in range(1, len(edges) + 1):
-        for k in range(j + 1, len(edges) + 1):
-            sign = (-1) ** (j + k + 1)
-            (ej, ebj, ehj), (ek, ebk, ehk) = edges[j - 1], edges[k - 1]
-            label = subgraph(dG, (ebj, ebk))
-            lam = straight(ee_contraction(f, G, ej, ek, "a", "b"),
-                           ee_contraction(f, dG, ebj, ebk, "a", "b"), "t")
-            lamp = straight(ee_contraction(fp, H, ehj, ehk, "a", "b"),
-                            ee_contraction(fp, dH, ebj, ebk, "a", "b"), "t")
-            psijk = ee_contraction(psi, dG, ebj, ebk, "a", "b")
-            w = [("s", "a"), ("s", "b"), ("t", "t")]
-            for sgn, expr in ((sign, psijk), (sign, lam), (-sign, lamp)):
-                ch.add_word(sgn, expr, w, label)
+    for js, coeff in _contracted(G, directions):
+        eg, ebar, eh = zip(*(edges[j - 1] for j in js))
+        word = [("s", s) for s in "ab"[:len(js)]] + [("t", "t")]
+        label = subgraph(dG, ebar)
+        for d in directions:
+            lam = straight(_contract(f, G, eg, d),
+                           _contract(f, dG, ebar, d), "t")
+            lamp = straight(_contract(fp, H, eh, d),
+                            _contract(fp, dH, ebar, d), "t")
+            psij = _contract(psi, dG, ebar, d)
+            for sgn, expr in ((coeff, psij), (coeff, lam), (-coeff, lamp)):
+                ch.add_word(sgn, expr, word, label)
     return ch
 
 
@@ -163,43 +148,6 @@ def chain_cycle_ch3(G, i):
                                      i, "c", eps)
                 ch.add_word(half * (-1) ** (j + k + 1), expr,
                             [("s", "a"), ("s", "b"), ("s", "c")], hit[0])
-    return ch
-
-
-# ---------------------------------------------------------------------------
-# three-term relation at arity 4 (direction-averaged contractions)
-
-
-def chain_cprime(G):
-    """c'(G) = f(w_0) + sum_j (-1)^j f_j^{+-}(w_1), the edge
-    contractions averaged over both push directions."""
-    f = f_graph(G)
-    half = Fraction(1, 2)
-    ch = single(1, f, [], G)
-    for j, e in enumerate(G.edges, 1):
-        for d in (1, -1):
-            ch.add_word(half * (-1) ** j, contraction(f, G, e, "a", d),
-                        [("s", "a")], subgraph(G, (e,)))
-    return ch
-
-
-def chain_cprime_pair(G, H, i):
-    """Two-graph chain in the direction-averaged setting."""
-    f, fp, dG, dH, edges, psi = pair_data(G, H, i)
-    half = Fraction(1, 2)
-    ch = single(1, psi, [("t", "t")], dG)
-    for j, (e, ebar, eh) in enumerate(edges, 1):
-        sign = half * (-1) ** (j + 1)
-        label = subgraph(dG, (ebar,))
-        w = [("s", "a"), ("t", "t")]
-        for d in (1, -1):
-            lam = straight(contraction(f, G, e, "a", d),
-                           contraction(f, dG, ebar, "a", d), "t")
-            lamp = straight(contraction(fp, H, eh, "a", d),
-                            contraction(fp, dH, ebar, "a", d), "t")
-            psij = contraction(psi, dG, ebar, "a", d)
-            for sgn, expr in ((sign, psij), (sign, lam), (-sign, lamp)):
-                ch.add_word(sgn, expr, w, label)
     return ch
 
 
@@ -268,50 +216,52 @@ def run_case(name, facts=None, specs=None):
     spec = (specs or _load_cases())[name]
     report = {"case": name, "checks": []}
     kind, char = spec["kind"], spec["char"]
-    conv = "char%d" % char
+    # the three-term relation contracts in both push directions: c'(G)
+    directions, prime = ((1, -1), "'") if kind == "three-term" else ((1,), "")
     graphs = _graphs(spec)
     built = {}
 
-    def chain(maker, G):
+    def chain(G):
         # nothing below mutates a built chain, so each is built once
-        if (maker, G) not in built:
-            built[maker, G] = maker(G)
-        return built[maker, G]
+        if G not in built:
+            built[G] = chain_c(G, directions)
+        return built[G]
+
+    def pair_checks():
+        """Check D c(G,H,i) = sg delta_i c(G) + sh delta_i c(H) for each
+        pair; returns the weighted sum of the pair chains."""
+        total = Chain()
+        for (gt, ht, i, sg, sh, w) in spec["pairs"]:
+            G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
+            pair = chain_pair(G, H, i, directions)
+            total += pair.scale(w)
+            rhs = apply_delta(chain(G), i, use_syntactic=False)[0].scale(sg)
+            rhs += apply_delta(chain(H), i, use_syntactic=False)[0].scale(sh)
+            diff = boundary_D(pair)
+            diff -= rhs
+            ok, detail = _residual_zero(diff, facts, char)
+            _check(report, "D c%s(%s,%s,%d) matches merges"
+                   % (prime, gt, ht, i), ok, detail)
+        return total
 
     if kind == "cycles":
-        maker = chain_c_ch2 if char == 2 else chain_c_ch3
         for G, text in zip(graphs, spec["graphs"]):
-            ch = maker(G)
-            ok = boundary_D(ch, conv).reduce(char).is_zero()
+            ok = boundary_D(chain(G)).reduce(char).is_zero()
             _check(report, "D c(%s) = 0" % text, ok)
         for (gtext, i) in spec.get("corrections", []):
             G = parse_graph(gtext, spec["n"])
             ch = chain_cycle_ch3(G, i)
-            ok, detail = _residual_zero(boundary_D(ch, conv), facts, char)
+            ok, detail = _residual_zero(boundary_D(ch), facts, char)
             _check(report, "D c(%s,%d) = 0" % (gtext, i), ok, detail)
 
     elif kind == "bounding":
-        maker_pair = chain_pair_ch2 if char == 2 else chain_pair_ch3
-        maker_c = chain_c_ch2 if char == 2 else chain_c_ch3
-        total = Chain()
-        for (gt, ht, i, sg, sh, w) in spec["pairs"]:
-            G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
-            pair = maker_pair(G, H, i)
-            total += pair.scale(w)
-            rhs = apply_delta(chain(maker_c, G), i,
-                              use_syntactic=False)[0].scale(sg)
-            rhs += apply_delta(chain(maker_c, H), i,
-                               use_syntactic=False)[0].scale(sh)
-            diff = boundary_D(pair, conv)
-            diff -= rhs
-            ok, detail = _residual_zero(diff, facts, char)
-            _check(report, "D c(%s,%s,%d) matches merges" % (gt, ht, i), ok, detail)
+        total = pair_checks()
         for (gtext, i, w) in spec.get("corrections", []):
             total += chain_cycle_ch3(parse_graph(gtext, spec["n"]), i).scale(w)
         target = Chain()
         for G, w in zip(graphs, spec["assembly"]):
-            target += chain(maker_c, G).scale(w)
-        diff = boundary_D(total, conv)
+            target += chain(G).scale(w)
+        diff = boundary_D(total)
         diff -= apply_delta(target, facts=facts)[0].scale(spec["assembly_sign"])
         ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the assembled chain is the merge image", ok, detail)
@@ -320,7 +270,7 @@ def run_case(name, facts=None, specs=None):
         total = Chain()
         for (gt, ht, i, w) in spec["pairs"]:
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
-            total += chain_pair_ch2(G, H, i).scale(w)
+            total += chain_pair(G, H, i, directions).scale(w)
         survivors, rep = apply_delta(total, facts=facts)
         survivors = survivors.reduce(char)
         got = sorted((t.expr.text(), str(t.label)) for _, t in survivors.items())
@@ -333,31 +283,19 @@ def run_case(name, facts=None, specs=None):
         G5, G6, G7 = graphs
         total = Chain()
         for G, w in zip(graphs, spec["assembly"]):
-            total += chain(chain_cprime, G).scale(w)
+            total += chain(G).scale(w)
         for G, text in zip(graphs, spec["graphs"]):
-            ok = boundary_D(chain(chain_cprime, G), conv).reduce(char).is_zero()
+            ok = boundary_D(chain(G)).reduce(char).is_zero()
             _check(report, "D c'(%s) = 0" % text, ok)
-        gamma = Chain()
-        for (gt, ht, i, sg, sh, w) in spec["pairs"]:
-            G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
-            pair = chain_cprime_pair(G, H, i)
-            gamma += pair.scale(w)
-            rhs = apply_delta(chain(chain_cprime, G), i,
-                              use_syntactic=False)[0].scale(sg)
-            rhs += apply_delta(chain(chain_cprime, H), i,
-                               use_syntactic=False)[0].scale(sh)
-            diff = boundary_D(pair, conv)
-            diff -= rhs
-            ok, detail = _residual_zero(diff, facts, char)
-            _check(report, "D c'(%s,%s,%d) matches merges" % (gt, ht, i), ok, detail)
+        gamma = pair_checks()
         ti = spec["triple"]
         triple = chain_triple(G5, G6, G7, ti)
         gamma += triple.scale(spec["triple_weight"])
-        diff = boundary_D(triple, conv)
+        diff = boundary_D(triple)
         diff -= apply_delta(total, ti, facts=facts)[0]
         ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the triple chain matches merge %d" % ti, ok, detail)
-        diff = boundary_D(gamma, conv)
+        diff = boundary_D(gamma)
         diff -= apply_delta(total, facts=facts)[0].scale(spec["assembly_sign"])
         ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the relation chain bounds the merge image", ok, detail)

@@ -5,13 +5,16 @@ A chain is a rational combination of terms f(w), where f is an affine
 map expression R^4 x (parameter box) -> R^{2n} and w is a weight built
 from two sphere factors, interval-at-infinity factors bound to
 s-parameters, and unit-interval factors bound to t-parameters.  The
-boundary D has a restriction part (s := 0; t := 1 minus t := 0, with
-Koszul signs read off the weight order) and a Cech part removing one
-edge of the label graph at a time.  The merge maps delta_i relabel
-terms; terms whose image maps collapse to the basepoint are removed
-either syntactically (loops, double edges, extreme incidence, equal or
-reversed first coordinates inside a piece) or by table lookup against
-zero facts that are verified separately by geometric sampling.
+boundary D = d + (-1)^degree partial has a restriction part d (s := 0;
+t := 1 minus t := 0, with Koszul signs read off the weight order) and a
+Cech part partial removing one edge of the label graph at a time.
+Coefficients stay exact rationals throughout; a characteristic enters
+only through Chain.reduce, so the char-2 and char-3 ledgers share one
+signed D.  The merge maps delta_i relabel terms; terms whose image
+maps collapse to the basepoint are removed either syntactically (loops,
+double edges, extreme incidence, equal or reversed first coordinates
+inside a piece) or by table lookup against zero facts that are
+verified separately by geometric sampling.
 """
 
 import json
@@ -21,7 +24,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .linalg import VerificationError
-from .partgraph import PGraph, Partition, delta_graph, discrete_partition
+from .partgraph import PGraph, delta_graph, inversion_sign
 
 # ---------------------------------------------------------------------------
 # polynomials over Q in named parameters, multilinear (affine in each name)
@@ -276,14 +279,13 @@ def graph_connected(P, edges, pos_a, pos_b):
     return find(pos_a) == find(pos_b)
 
 
-def f_graph(G, n=None):
+def f_graph(G):
     """The map whose i-th component is x when piece(i) connects to
     piece(1) in G, and y otherwise."""
     P = G.partition
-    n = n or P.n
     pos1 = piece_position(P, 1)
     comps = []
-    for i in range(1, n + 1):
+    for i in range(1, P.n + 1):
         pos = piece_position(P, i)
         which = 0 if graph_connected(P, G.edges, pos, pos1) else 1
         comp = [_Z, _Z, _Z, _Z]
@@ -399,15 +401,6 @@ class Term:
         return (self.ekey, self.weight, self.label)
 
 
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def canon_term(coeff, expr, weight, label):
     """Canonical representative: bound parameters renamed positionally,
     factor transpositions and the x/y swap of the sphere block resolved
@@ -426,7 +419,7 @@ def canon_term(coeff, expr, weight, label):
         for pt in permutations(range(l)):
             mapping = dict(zip(weight.s_names, ("s%d" % (i + 1) for i in ps)))
             mapping.update(zip(weight.t_names, ("t%d" % (i + 1) for i in pt)))
-            sign = _perm_sign(ps) * _perm_sign(pt)
+            sign = inversion_sign(ps) * inversion_sign(pt)
             base = expr.rename(mapping)
             bkey = base.key()
             # the sphere swap exchanges the x and y keys of each component
@@ -543,18 +536,18 @@ def single(coeff, expr, factors, label):
 # boundary and merge operators
 
 
-def boundary_D(chain, convention, tr=1, drop_degenerate=True):
-    """D = d + partial (char2) or d + (-1)^degree partial (char3).
+def boundary_D(chain, tr=1, drop_degenerate=True):
+    """D = d + (-1)^degree partial, exact over Q.
 
-    The restriction part sets each s-parameter to 0 and takes the
+    The restriction part d sets each s-parameter to 0 and takes the
     difference of t := 1 and t := 0, signed by the factor position with
-    the degree-4 sphere block first.  The Cech part removes one edge at
-    a time; results with fewer than tr edges are truncated away.  A
-    restricted term whose expression no longer depends on one of its
-    remaining t-parameters is a degenerate simplex and is dropped.
+    the degree-4 sphere block first.  The Cech part partial removes one
+    edge at a time; results with fewer than tr edges are truncated
+    away.  A restricted term whose expression no longer depends on one
+    of its remaining t-parameters is a degenerate simplex and is
+    dropped.  Mod 2 the sign (-1)^degree is 1, so Chain.reduce(2) of
+    the result is the unsigned D = d + partial of the char-2 setting.
     """
-    if convention not in ("char2", "char3"):
-        raise ValueError("unknown convention %r" % convention)
     out = Chain()
     for coeff, term in chain.items():
         w = term.weight
@@ -573,7 +566,7 @@ def boundary_D(chain, convention, tr=1, drop_degenerate=True):
             _emit(out, -coeff * sign, term.expr.subst(t, 0), w2, term.label,
                   drop_degenerate)
         # Cech part
-        psign = 1 if convention == "char2" else (-1) ** w.degree
+        psign = (-1) ** w.degree
         edges = term.label.edges
         if len(edges) - 1 >= tr:
             for pos in range(len(edges)):

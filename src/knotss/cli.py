@@ -95,6 +95,9 @@ def cmd_ss_table(args):
 
 
 def cmd_verify_cycle(args):
+    # E_2 at arity p needs the dense d_1 out of arity p + 1, which runs
+    # out of memory past MAX_ARITY
+    _at_least("--arity", args.arity, 1, MAX_ARITY - 1)
     F = field_by_name(args.field)
     x = parse_class(getattr(args, "class"), args.arity, F)
     rep = e2_report(x)

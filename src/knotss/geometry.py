@@ -398,20 +398,22 @@ def in_space(params, P, xs):
 # random rational sampling
 
 
-def rand_frac(rng, lo, hi, denom=1 << 12):
+def rand_frac(rng, lo, hi):
+    """lo + (hi - lo) k / 2^12 for a uniform k in 0..2^12."""
     lo, hi = Fraction(lo), Fraction(hi)
-    return lo + (hi - lo) * Fraction(rng.randrange(denom + 1), denom)
+    return lo + (hi - lo) * Fraction(rng.randrange((1 << 12) + 1), 1 << 12)
 
 
 def rand_point(rng, scale=1):
     return (rand_frac(rng, -scale, scale), rand_frac(rng, -scale, scale))
 
 
-def sample_space_point(params, P, rng, tries=50):
+def sample_space_point(params, P, rng):
     """A point of the configuration space, sampled inside the
-    first-coordinate windows with small transverse jitter."""
+    first-coordinate windows with small transverse jitter; up to 50
+    draws."""
     windows = [space_window(params, piece) for piece in P.pieces()[1:-1]]
-    for _ in range(tries):
+    for _ in range(50):
         xs = []
         for lo, hi in windows:
             u0 = lo + (hi - lo) * rand_frac(rng, Fraction(1, 8), Fraction(7, 8))
@@ -692,10 +694,11 @@ def _clamp(v, lo, hi):
     return v
 
 
-def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
+def attack_term(params, term, rng, restarts=200, rounds=3):
     """Search for a non-basepoint witness of a ledger term by exact
     alternating minimization of the squared tube distance over the
-    configuration (x, y) and the bound parameters.
+    configuration (x, y) and the bound parameters, each parameter step
+    kept to denominators of at most 2^24.
 
     A witness is an exact rational input whose image lies inside the
     tube with projection clear of every excision region; finding one
@@ -743,7 +746,8 @@ def attack_term(params, term, rng, restarts=200, rounds=3, denom=1 << 24):
                     opt = (cur + 1) * 2 if hi is None else Fraction(1)
                 else:
                     opt = cur
-                values[nm] = new = _clamp(opt, lo, hi).limit_denominator(denom)
+                new = _clamp(opt, lo, hi).limit_denominator(1 << 24)
+                values[nm] = new
                 if new != cur:
                     step = new - cur
                     f, g = step.denominator * Db, step.numerator * D

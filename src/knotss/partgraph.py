@@ -163,7 +163,8 @@ def parse_graph(text, n):
     return PGraph(P, edges)
 
 
-def _inversion_sign(seq):
+def inversion_sign(seq):
+    """(-1)^(number of inversions of seq): the sign of a permutation."""
     sign = 1
     for a, b in combinations(seq, 2):
         if a > b:
@@ -201,7 +202,7 @@ def delta_graph(i, G):
     if len(set(images)) != len(images):
         return None  # double edge
     Q = Partition._of(P.n, sizes[:i] + (sizes[i] + sizes[i + 1],) + sizes[i + 2:])
-    return PGraph._of(Q, tuple(sorted(images))), _inversion_sign(restricted)
+    return PGraph._of(Q, tuple(sorted(images))), inversion_sign(restricted)
 
 
 def all_graphs(P, max_edges=None):

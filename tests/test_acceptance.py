@@ -6,9 +6,8 @@ import json
 import random
 import time
 
-from knotss.cases import (all_cases, chain_c_ch2, chain_c_ch3, chain_cprime,
-                          chain_cprime_pair, chain_cycle_ch3, chain_pair_ch2,
-                          chain_pair_ch3, chain_triple, run_case, _load_cases)
+from knotss.cases import (all_cases, chain_c, chain_cycle_ch3, chain_pair,
+                          chain_triple, run_case, _load_cases)
 from knotss.chainledger import ZeroFacts, boundary_D
 from knotss.confcoh import (admissible_basis, class_to_vector, dim_cohomology,
                             parse_class, sinha_d1)
@@ -167,26 +166,15 @@ def _case_chains(name, spec):
     n = spec["n"]
     graphs = [parse_graph(t, n) for t in spec["graphs"]]
     kind = spec["kind"]
-    if kind == "cycles":
-        maker = chain_c_ch2 if spec["char"] == 2 else chain_c_ch3
-        out = [maker(G) for G in graphs]
-        out += [chain_cycle_ch3(parse_graph(g, n), i)
-                for (g, i) in spec.get("corrections", [])]
-        return out
-    if kind == "bounding":
-        maker = chain_pair_ch2 if spec["char"] == 2 else chain_pair_ch3
-        out = [maker(parse_graph(g, n), parse_graph(h, n), i)
-               for (g, h, i, _, _, _) in spec["pairs"]]
-        out += [chain_cycle_ch3(parse_graph(g, n), i)
-                for (g, i, _) in spec.get("corrections", [])]
-        return out
-    if kind == "survivors":
-        return [chain_pair_ch2(parse_graph(g, n), parse_graph(h, n), i)
-                for (g, h, i, _) in spec["pairs"]]
-    out = [chain_cprime(G) for G in graphs]
-    out += [chain_cprime_pair(parse_graph(g, n), parse_graph(h, n), i)
-            for (g, h, i, _, _, _) in spec["pairs"]]
-    out.append(chain_triple(*graphs, spec["triple"]))
+    directions = (1, -1) if kind == "three-term" else (1,)
+    out = ([chain_c(G, directions) for G in graphs]
+           if kind in ("cycles", "three-term") else [])
+    out += [chain_pair(parse_graph(p[0], n), parse_graph(p[1], n), p[2],
+                       directions) for p in spec.get("pairs", [])]
+    out += [chain_cycle_ch3(parse_graph(c[0], n), c[1])
+            for c in spec.get("corrections", [])]
+    if kind == "three-term":
+        out.append(chain_triple(*graphs, spec["triple"]))
     return out
 
 
@@ -196,11 +184,9 @@ def test_criterion_11_ledger_cases():
     ok = all(run_case(name, facts=facts)["pass"] for name in all_cases())
     n_chains = 0
     for name, spec in _load_cases().items():
-        char = spec["char"]
-        conv = "char%d" % char
         for ch in _case_chains(name, spec):
-            dd = boundary_D(boundary_D(ch, conv), conv)
-            ok = ok and dd.reduce(char).is_zero()
+            dd = boundary_D(boundary_D(ch))
+            ok = ok and dd.reduce(spec["char"]).is_zero()
             n_chains += 1
     _line(11, "six ledger cases; D^2 = 0 on %d chains" % n_chains, ok, t0)
 

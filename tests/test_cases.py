@@ -1,13 +1,17 @@
+import importlib.util
+import json
+import os
+
 import pytest
 
 from knotss import cases
-from knotss.cases import (all_cases, chain_c_ch3, chain_pair_ch3, run_case,
-                          _load_cases)
+from knotss.cases import all_cases, chain_c, chain_pair, run_case, _load_cases
 from knotss.chainledger import (Chain, ZeroFacts, apply_delta, boundary_D,
-                                canon_term)
-from knotss.partgraph import parse_graph
+                                canon_term, contraction, f_graph, single)
+from knotss.partgraph import PGraph, parse_graph
 
 FACTS = ZeroFacts.load()
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def test_case_list():
@@ -75,9 +79,7 @@ def test_each_chain_is_built_once_per_case_and_left_unchanged(monkeypatch):
         return [(c, t.key()) for c, t in ch.items()]
 
     built = []
-    for name in ("chain_c_ch2", "chain_c_ch3", "chain_pair_ch2",
-                 "chain_pair_ch3", "chain_cycle_ch3", "chain_cprime",
-                 "chain_cprime_pair", "chain_triple"):
+    for name in ("chain_c", "chain_pair", "chain_cycle_ch3", "chain_triple"):
         def recording(*args, make=getattr(cases, name), name=name):
             ch = make(*args)
             built.append(((name,) + args, ch, snapshot(ch)))
@@ -97,10 +99,48 @@ def test_one_pair_identity_is_exact_over_Q():
     # no reduction mod 3: the signed identity holds with exact rationals
     G = parse_graph("(1,3)(2,3)(4,5)", 5)
     H = parse_graph("(1,4)(2,4)(3,5)", 5)
-    pair = chain_pair_ch3(G, H, 3)
-    rhs = apply_delta(chain_c_ch3(G), 3, use_syntactic=False)[0].scale(-1) \
-        + apply_delta(chain_c_ch3(H), 3, use_syntactic=False)[0]
-    assert (boundary_D(pair, "char3") - rhs).is_zero()
+    pair = chain_pair(G, H, 3)
+    rhs = apply_delta(chain_c(G), 3, use_syntactic=False)[0].scale(-1) \
+        + apply_delta(chain_c(H), 3, use_syntactic=False)[0]
+    assert (boundary_D(pair) - rhs).is_zero()
+
+
+def test_char2_chains_close_over_Z():
+    # the signed c(G) of each two-edge graph is a cycle with no
+    # reduction, and mod 2 it is the paper's unsigned
+    # f(w_0) + f_1(w_1) + f_2(w_1)
+    for text in _load_cases()["ch2-cycles"]["graphs"]:
+        G = parse_graph(text, 4)
+        ch = chain_c(G)
+        assert boundary_D(ch).is_zero(), text
+        f = f_graph(G)
+        paper = single(1, f, [], G)
+        for e in G.edges:
+            rest = PGraph(G.partition, tuple(x for x in G.edges if x != e))
+            paper.add_word(1, contraction(f, G, e, "a"), [("s", "a")], rest)
+        assert ch.reduce(2).diff_report(paper, 2) == [], text
+
+
+def test_fact_table_is_pinned_to_the_ledger_residue():
+    # the residue of every ledger identity under an empty fact table is
+    # exactly the checked-in facts, each with its n and cases, plus the
+    # two expected merge-image survivors
+    spec = importlib.util.spec_from_file_location(
+        "generate_zerofacts", os.path.join(ROOT, "scripts",
+                                           "generate_zerofacts.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    got = script.collect_candidates()
+    with open(os.path.join(ROOT, "src", "knotss", "data",
+                           "zerofacts.json")) as fh:
+        want = {(r["expr"], r["label"]): {"n": r["n"], "cases": set(r["cases"])}
+                for r in json.load(fh)}
+    assert len(want) == 62
+    survivors = _load_cases()["ch2-d2-survivors"]["expected"]
+    for etext, ltext in survivors:
+        want[etext, ltext] = {"n": 4, "cases": {"ch2-d2-survivors"}}
+    assert len(want) == 64
+    assert got == want
 
 
 def test_survivors_match_recorded_cycle():

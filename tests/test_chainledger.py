@@ -12,8 +12,7 @@ from knotss.chainledger import (Chain, MapExpr, Poly, Term, WeightSpec,
                                 edge_signs, ee_contraction, f_graph,
                                 first_coord_collapse, i_contraction,
                                 make_weight, piece_position, single, straight)
-from knotss.cases import (chain_c_ch2, chain_c_ch3, chain_cprime,
-                          chain_pair_ch2, chain_pair_ch3, pair_data)
+from knotss.cases import chain_c, chain_pair, pair_data
 from knotss.geometry import TermRows, _power_check_terms, parse_expr
 from knotss.linalg import VerificationError
 from knotss.partgraph import PGraph, Partition, delta_graph, parse_graph
@@ -311,14 +310,15 @@ def test_canon_term_permutation_invariance(order):
 def test_boundary_restriction_part():
     f = contraction(f_graph(G1), G1, (2, 3), "a")
     ch = single(1, f, [("s", "a")], PGraph(G1.partition, ((2, 3),)))
-    out = boundary_D(ch, "char2", tr=0)
-    # s := 0 gives the plain graph map; the Cech part drops the edge
+    out = boundary_D(ch, tr=0)
+    # s := 0 gives the plain graph map; the Cech part drops the edge,
+    # signed (-1)^5 by the degree of the weight
     texts = sorted((str(c), t.expr.text(), str(t.label))
                    for c, t in out.items())
     # canonicalization picks the sphere-swapped representative and
     # renames the bound parameter positionally
     assert ("1", "y;x;x;y", "(2,3)") in texts
-    assert ("1", "y;x+(1*s1)v;x+(-1*s1)v;y", "()") in texts
+    assert ("-1", "y;x+(1*s1)v;x+(-1*s1)v;y", "()") in texts
     assert len(texts) == 2
 
 
@@ -330,29 +330,28 @@ def test_boundary_degenerate_simplex_dropped():
     lam = straight(contraction(f, G1, (1, 4), "a"),
                    contraction(f, dG, (1, 3), "a"), "t")
     ch = single(1, lam, [("s", "a"), ("t", "t")], dG)
-    out = boundary_D(ch, "char3", tr=1)
+    out = boundary_D(ch, tr=1)
     for _, t in out.items():
         for name in t.weight.t_names:
             assert name in t.expr.names()
     # the frozen term is really gone, not canceled by luck
-    kept = boundary_D(ch, "char3", tr=1, drop_degenerate=False)
+    kept = boundary_D(ch, tr=1, drop_degenerate=False)
     assert len(kept) > len(out)
 
 
 def test_boundary_squares_to_zero_on_case_chains():
     for G in (G1, G2, G3):
-        ch = chain_c_ch2(G)
-        assert boundary_D(boundary_D(ch, "char2"), "char2").reduce(2).is_zero()
-        chp = chain_cprime(G)
-        assert boundary_D(boundary_D(chp, "char3"), "char3").is_zero()
-    pair = chain_pair_ch2(G1, G2, 3)
-    assert boundary_D(boundary_D(pair, "char2"), "char2").reduce(2).is_zero()
+        for directions in ((1,), (1, -1)):
+            ch = chain_c(G, directions)
+            assert boundary_D(boundary_D(ch)).is_zero()
+    pair = chain_pair(G1, G2, 3)
+    assert boundary_D(boundary_D(pair)).is_zero()
     H1 = parse_graph("(1,3)(2,3)(4,5)", 5)
     H2 = parse_graph("(1,4)(2,4)(3,5)", 5)
-    ch = chain_c_ch3(H1)
-    assert boundary_D(boundary_D(ch, "char3"), "char3").is_zero()
-    pair = chain_pair_ch3(H1, H2, 3)
-    assert boundary_D(boundary_D(pair, "char3"), "char3").is_zero()
+    ch = chain_c(H1)
+    assert boundary_D(boundary_D(ch)).is_zero()
+    pair = chain_pair(H1, H2, 3)
+    assert boundary_D(boundary_D(pair)).is_zero()
 
 
 def test_first_coord_collapse():

@@ -163,6 +163,16 @@ def test_verify_cycle_verdicts(capsys):
     assert main(["verify-cycle", "--class", "g1*bogus", "--arity", "4"]) == 2
 
 
+def test_verify_cycle_arity_past_the_tower_is_usage_error(capsys):
+    # E_2 at arity 8 needs the dense d_1 out of arity 9, past MAX_ARITY,
+    # which does not fit in memory: a usage error, not a traceback
+    assert main(["verify-cycle", "--class", "g12*g34*g56*g78",
+                 "--arity", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --arity must be at most 7, got 8\n"
+
+
 def test_ledger_single_case(capsys):
     code, doc = run_json(capsys, "ledger", "--case", "ch2-cycles")
     assert code == 0 and doc["pass"]
@@ -203,18 +213,25 @@ def test_ss_table_outputs_are_pinned(capsys, field, normalized):
         SS_TABLE_SHA256[(field, normalized)]
 
 
-@pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(1, 4)])
+@pytest.mark.parametrize("factor", [Fraction(1), Fraction(1, 2)])
 def test_ledger_bad_chain_exits_1(capsys, monkeypatch, factor):
-    # D c(G) has even coefficients: halved, D c(G) = 0 fails mod 2; at a
-    # quarter its coefficients are not defined mod 2, and that is a
-    # failed verification, not a usage error
+    # an extra factor * f(w_0) on G adds its Cech boundary, +-factor on
+    # each one-edge subgraph, to D c(G) = 0: with factor 1 the check
+    # fails mod 2; at a half its coefficients are not defined mod 2, and
+    # that is a failed verification, not a usage error
     from knotss import cases
-    original = cases.chain_c_ch2
-    monkeypatch.setattr(cases, "chain_c_ch2",
-                        lambda G: original(G).scale(factor))
+    from knotss.chainledger import f_graph, single
+    original = cases.chain_c
+    monkeypatch.setattr(cases, "chain_c", lambda G, directions=(1,):
+                        original(G, directions)
+                        + single(factor, f_graph(G), [], G))
     assert main(["ledger", "--case", "ch2-cycles"]) == 1
-    err = capsys.readouterr().err
-    assert ("not defined mod 2" in err) == (factor == Fraction(1, 4)), err
+    out, err = capsys.readouterr()
+    assert ("not defined mod 2" in err) == (factor == Fraction(1, 2)), err
+    if factor == 1:
+        doc = json.loads(out)
+        assert [c["pass"] for c in doc["report"]["cases"][0]["checks"]] \
+            == [False] * 3
 
 
 def test_ainf_check(capsys):
