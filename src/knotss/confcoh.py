@@ -189,7 +189,7 @@ def zero_class(arity, degree, field):
     return CohClass(arity, degree, field, {})
 
 
-def dim_cohomology(p, q, field=None):
+def dim_cohomology(p, q):
     """Coefficient of t^q in prod_{k=1}^{p-1} (1 + k t); field-independent."""
     if not (0 <= q <= max(p - 1, 0)):
         return 0

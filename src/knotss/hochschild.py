@@ -28,9 +28,9 @@ the dense field route kept beside it, for the reference checks and for
 d2_via_lifting.
 """
 
-from .confcoh import (admissible_basis, class_to_vector, coface_image,
-                      dim_cohomology)
-from .linalg import Eliminator, Matrix, kernel_basis, rank, solve, sparse
+from .confcoh import admissible_basis, coface_image, dim_cohomology
+from .linalg import (Eliminator, Matrix, column_kernel, rank, solve,
+                     solve_many, sub_scaled)
 from .operads import check_mode
 from .spectral import FilteredComplex, page_ranks
 
@@ -259,10 +259,10 @@ def conf_delta_matrix(p, q, field, mode="signed"):
     return M
 
 
-def _unit_vector(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
+def _field_columns(field, cols):
+    """The integer columns of delta_columns as sparse field columns."""
+    for col in cols:
+        yield {t: x for t in sorted(col) if (x := field.of(col[t]))}
 
 
 def normalized_slot(p, q):
@@ -311,9 +311,7 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
             base = offsets[(p - 1, q)]
             index = {m: base + i for i, m in enumerate(reps[(p - 1, q)])}
             cols = delta_columns(p, q, reps[(p, q)], index, mode)
-            for s, col in enumerate(cols, offsets[(p, q)]):
-                columns[s] = {t: x for t in sorted(col)
-                              if (x := F.of(col[t]))}
+            columns.update(enumerate(_field_columns(F, cols), offsets[(p, q)]))
     return FilteredComplex(F, slots, columns)
 
 
@@ -332,20 +330,28 @@ def e2_report(x, mode="signed"):
     F = x.field
     p, q = x.arity, x.degree
     basis = admissible_basis(p, q)
-    v = class_to_vector(x, basis)
-    d_out = conf_delta_matrix(p, q, F, mode=mode)
-    d_in = conf_delta_matrix(p + 1, q, F, mode=mode)
-    is_cycle = not (d_out.ncols and any(d_out.mul_vector(v)))
+    index = {m: t for t, m in enumerate(basis)}
+    # as in conf_delta_matrix, nothing lies below arity 1
+    below = ({m: t for t, m in enumerate(admissible_basis(p - 1, q))}
+             if p >= 2 else {})
+    d_out = list(_field_columns(F, delta_columns(p, q, basis, below, mode)))
+    d_in = _field_columns(F, delta_columns(p + 1, q, admissible_basis(p + 1, q),
+                                           index, mode))
+    v = {index[m]: c for m, c in x.terms.items() if c}
+    image = {}
+    for j, c in v.items():
+        sub_scaled(F, F.zero, image, F.neg(c), d_out[j].items())
+    is_cycle = not image
     # the kept columns are independent, so [x] has unique coordinates on
     # them, and x is a boundary exactly when those past n_bnd vanish
     elim = Eliminator(F, track=True)
-    for j in range(d_in.ncols):
-        elim.add(sparse(d_in.column(j)))
+    for col in d_in:
+        elim.add(col)
     n_bnd = elim.rank
-    dim_e2 = sum(elim.add(sparse(w)) for w in kernel_basis(d_out))
+    dim_e2 = sum(elim.add(w) for w in column_kernel(F, d_out)[1])
     coords = None
     if is_cycle:
-        sol = elim.coords_in_span(sparse(v))
+        sol = elim.coords_in_span(v)
         coords = sol[n_bnd:] if sol is not None else None
     is_boundary = coords is not None and not any(coords)
     return {"slot": (p, q), "is_cycle": is_cycle, "is_boundary": is_boundary,
@@ -429,10 +435,9 @@ def pointwise_presentation(rng, field, max_arity=5, max_dim=4, degree=None):
                 return M
 
     g = {p: rand_invertible() for p in range(1, max_arity + 1)}
-    ginv = {}
-    for p, M in g.items():
-        cols = [solve(M, _unit_vector(F, m, i)) for i in range(m)]
-        ginv[p] = Matrix.from_columns(F, cols, ambient=m)
+    unit = Matrix.identity(F, m).columns()
+    ginv = {p: Matrix.from_columns(F, solve_many(M, unit), ambient=m)
+            for p, M in g.items()}
     u = [F.of(rng.choice([1, 1, 2, -1])) for _ in range(m)]
     mult = Matrix.zeros(F, m, m)
     for i in range(m):

@@ -1,16 +1,17 @@
 """Exact linear algebra over a Field: rank, kernels, solving,
 subquotients, and induced maps on subquotients.
 
-Two forms, one per layer.  Matrix, rank, kernel_basis, solve and
-solve_many are dense, for small work: a Matrix is a list of rows, but
-mul_vector sums over the nonzero entries of its vector and _rref
-updates over those of the pivot row.  The subspace layer (Eliminator,
-Subspace, subquotient, induced_map) holds sparse vectors
-{index: nonzero field value}, and induced_map takes its map as a
-callable from sparse vectors to sparse vectors; sparse(v) converts a
-dense vector at the boundary.  Entries pass through Field.of only at the
-edges: Matrix(field, rows) and the right-hand side of solve (solve_many
-takes field values); everything else keeps field values as they are.
+One elimination, on sparse vectors {index: nonzero field value}:
+Eliminator, with column_kernel for the pivots and kernel of a list of
+sparse columns.  A dense Matrix is a list of rows whose mul_vector sums
+over the nonzero entries of its vector; rank, kernel_basis, solve and
+solve_many take a Matrix and run Eliminator on its rows or columns, and
+sparse(v) converts a dense vector at that boundary.  Subspace,
+subquotient and induced_map hold sparse vectors, and induced_map takes
+its map as a callable from sparse vectors to sparse vectors.  Entries
+pass through Field.of only at the edges: Matrix(field, rows) and the
+right-hand side of solve (solve_many takes field values); everything
+else keeps field values as they are.
 """
 
 
@@ -101,56 +102,39 @@ class Matrix:
         return "Matrix(%s, %dx%d)" % (self.field.name, self.nrows, self.ncols)
 
 
-def _rref(field, rows, ncols):
-    """In-place reduced row echelon form; returns pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rr = rows[r]
-        inv = field.inv(rr[c])
-        if inv != field.one:
-            rows[r] = rr = [field.mul(inv, x) for x in rr]
-        support = [(t, b) for t, b in enumerate(rr) if b]
-        for i, ri in enumerate(rows):
-            f = ri[c]
-            if f and i != r:
-                for t, b in support:
-                    ri[t] = field.sub(ri[t], field.mul(f, b))
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
 def rank(M):
-    rows = [list(r) for r in M.rows]
-    return len(_rref(M.field, rows, M.ncols))
+    elim = Eliminator(M.field)
+    return sum(elim.add(sparse(row)) for row in M.rows)
+
+
+def column_kernel(field, cols):
+    """(pivots, kernel) of the matrix with the given sparse columns.
+
+    Column c is a pivot when it is independent of the columns before it;
+    every other column c gives the kernel vector that is 1 at c and 0 at
+    the other non-pivots, as a sparse vector.  Once the pivots are fixed
+    that basis is unique, so it is the one reduced row echelon form
+    gives.
+    """
+    one = field.one
+    elim = Eliminator(field, track=True)
+    pivots, kernel = [], []
+    for c, col in enumerate(cols):
+        relation = elim.insert(col)
+        if relation is None:
+            pivots.append(c)
+        else:
+            v = {pivots[t]: x for t, x in relation.items()}
+            v[c] = one
+            kernel.append(v)
+    return pivots, kernel
 
 
 def kernel_basis(M):
     """A basis of {v : Mv = 0}, as dense vectors."""
-    F = M.field
-    rows = [list(r) for r in M.rows]
-    pivots = _rref(F, rows, M.ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [F.zero] * M.ncols
-        v[fc] = F.one
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(rows[i][fc])
-        basis.append(v)
-    return basis
+    zero = M.field.zero
+    _, kernel = column_kernel(M.field, [sparse(col) for col in M.columns()])
+    return [[v.get(c, zero) for c in range(M.ncols)] for v in kernel]
 
 
 def sparse(v):
@@ -165,24 +149,26 @@ def solve(M, b):
 
 
 def solve_many(M, bs):
-    """One reduction of M for several right-hand sides of field values:
-    for each b, some x with Mx = b, or None if inconsistent.  Pivots come
-    from M's columns only, so each x is the one solve(M, b) returns."""
+    """One elimination of M's columns for several right-hand sides of
+    field values: for each b, the x with Mx = b that is 0 off the pivot
+    columns (as in column_kernel), or None if inconsistent."""
     for b in bs:
         if len(b) != M.nrows:
             raise ValueError("dimension mismatch: %d rows, rhs of %d" % (M.nrows, len(b)))
     F = M.field
-    n = M.ncols
-    rows = [list(r) + [b[i] for b in bs] for i, r in enumerate(M.rows)]
-    pivots = _rref(F, rows, n)
+    elim, pivots = Eliminator(F, track=True), []
+    for c, col in enumerate(M.columns()):
+        if elim.add(sparse(col)):
+            pivots.append(c)
     out = []
-    for j in range(n, n + len(bs)):
-        if any(rows[i][j] for i in range(len(pivots), M.nrows)):
+    for b in bs:
+        coords = elim.coords_in_span(sparse(b))
+        if coords is None:
             out.append(None)
             continue
-        x = [F.zero] * n
-        for i, pc in enumerate(pivots):
-            x[pc] = rows[i][j]
+        x = [F.zero] * M.ncols
+        for pc, y in zip(pivots, coords):
+            x[pc] = y
         out.append(x)
     return out
 
@@ -227,11 +213,21 @@ class Eliminator:
 
     def add(self, v):
         """Insert v; returns True when v was independent of the span."""
+        return self.insert(v) is None
+
+    def insert(self, v):
+        """Insert v when it is independent of the span and return None;
+        otherwise return the relation {t: c}, c nonzero, with
+        v + sum_t c * (independent vector t) = 0 ({} without tracking)."""
         F = self.field
-        comb = {self.rank: F.one} if self.track else None
+        rank = self.rank
+        comb = {rank: F.one} if self.track else None
         v, comb = self._reduce(v, comb)
         if not v:
-            return False
+            if comb is None:
+                return {}
+            del comb[rank]
+            return comb
         row = sorted(v.items())
         inv = F.inv(row[0][1])
         if inv != F.one:
@@ -239,7 +235,7 @@ class Eliminator:
             if comb is not None:
                 comb = {t: F.mul(inv, c) for t, c in comb.items()}
         self.rows.append((row[0][0], row, comb))
-        return True
+        return None
 
     @property
     def rank(self):

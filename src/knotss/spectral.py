@@ -13,23 +13,23 @@ its nonzero columns {j: {i: value}}.
 
 Two routes compute the pages.  ss_pages builds every Z, B,
 representative and induced d_r matrix by subquotients of sparse vectors
-(only the small kernels inside _z_subspace and the d_r matrices are
-dense); the callers that need representatives or the d_r matrices read
-it.
+(only the d_r matrices are dense); the callers that need representatives
+or the d_r matrices read it.
 page_ranks and einf_dims read dimensions and ranks off one column
 reduction of D in filtration order, as in persistent homology: a pair
 (tau, sigma) with r = p_sigma - p_tau lives on E_0 .. E_r at both of its
 slots and adds 1 to the rank of d_r out of sigma's slot, and an unpaired
 element survives to E_infinity.  `knotss ss-table`,
 hochschild.higher_differentials_vanish and einf_dims read the pairs.
-total_homology_graded, the independent oracle for E_infinity, keeps its
-own dense route through the Matrix C.D.
+total_homology_graded, the independent oracle for E_infinity, reads
+neither route: it takes ranks of images and filtered kernels of D's
+sparse columns with linalg.column_kernel and Eliminator.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import (Eliminator, Matrix, Subspace, VerificationError,
-                     induced_map, kernel_basis, rank, solve, sparse,
+                     column_kernel, induced_map, rank, solve_many, sparse,
                      sub_scaled, subquotient)
 
 
@@ -122,18 +122,13 @@ class FilteredComplex:
 
 def _z_subspace(C, r, p, n):
     """{x in F_p, total degree n : D x in F_{p-r}} as an ambient subspace."""
-    F = C.field
     cols = C.indices(max_p=p, degree=n)
-    bad_rows = [i for i in C.indices(degree=n + 1) if C.slots[i][0] > p - r]
-    if not cols or not bad_rows:
-        one = F.one
-        return Subspace(F, C.dim, [{j: one} for j in cols])
-    zero = F.zero
-    dcols = [C.columns.get(j, {}) for j in cols]
-    A = Matrix(F, [[col.get(i, zero) for col in dcols] for i in bad_rows],
-               coerce=False)
-    return Subspace(F, C.dim, [{cols[k]: c for k, c in enumerate(v) if c}
-                               for v in kernel_basis(A)])
+    # D x lies in degree n + 1, so only the filtration of its rows counts
+    bad = [{i: x for i, x in C.columns.get(j, {}).items()
+            if C.slots[i][0] > p - r} for j in cols]
+    _, kernel = column_kernel(C.field, bad)
+    return Subspace(C.field, C.dim, [{cols[k]: x for k, x in v.items()}
+                                     for v in kernel])
 
 
 def _span(field, ambient, vectors):
@@ -227,73 +222,26 @@ def total_homology_graded(C):
 
         dim (ker D_n cap F_p + im D_{n-1}) - dim (ker D_n cap F_{p-1} + im D_{n-1})
 
-    via ranks of stacked column matrices only.
+    where ker D_n cap F_p is the column_kernel of D's columns of degree
+    n and filtration at most p.  These kernels grow with p, so one
+    Eliminator per n, holding im D_{n-1}, takes each in turn.
     """
     F = C.field
-    D = C.D
     out = {}
     for n in C.degrees():
-        deg_idx = C.indices(degree=n)
-        prev_idx = C.indices(degree=n - 1)
-        # im D_{n-1}
-        im_cols = []
-        for j in prev_idx:
-            col = D.column(j)
-            if any(col):
-                im_cols.append(col)
-        # ker D_n inside the degree-n coordinate block
-        A_rows = C.indices(degree=n + 1)
-        if deg_idx:
-            A = Matrix(F, [[D.rows[i][j] for j in deg_idx] for i in A_rows],
-                       coerce=False)
-            if A_rows:
-                small = kernel_basis(A)
-            else:
-                small = [[F.one if a == b else F.zero for a in range(len(deg_idx))]
-                         for b in range(len(deg_idx))]
-            ker_vecs = []
-            for v in small:
-                w = [F.zero] * C.dim
-                for j, c in zip(deg_idx, v):
-                    w[j] = c
-                ker_vecs.append(w)
-        else:
-            ker_vecs = []
-
-        # intersection of the kernel with F_p, done by elimination on the
-        # coordinates above filtration p
-        def ker_cap_dim(p):
-            if not ker_vecs:
-                return 0, []
-            high = [j for j in deg_idx if C.slots[j][0] > p]
-            if not high:
-                return len(ker_vecs), ker_vecs
-            M = Matrix(F, [[v[j] for v in ker_vecs] for j in high], coerce=False)
-            vecs = []
-            for coeffs in kernel_basis(M):
-                w = [F.zero] * C.dim
-                for v, c in zip(ker_vecs, coeffs):
-                    if c:
-                        for t in range(C.dim):
-                            if v[t]:
-                                w[t] = F.add(w[t], F.mul(c, v[t]))
-                vecs.append(w)
-            return len(vecs), vecs
-
-        ps = sorted({C.slots[j][0] for j in deg_idx})
-        if not ps:
-            continue
-        lo = ps[0] - 1
-        prev_rank = None
-        for p in [lo] + ps:
-            _, vecs = ker_cap_dim(p)
-            cols = im_cols + vecs
-            rk = rank(Matrix.from_columns(F, cols, ambient=C.dim)) if cols else 0
-            if prev_rank is not None:
-                d = rk - prev_rank
-                if d:
-                    out[(p, n + p)] = d
-            prev_rank = rk
+        elim = Eliminator(F)
+        for j in C.indices(degree=n - 1):
+            if j in C.columns:
+                elim.add(C.columns[j])
+        prev_rank = elim.rank
+        for p in sorted({C.slots[j][0] for j in C.indices(degree=n)}):
+            cols = C.indices(max_p=p, degree=n)
+            _, kernel = column_kernel(F, [C.columns.get(j, {}) for j in cols])
+            for v in kernel:
+                elim.add({cols[k]: x for k, x in v.items()})
+            if elim.rank > prev_rank:
+                out[(p, n + p)] = elim.rank - prev_rank
+            prev_rank = elim.rank
     return out
 
 
@@ -332,8 +280,8 @@ def random_filtered_complex(rng, field, max_basis=30, max_p=4, max_degree=3):
             pj, qj = slots[j]
             if qi - pi == qj - pj and pi < pj and rng.random() < 0.3:
                 g.rows[i][j] = field.of(rng.randint(-2, 2))
-    ginv_cols = [solve(g, Matrix.identity(field, dim).column(j)) for j in range(dim)]
-    ginv = Matrix.from_columns(field, ginv_cols, ambient=dim)
+    ginv = Matrix.from_columns(
+        field, solve_many(g, Matrix.identity(field, dim).columns()), ambient=dim)
     Dc = g.mul_matrix(D).mul_matrix(ginv)
     return FilteredComplex(field, slots,
                            {j: sparse(col) for j, col in enumerate(Dc.columns())})

@@ -87,6 +87,7 @@ def test_bad_field_is_usage_error(capsys):
     ("triple-commute", "--n", "7", "--discrete-only"),
     ("triple-commute", "--n", "8"),
     ("triple-commute", "--n", "8", "--max-edges", "4"),
+    ("conf-dims", "--max-arity", "9"),
 ])
 def test_vacuous_run_is_usage_error(capsys, argv):
     # each of these bounds leaves nothing to check, so a pass would be
@@ -164,8 +165,8 @@ def test_verify_cycle_verdicts(capsys):
 
 
 def test_verify_cycle_arity_past_the_tower_is_usage_error(capsys):
-    # E_2 at arity 8 needs the dense d_1 out of arity 9, past MAX_ARITY,
-    # which does not fit in memory: a usage error, not a traceback
+    # E_2 at arity 8 needs the d_1 out of arity 9, past MAX_ARITY: a
+    # usage error, not a traceback
     assert main(["verify-cycle", "--class", "g12*g34*g56*g78",
                  "--arity", "8"]) == 2
     out, err = capsys.readouterr()

@@ -303,8 +303,8 @@ def reference_e2_reports(classes, mode):
 def test_e2_report_matches_the_two_elimination_route(monkeypatch):
     # every admissible monomial, random combinations of them, and the
     # signed d_1 images of random classes one arity up (boundaries in
-    # signed mode), for p <= 5 over every field in both modes; both
-    # routes read the same d_1 matrices, built once
+    # signed mode), for p <= 5 over every field in both modes; the
+    # reference reads the dense d_1 matrices, built once per slot
     matrices = {}
 
     def cached(p, q, field, mode="signed"):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from knotss import linalg
 from knotss.fields import F2, F3, QQ, Field, field_by_name
 from knotss.linalg import (Eliminator, Matrix, Subspace, VerificationError,
-                           induced_map, kernel_basis, rank, solve, solve_many,
-                           sparse, subquotient)
+                           column_kernel, induced_map, kernel_basis, rank,
+                           solve, solve_many, sparse, subquotient)
 
 FIELDS = [F2, F3, QQ]
 
@@ -318,11 +318,17 @@ def test_rank_kernel_solve_match_dense_reference(F):
         M = Matrix(F, rows)
         assert rank(M) == len(_ref_rref(F, rows, ncols)[1])
         assert kernel_basis(M) == _ref_kernel(F, rows, ncols)
+        assert column_kernel(F, [sparse(c) for c in M.columns()]) == \
+            (_ref_rref(F, rows, ncols)[1],
+             [sparse(v) for v in _ref_kernel(F, rows, ncols)])
         # one right-hand side in the column span, two random ones
         bs = [M.mul_vector(_random_vector(rng, F, "dense", ncols))]
         bs += [_random_vector(rng, F, k, nrows) for k in ("sparse", "dense")]
         assert solve_many(M, bs) == [_ref_solve(F, rows, ncols, b) for b in bs]
         assert M.rows == rows
+    # no columns, and zero columns only
+    assert column_kernel(F, []) == ([], [])
+    assert column_kernel(F, [{}, {}]) == ([], [{0: F.one}, {1: F.one}])
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name)

@@ -99,6 +99,15 @@ def test_free_generator_survives():
     assert total_homology_graded(C) == {(3, 4): 1}
 
 
+def test_oracle_kernel_mixes_filtrations():
+    # a at (1,1) and b at (0,0) both hit c at (0,1): ker D_0 is spanned by
+    # a - b, which lies in F_1 but meets F_0 only in 0
+    for F in FIELDS:
+        C = FilteredComplex(F, [(1, 1), (0, 0), (0, 1)],
+                            {0: {2: F.one}, 1: {2: F.one}})
+        assert total_homology_graded(C) == einf_dims(C) == {(1, 1): 1}
+
+
 def test_euler_characteristic_conserved_across_pages():
     # d_r raises total degree q - p by one, so the alternating sum of
     # dimensions by total degree is the same on every page
