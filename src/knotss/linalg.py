@@ -2,16 +2,17 @@
 subquotients, and induced maps on subquotients.
 
 One elimination, on sparse vectors {index: nonzero field value}:
-Eliminator, with column_kernel for the pivots and kernel of a list of
-sparse columns.  A dense Matrix is a list of rows whose mul_vector sums
-over the nonzero entries of its vector; rank, kernel_basis, solve and
-solve_many take a Matrix and run Eliminator on its rows or columns, and
-sparse(v) converts a dense vector at that boundary.  Subspace,
-subquotient and induced_map hold sparse vectors, and induced_map takes
-its map as a callable from sparse vectors to sparse vectors.  Entries
-pass through Field.of only at the edges: Matrix(field, rows) and the
-right-hand side of solve (solve_many takes field values); everything
-else keeps field values as they are.
+Eliminator, which reduces by pivot lookup and also runs spectral's
+filtration-order reduction; column_kernel gives the pivots and kernel
+of a list of sparse columns.  A dense Matrix is a list of rows whose
+mul_vector sums over the nonzero entries of its vector; rank,
+kernel_basis, solve and solve_many take a Matrix and run Eliminator on
+its rows or columns, and sparse(v) converts a dense vector at that
+boundary.  Subspace, subquotient and induced_map hold sparse vectors,
+and induced_map takes its map as a callable from sparse vectors to
+sparse vectors.  Entries pass through Field.of only at the edges:
+Matrix(field, rows) and the right-hand side of solve (solve_many takes
+field values); everything else keeps field values as they are.
 """
 
 
@@ -120,13 +121,12 @@ def column_kernel(field, cols):
     elim = Eliminator(field, track=True)
     pivots, kernel = [], []
     for c, col in enumerate(cols):
-        relation = elim.insert(col)
+        relation = elim.insert(col, c)
         if relation is None:
             pivots.append(c)
         else:
-            v = {pivots[t]: x for t, x in relation.items()}
-            v[c] = one
-            kernel.append(v)
+            relation[c] = one
+            kernel.append(relation)
     return pivots, kernel
 
 
@@ -156,19 +156,18 @@ def solve_many(M, bs):
         if len(b) != M.nrows:
             raise ValueError("dimension mismatch: %d rows, rhs of %d" % (M.nrows, len(b)))
     F = M.field
-    elim, pivots = Eliminator(F, track=True), []
+    elim = Eliminator(F, track=True)
     for c, col in enumerate(M.columns()):
-        if elim.add(sparse(col)):
-            pivots.append(c)
+        elim.insert(sparse(col), c)
     out = []
     for b in bs:
-        coords = elim.coords_in_span(sparse(b))
-        if coords is None:
+        rest, comb = elim._reduce(sparse(b), {})
+        if rest:
             out.append(None)
             continue
         x = [F.zero] * M.ncols
-        for pc, y in zip(pivots, coords):
-            x[pc] = y
+        for c, y in comb.items():
+            x[c] = F.neg(y)
         out.append(x)
     return out
 
@@ -184,57 +183,59 @@ def sub_scaled(F, zero, v, c, items):
 
 
 class Eliminator:
-    """Incremental Gaussian elimination over a field, on sparse vectors.
-
-    Maintains a row-echelon set of vectors, each kept as its support
-    [(t, value), ...] in increasing t with 1 at the pivot; add() reports
-    independence, and with track=True coordinates of dependent vectors in
-    terms of the previously inserted independent ones are available.
+    """Incremental Gaussian elimination over a field on sparse vectors,
+    by the column reduction of persistent homology: each independent
+    vector is stored reduced, scaled to 1 at its pivot (its largest
+    index), under that pivot, and a vector is reduced by the row stored
+    under its current pivot until the pivot is free or the vector is 0.
+    add() reports independence; with track=True each row keeps its
+    coefficients on the independent vectors by their labels.
     """
 
     def __init__(self, field, track=False):
         self.field = field
-        # (pivot, support of the reduced vector, its sparse coefficients
-        # on the independent vectors inserted up to it)
-        self.rows = []
+        # pivot -> (reduced vector, its coefficients by label)
+        self.rows = {}
         self.track = track
 
     def _reduce(self, v, comb):
         F = self.field
         zero = F.zero
         v = dict(v)
-        for pivot, row, rcomb in self.rows:
-            c = v.get(pivot)
-            if c:
-                sub_scaled(F, zero, v, c, row)
-                if comb is not None:
-                    sub_scaled(F, zero, comb, c, rcomb.items())
+        while (pivot := max(v, default=None)) in self.rows:
+            row, rcomb = self.rows[pivot]
+            c = v[pivot]
+            sub_scaled(F, zero, v, c, row.items())
+            if comb is not None:
+                sub_scaled(F, zero, comb, c, rcomb.items())
         return v, comb
 
     def add(self, v):
         """Insert v; returns True when v was independent of the span."""
         return self.insert(v) is None
 
-    def insert(self, v):
-        """Insert v when it is independent of the span and return None;
-        otherwise return the relation {t: c}, c nonzero, with
-        v + sum_t c * (independent vector t) = 0 ({} without tracking)."""
+    def insert(self, v, label=None):
+        """Insert v under label (by default its place among the independent
+        vectors) when it is independent of the span and return None;
+        otherwise return the relation {label: c}, c nonzero, with
+        v + sum c * (vector of that label) = 0 ({} without tracking)."""
         F = self.field
-        rank = self.rank
-        comb = {rank: F.one} if self.track else None
+        if label is None:
+            label = self.rank
+        comb = {label: F.one} if self.track else None
         v, comb = self._reduce(v, comb)
         if not v:
             if comb is None:
                 return {}
-            del comb[rank]
+            del comb[label]
             return comb
-        row = sorted(v.items())
-        inv = F.inv(row[0][1])
+        pivot = max(v)
+        inv = F.inv(v[pivot])
         if inv != F.one:
-            row = [(t, F.mul(inv, x)) for t, x in row]
+            v = {t: F.mul(inv, x) for t, x in v.items()}
             if comb is not None:
                 comb = {t: F.mul(inv, c) for t, c in comb.items()}
-        self.rows.append((row[0][0], row, comb))
+        self.rows[pivot] = (v, comb)
         return None
 
     @property
@@ -242,7 +243,7 @@ class Eliminator:
         return len(self.rows)
 
     def coords_in_span(self, v):
-        """Coordinates of v in the inserted independent vectors, or None."""
+        """Coordinates of v on the independent vectors, default labels, or None."""
         if not self.track:
             raise ValueError("eliminator built without tracking")
         F = self.field

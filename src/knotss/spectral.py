@@ -16,21 +16,22 @@ representative and induced d_r matrix by subquotients of sparse vectors
 (only the d_r matrices are dense); the callers that need representatives
 or the d_r matrices read it.
 page_ranks and einf_dims read dimensions and ranks off one column
-reduction of D in filtration order, as in persistent homology: a pair
+reduction of D in filtration order, as in persistent homology, which
+linalg.Eliminator runs on D's rows renamed to that order: a pair
 (tau, sigma) with r = p_sigma - p_tau lives on E_0 .. E_r at both of its
 slots and adds 1 to the rank of d_r out of sigma's slot, and an unpaired
 element survives to E_infinity.  `knotss ss-table`,
 hochschild.higher_differentials_vanish and einf_dims read the pairs.
-total_homology_graded, the independent oracle for E_infinity, reads
-neither route: it takes ranks of images and filtered kernels of D's
-sparse columns with linalg.column_kernel and Eliminator.
+total_homology_graded, the oracle for E_infinity, reads neither route:
+it takes ranks of images and filtered kernels of D's sparse columns,
+with the same Eliminator (the tests keep a separate reduction loop).
 """
 
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import (Eliminator, Matrix, Subspace, VerificationError,
                      column_kernel, induced_map, rank, solve_many, sparse,
-                     sub_scaled, subquotient)
+                     subquotient)
 
 
 class FilteredComplex:
@@ -290,40 +291,38 @@ def random_filtered_complex(rng, field, max_basis=30, max_p=4, max_degree=3):
 def _reduce(C):
     """Column reduction of D in filtration order: (order, R, V).
 
-    order[j] is the place of basis element j in the (p, j) order, and
-    the pivot of a column is its entry latest in that order.  Columns
-    are reduced left to right: while the pivot of R[j] is the pivot of
-    an earlier column k, the multiple of R[k] that clears it is
-    subtracted, and the same multiple of V[k] from V[j], so that
-    R[j] = D V[j] throughout.  R and V hold only the nonzero columns of
-    D; every other column is its own unreduced zero column.
+    order[j] is the place of basis element j in the (p, j) order.  D's
+    rows are renamed to these places, so a column's pivot (its entry
+    latest in the order) is its largest index, and one Eliminator takes
+    the columns in the order, labelled by index.  An independent column
+    j reads back its stored row as R[j] and the row's coefficients as
+    V[j]; a dependent one has R[j] = {} and V[j] its relation plus j.
+    So R[j] = D V[j]; R and V hold only the nonzero columns of D.
     """
     F = C.field
-    zero = F.zero
-    order = {j: k for k, j in enumerate(
-        sorted(range(C.dim), key=lambda j: (C.slots[j][0], j)))}
-    R, V, owner = {}, {}, {}
+    basis = sorted(range(C.dim), key=lambda j: (C.slots[j][0], j))
+    order = {j: k for k, j in enumerate(basis)}
+    elim = Eliminator(F, track=True)
+    R, V, reduced = {}, {}, []
     for j in sorted(C.columns, key=order.get):
-        r, v = dict(C.columns[j]), {j: F.one}
-        while r:
-            i = max(r, key=order.get)
-            k = owner.get(i)
-            if k is None:
-                owner[i] = j
-                break
-            c = F.mul(r[i], F.inv(R[k][i]))
-            sub_scaled(F, zero, r, c, R[k].items())
-            sub_scaled(F, zero, v, c, V[k].items())
-        R[j], V[j] = r, v
+        relation = elim.insert({order[i]: x for i, x in C.columns[j].items()}, j)
+        if relation is None:
+            reduced.append(j)
+        else:
+            relation[j] = F.one
+            R[j], V[j] = {}, relation
+    # the stored columns keep their insertion order
+    for j, (row, comb) in zip(reduced, elim.rows.values()):
+        R[j], V[j] = {basis[k]: x for k, x in row.items()}, comb
     return order, R, V
 
 
 def filtration_pairs(C):
-    """(pairs, unpaired) of one reduction of D in filtration order.
+    """(pairs, unpaired) of the reduction of D in filtration order.
 
     pairs lists (tau, sigma) with tau the pivot of sigma's reduced
     column, in increasing tau; unpaired lists the other basis elements.
-    The reduction is checked before it is read: every V[j] must be
+    _reduce's output is checked before it is read: every V[j] must be
     triangular in the order with a nonzero diagonal entry, D V[j] must
     equal R[j], and no two reduced columns may share a pivot.  A
     violation raises VerificationError naming the column.

@@ -164,6 +164,18 @@ def test_verify_cycle_verdicts(capsys):
     assert main(["verify-cycle", "--class", "g1*bogus", "--arity", "4"]) == 2
 
 
+def test_verify_cycle_over_q_at_arity_7_is_pinned(capsys):
+    # sha256 of `knotss verify-cycle --arity 7 --field q --class
+    # "g12*g34*g56*g17"` recorded while Eliminator still reduced each
+    # vector at every stored pivot; the E_2 coordinates are unique, so
+    # no elimination order may move them
+    code, out = run(capsys, "verify-cycle", "--arity", "7", "--field", "q",
+                    "--class", "g12*g34*g56*g17")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b5035831fbb3ceb113c6d3c6d5e15506a6629a719ee3c101f921783263505d72"
+
+
 def test_verify_cycle_arity_past_the_tower_is_usage_error(capsys):
     # E_2 at arity 8 needs the d_1 out of arity 9, past MAX_ARITY: a
     # usage error, not a traceback

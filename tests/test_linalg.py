@@ -358,6 +358,57 @@ def test_eliminator_matches_dense_reference(F):
             assert elim.coords_in_span(sparse(v)) == _ref_solve(F, cols, len(basis), v)
 
 
+@pytest.mark.parametrize("F", FIELDS, ids=lambda F: F.name)
+def test_labelled_insert_returns_the_relation_by_label(F, monkeypatch):
+    rng = random.Random(14)
+
+    def relation_from_ref(basis, labels, v):
+        cols = [[u[i] for u in basis] for i in range(len(v))]
+        x = _ref_solve(F, cols, len(basis), v)
+        return None if x is None else {t: F.neg(y) for t, y in zip(labels, x) if y}
+
+    for kind in KINDS * 30:
+        n = rng.randint(1, 7)
+        elim, basis, labels = Eliminator(F, track=True), [], []
+        for i in range(rng.randint(0, 10)):
+            if basis and rng.random() < 0.4:
+                v = [F.zero] * n
+                for u in basis:
+                    a = F.of(rng.randint(-3, 3))
+                    v = [F.add(x, F.mul(a, y)) for x, y in zip(v, u)]
+            else:
+                v = _random_vector(rng, F, kind, n)
+            label = 1000 - 7 * i
+            expected = relation_from_ref(basis, labels, v)
+            assert elim.insert(sparse(v), label) == expected
+            if expected is None:
+                basis.append(v)
+                labels.append(label)
+    # a staircase u_k = e_k + a_k e_{k+1}, inserted out of order, and a
+    # combination of all of it: reducing it passes every stored row once
+    n = 6
+    stairs = {k: {k: F.one, k + 1: F.of(rng.choice([1, -1]))} for k in range(n)}
+    elim = Eliminator(F, track=True)
+    for k in rng.sample(range(n), n):
+        assert elim.insert(stairs[k], "u%d" % k) is None
+    dense = [[stairs[k].get(i, F.zero) for i in range(n + 1)] for k in range(n)]
+    coeffs = [F.of(rng.choice([1, -1])) for _ in range(n)]
+    v = [F.zero] * (n + 1)
+    for a, u in zip(coeffs, dense):
+        v = [F.add(x, F.mul(a, y)) for x, y in zip(v, u)]
+    calls, original = [], linalg.sub_scaled
+
+    def counted(*args):
+        calls.append(args)
+        original(*args)
+
+    monkeypatch.setattr(linalg, "sub_scaled", counted)
+    assert elim.insert(sparse(v)) == \
+        relation_from_ref(dense, ["u%d" % k for k in range(n)], v)
+    # two subtractions per stored row: the vector and its coefficients
+    assert len(calls) == 2 * n
+
+
 def test_eliminator_normalizes_a_non_unit_pivot():
     for F in (F3, QQ):
         elim = Eliminator(F, track=True)

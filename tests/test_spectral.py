@@ -4,7 +4,7 @@ import pytest
 
 from knotss import linalg, spectral
 from knotss.fields import F2, F3, QQ
-from knotss.linalg import Matrix, VerificationError, sparse
+from knotss.linalg import Matrix, VerificationError, sparse, sub_scaled
 from knotss.hochschild import build_sinha_complex
 from knotss.spectral import (FilteredComplex, einf_dims, filtration_pairs,
                              page_ranks, random_filtered_complex, ss_pages,
@@ -159,6 +159,59 @@ def test_pairs_match_ss_pages_on_random_complexes():
 def test_pairs_match_ss_pages_on_the_sinha_complex(field, normalized):
     C = build_sinha_complex(6, field, normalized=normalized)
     assert ranks(page_ranks(C, 6)) == ranks(ss_pages(C, 6))
+
+
+def reference_reduce(C):
+    """The column reduction of D in filtration order as a loop of its own,
+    outside linalg.Eliminator: (order, R, V), the form of spectral._reduce.
+
+    While the pivot of R[j] (its entry latest in the (p, j) order) is the
+    pivot of an earlier column k, the multiple of R[k] that clears it is
+    subtracted, and the same multiple of V[k] from V[j].
+    """
+    F = C.field
+    zero = F.zero
+    order = {j: k for k, j in enumerate(
+        sorted(range(C.dim), key=lambda j: (C.slots[j][0], j)))}
+    R, V, owner = {}, {}, {}
+    for j in sorted(C.columns, key=order.get):
+        r, v = dict(C.columns[j]), {j: F.one}
+        while r:
+            i = max(r, key=order.get)
+            k = owner.get(i)
+            if k is None:
+                owner[i] = j
+                break
+            c = F.mul(r[i], F.inv(R[k][i]))
+            sub_scaled(F, zero, r, c, R[k].items())
+            sub_scaled(F, zero, v, c, V[k].items())
+        R[j], V[j] = r, v
+    return order, R, V
+
+
+def _reference_pairs(monkeypatch, C):
+    """filtration_pairs, checks included, read off reference_reduce."""
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_reduce", reference_reduce)
+        return filtration_pairs(C)
+
+
+def test_pairs_match_the_reference_reduction_on_random_complexes(monkeypatch):
+    rng = random.Random(43)
+    for k in range(150):
+        field = FIELDS[k % 3]
+        C = random_filtered_complex(rng, field, max_basis=12 if k < 90 else 30)
+        assert filtration_pairs(C) == _reference_pairs(monkeypatch, C), \
+            "pair mismatch on complex %d" % k
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "plain"])
+@pytest.mark.parametrize("field", FIELDS, ids=lambda F: F.name)
+def test_pairs_match_the_reference_reduction_on_the_sinha_complex(
+        monkeypatch, field, normalized):
+    for m in range(1, 7):
+        C = build_sinha_complex(m, field, normalized=normalized)
+        assert filtration_pairs(C) == _reference_pairs(monkeypatch, C), m
 
 
 def _corrupt(monkeypatch, corruption):
