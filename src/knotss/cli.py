@@ -37,10 +37,11 @@ def _at_least(flag, value, low, high=None):
 
 
 def _seed_default():
+    value = os.environ.get("KNOTSS_SEED", "").strip()
     try:
-        return int(os.environ.get("KNOTSS_SEED", ""))
+        return int(value) if value else DEFAULT_SEED
     except ValueError:
-        return DEFAULT_SEED
+        raise ValueError("KNOTSS_SEED must be an integer, got %r" % value) from None
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +140,9 @@ def cmd_triple_commute(args):
 
 def cmd_geom(args):
     _at_least("--samples", args.samples, 1)
+    # only geom reads KNOTSS_SEED, so no other subcommand fails on it
+    if args.seed is None:
+        args.seed = _seed_default()
     names = ALL_LEMMAS if args.lemma == "all" else (args.lemma,)
     if not set(names) <= set(ALL_LEMMAS):
         raise ValueError("unknown lemma %r" % args.lemma)
@@ -210,7 +214,7 @@ def build_parser():
     sp = sub.add_parser("geom", help="geometric lemma sampling harnesses")
     sp.add_argument("--lemma", default="all")
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=_seed_default())
+    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(fn=cmd_geom)
     _add_common(sp)
     return ap

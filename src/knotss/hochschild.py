@@ -13,25 +13,23 @@ lowers arity by l - 1 and lowers the internal degree by l - 2, so the
 blocks fit the filtered-complex pattern (p, q) -> (p - r, q - r + 1)
 with r = l - 1 and the arity filtration gives a spectral sequence.
 
-In "verbatim" mode every summand has coefficient +1 (a differential in
-characteristic 2 only); in "signed" mode the summands above carry
-+1, (-1)^i, (-1)^{p-l+2} in the order listed, i.e. (-1)^position.
+The summands carry +1, (-1)^i, (-1)^{p-l+2} in the order listed, i.e.
+(-1)^position.
 
 The motivating operad is the homology of the framed little-intervals
 tower whose dual pieces are the configuration-space cohomology rings of
-confcoh; for it delta is exactly the alternating (or plain) sum of the
-coface pullbacks.  build_sinha_complex takes that d_1 from one sparse
-integer route, delta_columns, on the slots' monomials in source and
-target: all admissible monomials for the plain complex, the normalized
-ones for the normalized complex.  ConfTower with hochschild_complex is
-the dense field route kept beside it, for the reference checks and for
-d2_via_lifting.
+confcoh; for it delta is Sinha's d_1, the alternating sum of the coface
+pullbacks.  build_sinha_complex takes that d_1 from one sparse integer
+route, delta_columns, on the slots' monomials in source and target: all
+admissible monomials for the plain complex, the normalized ones for the
+normalized complex.  conf_delta_matrix is its dense view;
+confcoh.sinha_d1 computes the same sum on classes, and the tests compare
+the two.
 """
 
 from .confcoh import admissible_basis, coface_image, dim_cohomology
 from .linalg import (Eliminator, Matrix, column_kernel, rank, solve,
                      solve_many, sub_scaled)
-from .operads import check_mode
 from .spectral import FilteredComplex, page_ranks
 
 MAX_ARITY = 8  # largest max_p of build_sinha_complex
@@ -106,13 +104,13 @@ class OperadPresentation:
         return (tp, tq), mats
 
 
-def _delta_blocks(O, p, q, mode):
+def _delta_blocks(O, p, q):
     """delta out of the dual slot (p, q) as {target slot: matrix}, one
     block per contributing mu_l: the sum of its dual summands, the one
-    at position i signed (-1)^i in signed mode.  No two mu_l share a
-    target slot, since each lowers the arity by a different l - 1."""
+    at position i signed (-1)^i.  No two mu_l share a target slot, since
+    each lowers the arity by a different l - 1."""
     F = O.field
-    minus = F.neg(F.one) if mode == "signed" else F.one
+    minus = F.neg(F.one)
     out = {}
     for l in O.mu_arities:
         (tp, tq), mats = O.dual_terms(l, p, q)
@@ -129,24 +127,23 @@ def _delta_blocks(O, p, q, mode):
     return out
 
 
-def hochschild_delta(O, x, p, q, mode="signed"):
+def hochschild_delta(O, x, p, q):
     """delta applied to a dual coordinate vector x at slot (p, q).
 
     Returns {(p', q'): vector} with one entry per contributing mu_l.
     """
-    check_mode(mode)
     if len(x) != O.dim(p, q):
         raise ValueError("vector of length %d at slot %s of dimension %d"
                          % (len(x), (p, q), O.dim(p, q)))
     out = {}
-    for slot, block in _delta_blocks(O, p, q, mode).items():
+    for slot, block in _delta_blocks(O, p, q).items():
         vec = block.mul_vector(x)
         if any(vec):
             out[slot] = vec
     return out
 
 
-def hochschild_complex(O, max_p=None, mode="signed"):
+def hochschild_complex(O, max_p=None):
     """The dual Hochschild complex of O as a FilteredComplex.
 
     Slots are (p, q) with the arity p as filtration degree.  The dual
@@ -155,7 +152,6 @@ def hochschild_complex(O, max_p=None, mode="signed"):
     differential must hand in data for which the total map squares to
     zero, and FilteredComplex verifies that on construction.
     """
-    check_mode(mode)
     F = O.field
     keys = sorted(k for k in O.dims if max_p is None or k[0] <= max_p)
     offsets, slots = {}, []
@@ -165,7 +161,7 @@ def hochschild_complex(O, max_p=None, mode="signed"):
     columns = {}
     for (p, q) in keys:
         blocks = [(offsets[slot], block.rows) for slot, block
-                  in _delta_blocks(O, p, q, mode).items() if slot in offsets]
+                  in _delta_blocks(O, p, q).items() if slot in offsets]
         # the dual internal differential is an r = 0 block into slot
         # (p, q + 1), which no mu_l block reaches (l >= 2 lowers the arity)
         dmat = O.internal_d.get((p, q + 1))
@@ -179,60 +175,16 @@ def hochschild_complex(O, max_p=None, mode="signed"):
     return FilteredComplex(F, slots, columns)
 
 
-# ---------------------------------------------------------------------------
-# the configuration-space tower as an operad presentation (dual side)
-
-class ConfTower:
-    """Dual presentation of the configuration tower up to arity max_p:
-    slot (p, q) is H^q(Conf_p(R^2)) on the admissible basis.
-
-    Only mu_2 acts; its dual summands in position order 0..p are the
-    coface pullbacks 0..p, so signed delta is the alternating coface
-    sum and verbatim delta is the plain sum.  This is the dense route:
-    p + 1 field matrices per slot.  build_sinha_complex(normalized=False)
-    builds the same complex from delta_columns.
-    """
-
-    mu_arities = [2]
-    internal_d = {}
-    name = "conf-tower"
-
-    def __init__(self, field, max_p):
-        self.field = field
-        self.dims = {(p, q): dim_cohomology(p, q)
-                     for p in range(1, max_p + 1) for q in range(p)}
-
-    def dim(self, p, q):
-        return self.dims.get((p, q), 0)
-
-    def dual_terms(self, l, p, q):
-        if l != 2 or not self.dim(p, q) or not self.dim(p - 1, q):
-            return (p - l + 1, q - l + 2), []
-        F = self.field
-        index = {m: t for t, m in enumerate(admissible_basis(p - 1, q))}
-        source = admissible_basis(p, q)
-        mats = [Matrix.zeros(F, len(index), len(source)) for _ in range(p + 1)]
-        memo = {}
-        for j, m in enumerate(source):
-            for i, M in enumerate(mats):
-                for mm, z in coface_image(i, p, m, memo).items():
-                    M.rows[index[mm]][j] = F.of(z)
-        return (p - 1, q), mats
-
-
-def delta_columns(p, q, sources, index, mode="signed"):
+def delta_columns(p, q, sources, index):
     """d_1 over Z out of slot (p, q): yields one sparse column per source.
 
     index maps admissible monomials of slot (p - 1, q) to rows.  Each
-    column sums the coface images of its source, the i-th signed (-1)^i
-    in signed mode, as {row: int}; images outside index are dropped, and
-    a sum that cancels stays as a 0 entry for the caller to skip.  One
-    straighten memo serves the call.  These signs are kept apart from
-    ConfTower.dual_terms and hochschild_delta.
+    column sums the coface images of its source, the i-th signed (-1)^i,
+    as {row: int}; images outside index are dropped, and a sum that
+    cancels stays as a 0 entry for the caller to skip.  One straighten
+    memo serves the call.
     """
-    check_mode(mode)
-    signs = [-1 if mode == "signed" and i % 2 else 1
-             for i in range(p + 1)] if index else []
+    signs = [(-1) ** i for i in range(p + 1)] if index else []
     memo = {}
     for m in sources:
         col = {}
@@ -247,12 +199,14 @@ def delta_columns(p, q, sources, index, mode="signed"):
 def conf_delta_matrix(p, q, field, mode="signed"):
     """Matrix of delta on the admissible basis, slot (p, q) -> (p-1, q):
     the dense view of delta_columns, coerced once per nonzero entry."""
-    check_mode(mode)
+    # signed only; the keyword stays because perfbench's flip_one_entry passes it
+    if mode != "signed":
+        raise ValueError("conf_delta_matrix is signed only, got mode %r" % (mode,))
     tgt = admissible_basis(p - 1, q) if p >= 2 else []
     source = admissible_basis(p, q)
     M = Matrix.zeros(field, len(tgt), len(source))
     index = {m: t for t, m in enumerate(tgt)}
-    for j, col in enumerate(delta_columns(p, q, source, index, mode)):
+    for j, col in enumerate(delta_columns(p, q, source, index)):
         for t, z in col.items():
             if z:
                 M.rows[t][j] = field.of(z)
@@ -280,20 +234,17 @@ def normalized_slot(p, q):
             if len({a for f in m for a in f}) == p]
 
 
-def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
+def build_sinha_complex(max_p, field, normalized=True):
     """FilteredComplex of the configuration-space tower up to arity max_p.
 
     Slots are (p, q) for 1 <= p <= max_p, 0 <= q <= p - 1, and D is
     delta_columns on each slot's monomials in source and target.  The
-    plain complex takes every admissible monomial; it equals
-    hochschild_complex(ConfTower(field, max_p)), the dense route.  With
-    normalized=True a slot keeps the monomials touching every index
-    1..p (normalized_slot), a basis of the quotient of H^q(Conf_p) by
-    the codegeneracy pullback images; delta maps degenerates to
-    degenerates in signed mode (and in verbatim mode over F2), so D is
-    delta on the quotient.
+    plain complex takes every admissible monomial.  With normalized=True
+    a slot keeps the monomials touching every index 1..p
+    (normalized_slot), a basis of the quotient of H^q(Conf_p) by the
+    codegeneracy pullback images; delta maps degenerates to degenerates,
+    so D is delta on the quotient.
     """
-    check_mode(mode)
     if not (1 <= max_p <= MAX_ARITY):
         raise ValueError("max_p must be between 1 and %d" % MAX_ARITY)
     F = field
@@ -310,7 +261,7 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
         if (p - 1, q) in offsets:
             base = offsets[(p - 1, q)]
             index = {m: base + i for i, m in enumerate(reps[(p - 1, q)])}
-            cols = delta_columns(p, q, reps[(p, q)], index, mode)
+            cols = delta_columns(p, q, reps[(p, q)], index)
             columns.update(enumerate(_field_columns(F, cols), offsets[(p, q)]))
     return FilteredComplex(F, slots, columns)
 
@@ -318,10 +269,10 @@ def build_sinha_complex(max_p, field, normalized=True, mode="signed"):
 def mu3_obstruction_rank(field):
     """Rank of delta from slot (4, 1) to slot (3, 1): the pairing that
     detects the nontrivial ternary bracket on the second page."""
-    return rank(conf_delta_matrix(4, 1, field, mode="signed"))
+    return rank(conf_delta_matrix(4, 1, field))
 
 
-def e2_report(x, mode="signed"):
+def e2_report(x):
     """Second-page data for a cohomology class x at slot (p, q).
 
     Returns is_cycle, is_boundary, the slot's E_2 dimension, and the
@@ -334,9 +285,9 @@ def e2_report(x, mode="signed"):
     # as in conf_delta_matrix, nothing lies below arity 1
     below = ({m: t for t, m in enumerate(admissible_basis(p - 1, q))}
              if p >= 2 else {})
-    d_out = list(_field_columns(F, delta_columns(p, q, basis, below, mode)))
+    d_out = list(_field_columns(F, delta_columns(p, q, basis, below)))
     d_in = _field_columns(F, delta_columns(p + 1, q, admissible_basis(p + 1, q),
-                                           index, mode))
+                                           index))
     v = {index[m]: c for m, c in x.terms.items() if c}
     image = {}
     for j, c in v.items():
@@ -358,7 +309,7 @@ def e2_report(x, mode="signed"):
             "dim_e2": dim_e2, "coordinates": coords}
 
 
-def d2_via_lifting(O, x, p, q, mode="signed"):
+def d2_via_lifting(O, x, p, q):
     """The second-page differential by the lifting formula.
 
     For a class x at slot (p, q) whose mu_2 image vanishes up to an
@@ -366,9 +317,8 @@ def d2_via_lifting(O, x, p, q, mode="signed"):
     mu_2 * y + mu_3 * x at slot (p - 2, q - 1).  Raises ValueError when
     x is not a first-page cycle.
     """
-    check_mode(mode)
     F = O.field
-    parts = hochschild_delta(O, x, p, q, mode=mode)
+    parts = hochschild_delta(O, x, p, q)
     m2x = parts.get((p - 1, q), [F.zero] * O.dim(p - 1, q))
     y = [F.zero] * O.dim(p - 1, q - 1)
     if any(m2x):
@@ -381,7 +331,7 @@ def d2_via_lifting(O, x, p, q, mode="signed"):
         y = sol
     out = [F.zero] * O.dim(p - 2, q - 1)
     if any(y):
-        y_parts = hochschild_delta(O, y, p - 1, q - 1, mode=mode)
+        y_parts = hochschild_delta(O, y, p - 1, q - 1)
         for t, val in enumerate(y_parts.get((p - 2, q - 1), [])):
             out[t] = F.add(out[t], val)
     m3x = parts.get((p - 2, q - 1))
@@ -391,10 +341,9 @@ def d2_via_lifting(O, x, p, q, mode="signed"):
     return out
 
 
-def higher_differentials_vanish(max_p, field, r_max=None, normalized=True,
-                                mode="signed"):
+def higher_differentials_vanish(max_p, field, r_max=None, normalized=True):
     """Report on d_r for r >= 2 on the configuration tower up to max_p."""
-    C = build_sinha_complex(max_p, field, normalized=normalized, mode=mode)
+    C = build_sinha_complex(max_p, field, normalized=normalized)
     if r_max is None:
         r_max = max_p
     pages = page_ranks(C, r_max)
@@ -404,8 +353,7 @@ def higher_differentials_vanish(max_p, field, r_max=None, normalized=True,
             if e["d_rank"]:
                 nonzero.append({"r": r, "slot": [mp, qq], "rank": e["d_rank"]})
     e2 = {str(k): v for k, v in sorted(pages[2].dims().items())}
-    return {"max_p": max_p, "field": field.name, "mode": mode,
-            "normalized": normalized, "r_max": r_max, "e2_dims": e2,
+    return {"max_p": max_p, "field": field.name, "normalized": normalized, "r_max": r_max, "e2_dims": e2,
             "nonzero_higher": nonzero, "pass": not nonzero}
 
 

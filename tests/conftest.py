@@ -13,8 +13,8 @@ def flipped_delta_sign(monkeypatch):
     its normalized restriction see the same entry flipped."""
     original = hochschild.delta_columns
 
-    def flipped(p, q, sources, index, mode="signed"):
-        cols = list(original(p, q, sources, index, mode))
+    def flipped(p, q, sources, index):
+        cols = list(original(p, q, sources, index))
         if (p, q) == (5, 3):
             t = min(t for col in cols for t, z in col.items() if z)
             col = next(col for col in cols if col.get(t))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from knotss.cli import main
+from knotss.cli import DEFAULT_SEED, main
 from knotss.linalg import VerificationError
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "src",
@@ -273,6 +273,24 @@ def test_seed_env_default(capsys, monkeypatch):
     code, doc = run_json(capsys, "geom", "--lemma", "collapse0",
                          "--samples", "5")
     assert doc["config"]["seed"] == 99
+
+
+def test_malformed_seed_env_is_a_usage_error_for_geom_only(capsys, monkeypatch):
+    monkeypatch.setenv("KNOTSS_SEED", "abc")
+    assert main(["geom", "--lemma", "collapse0", "--samples", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: KNOTSS_SEED must be an integer, got 'abc'\n"
+    # an explicit --seed wins, and no other subcommand reads the seed
+    code, doc = run_json(capsys, "geom", "--lemma", "collapse0",
+                         "--samples", "1", "--seed", "5")
+    assert code == 0 and doc["config"]["seed"] == 5
+    code, _ = run_json(capsys, "conf-dims", "--max-arity", "3")
+    assert code == 0
+    # an empty value keeps the default
+    monkeypatch.setenv("KNOTSS_SEED", "")
+    code, doc = run_json(capsys, "geom", "--lemma", "collapse0",
+                         "--samples", "1")
+    assert code == 0 and doc["config"]["seed"] == DEFAULT_SEED
 
 
 def test_config_file_defaults_and_overrides(capsys, tmp_path):

@@ -4,12 +4,11 @@ import random
 import pytest
 
 from knotss.confcoh import (CohClass, admissible_basis, class_to_vector,
-                            codegeneracy_pullback, coface_pullback,
-                            dim_cohomology, normal_form, parse_class, sinha_d1,
-                            zero_class)
+                            codegeneracy_pullback, coface_image,
+                            dim_cohomology, normal_form, parse_class, sinha_d1)
 from knotss import hochschild
 from knotss.fields import F2, F3, QQ
-from knotss.hochschild import (MAX_ARITY, ConfTower, OperadPresentation,
+from knotss.hochschild import (MAX_ARITY, OperadPresentation,
                                build_sinha_complex, conf_delta_matrix,
                                d2_via_lifting, e2_report, hochschild_complex,
                                hochschild_delta, higher_differentials_vanish,
@@ -27,6 +26,20 @@ CHAR3_CYCLE = ("-g(1,3)*g(2,3)*g(4,5)+g(1,4)*g(2,4)*g(3,5)"
                "+g(1,4)*g(2,5)*g(3,4)+g(1,5)*g(2,4)*g(3,4)")
 
 
+def plain_coface_columns(p, q, sources, index):
+    """hochschild.delta_columns with every sign +1: the plain coface sum,
+    built from coface_image.  It is d_1 over F2, where -1 = 1, and no
+    differential over F3 or Q; tests patch it in as a fault."""
+    memo = {}
+    for m in sources:
+        col = {}
+        for i in (range(p + 1) if index else ()):
+            for mm, z in coface_image(i, p, m, memo).items():
+                if mm in index:
+                    col[index[mm]] = col.get(index[mm], 0) + z
+        yield col
+
+
 def test_presentation_validation():
     with pytest.raises(ValueError):
         OperadPresentation(QQ, {(2, 0): 1}, [1])
@@ -42,67 +55,54 @@ def test_presentation_validation():
 
 def test_delta_is_signed_coface_sum_on_tower():
     # column j of the delta matrix is d_1 of the j-th admissible monomial:
-    # the alternating coface sum, or the plain sum in verbatim mode (a
-    # differential over F2 only, but checked over every field so that a
-    # stray sign shows)
+    # the alternating coface sum
     for F in FIELDS:
         for (p, q) in [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3)]:
-            M = conf_delta_matrix(p, q, F, mode="signed")
-            V = conf_delta_matrix(p, q, F, mode="verbatim")
+            M = conf_delta_matrix(p, q, F)
             basis, tgt = admissible_basis(p, q), admissible_basis(p - 1, q)
             assert (M.nrows, M.ncols) == (dim_cohomology(p - 1, q), len(basis))
             for j, m in enumerate(basis):
                 x = normal_form(p, m, F)
                 assert M.column(j) == class_to_vector(sinha_d1(x), tgt)
-                plain = zero_class(p - 1, q, F)
-                for i in range(p + 1):
-                    plain = plain + coface_pullback(i, x)
-                assert V.column(j) == class_to_vector(plain, tgt)
+    with pytest.raises(ValueError, match="signed only"):
+        conf_delta_matrix(2, 1, F2, mode="verbatim")
 
 
-# sha256 over repr of the rows of every conf_delta_matrix, signed for
-# p <= 7 and verbatim for p <= 6, over F2, F3 and Q; recorded while each
+# sha256 over repr of the rows of every conf_delta_matrix for p <= 7
+# over F2, F3 and Q: the signed part of a stream first pinned while each
 # coface term was still coerced and summed in the field
 CONF_DELTA_SHA256 = \
-    "7a16c0f38c702721a7f10bcbcbf37deeaae8c4ec2b472f81241a28f0c88a19a3"
+    "8bd394ad0e595407c8df79a93edebc306479f22fb5694e2218dc729f6f7fba89"
 
 
 def test_conf_delta_matrices_are_pinned():
     h = hashlib.sha256()
-    for mode, max_p in (("signed", 7), ("verbatim", 6)):
-        for F in FIELDS:
-            for p in range(1, max_p + 1):
-                for q in range(p):
-                    M = conf_delta_matrix(p, q, F, mode=mode)
-                    h.update(("%s %s %d %d %r;" % (mode, F.name, p, q, M.rows))
-                             .encode())
+    for F in FIELDS:
+        for p in range(1, 8):
+            for q in range(p):
+                M = conf_delta_matrix(p, q, F)
+                h.update(("signed %s %d %d %r;" % (F.name, p, q, M.rows))
+                         .encode())
     assert h.hexdigest() == CONF_DELTA_SHA256
 
 
 # sha256 over repr of the slots and the column items of every
-# build_sinha_complex(max_p, F): signed for max_p <= 7 over F2, F3 and Q,
-# verbatim for max_p <= 6 over F2; recorded while the normalized slots
-# were still found by eliminating the span of the codegeneracy images
+# build_sinha_complex(max_p, F) for max_p <= 7 over F2, F3 and Q: the
+# signed part of a stream first pinned while the normalized slots were
+# still found by eliminating the span of the codegeneracy images
 SINHA_COMPLEX_SHA256 = \
-    "e1fba26f2fb9d818c523d5539403e0f42a9c181ca6f349c423d960b1e2da9221"
+    "91094520ae2ebf9d607ada075beee0314ee4a92b8e3f7cc736dca89bd64c1263"
 
 
 def test_sinha_complexes_are_pinned():
     h = hashlib.sha256()
-    for mode, max_p, fields in (("signed", 7, FIELDS), ("verbatim", 6, [F2])):
-        for F in fields:
-            for m in range(1, max_p + 1):
-                C = build_sinha_complex(m, F, mode=mode)
-                h.update(("%s %s %d %r %r;" % (mode, F.name, m, C.slots,
-                                               list(C.columns.items())))
-                         .encode())
+    for F in FIELDS:
+        for m in range(1, 8):
+            C = build_sinha_complex(m, F)
+            h.update(("signed %s %d %r %r;" % (F.name, m, C.slots,
+                                              list(C.columns.items())))
+                     .encode())
     assert h.hexdigest() == SINHA_COMPLEX_SHA256
-    # verbatim delta is a differential in characteristic 2 only
-    for F in (F3, QQ):
-        build_sinha_complex(5, F, mode="verbatim")
-        with pytest.raises(VerificationError,
-                           match=r"square to zero \(witness column 56\)"):
-            build_sinha_complex(6, F, mode="verbatim")
 
 
 # build_sinha_complex(8, F2), hashed as above; recorded while the
@@ -125,11 +125,11 @@ def _positions(slot, monomials):
     return [index[m] for m in monomials]
 
 
-def reference_sinha_complex(max_p, F, mode, dense):
+def reference_sinha_complex(max_p, F, dense):
     """Slots and columns of the normalized Sinha complex by the dense
     route: conf_delta_matrix over every admissible monomial, read on
     the normalized_slot rows and columns.  dense caches the matrices
-    by (p, q) for one field and mode."""
+    by (p, q) for one field."""
     keys = [(p, q) for p in range(1, max_p + 1) for q in range(p)
             if dim_cohomology(p, q)]
     reps = {k: _positions(k, normalized_slot(*k)) for k in keys}
@@ -142,7 +142,7 @@ def reference_sinha_complex(max_p, F, mode, dense):
         if (p - 1, q) not in offsets:
             continue
         if (p, q) not in dense:
-            dense[(p, q)] = conf_delta_matrix(p, q, F, mode=mode).rows
+            dense[(p, q)] = conf_delta_matrix(p, q, F).rows
         base, tgt, rows = offsets[(p - 1, q)], reps[(p - 1, q)], dense[(p, q)]
         for s, t in enumerate(reps[(p, q)]):
             columns[offsets[(p, q)] + s] = {base + i: rows[r][t]
@@ -151,59 +151,49 @@ def reference_sinha_complex(max_p, F, mode, dense):
     return slots, columns
 
 
-def test_sinha_complex_matches_the_dense_reference_route():
-    for mode, max_p, fields in (("signed", 7, FIELDS), ("verbatim", 6, [F2])):
-        for F in fields:
-            dense = {}
-            for m in range(1, max_p + 1):
-                slots, columns = reference_sinha_complex(m, F, mode, dense)
-                C = build_sinha_complex(m, F, mode=mode)
-                # FilteredComplex keeps only the nonzero columns; repr
-                # compares the key order of every column too
-                assert C.slots == slots, (mode, F, m)
-                kept = [(j, col) for j, col in columns.items() if col]
-                assert repr(list(C.columns.items())) == repr(kept), \
-                    (mode, F, m)
-    # verbatim delta is no differential over F3 or Q, by either route
+def test_sinha_complex_matches_the_dense_reference_route(monkeypatch):
+    for F in FIELDS:
+        dense = {}
+        for m in range(1, 8):
+            slots, columns = reference_sinha_complex(m, F, dense)
+            C = build_sinha_complex(m, F)
+            # FilteredComplex keeps only the nonzero columns; repr
+            # compares the key order of every column too
+            assert C.slots == slots, (F, m)
+            kept = [(j, col) for j, col in columns.items() if col]
+            assert repr(list(C.columns.items())) == repr(kept), (F, m)
+    # the plain coface sum is no differential over F3 or Q, by either
+    # route; on the normalized slots it first fails at arity 6
+    monkeypatch.setattr(hochschild, "delta_columns", plain_coface_columns)
     for F in (F3, QQ):
-        slots, columns = reference_sinha_complex(6, F, "verbatim", {})
+        build_sinha_complex(5, F)
+        slots, columns = reference_sinha_complex(6, F, {})
         for build in (lambda: FilteredComplex(F, slots, columns),
-                      lambda: build_sinha_complex(6, F, mode="verbatim")):
+                      lambda: build_sinha_complex(6, F)):
             with pytest.raises(VerificationError,
                                match=r"square to zero \(witness column 56\)"):
                 build()
 
 
-def _built(build):
-    """Slots and repr of the column items of build(), or the text of
-    the VerificationError it raises."""
-    try:
-        C = build()
-    except VerificationError as exc:
-        return str(exc)
-    return C.slots, repr(list(C.columns.items()))
-
-
-def test_plain_sinha_complex_matches_the_dense_reference_route():
-    # the plain complex comes from delta_columns on every admissible
-    # monomial; ConfTower sums p + 1 dense coface matrices per slot.
-    # Verbatim delta squares to zero only over F2, so over F3 and Q
-    # both routes must fail with the same witness column.
-    failures = []
-    for mode, max_p in (("signed", 7), ("verbatim", 6)):
-        for F in FIELDS:
-            for m in range(1, max_p + 1):
-                built = _built(lambda: build_sinha_complex(
-                    m, F, normalized=False, mode=mode))
-                reference = _built(lambda: hochschild_complex(
-                    ConfTower(F, m), mode=mode))
-                assert built == reference, (mode, F, m)
-                if isinstance(built, str):
-                    failures.append((F, m, built))
-    assert [(F, m) for F, m, _ in failures] == [
-        (F3, 4), (F3, 5), (F3, 6), (QQ, 3), (QQ, 4), (QQ, 5), (QQ, 6)]
-    assert all("does not square to zero (witness column" in text
-               for _, _, text in failures)
+def test_plain_sinha_complex_matches_the_sinha_d1_reference():
+    # every column of the plain complex to arity 7, and of
+    # conf_delta_matrix, is sinha_d1 of its admissible monomial: the
+    # alternating sum of the coface pullbacks of a class
+    for F in FIELDS:
+        C = build_sinha_complex(7, F, normalized=False)
+        offsets = {}
+        for j, slot in enumerate(C.slots):
+            offsets.setdefault(slot, j)
+        for (p, q), base in offsets.items():
+            tgt = admissible_basis(p - 1, q) if p > 1 else []
+            M = conf_delta_matrix(p, q, F)
+            for j, m in enumerate(admissible_basis(p, q)):
+                want = (class_to_vector(sinha_d1(normal_form(p, m, F)), tgt)
+                        if p > 1 else [])
+                assert M.column(j) == want, (F, p, q, m)
+                row = offsets.get((p - 1, q))
+                assert C.columns.get(base + j, {}) == \
+                    {row + t: c for t, c in enumerate(want) if c}, (F, p, q, m)
 
 
 def test_codegeneracy_images_are_the_non_normalized_monomials():
@@ -226,16 +216,16 @@ def test_codegeneracy_images_are_the_non_normalized_monomials():
                 assert reps == sorted(set(range(len(index))) - hit), (F, p, q)
 
 
-def test_delta_descends_to_the_normalized_slots():
+def test_delta_descends_to_the_normalized_slots(monkeypatch):
     # delta sends every degenerate column to degenerate rows, so the
     # normalized D is delta's submatrix on the normalized positions.
-    # Verbatim delta over F3 does not descend (320 entries for p <= 6
-    # land on normalized rows), which the last count shows.
-    def leaks(F, mode, max_p):
+    # The plain coface sum over F3 does not descend (320 entries for
+    # p <= 6 land on normalized rows), which the last count shows.
+    def leaks(F, max_p):
         count = 0
         for p in range(2, max_p + 1):
             for q in range(p - 1):
-                rows = conf_delta_matrix(p, q, F, mode=mode).rows
+                rows = conf_delta_matrix(p, q, F).rows
                 reps = set(_positions((p, q), normalized_slot(p, q)))
                 degenerate = [j for j in range(dim_cohomology(p, q))
                               if j not in reps]
@@ -245,14 +235,14 @@ def test_delta_descends_to_the_normalized_slots():
         return count
 
     for F in FIELDS:
-        assert leaks(F, "signed", 7) == 0, F
-    assert leaks(F2, "verbatim", 6) == 0
-    assert leaks(F3, "verbatim", 6) == 320
+        assert leaks(F, 7) == 0, F
+    monkeypatch.setattr(hochschild, "delta_columns", plain_coface_columns)
+    assert leaks(F3, 6) == 320
 
 
 def test_char2_cycle_through_delta():
     x = parse_class(CHAR2_CYCLE, 4, F2)
-    rep = e2_report(x, mode="verbatim")
+    rep = e2_report(x)
     assert rep["is_cycle"] and not rep["is_boundary"]
     # same class over Q is not even a cycle
     rep_q = e2_report(parse_class(CHAR2_CYCLE, 4, QQ))
@@ -276,13 +266,13 @@ def test_boundary_detection():
         assert all(not c for c in rep["coordinates"])
 
 
-def reference_e2_reports(classes, mode):
+def reference_e2_reports(classes):
     """e2_report on classes of one slot, with is_boundary decided by a
     second, dense elimination: solving d_in y = v."""
     x = classes[0]
     F, p, q = x.field, x.arity, x.degree
-    d_out = hochschild.conf_delta_matrix(p, q, F, mode=mode)
-    d_in = hochschild.conf_delta_matrix(p + 1, q, F, mode=mode)
+    d_out = hochschild.conf_delta_matrix(p, q, F)
+    d_in = hochschild.conf_delta_matrix(p + 1, q, F)
     vs = [class_to_vector(x, admissible_basis(p, q)) for x in classes]
     elim = Eliminator(F, track=True)
     for j in range(d_in.ncols):
@@ -302,15 +292,15 @@ def reference_e2_reports(classes, mode):
 
 def test_e2_report_matches_the_two_elimination_route(monkeypatch):
     # every admissible monomial, random combinations of them, and the
-    # signed d_1 images of random classes one arity up (boundaries in
-    # signed mode), for p <= 5 over every field in both modes; the
-    # reference reads the dense d_1 matrices, built once per slot
+    # d_1 images of random classes one arity up (boundaries), for p <= 5
+    # over every field; the reference reads the dense d_1 matrices, built
+    # once per slot
     matrices = {}
 
-    def cached(p, q, field, mode="signed"):
-        key = (p, q, field.name, mode)
+    def cached(p, q, field):
+        key = (p, q, field.name)
         if key not in matrices:
-            matrices[key] = conf_delta_matrix(p, q, field, mode=mode)
+            matrices[key] = conf_delta_matrix(p, q, field)
         return matrices[key]
 
     monkeypatch.setattr(hochschild, "conf_delta_matrix", cached)
@@ -329,12 +319,10 @@ def test_e2_report_matches_the_two_elimination_route(monkeypatch):
                     classes.append(sinha_d1(CohClass(p + 1, q, F, {
                         m: F.of(rng.randint(-2, 2))
                         for m in rng.sample(up, min(3, len(up)))})))
-                for mode in ("signed", "verbatim"):
-                    reference = reference_e2_reports(classes, mode)
-                    for x, want in zip(classes, reference):
-                        rep = e2_report(x, mode=mode)
-                        assert rep == want, (F, mode, x)
-                        boundaries += rep["is_boundary"]
+                for x, want in zip(classes, reference_e2_reports(classes)):
+                    rep = e2_report(x)
+                    assert rep == want, (F, x)
+                    boundaries += rep["is_boundary"]
     assert boundaries > 200
 
 
@@ -395,23 +383,21 @@ def test_pointwise_d1_two_routes():
     for k in range(21):
         F = FIELDS[k % 3]
         O = pointwise_presentation(rng, F)
-        for mode in (("signed", "verbatim") if F is F2 else ("signed",)):
-            C = hochschild_complex(O, mode=mode)
-            pages = ss_pages(C, 1)
-            slots = sorted(set(C.slots))
-            for (p, q) in slots:
-                ent = pages[1].table[(-p, q)]
-                m = O.dim(p, q)
-                assert ent["dim"] == m
-                direct = []
-                for t in range(m):
-                    x = [F.zero] * m
-                    x[t] = F.one
-                    out = hochschild_delta(O, x, p, q, mode=mode)
-                    direct.append(out.get((p - 1, q), [F.zero] * O.dim(p - 1, q)))
-                dmat = Matrix.from_columns(F, direct, ambient=O.dim(p - 1, q))
-                assert ent["d"].rows == dmat.rows, (k, mode, p, q)
-                checked += 1
+        C = hochschild_complex(O)
+        pages = ss_pages(C, 1)
+        for (p, q) in sorted(set(C.slots)):
+            ent = pages[1].table[(-p, q)]
+            m = O.dim(p, q)
+            assert ent["dim"] == m
+            direct = []
+            for t in range(m):
+                x = [F.zero] * m
+                x[t] = F.one
+                out = hochschild_delta(O, x, p, q)
+                direct.append(out.get((p - 1, q), [F.zero] * O.dim(p - 1, q)))
+            dmat = Matrix.from_columns(F, direct, ambient=O.dim(p - 1, q))
+            assert ent["d"].rows == dmat.rows, (k, p, q)
+            checked += 1
     assert checked >= 100
 
 
@@ -421,9 +407,7 @@ def test_pointwise_delta_squares_to_zero():
         F = FIELDS[k % 3]
         O = pointwise_presentation(rng, F)
         # construction verifies D^2 = 0; failure raises
-        hochschild_complex(O, mode="signed")
-        if F is F2:
-            hochschild_complex(O, mode="verbatim")
+        hochschild_complex(O)
 
 
 def test_internal_differential_is_the_r0_block():
@@ -439,7 +423,7 @@ def test_internal_differential_is_the_r0_block():
 def test_toy_mu3_engine_vs_lifting():
     for F in FIELDS:
         O = toy_mu3_presentation(F)
-        C = hochschild_complex(O, mode="signed")
+        C = hochschild_complex(O)
         pages = ss_pages(C, 3)
         assert pages[2].dims() == {(-4, 2): 1, (-3, 1): 1, (-2, 1): 1}
         ent = pages[2].table[(-4, 2)]
@@ -462,18 +446,13 @@ def test_toy_mu3_engine_vs_lifting():
         assert pages[3].dims() == {(-3, 1): 1}
 
 
-def test_tower_lifting_always_zero():
-    # no mu_3 oracle on the tower: the lifting formula returns zero for
-    # every cycle, matching the vanishing page-2 differential
-    x = parse_class(CHAR2_CYCLE, 4, F2)
-    from knotss.confcoh import class_to_vector
-    tower = ConfTower(F2, 5)
-    v = class_to_vector(x, admissible_basis(4, 2))
-    out = d2_via_lifting(tower, v, 4, 2, mode="verbatim")
-    assert not any(out)
-    with pytest.raises(ValueError):
-        # a non-cycle has no lift
-        w = class_to_vector(parse_class(CHAR2_CYCLE, 4, QQ),
-                            admissible_basis(4, 2))
-        d2_via_lifting(ConfTower(QQ, 5), w, 4, 2)
+def test_lifting_rejects_a_non_cycle():
+    # the dual generator of slot (2, 0) has delta x = x o_1 mu_2 != 0,
+    # and with no internal differential nothing lifts it
+    for F in FIELDS:
+        O = OperadPresentation(F, {(1, 0): 1, (2, 0): 1}, [2],
+                               left={(2, 1, 2, 0): Matrix(F, [[1]])})
+        assert hochschild_delta(O, [F.one], 2, 0) == {(1, 0): [F.one]}
+        with pytest.raises(ValueError, match="does not vanish"):
+            d2_via_lifting(O, [F.one], 2, 0)
 
