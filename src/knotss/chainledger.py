@@ -330,8 +330,8 @@ def contraction(expr, G, e, s_name, direction=1):
     return MapExpr(comps)
 
 
-def ee_contraction(expr, G, e1, e2, s1, s2, d1=1, d2=1):
-    return contraction(contraction(expr, G, e1, s1, d1), G, e2, s2, d2)
+def ee_contraction(expr, G, e1, e2, s1, s2):
+    return contraction(contraction(expr, G, e1, s1), G, e2, s2)
 
 
 def straight(f, g, t_name):
@@ -536,17 +536,17 @@ def single(coeff, expr, factors, label):
 # boundary and merge operators
 
 
-def boundary_D(chain, tr=1, drop_degenerate=True):
+def boundary_D(chain):
     """D = d + (-1)^degree partial, exact over Q.
 
     The restriction part d sets each s-parameter to 0 and takes the
     difference of t := 1 and t := 0, signed by the factor position with
     the degree-4 sphere block first.  The Cech part partial removes one
-    edge at a time; results with fewer than tr edges are truncated
-    away.  A restricted term whose expression no longer depends on one
-    of its remaining t-parameters is a degenerate simplex and is
-    dropped.  Mod 2 the sign (-1)^degree is 1, so Chain.reduce(2) of
-    the result is the unsigned D = d + partial of the char-2 setting.
+    edge at a time; results with no edge left are truncated away.  A
+    restricted term whose expression no longer depends on one of its
+    remaining t-parameters is a degenerate simplex and is dropped.  Mod
+    2 the sign (-1)^degree is 1, so Chain.reduce(2) of the result is the
+    unsigned D = d + partial of the char-2 setting.
     """
     out = Chain()
     for coeff, term in chain.items():
@@ -557,18 +557,16 @@ def boundary_D(chain, tr=1, drop_degenerate=True):
             sign = -1 if j % 2 else 1
             expr = term.expr.subst(s, 0)
             w2 = WeightSpec(w.s_names[:j] + w.s_names[j + 1:], w.t_names)
-            _emit(out, coeff * sign, expr, w2, term.label, drop_degenerate)
+            _emit(out, coeff * sign, expr, w2, term.label)
         for j, t in enumerate(w.t_names):
             sign = -1 if (k + j) % 2 else 1
             w2 = WeightSpec(w.s_names, w.t_names[:j] + w.t_names[j + 1:])
-            _emit(out, coeff * sign, term.expr.subst(t, 1), w2, term.label,
-                  drop_degenerate)
-            _emit(out, -coeff * sign, term.expr.subst(t, 0), w2, term.label,
-                  drop_degenerate)
+            _emit(out, coeff * sign, term.expr.subst(t, 1), w2, term.label)
+            _emit(out, -coeff * sign, term.expr.subst(t, 0), w2, term.label)
         # Cech part
         psign = (-1) ** w.degree
         edges = term.label.edges
-        if len(edges) - 1 >= tr:
+        if len(edges) >= 2:
             for pos in range(len(edges)):
                 smaller = PGraph._of(term.label.partition,
                                      edges[:pos] + edges[pos + 1:])
@@ -578,12 +576,11 @@ def boundary_D(chain, tr=1, drop_degenerate=True):
     return out
 
 
-def _emit(out, coeff, expr, weight, label, drop_degenerate):
-    if drop_degenerate:
-        free = expr.names()
-        for t in weight.t_names:
-            if t not in free:
-                return
+def _emit(out, coeff, expr, weight, label):
+    free = expr.names()
+    for t in weight.t_names:
+        if t not in free:
+            return
     out.add(coeff, expr, weight, label)
 
 

@@ -118,7 +118,7 @@ def cmd_ledger(args):
 def cmd_ainf_check(args):
     _at_least("--max-arity", args.max_arity, 2)
     F = field_by_name(args.field)
-    rep = d_squared_report(args.max_arity, F, mode=args.mode)
+    rep = d_squared_report(args.max_arity, F)
     return rep, rep["pass"]
 
 
@@ -196,8 +196,6 @@ def build_parser():
     sp = sub.add_parser("ainf-check", help="d squared on the tree differential")
     sp.add_argument("--max-arity", type=int, default=6)
     sp.add_argument("--field", default="f2")
-    sp.add_argument("--mode", choices=("verbatim", "signed"),
-                    default="signed")
     sp.set_defaults(fn=cmd_ainf_check)
     _add_common(sp)
 
@@ -248,7 +246,7 @@ def _tsv_lines(command, report):
     if command == "conf-dims":
         for row in report["rows"]:
             yield "\t".join([str(row["p"])] + [str(d) for d in row["dims"]])
-    elif command == "ss-table":
+    elif command == "ss-table" and "error" not in report:
         for page in report["pages"]:
             for slot, e in sorted(page["slots"].items()):
                 yield "\t".join((str(page["r"]), slot, str(e["dim"]),
@@ -269,6 +267,17 @@ def main(argv=None):
             sub = argv[0]
             args = parser.parse_args([sub] + extra + argv[1:])
         report, ok = args.fn(args)
+        doc = {"schema": SCHEMA_VERSION, "command": args.command,
+               "config": _echo_config(args), "report": report, "pass": ok}
+        if args.format == "tsv":
+            text = "\n".join(_tsv_lines(args.command, report)) + "\n"
+        else:
+            text = json.dumps(doc, sort_keys=True, indent=1, default=str) + "\n"
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except SystemExit as exc:
         return 2 if exc.code else 0
     except VerificationError as exc:
@@ -277,17 +286,6 @@ def main(argv=None):
     except (ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    doc = {"schema": SCHEMA_VERSION, "command": args.command,
-           "config": _echo_config(args), "report": report, "pass": ok}
-    if args.format == "tsv":
-        text = "\n".join(_tsv_lines(args.command, report)) + "\n"
-    else:
-        text = json.dumps(doc, sort_keys=True, indent=1, default=str) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if ok else 1
 
 

@@ -694,17 +694,17 @@ def _clamp(v, lo, hi):
     return v
 
 
-def attack_term(params, term, rng, restarts=200, rounds=3):
+def attack_term(params, term, rng, restarts=200):
     """Search for a non-basepoint witness of a ledger term by exact
     alternating minimization of the squared tube distance over the
-    configuration (x, y) and the bound parameters, each parameter step
-    kept to denominators of at most 2^24.
+    configuration (x, y) and the bound parameters, three rounds per
+    restart, each parameter step kept to denominators of at most 2^24.
 
     A witness is an exact rational input whose image lies inside the
     tube with projection clear of every excision region; finding one
     disproves the zero fact for the term."""
-    if restarts < 1 or rounds < 1:
-        raise ValueError("the attack needs at least one restart and one round")
+    if restarts < 1:
+        raise ValueError("the attack needs at least one restart")
     tube = Tube(params, term.label.partition)
     expr = term.expr
     coefficients = TermRows(expr)
@@ -721,7 +721,7 @@ def attack_term(params, term, rng, restarts=200, rounds=3):
                                        * rng.choice((1, 4, 16, 64)))
             else:
                 values[nm] = rand_frac(rng, 0, 1)
-        for _ in range(rounds):
+        for _ in range(3):
             rows, den = coefficients(values)
             x, y = _ls_step(tube, rows, den)
             # x and y over one E; the image A over D = den E

@@ -2,8 +2,8 @@
 the dual spaces, and its arity-filtered spectral sequence.
 
 For an operad O with distinguished elements mu_l in O(l) of degree
-l - 2, the complex has slots Hoch^{p,q} = (O(p)_q)^dual and total
-differential (dual internal differential) + delta, where
+l - 2, the complex has slots Hoch^{p,q} = (O(p)_q)^dual and
+differential delta, where
 
     delta(x) = sum_l ( x o_1 mu_l + sum_i mu_l o_i x + x o_l mu_l )
 
@@ -28,9 +28,9 @@ the two.
 """
 
 from .confcoh import admissible_basis, coface_image, dim_cohomology
-from .linalg import (Eliminator, Matrix, column_kernel, rank, solve,
-                     solve_many, sub_scaled)
-from .spectral import FilteredComplex, page_ranks
+from .linalg import (Eliminator, Matrix, column_kernel, rank, solve_many,
+                     sub_scaled)
+from .spectral import FilteredComplex
 
 MAX_ARITY = 8  # largest max_p of build_sinha_complex
 
@@ -45,14 +45,12 @@ class OperadPresentation:
         O(p - l + 1)_q -> O(p)_{q + l - 2}, for 1 <= i <= l.
     right[(l, i, p, q)]: matrix of y -> y o_i mu_l, same shape, for
         1 <= i <= p - l + 1.
-    internal_d[(p, q)]: matrix of the differential O(p)_q -> O(p)_{q-1}.
 
     Missing keys mean zero maps.  The Hochschild differential is built
     from the duals (transposes) of these.
     """
 
-    def __init__(self, field, dims, mu_arities, left=None, right=None,
-                 internal_d=None, name="operad"):
+    def __init__(self, field, dims, mu_arities, left=None, right=None):
         self.field = field
         self.dims = {k: int(v) for k, v in dims.items() if v}
         self.mu_arities = sorted(set(mu_arities))
@@ -61,8 +59,6 @@ class OperadPresentation:
                 raise ValueError("mu arities start at 2")
         self.left = dict(left or {})
         self.right = dict(right or {})
-        self.internal_d = dict(internal_d or {})
-        self.name = name
         for (l, i, p, q), M in self.left.items():
             self._check_shape(M, l, i, p, q, 1 <= i <= l)
         for (l, i, p, q), M in self.right.items():
@@ -143,17 +139,14 @@ def hochschild_delta(O, x, p, q):
     return out
 
 
-def hochschild_complex(O, max_p=None):
+def hochschild_complex(O):
     """The dual Hochschild complex of O as a FilteredComplex.
 
-    Slots are (p, q) with the arity p as filtration degree.  The dual
-    internal differential (transpose of internal_d, an r = 0 block) is
-    added with coefficient +1; presentations with a nonzero internal
-    differential must hand in data for which the total map squares to
-    zero, and FilteredComplex verifies that on construction.
+    Slots are (p, q) with the arity p as filtration degree; D is delta,
+    and FilteredComplex verifies D^2 = 0 on construction.
     """
     F = O.field
-    keys = sorted(k for k in O.dims if max_p is None or k[0] <= max_p)
+    keys = sorted(O.dims)
     offsets, slots = {}, []
     for (p, q) in keys:
         offsets[(p, q)] = len(slots)
@@ -162,11 +155,6 @@ def hochschild_complex(O, max_p=None):
     for (p, q) in keys:
         blocks = [(offsets[slot], block.rows) for slot, block
                   in _delta_blocks(O, p, q).items() if slot in offsets]
-        # the dual internal differential is an r = 0 block into slot
-        # (p, q + 1), which no mu_l block reaches (l >= 2 lowers the arity)
-        dmat = O.internal_d.get((p, q + 1))
-        if dmat is not None and (p, q + 1) in offsets:
-            blocks.append((offsets[(p, q + 1)], dmat.transpose().rows))
         for t in range(O.dim(p, q)):
             columns[offsets[(p, q)] + t] = {base + s: row[t]
                                             for base, rows in blocks
@@ -312,55 +300,22 @@ def e2_report(x):
 def d2_via_lifting(O, x, p, q):
     """The second-page differential by the lifting formula.
 
-    For a class x at slot (p, q) whose mu_2 image vanishes up to an
-    internal-differential correction dy = mu_2 * x, returns the chain
-    mu_2 * y + mu_3 * x at slot (p - 2, q - 1).  Raises ValueError when
-    x is not a first-page cycle.
+    For a class x at slot (p, q) whose mu_2 image vanishes, the lift y
+    with dy = mu_2 * x is 0 (no presentation has an internal
+    differential), so d_2 x is the chain mu_3 * x at slot
+    (p - 2, q - 1).  Raises ValueError when x is not a first-page cycle.
     """
     F = O.field
     parts = hochschild_delta(O, x, p, q)
-    m2x = parts.get((p - 1, q), [F.zero] * O.dim(p - 1, q))
-    y = [F.zero] * O.dim(p - 1, q - 1)
-    if any(m2x):
-        dmat = O.internal_d.get((p - 1, q), None)
-        sol = None
-        if dmat is not None:
-            sol = solve(dmat.transpose(), m2x)
-        if sol is None:
-            raise ValueError("mu_2 image of x does not vanish on the first page")
-        y = sol
-    out = [F.zero] * O.dim(p - 2, q - 1)
-    if any(y):
-        y_parts = hochschild_delta(O, y, p - 1, q - 1)
-        for t, val in enumerate(y_parts.get((p - 2, q - 1), [])):
-            out[t] = F.add(out[t], val)
-    m3x = parts.get((p - 2, q - 1))
-    if m3x is not None:
-        for t, val in enumerate(m3x):
-            out[t] = F.add(out[t], val)
-    return out
-
-
-def higher_differentials_vanish(max_p, field, r_max=None, normalized=True):
-    """Report on d_r for r >= 2 on the configuration tower up to max_p."""
-    C = build_sinha_complex(max_p, field, normalized=normalized)
-    if r_max is None:
-        r_max = max_p
-    pages = page_ranks(C, r_max)
-    nonzero = []
-    for r in range(2, r_max + 1):
-        for (mp, qq), e in pages[r].table.items():
-            if e["d_rank"]:
-                nonzero.append({"r": r, "slot": [mp, qq], "rank": e["d_rank"]})
-    e2 = {str(k): v for k, v in sorted(pages[2].dims().items())}
-    return {"max_p": max_p, "field": field.name, "normalized": normalized, "r_max": r_max, "e2_dims": e2,
-            "nonzero_higher": nonzero, "pass": not nonzero}
+    if (p - 1, q) in parts:
+        raise ValueError("mu_2 image of x does not vanish on the first page")
+    return parts.get((p - 2, q - 1), [F.zero] * O.dim(p - 2, q - 1))
 
 
 # ---------------------------------------------------------------------------
 # synthetic presentations for cross-checking the page machinery
 
-def pointwise_presentation(rng, field, max_arity=5, max_dim=4, degree=None):
+def pointwise_presentation(rng, field):
     """A strictly associative multiplication, disguised by a random
     change of basis in every arity.
 
@@ -371,9 +326,9 @@ def pointwise_presentation(rng, field, max_arity=5, max_dim=4, degree=None):
     operad axiom exact.
     """
     F = field
-    m = rng.randint(1, max_dim)
-    q0 = rng.randint(0, 2) if degree is None else degree
-    dims = {(p, q0): m for p in range(1, max_arity + 1)}
+    m = rng.randint(1, 4)
+    q0 = rng.randint(0, 2)
+    dims = {(p, q0): m for p in range(1, 6)}
 
     def rand_invertible():
         while True:
@@ -382,7 +337,7 @@ def pointwise_presentation(rng, field, max_arity=5, max_dim=4, degree=None):
             if rank(M) == m:
                 return M
 
-    g = {p: rand_invertible() for p in range(1, max_arity + 1)}
+    g = {p: rand_invertible() for p in range(1, 6)}
     unit = Matrix.identity(F, m).columns()
     ginv = {p: Matrix.from_columns(F, solve_many(M, unit), ambient=m)
             for p, M in g.items()}
@@ -391,14 +346,13 @@ def pointwise_presentation(rng, field, max_arity=5, max_dim=4, degree=None):
     for i in range(m):
         mult.rows[i][i] = u[i]
     left, right = {}, {}
-    for p in range(2, max_arity + 1):
+    for p in range(2, 6):
         M = g[p].mul_matrix(mult).mul_matrix(ginv[p - 1])
         for i in (1, 2):
             left[(2, i, p, q0)] = M
         for i in range(1, p):
             right[(2, i, p, q0)] = M
-    return OperadPresentation(F, dims, [2], left=left, right=right,
-                              name="pointwise-%dd" % m)
+    return OperadPresentation(F, dims, [2], left=left, right=right)
 
 
 def toy_mu3_presentation(field):
@@ -412,4 +366,4 @@ def toy_mu3_presentation(field):
     F = field
     dims = {(4, 2): 1, (3, 1): 1, (2, 1): 1}
     left = {(3, 1, 4, 1): Matrix(F, [[1]])}
-    return OperadPresentation(F, dims, [3], left=left, name="toy-mu3")
+    return OperadPresentation(F, dims, [3], left=left)

@@ -7,21 +7,13 @@ The differential is
 
     d mu_k = sum mu_l o_{p+1} mu_q,   l, q >= 2, 0 <= p <= l-1, l+q = k+1,
 
-extended to trees as a derivation.  In "verbatim" mode every summand
-has coefficient +1 (this squares to zero only in characteristic 2); in
-"signed" mode the summand mu_l o_{p+1} mu_q carries (-1)^{p + q(l-p-1)}
-and the derivation rule carries Koszul signs, which squares to zero
-over any field.
+extended to trees as a derivation.  The summand mu_l o_{p+1} mu_q
+carries (-1)^{p + q(l-p-1)} and the derivation rule carries Koszul
+signs, so d squares to zero over any field.  Over F2 every sign is 1;
+over F3 and Q the unsigned sum fails d^2 = 0 from arity 4 on.
 """
 
 LEAF = "*"
-MODES = ("signed", "verbatim")
-
-
-def check_mode(mode):
-    """Reject a sign convention other than those in MODES."""
-    if mode not in MODES:
-        raise ValueError("unknown mode %r; expected one of %s" % (mode, MODES))
 
 
 def leaf_count(tree):
@@ -124,15 +116,15 @@ def compose_free(a, i, b):
     return out
 
 
-def ainf_differential(k, field, mode="verbatim"):
+def ainf_differential(k, field):
     """d mu_k as a free element: the root summands of the derivation on
     generator(k); zero for k = 2."""
-    return free_differential(FreeElement.single(field, generator(k)), mode)
+    return free_differential(FreeElement.single(field, generator(k)))
 
 
-def _d_tree(tree, field, mode):
+def _d_tree(tree, field):
     """Derivation extension of the generator differential, as a list of
-    (coefficient, tree); Koszul signs apply only in signed mode."""
+    (coefficient, tree) with Koszul signs."""
     F = field
     if tree == LEAF:
         return []
@@ -141,50 +133,43 @@ def _d_tree(tree, field, mode):
     out = []
     # differentiate the root vertex; re-graft the children afterwards.
     # Trees are oriented by depth-first vertex order, so inserting the
-    # new vertex mu_q after the first p children moves it (in signed
-    # mode) past their vertices, which costs (-1)^{q * deg(c_1..c_p)}.
+    # new vertex mu_q after the first p children moves it past their
+    # vertices, which costs (-1)^{q * deg(c_1..c_p)}.
     for l in range(2, k):
         q = k + 1 - l
         for p in range(l):
             full = graft(generator(l), p + 1, generator(q))
             for pos in range(k, 0, -1):
                 full = graft(full, pos, children[pos - 1])
-            if mode == "signed":
-                passed = sum(tree_degree(c) for c in children[:p])
-                sign = (-1) ** (p + q * (l - p - 1) + q * passed)
-            else:
-                sign = 1
+            passed = sum(tree_degree(c) for c in children[:p])
+            sign = (-1) ** (p + q * (l - p - 1) + q * passed)
             out.append((F.of(sign), full))
     # differentiate inside each child, passing over the root and the
     # preceding children
-    sign = (-1) ** (k - 2) if mode == "signed" else 1
+    sign = (-1) ** (k - 2)
     for idx, child in enumerate(children):
-        for c0, sub in _d_tree(child, F, mode):
+        for c0, sub in _d_tree(child, F):
             coeff = F.mul(F.of(sign), c0)
             out.append((coeff, (k,) + children[:idx] + (sub,) + children[idx + 1:]))
-        if mode == "signed":
-            sign *= (-1) ** (tree_degree(child) % 2)
+        sign *= (-1) ** (tree_degree(child) % 2)
     return out
 
 
-def free_differential(x, mode="verbatim"):
+def free_differential(x):
     """d on a formal sum of trees."""
-    check_mode(mode)
     F = x.field
     out = FreeElement(F)
     for t, c in x.terms.items():
-        for c0, t2 in _d_tree(t, F, mode):
+        for c0, t2 in _d_tree(t, F):
             out = out + FreeElement.single(F, t2, F.mul(c, F.of(c0)))
     return out
 
 
-def d_squared_report(max_arity, field, mode="verbatim"):
+def d_squared_report(max_arity, field):
     """Check d(d mu_k) = 0 for all k <= max_arity; returns a report."""
-    check_mode(mode)
     failures = []
     for k in range(2, max_arity + 1):
-        dd = free_differential(ainf_differential(k, field, mode=mode), mode=mode)
-        if not dd.is_zero():
+        if not free_differential(ainf_differential(k, field)).is_zero():
             failures.append(k)
-    return {"max_arity": max_arity, "field": field.name, "mode": mode,
+    return {"max_arity": max_arity, "field": field.name,
             "failures": failures, "pass": not failures}

@@ -20,8 +20,8 @@ reduction of D in filtration order, as in persistent homology, which
 linalg.Eliminator runs on D's rows renamed to that order: a pair
 (tau, sigma) with r = p_sigma - p_tau lives on E_0 .. E_r at both of its
 slots and adds 1 to the rank of d_r out of sigma's slot, and an unpaired
-element survives to E_infinity.  `knotss ss-table`,
-hochschild.higher_differentials_vanish and einf_dims read the pairs.
+element survives to E_infinity.  `knotss ss-table` and einf_dims read
+the pairs.
 total_homology_graded, the oracle for E_infinity, reads neither route:
 it takes ranks of images and filtered kernels of D's sparse columns,
 with the same Eliminator (the tests keep a separate reduction loop).
@@ -246,8 +246,9 @@ def total_homology_graded(C):
     return out
 
 
-def random_filtered_complex(rng, field, max_basis=30, max_p=4, max_degree=3):
-    """Random filtered complex with D^2 = 0, for oracle testing.
+def random_filtered_complex(rng, field, max_basis=30):
+    """Random filtered complex with D^2 = 0, for oracle testing: slots
+    with filtration p <= 4 and q - p <= 3.
 
     Built as a sum of two-term complexes plus free generators, then
     conjugated by a random unipotent, filtration-lowering change of
@@ -258,16 +259,16 @@ def random_filtered_complex(rng, field, max_basis=30, max_p=4, max_degree=3):
     slots = []
     pairs = []
     for _ in range(n_pairs):
-        p = rng.randint(0, max_p)
-        deg = rng.randint(0, max_degree - 1)
+        p = rng.randint(0, 4)
+        deg = rng.randint(0, 2)
         r = rng.randint(0, p)
         src = (p, p + deg)
         tgt = (p - r, p + deg - r + 1)
         pairs.append((len(slots), len(slots) + 1))
         slots.extend([src, tgt])
     for _ in range(n_free):
-        p = rng.randint(0, max_p)
-        deg = rng.randint(0, max_degree)
+        p = rng.randint(0, 4)
+        deg = rng.randint(0, 3)
         slots.append((p, p + deg))
     dim = len(slots)
     D = Matrix.zeros(field, dim, dim)

@@ -15,7 +15,6 @@ from knotss.geometry import (ALL_LEMMAS, attack_zero_facts, check_lemma,
                              closed_form_projection_checks)
 from knotss.hochschild import (Matrix, build_sinha_complex, d2_via_lifting,
                                e2_report, hochschild_complex, hochschild_delta,
-                               higher_differentials_vanish,
                                mu3_obstruction_rank, pointwise_presentation,
                                toy_mu3_presentation)
 from knotss.operads import d_squared_report
@@ -109,20 +108,23 @@ def test_criterion_06_mu3_obstruction():
 
 def test_criterion_07_algebraic_degeneration():
     t0 = time.time()
-    ok = all(higher_differentials_vanish(6, F)["pass"] for F in FIELDS)
-    # the independent side: E_2 from the pairs against the oracle's
-    # associated graded of H(Tot), which E_2 equals when every d_r with
-    # r >= 2 vanishes
+    ok = True
     for F in FIELDS:
         C = build_sinha_complex(6, F)
-        e2 = {(-mp, q): d for (mp, q), d in page_ranks(C, 6)[2].dims().items()}
+        pages = page_ranks(C, 6)
+        ok = ok and not any(e["d_rank"] for page in pages[2:]
+                            for e in page.table.values())
+        # the independent side: E_2 from the pairs against the oracle's
+        # associated graded of H(Tot), which E_2 equals when every d_r
+        # with r >= 2 vanishes
+        e2 = {(-mp, q): d for (mp, q), d in pages[2].dims().items()}
         ok = ok and e2 == total_homology_graded(C)
     _line(7, "d_r = 0 for r>=2, p<=6; E_2 = graded H(Tot)", ok, t0)
 
 
 def test_criterion_08_ainf_d_squared():
     t0 = time.time()
-    rep = d_squared_report(6, F2, mode="verbatim")
+    rep = d_squared_report(6, F2)
     elapsed = time.time() - t0
     _line(8, "tree differential squares to zero, arity<=6",
           rep["pass"] and elapsed < 30, t0)

@@ -309,17 +309,24 @@ def test_canon_term_permutation_invariance(order):
 
 def test_boundary_restriction_part():
     f = contraction(f_graph(G1), G1, (2, 3), "a")
-    ch = single(1, f, [("s", "a")], PGraph(G1.partition, ((2, 3),)))
-    out = boundary_D(ch, tr=0)
-    # s := 0 gives the plain graph map; the Cech part drops the edge,
-    # signed (-1)^5 by the degree of the weight
+    ch = single(1, f, [("s", "a")], G1)
+    out = boundary_D(ch)
+    # s := 0 gives the plain graph map; the Cech part drops one edge at
+    # a time, signed (-1)^5 by the degree of the weight and (-1)^pos by
+    # the edge's position
     texts = sorted((str(c), t.expr.text(), str(t.label))
                    for c, t in out.items())
     # canonicalization picks the sphere-swapped representative and
     # renames the bound parameter positionally
-    assert ("1", "y;x;x;y", "(2,3)") in texts
-    assert ("-1", "y;x+(1*s1)v;x+(-1*s1)v;y", "()") in texts
-    assert len(texts) == 2
+    assert texts == [("-1", "y;x+(1*s1)v;x+(-1*s1)v;y", "(2,3)"),
+                     ("1", "y;x+(1*s1)v;x+(-1*s1)v;y", "(1,4)"),
+                     ("1", "y;x;x;y", "(1,4)(2,3)")]
+    # on a one-edge label the Cech part would leave no edge, and is
+    # truncated away
+    one_edge = single(1, f, [("s", "a")], PGraph(G1.partition, ((2, 3),)))
+    assert [(str(c), t.expr.text(), str(t.label))
+            for c, t in boundary_D(one_edge).items()] == \
+        [("1", "y;x;x;y", "(2,3)")]
 
 
 def test_boundary_degenerate_simplex_dropped():
@@ -330,13 +337,14 @@ def test_boundary_degenerate_simplex_dropped():
     lam = straight(contraction(f, G1, (1, 4), "a"),
                    contraction(f, dG, (1, 3), "a"), "t")
     ch = single(1, lam, [("s", "a"), ("t", "t")], dG)
-    out = boundary_D(ch, tr=1)
+    out = boundary_D(ch)
     for _, t in out.items():
         for name in t.weight.t_names:
             assert name in t.expr.names()
-    # the frozen term is really gone, not canceled by luck
-    kept = boundary_D(ch, tr=1, drop_degenerate=False)
-    assert len(kept) > len(out)
+    # s := 0 is the only restriction that drops s, and it leaves a
+    # t-free map, so D holds no term without an s-parameter
+    assert lam.subst("a", 0).names() == set()
+    assert len(out) == 4 and all(t.weight.s_names for _, t in out.items())
 
 
 def test_boundary_squares_to_zero_on_case_chains():

@@ -61,8 +61,7 @@ def test_ainf_check_tsv(capsys):
                     "--format", "tsv")
     assert code == 0
     assert out.splitlines() == ["failures\t[]", 'field\t"f3"',
-                                "max_arity\t4", 'mode\t"signed"',
-                                "pass\ttrue"]
+                                "max_arity\t4", "pass\ttrue"]
 
 
 def test_bad_field_is_usage_error(capsys):
@@ -136,10 +135,27 @@ def test_page_inconsistency_is_reported(capsys, monkeypatch):
     code, doc = run_json(capsys, "ss-table", "--max-arity", "4")
     assert code == 1 and not doc["pass"]
     assert doc["report"] == {"error": "page inconsistency at r=1 slot (-2, 1)"}
+    # the table format has no pages to print, so it prints the error
+    code, out = run(capsys, "ss-table", "--max-arity", "4", "--format", "tsv")
+    assert code == 1
+    assert out == 'error\t"page inconsistency at r=1 slot (-2, 1)"\n'
 
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["ss-table", "--bogus"]) == 2
+    # the tree differential is always signed
+    assert main(["ainf-check", "--mode", "verbatim"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --mode verbatim" in err
+
+
+def test_output_into_a_missing_directory_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.json"
+    assert main(["conf-dims", "--max-arity", "3", "--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not path.parent.exists()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert str(path) in err
 
 
 def test_ss_table(capsys):
@@ -249,8 +265,9 @@ def test_ledger_bad_chain_exits_1(capsys, monkeypatch, factor):
 
 def test_ainf_check(capsys):
     code, doc = run_json(capsys, "ainf-check", "--max-arity", "4",
-                         "--field", "q", "--mode", "signed")
+                         "--field", "q")
     assert code == 0 and doc["report"]["failures"] == []
+    assert "mode" not in doc["config"] and "mode" not in doc["report"]
 
 
 def test_triple_commute(capsys):

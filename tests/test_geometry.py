@@ -470,9 +470,9 @@ def test_attack_report_is_pinned():
 
 def test_attack_needs_a_restart_and_a_round():
     params, term = _first_fact_term("extreme-merge")
-    for budget in ({"restarts": 0}, {"rounds": 0}, {"restarts": -1}):
+    for restarts in (0, -1):
         with pytest.raises(ValueError):
-            attack_term(params, term, random.Random(1), **budget)
+            attack_term(params, term, random.Random(1), restarts=restarts)
     for facts in (ZeroFacts.load(), ZeroFacts([])):
         with pytest.raises(ValueError):
             attack_zero_facts(facts, restarts=0)

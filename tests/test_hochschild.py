@@ -11,13 +11,13 @@ from knotss.fields import F2, F3, QQ
 from knotss.hochschild import (MAX_ARITY, OperadPresentation,
                                build_sinha_complex, conf_delta_matrix,
                                d2_via_lifting, e2_report, hochschild_complex,
-                               hochschild_delta, higher_differentials_vanish,
-                               mu3_obstruction_rank, normalized_slot,
-                               pointwise_presentation, toy_mu3_presentation)
+                               hochschild_delta, mu3_obstruction_rank,
+                               normalized_slot, pointwise_presentation,
+                               toy_mu3_presentation)
 from knotss.linalg import (Eliminator, Matrix, VerificationError,
                            kernel_basis, solve_many, sparse)
-from knotss.spectral import (FilteredComplex, ss_pages, total_homology_graded,
-                             einf_dims)
+from knotss.spectral import (FilteredComplex, einf_dims, page_ranks, ss_pages,
+                             total_homology_graded)
 
 FIELDS = [F2, F3, QQ]
 
@@ -362,8 +362,10 @@ def test_flipped_delta_sign_fails_d_squared(flipped_delta_sign):
 
 def test_higher_differentials_vanish_small():
     for F in FIELDS:
-        rep = higher_differentials_vanish(5, F, r_max=5)
-        assert rep["pass"], rep
+        pages = page_ranks(build_sinha_complex(5, F), 5)
+        nonzero = [(page.r, slot) for page in pages[2:]
+                   for slot, e in page.table.items() if e["d_rank"]]
+        assert nonzero == [], (F.name, nonzero)
 
 
 def test_tower_einf_matches_total_homology_oracle():
@@ -410,16 +412,6 @@ def test_pointwise_delta_squares_to_zero():
         hochschild_complex(O)
 
 
-def test_internal_differential_is_the_r0_block():
-    # the dual of internal_d enters D as an r = 0 block, which E_1 kills
-    for F in FIELDS:
-        O = OperadPresentation(F, {(2, 0): 1, (2, 1): 1}, [2],
-                               internal_d={(2, 1): Matrix(F, [[-1]])})
-        C = hochschild_complex(O)
-        assert C.columns == {0: {1: F.of(-1)}}
-        assert ss_pages(C, 1)[1].dims() == {}
-
-
 def test_toy_mu3_engine_vs_lifting():
     for F in FIELDS:
         O = toy_mu3_presentation(F)
@@ -448,7 +440,7 @@ def test_toy_mu3_engine_vs_lifting():
 
 def test_lifting_rejects_a_non_cycle():
     # the dual generator of slot (2, 0) has delta x = x o_1 mu_2 != 0,
-    # and with no internal differential nothing lifts it
+    # so x is no first-page cycle
     for F in FIELDS:
         O = OperadPresentation(F, {(1, 0): 1, (2, 0): 1}, [2],
                                left={(2, 1, 2, 0): Matrix(F, [[1]])})

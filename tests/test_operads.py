@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotss import operads
 from knotss.fields import F2, F3, QQ
 from knotss.operads import (LEAF, FreeElement, ainf_differential, compose_free,
                             d_squared_report, free_differential, generator,
@@ -12,6 +13,14 @@ FIELDS = [F2, F3, QQ]
 
 MU2 = generator(2)
 MU3 = generator(3)
+SIGNED_D_TREE = operads._d_tree
+
+
+def unsigned_d_tree(tree, field):
+    """operads._d_tree with every coefficient 1: the tree differential
+    without its Koszul signs, which tests patch in as a fault.  It is
+    the signed d over F2, where -1 = 1."""
+    return [(field.one, t) for _, t in SIGNED_D_TREE(tree, field)]
 
 
 def test_generator_shape():
@@ -58,15 +67,14 @@ def test_operad_axioms_on_generators():
 def test_differential_small_arities():
     for F in FIELDS:
         assert ainf_differential(2, F).is_zero()
-        d3 = ainf_differential(3, F, mode="verbatim")
-        assert d3.terms == {graft(MU2, 1, MU2): F.one, graft(MU2, 2, MU2): F.one}
-    d3s = ainf_differential(3, QQ, mode="signed")
-    assert d3s.terms == {graft(MU2, 1, MU2): QQ.of(1), graft(MU2, 2, MU2): QQ.of(-1)}
+        d3 = ainf_differential(3, F)
+        assert d3.terms == {graft(MU2, 1, MU2): F.one,
+                            graft(MU2, 2, MU2): F.of(-1)}
 
 
 def test_differential_arity4_term_count():
     # l + q = 5: (l, q) in {(2, 3), (3, 2)} gives 2 + 3 = 5 summands
-    d4 = ainf_differential(4, QQ, mode="signed")
+    d4 = ainf_differential(4, QQ)
     assert len(d4.terms) == 5
     trees = set(d4.terms)
     assert graft(MU2, 1, MU3) in trees
@@ -76,40 +84,45 @@ def test_differential_arity4_term_count():
 
 def test_ainf_differential_matches_the_root_sign_formula():
     # d mu_k is the root summands of the derivation on generator(k):
-    # mu_l o_{p+1} mu_q signed (-1)^{p + q(l-p-1)}, or +1 in verbatim mode
+    # mu_l o_{p+1} mu_q signed (-1)^{p + q(l-p-1)}
     for F in FIELDS:
-        for mode in ("signed", "verbatim"):
-            for k in range(2, 7):
-                terms = {}
-                for l in range(2, k):
-                    q = k + 1 - l
-                    for p in range(l):
-                        sign = (-1) ** (p + q * (l - p - 1))
-                        terms[graft(generator(l), p + 1, generator(q))] = \
-                            sign if mode == "signed" else 1
-                assert ainf_differential(k, F, mode) == \
-                    FreeElement(F, terms), (F, mode, k)
+        for k in range(2, 7):
+            terms = {}
+            for l in range(2, k):
+                q = k + 1 - l
+                for p in range(l):
+                    sign = (-1) ** (p + q * (l - p - 1))
+                    terms[graft(generator(l), p + 1, generator(q))] = sign
+            assert ainf_differential(k, F) == FreeElement(F, terms), (F, k)
 
 
-def test_unknown_mode_is_rejected():
-    x = FreeElement.single(F3, MU3)
-    for call in (lambda: d_squared_report(2, F3, mode="bogus"),
-                 lambda: free_differential(x, mode="bogus"),
-                 lambda: ainf_differential(3, F3, mode="bogus")):
-        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-            call()
-
-
-def test_d_squared_verbatim_char2_only():
-    assert d_squared_report(6, F2, mode="verbatim")["pass"]
-    rep = d_squared_report(4, QQ, mode="verbatim")
-    assert not rep["pass"] and 4 in rep["failures"]
+def test_d_squared_verbatim_char2_only(monkeypatch):
+    # the unsigned d agrees with the signed d over F2 on mu_k and on
+    # the trees of d mu_k up to arity 7, and fails d^2 = 0 over F3 and
+    # Q from arity 4 on
+    signed = {k: ainf_differential(k, F2) for k in range(2, 8)}
+    signed_dd = {k: free_differential(d) for k, d in signed.items()}
+    monkeypatch.setattr(operads, "_d_tree", unsigned_d_tree)
+    for k, d in signed.items():
+        assert ainf_differential(k, F2) == d, k
+        assert free_differential(d) == signed_dd[k], k
+    for F in (F3, QQ):
+        rep = d_squared_report(6, F)
+        assert rep["failures"] == [4, 5, 6] and not rep["pass"], rep
 
 
 def test_d_squared_signed_all_fields():
     for F in FIELDS:
-        rep = d_squared_report(6, F, mode="signed")
+        rep = d_squared_report(6, F)
         assert rep["pass"], rep
+    # d(d mu_k) never differentiates a child past another inner vertex;
+    # on these trees d^2 = 0 needs the Koszul sign of that move
+    mu4 = generator(4)
+    for F in (F3, QQ):
+        for tree in [(2, MU3, MU3), (3, MU3, LEAF, MU3), (2, mu4, MU3),
+                     (3, MU3, mu4, LEAF)]:
+            x = FreeElement.single(F, tree)
+            assert free_differential(free_differential(x)).is_zero(), (F, tree)
 
 
 def test_derivation_leibniz_on_composite():
@@ -117,11 +130,11 @@ def test_derivation_leibniz_on_composite():
     # sign * mu2 o d(mu3), computed here by explicit composition
     for F in (QQ, F3):
         x = FreeElement.single(F, graft(MU2, 1, MU3))
-        lhs = free_differential(x, mode="signed")
+        lhs = free_differential(x)
         m2 = FreeElement.single(F, MU2)
         m3 = FreeElement.single(F, MU3)
-        rhs = compose_free(ainf_differential(2, F, "signed"), 1, m3) + \
-            compose_free(m2, 1, ainf_differential(3, F, "signed"))
+        rhs = compose_free(ainf_differential(2, F), 1, m3) + \
+            compose_free(m2, 1, ainf_differential(3, F))
         assert lhs == rhs
 
 
@@ -140,7 +153,7 @@ def test_compose_slot_counts(k, l, m):
 @settings(max_examples=10, deadline=None)
 def test_term_count_formula(k):
     # number of summands in d mu_k is sum over l of l with l + q = k + 1
-    d = ainf_differential(k, QQ, mode="signed")
+    d = ainf_differential(k, QQ)
     expected = sum(l for l in range(2, k) if k + 1 - l >= 2)
     assert len(d.terms) == expected
 
