@@ -229,20 +229,19 @@ def run_case(name, facts=None, specs=None):
 
     def pair_checks():
         """Check D c(G,H,i) = sg delta_i c(G) + sh delta_i c(H) for each
-        pair; returns the weighted sum of the pair chains."""
-        total = Chain()
+        pair; returns the weighted sum of the pair chains' D, which is D
+        of their weighted sum, since D is linear term by term."""
+        d_total = Chain()
         for (gt, ht, i, sg, sh, w) in spec["pairs"]:
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
-            pair = chain_pair(G, H, i, directions)
-            total += pair.scale(w)
-            rhs = apply_delta(chain(G), i, use_syntactic=False)[0].scale(sg)
-            rhs += apply_delta(chain(H), i, use_syntactic=False)[0].scale(sh)
-            diff = boundary_D(pair)
-            diff -= rhs
+            diff = boundary_D(chain_pair(G, H, i, directions))
+            d_total.add_scaled(w, diff)
+            diff.add_scaled(-sg, apply_delta(chain(G), i, use_syntactic=False)[0])
+            diff.add_scaled(-sh, apply_delta(chain(H), i, use_syntactic=False)[0])
             ok, detail = _residual_zero(diff, facts, char)
             _check(report, "D c%s(%s,%s,%d) matches merges"
                    % (prime, gt, ht, i), ok, detail)
-        return total
+        return d_total
 
     if kind == "cycles":
         for G, text in zip(graphs, spec["graphs"]):
@@ -255,14 +254,16 @@ def run_case(name, facts=None, specs=None):
             _check(report, "D c(%s,%d) = 0" % (gtext, i), ok, detail)
 
     elif kind == "bounding":
-        total = pair_checks()
+        # D of the assembled chain: the pairs plus the corrections
+        diff = pair_checks()
         for (gtext, i, w) in spec.get("corrections", []):
-            total += chain_cycle_ch3(parse_graph(gtext, spec["n"]), i).scale(w)
+            G = parse_graph(gtext, spec["n"])
+            diff.add_scaled(w, boundary_D(chain_cycle_ch3(G, i)))
         target = Chain()
         for G, w in zip(graphs, spec["assembly"]):
-            target += chain(G).scale(w)
-        diff = boundary_D(total)
-        diff -= apply_delta(target, facts=facts)[0].scale(spec["assembly_sign"])
+            target.add_scaled(w, chain(G))
+        diff.add_scaled(-spec["assembly_sign"],
+                        apply_delta(target, facts=facts)[0])
         ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the assembled chain is the merge image", ok, detail)
 
@@ -270,7 +271,7 @@ def run_case(name, facts=None, specs=None):
         total = Chain()
         for (gt, ht, i, w) in spec["pairs"]:
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
-            total += chain_pair(G, H, i, directions).scale(w)
+            total.add_scaled(w, chain_pair(G, H, i, directions))
         survivors, rep = apply_delta(total, facts=facts)
         survivors = survivors.reduce(char)
         got = sorted((t.expr.text(), str(t.label)) for _, t in survivors.items())
@@ -283,21 +284,21 @@ def run_case(name, facts=None, specs=None):
         G5, G6, G7 = graphs
         total = Chain()
         for G, w in zip(graphs, spec["assembly"]):
-            total += chain(G).scale(w)
+            total.add_scaled(w, chain(G))
         for G, text in zip(graphs, spec["graphs"]):
             ok = boundary_D(chain(G)).reduce(char).is_zero()
             _check(report, "D c'(%s) = 0" % text, ok)
-        gamma = pair_checks()
+        # D of the relation chain gamma: the pairs plus the triple
+        d_gamma = pair_checks()
         ti = spec["triple"]
-        triple = chain_triple(G5, G6, G7, ti)
-        gamma += triple.scale(spec["triple_weight"])
-        diff = boundary_D(triple)
+        diff = boundary_D(chain_triple(G5, G6, G7, ti))
+        d_gamma.add_scaled(spec["triple_weight"], diff)
         diff -= apply_delta(total, ti, facts=facts)[0]
         ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the triple chain matches merge %d" % ti, ok, detail)
-        diff = boundary_D(gamma)
-        diff -= apply_delta(total, facts=facts)[0].scale(spec["assembly_sign"])
-        ok, detail = _residual_zero(diff, facts, char)
+        d_gamma.add_scaled(-spec["assembly_sign"],
+                           apply_delta(total, facts=facts)[0])
+        ok, detail = _residual_zero(d_gamma, facts, char)
         _check(report, "D of the relation chain bounds the merge image", ok, detail)
 
     else:

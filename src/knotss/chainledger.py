@@ -15,6 +15,14 @@ maps collapse to the basepoint are removed either syntactically (loops,
 double edges, extreme incidence, equal or reversed first coordinates
 inside a piece) or by table lookup against zero facts that are
 verified separately by geometric sampling.
+
+A term works on its key: per component, the (monomial, coefficient)
+pairs of its four coefficient polynomials, integral coefficients as
+int.  Canonicalization renames the key and keeps the least renaming,
+and the restriction part of D substitutes on the key; a canonical term
+builds its MapExpr from the key only when something reads it (text,
+the collapse filters, evaluation).  D is linear term by term, so D of
+an assembled chain is the weighted sum of its parts' D.
 """
 
 import json
@@ -38,9 +46,10 @@ class Poly:
     def __init__(self, terms=None):
         self.terms = {}
         for mono, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                self.terms[tuple(mono)] = c
+            mono = tuple(sorted(mono))
+            if len(set(mono)) != len(mono):
+                raise ValueError("monomial %r repeats a name" % (mono,))
+            _accumulate(self.terms, mono, Fraction(c))
 
     @classmethod
     def _of(cls, terms):
@@ -93,15 +102,6 @@ class Poly:
                 _accumulate(out, m, c)
         return Poly._of(out)
 
-    def rename(self, mapping):
-        out = {}
-        for m, c in self.terms.items():
-            m2 = tuple(sorted(mapping.get(x, x) for x in m))
-            if len(set(m2)) != len(m2):
-                raise ValueError("renaming collides")
-            _accumulate(out, m2, c)
-        return Poly._of(out)
-
     def names(self):
         return {x for m in self.terms for x in m}
 
@@ -114,7 +114,7 @@ class Poly:
         return acc
 
     def key(self):
-        return tuple(sorted((m, c) for m, c in self.terms.items()))
+        return _poly_key(self.terms)
 
     def text(self):
         if not self.terms:
@@ -140,6 +140,14 @@ def _accumulate(terms, m, c):
         terms[m] = c
     else:
         terms.pop(m, None)
+
+
+def _poly_key(terms):
+    """The sorted (monomial, coefficient) pairs of terms, an integral
+    coefficient written as an int: it sorts, compares and hashes as its
+    Fraction, and hashes much faster."""
+    return tuple(sorted((m, c.numerator if c.denominator == 1 else c)
+                        for m, c in terms.items()))
 
 
 _Z = Poly()
@@ -188,12 +196,6 @@ class MapExpr:
         if not isinstance(p, Poly):
             p = Poly.const(p)
         return MapExpr([[p * a for a in comp] for comp in self.comps])
-
-    def subst(self, name, value):
-        return MapExpr([[a.subst(name, value) for a in comp] for comp in self.comps])
-
-    def rename(self, mapping):
-        return MapExpr([[a.rename(mapping) for a in comp] for comp in self.comps])
 
     def names(self):
         out = set()
@@ -388,17 +390,41 @@ def make_weight(factors):
 
 
 class Term:
-    """expr(weight) on a graph label, carrying ekey = expr.key()."""
-    __slots__ = ("expr", "weight", "label", "ekey")
+    """expr(weight) on a graph label, carrying ekey = expr.key().  A term
+    made from its key alone (expr None) builds expr on first read."""
+    __slots__ = ("_expr", "weight", "label", "ekey")
 
     def __init__(self, expr, weight, label, ekey=None):
-        self.expr = expr
+        self._expr = expr
         self.weight = weight
         self.label = label
         self.ekey = expr.key() if ekey is None else ekey
 
+    @property
+    def expr(self):
+        if self._expr is None:
+            self._expr = MapExpr([[Poly._of({m: Fraction(c) for m, c in pk})
+                                   for pk in comp] for comp in self.ekey])
+        return self._expr
+
     def key(self):
         return (self.ekey, self.weight, self.label)
+
+    def relabel(self, label):
+        return Term(self._expr, self.weight, label, self.ekey)
+
+
+def _key_names(ekey):
+    return {x for comp in ekey for pk in comp for m, _ in pk for x in m}
+
+
+def _rename_key(ekey, mapping):
+    def rename(pk):
+        if not pk or not pk[-1][0]:  # a constant: monomials sort () first
+            return pk
+        return tuple(sorted((tuple(sorted([mapping[x] for x in m])), c)
+                            for m, c in pk))
+    return tuple(tuple(map(rename, comp)) for comp in ekey)
 
 
 def canon_term(coeff, expr, weight, label):
@@ -406,13 +432,20 @@ def canon_term(coeff, expr, weight, label):
     factor transpositions and the x/y swap of the sphere block resolved
     by picking the least key (transpositions of odd factors carry their
     permutation sign; the sphere swap is sign-free in even dimension).
-    The first candidate wins ties; a least key reached with both signs
-    means the term is its own negative, and 0 is returned as coefficient.
-    A canonical term, whatever its label, comes back as it is."""
-    free = expr.names()
-    for nm in free:
+    A least key reached with both signs means the term is its own
+    negative, and 0 is returned as coefficient.  A canonical term,
+    whatever its label, comes back as it is."""
+    ekey = expr.key()
+    for nm in _key_names(ekey):
         if nm not in weight.s_names and nm not in weight.t_names:
             raise ValueError("parameter %r not bound by the weight" % nm)
+    return _canon_key(coeff, ekey, weight, label)
+
+
+def _canon_key(coeff, ekey, weight, label):
+    """canon_term on the key of an expression whose parameters are all
+    bound by weight: the candidates are renamings of the key, and the
+    returned term builds its expression from the least one."""
     k, l = len(weight.s_names), len(weight.t_names)
     best, tied = None, False
     for ps in permutations(range(k)):
@@ -420,20 +453,17 @@ def canon_term(coeff, expr, weight, label):
             mapping = dict(zip(weight.s_names, ("s%d" % (i + 1) for i in ps)))
             mapping.update(zip(weight.t_names, ("t%d" % (i + 1) for i in pt)))
             sign = inversion_sign(ps) * inversion_sign(pt)
-            base = expr.rename(mapping)
-            bkey = base.key()
+            bkey = _rename_key(ekey, mapping)
             # the sphere swap exchanges the x and y keys of each component
             skey = tuple((c[1], c[0], c[2], c[3]) for c in bkey)
-            for key, swap in ((bkey, False), (skey, True)):
-                if best is None or key < best[0]:
-                    best, tied = (key, base, swap, sign), False
-                elif key == best[0] and sign != best[3]:
+            for key in (bkey, skey):
+                if best is None or key < best:
+                    best, best_sign, tied = key, sign, False
+                elif key == best and sign != best_sign:
                     tied = True
-    key, base, swap, sign = best
     w = WeightSpec(tuple("s%d" % (i + 1) for i in range(k)),
                    tuple("t%d" % (i + 1) for i in range(l)))
-    return (0 if tied else coeff * sign), \
-        Term(base.swap_xy() if swap else base, w, label, key)
+    return (0 if tied else coeff * best_sign), Term(None, w, label, best)
 
 
 class Chain:
@@ -466,34 +496,17 @@ class Chain:
                 del self.terms[key]
         return self
 
-    def __add__(self, other):
-        out = Chain()
-        out += self
-        out += other
-        return out
-
-    def __iadd__(self, other):
-        for c, t in other.items():
-            self._put(c, t)
+    def add_scaled(self, c, other):
+        """Add c * other in place."""
+        for coeff, t in other.items():
+            self._put(coeff * c, t)
         return self
 
     def __isub__(self, other):
-        for c, t in other.items():
-            self._put(-c, t)
-        return self
+        return self.add_scaled(-1, other)
 
     def __sub__(self, other):
-        out = Chain()
-        out += self
-        out -= other
-        return out
-
-    def scale(self, c):
-        out = Chain()
-        c = Fraction(c)
-        for coeff, t in self.items():
-            out._put(coeff * c, t)
-        return out
+        return Chain().add_scaled(1, self).add_scaled(-1, other)
 
     def items(self):
         return [(c, t) for c, t in self.terms.values()]
@@ -550,38 +563,52 @@ def boundary_D(chain):
     """
     out = Chain()
     for coeff, term in chain.items():
-        w = term.weight
+        w, ekey, label = term.weight, term.ekey, term.label
         k = len(w.s_names)
-        # restriction part
+        # restriction part, substituted on the key
         for j, s in enumerate(w.s_names):
             sign = -1 if j % 2 else 1
-            expr = term.expr.subst(s, 0)
             w2 = WeightSpec(w.s_names[:j] + w.s_names[j + 1:], w.t_names)
-            _emit(out, coeff * sign, expr, w2, term.label)
+            _emit(out, coeff * sign, _restrict_key(ekey, s, 0), w2, label)
         for j, t in enumerate(w.t_names):
             sign = -1 if (k + j) % 2 else 1
             w2 = WeightSpec(w.s_names, w.t_names[:j] + w.t_names[j + 1:])
-            _emit(out, coeff * sign, term.expr.subst(t, 1), w2, term.label)
-            _emit(out, -coeff * sign, term.expr.subst(t, 0), w2, term.label)
+            _emit(out, coeff * sign, _restrict_key(ekey, t, 1), w2, label)
+            _emit(out, -coeff * sign, _restrict_key(ekey, t, 0), w2, label)
         # Cech part
         psign = (-1) ** w.degree
-        edges = term.label.edges
+        edges = label.edges
         if len(edges) >= 2:
             for pos in range(len(edges)):
-                smaller = PGraph._of(term.label.partition,
+                smaller = PGraph._of(label.partition,
                                      edges[:pos] + edges[pos + 1:])
                 esign = 1 if pos % 2 == 0 else -1
-                out._put(coeff * psign * esign,
-                         Term(term.expr, w, smaller, term.ekey))
+                out._put(coeff * psign * esign, term.relabel(smaller))
     return out
 
 
-def _emit(out, coeff, expr, weight, label):
-    free = expr.names()
+def _restrict_key(ekey, name, value):
+    """The key of the expression of key ekey with name := value, 0 or 1."""
+    def restrict(pk):
+        if not pk or not pk[-1][0]:
+            return pk
+        out = {}
+        for m, c in pk:
+            if name in m:
+                if not value:
+                    continue
+                m = tuple(x for x in m if x != name)
+            _accumulate(out, m, c)
+        return _poly_key(out)
+    return tuple(tuple(restrict(pk) for pk in comp) for comp in ekey)
+
+
+def _emit(out, coeff, ekey, weight, label):
+    free = _key_names(ekey)
     for t in weight.t_names:
         if t not in free:
             return
-    out.add(coeff, expr, weight, label)
+    out._put(*_canon_key(coeff, ekey, weight, label))
 
 
 def first_coord_collapse(expr, P):
@@ -678,7 +705,7 @@ def apply_delta(chain, i=None, facts=None, use_syntactic=True):
             if use_syntactic and first_coord_collapse(term.expr, image.partition):
                 report["syntactic"].append((term.expr.text(), str(image)))
                 continue
-            moved = Term(term.expr, term.weight, image, term.ekey)
+            moved = term.relabel(image)
             if facts is not None:
                 rec = facts.match(moved)
                 if rec is not None:

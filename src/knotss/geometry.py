@@ -880,7 +880,7 @@ def _parse_poly(text):
                 coeff *= Fraction(factor)
             except ValueError:
                 mono.append(factor)
-        total = total + Poly({tuple(sorted(mono)): coeff})
+        total = total + Poly({tuple(mono): coeff})
     return total
 
 

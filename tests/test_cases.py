@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import os
@@ -5,7 +6,8 @@ import os
 import pytest
 
 from knotss import cases
-from knotss.cases import all_cases, chain_c, chain_pair, run_case, _load_cases
+from knotss.cases import (all_cases, chain_c, chain_cycle_ch3, chain_pair,
+                          chain_triple, run_case, _load_cases)
 from knotss.chainledger import (Chain, ZeroFacts, apply_delta, boundary_D,
                                 canon_term, contraction, f_graph, single)
 from knotss.partgraph import PGraph, parse_graph
@@ -95,13 +97,69 @@ def test_each_chain_is_built_once_per_case_and_left_unchanged(monkeypatch):
             assert snapshot(ch) == before, (name, call)
 
 
+ASSEMBLED = ("ch2-bounding", "ch3-first-bounding", "ch3-3term")
+
+
+def _assembled_parts(spec):
+    """(weight, chain) of each part of a bounding case's assembled chain
+    (pairs and corrections) or of a three-term case's relation chain
+    (pairs and the triple chain)."""
+    n = spec["n"]
+    directions = (1, -1) if spec["kind"] == "three-term" else (1,)
+    parts = [(w, chain_pair(parse_graph(g, n), parse_graph(h, n), i, directions))
+             for (g, h, i, _, _, w) in spec["pairs"]]
+    if spec["kind"] == "bounding":
+        parts += [(w, chain_cycle_ch3(parse_graph(g, n), i))
+                  for (g, i, w) in spec.get("corrections", [])]
+    else:
+        graphs = [parse_graph(g, n) for g in spec["graphs"]]
+        parts.append((spec["triple_weight"],
+                      chain_triple(*graphs, spec["triple"])))
+    return parts
+
+
+@pytest.mark.parametrize("name", ASSEMBLED)
+def test_D_of_an_assembled_chain_is_the_sum_of_its_parts_D(name):
+    # run_case takes D of the assembled chain as the weighted sum of its
+    # parts' D; as exact key -> coefficient maps over Q the two agree
+    parts = _assembled_parts(_load_cases()[name])
+    assembled = Chain()
+    want = {}
+    for w, ch in parts:
+        assembled.add_scaled(w, ch)
+        for c, t in boundary_D(ch).items():
+            want[t.key()] = want.get(t.key(), 0) + w * c
+    want = {k: c for k, c in want.items() if c}
+    got = {t.key(): c for c, t in boundary_D(assembled).items()}
+    assert got == want and len(got) > 10
+
+
+@pytest.mark.parametrize("name", ASSEMBLED)
+def test_a_wrong_part_weight_fails_the_assembled_check(name):
+    # one pair or triple weight negated (or, mod 2, where negation is
+    # invisible, set to 0) in a copy of the spec fails the assembled
+    # check, and only it
+    specs = _load_cases()
+    spec = specs[name]
+    rows = [("pairs", k) for k in range(len(spec["pairs"]))]
+    rows += [("triple_weight", None)] if "triple_weight" in spec else []
+    for key, k in rows:
+        bad = copy.deepcopy(specs)
+        holder, at = (bad[name], key) if k is None else (bad[name][key][k], -1)
+        holder[at] = 0 if spec["char"] == 2 else -holder[at]
+        rep = run_case(name, facts=FACTS, specs=bad)
+        failed = [c["name"] for c in rep["checks"] if not c["pass"]]
+        assert len(failed) == 1 and ("assembled" in failed[0]
+                                     or "relation" in failed[0]), (key, k)
+
+
 def test_one_pair_identity_is_exact_over_Q():
     # no reduction mod 3: the signed identity holds with exact rationals
     G = parse_graph("(1,3)(2,3)(4,5)", 5)
     H = parse_graph("(1,4)(2,4)(3,5)", 5)
     pair = chain_pair(G, H, 3)
-    rhs = apply_delta(chain_c(G), 3, use_syntactic=False)[0].scale(-1) \
-        + apply_delta(chain_c(H), 3, use_syntactic=False)[0]
+    rhs = apply_delta(chain_c(H), 3, use_syntactic=False)[0] \
+        - apply_delta(chain_c(G), 3, use_syntactic=False)[0]
     assert (boundary_D(pair) - rhs).is_zero()
 
 

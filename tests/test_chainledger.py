@@ -1,25 +1,74 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotss import chainledger
 from knotss.chainledger import (Chain, MapExpr, Poly, Term, WeightSpec,
                                 ZeroFacts, apply_delta, apply_facts,
                                 boundary_D, canon_term, contraction,
                                 edge_signs, ee_contraction, f_graph,
                                 first_coord_collapse, i_contraction,
                                 make_weight, piece_position, single, straight)
-from knotss.cases import chain_c, chain_pair, pair_data
+from knotss.cases import all_cases, chain_c, chain_pair, pair_data, run_case
 from knotss.geometry import TermRows, _power_check_terms, parse_expr
 from knotss.linalg import VerificationError
-from knotss.partgraph import PGraph, Partition, delta_graph, parse_graph
+from knotss.partgraph import (PGraph, Partition, delta_graph, inversion_sign,
+                              parse_graph)
 
 G1 = parse_graph("(1,4)(2,3)", 4)
 G2 = parse_graph("(1,3)(2,4)", 4)
 G3 = parse_graph("(1,2)(3,4)", 4)
+
+
+def subst(expr, name, value):
+    """expr with name := value in every coefficient."""
+    return MapExpr([[p.subst(name, value) for p in comp] for comp in expr.comps])
+
+
+def reference_rename(expr, mapping):
+    """expr with its parameters renamed by mapping, Poly by Poly."""
+    def rename(p):
+        out = Poly()
+        for m, c in p.terms.items():
+            out = out + Poly({tuple(mapping.get(x, x) for x in m): c})
+        return out
+    return MapExpr([[rename(p) for p in comp] for comp in expr.comps])
+
+
+def reference_canon_term(coeff, expr, weight, label):
+    """The reference for canon_term: rename the whole expression for each
+    permutation of the s- and t-parameters, then compare the keys of the
+    renamed expression and of its sphere swap; the least key wins, and a
+    least key reached with both signs makes the coefficient 0."""
+    k, l = len(weight.s_names), len(weight.t_names)
+    best, tied = None, False
+    for ps in permutations(range(k)):
+        for pt in permutations(range(l)):
+            mapping = dict(zip(weight.s_names, ("s%d" % (i + 1) for i in ps)))
+            mapping.update(zip(weight.t_names, ("t%d" % (i + 1) for i in pt)))
+            sign = inversion_sign(ps) * inversion_sign(pt)
+            base = reference_rename(expr, mapping)
+            for cand in (base, base.swap_xy()):
+                key = cand.key()
+                if best is None or key < best[0]:
+                    best, tied = (key, cand, sign), False
+                elif key == best[0] and sign != best[2]:
+                    tied = True
+    key, cand, sign = best
+    w = WeightSpec(tuple("s%d" % (i + 1) for i in range(k)),
+                   tuple("t%d" % (i + 1) for i in range(l)))
+    return (0 if tied else coeff * sign), Term(cand, w, label, key)
+
+
+def fraction_key(ekey):
+    """ekey with every coefficient a Fraction."""
+    return tuple(tuple(tuple((m, Fraction(c)) for m, c in pk) for pk in comp)
+                 for comp in ekey)
 
 
 def reference_scaled_coefficients(expr, values, name=None):
@@ -59,10 +108,21 @@ def test_poly_basics():
     assert p.evaluate({"a": Fraction(2), "t": Fraction(1, 2)}) == 1
     assert p.subst("t", 1).is_zero()
     assert p.names() == {"a", "t"}
-    q = p.rename({"a": "b"})
-    assert q.names() == {"b", "t"}
     with pytest.raises(ValueError):
         _ = a * a  # not affine
+
+
+def test_poly_constructor_sorts_monomials_and_rejects_repeats():
+    # a monomial is a set of names: the constructor sorts its names, so
+    # both spellings of a*t are one monomial, and a repeated name (a^2,
+    # not multilinear) is refused
+    assert (Poly({("t", "a"): 1}) - Poly({("a", "t"): 1})).is_zero()
+    assert Poly({("t", "a"): 1, ("a", "t"): 2}).terms == {("a", "t"): 3}
+    assert Poly({("t", "a"): 1}).key() == ((("a", "t"), 1),)
+    with pytest.raises(ValueError):
+        Poly({("a", "a"): 1})
+    with pytest.raises(ValueError):
+        Poly({("a", "t", "a"): 2})
 
 
 def test_mapexpr_evaluate_and_text_roundtrip():
@@ -190,7 +250,7 @@ def test_edge_signs_and_contraction_direction():
     f = f_graph(G1)
     plus = contraction(f, G1, (2, 3), "a", 1)
     minus = contraction(f, G1, (2, 3), "a", -1)
-    assert plus.subst("a", 1) == minus.subst("a", -1)
+    assert subst(plus, "a", 1) == subst(minus, "a", -1)
 
 
 def test_worked_homotopy_formulas():
@@ -244,8 +304,8 @@ def test_make_weight_koszul_sign():
 def test_canon_term_antisymmetry():
     # transposing two interval-at-infinity factors is a sign
     f = ee_contraction(f_graph(G1), G1, (1, 4), (2, 3), "a", "b")
-    ch = single(1, f, [("s", "a"), ("s", "b")], G1) \
-        + single(1, f, [("s", "b"), ("s", "a")], G1)
+    ch = single(1, f, [("s", "a"), ("s", "b")], G1).add_word(
+        1, f, [("s", "b"), ("s", "a")], G1)
     assert ch.is_zero()
 
 
@@ -255,8 +315,8 @@ def test_term_equal_to_its_negative_is_zero():
     f = contraction(contraction(f_graph(G1), G1, (1, 4), "a"), G1, (1, 4), "b")
     w, _ = make_weight([("s", "a"), ("s", "b")])
     assert canon_term(Fraction(1), f, w, G1)[0] == 0
-    ch = single(1, f, [("s", "a"), ("s", "b")], G1) \
-        + single(1, f, [("s", "b"), ("s", "a")], G1)
+    ch = single(1, f, [("s", "a"), ("s", "b")], G1).add_word(
+        1, f, [("s", "b"), ("s", "a")], G1)
     assert ch.is_zero()
 
 
@@ -307,6 +367,98 @@ def test_canon_term_permutation_invariance(order):
     assert (base - other).is_zero()
 
 
+def test_canon_term_matches_the_reference_route_on_the_case_terms(monkeypatch):
+    # every term the six cases canonicalize, through Chain.add or through
+    # the restriction part of boundary_D, comes out of the key route with
+    # the coefficient, key, expression and weight of the reference route;
+    # the keys hold integral coefficients as int, and sort, compare and
+    # hash exactly as their all-Fraction forms
+    calls = []
+    canon = chainledger._canon_key
+
+    def recording(coeff, ekey, weight, label):
+        out = canon(coeff, ekey, weight, label)
+        calls.append((coeff, ekey, weight, label, out))
+        return out
+
+    monkeypatch.setattr(chainledger, "_canon_key", recording)
+    facts = ZeroFacts.load()
+    for name in all_cases():
+        assert run_case(name, facts=facts)["pass"]
+    assert len(calls) > 900
+    keys = []
+    for coeff, ekey, weight, label, (c, t) in calls:
+        expr = MapExpr([[Poly(dict(pk)) for pk in comp] for comp in ekey])
+        rc, rt = reference_canon_term(coeff, expr, weight, label)
+        assert (c, t.key(), t.expr, t.weight) \
+            == (rc, rt.key(), rt.expr, rt.weight), (expr.text(), str(label))
+        assert t.expr.text() == rt.expr.text()
+        keys.append(t.ekey)
+    fracs = [fraction_key(k) for k in keys]
+    for k, f in zip(keys, fracs):
+        assert k == f and hash(k) == hash(f)
+        assert all(type(c) is int for comp in k for pk in comp for _, c in pk
+                   if Fraction(c).denominator == 1)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    assert order == sorted(range(len(keys)), key=fracs.__getitem__)
+    for a, b in zip(order, order[1:]):
+        assert (keys[a] < keys[b]) == (fracs[a] < fracs[b])
+        assert (keys[a] == keys[b]) == (fracs[a] == fracs[b])
+
+
+def _sample_bases():
+    """(expr, s-names, t-names, self-negative) of case-like terms."""
+    f = f_graph(G1)
+    dG, _ = delta_graph(3, G1)
+    lam = straight(contraction(f, G1, (1, 4), "a"),
+                   contraction(f, dG, (1, 3), "a"), "t")
+    psi = straight(f, f.swap_xy(), "t")
+    return [
+        (f, (), (), False),
+        (contraction(f, G1, (2, 3), "a"), ("a",), (), False),
+        (ee_contraction(f, G1, (1, 4), (2, 3), "a", "b"), ("a", "b"), (), False),
+        (contraction(contraction(f, G1, (1, 4), "a"), G1, (1, 4), "b"),
+         ("a", "b"), (), True),
+        (i_contraction(ee_contraction(f, G1, (1, 4), (2, 3), "a", "b"), 2, "c"),
+         ("a", "b", "c"), (), False),
+        (i_contraction(contraction(contraction(f, G1, (1, 4), "a"), G1, (1, 4),
+                                   "b"), 2, "c", Fraction(1, 2)),
+         ("a", "b", "c"), (), True),
+        (i_contraction(ee_contraction(f, G1, (1, 4), (2, 3), "a", "b"), 3, "c",
+                       Fraction(-1, 2)), ("a", "b", "c"), (), False),
+        (lam, ("a",), ("t",), False),
+        (contraction(psi, G1, (2, 3), "a", -1), ("a",), ("t",), False),
+        (straight(lam, lam.swap_xy(), "t2"), ("a",), ("t", "t2"), False),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canon_term_matches_the_reference_route_on_renamed_terms(data):
+    # a sample of the case-like terms with their parameters renamed to
+    # other names (positional ones included), their factors permuted and
+    # their spheres swapped; both routes agree, and a self-negative term
+    # comes out 0 on both
+    bases = _sample_bases()
+    expr, s_names, t_names, self_negative = data.draw(st.sampled_from(bases))
+    pool = ["a", "b", "c", "p", "q", "s1", "s2", "s3", "t", "t1", "t2", "z"]
+    fresh = data.draw(st.permutations(pool))
+    mapping = dict(zip(s_names + t_names, fresh))
+    expr = reference_rename(expr, mapping)
+    if data.draw(st.booleans()):
+        expr = expr.swap_xy()
+    s_order = data.draw(st.permutations([mapping[x] for x in s_names]))
+    t_order = data.draw(st.permutations([mapping[x] for x in t_names]))
+    weight = WeightSpec(tuple(s_order), tuple(t_order))
+    coeff = Fraction(data.draw(st.integers(-4, 4).filter(bool)),
+                     data.draw(st.integers(1, 3)))
+    c, t = canon_term(coeff, expr, weight, G1)
+    rc, rt = reference_canon_term(coeff, expr, weight, G1)
+    assert (c, t.key(), t.expr, t.weight) == (rc, rt.key(), rt.expr, rt.weight)
+    assert (c == 0) == self_negative
+    assert t.ekey == fraction_key(t.ekey) and t.expr.key() == t.ekey
+
+
 def test_boundary_restriction_part():
     f = contraction(f_graph(G1), G1, (2, 3), "a")
     ch = single(1, f, [("s", "a")], G1)
@@ -343,7 +495,7 @@ def test_boundary_degenerate_simplex_dropped():
             assert name in t.expr.names()
     # s := 0 is the only restriction that drops s, and it leaves a
     # t-free map, so D holds no term without an s-parameter
-    assert lam.subst("a", 0).names() == set()
+    assert subst(lam, "a", 0).names() == set()
     assert len(out) == 4 and all(t.weight.s_names for _, t in out.items())
 
 

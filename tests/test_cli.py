@@ -249,11 +249,11 @@ def test_ledger_bad_chain_exits_1(capsys, monkeypatch, factor):
     # fails mod 2; at a half its coefficients are not defined mod 2, and
     # that is a failed verification, not a usage error
     from knotss import cases
-    from knotss.chainledger import f_graph, single
+    from knotss.chainledger import f_graph
     original = cases.chain_c
     monkeypatch.setattr(cases, "chain_c", lambda G, directions=(1,):
                         original(G, directions)
-                        + single(factor, f_graph(G), [], G))
+                        .add_word(factor, f_graph(G), [], G))
     assert main(["ledger", "--case", "ch2-cycles"]) == 1
     out, err = capsys.readouterr()
     assert ("not defined mod 2" in err) == (factor == Fraction(1, 2)), err
