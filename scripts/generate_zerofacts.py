@@ -17,9 +17,8 @@ import sys
 import time
 
 from knotss.cases import _load_cases, all_cases, run_case
-from knotss.chainledger import Term, WeightSpec, ZeroFacts
-from knotss.geometry import attack_term, default_params, parse_expr
-from knotss.partgraph import parse_graph
+from knotss.chainledger import ZeroFacts
+from knotss.geometry import attack_term, default_params, parse_term
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "..", "src", "knotss", "data")
@@ -79,11 +78,7 @@ def main():
     t0 = time.time()
     for (etext, ltext), info in sorted(candidates.items()):
         n = info["n"]
-        label = parse_graph(ltext, n)
-        expr = parse_expr(etext, n)
-        snames = tuple(sorted(x for x in expr.names() if x.startswith("s")))
-        tnames = tuple(sorted(x for x in expr.names() if x.startswith("t")))
-        term = Term(expr, WeightSpec(snames, tnames), label)
+        term = parse_term(etext, ltext, n)
         rep = attack_term(default_params(n), term, rng,
                           restarts=args.restarts)
         from_survivor_case = any("survivor" in c for c in info["cases"])
@@ -97,7 +92,7 @@ def main():
                 print("WITNESS for a term that must vanish: %s @ %s"
                       % (etext, ltext))
         else:
-            kind, citation = classify(label)
+            kind, citation = classify(term.label)
             facts.append({"expr": etext, "label": ltext, "n": n,
                           "kind": kind, "citation": citation,
                           "cases": sorted(info["cases"]),

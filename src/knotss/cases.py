@@ -6,9 +6,13 @@ chain_pair carry the alternating signs of D = d + (-1)^deg partial, and
 a case's characteristic enters only when run_case reduces a result
 mod 2 (arity 4) or mod 3 (arity 5).  The three-term relation takes the
 same two constructors with each contraction averaged over both push
-directions.  Chains are assembled from the generic constructors in
-chainledger; the graph lists, pairing data, and expected identities are
-checked-in data (data/cases.json) interpreted by run_case.
+directions.  All four builders share one contraction loop: c(G,i) and
+the triple chain take c(G)'s contracted terms (_contracted, _contract).
+Chains are assembled from the generic constructors in chainledger; the
+graph lists, pairing data, and expected identities are checked-in data
+(data/cases.json) interpreted by run_case.  Merge images enter a
+difference unfiltered, and run_case filters each difference once with
+apply_facts after reducing it mod char.
 """
 
 import json
@@ -17,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chainledger import (Chain, ZeroFacts, apply_delta, apply_facts,
-                          boundary_D, contraction, ee_contraction, f_graph,
-                          i_contraction, single, straight)
+                          boundary_D, contraction, f_graph, i_contraction,
+                          single, straight)
 from .partgraph import PGraph, delta_graph, parse_graph
 
 
@@ -64,15 +68,18 @@ def pair_data(G, H, i):
 # signed chains, reduced mod 2 at arity 4 and mod 3 at arity 5
 
 
-def _contracted(G, directions):
-    """(edge positions js, coefficient (-1)^(sum js + 1) / #directions)
-    of each contracted term: every edge, then every pair of edges when G
-    has more than two."""
+def _contracted(G, directions, tail=()):
+    """(edge positions js, coefficient (-1)^(sum js + 1) / #directions,
+    factor word: s-factors a, then b, for the edges, then tail) of each
+    contracted term: every edge, then every pair of edges when G has
+    more than two."""
     m, wt = len(G.edges), Fraction(1, len(directions))
     subsets = [(j,) for j in range(1, m + 1)]
     if m > 2:
         subsets += combinations(range(1, m + 1), 2)
-    return [(js, wt * (-1) ** (sum(js) + 1)) for js in subsets]
+    return [(js, wt * (-1) ** (sum(js) + 1),
+             [("s", s) for s in "ab"[:len(js)]] + list(tail))
+            for js in subsets]
 
 
 def _contract(expr, G, edges, direction):
@@ -91,9 +98,8 @@ def chain_c(G, directions=(1,)):
     relation."""
     f = f_graph(G)
     ch = single(1, f, [], G)
-    for js, coeff in _contracted(G, directions):
+    for js, coeff, word in _contracted(G, directions):
         edges = [G.edges[j - 1] for j in js]
-        word = [("s", s) for s in "ab"[:len(js)]]
         for d in directions:
             ch.add_word(coeff * (-1) ** len(js), _contract(f, G, edges, d),
                         word, subgraph(G, edges))
@@ -106,9 +112,8 @@ def chain_pair(G, H, i, directions=(1,)):
     w_21, each contraction averaged over the push directions."""
     f, fp, dG, dH, edges, psi = pair_data(G, H, i)
     ch = single(1, psi, [("t", "t")], dG)
-    for js, coeff in _contracted(G, directions):
+    for js, coeff, word in _contracted(G, directions, [("t", "t")]):
         eg, ebar, eh = zip(*(edges[j - 1] for j in js))
-        word = [("s", s) for s in "ab"[:len(js)]] + [("t", "t")]
         label = subgraph(dG, ebar)
         for d in directions:
             lam = straight(_contract(f, G, eg, d),
@@ -122,32 +127,21 @@ def chain_pair(G, H, i, directions=(1,)):
 
 
 def chain_cycle_ch3(G, i):
-    """c(G,i): separating contractions averaged over both signs; terms
-    whose merged label acquires a double edge are zero and dropped."""
+    """c(G,i): c(G)'s contracted terms (edge pairs included, so G needs
+    three edges) with an s-factor c separating components i and i+1 in
+    both signs, on the merged label, where a double edge drops them."""
+    if len(G.edges) < 3:
+        raise ValueError("c(G,i) needs a graph with three edges or more")
     f = f_graph(G)
-    half = Fraction(1, 2)
     ch = Chain()
-    m = len(G.edges)
-    for j in range(1, m + 1):
-        e = G.edges[j - 1]
-        hit = delta_graph(i, subgraph(G, (e,)))
+    for js, coeff, word in _contracted(G, (1, -1), [("s", "c")]):
+        edges = [G.edges[j - 1] for j in js]
+        hit = delta_graph(i, subgraph(G, edges))
         if hit is None:
             continue
+        expr = _contract(f, G, edges, 1)
         for eps in (1, -1):
-            expr = i_contraction(contraction(f, G, e, "a"), i, "b", eps)
-            ch.add_word(half * (-1) ** (j + 1), expr,
-                        [("s", "a"), ("s", "b")], hit[0])
-    for j in range(1, m + 1):
-        for k in range(j + 1, m + 1):
-            ej, ek = G.edges[j - 1], G.edges[k - 1]
-            hit = delta_graph(i, subgraph(G, (ej, ek)))
-            if hit is None:
-                continue
-            for eps in (1, -1):
-                expr = i_contraction(ee_contraction(f, G, ej, ek, "a", "b"),
-                                     i, "c", eps)
-                ch.add_word(half * (-1) ** (j + k + 1), expr,
-                            [("s", "a"), ("s", "b"), ("s", "c")], hit[0])
+            ch.add_word(coeff, i_contraction(expr, i, "c", eps), word, hit[0])
     return ch
 
 
@@ -159,27 +153,25 @@ def chain_triple(G5, G6, G7, i):
     tri = PGraph(d5.partition, tuple(sorted(set(d5.edges + d6.edges + d7.edges))))
     if len(tri.edges) != 3:
         raise ValueError("merged graphs do not assemble a triangle")
-    half = Fraction(1, 2)
     psi = straight(f5, homotopy_target(f5, f6, i), "t")
     phi = straight(f5, homotopy_target(f5, f7, i), "t")
     ch = single(1, f5, [], tri)
     ch.add_word(1, psi, [("t", "t")], d6)
     ch.add_word(1, phi, [("t", "t")], d7)
-    w = [("s", "a"), ("t", "t")]
     for hom, dG in ((psi, d6), (phi, d7)):
-        for j, ebar in enumerate(dG.edges, 1):
-            label = subgraph(dG, (ebar,))
+        for js, coeff, word in _contracted(dG, (1, -1), [("t", "t")]):
+            ebar = [dG.edges[j - 1] for j in js]
             for d in (1, -1):
-                ch.add_word(half * (-1) ** (j + 1),
-                            contraction(hom, dG, ebar, "a", d), w, label)
+                ch.add_word(coeff, _contract(hom, dG, ebar, d), word,
+                            subgraph(dG, ebar))
     for sgn, fk, G, dG in ((1, f5, G5, d5), (-1, f6, G6, d6), (-1, f7, G7, d7)):
-        for j, e in enumerate(G.edges, 1):
-            ebar = merged_edge(i, G, e)
-            label = subgraph(dG, (ebar,))
+        for js, coeff, word in _contracted(G, (1, -1), [("t", "t")]):
+            eg = [G.edges[j - 1] for j in js]
+            ebar = [merged_edge(i, G, e) for e in eg]
             for d in (1, -1):
-                lam = straight(contraction(fk, G, e, "a", d),
-                               contraction(fk, dG, ebar, "a", d), "t")
-                ch.add_word(sgn * half * (-1) ** (j + 1), lam, w, label)
+                lam = straight(_contract(fk, G, eg, d),
+                               _contract(fk, dG, ebar, d), "t")
+                ch.add_word(sgn * coeff, lam, word, subgraph(dG, ebar))
     return ch
 
 
@@ -204,9 +196,11 @@ def _check(report, name, ok, detail=None):
 
 def _residual_zero(diff, facts, char):
     """A difference of chains is accepted as zero when every term that
-    survives modulo char is a recorded basepoint collapse."""
-    kept, rep = apply_facts(diff.reduce(char), facts)
-    return kept.reduce(char).is_zero(), kept.diff_report(Chain(), char)
+    survives modulo char is a basepoint collapse.  It reduces before it
+    filters, so every term's coefficient must be defined mod char; the
+    filter is apply_facts, so merge images may enter unfiltered."""
+    kept = apply_facts(diff.reduce(char), facts)
+    return kept.is_zero(), kept.diff_report(Chain(), char)
 
 
 def run_case(name, facts=None, specs=None):
@@ -236,8 +230,8 @@ def run_case(name, facts=None, specs=None):
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
             diff = boundary_D(chain_pair(G, H, i, directions))
             d_total.add_scaled(w, diff)
-            diff.add_scaled(-sg, apply_delta(chain(G), i, use_syntactic=False)[0])
-            diff.add_scaled(-sh, apply_delta(chain(H), i, use_syntactic=False)[0])
+            diff.add_scaled(-sg, apply_delta(chain(G), i))
+            diff.add_scaled(-sh, apply_delta(chain(H), i))
             ok, detail = _residual_zero(diff, facts, char)
             _check(report, "D c%s(%s,%s,%d) matches merges"
                    % (prime, gt, ht, i), ok, detail)
@@ -262,8 +256,7 @@ def run_case(name, facts=None, specs=None):
         target = Chain()
         for G, w in zip(graphs, spec["assembly"]):
             target.add_scaled(w, chain(G))
-        diff.add_scaled(-spec["assembly_sign"],
-                        apply_delta(target, facts=facts)[0])
+        diff.add_scaled(-spec["assembly_sign"], apply_delta(target))
         ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the assembled chain is the merge image", ok, detail)
 
@@ -272,8 +265,7 @@ def run_case(name, facts=None, specs=None):
         for (gt, ht, i, w) in spec["pairs"]:
             G, H = parse_graph(gt, spec["n"]), parse_graph(ht, spec["n"])
             total.add_scaled(w, chain_pair(G, H, i, directions))
-        survivors, rep = apply_delta(total, facts=facts)
-        survivors = survivors.reduce(char)
+        survivors = apply_facts(apply_delta(total), facts).reduce(char)
         got = sorted((t.expr.text(), str(t.label)) for _, t in survivors.items())
         want = sorted((e, l) for (e, l) in spec["expected"])
         _check(report, "merge image is the expected fundamental cycle",
@@ -293,11 +285,10 @@ def run_case(name, facts=None, specs=None):
         ti = spec["triple"]
         diff = boundary_D(chain_triple(G5, G6, G7, ti))
         d_gamma.add_scaled(spec["triple_weight"], diff)
-        diff -= apply_delta(total, ti, facts=facts)[0]
+        diff -= apply_delta(total, ti)
         ok, detail = _residual_zero(diff, facts, char)
         _check(report, "D of the triple chain matches merge %d" % ti, ok, detail)
-        d_gamma.add_scaled(-spec["assembly_sign"],
-                           apply_delta(total, facts=facts)[0])
+        d_gamma.add_scaled(-spec["assembly_sign"], apply_delta(total))
         ok, detail = _residual_zero(d_gamma, facts, char)
         _check(report, "D of the relation chain bounds the merge image", ok, detail)
 

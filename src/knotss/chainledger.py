@@ -10,11 +10,13 @@ t := 1 minus t := 0, with Koszul signs read off the weight order) and a
 Cech part partial removing one edge of the label graph at a time.
 Coefficients stay exact rationals throughout; a characteristic enters
 only through Chain.reduce, so the char-2 and char-3 ledgers share one
-signed D.  The merge maps delta_i relabel terms; terms whose image
-maps collapse to the basepoint are removed either syntactically (loops,
-double edges, extreme incidence, equal or reversed first coordinates
-inside a piece) or by table lookup against zero facts that are
-verified separately by geometric sampling.
+signed D.  apply_delta is the merge map: it relabels terms by delta_i
+and drops those whose merged label has a loop, a double edge or an
+extreme incidence.  apply_facts is the one collapse filter: it drops
+terms that map to the basepoint, found syntactically (equal or reversed
+first coordinates inside a piece) or in a table of zero facts that are
+verified separately by geometric sampling.  It tests each term alone,
+so it may run after any linear combination.
 
 A term works on its key: per component, the (monomial, coefficient)
 pairs of its four coefficient polynomials, integral coefficients as
@@ -276,22 +278,16 @@ def _components(P, edges):
     return find
 
 
-def graph_connected(P, edges, pos_a, pos_b):
-    find = _components(P, edges)
-    return find(pos_a) == find(pos_b)
-
-
 def f_graph(G):
     """The map whose i-th component is x when piece(i) connects to
     piece(1) in G, and y otherwise."""
     P = G.partition
-    pos1 = piece_position(P, 1)
+    find = _components(P, G.edges)
+    root1 = find(piece_position(P, 1))
     comps = []
     for i in range(1, P.n + 1):
-        pos = piece_position(P, i)
-        which = 0 if graph_connected(P, G.edges, pos, pos1) else 1
         comp = [_Z, _Z, _Z, _Z]
-        comp[which] = _ONE
+        comp[0 if find(piece_position(P, i)) == root1 else 1] = _ONE
         comps.append(comp)
     return MapExpr(comps)
 
@@ -330,10 +326,6 @@ def contraction(expr, G, e, s_name, direction=1):
             comp[3] = comp[3] + s * Poly.const(sg * direction)
         comps.append(comp)
     return MapExpr(comps)
-
-
-def ee_contraction(expr, G, e1, e2, s1, s2):
-    return contraction(contraction(expr, G, e1, s1), G, e2, s2)
 
 
 def straight(f, g, t_name):
@@ -662,55 +654,34 @@ class ZeroFacts:
         return self.table.get((term.expr.text(), str(term.label)))
 
 
-def apply_facts(chain, facts=None):
-    """Drop terms that collapse to the basepoint: first syntactically
-    (first-coordinate order inside a piece), then by the fact table.
-    Returns (chain, report)."""
+def apply_facts(chain, facts):
+    """The collapse filter: drop the terms that map to the basepoint,
+    found syntactically (first-coordinate order inside a piece) or in
+    the fact table.  It tests each term alone, so filtering
+    commutes with linear combination."""
     out = Chain()
-    report = {"syntactic": [], "facts": [], "kept": 0}
     for coeff, term in chain.items():
-        if first_coord_collapse(term.expr, term.label.partition):
-            report["syntactic"].append((term.expr.text(), str(term.label)))
-            continue
-        if facts is not None:
-            rec = facts.match(term)
-            if rec is not None:
-                report["facts"].append(rec.get("citation", ""))
-                continue
-        out._put(coeff, term)
-        report["kept"] += 1
-    return out, report
+        if not (first_coord_collapse(term.expr, term.label.partition)
+                or facts.match(term) is not None):
+            out._put(coeff, term)
+    return out
 
 
-def apply_delta(chain, i=None, facts=None, use_syntactic=True):
-    """Merge relabeling.  With i given: the single map delta_i (edge
+def apply_delta(chain, i=None):
+    """The merge map.  With i given: the single map delta_i (edge
     permutation sign only); otherwise the full signed sum over all
     merge positions.  Loops, double edges, and extreme incidences kill
-    terms inside partgraph.delta_graph; surviving terms then pass the
-    collapse filters.  Returns (chain, report)."""
+    terms inside partgraph.delta_graph; every other term is relabeled
+    and kept, for apply_facts to filter."""
     out = Chain()
-    report = {"killed_shape": 0, "syntactic": [], "facts": [], "survivors": []}
     for coeff, term in chain.items():
         P = term.label.partition
         positions = [i] if i is not None else range(P.num_pieces - 1)
         for pos in positions:
             hit = delta_graph(pos, term.label)
             if hit is None:
-                report["killed_shape"] += 1
                 continue
             image, sign = hit
-            c = coeff * sign
-            if i is None and pos % 2:
-                c = -c
-            if use_syntactic and first_coord_collapse(term.expr, image.partition):
-                report["syntactic"].append((term.expr.text(), str(image)))
-                continue
-            moved = term.relabel(image)
-            if facts is not None:
-                rec = facts.match(moved)
-                if rec is not None:
-                    report["facts"].append(rec.get("citation", ""))
-                    continue
-            report["survivors"].append((term.expr.text(), str(image)))
-            out._put(c, moved)
-    return out, report
+            out._put(-coeff * sign if i is None and pos % 2 else coeff * sign,
+                     term.relabel(image))
+    return out

@@ -16,7 +16,8 @@ from math import lcm
 
 from .linalg import Matrix, VerificationError, solve, solve_many
 from .fields import QQ
-from .partgraph import PGraph, Partition, discrete_partition, is_subdivision
+from .partgraph import (PGraph, Partition, discrete_partition, is_subdivision,
+                        parse_graph)
 
 U = (Fraction(1), Fraction(0))
 
@@ -800,8 +801,6 @@ def _try_escape_excision(tube, free, x, y, ys, xs):
 def attack_zero_facts(facts, restarts=200, seed=20260823):
     """Attack every recorded zero fact; the table passes when no term
     admits a witness."""
-    from .chainledger import Term, WeightSpec
-    from .partgraph import parse_graph
     if restarts < 1:
         raise ValueError("the attack needs at least one restart")
     reports = []
@@ -809,13 +808,8 @@ def attack_zero_facts(facts, restarts=200, seed=20260823):
               for n in {rec["n"] for rec in facts.table.values()}}
     rng = random.Random(seed)
     for (etext, ltext), rec in sorted(facts.table.items()):
-        n = rec["n"]
-        label = parse_graph(ltext, n)
-        expr = parse_expr(etext, n)
-        snames = tuple(sorted(x for x in expr.names() if x.startswith("s")))
-        tnames = tuple(sorted(x for x in expr.names() if x.startswith("t")))
-        term = Term(expr, WeightSpec(snames, tnames), label)
-        rep = attack_term(params[n], term, rng, restarts=restarts)
+        term = parse_term(etext, ltext, rec["n"])
+        rep = attack_term(params[rec["n"]], term, rng, restarts=restarts)
         rep["kind"] = rec.get("kind", "")
         reports.append(rep)
     return {"reports": reports,
@@ -849,6 +843,17 @@ def parse_expr(text, n):
     if expr.n != n:
         raise ValueError("component count mismatch")
     return expr
+
+
+def parse_term(etext, ltext, n):
+    """The term of a fact-table entry: expression text on label text,
+    its s- and t-names bound in sorted order."""
+    from .chainledger import Term, WeightSpec
+    expr = parse_expr(etext, n)
+    names = sorted(expr.names())
+    weight = WeightSpec(tuple(x for x in names if x.startswith("s")),
+                        tuple(x for x in names if x.startswith("t")))
+    return Term(expr, weight, parse_graph(ltext, n))
 
 
 def _split_signed(text):
@@ -1032,7 +1037,7 @@ def _condensed_instances():
     """Maps with their stage and the edges whose diagonal regions must
     absorb any tube intersection of the image."""
     from .chainledger import contraction, f_graph, straight
-    from .partgraph import delta_graph, parse_graph
+    from .partgraph import delta_graph
     G1 = parse_graph("(1,4)(2,3)", 4)
     G2 = parse_graph("(1,3)(2,4)", 4)
     f1, f2 = f_graph(G1), f_graph(G2)
@@ -1145,7 +1150,7 @@ def _check_i_contraction(rng, samples, seed):
     """Pulling two adjacent components apart along the first coordinate
     keeps the image inside the diagonal regions of the merged stage."""
     from .chainledger import contraction, f_graph, i_contraction
-    from .partgraph import delta_graph, parse_graph
+    from .partgraph import delta_graph
     n = 5
     params = default_params(n)
     G = parse_graph("(1,3)(2,3)(4,5)", n)

@@ -158,9 +158,16 @@ def test_one_pair_identity_is_exact_over_Q():
     G = parse_graph("(1,3)(2,3)(4,5)", 5)
     H = parse_graph("(1,4)(2,4)(3,5)", 5)
     pair = chain_pair(G, H, 3)
-    rhs = apply_delta(chain_c(H), 3, use_syntactic=False)[0] \
-        - apply_delta(chain_c(G), 3, use_syntactic=False)[0]
+    rhs = apply_delta(chain_c(H), 3) - apply_delta(chain_c(G), 3)
     assert (boundary_D(pair) - rhs).is_zero()
+
+
+def test_cycle_correction_needs_three_edges():
+    # c(G,i) takes c(G)'s contracted terms, edge pairs included, which
+    # c(G) has only on three edges or more
+    for text, n in (("(1,4)(2,3)", 4), ("(1,3)(2,4)", 5)):
+        with pytest.raises(ValueError):
+            chain_cycle_ch3(parse_graph(text, n), 2)
 
 
 def test_char2_chains_close_over_Z():

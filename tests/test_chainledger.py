@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -7,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotss import chainledger
+from knotss import cases, chainledger
 from knotss.chainledger import (Chain, MapExpr, Poly, Term, WeightSpec,
                                 ZeroFacts, apply_delta, apply_facts,
                                 boundary_D, canon_term, contraction,
-                                edge_signs, ee_contraction, f_graph,
-                                first_coord_collapse, i_contraction,
-                                make_weight, piece_position, single, straight)
+                                edge_signs, f_graph, first_coord_collapse,
+                                i_contraction, make_weight, piece_position,
+                                single, straight)
 from knotss.cases import all_cases, chain_c, chain_pair, pair_data, run_case
-from knotss.geometry import TermRows, _power_check_terms, parse_expr
+from knotss.geometry import (TermRows, _power_check_terms, parse_expr,
+                             parse_term)
 from knotss.linalg import VerificationError
 from knotss.partgraph import (PGraph, Partition, delta_graph, inversion_sign,
                               parse_graph)
@@ -142,7 +145,7 @@ def test_mapexpr_derivative_matches_evaluate():
     rng = random.Random(41)
     f = f_graph(G1)
     exprs = [straight(f, f.swap_xy(), "t1"),
-             ee_contraction(f, G1, (1, 4), (2, 3), "s1", "s2"),
+             contraction(contraction(f, G1, (1, 4), "s1"), G1, (2, 3), "s2"),
              parse_expr("(1-1*t1)x+(1*t1)y+(1*s1)v;(1*t1)x+(1-1*t1)y+(-1*s1)v;"
                         "y+(-1*s1)v;x+(-1*s1)v+(2*s1*t1)u", 4)]
 
@@ -303,7 +306,7 @@ def test_make_weight_koszul_sign():
 
 def test_canon_term_antisymmetry():
     # transposing two interval-at-infinity factors is a sign
-    f = ee_contraction(f_graph(G1), G1, (1, 4), (2, 3), "a", "b")
+    f = contraction(contraction(f_graph(G1), G1, (1, 4), "a"), G1, (2, 3), "b")
     ch = single(1, f, [("s", "a"), ("s", "b")], G1).add_word(
         1, f, [("s", "b"), ("s", "a")], G1)
     assert ch.is_zero()
@@ -321,7 +324,7 @@ def test_term_equal_to_its_negative_is_zero():
 
 
 def test_canon_term_is_idempotent_and_ignores_the_label():
-    f = ee_contraction(f_graph(G1), G1, (1, 4), (2, 3), "b", "a")
+    f = contraction(contraction(f_graph(G1), G1, (1, 4), "b"), G1, (2, 3), "a")
     w, _ = make_weight([("s", "a"), ("s", "b")])
     c, t = canon_term(Fraction(3), f, w, G1)
     for label in (G1, PGraph(G1.partition, ())):
@@ -355,8 +358,8 @@ def test_canon_term_rejects_unbound_parameter():
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(["a", "b", "c"]))
 def test_canon_term_permutation_invariance(order):
-    f = i_contraction(
-        ee_contraction(f_graph(G1), G1, (1, 4), (2, 3), "a", "b"), 2, "c")
+    f = contraction(contraction(f_graph(G1), G1, (1, 4), "a"), G1, (2, 3), "b")
+    f = i_contraction(f, 2, "c")
     base = single(1, f, [("s", "a"), ("s", "b"), ("s", "c")], G1)
     perm_sign = 1
     for i in range(3):
@@ -413,19 +416,18 @@ def _sample_bases():
     lam = straight(contraction(f, G1, (1, 4), "a"),
                    contraction(f, dG, (1, 3), "a"), "t")
     psi = straight(f, f.swap_xy(), "t")
+    fa = contraction(f, G1, (1, 4), "a")
+    fab = contraction(fa, G1, (2, 3), "b")
+    faa = contraction(fa, G1, (1, 4), "b")
     return [
         (f, (), (), False),
         (contraction(f, G1, (2, 3), "a"), ("a",), (), False),
-        (ee_contraction(f, G1, (1, 4), (2, 3), "a", "b"), ("a", "b"), (), False),
-        (contraction(contraction(f, G1, (1, 4), "a"), G1, (1, 4), "b"),
-         ("a", "b"), (), True),
-        (i_contraction(ee_contraction(f, G1, (1, 4), (2, 3), "a", "b"), 2, "c"),
-         ("a", "b", "c"), (), False),
-        (i_contraction(contraction(contraction(f, G1, (1, 4), "a"), G1, (1, 4),
-                                   "b"), 2, "c", Fraction(1, 2)),
-         ("a", "b", "c"), (), True),
-        (i_contraction(ee_contraction(f, G1, (1, 4), (2, 3), "a", "b"), 3, "c",
-                       Fraction(-1, 2)), ("a", "b", "c"), (), False),
+        (fab, ("a", "b"), (), False),
+        (faa, ("a", "b"), (), True),
+        (i_contraction(fab, 2, "c"), ("a", "b", "c"), (), False),
+        (i_contraction(faa, 2, "c", Fraction(1, 2)), ("a", "b", "c"), (), True),
+        (i_contraction(fab, 3, "c", Fraction(-1, 2)), ("a", "b", "c"), (),
+         False),
         (lam, ("a",), ("t",), False),
         (contraction(psi, G1, (2, 3), "a", -1), ("a",), ("t",), False),
         (straight(lam, lam.swap_xy(), "t2"), ("a",), ("t", "t2"), False),
@@ -528,28 +530,112 @@ def test_first_coord_collapse():
 def test_apply_delta_shape_kills_and_signs():
     ch = single(1, f_graph(G1), [], G1)
     # merging pieces 2,3 makes the edge (2,3) a loop
-    out, rep = apply_delta(ch, 2)
-    assert out.is_zero() and rep["killed_shape"] == 1
+    assert delta_graph(2, G1) is None
+    assert apply_delta(ch, 2).is_zero()
     # edge permutation sign of a surviving merge is carried through
-    out, _ = apply_delta(ch, 3, use_syntactic=False)
+    out = apply_delta(ch, 3)
     hit = delta_graph(3, G1)
     assert hit is not None
     (c, t), = out.items()
     assert (c, t.label) == (hit[1], hit[0])
 
 
+def reference_apply_delta(chain, i=None, facts=None, use_syntactic=True):
+    """The reference for where the filter runs: the merge map with the
+    collapse filters applied to each relabeled term before it is added
+    (use_syntactic=False and no facts is the bare merge map)."""
+    out = Chain()
+    for coeff, term in chain.items():
+        P = term.label.partition
+        positions = [i] if i is not None else range(P.num_pieces - 1)
+        for pos in positions:
+            hit = delta_graph(pos, term.label)
+            if hit is None:
+                continue
+            image, sign = hit
+            c = coeff * sign
+            if i is None and pos % 2:
+                c = -c
+            if use_syntactic and first_coord_collapse(term.expr,
+                                                      image.partition):
+                continue
+            moved = term.relabel(image)
+            if facts is not None and facts.match(moved) is not None:
+                continue
+            out._put(c, moved)
+    return out
+
+
+@pytest.fixture(scope="module")
+def case_chains():
+    """(builder, arguments, chain) of every chain_c, chain_pair,
+    chain_cycle_ch3 and chain_triple call of the six cases, in order."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("chain_c", "chain_pair", "chain_cycle_ch3",
+                     "chain_triple"):
+            def recording(*args, make=getattr(cases, name), name=name):
+                ch = make(*args)
+                built.append((name, args, ch))
+                return ch
+
+            mp.setattr(cases, name, recording)
+        for name in all_cases():
+            assert run_case(name, facts=ZeroFacts.load())["pass"], name
+    return built
+
+
+def _coefficients(ch):
+    return {t.key(): c for c, t in ch.items()}
+
+
+def test_merge_then_filter_matches_the_reference_filter(case_chains):
+    # filtering after the merge map gives the chain that filtering each
+    # merged term gives, on every chain of the cases, at every merge
+    # position and for the signed sum, under the real and an empty table
+    facts, empty = ZeroFacts.load(), ZeroFacts([])
+    dropped = 0
+    for name, args, ch in case_chains:
+        sizes = {t.label.partition.num_pieces for _, t in ch.items()}
+        assert len(sizes) == 1, (name, args)
+        for i in list(range(sizes.pop() - 1)) + [None]:
+            merged = apply_delta(ch, i)
+            assert _coefficients(merged) == _coefficients(
+                reference_apply_delta(ch, i, use_syntactic=False))
+            for table in (facts, empty):
+                got = _coefficients(apply_facts(merged, table))
+                want = _coefficients(reference_apply_delta(ch, i, table))
+                assert got == want, (name, args, i)
+                dropped += len(merged) - len(got)
+    assert len(case_chains) == 37 and dropped > 100
+
+
+CASE_CHAINS_SHA256 = ("f1813afc5ee5636a3600cb39ab60895a"
+                      "94636fa9c31dc91c146d4bf1e4409f72")
+
+
+def test_case_chains_are_pinned(case_chains):
+    # every chain the six cases build, term by term: per builder call,
+    # its arguments and the sorted (coefficient, expression, weight,
+    # label) texts of its terms
+    rows = [[name, [str(a) for a in args],
+             sorted((str(c), t.expr.text(), str(t.weight), str(t.label))
+                    for c, t in ch.items())]
+            for name, args, ch in case_chains]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert len(rows) == 37 and digest == CASE_CHAINS_SHA256
+
+
 def test_zero_facts_table_loads_and_applies():
     facts = ZeroFacts.load()
     assert len(facts.table) >= 50
     (etext, ltext), rec = sorted(facts.table.items())[0]
-    n = rec["n"]
-    expr = parse_expr(etext, n)
-    label = parse_graph(ltext, n)
-    sn = tuple(sorted(x for x in expr.names() if x.startswith("s")))
-    tn = tuple(sorted(x for x in expr.names() if x.startswith("t")))
-    ch = Chain().add(1, expr, WeightSpec(sn, tn), label)
-    out, rep = apply_facts(ch, facts)
-    assert out.is_zero() or rep["syntactic"]
+    term = parse_term(etext, ltext, rec["n"])
+    ch = Chain().add(1, term.expr, term.weight, term.label)
+    assert len(ch) == 1
+    assert apply_facts(ch, facts).is_zero()
+    # no fact is a syntactic collapse: the table drops it
+    assert apply_facts(ch, ZeroFacts([])).items() == ch.items()
 
 
 def test_piece_position():

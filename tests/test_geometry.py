@@ -7,15 +7,15 @@ from math import lcm
 import pytest
 
 from knotss import geometry
-from knotss.chainledger import (MapExpr, Poly, Term, WeightSpec, ZeroFacts,
-                                contraction, ee_contraction, f_graph, straight)
+from knotss.chainledger import (MapExpr, Poly, ZeroFacts, contraction,
+                                f_graph, straight)
 from knotss.fields import QQ
 from knotss.geometry import (ALL_LEMMAS, Params, TermRows, Tube,
                              anchor_centers, attack_term, attack_zero_facts,
                              d_ab, check_lemma, closed_form_projection_checks,
                              default_params, e_P, e_embed, eps_P, in_D_ab,
-                             in_E, in_E_alpha, in_space,
-                             parse_expr, project_mean, project_pi, rand_point,
+                             in_E, in_E_alpha, in_space, parse_expr,
+                             parse_term, project_mean, project_pi, rand_point,
                              sample_space_point, tube_dist2,
                              _ls_step, _normal_equations, _power_check_terms,
                              _translation_free, _try_escape_excision)
@@ -370,7 +370,7 @@ def test_parse_expr_roundtrip():
     f = f_graph(G)
     exprs = [f,
              contraction(f, G, (2, 3), "s1"),
-             ee_contraction(f, G, (1, 4), (2, 3), "s1", "s2"),
+             contraction(contraction(f, G, (1, 4), "s1"), G, (2, 3), "s2"),
              straight(f, f.swap_xy(), "t1")]
     for e in exprs:
         assert parse_expr(e.text(), 4) == e
@@ -433,11 +433,7 @@ def _first_fact_term(kind):
     recs = [(k, r) for k, r in sorted(facts.table.items())
             if r["kind"] == kind]
     (etext, ltext), rec = recs[0]
-    expr = parse_expr(etext, rec["n"])
-    label = parse_graph(ltext, rec["n"])
-    sn = tuple(sorted(x for x in expr.names() if x.startswith("s")))
-    tn = tuple(sorted(x for x in expr.names() if x.startswith("t")))
-    return default_params(rec["n"]), Term(expr, WeightSpec(sn, tn), label)
+    return default_params(rec["n"]), parse_term(etext, ltext, rec["n"])
 
 
 def test_attack_certifies_an_extreme_merge_fact():
