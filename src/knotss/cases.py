@@ -200,7 +200,8 @@ def _residual_zero(diff, facts, char):
     filters, so every term's coefficient must be defined mod char; the
     filter is apply_facts, so merge images may enter unfiltered."""
     kept = apply_facts(diff.reduce(char), facts)
-    return kept.is_zero(), kept.diff_report(Chain(), char)
+    return kept.is_zero(), [(str(c), t.expr.text(), str(t.label))
+                            for c, t in kept.items()]
 
 
 def run_case(name, facts=None, specs=None):

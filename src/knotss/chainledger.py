@@ -252,12 +252,10 @@ class MapExpr:
 # graph helpers: numbers 1..n versus piece positions of a partition
 
 
-def piece_position(P, number):
-    """Position (0-based over all pieces) of the piece containing number."""
-    for pos, piece in enumerate(P.pieces()):
-        if number in piece:
-            return pos
-    raise ValueError("number %d outside the partition" % number)
+def piece_positions(P):
+    """Position (0-based over all pieces) of the piece containing each
+    number 0..n+1."""
+    return [pos for pos, size in enumerate(P.sizes) for _ in range(size)]
 
 
 def _components(P, edges):
@@ -283,11 +281,12 @@ def f_graph(G):
     piece(1) in G, and y otherwise."""
     P = G.partition
     find = _components(P, G.edges)
-    root1 = find(piece_position(P, 1))
+    pos = piece_positions(P)
+    root1 = find(pos[1])
     comps = []
     for i in range(1, P.n + 1):
         comp = [_Z, _Z, _Z, _Z]
-        comp[0 if find(piece_position(P, i)) == root1 else 1] = _ONE
+        comp[0 if find(pos[i]) == root1 else 1] = _ONE
         comps.append(comp)
     return MapExpr(comps)
 
@@ -305,8 +304,7 @@ def edge_signs(G, e):
     if ra == rb:
         raise ValueError("edge %r is not a bridge" % (e,))
     out = []
-    for i in range(1, P.n + 1):
-        pos = piece_position(P, i)
+    for pos in piece_positions(P)[1:-1]:
         if pos in (0, P.num_pieces - 1):
             out.append(0)
             continue

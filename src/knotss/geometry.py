@@ -4,6 +4,12 @@ tube projections, the excision and deep-diagonal regions, sampling
 harnesses for the geometric collapse lemmas, and the witness attack
 used to certify the zero facts consumed by the chain ledger.
 
+Each stage P is compiled once under params into a Tube: its anchors
+and offsets, its space windows, radii and gaps, its diagonal bounds and
+its excision windows.  The lemma harnesses build one Tube per stage and
+sample, embed and test on its constants; each random draw is one exact
+affine map of one randrange (Draw).
+
 All arithmetic is exact: fractions, and in the attack integer numerators
 over one denominator, from each term's polynomial coefficients compiled
 once into integer rows (TermRows).  There are no tolerances.
@@ -14,12 +20,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .linalg import Matrix, VerificationError, solve, solve_many
+from .linalg import Matrix, VerificationError, solve_many
 from .fields import QQ
 from .partgraph import (PGraph, Partition, discrete_partition, is_subdivision,
                         parse_graph)
-
-U = (Fraction(1), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -93,26 +97,12 @@ def space_window(params, piece):
     return -1 + m, 1 - params.rho + m
 
 
-def d_ab(params, P, pos_a, pos_b):
-    pieces = P.pieces()
-    gap = mid(params, pieces[pos_b]) - mid(params, pieces[pos_a])
-    return params.rho * abs(gap) - eps_P(params, P)
-
-
 # ---------------------------------------------------------------------------
 # 2-vector helpers
 
 
 def _add(p, q):
     return (p[0] + q[0], p[1] + q[1])
-
-
-def _sub(p, q):
-    return (p[0] - q[0], p[1] - q[1])
-
-
-def _scale(c, p):
-    return (Fraction(c) * p[0], Fraction(c) * p[1])
 
 
 def _norm2(p):
@@ -151,69 +141,33 @@ def e_embed(params, P, Q, xs):
     return out
 
 
-def e_P(params, P, xs):
-    """Embedding into the discrete stage: one center per number 1..n."""
-    return e_embed(params, P, discrete_partition(P.n), xs)
-
-
 def anchor_centers(params, P):
     """Centers of the numbers lying in the extreme pieces (constants):
     each sits at its own window's end on the side of its anchor."""
-    pieces = P.pieces()
-    return {k: (space_window(params, (k,))[side], Fraction(0))
-            for side, pos in ((0, 0), (1, len(pieces) - 1))
-            for k in pieces[pos] if 1 <= k <= P.n}
-
-
-def _offsets(params, P):
-    """u-offsets of each number inside its internal piece."""
-    return {k: params.rho * (mid(params, (k,)) - mid(params, piece))
-            for piece in P.pieces()[1:-1] for k in piece}
+    return {i + 1: (a, Fraction(0)) for i, a in Tube(params, P).anchored}
 
 
 # ---------------------------------------------------------------------------
-# tube projection, two independent routes
-
-
-def project_mean(params, P, ys):
-    """Closed form for the nearest configuration: per internal piece,
-    the mean of the member positions with their offsets subtracted."""
-    return Tube(params, P).dist2(ys)[1]
-
-
-def project_pi(params, P, ys):
-    """Matrix route: least squares through the normal equations of the
-    indicator design matrix, solved by exact elimination."""
-    offs = _offsets(params, P)
-    pieces = P.pieces()
-    p = P.num_internal
-    pos_of = {}
-    for pos in range(1, len(pieces) - 1):
-        for k in pieces[pos]:
-            pos_of[k] = pos - 1
-    rows, rhs_u, rhs_v = [], [], []
-    for k in range(1, P.n + 1):
-        if k not in pos_of:
-            continue
-        row = [QQ.zero] * p
-        row[pos_of[k]] = QQ.one
-        rows.append(row)
-        rhs_u.append(ys[k - 1][0] - offs[k])
-        rhs_v.append(ys[k - 1][1])
-    A = Matrix(QQ, rows)
-    At = A.transpose()
-    N = At.mul_matrix(A)
-    xu = solve(N, At.mul_vector(rhs_u))
-    xv = solve(N, At.mul_vector(rhs_v))
-    return [(xu[i], xv[i]) for i in range(p)]
+# the compiled stage
 
 
 class Tube:
     """The tube of one stage P under params, compiled once for callers
-    that query it many times: the anchored numbers with the first
-    coordinates of their anchors, the internal pieces with the
-    u-offsets of their members, eps_P^2, and the excision window of
-    each internal piece.  Numbers are stored by index k - 1.
+    that query it many times.  Numbers are stored by index k - 1, and
+    internal pieces by position - 1:
+    - anchored: the anchored numbers with the first coordinates of their
+      anchors; pieces: per internal piece, 1 / size and the u-offsets of
+      its members.  Together they are the embedding e_P.
+    - space: (r^2, lo, hi) per internal piece, the radius and the
+      first-coordinate window of the configuration space; gaps: (i, j,
+      gap^2) per pair of internal pieces, the least squared distance of
+      their centers.
+    - diagonals: (d_ab, d_ab^2) per pair of positions a < b, the bound of
+      the deep diagonal region, the gap less eps_P.
+    - windows: the excision window (r^2, lo, hi) per internal piece, the
+      space's widened by epsp = eps_P; eps2 = eps_P^2.
+    - draws: per internal piece, the Draw of a first coordinate in the
+      middle three quarters of its window.
 
     For the attack's integer rounds it also holds T, the lcm of the
     anchor and offset denominators, the same anchors and offsets as
@@ -221,18 +175,41 @@ class Tube:
     pieces with more than one member."""
 
     def __init__(self, params, P):
-        offs = _offsets(params, P)
+        rho = params.rho
+        pieces = P.pieces()
+        self.n = n = P.n
+        # every window is 2 - rho wide, and an anchor, an offset or a gap
+        # is a difference of window ends
+        width = 2 - rho
+        margin = width / 8
+        low = {k: space_window(params, (k,))[0] for k in range(1, n + 1)}
         # (k - 1, anchor u); anchors sit at v = 0
-        self.anchored = [(k - 1, a[0])
-                         for k, a in anchor_centers(params, P).items()]
-        # (1 / size, [(k - 1, u-offset)]) per internal piece
-        self.pieces = [(Fraction(1, len(piece)),
-                        [(k - 1, offs[k]) for k in piece])
-                       for piece in P.pieces()[1:-1]]
-        epsp = eps_P(params, P)
+        self.anchored = ([(k - 1, low[k]) for k in pieces[0][1:]]
+                         + [(k - 1, low[k] + width) for k in pieces[-1][:-1]])
+        self.epsp = epsp = eps_P(params, P)
         self.eps2 = epsp * epsp
-        self.windows = [_excision_window(params, P, pos)
-                        for pos in range(1, P.num_pieces - 1)]
+        self.pieces, self.space, self.windows, self.draws = [], [], [], []
+        lows = []
+        for piece in pieces[1:-1]:
+            lo = low[piece[0]] if len(piece) == 1 else \
+                space_window(params, piece)[0]
+            hi = lo + width
+            lows.append(lo)
+            # (1 / size, [(k - 1, u-offset)])
+            self.pieces.append((Fraction(1, len(piece)),
+                                [(k - 1, low[k] - lo) for k in piece]))
+            r = 1 - rho * c_piece(params, piece) / 2
+            self.space.append((r * r, lo, hi))
+            self.windows.append(((r + epsp) * (r + epsp),
+                                 lo - epsp, hi + epsp))
+            self.draws.append(Draw(lo + margin, hi - margin))
+        self.gaps, self.diagonals = [], {}
+        for i in range(len(lows)):
+            for j in range(i + 1, len(lows)):
+                gap = lows[j] - lows[i]
+                self.gaps.append((i, j, gap * gap))
+                d = gap - epsp
+                self.diagonals[i + 1, j + 1] = (d, d * d)
         self.T = T = lcm(*(a.denominator for _, a in self.anchored),
                          *(off.denominator for _, members in self.pieces
                            for _, off in members))
@@ -245,6 +222,45 @@ class Tube:
                             [(i, off.numerator * (T // off.denominator))
                              for i, off in members])
                            for _, members in self.pieces]
+
+    def e_P(self, xs):
+        """The embedding into the discrete stage, one center per number
+        1..n: an anchored number at its anchor, any other at its piece's
+        center xs[j] moved by its u-offset."""
+        out = [None] * self.n
+        for i, a in self.anchored:
+            out[i] = (a, Fraction(0))
+        for (u, v), (_, members) in zip(xs, self.pieces):
+            for i, off in members:
+                out[i] = (u + off, v)
+        return out
+
+    def in_space(self, xs):
+        """Membership in the exact clustered configuration space."""
+        for (u, v), (r2, lo, hi) in zip(xs, self.space):
+            if u * u + v * v > r2 or not lo <= u <= hi:
+                return False
+        for i, j, gap2 in self.gaps:
+            du, dv = xs[i][0] - xs[j][0], xs[i][1] - xs[j][1]
+            if du * du + dv * dv < gap2:
+                return False
+        return True
+
+    def in_D_ab(self, xs, a, b):
+        """xs lies in the deep diagonal region of the internal pieces at
+        positions a < b."""
+        du, dv = xs[a - 1][0] - xs[b - 1][0], xs[a - 1][1] - xs[b - 1][1]
+        return du * du + dv * dv <= self.diagonals[a, b][1]
+
+    def sample_space_point(self, rng):
+        """A point of the configuration space, sampled inside the
+        first-coordinate windows with small transverse jitter; up to 50
+        draws."""
+        for _ in range(50):
+            xs = [(draw(rng), _TRANSVERSE(rng)) for draw in self.draws]
+            if self.in_space(xs):
+                return xs
+        raise RuntimeError("could not sample the configuration space")
 
     def dist2(self, ys):
         """Exact squared distance from ys to the embedded configuration
@@ -338,135 +354,100 @@ def tube_dist2(params, P, ys):
     return Tube(params, P).dist2(ys)
 
 
+def project_mean(params, P, ys):
+    """Closed form for the nearest configuration: per internal piece,
+    the mean of the member positions with their offsets subtracted."""
+    return Tube(params, P).dist2(ys)[1]
+
+
 # ---------------------------------------------------------------------------
 # regions
 
 
-def _excision_window(params, P, pos):
-    """(r^2, lo, hi) at an internal piece: its center is excised when
-    |x|^2 >= r^2 or its first coordinate is at most lo or at least hi:
-    the space window and the outer sphere, widened by eps_P."""
-    epsp = eps_P(params, P)
-    piece = P.pieces()[pos]
-    r = 1 - params.rho * c_piece(params, piece) / 2 + epsp
-    lo, hi = space_window(params, piece)
-    return r * r, lo - epsp, hi + epsp
-
-
 def _excised(x, window):
+    """Excision region at an internal piece: near the outer sphere, or
+    beyond the first-coordinate window on either side."""
     r2, lo, hi = window
     return _norm2(x) >= r2 or x[0] <= lo or x[0] >= hi
 
 
-def in_E_alpha(params, P, xs, pos):
-    """Excision region at an internal piece: near the outer sphere, or
-    beyond the first-coordinate window on either side."""
-    return _excised(xs[pos - 1], _excision_window(params, P, pos))
-
-
 def in_E(params, P, xs):
-    return any(in_E_alpha(params, P, xs, pos)
-               for pos in range(1, P.num_pieces - 1))
-
-
-def in_D_ab(params, P, xs, pos_a, pos_b):
-    d = d_ab(params, P, pos_a, pos_b)
-    gap2 = _norm2(_sub(xs[pos_a - 1], xs[pos_b - 1]))
-    return gap2 <= d * d
-
-
-def in_space(params, P, xs):
-    """Membership in the exact clustered configuration space."""
-    rho = params.rho
-    pieces = P.pieces()[1:-1]
-    for x, piece in zip(xs, pieces):
-        r = 1 - rho * c_piece(params, piece) / 2
-        if _norm2(x) > r * r:
-            return False
-        lo, hi = space_window(params, piece)
-        if not lo <= x[0] <= hi:
-            return False
-    mids = [mid(params, piece) for piece in pieces]
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            gap = rho * (mids[b] - mids[a])
-            if _norm2(_sub(xs[a], xs[b])) < gap * gap:
-                return False
-    return True
+    return Tube(params, P).excised(xs)
 
 
 # ---------------------------------------------------------------------------
 # random rational sampling
 
 
+class Draw:
+    """lo + (hi - lo) k / 2^12 for a uniform k in 0..2^12, compiled once
+    into the exact affine map (a + b k) / d."""
+
+    def __init__(self, lo, hi):
+        # ints and Fractions alike have a numerator and a denominator
+        d = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (d // lo.denominator)
+        b = hi.numerator * (d // hi.denominator) - a
+        self.a, self.b, self.d = a << 12, b, d << 12
+
+    def __call__(self, rng):
+        return Fraction(self.a + self.b * rng.randrange((1 << 12) + 1), self.d)
+
+
+_TRANSVERSE = Draw(Fraction(-1, 100), Fraction(1, 100))
+
+
 def rand_frac(rng, lo, hi):
     """lo + (hi - lo) k / 2^12 for a uniform k in 0..2^12."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    return lo + (hi - lo) * Fraction(rng.randrange((1 << 12) + 1), 1 << 12)
+    return Draw(lo, hi)(rng)
 
 
 def rand_point(rng, scale=1):
-    return (rand_frac(rng, -scale, scale), rand_frac(rng, -scale, scale))
-
-
-def sample_space_point(params, P, rng):
-    """A point of the configuration space, sampled inside the
-    first-coordinate windows with small transverse jitter; up to 50
-    draws."""
-    windows = [space_window(params, piece) for piece in P.pieces()[1:-1]]
-    for _ in range(50):
-        xs = []
-        for lo, hi in windows:
-            u0 = lo + (hi - lo) * rand_frac(rng, Fraction(1, 8), Fraction(7, 8))
-            xs.append((u0, rand_frac(rng, Fraction(-1, 100), Fraction(1, 100))))
-        if in_space(params, P, xs):
-            return xs
-    raise RuntimeError("could not sample the configuration space")
+    draw = Draw(-scale, scale)
+    return (draw(rng), draw(rng))
 
 
 def jitter(rng, ys, scale):
     """Perturb each coordinate so the total norm stays below scale."""
     bound = Fraction(scale) / (2 * len(ys))
-    return [_add(y, (rand_frac(rng, -bound, bound),
-                     rand_frac(rng, -bound, bound))) for y in ys]
+    draw = Draw(-bound, bound)
+    return [(u + draw(rng), v + draw(rng)) for u, v in ys]
 
 
-def _near_tube_sample(params, P, rng):
+def _near_tube_sample(tube, rng):
     """Point at controlled distance from the tube: embed a space point
     and jitter at scales straddling the tube width."""
-    xs = sample_space_point(params, P, rng)
-    ys = e_P(params, P, xs)
-    scale = eps_P(params, P) * rng.choice(
+    ys = tube.e_P(tube.sample_space_point(rng))
+    scale = tube.epsp * rng.choice(
         (Fraction(1, 8), Fraction(1, 2), Fraction(7, 8), Fraction(9, 8), 4))
     return jitter(rng, ys, scale)
 
 
-def _excised_sample(params, P, rng):
+def _excised_sample(tube, rng):
     """Tube point whose projection sits inside an excision region: push
     one piece past a first-coordinate window before embedding."""
-    xs = sample_space_point(params, P, rng)
-    pos = rng.randrange(1, P.num_pieces - 1)
-    epsp = eps_P(params, P)
-    lo, hi = space_window(params, P.pieces()[pos])
+    xs = tube.sample_space_point(rng)
+    pos = rng.randrange(1, len(tube.pieces) + 1)
+    epsp = tube.epsp
+    _, lo, hi = tube.space[pos - 1]
     bad = lo - 2 * epsp if rng.randrange(2) else hi + 2 * epsp
-    xs = list(xs)
     xs[pos - 1] = (bad, xs[pos - 1][1])
-    ys = e_P(params, P, xs)
+    ys = tube.e_P(xs)
     return jitter(rng, ys, epsp * rng.choice((Fraction(1, 2), Fraction(9, 8))))
 
 
-def _diagonal_sample(params, P, rng):
+def _diagonal_sample(tube, rng):
     """Tube point whose projection sits deep inside a diagonal region
     of a random pair of internal pieces."""
-    m = P.num_pieces - 1
+    m = len(tube.pieces) + 1
     a = rng.randrange(1, m - 1)
     b = rng.randrange(a + 1, m)
-    xs = list(sample_space_point(params, P, rng))
-    close = d_ab(params, P, a, b) * rand_frac(rng, 0, Fraction(3, 4))
-    xs[b - 1] = _add(xs[a - 1], (close, Fraction(0)))
-    ys = e_P(params, P, xs)
-    epsp = eps_P(params, P)
-    return jitter(rng, ys, epsp * rng.choice((Fraction(1, 2), Fraction(9, 8))))
+    xs = tube.sample_space_point(rng)
+    close = tube.diagonals[a, b][0] * rand_frac(rng, 0, Fraction(3, 4))
+    xs[b - 1] = (xs[a - 1][0] + close, xs[a - 1][1])
+    ys = tube.e_P(xs)
+    return jitter(rng, ys,
+                  tube.epsp * rng.choice((Fraction(1, 2), Fraction(9, 8))))
 
 
 # ---------------------------------------------------------------------------
@@ -940,9 +921,9 @@ def _check_diagonal_bound(rng, samples, seed):
         P, Q = pairs[k % len(pairs)]
         src = (P, Q)[k % 2]
         if k % 3 == 0:
-            ys = _excised_sample(params, src, rng)
+            ys = _excised_sample(tubes[src], rng)
         else:
-            ys = _near_tube_sample(params, src, rng)
+            ys = _near_tube_sample(tubes[src], rng)
         if (tubes[Q].nonbase_projection(ys) is None
                 and tubes[P].nonbase_projection(ys) is not None):
             bad.append({"P": str(P), "Q": str(Q),
@@ -971,28 +952,27 @@ def _check_diagonal_incl(rng, samples, seed):
     bad = []
     pairs = _refinement_pairs()
     tubes = _tubes(params, [P for pair in pairs for P in pair])
+    maps = [_piece_map(P, Q) for P, Q in pairs]
     for k in range(samples):
         P, Q = pairs[k % len(pairs)]
-        ys = _diagonal_sample(params, Q, rng)
+        ys = _diagonal_sample(tubes[Q], rng)
         xq = tubes[Q].nonbase_projection(ys)
         if xq is None:
             continue
-        where = _piece_map(P, Q)
+        where = maps[k % len(pairs)]
         xp = tubes[P].nonbase_projection(ys)
         at_base = xp is None
-        m = Q.num_pieces - 1
-        for a in range(1, m):
-            for b in range(a + 1, m):
-                if not in_D_ab(params, Q, xq, a, b):
-                    continue
-                pa, pb = where[a], where[b]
-                if pa == pb or pa == 0 or pb == P.num_pieces - 1:
-                    ok = at_base
-                else:
-                    ok = at_base or in_D_ab(params, P, xp, pa, pb)
-                if not ok:
-                    bad.append({"P": str(P), "Q": str(Q), "pair": (a, b),
-                                "y": [[str(c) for c in v] for v in ys]})
+        for a, b in tubes[Q].diagonals:
+            if not tubes[Q].in_D_ab(xq, a, b):
+                continue
+            pa, pb = where[a], where[b]
+            if pa == pb or pa == 0 or pb == P.num_pieces - 1:
+                ok = at_base
+            else:
+                ok = at_base or tubes[P].in_D_ab(xp, pa, pb)
+            if not ok:
+                bad.append({"P": str(P), "Q": str(Q), "pair": (a, b),
+                            "y": [[str(c) for c in v] for v in ys]})
     return _report("diagonal-incl", samples, bad, seed)
 
 
@@ -1006,30 +986,34 @@ def _check_collapse0(rng, samples, seed):
     bad = []
     parts = [Partition(n, (1, 2, 2, 1)), Partition(n, (2, 2, 1, 1)),
              Partition(n, (1, 4, 1)), Partition(n, (2, 3, 1))]
-    ext = {0: (space_window(params, (0,))[0], Fraction(0)),
-           n + 1: (space_window(params, (n + 1,))[1], Fraction(0))}
+    ext = {0: space_window(params, (0,))[0],
+           n + 1: space_window(params, (n + 1,))[1]}
     tubes = _tubes(params, parts)
+    numbers = [space_window(params, (k,)) for k in range(1, n + 1)]
+    # per stage: each number's window and each in-piece gap, both
+    # widened by twice the tube width
+    bounds = {}
+    for P, tube in tubes.items():
+        e2 = 2 * tube.epsp
+        gaps = [(a, b, rho * (mid(params, (b,)) - mid(params, (a,))))
+                for piece in P.pieces()
+                for i, a in enumerate(piece) for b in piece[i + 1:]]
+        bounds[P] = ([(lo - e2, hi + e2) for lo, hi in numbers],
+                     [(a, b, gap - e2, gap + e2) for a, b, gap in gaps])
     for k in range(samples):
         P = parts[k % len(parts)]
-        ys = _near_tube_sample(params, P, rng)
+        ys = _near_tube_sample(tubes[P], rng)
         if tubes[P].nonbase_projection(ys) is None:
             continue
-        epsp = eps_P(params, P)
-        for kk in range(1, n + 1):
-            lo, hi = space_window(params, (kk,))
-            if not (lo - 2 * epsp < ys[kk - 1][0] < hi + 2 * epsp):
+        windows, gaps = bounds[P]
+        for kk, (lo, hi) in enumerate(windows, 1):
+            if not lo < ys[kk - 1][0] < hi:
                 bad.append({"P": str(P), "k": kk, "kind": "window"})
-        for piece in P.pieces():
-            for i in range(len(piece)):
-                for j in range(i + 1, len(piece)):
-                    a, b = piece[i], piece[j]
-                    pa = ext[a] if a in ext else ys[a - 1]
-                    pb = ext[b] if b in ext else ys[b - 1]
-                    gap = pb[0] - pa[0]
-                    cab = rho * (mid(params, (b,)) - mid(params, (a,)))
-                    if not (cab - 2 * epsp < gap < cab + 2 * epsp):
-                        bad.append({"P": str(P), "pair": (a, b),
-                                    "kind": "gap"})
+        for a, b, lo, hi in gaps:
+            ua = ext[a] if a in ext else ys[a - 1][0]
+            ub = ext[b] if b in ext else ys[b - 1][0]
+            if not lo < ub - ua < hi:
+                bad.append({"P": str(P), "pair": (a, b), "kind": "gap"})
     return _report("collapse0", samples, bad, seed)
 
 
@@ -1050,16 +1034,15 @@ def _condensed_instances():
              dG.partition, dG.edges[1:])]
 
 
-def _aimed_inputs(params, P, rng, names):
-    """Configuration aimed at the tube of P: y near a window point, x
-    to its right by the in-piece spacing of the last two strands."""
-    xs = sample_space_point(params, P, rng)
+def _aimed_inputs(tube, gap, rng, names):
+    """Configuration aimed at the tube: y near a window point, x to its
+    right by gap, the in-piece spacing of the last two strands."""
+    xs = tube.sample_space_point(rng)
     base = xs[rng.randrange(len(xs))]
-    n = params.n
-    gap = params.rho * (mid(params, (n,)) - mid(params, (n - 1,)))
-    ep = eps_P(params, P)
-    y = _add(base, (rand_frac(rng, -ep, ep), rand_frac(rng, -ep, ep)))
-    x = _add(y, (gap + rand_frac(rng, -ep, ep), rand_frac(rng, -ep, ep)))
+    ep = tube.epsp
+    near = Draw(-ep, ep)
+    y = _add(base, (near(rng), near(rng)))
+    x = _add(y, (gap + near(rng), near(rng)))
     values = {nm: (rand_frac(rng, 0, 1) if nm.startswith("t")
                    else rand_frac(rng, 0, 4 * ep)) for nm in names}
     return x, y, values
@@ -1072,11 +1055,12 @@ def _check_condensed_image(rng, samples, seed):
     params = default_params(4)
     instances = _condensed_instances()
     tubes = _tubes(params, [part for _, part, _ in instances])
+    gap = params.rho * (mid(params, (4,)) - mid(params, (3,)))
     bad = []
     for k in range(samples):
         expr, part, edges = instances[k % len(instances)]
         if k % 2:
-            x, y, values = _aimed_inputs(params, part, rng, expr.names())
+            x, y, values = _aimed_inputs(tubes[part], gap, rng, expr.names())
         else:
             x, y = rand_point(rng), rand_point(rng)
             values = {nm: (rand_frac(rng, 0, 1) if nm.startswith("t")
@@ -1086,7 +1070,7 @@ def _check_condensed_image(rng, samples, seed):
         if xp is None:
             continue
         for (a, b) in edges:
-            if not in_D_ab(params, part, xp, a, b):
+            if not tubes[part].in_D_ab(xp, a, b):
                 bad.append({"edge": (a, b), "expr": expr.text(),
                             "x": [str(c) for c in x],
                             "y": [str(c) for c in y]})
@@ -1161,58 +1145,28 @@ def _check_i_contraction(rng, samples, seed):
     dg, _ = delta_graph(1, rest)
     part, edges = dg.partition, dg.edges
     bad = []
-    ep = eps_P(params, part)
     tube = Tube(params, part)
+    ep = tube.epsp
+    # s drawn below rho or rho / 64; near the merged spacing, s1 below
+    # twice the tube width and s2 within it of half the in-piece gap
+    spans = (Draw(0, params.rho), Draw(0, params.rho / 64))
+    near_s1, near_s2 = Draw(0, 2 * ep), Draw(-2 * ep, 2 * ep)
+    half_gap = params.rho * (mid(params, (2,)) - mid(params, (1,))) / 2
     for k in range(samples):
         x, y = rand_point(rng), rand_point(rng)
-        s1 = rand_frac(rng, 0, params.rho * rng.choice((1, Fraction(1, 64))))
-        s2 = rand_frac(rng, 0, params.rho * rng.choice((1, Fraction(1, 64))))
+        s1 = rng.choice(spans)(rng)
+        s2 = rng.choice(spans)(rng)
         if k % 3 == 0:
-            xs = sample_space_point(params, part, rng)
+            xs = tube.sample_space_point(rng)
             x, y = xs[0], xs[-1]
-            s1 = rand_frac(rng, 0, 2 * ep)
-            s2 = params.rho * (mid(params, (2,)) - mid(params, (1,))) / 2 \
-                + rand_frac(rng, -2 * ep, 2 * ep)
+            s1 = near_s1(rng)
+            s2 = half_gap + near_s2(rng)
         xp = tube.nonbase_projection(F.evaluate(x, y, {"s1": s1, "s2": s2}))
         if xp is None:
             continue
         for (a, b) in edges:
-            if not in_D_ab(params, part, xp, a, b):
+            if not tube.in_D_ab(xp, a, b):
                 bad.append({"edge": (a, b), "s1": str(s1), "s2": str(s2),
                             "x": [str(c) for c in x],
                             "y": [str(c) for c in y]})
     return _report("i-contraction", samples, bad, seed)
-
-
-def closed_form_projection_checks(trials=100, seed=20260823):
-    """Exact agreement of the two projection routes, and of the printed
-    constant-offset forms for the two stages used by the worked chains
-    (second offset at five strands in its corrected form)."""
-    rng = random.Random(seed)
-    out = {"trials": trials, "seed": seed, "failures": []}
-    specs = [(4, Partition(4, (1, 2, 2, 1))), (5, Partition(5, (1, 3, 2, 1)))]
-    for n, P in specs:
-        params = default_params(n)
-        rho, c = params.rho, params.c
-        for t in range(trials):
-            ys = [rand_point(rng, 2) for _ in range(n)]
-            route_a = project_pi(params, P, ys)
-            route_b = project_mean(params, P, ys)
-            if route_a != route_b:
-                out["failures"].append({"n": n, "kind": "routes", "t": t})
-                continue
-            if n == 4:
-                a = _add(_scale(Fraction(1, 2), _add(ys[0], ys[1])),
-                         _scale(rho * (c[2] - c[1]) / 4, U))
-                b = _add(_scale(Fraction(1, 2), _add(ys[2], ys[3])),
-                         _scale(rho * (c[4] - c[3]) / 4, U))
-            else:
-                a = _add(_scale(Fraction(1, 3),
-                                _add(_add(ys[0], ys[1]), ys[2])),
-                         _scale(rho * (c[3] - c[1]) / 3, U))
-                b = _add(_scale(Fraction(1, 2), _add(ys[3], ys[4])),
-                         _scale(rho * (c[5] - c[4]) / 4, U))
-            if [a, b] != route_b:
-                out["failures"].append({"n": n, "kind": "printed", "t": t})
-    out["pass"] = not out["failures"]
-    return out

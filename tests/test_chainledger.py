@@ -14,13 +14,14 @@ from knotss.chainledger import (Chain, MapExpr, Poly, Term, WeightSpec,
                                 ZeroFacts, apply_delta, apply_facts,
                                 boundary_D, canon_term, contraction,
                                 edge_signs, f_graph, first_coord_collapse,
-                                i_contraction, make_weight, piece_position,
+                                i_contraction, make_weight, piece_positions,
                                 single, straight)
 from knotss.cases import all_cases, chain_c, chain_pair, pair_data, run_case
 from knotss.geometry import (TermRows, _power_check_terms, parse_expr,
                              parse_term)
 from knotss.linalg import VerificationError
-from knotss.partgraph import (PGraph, Partition, delta_graph, inversion_sign,
+from knotss.partgraph import (PGraph, Partition, delta_graph,
+                              enumerate_partitions, inversion_sign,
                               parse_graph)
 
 G1 = parse_graph("(1,4)(2,3)", 4)
@@ -640,4 +641,10 @@ def test_zero_facts_table_loads_and_applies():
 
 def test_piece_position():
     P = Partition(4, (1, 2, 2, 1))
-    assert [piece_position(P, k) for k in range(6)] == [0, 1, 1, 2, 2, 3]
+    assert piece_positions(P) == [0, 1, 1, 2, 2, 3]
+    for n in range(1, 6):
+        for P in enumerate_partitions(n):
+            pieces = P.pieces()
+            assert piece_positions(P) == [
+                next(pos for pos, piece in enumerate(pieces) if k in piece)
+                for k in range(n + 2)], str(P)

@@ -12,16 +12,18 @@ from knotss.chainledger import (MapExpr, Poly, ZeroFacts, contraction,
 from knotss.fields import QQ
 from knotss.geometry import (ALL_LEMMAS, Params, TermRows, Tube,
                              anchor_centers, attack_term, attack_zero_facts,
-                             d_ab, check_lemma, closed_form_projection_checks,
-                             default_params, e_P, e_embed, eps_P, in_D_ab,
-                             in_E, in_E_alpha, in_space, parse_expr,
-                             parse_term, project_mean, project_pi, rand_point,
-                             sample_space_point, tube_dist2,
-                             _ls_step, _normal_equations, _power_check_terms,
+                             check_lemma, default_params, e_embed, eps_P,
+                             in_E, parse_expr, parse_term, project_mean,
+                             rand_point, tube_dist2, _diagonal_sample,
+                             _excised_sample, _ls_step, _near_tube_sample,
+                             _normal_equations, _power_check_terms,
                              _translation_free, _try_escape_excision)
 from knotss.linalg import Matrix, VerificationError, kernel_basis, solve_many
 from knotss.partgraph import (PGraph, Partition, discrete_partition,
                               enumerate_partitions, parse_graph)
+
+from geometry_reference import (closed_form_projection_checks, project_pi,
+                                reference_in_space)
 
 
 def test_params_validation():
@@ -58,11 +60,12 @@ def test_embed_identity_and_composition():
     Q = Partition(4, (1, 2, 1, 1, 1))
     R = discrete_partition(4)
     rng = random.Random(7)
+    tube = Tube(params, P)
     for _ in range(10):
-        xs = sample_space_point(params, P, rng)
+        xs = tube.sample_space_point(rng)
         assert e_embed(params, P, P, xs) == xs
         via = e_embed(params, Q, R, e_embed(params, P, Q, xs))
-        assert via == e_embed(params, P, R, xs)
+        assert via == e_embed(params, P, R, xs) == tube.e_P(xs)
     with pytest.raises(ValueError):
         e_embed(params, Q, P, [rand_point(rng)] * 3)  # not a refinement
 
@@ -82,9 +85,10 @@ def test_tube_distance_zero_on_embedded_points():
     params = default_params(4)
     P = Partition(4, (1, 2, 2, 1))
     rng = random.Random(11)
+    tube = Tube(params, P)
     for _ in range(10):
-        xs = sample_space_point(params, P, rng)
-        d2, proj = tube_dist2(params, P, e_P(params, P, xs))
+        xs = tube.sample_space_point(rng)
+        d2, proj = tube_dist2(params, P, tube.e_P(xs))
         assert d2 == 0 and proj == xs
 
 
@@ -97,10 +101,11 @@ def test_compiled_tube_matches_projection_and_embedding():
         params = default_params(n)
         for P in enumerate_partitions(n):
             anchors = anchor_centers(params, P)
+            tube = Tube(params, P)
             for _ in range(3):
                 ys = [rand_point(rng, 2) for _ in range(n)]
                 xs = project_pi(params, P, ys)
-                centers = e_P(params, P, xs)
+                centers = tube.e_P(xs)
                 want = Fraction(0)
                 for k in range(1, n + 1):
                     if k in anchors:
@@ -135,11 +140,13 @@ def test_stage_layout_matches_its_definition():
                 for k in piece:
                     want[k] = (start + rho * c[k] / 2, v)
                     start += rho * c[k]
-            centers = e_P(params, P, xs)
+            tube = Tube(params, P)
+            centers = tube.e_P(xs)
             assert centers == [want[k] for k in range(1, n + 1)], str(P)
+            assert centers == e_embed(params, P, discrete_partition(n), xs)
             anchored = set(pieces[0] + pieces[-1]) - {0, n + 1}
             assert anchor_centers(params, P) == {k: want[k] for k in anchored}
-            assert Tube(params, P).dist2(centers) == (0, xs), str(P)
+            assert tube.dist2(centers) == (0, xs), str(P)
 
 
 def test_projection_routes_agree():
@@ -335,25 +342,25 @@ def test_step_fallback_rejects_inconsistent_equations(monkeypatch):
 def test_region_predicates():
     params = default_params(4)
     P = Partition(4, (1, 2, 2, 1))
+    tube = Tube(params, P)
     rng = random.Random(17)
-    xs = sample_space_point(params, P, rng)
-    assert in_space(params, P, xs)
+    xs = tube.sample_space_point(rng)
+    assert tube.in_space(xs)
     assert not in_E(params, P, xs)
     # pushing a piece past its window lands in the excision region
-    lo = -1 + params.rho * sum(params.c[:2]) / 1  # left of any window
     bad = list(xs)
     bad[0] = (Fraction(-1) + eps_P(params, P) / 4, bad[0][1])
-    assert in_E_alpha(params, P, bad, 1)
+    assert in_E(params, P, bad)
     # strictly closer than the legal spacing is deep in the diagonal
     close = list(xs)
-    d = d_ab(params, P, 1, 2) + eps_P(params, P)
+    d = tube.diagonals[1, 2][0] + eps_P(params, P)
     close[1] = (close[0][0] + d / 2, close[0][1])
-    assert in_D_ab(params, P, close, 1, 2)
-    assert not in_space(params, P, close)
+    assert tube.in_D_ab(close, 1, 2)
+    assert not tube.in_space(close)
     # the minimum legal spacing sits just outside the shrunk region
     edge = list(xs)
     edge[1] = (edge[0][0] + d, edge[0][1])
-    assert not in_D_ab(params, P, edge, 1, 2)
+    assert not tube.in_D_ab(edge, 1, 2)
 
 
 def test_anchor_centers_extreme_pieces():
@@ -486,3 +493,87 @@ def test_recorded_tube_widths():
 def test_lemma_harness_quick(name):
     rep = check_lemma(name, samples=80)
     assert rep["pass"], rep["counterexamples"][:3]
+
+
+def test_compiled_in_space_matches_the_reference():
+    # the compiled membership test agrees with the per-call reference on
+    # random and sampled points, on the extreme configurations (every
+    # piece leftmost, rightmost or centred: gaps exact, inside), and on
+    # points that break the radius, a window or a gap alone
+    rng = random.Random(43)
+    zero = Fraction(0)
+    for n in range(1, 6):
+        params = default_params(n)
+        for P in enumerate_partitions(n):
+            if not P.num_internal:
+                continue
+            tube = Tube(params, P)
+            delta = tube.epsp / 1000
+            left = [(lo, zero) for _, lo, _ in tube.space]
+            right = [(hi, zero) for _, _, hi in tube.space]
+            middle = [((lo + hi) / 2, zero) for _, lo, hi in tube.space]
+            j = rng.randrange(P.num_internal)
+            far = middle[:j] + [(middle[j][0], Fraction(1))] + middle[j + 1:]
+            low = [(left[0][0] - delta, zero)] + left[1:]
+            high = right[:-1] + [(right[-1][0] + delta, zero)]
+            cases = [(tube.sample_space_point(rng), True), (left, True),
+                     (right, True), (middle, True), (far, False),
+                     (low, False), (high, False)]
+            if P.num_internal > 1:
+                near = [(middle[0][0] + delta, zero)] + middle[1:]
+                cases.append((near, False))
+            cases += [([rand_point(rng) for _ in range(P.num_internal)], None)
+                      for _ in range(3)]
+            for xs, inside in cases:
+                got = tube.in_space(xs)
+                assert got == reference_in_space(params, P, xs), (str(P), xs)
+                assert inside is None or got == inside, (str(P), xs)
+
+
+# sha256 over the reprs of the points that sample_space_point, e_P and
+# the three tube samplers give on six stages at seed 7: any change to a
+# draw's value, its rng call or their order shows here
+SAMPLE_STREAM_SHA256 = ("05e9f3185dfa6bed4bbddac695e4f345"
+                        "4d93368f35b611b3852517ec80d87fdb")
+
+
+def test_sample_streams_are_pinned():
+    params = default_params(4)
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for sizes in ((1, 2, 2, 1), (2, 2, 1, 1), (1, 1, 2, 1, 1),
+                  (1, 2, 1, 1, 1), (2, 1, 1, 2), (1, 1, 1, 1, 1, 1)):
+        tube = Tube(params, Partition(4, sizes))
+        for _ in range(5):
+            xs = tube.sample_space_point(rng)
+            for out in (xs, tube.e_P(xs), _near_tube_sample(tube, rng),
+                        _excised_sample(tube, rng),
+                        _diagonal_sample(tube, rng)):
+                h.update(repr(out).encode())
+    assert h.hexdigest() == SAMPLE_STREAM_SHA256
+
+
+# sha256 of json.dumps(report, sort_keys=True) for each lemma at 1000
+# samples and seed 7
+LEMMA_REPORT_SHA256 = {
+    "condensed-image":
+        "e26397e9ace269431f288963ea0256caaf221b554ff2784ecb7334b10972b97d",
+    "diagonal-bound":
+        "f24dc96ece7a85264527d34828ef01d98117e87ace2f9fa5da1a27c5c73b473d",
+    "diagonal-incl":
+        "5babad13b8b9158ed17559cfc08008d046bf0c835a00dc16a95622adba1b32ce",
+    "collapse0":
+        "b3a5f903e8b61833a254b381f51f7c92aa1227870424a18af444b31ba8d0224c",
+    "collapse-cases":
+        "73acc1ece0b8e56d4ced1f32c8b0ddd748d81050d6df8126a683952c9b4fb824",
+    "i-contraction":
+        "9f50bae6761c6038265f5e3647cc1b3da8e75be7fbd31dedafd11b7e63506072",
+}
+
+
+def test_lemma_reports_are_pinned():
+    got = {name: hashlib.sha256(json.dumps(
+               check_lemma(name, samples=1000, seed=7),
+               sort_keys=True).encode()).hexdigest()
+           for name in ALL_LEMMAS}
+    assert got == LEMMA_REPORT_SHA256
