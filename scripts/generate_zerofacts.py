@@ -18,7 +18,7 @@ import time
 
 from knotss.cases import _load_cases, all_cases, run_case
 from knotss.chainledger import ZeroFacts
-from knotss.geometry import attack_term, default_params, parse_term
+from knotss.geometry import Tube, attack_term, default_params, parse_term
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "..", "src", "knotss", "data")
@@ -75,12 +75,15 @@ def main():
     print("residual candidates: %d" % len(candidates))
 
     facts, survivors, failures = [], [], []
+    tubes = {}  # one compiled tube per stage
     t0 = time.time()
     for (etext, ltext), info in sorted(candidates.items()):
         n = info["n"]
         term = parse_term(etext, ltext, n)
-        rep = attack_term(default_params(n), term, rng,
-                          restarts=args.restarts)
+        P = term.label.partition
+        if P not in tubes:
+            tubes[P] = Tube(default_params(n), P)
+        rep = attack_term(tubes[P], term, rng, restarts=args.restarts)
         from_survivor_case = any("survivor" in c for c in info["cases"])
         if rep["witness"] is not None:
             if from_survivor_case:

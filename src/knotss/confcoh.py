@@ -7,15 +7,15 @@ A monomial is admissible when its factors have pairwise-distinct,
 strictly increasing second indices; admissible monomials form a basis
 of size [t^q] prod_{k=1}^{p-1} (1 + k t).
 
-The cosimplicial structure enters through coface/codegeneracy pullbacks
-on generators and the alternating-sum differential d_1.  Coface images
-are computed over Z on factor tuples (coface_image); hochschild sums
-them into one sparse integer d_1 and coerces once per nonzero entry.
-An image needs straightening only when an inner coface i meets factors
-with second indices i and i+1; every other image is admissible as it
-stands.  straighten recurses on sorted factor tuples and memoizes the
-rewrite nodes in a dict its caller may pass: each d_1 assembly passes
-one for all of its images and drops it when it returns.
+The cosimplicial structure enters through coface pullbacks on
+generators and the alternating-sum differential d_1.  Coface images are
+computed over Z on factor tuples, as (monomial, int) pairs
+(coface_terms); hochschild sums them into one sparse integer d_1 and
+coerces once per nonzero entry.  An image needs the 3-term rewrite only
+when an inner coface i meets factors with second indices i and i+1.
+The rewrite recurses on sorted factor tuples and memoizes its nodes in
+a dict the caller may pass: each d_1 assembly passes one for all of its
+images and drops it when it returns.
 """
 
 import re
@@ -41,21 +41,18 @@ def _sort_with_sign(factors):
     return tuple(fs), sign
 
 
-def straighten(factors, memo=None):
+def straighten(factors):
     """Express a product of generators over Z in the admissible basis.
 
     Returns {admissible factor tuple: integer coefficient}.  The factors
     are sorted once (with the sign of the permutation) and the sorted
-    tuple is straightened by _straighten_sorted.  memo is the dict of
-    rewrite nodes that helper fills; one d_1 assembly passes the same
-    dict to every call, and without it each call uses a fresh one.
+    tuple is straightened by _straighten_sorted with a fresh memo.
     """
     fs = tuple(factors)
     if all(fs[a][1] < fs[a + 1][1] for a in range(len(fs) - 1)):
         return {fs: 1}  # already admissible
     fs, sign = _sort_with_sign(fs)
-    return {m: sign * z
-            for m, z in _straighten_sorted(fs, {} if memo is None else memo)}
+    return {m: sign * z for m, z in _straighten_sorted(fs, {})}
 
 
 def _straighten_sorted(fs, memo):
@@ -73,18 +70,24 @@ def _straighten_sorted(fs, memo):
             break
     else:
         return ((fs, 1),)
-    if any(fs[b] == fs[b + 1] for b in range(a, len(fs) - 1)):
-        return ()  # g^2 = 0
-    hit = memo.get(fs)
+    hit = memo.get(fs)  # a tuple with a repeated factor never enters memo
     if hit is not None:
         return hit
+    if any(fs[b] == fs[b + 1] for b in range(a, len(fs) - 1)):
+        return ()  # g^2 = 0
     (i, k), (j, _) = fs[a], fs[a + 1]
-    ij, rest = (i, j), fs[:a] + fs[a + 2:]
+    # g_ij sorts in at c among fs[:a], the factors below k, and the kept
+    # factor at a + 1: a + c transpositions from (g_ij, kept) + rest
+    c = 0
+    while c < a and (fs[c][1], fs[c][0]) < (j, i):
+        c += 1
     out = {}
-    for coeff, term in ((-1, (ij, fs[a]) + rest), (1, (ij, fs[a + 1]) + rest)):
-        term, sgn = _sort_with_sign(term)
-        for m, z in _straighten_sorted(term, memo):
-            out[m] = out.get(m, 0) + coeff * sgn * z
+    if c == a or fs[c] != (i, j):  # else g_ij repeats and both terms vanish
+        head, tail = fs[:c] + ((i, j),) + fs[c:a], fs[a + 2:]
+        sign = -1 if (a + c) % 2 else 1
+        for coeff, kept in ((-sign, fs[a]), (sign, fs[a + 1])):
+            for m, z in _straighten_sorted(head + (kept,) + tail, memo):
+                out[m] = out.get(m, 0) + coeff * z
     hit = memo[fs] = tuple((m, z) for m, z in out.items() if z)
     return hit
 
@@ -214,18 +217,11 @@ def admissible_basis(p, q):
     return sorted(out)
 
 
-def class_to_vector(x, basis):
-    index = {m: i for i, m in enumerate(basis)}
-    v = [x.field.zero] * len(basis)
-    for m, c in x.terms.items():
-        v[index[m]] = c
-    return v
-
-
-def coface_image(i, p, m, memo=None):
+def coface_terms(i, p, m, memo=None):
     """Pullback of the admissible factor tuple m along the i-th coface,
-    over Z: H^q(Conf_p) -> H^q(Conf_{p-1}) as {admissible factor tuple:
-    int}.  memo is handed to straighten.
+    over Z: H^q(Conf_p) -> H^q(Conf_{p-1}) as a tuple of distinct
+    (admissible factor tuple, nonzero int) pairs.  memo is the dict of
+    rewrite nodes _straighten_sorted fills, a fresh one when it is None.
 
     On generators: the inner cofaces double the i-th point (collapse
     indices i, i+1 and kill g_{i,i+1}); the outer cofaces i=0 and i=p
@@ -233,34 +229,43 @@ def coface_image(i, p, m, memo=None):
     The outer cofaces keep second indices strictly increasing, and an
     inner coface i breaks that order only when m has a factor with
     second index i and one with second index i+1; every other image is
-    already admissible and is returned with coefficient 1 unstraightened.
+    already admissible and comes back with coefficient 1.  A clash
+    leaves at most that tied pair out of order: one swap, with its sign,
+    sorts the image for the memoized rewrite.
     """
-    mapped = []
+    mapped, sign = [], 0  # sign stays 0 unless the image clashes
     if i == 0:
         for (a, b) in m:
             if a == 1:
-                return {}
+                return ()
             mapped.append((a - 1, b - 1))
-        return {tuple(mapped): 1}
-    if i == p:
-        for (_, b) in m:
-            if b == p:
-                return {}
-        return {tuple(m): 1}
-    clash = False
+        return ((tuple(mapped), 1),)
+    if i == p:  # only the last factor of m can have second index p
+        return () if m and m[-1][1] == p else ((tuple(m), 1),)
     for f in m:
         a, b = f
         if b > i:
             if b == i + 1:
                 if a == i:
-                    return {}
+                    return ()
                 # m is admissible: second index i, if any, comes just before
-                clash = bool(mapped) and mapped[-1][1] == i
+                if mapped and mapped[-1][1] == i:
+                    sign = 1
+                    if mapped[-1][0] > a:
+                        mapped.insert(-1, (a, i))
+                        sign = -1
+                        continue
             f = (a if a <= i else a - 1, b - 1)
         mapped.append(f)
-    if clash:
-        return straighten(mapped, memo)
-    return {tuple(mapped): 1}
+    if not sign:
+        return ((tuple(mapped), 1),)
+    pairs = _straighten_sorted(tuple(mapped), {} if memo is None else memo)
+    return pairs if sign == 1 else tuple((mm, -z) for mm, z in pairs)
+
+
+def coface_image(i, p, m):
+    """coface_terms as a dict {admissible factor tuple: int}."""
+    return dict(coface_terms(i, p, m))
 
 
 def coface_pullback(i, x):
@@ -277,21 +282,6 @@ def coface_pullback(i, x):
             zc = F.mul(F.of(z), c)
             terms[mm] = F.add(terms.get(mm, F.zero), zc)
     return CohClass(p - 1, x.degree, F, terms)
-
-
-def codegeneracy_pullback(i, x):
-    """Pullback along the i-th codegeneracy, H^q(Conf_p) -> H^q(Conf_{p+1})."""
-    p = x.arity
-    if not (0 <= i <= p):
-        raise ValueError("codegeneracy index %d out of range 0..%d" % (i, p))
-    F = x.field
-    terms = {}
-    for m, c in x.terms.items():
-        mapped = tuple((a if a <= i else a + 1, b if b <= i else b + 1) for (a, b) in m)
-        for mm, z in straighten(mapped).items():
-            zc = F.mul(F.of(z), c)
-            terms[mm] = F.add(terms.get(mm, F.zero), zc)
-    return CohClass(p + 1, x.degree, F, terms)
 
 
 def sinha_d1(x):

@@ -154,7 +154,7 @@ def anchor_centers(params, P):
 class Tube:
     """The tube of one stage P under params, compiled once for callers
     that query it many times.  Numbers are stored by index k - 1, and
-    internal pieces by position - 1:
+    internal pieces by position - 1 (params and P are kept as given):
     - anchored: the anchored numbers with the first coordinates of their
       anchors; pieces: per internal piece, 1 / size and the u-offsets of
       its members.  Together they are the embedding e_P.
@@ -175,6 +175,7 @@ class Tube:
     pieces with more than one member."""
 
     def __init__(self, params, P):
+        self.params, self.P = params, P
         rho = params.rho
         pieces = P.pieces()
         self.n = n = P.n
@@ -676,24 +677,26 @@ def _clamp(v, lo, hi):
     return v
 
 
-def attack_term(params, term, rng, restarts=200):
+def attack_term(tube, term, rng, restarts=200):
     """Search for a non-basepoint witness of a ledger term by exact
     alternating minimization of the squared tube distance over the
     configuration (x, y) and the bound parameters, three rounds per
-    restart, each parameter step kept to denominators of at most 2^24.
+    restart, each parameter step kept to denominators of at most 2^24,
+    on tube, the compiled Tube of the term's stage.
 
     A witness is an exact rational input whose image lies inside the
     tube with projection clear of every excision region; finding one
     disproves the zero fact for the term."""
     if restarts < 1:
         raise ValueError("the attack needs at least one restart")
-    tube = Tube(params, term.label.partition)
+    if tube.P != term.label.partition:
+        raise ValueError("the tube is not compiled for the term's stage")
     expr = term.expr
     coefficients = TermRows(expr)
     free = _translation_free(expr)
     best = None
     witness = None
-    scale_hint = params.rho * min(params.c)
+    scale_hint = tube.params.rho * min(tube.params.c)
     for trial in range(restarts):
         values = {}
         for nm in coefficients.names:
@@ -742,7 +745,7 @@ def attack_term(params, term, rng, restarts=200):
         if best is None or d2 < best:
             best = d2
         if d2 < tube.eps2:
-            hit = _try_escape_excision(tube, free, x, y, ys, xs)
+            hit = _try_escape_excision(tube, free, x, y, ys, d2, xs)
             if hit is not None:
                 witness = {"x": [str(c) for c in hit[0]],
                            "y": [str(c) for c in hit[1]],
@@ -760,11 +763,14 @@ def _translation_free(expr):
     return all((cx + cy).terms == {(): 1} for cx, cy, _, _ in expr.comps)
 
 
-def _try_escape_excision(tube, free, x, y, ys, xs):
-    """ys, the image of (x, y), lies inside the tube with projection xs.
-    It is a witness only if that projection avoids the excision regions;
-    when the map is translation free (free), slide (x, y) along the first
-    coordinate into the allowed windows: the image slides with it."""
+def _try_escape_excision(tube, free, x, y, ys, d2, xs):
+    """ys, the image of (x, y), lies inside the tube at squared distance
+    d2 with projection xs.  It is a witness only if that projection
+    avoids the excision regions; when the map is translation free
+    (free), slide (x, y) along the first coordinate into the allowed
+    windows: the image slides with it, each projection moves by the
+    shift s and each piece keeps its spread, so d2 changes only at the
+    anchored numbers, by s (2 (u - anchor) + s) each."""
     if not tube.excised(xs):
         return x, y
     if not free:
@@ -773,24 +779,26 @@ def _try_escape_excision(tube, free, x, y, ys, xs):
     hi = min(w_hi - xc[0] for xc, (_, _, w_hi) in zip(xs, tube.windows))
     if lo >= hi:
         return None
-    shift = ((lo + hi) / 2, Fraction(0))
-    if tube.nonbase_projection([_add(p, shift) for p in ys]) is not None:
-        return _add(x, shift), _add(y, shift)
+    s = (lo + hi) / 2
+    d2 += sum(s * (2 * (ys[i][0] - a) + s) for i, a in tube.anchored)
+    if d2 < tube.eps2 and not tube.excised([(u + s, v) for u, v in xs]):
+        return _add(x, (s, 0)), _add(y, (s, 0))
     return None
 
 
 def attack_zero_facts(facts, restarts=200, seed=20260823):
-    """Attack every recorded zero fact; the table passes when no term
-    admits a witness."""
+    """Attack every recorded zero fact, on one compiled Tube per stage;
+    the table passes when no term admits a witness."""
     if restarts < 1:
         raise ValueError("the attack needs at least one restart")
-    reports = []
-    params = {n: default_params(n)
-              for n in {rec["n"] for rec in facts.table.values()}}
-    rng = random.Random(seed)
-    for (etext, ltext), rec in sorted(facts.table.items()):
-        term = parse_term(etext, ltext, rec["n"])
-        rep = attack_term(params[rec["n"]], term, rng, restarts=restarts)
+    terms = [(parse_term(etext, ltext, rec["n"]), rec)
+             for (etext, ltext), rec in sorted(facts.table.items())]
+    tubes = {P: Tube(default_params(P.n), P)
+             for P in {term.label.partition for term, _ in terms}}
+    reports, rng = [], random.Random(seed)
+    for term, rec in terms:
+        rep = attack_term(tubes[term.label.partition], term, rng,
+                          restarts=restarts)
         rep["kind"] = rec.get("kind", "")
         reports.append(rep)
     return {"reports": reports,
@@ -1059,13 +1067,14 @@ def _check_condensed_image(rng, samples, seed):
     bad = []
     for k in range(samples):
         expr, part, edges = instances[k % len(instances)]
+        names = sorted(expr.names())  # draw in name order, not hash order
         if k % 2:
-            x, y, values = _aimed_inputs(tubes[part], gap, rng, expr.names())
+            x, y, values = _aimed_inputs(tubes[part], gap, rng, names)
         else:
             x, y = rand_point(rng), rand_point(rng)
             values = {nm: (rand_frac(rng, 0, 1) if nm.startswith("t")
                            else rand_frac(rng, 0, params.rho))
-                      for nm in expr.names()}
+                      for nm in names}
         xp = tubes[part].nonbase_projection(expr.evaluate(x, y, values))
         if xp is None:
             continue
@@ -1112,10 +1121,10 @@ def _check_collapse_cases(rng, samples, seed):
     bad = []
     per = max(1, samples // (2 * len(cases)))
     for term in cases:
-        rep = attack_term(params, term, rng, restarts=per)
+        tube = Tube(params, term.label.partition)
+        rep = attack_term(tube, term, rng, restarts=per)
         if rep["witness"] is not None:
             bad.append({"kind": "collapse-witness", "detail": rep})
-        tube = Tube(params, term.label.partition)
         for _ in range(per):
             x, y = rand_point(rng), rand_point(rng)
             s = rand_frac(rng, 0, params.rho)
@@ -1124,7 +1133,8 @@ def _check_collapse_cases(rng, samples, seed):
                 bad.append({"expr": term.expr.text(),
                             "kind": "random-witness"})
     for term in _power_check_terms():
-        rep = attack_term(params, term, rng, restarts=40)
+        rep = attack_term(Tube(params, term.label.partition), term, rng,
+                          restarts=40)
         if rep["witness"] is None:
             bad.append({"kind": "power-check", "detail": rep})
     return _report("collapse-cases", samples, bad, seed)

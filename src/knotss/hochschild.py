@@ -27,7 +27,7 @@ confcoh.sinha_d1 computes the same sum on classes, and the tests compare
 the two.
 """
 
-from .confcoh import admissible_basis, coface_image, dim_cohomology
+from .confcoh import admissible_basis, coface_terms, dim_cohomology
 from .linalg import (Eliminator, Matrix, column_kernel, rank, solve_many,
                      sub_scaled)
 from .spectral import FilteredComplex
@@ -168,16 +168,16 @@ def delta_columns(p, q, sources, index):
 
     index maps admissible monomials of slot (p - 1, q) to rows.  Each
     column sums the coface images of its source, the i-th signed (-1)^i,
-    as {row: int}; images outside index are dropped, and a sum that
-    cancels stays as a 0 entry for the caller to skip.  One straighten
-    memo serves the call.
+    as {row: int}, read off the (monomial, int) pairs of coface_terms;
+    images outside index are dropped, and a sum that cancels stays as a
+    0 entry for the caller to skip.  One rewrite memo serves the call.
     """
     signs = [(-1) ** i for i in range(p + 1)] if index else []
     memo = {}
     for m in sources:
         col = {}
         for i, sign in enumerate(signs):
-            for mm, z in coface_image(i, p, m, memo).items():
+            for mm, z in coface_terms(i, p, m, memo):
                 t = index.get(mm)
                 if t is not None:
                     col[t] = col.get(t, 0) + sign * z

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotss import confcoh
 from knotss.confcoh import (CohClass, ParseError, admissible_basis,
-                            class_to_vector, codegeneracy_pullback,
-                            coface_image, coface_pullback, dim_cohomology,
-                            normal_form,
+                            coface_image, coface_pullback, coface_terms,
+                            dim_cohomology, normal_form,
                             parse_class, sinha_d1, straighten, zero_class)
 from knotss.fields import F2, F3, QQ
+
+from confcoh_reference import class_to_vector, codegeneracy_pullback
 
 FIELDS = [F2, F3, QQ]
 
@@ -83,8 +85,8 @@ def reference_straighten(factors):
 def test_straighten_matches_the_worklist_reference():
     # every ordered product of up to 4 generators at arity <= 5, repeated
     # and unsorted factors included, then a seeded sample of longer
-    # products at arity 7; each with a fresh memo and with one memo shared
-    # by all calls, as a d_1 assembly shares it
+    # products at arity 7; each by straighten, and sorted then rewritten
+    # with one memo shared by all calls, as a d_1 assembly shares it
     gens5 = list(combinations(range(1, 6), 2))
     products = [fs for n in range(5) for fs in product(gens5, repeat=n)]
     rng = random.Random(20261018)
@@ -95,7 +97,9 @@ def test_straighten_matches_the_worklist_reference():
     for fs in products:
         expected = reference_straighten(fs)
         assert straighten(fs) == expected, fs
-        assert straighten(fs, shared) == expected, fs
+        fs, sign = confcoh._sort_with_sign(fs)
+        assert {m: sign * z for m, z
+                in confcoh._straighten_sorted(fs, shared)} == expected, fs
 
 
 def test_straighten_terminates_on_long_products():
@@ -154,11 +158,33 @@ def test_coface_image_is_the_ring_map_of_the_generator_images():
                         assert CohClass(p - 1, q, F, got) == expected, (p, m, i)
 
 
-def test_coface_image_matches_the_reference_on_every_coface():
-    # over Z, on every admissible monomial with p <= 7: the images that
-    # skip straightening are already admissible, and the clashing ones
-    # straighten to the reference, with and without a shared memo
+def _clashes(i, p, m):
+    """The inner coface i meets factors of m with second indices i and
+    i + 1, neither of them g_{i,i+1}: the image needs the rewrite."""
+    seconds = {b for _, b in m}
+    return (0 < i < p and {i, i + 1} <= seconds and (i, i + 1) not in m)
+
+
+def test_coface_terms_match_the_reference_on_every_coface(monkeypatch):
+    # over Z, on every admissible monomial with p <= 7 and every coface:
+    # distinct admissible monomials with nonzero ints, whose dict is the
+    # reference straightening of the generator images, with and without
+    # a shared memo; coface_image is that dict.  Every clashing image,
+    # and no other, reaches the rewrite, and some do at every p >= 3.
+    rewrite, depth, calls = confcoh._straighten_sorted, [0], [0]
+
+    def counted(fs, memo):
+        calls[0] += not depth[0]
+        depth[0] += 1
+        try:
+            return rewrite(fs, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(confcoh, "_straighten_sorted", counted)
     for p in range(2, 8):
+        clashes = 0
+        calls[0] = 0
         for q in range(p):
             shared = {}
             for m in admissible_basis(p, q):
@@ -166,8 +192,72 @@ def test_coface_image_matches_the_reference_on_every_coface():
                     mapped = [_generator_image(i, p, a, b) for (a, b) in m]
                     expected = ({} if None in mapped
                                 else reference_straighten(mapped))
+                    clashes += _clashes(i, p, m)
+                    for memo in (None, shared):
+                        pairs = coface_terms(i, p, m, memo)
+                        assert dict(pairs) == expected, (p, m, i)
+                        assert len(dict(pairs)) == len(pairs), (p, m, i)
+                        for mm, z in pairs:
+                            assert type(z) is int and z, (p, m, i)
+                            assert all(1 <= a < b < p for a, b in mm)
+                            assert all(f[1] < g[1] for f, g in zip(mm, mm[1:]))
                     assert coface_image(i, p, m) == expected, (p, m, i)
-                    assert coface_image(i, p, m, shared) == expected, (p, m, i)
+        assert calls[0] == 3 * clashes, p
+        assert clashes > 0 or p < 3, p
+
+
+def reference_straighten_sorted(fs, memo):
+    """The rewrite as first written, the reference for
+    confcoh._straighten_sorted: both terms of the 3-term rewrite are
+    re-sorted by _sort_with_sign before the recursion."""
+    for a in range(len(fs) - 1):
+        if fs[a][1] == fs[a + 1][1]:
+            break
+    else:
+        return ((fs, 1),)
+    if any(fs[b] == fs[b + 1] for b in range(a, len(fs) - 1)):
+        return ()  # g^2 = 0
+    hit = memo.get(fs)
+    if hit is not None:
+        return hit
+    (i, k), (j, _) = fs[a], fs[a + 1]
+    ij, rest = (i, j), fs[:a] + fs[a + 2:]
+    out = {}
+    for coeff, term in ((-1, (ij, fs[a]) + rest), (1, (ij, fs[a + 1]) + rest)):
+        term, sgn = confcoh._sort_with_sign(term)
+        for m, z in reference_straighten_sorted(term, memo):
+            out[m] = out.get(m, 0) + coeff * sgn * z
+    hit = memo[fs] = tuple((m, z) for m, z in out.items() if z)
+    return hit
+
+
+def test_rewrite_matches_the_re_sorting_reference_node_by_node():
+    # the sorted tuples that d_1 hands to the rewrite for p <= 7, then
+    # every sorted product of up to 4 generators at arity <= 5; one memo
+    # per route, shared by all calls, and the two memos agree on every
+    # node, pairs and their order included.  Some nodes rewrite to a
+    # g_ij that already occurs, where both terms vanish.
+    inputs = []
+    for p in range(3, 8):
+        for q in range(p):
+            for m in admissible_basis(p, q):
+                for i in range(1, p):
+                    if _clashes(i, p, m):
+                        mapped = [_generator_image(i, p, a, b) for a, b in m]
+                        inputs.append(confcoh._sort_with_sign(mapped)[0])
+    gens5 = list(combinations(range(1, 6), 2))
+    inputs += sorted({confcoh._sort_with_sign(fs)[0] for n in range(5)
+                      for fs in product(gens5, repeat=n)})
+    got, want = {}, {}
+    for fs in inputs:
+        assert confcoh._straighten_sorted(fs, got) == \
+            reference_straighten_sorted(fs, want), fs
+    assert got == want
+    repeats = 0
+    for fs in want:
+        a = next(a for a in range(len(fs) - 1) if fs[a][1] == fs[a + 1][1])
+        repeats += (fs[a][0], fs[a + 1][0]) in fs[:a]
+    assert repeats > 0
 
 
 def test_dim_cohomology_values():

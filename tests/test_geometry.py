@@ -400,13 +400,13 @@ def test_attack_finds_genuine_witnesses():
     params = default_params(4)
     rng = random.Random(19)
     for term, pinned in zip(_power_check_terms(), POWER_WITNESSES):
-        rep = attack_term(params, term, rng, restarts=40)
+        tube = Tube(params, term.label.partition)
+        rep = attack_term(tube, term, rng, restarts=40)
         assert rep["witness"] == pinned, rep
         x = [Fraction(c) for c in rep["witness"]["x"]]
         y = [Fraction(c) for c in rep["witness"]["y"]]
         vals = {k: Fraction(v) for k, v in rep["witness"]["params"].items()}
         ys = term.expr.evaluate(x, y, vals)
-        tube = Tube(params, term.label.partition)
         assert tube.nonbase_projection(ys) is not None
 
 
@@ -425,27 +425,47 @@ def test_excision_slide_of_a_translation_free_term():
         ys = expr.evaluate(x, y, values)
         d2, xs = tube.dist2(ys)
         assert d2 < tube.eps2 and tube.excised(xs)
-        hit = _try_escape_excision(tube, free, x, y, ys, xs)
+        hit = _try_escape_excision(tube, free, x, y, ys, d2, xs)
         if not free:
             assert hit is None, text
             continue
         slid = expr.evaluate(*hit, values)
         xs = tube.nonbase_projection(slid)
         assert xs is not None, text
-        assert _try_escape_excision(tube, free, *hit, slid, xs) == hit
+        d2, _ = tube.dist2(slid)
+        assert _try_escape_excision(tube, free, *hit, slid, d2, xs) == hit
+
+
+def test_a_slide_changes_the_tube_distance_only_at_the_anchors():
+    # the slide reuses the distance it starts from: moving every point
+    # by (s, 0) moves each projection by s, keeps each piece's spread,
+    # and adds s (2 (u - anchor) + s) per anchored number
+    rng = random.Random(29)
+    for sizes in ((1, 2, 2, 1), (2, 1, 1, 2), (3, 2, 1), (1, 1, 1, 1, 1, 1)):
+        tube = Tube(default_params(4), Partition(4, sizes))
+        for _ in range(5):
+            ys = [rand_point(rng) for _ in range(4)]
+            s = rng.choice((Fraction(1, 3), Fraction(-2, 7), Fraction(0)))
+            d2, xs = tube.dist2(ys)
+            slid2, slid_xs = tube.dist2([(u + s, v) for u, v in ys])
+            assert slid2 == d2 + sum(s * (2 * (ys[i][0] - a) + s)
+                                     for i, a in tube.anchored)
+            assert slid_xs == [(u + s, v) for u, v in xs]
 
 
 def _first_fact_term(kind):
+    """The first fact of a kind, as (the tube of its stage, its term)."""
     facts = ZeroFacts.load()
     recs = [(k, r) for k, r in sorted(facts.table.items())
             if r["kind"] == kind]
     (etext, ltext), rec = recs[0]
-    return default_params(rec["n"]), parse_term(etext, ltext, rec["n"])
+    term = parse_term(etext, ltext, rec["n"])
+    return Tube(default_params(rec["n"]), term.label.partition), term
 
 
 def test_attack_certifies_an_extreme_merge_fact():
-    params, term = _first_fact_term("extreme-merge")
-    rep = attack_term(params, term, random.Random(23), restarts=30)
+    tube, term = _first_fact_term("extreme-merge")
+    rep = attack_term(tube, term, random.Random(23), restarts=30)
     assert rep["witness"] is None
     assert rep["best_dist2"] == "0"
 
@@ -453,8 +473,8 @@ def test_attack_certifies_an_extreme_merge_fact():
 def test_attack_search_path_on_an_interior_order_fact():
     # a nonzero best distance pins the search path more tightly than
     # the "0" that most facts reach
-    params, term = _first_fact_term("interior-order")
-    rep = attack_term(params, term, random.Random(23), restarts=30)
+    tube, term = _first_fact_term("interior-order")
+    rep = attack_term(tube, term, random.Random(23), restarts=30)
     assert rep["witness"] is None
     assert rep["best_dist2"] == "104060401/346582093081075488"
 
@@ -472,10 +492,14 @@ def test_attack_report_is_pinned():
 
 
 def test_attack_needs_a_restart_and_a_round():
-    params, term = _first_fact_term("extreme-merge")
+    tube, term = _first_fact_term("extreme-merge")
     for restarts in (0, -1):
         with pytest.raises(ValueError):
-            attack_term(params, term, random.Random(1), restarts=restarts)
+            attack_term(tube, term, random.Random(1), restarts=restarts)
+    # the tube must be compiled for the term's own stage
+    other, _ = _first_fact_term("interior-order")
+    with pytest.raises(ValueError, match="not compiled for the term's stage"):
+        attack_term(other, term, random.Random(1))
     for facts in (ZeroFacts.load(), ZeroFacts([])):
         with pytest.raises(ValueError):
             attack_zero_facts(facts, restarts=0)
@@ -577,3 +601,55 @@ def test_lemma_reports_are_pinned():
                sort_keys=True).encode()).hexdigest()
            for name in ALL_LEMMAS}
     assert got == LEMMA_REPORT_SHA256
+
+
+# sha256 over the reprs of the points each lemma harness hands to the
+# tube's membership tests, Tube.nonbase_projection, in_space and
+# in_D_ab, in call order at 200 samples and seed 7.  The lemma reports
+# carry only counterexamples, so a change to what the harnesses sample
+# shows here and not there.  The attack that collapse-cases runs is left
+# out: the attack pins cover it.
+LEMMA_POINTS_SHA256 = {
+    "condensed-image":
+        "f6b80580d0d1a70d9cc1303b0d9eaa24260e678fe90d807b8490ab67c4351c6b",
+    "diagonal-bound":
+        "1535eaeec5a7f03b54fea436519d0b8a17454537fe3dbf15889dd7e82a7b6a63",
+    "diagonal-incl":
+        "08c7d847f5d953b67941fe0f69777b544aa245ec38fc2e3b53a38cbb4e856c55",
+    "collapse0":
+        "2e1048f96d7912bedb931a08e225cdd7d242b6d083564c9637baf920c9718db8",
+    "collapse-cases":
+        "6d5bb6e1d0b766891012aa212c496050d0af71a3e8b4c1cb55b6d0b1f4cfccd5",
+    "i-contraction":
+        "7ff21d3a50cfc8e365a14997fc81f614cf395eeca34ec8fd773aefdd31117ccc",
+}
+
+
+def test_lemma_sample_points_are_pinned(monkeypatch):
+    digest, paused = [None], []
+
+    def recorded(name):
+        method = getattr(Tube, name)
+
+        def wrapper(self, *args):
+            if not paused:
+                digest[0].update(repr((name, args)).encode())
+            return method(self, *args)
+        return wrapper
+
+    def attack(*args, **kwargs):
+        paused.append(True)
+        try:
+            return attack_term(*args, **kwargs)
+        finally:
+            paused.pop()
+
+    for name in ("nonbase_projection", "in_space", "in_D_ab"):
+        monkeypatch.setattr(Tube, name, recorded(name))
+    monkeypatch.setattr(geometry, "attack_term", attack)
+    got = {}
+    for name in ALL_LEMMAS:
+        digest[0] = hashlib.sha256()
+        check_lemma(name, samples=200, seed=7)
+        got[name] = digest[0].hexdigest()
+    assert got == LEMMA_POINTS_SHA256

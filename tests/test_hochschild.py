@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from knotss.confcoh import (CohClass, admissible_basis, class_to_vector,
-                            codegeneracy_pullback, coface_image,
+from knotss.confcoh import (CohClass, admissible_basis, coface_terms,
                             dim_cohomology, normal_form, parse_class, sinha_d1)
 from knotss import hochschild
 from knotss.fields import F2, F3, QQ
@@ -19,6 +18,8 @@ from knotss.linalg import (Eliminator, Matrix, VerificationError,
 from knotss.spectral import (FilteredComplex, einf_dims, page_ranks, ss_pages,
                              total_homology_graded)
 
+from confcoh_reference import class_to_vector, codegeneracy_pullback
+
 FIELDS = [F2, F3, QQ]
 
 CHAR2_CYCLE = "g14*g23+g13*g24+g12*g34"
@@ -28,13 +29,13 @@ CHAR3_CYCLE = ("-g(1,3)*g(2,3)*g(4,5)+g(1,4)*g(2,4)*g(3,5)"
 
 def plain_coface_columns(p, q, sources, index):
     """hochschild.delta_columns with every sign +1: the plain coface sum,
-    built from coface_image.  It is d_1 over F2, where -1 = 1, and no
+    built from coface_terms.  It is d_1 over F2, where -1 = 1, and no
     differential over F3 or Q; tests patch it in as a fault."""
     memo = {}
     for m in sources:
         col = {}
         for i in (range(p + 1) if index else ()):
-            for mm, z in coface_image(i, p, m, memo).items():
+            for mm, z in coface_terms(i, p, m, memo):
                 if mm in index:
                     col[index[mm]] = col.get(index[mm], 0) + z
         yield col
