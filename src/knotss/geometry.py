@@ -10,9 +10,11 @@ its excision windows.  The lemma harnesses build one Tube per stage and
 sample, embed and test on its constants; each random draw is one exact
 affine map of one randrange (Draw).
 
-All arithmetic is exact: fractions, and in the attack integer numerators
-over one denominator, from each term's polynomial coefficients compiled
-once into integer rows (TermRows).  There are no tolerances.
+All arithmetic is exact, with no tolerances, and runs on integers: a
+point is (numerators, D), integer (u, v) pairs over one positive D, and
+every Tube query cross-multiplies it with the Tube's integer constants.
+A Fraction is built only for parameter values, reports, and the module
+functions that take Fraction points.
 """
 
 import random
@@ -20,8 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .linalg import Matrix, VerificationError, solve_many
-from .fields import QQ
+from .linalg import VerificationError
 from .partgraph import (PGraph, Partition, discrete_partition, is_subdivision,
                         parse_graph)
 
@@ -98,15 +99,40 @@ def space_window(params, piece):
 
 
 # ---------------------------------------------------------------------------
-# 2-vector helpers
+# 2-vector and point helpers; a point is (numerators, D)
 
 
 def _add(p, q):
     return (p[0] + q[0], p[1] + q[1])
 
 
-def _norm2(p):
-    return p[0] * p[0] + p[1] * p[1]
+def _num(c, d):
+    """The numerator of the rational c over d, a denominator multiple."""
+    return c.numerator * (d // c.denominator)
+
+
+def _point(ys):
+    """Fraction (u, v) pairs as a point over their denominators' lcm."""
+    D = lcm(*(c.denominator for p in ys for c in p))
+    return [(_num(u, D), _num(v, D)) for u, v in ys], D
+
+
+def _fractions(xs):
+    X, D = xs
+    return [(Fraction(u, D), Fraction(v, D)) for u, v in X]
+
+
+def _rebase(xs, d):
+    """The point xs over lcm(D, d)."""
+    X, D = xs
+    M = lcm(D, d)
+    k = M // D
+    return [(u * k, v * k) for u, v in X], M
+
+
+def _less(p, q):
+    """p < q for rationals given as (numerator, positive denominator)."""
+    return p[0] * q[1] < q[0] * p[1]
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +178,20 @@ def anchor_centers(params, P):
 
 
 class Tube:
-    """The tube of one stage P under params, compiled once for callers
-    that query it many times.  Numbers are stored by index k - 1, and
-    internal pieces by position - 1 (params and P are kept as given):
-    - anchored: the anchored numbers with the first coordinates of their
-      anchors; pieces: per internal piece, 1 / size and the u-offsets of
-      its members.  Together they are the embedding e_P.
-    - space: (r^2, lo, hi) per internal piece, the radius and the
-      first-coordinate window of the configuration space; gaps: (i, j,
-      gap^2) per pair of internal pieces, the least squared distance of
-      their centers.
-    - diagonals: (d_ab, d_ab^2) per pair of positions a < b, the bound of
-      the deep diagonal region, the gap less eps_P.
-    - windows: the excision window (r^2, lo, hi) per internal piece, the
-      space's widened by epsp = eps_P; eps2 = eps_P^2.
-    - draws: per internal piece, the Draw of a first coordinate in the
-      middle three quarters of its window.
-
-    For the attack's integer rounds it also holds T, the lcm of the
-    anchor and offset denominators, the same anchors and offsets as
-    integer numerators over T, and L, the lcm of the sizes of the
-    pieces with more than one member."""
+    """The tube of one stage P under params, compiled once; numbers by
+    index k - 1, internal pieces by position - 1.  anchored holds the
+    anchored numbers with their anchors' first coordinates, pieces per
+    internal piece 1 / size and its members' u-offsets: together the
+    embedding e_P.  int_anchored and int_pieces hold them over T, their
+    denominators' lcm, with L / size for L the lcm of the sizes above 1.
+    Over one denominator G: space and windows, (r, lo, hi) per internal
+    piece, the radius and first-coordinate window of the configuration
+    space and of the excision region (widened by eps = eps_P); gaps, (i,
+    j, gap), the least distance of two centers; diagonals, d_ab = gap -
+    eps_P per positions a < b.  eps2 is eps_P^2 as (numerator,
+    denominator).  draws holds per piece the Draw of a first coordinate
+    in the middle three quarters of its window and its factor to S, the
+    draws' lcm.  A query cross-multiplies a point (X, E) of any E."""
 
     def __init__(self, params, P):
         self.params, self.P = params, P
@@ -188,117 +207,126 @@ class Tube:
         self.anchored = ([(k - 1, low[k]) for k in pieces[0][1:]]
                          + [(k - 1, low[k] + width) for k in pieces[-1][:-1]])
         self.epsp = epsp = eps_P(params, P)
-        self.eps2 = epsp * epsp
-        self.pieces, self.space, self.windows, self.draws = [], [], [], []
-        lows = []
+        self.pieces, space, draws = [], [], []
         for piece in pieces[1:-1]:
             lo = low[piece[0]] if len(piece) == 1 else \
                 space_window(params, piece)[0]
-            hi = lo + width
-            lows.append(lo)
             # (1 / size, [(k - 1, u-offset)])
             self.pieces.append((Fraction(1, len(piece)),
                                 [(k - 1, low[k] - lo) for k in piece]))
             r = 1 - rho * c_piece(params, piece) / 2
-            self.space.append((r * r, lo, hi))
-            self.windows.append(((r + epsp) * (r + epsp),
-                                 lo - epsp, hi + epsp))
-            self.draws.append(Draw(lo + margin, hi - margin))
+            space.append((r, lo, lo + width))
+            draws.append(Draw(lo + margin, lo + width - margin))
+        self.G = G = lcm(epsp.denominator,
+                         *(c.denominator for s in space for c in s))
+        self.eps = e = _num(epsp, G)
+        self.eps2 = (e * e, G * G)
+        self.space = [tuple(_num(c, G) for c in s) for s in space]
+        self.windows = [(r + e, lo - e, hi + e) for r, lo, hi in self.space]
         self.gaps, self.diagonals = [], {}
-        for i in range(len(lows)):
-            for j in range(i + 1, len(lows)):
-                gap = lows[j] - lows[i]
-                self.gaps.append((i, j, gap * gap))
-                d = gap - epsp
-                self.diagonals[i + 1, j + 1] = (d, d * d)
+        for i, (_, lo, _) in enumerate(self.space):
+            for j in range(i + 1, len(space)):
+                gap = self.space[j][1] - lo
+                self.gaps.append((i, j, gap))
+                self.diagonals[i + 1, j + 1] = gap - e
+        self.S = S = lcm(_TRANSVERSE.d, *(d.d for d in draws))
+        self.draws = [(d, S // d.d) for d in draws]
         self.T = T = lcm(*(a.denominator for _, a in self.anchored),
                          *(off.denominator for _, members in self.pieces
                            for _, off in members))
         self.L = L = lcm(*(len(members) for _, members in self.pieces
                            if len(members) > 1))
-        self.int_anchored = [(i, a.numerator * (T // a.denominator))
-                             for i, a in self.anchored]
+        self.int_anchored = [(i, _num(a, T)) for i, a in self.anchored]
         # (L / size, [(k - 1, u-offset over T)]) per internal piece
         self.int_pieces = [(L // len(members),
-                            [(i, off.numerator * (T // off.denominator))
-                             for i, off in members])
+                            [(i, _num(off, T)) for i, off in members])
                            for _, members in self.pieces]
 
     def e_P(self, xs):
-        """The embedding into the discrete stage, one center per number
-        1..n: an anchored number at its anchor, any other at its piece's
-        center xs[j] moved by its u-offset."""
+        """The embedding of xs = (X, E) into the discrete stage, one
+        center per number 1..n over lcm(E, T): an anchored number at its
+        anchor, any other at its piece's center moved by its u-offset."""
+        X, M = _rebase(xs, self.T)
+        t = M // self.T
         out = [None] * self.n
-        for i, a in self.anchored:
-            out[i] = (a, Fraction(0))
-        for (u, v), (_, members) in zip(xs, self.pieces):
+        for i, a in self.int_anchored:
+            out[i] = (a * t, 0)
+        for (u, v), (_, members) in zip(X, self.int_pieces):
             for i, off in members:
-                out[i] = (u + off, v)
-        return out
+                out[i] = (u + off * t, v)
+        return out, M
 
     def in_space(self, xs):
-        """Membership in the exact clustered configuration space."""
-        for (u, v), (r2, lo, hi) in zip(xs, self.space):
-            if u * u + v * v > r2 or not lo <= u <= hi:
+        """Membership of xs = (X, E) in the exact clustered configuration
+        space, each side of every test multiplied by G E."""
+        X, E = xs
+        G = self.G
+        for (u, v), (r, lo, hi) in zip(X, self.space):
+            u, v, r = u * G, v * G, r * E
+            if u * u + v * v > r * r or not lo * E <= u <= hi * E:
                 return False
-        for i, j, gap2 in self.gaps:
-            du, dv = xs[i][0] - xs[j][0], xs[i][1] - xs[j][1]
-            if du * du + dv * dv < gap2:
+        for i, j, gap in self.gaps:
+            du, dv = (X[i][0] - X[j][0]) * G, (X[i][1] - X[j][1]) * G
+            if du * du + dv * dv < gap * gap * E * E:
                 return False
         return True
 
     def in_D_ab(self, xs, a, b):
-        """xs lies in the deep diagonal region of the internal pieces at
-        positions a < b."""
-        du, dv = xs[a - 1][0] - xs[b - 1][0], xs[a - 1][1] - xs[b - 1][1]
-        return du * du + dv * dv <= self.diagonals[a, b][1]
+        """xs = (X, E) lies in the deep diagonal region of the internal
+        pieces at positions a < b."""
+        X, E = xs
+        d = self.diagonals[a, b] * E
+        du, dv = ((p - q) * self.G for p, q in zip(X[a - 1], X[b - 1]))
+        return du * du + dv * dv <= d * d
 
     def sample_space_point(self, rng):
-        """A point of the configuration space, sampled inside the
+        """A point of the configuration space over S, sampled inside the
         first-coordinate windows with small transverse jitter; up to 50
         draws."""
+        S, t = self.S, self.S // _TRANSVERSE.d
         for _ in range(50):
-            xs = [(draw(rng), _TRANSVERSE(rng)) for draw in self.draws]
+            xs = [(draw(rng) * k, _TRANSVERSE(rng) * t)
+                  for draw, k in self.draws], S
             if self.in_space(xs):
                 return xs
         raise RuntimeError("could not sample the configuration space")
 
     def dist2(self, ys):
-        """Exact squared distance from ys to the embedded configuration
-        space, with the projection coordinates.  The projection of a
-        piece is the mean of its members' positions less their offsets,
-        so each member's distance to its center is its distance, less
-        its offset, to that mean."""
-        total = Fraction(0)
-        for i, a in self.anchored:
-            u, v = ys[i]
-            total += (u - a) * (u - a) + v * v
-        xs = []
-        for inv, members in self.pieces:
-            if len(members) == 1:
-                i, off = members[0]
-                xs.append((ys[i][0] - off, ys[i][1]))
-                continue
-            zs = [(ys[i][0] - off, ys[i][1]) for i, off in members]
-            mu = inv * sum(z[0] for z in zs)
-            mv = inv * sum(z[1] for z in zs)
-            for zu, zv in zs:
-                total += (zu - mu) * (zu - mu) + (zv - mv) * (zv - mv)
-            xs.append((mu, mv))
-        return total, xs
+        """Exact squared distance from ys = (A, D) to the embedded space as
+        (numerator, denominator), and the projection over D T L: per
+        piece of m members, the mean of z = A T - offset D, whose spread
+        sum |z|^2 - |sum z|^2 / m is the piece's distance over (D T)^2.
+        Every sum is multiplied by L, so that 1/m is the integer L/m."""
+        A, D = ys
+        T = self.T
+        total = cent = 0  # the plain sum, and the pieces' centring terms
+        for i, a in self.int_anchored:
+            u, v = A[i]
+            u, v = u * T - a * D, v * T
+            total += u * u + v * v
+        X = []
+        for w, members in self.int_pieces:
+            zu = zv = 0
+            for i, off in members:
+                u, v = A[i]
+                u, v = u * T - off * D, v * T
+                zu += u
+                zv += v
+                total += u * u + v * v
+            cent += w * (zu * zu + zv * zv)
+            X.append((w * zu, w * zv))
+        L = self.L
+        return (L * total - cent, D * D * T * T * L), (X, D * T * L)
 
     def pencil(self, A, D, B, Db):
         """(b1, a2) with dist2(A/D + t B/Db) = dist2(A/D) + b1 t + a2
         t^2, for point lists A and B of integer numerators over the
         positive D and Db.  An anchored number adds 2<A/D - anchor, B/Db>
-        and |B/Db|^2; a piece adds the same over its members' positions
-        centred on their mean, the offsets taken from A only.  Over m
-        members with sums of z = A/D - offset and w = B/Db, the centred
-        sums are sum z.w - (sum z).(sum w) / m and sum w.w - |sum w|^2 /
-        m.  Each z is kept over D T and each w over Db, and every sum is
-        multiplied by L, so that 1/m is the integer L/m: a1 = b1/2 sits
-        over D T Db L and a2 over Db^2 L.  A zero coordinate of B adds
-        no product, and a piece where B is 0 adds nothing."""
+        and |B/Db|^2, a piece the same centred on its members' mean as in
+        dist2, with z = A/D - offset over D T (offsets from A only) and w
+        = B/Db over Db: a1 = b1/2 sits over D T Db L and a2 over Db^2 L.
+        A zero coordinate of B adds no product, and a piece where B is 0
+        adds nothing."""
         T = self.T
         a1 = a2 = 0  # plain sums, multiplied by L below
         c1 = c2 = 0  # the pieces' centring terms, already times L
@@ -336,44 +364,43 @@ class Tube:
                 Fraction(L * a2 - c2, Db * Db * L))
 
     def excised(self, xs):
-        """in_E at the projection coordinates xs."""
-        return any(_excised(x, w) for x, w in zip(xs, self.windows))
+        """in_E at the projection xs = (X, E): an internal piece near the
+        outer sphere of its excision window, or beyond its
+        first-coordinate window on either side."""
+        X, E = xs
+        G = self.G
+        for (u, v), (r, lo, hi) in zip(X, self.windows):
+            u, v, r = u * G, v * G, r * E
+            if u * u + v * v >= r * r or u <= lo * E or u >= hi * E:
+                return True
+        return False
 
     def nonbase_projection(self, ys):
-        """The projection coordinates of ys when ys represents a
+        """The projection of ys = (A, D) when ys represents a
         non-basepoint of the collapsed tube (inside the tube, projection
         clear of every excision region), else None."""
         d2, xs = self.dist2(ys)
-        if d2 < self.eps2 and not self.excised(xs):
+        if _less(d2, self.eps2) and not self.excised(xs):
             return xs
         return None
 
 
 def tube_dist2(params, P, ys):
-    """Exact squared distance from ys to the embedded configuration
-    space, with the projection coordinates."""
-    return Tube(params, P).dist2(ys)
+    """Exact squared distance from the Fraction points ys to the embedded
+    configuration space, with the projection coordinates."""
+    d2, xs = Tube(params, P).dist2(_point(ys))
+    return Fraction(*d2), _fractions(xs)
 
 
 def project_mean(params, P, ys):
     """Closed form for the nearest configuration: per internal piece,
     the mean of the member positions with their offsets subtracted."""
-    return Tube(params, P).dist2(ys)[1]
-
-
-# ---------------------------------------------------------------------------
-# regions
-
-
-def _excised(x, window):
-    """Excision region at an internal piece: near the outer sphere, or
-    beyond the first-coordinate window on either side."""
-    r2, lo, hi = window
-    return _norm2(x) >= r2 or x[0] <= lo or x[0] >= hi
+    return _fractions(Tube(params, P).dist2(_point(ys))[1])
 
 
 def in_E(params, P, xs):
-    return Tube(params, P).excised(xs)
+    """The excision region at the Fraction projection coordinates xs."""
+    return Tube(params, P).excised(_point(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +409,8 @@ def in_E(params, P, xs):
 
 class Draw:
     """lo + (hi - lo) k / 2^12 for a uniform k in 0..2^12, compiled once
-    into the exact affine map (a + b k) / d."""
+    into the exact affine map (a + b k) / d; a call gives the numerator
+    over d."""
 
     def __init__(self, lo, hi):
         # ints and Fractions alike have a numerator and a denominator
@@ -392,27 +420,29 @@ class Draw:
         self.a, self.b, self.d = a << 12, b, d << 12
 
     def __call__(self, rng):
-        return Fraction(self.a + self.b * rng.randrange((1 << 12) + 1), self.d)
+        return self.a + self.b * rng.randrange((1 << 12) + 1)
+
+    def frac(self, rng):
+        return Fraction(self(rng), self.d)
 
 
 _TRANSVERSE = Draw(Fraction(-1, 100), Fraction(1, 100))
+_UNIT = Draw(-1, 1)
 
 
 def rand_frac(rng, lo, hi):
     """lo + (hi - lo) k / 2^12 for a uniform k in 0..2^12."""
-    return Draw(lo, hi)(rng)
-
-
-def rand_point(rng, scale=1):
-    draw = Draw(-scale, scale)
-    return (draw(rng), draw(rng))
+    return Draw(lo, hi).frac(rng)
 
 
 def jitter(rng, ys, scale):
-    """Perturb each coordinate so the total norm stays below scale."""
-    bound = Fraction(scale) / (2 * len(ys))
+    """Perturb each coordinate of the point ys so the total norm stays
+    below scale."""
+    bound = Fraction(scale) / (2 * len(ys[0]))
     draw = Draw(-bound, bound)
-    return [(u + draw(rng), v + draw(rng)) for u, v in ys]
+    Y, M = _rebase(ys, draw.d)
+    t = M // draw.d
+    return [(u + draw(rng) * t, v + draw(rng) * t) for u, v in Y], M
 
 
 def _near_tube_sample(tube, rng):
@@ -429,12 +459,12 @@ def _excised_sample(tube, rng):
     one piece past a first-coordinate window before embedding."""
     xs = tube.sample_space_point(rng)
     pos = rng.randrange(1, len(tube.pieces) + 1)
-    epsp = tube.epsp
     _, lo, hi = tube.space[pos - 1]
-    bad = lo - 2 * epsp if rng.randrange(2) else hi + 2 * epsp
-    xs[pos - 1] = (bad, xs[pos - 1][1])
-    ys = tube.e_P(xs)
-    return jitter(rng, ys, epsp * rng.choice((Fraction(1, 2), Fraction(9, 8))))
+    bad = lo - 2 * tube.eps if rng.randrange(2) else hi + 2 * tube.eps
+    X, M = _rebase(xs, tube.G)
+    X[pos - 1] = (bad * (M // tube.G), X[pos - 1][1])
+    return jitter(rng, tube.e_P((X, M)),
+                  tube.epsp * rng.choice((Fraction(1, 2), Fraction(9, 8))))
 
 
 def _diagonal_sample(tube, rng):
@@ -444,51 +474,16 @@ def _diagonal_sample(tube, rng):
     a = rng.randrange(1, m - 1)
     b = rng.randrange(a + 1, m)
     xs = tube.sample_space_point(rng)
-    close = tube.diagonals[a, b][0] * rand_frac(rng, 0, Fraction(3, 4))
-    xs[b - 1] = (xs[a - 1][0] + close, xs[a - 1][1])
-    ys = tube.e_P(xs)
-    return jitter(rng, ys,
+    close = Draw(0, Fraction(3, 4))  # a share of d_ab: over G close.d
+    X, M = _rebase(xs, tube.G * close.d)
+    X[b - 1] = (X[a - 1][0] + tube.diagonals[a, b] * close(rng)
+                * (M // (tube.G * close.d)), X[a - 1][1])
+    return jitter(rng, tube.e_P((X, M)),
                   tube.epsp * rng.choice((Fraction(1, 2), Fraction(9, 8))))
 
 
 # ---------------------------------------------------------------------------
 # witness attack: exact alternating least squares
-
-
-def _normal_equations(tube, coeffs):
-    """The normal matrix N and the u and v right-hand sides of the least
-    squares step in the unknowns (x_c, y_c, a_1..a_p), from the evaluated
-    (cx, cy, qu, qv) of every component."""
-    m = 2 + len(tube.pieces)
-    N = [[Fraction(0)] * m for _ in range(m)]
-    tu, tv = [Fraction(0)] * m, [Fraction(0)] * m
-
-    def add(i, col, target):
-        cx, cy, qu, qv = coeffs[i]
-        bu, bv = target - qu, -qv
-        N[0][0] += cx * cx
-        N[0][1] += cx * cy
-        N[1][1] += cy * cy
-        tu[0] += cx * bu
-        tu[1] += cy * bu
-        tv[0] += cx * bv
-        tv[1] += cy * bv
-        if col is not None:
-            N[0][col] -= cx
-            N[1][col] -= cy
-            N[col][col] += 1
-            tu[col] -= bu
-            tv[col] -= bv
-
-    for i, a in tube.anchored:
-        add(i, None, a)
-    for j, (_, members) in enumerate(tube.pieces):
-        for i, off in members:
-            add(i, 2 + j, off)
-    for j in range(1, m):
-        for i in range(min(j, 2)):
-            N[j][i] = N[i][j]
-    return N, tu, tv
 
 
 def _schur_solve(s00, s01, s11, rhs):
@@ -499,62 +494,52 @@ def _schur_solve(s00, s01, s11, rhs):
     and, per piece, (sum cx, sum cy, sum b) over its members.  S, the
     r and the piece sums may carry any common positive scale of the
     equations (with the piece unknowns scaled to match): x, y and the
-    zero pattern of N's kernel vector do not change under it.
+    zero pattern of N's kernel do not change under it.
 
-    Cramer's rule when S is invertible.  When S has rank 1, N has the one
-    kernel vector (k, a_j = (sum cx k_0 + sum cy k_1) / size_j), and
-    solve_many sets to 0 the coordinate where it is last nonzero: any
-    solution (X/s, Y/s), s = s00 or s11, less the multiple cn / (s ka)
-    of that vector that zeroes the coordinate.  None when S = 0 or a
-    rank-1 system is inconsistent."""
+    Cramer's rule when S is invertible.  Otherwise N's kernel is (k, a_j
+    = (sum cx k_0 + sum cy k_1) / size_j) for k in the kernel of S, and
+    solve_many's solution is 0 where the kernel's echelon basis is last
+    nonzero: at the last coordinate not identically 0 on the kernel,
+    and when S = 0 also at the last one before it independent of it.
+    Each zero is an equation in (x, y), x = 0, y = 0 or a_j = 0, that is
+    sum cx x + sum cy y = sum b; with S's own equation when S has rank
+    1, Cramer's rule solves the two.  None when a singular system is
+    inconsistent."""
     det = s00 * s11 - s01 * s01
     if det:
         return [(Fraction(r0 * s11 - s01 * r1, det),
                  Fraction(s00 * r1 - s01 * r0, det)) for r0, r1, _ in rhs]
-    if not (s00 or s11):
-        return None
-    # k spans the kernel of S; s00 = 0 forces s01 = 0
-    k0, k1 = (-s01, s00) if s00 else (s11, -s01)
-    s = s00 or s11
     out = []
     for r0, r1, pieces in rhs:
-        if s00:
-            X, Y = r0, 0
-            if s01 * r0 != r1 * s00:
-                return None
-        else:
-            X, Y = 0, r1
-            if r0:
-                return None
-        for ex, ey, e in reversed(pieces):
-            ka = ex * k0 + ey * k1
-            if ka:  # zero a_j: cn / ka is s a_j over its kernel entry
-                cn = ex * X + ey * Y - e * s
-                break
-        else:  # zero y, or x when k1 = 0
-            ka, cn = (k1, Y) if k1 else (k0, X)
-        d = s * ka
-        out.append((Fraction(X * ka - cn * k0, d),
-                    Fraction(Y * ka - cn * k1, d)))
+        if (s00 * r1 != s01 * r0 or s01 * r1 != s11 * r0
+                or not (s00 or s11) and (r0 or r1)):
+            return None
+        # the equations of the coordinates a zero may fall on, last first
+        eqs = [p for p in reversed(pieces) if p[0] or p[1]]
+        eqs += [(0, 1, 0), (1, 0, 0)]
+        a, b, e = ((s00, s01, r0) if s00 else (0, s11, r1) if s11
+                   else eqs.pop(0))
+        c, d, f = next(q for q in eqs if a * q[1] != b * q[0])
+        det = a * d - b * c
+        out.append((Fraction(e * d - b * f, det),
+                    Fraction(a * f - e * c, det)))
     return out
 
 
 def _ls_step(tube, rows, den):
     """One exact least squares step for the configuration (x, y) at
     fixed parameters, from the evaluated (cx, cy, qu, qv) of every
-    component as integer numerators rows over den
-    (TermRows).  Unknowns (x_c, y_c, a_1..a_p):
-    number k asks cx_k x_c + cy_k y_c - a_(piece of k) = offset_k - q_k
-    when it lies in an internal piece, and cx_k x_c + cy_k y_c =
-    anchor_k - q_k when it is anchored.  Both coordinates share the
+    component as integer numerators rows over den (TermRows).  In the
+    unknowns (x_c, y_c, a_1..a_p), number k asks cx_k x_c + cy_k y_c -
+    a_(piece of k) = offset_k - q_k in an internal piece, and cx_k x_c +
+    cy_k y_c = anchor_k - q_k when anchored.  Both coordinates share the
     normal matrix N.  The a_j form a diagonal block of N, holding the
     size of piece j, so they are eliminated and the 2x2 Schur complement
-    S is solved (_schur_solve); only S = 0 is left to solve_many.
+    S is solved (_schur_solve), singular or not.
 
     In integers: every equation is multiplied by K = den T and a_j is
     replaced by K a_j, so each stays in integers with a_j at coefficient
-    -1; S and r are multiplied by L, so that 1/size_j is the integer
-    L/size_j."""
+    -1; S and r are multiplied by L, so that 1/size_j is L/size_j."""
     T = tube.T
     s00 = s01 = s11 = ru0 = ru1 = rv0 = rv1 = 0
     sums = []  # per piece: (L / size or 0, sum ex, sum ey, sum bu, sum bv)
@@ -605,17 +590,12 @@ def _ls_step(tube, rows, den):
     uv = _schur_solve(s00, s01, s11,
                       [(ru0, ru1, [e[1:4] for e in sums]),
                        (rv0, rv1, [e[1:3] + e[4:] for e in sums])])
-    if uv is not None:
-        (xu, yu), (xv, yv) = uv
-        return (xu, xv), (yu, yv)
-    coeffs = [[Fraction(c, den) for c in row] for row in rows]
-    N, tu, tv = _normal_equations(tube, coeffs)
-    su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
-    if su is None or sv is None:  # normal equations are always consistent
+    if uv is None:  # normal equations are always consistent
         raise VerificationError(
-            "inconsistent normal equations for the coefficients %s"
-            % [[str(c) for c in comp] for comp in coeffs])
-    return (su[0], sv[0]), (su[1], sv[1])
+            "inconsistent normal equations for the coefficient rows %s over %d"
+            % (rows, den))
+    (xu, yu), (xv, yv) = uv
+    return (xu, xv), (yu, yv)
 
 
 def _image(rows, X, Y, E):
@@ -710,9 +690,7 @@ def attack_term(tube, term, rng, restarts=200):
             rows, den = coefficients(values)
             x, y = _ls_step(tube, rows, den)
             # x and y over one E; the image A over D = den E
-            E = lcm(*(c.denominator for c in x + y))
-            X, Y = ([c.numerator * (E // c.denominator) for c in p]
-                    for p in (x, y))
+            (X, Y), E = _point([x, y])
             A, D = _image(rows, X, Y, E), den * E
             for nm in coefficients.names:
                 lo, hi = _param_domain(nm)
@@ -740,12 +718,11 @@ def attack_term(tube, term, rng, restarts=200):
                          for p, b in zip(A, B)]
                     D *= f
         # A / D is the image at the final (x, y) and values
-        ys = [(Fraction(u, D), Fraction(v, D)) for u, v in A]
-        d2, xs = tube.dist2(ys)
-        if best is None or d2 < best:
+        d2, xs = tube.dist2((A, D))
+        if best is None or _less(d2, best):
             best = d2
-        if d2 < tube.eps2:
-            hit = _try_escape_excision(tube, free, x, y, ys, d2, xs)
+        if _less(d2, tube.eps2):
+            hit = _try_escape_excision(tube, free, x, y, (A, D), d2, xs)
             if hit is not None:
                 witness = {"x": [str(c) for c in hit[0]],
                            "y": [str(c) for c in hit[1]],
@@ -754,7 +731,8 @@ def attack_term(tube, term, rng, restarts=200):
                 break
     return {"expr": expr.text(), "label": str(term.label),
             "restarts": restarts, "witness": witness,
-            "best_dist2": str(best), "eps2": str(tube.eps2)}
+            "best_dist2": str(Fraction(*best)),
+            "eps2": str(Fraction(*tube.eps2))}
 
 
 def _translation_free(expr):
@@ -764,24 +742,32 @@ def _translation_free(expr):
 
 
 def _try_escape_excision(tube, free, x, y, ys, d2, xs):
-    """ys, the image of (x, y), lies inside the tube at squared distance
-    d2 with projection xs.  It is a witness only if that projection
-    avoids the excision regions; when the map is translation free
-    (free), slide (x, y) along the first coordinate into the allowed
-    windows: the image slides with it, each projection moves by the
-    shift s and each piece keeps its spread, so d2 changes only at the
-    anchored numbers, by s (2 (u - anchor) + s) each."""
+    """ys = (A, D), the image of (x, y), lies inside the tube at squared
+    distance d2 = (numerator, denominator) with projection xs = (X, E).
+    It is a witness only if that projection avoids the excision regions;
+    when the map is translation free (free), slide (x, y) along the
+    first coordinate into the allowed windows (lo and hi over G E, s over
+    F = 2 G E): each projection moves by s and each piece keeps its
+    spread, so d2 changes only at anchored numbers, by s (2 (u - anchor)
+    + s) each."""
     if not tube.excised(xs):
         return x, y
     if not free:
         return None
-    lo = max(w_lo - xc[0] for xc, (_, w_lo, _) in zip(xs, tube.windows))
-    hi = min(w_hi - xc[0] for xc, (_, _, w_hi) in zip(xs, tube.windows))
+    (X, E), G = xs, tube.G
+    lo = max(w_lo * E - u * G for (u, _), (_, w_lo, _) in zip(X, tube.windows))
+    hi = min(w_hi * E - u * G for (u, _), (_, _, w_hi) in zip(X, tube.windows))
     if lo >= hi:
         return None
-    s = (lo + hi) / 2
-    d2 += sum(s * (2 * (ys[i][0] - a) + s) for i, a in tube.anchored)
-    if d2 < tube.eps2 and not tube.excised([(u + s, v) for u, v in xs]):
+    (A, D), (n, d), T = ys, d2, tube.T
+    s, F, DT = lo + hi, 2 * G * E, D * T
+    # the sum of u - anchor over D T; d2 plus s (2 z + k s) over d F^2 D T
+    z = sum(A[i][0] * T - a * D for i, a in tube.int_anchored)
+    d2 = (n * F * F * DT + s * (2 * z * F + len(tube.int_anchored) * s * DT)
+          * d, d * F * F * DT)
+    if _less(d2, tube.eps2) and not tube.excised(
+            ([(2 * G * u + s, 2 * G * v) for u, v in X], F)):
+        s = Fraction(s, F)
         return _add(x, (s, 0)), _add(y, (s, 0))
     return None
 
@@ -935,7 +921,7 @@ def _check_diagonal_bound(rng, samples, seed):
         if (tubes[Q].nonbase_projection(ys) is None
                 and tubes[P].nonbase_projection(ys) is not None):
             bad.append({"P": str(P), "Q": str(Q),
-                        "y": [[str(c) for c in v] for v in ys]})
+                        "y": [list(map(str, v)) for v in _fractions(ys)]})
     return _report("diagonal-bound", samples, bad, seed)
 
 
@@ -980,7 +966,7 @@ def _check_diagonal_incl(rng, samples, seed):
                 ok = at_base or tubes[P].in_D_ab(xp, pa, pb)
             if not ok:
                 bad.append({"P": str(P), "Q": str(Q), "pair": (a, b),
-                            "y": [[str(c) for c in v] for v in ys]})
+                            "y": [list(map(str, v)) for v in _fractions(ys)]})
     return _report("diagonal-incl", samples, bad, seed)
 
 
@@ -994,34 +980,36 @@ def _check_collapse0(rng, samples, seed):
     bad = []
     parts = [Partition(n, (1, 2, 2, 1)), Partition(n, (2, 2, 1, 1)),
              Partition(n, (1, 4, 1)), Partition(n, (2, 3, 1))]
-    ext = {0: space_window(params, (0,))[0],
-           n + 1: space_window(params, (n + 1,))[1]}
+    ends = (space_window(params, (0,))[0], space_window(params, (n + 1,))[1])
     tubes = _tubes(params, parts)
     numbers = [space_window(params, (k,)) for k in range(1, n + 1)]
-    # per stage: each number's window and each in-piece gap, both
-    # widened by twice the tube width
+    # per stage: (a, b) for each number's window (a = None) and each
+    # in-piece gap, and over one B the two ends and the (lo, hi) of each
+    # window and gap, widened by twice the tube width
     bounds = {}
     for P, tube in tubes.items():
         e2 = 2 * tube.epsp
-        gaps = [(a, b, rho * (mid(params, (b,)) - mid(params, (a,))))
-                for piece in P.pieces()
-                for i, a in enumerate(piece) for b in piece[i + 1:]]
-        bounds[P] = ([(lo - e2, hi + e2) for lo, hi in numbers],
-                     [(a, b, gap - e2, gap + e2) for a, b, gap in gaps])
+        pairs = [(a, b) for piece in P.pieces()
+                 for i, a in enumerate(piece) for b in piece[i + 1:]]
+        spans = [(lo - e2, hi + e2) for lo, hi in numbers] + [
+            (gap - e2, gap + e2) for gap in
+            (rho * (mid(params, (b,)) - mid(params, (a,))) for a, b in pairs)]
+        nums, B = _point([ends] + spans)
+        pairs = [(None, k) for k in range(1, n + 1)] + pairs
+        bounds[P] = B, nums[0], list(zip(pairs, nums[1:]))
     for k in range(samples):
         P = parts[k % len(parts)]
         ys = _near_tube_sample(tubes[P], rng)
         if tubes[P].nonbase_projection(ys) is None:
             continue
-        windows, gaps = bounds[P]
-        for kk, (lo, hi) in enumerate(windows, 1):
-            if not lo < ys[kk - 1][0] < hi:
-                bad.append({"P": str(P), "k": kk, "kind": "window"})
-        for a, b, lo, hi in gaps:
-            ua = ext[a] if a in ext else ys[a - 1][0]
-            ub = ext[b] if b in ext else ys[b - 1][0]
-            if not lo < ub - ua < hi:
-                bad.append({"P": str(P), "pair": (a, b), "kind": "gap"})
+        (Y, D), (B, (first, last), checks) = ys, bounds[P]
+        # the first coordinates of numbers 0..n + 1 over B D
+        us = [first * D] + [u * B for u, _ in Y] + [last * D]
+        for (a, b), (lo, hi) in checks:
+            if not lo * D < us[b] - (0 if a is None else us[a]) < hi * D:
+                bad.append({"P": str(P), "k": b, "kind": "window"}
+                           if a is None else
+                           {"P": str(P), "pair": (a, b), "kind": "gap"})
     return _report("collapse0", samples, bad, seed)
 
 
@@ -1043,17 +1031,20 @@ def _condensed_instances():
 
 
 def _aimed_inputs(tube, gap, rng, names):
-    """Configuration aimed at the tube: y near a window point, x to its
-    right by gap, the in-piece spacing of the last two strands."""
-    xs = tube.sample_space_point(rng)
+    """Configuration aimed at the tube, x and y as numerators over one E:
+    y near a window point, x to its right by gap, the in-piece spacing
+    of the last two strands."""
+    xs, S = tube.sample_space_point(rng)
     base = xs[rng.randrange(len(xs))]
     ep = tube.epsp
     near = Draw(-ep, ep)
-    y = _add(base, (near(rng), near(rng)))
-    x = _add(y, (gap + near(rng), near(rng)))
+    E = lcm(S, near.d, gap.denominator)
+    k, m = E // S, E // near.d
+    y = (base[0] * k + near(rng) * m, base[1] * k + near(rng) * m)
+    x = (y[0] + _num(gap, E) + near(rng) * m, y[1] + near(rng) * m)
     values = {nm: (rand_frac(rng, 0, 1) if nm.startswith("t")
                    else rand_frac(rng, 0, 4 * ep)) for nm in names}
-    return x, y, values
+    return x, y, E, values
 
 
 def _check_condensed_image(rng, samples, seed):
@@ -1061,28 +1052,32 @@ def _check_condensed_image(rng, samples, seed):
     homotopies only meet the tube along the deep diagonal regions of
     their stage graph."""
     params = default_params(4)
-    instances = _condensed_instances()
-    tubes = _tubes(params, [part for _, part, _ in instances])
+    instances = [(TermRows(expr), expr, part, edges)
+                 for expr, part, edges in _condensed_instances()]
+    tubes = _tubes(params, [part for _, _, part, _ in instances])
     gap = params.rho * (mid(params, (4,)) - mid(params, (3,)))
     bad = []
     for k in range(samples):
-        expr, part, edges = instances[k % len(instances)]
-        names = sorted(expr.names())  # draw in name order, not hash order
+        rows, expr, part, edges = instances[k % len(instances)]
+        names = rows.names  # draw in sorted name order, not hash order
         if k % 2:
-            x, y, values = _aimed_inputs(tubes[part], gap, rng, names)
+            x, y, E, values = _aimed_inputs(tubes[part], gap, rng, names)
         else:
-            x, y = rand_point(rng), rand_point(rng)
+            x, y = [(_UNIT(rng), _UNIT(rng)) for _ in "xy"]
+            E = _UNIT.d
             values = {nm: (rand_frac(rng, 0, 1) if nm.startswith("t")
                            else rand_frac(rng, 0, params.rho))
                       for nm in names}
-        xp = tubes[part].nonbase_projection(expr.evaluate(x, y, values))
+        coeffs, den = rows(values)
+        xp = tubes[part].nonbase_projection(
+            (_image(coeffs, x, y, E), den * E))
         if xp is None:
             continue
         for (a, b) in edges:
             if not tubes[part].in_D_ab(xp, a, b):
                 bad.append({"edge": (a, b), "expr": expr.text(),
-                            "x": [str(c) for c in x],
-                            "y": [str(c) for c in y]})
+                            "x": [str(Fraction(c, E)) for c in x],
+                            "y": [str(Fraction(c, E)) for c in y]})
     return _report("condensed-image", samples, bad, seed)
 
 
@@ -1125,11 +1120,12 @@ def _check_collapse_cases(rng, samples, seed):
         rep = attack_term(tube, term, rng, restarts=per)
         if rep["witness"] is not None:
             bad.append({"kind": "collapse-witness", "detail": rep})
+        compiled = TermRows(term.expr)
         for _ in range(per):
-            x, y = rand_point(rng), rand_point(rng)
-            s = rand_frac(rng, 0, params.rho)
-            ys = term.expr.evaluate(x, y, {"s1": s})
-            if tube.nonbase_projection(ys) is not None:
+            x, y = [(_UNIT(rng), _UNIT(rng)) for _ in "xy"]
+            rows, den = compiled({"s1": rand_frac(rng, 0, params.rho)})
+            if tube.nonbase_projection(
+                    (_image(rows, x, y, _UNIT.d), den * _UNIT.d)) is not None:
                 bad.append({"expr": term.expr.text(),
                             "kind": "random-witness"})
     for term in _power_check_terms():
@@ -1162,21 +1158,24 @@ def _check_i_contraction(rng, samples, seed):
     spans = (Draw(0, params.rho), Draw(0, params.rho / 64))
     near_s1, near_s2 = Draw(0, 2 * ep), Draw(-2 * ep, 2 * ep)
     half_gap = params.rho * (mid(params, (2,)) - mid(params, (1,))) / 2
+    compiled = TermRows(F)
     for k in range(samples):
-        x, y = rand_point(rng), rand_point(rng)
-        s1 = rng.choice(spans)(rng)
-        s2 = rng.choice(spans)(rng)
+        x, y = [(_UNIT(rng), _UNIT(rng)) for _ in "xy"]
+        E = _UNIT.d
+        s1 = rng.choice(spans).frac(rng)
+        s2 = rng.choice(spans).frac(rng)
         if k % 3 == 0:
-            xs = tube.sample_space_point(rng)
+            xs, E = tube.sample_space_point(rng)
             x, y = xs[0], xs[-1]
-            s1 = near_s1(rng)
-            s2 = half_gap + near_s2(rng)
-        xp = tube.nonbase_projection(F.evaluate(x, y, {"s1": s1, "s2": s2}))
+            s1 = near_s1.frac(rng)
+            s2 = half_gap + near_s2.frac(rng)
+        rows, den = compiled({"s1": s1, "s2": s2})
+        xp = tube.nonbase_projection((_image(rows, x, y, E), den * E))
         if xp is None:
             continue
         for (a, b) in edges:
             if not tube.in_D_ab(xp, a, b):
                 bad.append({"edge": (a, b), "s1": str(s1), "s2": str(s2),
-                            "x": [str(c) for c in x],
-                            "y": [str(c) for c in y]})
+                            "x": [str(Fraction(c, E)) for c in x],
+                            "y": [str(Fraction(c, E)) for c in y]})
     return _report("i-contraction", samples, bad, seed)

@@ -2,14 +2,17 @@
 tests: the least squares projection by exact elimination, the printed
 constant-offset forms of two stages, and the per-call membership test
 of the configuration space, each written from the stage layout rule
-(`mid`, `c_piece`, `space_window`) without a compiled Tube."""
+(`mid`, `c_piece`, `space_window`) without a compiled Tube; the tube
+queries in Fractions (`FractionTube`); and the normal equations of the
+attack's least squares step, for `solve_many`."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 from knotss.fields import QQ
-from knotss.geometry import (c_piece, default_params, mid, project_mean,
-                             rand_point, space_window)
+from knotss.geometry import (Draw, c_piece, default_params, eps_P, mid,
+                             project_mean, space_window)
 from knotss.linalg import Matrix, solve
 from knotss.partgraph import Partition
 
@@ -26,6 +29,26 @@ def _scale(c, p):
 
 def _norm2(p):
     return p[0] * p[0] + p[1] * p[1]
+
+
+def rand_point(rng, scale=1):
+    """A Fraction point of the square [-scale, scale]^2, one Draw per
+    coordinate."""
+    draw = Draw(-scale, scale)
+    return (draw.frac(rng), draw.frac(rng))
+
+
+def as_point(ys):
+    """Fraction (u, v) pairs as the package's point (numerators, D)."""
+    D = lcm(*(c.denominator for p in ys for c in p))
+    return [tuple(c.numerator * (D // c.denominator) for c in p)
+            for p in ys], D
+
+
+def as_fractions(xs):
+    """The package's point (numerators, D) as Fraction (u, v) pairs."""
+    X, D = xs
+    return [(Fraction(u, D), Fraction(v, D)) for u, v in X]
 
 
 def project_pi(params, P, ys):
@@ -109,3 +132,112 @@ def reference_in_space(params, P, xs):
             if _norm2((xs[a][0] - xs[b][0], xs[a][1] - xs[b][1])) < gap * gap:
                 return False
     return True
+
+
+class FractionTube:
+    """The tube queries of one stage in Fractions, on lists of Fraction
+    (u, v) pairs: every constant from the layout rule, and distance,
+    projection, membership, diagonal and excision tests as plain
+    rational formulas, with no common denominator."""
+
+    def __init__(self, params, P):
+        rho = params.rho
+        pieces = P.pieces()
+        width = 2 - rho
+        low = {k: space_window(params, (k,))[0] for k in range(1, P.n + 1)}
+        self.anchored = ([(k - 1, low[k]) for k in pieces[0][1:]]
+                         + [(k - 1, low[k] + width) for k in pieces[-1][:-1]])
+        self.epsp = epsp = eps_P(params, P)
+        self.eps2 = epsp * epsp
+        self.pieces, self.space, self.windows, lows = [], [], [], []
+        for piece in pieces[1:-1]:
+            lo = space_window(params, piece)[0]
+            lows.append(lo)
+            self.pieces.append((Fraction(1, len(piece)),
+                                [(k - 1, low[k] - lo) for k in piece]))
+            r = 1 - rho * c_piece(params, piece) / 2
+            self.space.append((r * r, lo, lo + width))
+            self.windows.append(((r + epsp) * (r + epsp),
+                                 lo - epsp, lo + width + epsp))
+        self.gaps, self.diagonals = [], {}
+        for i in range(len(lows)):
+            for j in range(i + 1, len(lows)):
+                gap = lows[j] - lows[i]
+                self.gaps.append((i, j, gap * gap))
+                d = gap - epsp
+                self.diagonals[i + 1, j + 1] = (d, d * d)
+
+    def dist2(self, ys):
+        total = Fraction(0)
+        for i, a in self.anchored:
+            u, v = ys[i]
+            total += (u - a) * (u - a) + v * v
+        xs = []
+        for inv, members in self.pieces:
+            zs = [(ys[i][0] - off, ys[i][1]) for i, off in members]
+            mu = inv * sum(z[0] for z in zs)
+            mv = inv * sum(z[1] for z in zs)
+            for zu, zv in zs:
+                total += (zu - mu) * (zu - mu) + (zv - mv) * (zv - mv)
+            xs.append((mu, mv))
+        return total, xs
+
+    def in_space(self, xs):
+        for (u, v), (r2, lo, hi) in zip(xs, self.space):
+            if u * u + v * v > r2 or not lo <= u <= hi:
+                return False
+        for i, j, gap2 in self.gaps:
+            du, dv = xs[i][0] - xs[j][0], xs[i][1] - xs[j][1]
+            if du * du + dv * dv < gap2:
+                return False
+        return True
+
+    def in_D_ab(self, xs, a, b):
+        du, dv = xs[a - 1][0] - xs[b - 1][0], xs[a - 1][1] - xs[b - 1][1]
+        return du * du + dv * dv <= self.diagonals[a, b][1]
+
+    def excised(self, xs):
+        return any(_norm2(x) >= r2 or x[0] <= lo or x[0] >= hi
+                   for x, (r2, lo, hi) in zip(xs, self.windows))
+
+    def nonbase_projection(self, ys):
+        d2, xs = self.dist2(ys)
+        if d2 < self.eps2 and not self.excised(xs):
+            return xs
+        return None
+
+
+def normal_equations(tube, coeffs):
+    """The normal matrix N and the u and v right-hand sides of the
+    attack's least squares step in the unknowns (x_c, y_c, a_1..a_p),
+    from the (cx, cy, qu, qv) of every component, for `solve_many`."""
+    m = 2 + len(tube.pieces)
+    N = [[Fraction(0)] * m for _ in range(m)]
+    tu, tv = [Fraction(0)] * m, [Fraction(0)] * m
+
+    def add(i, col, target):
+        cx, cy, qu, qv = coeffs[i]
+        bu, bv = target - qu, -qv
+        N[0][0] += cx * cx
+        N[0][1] += cx * cy
+        N[1][1] += cy * cy
+        tu[0] += cx * bu
+        tu[1] += cy * bu
+        tv[0] += cx * bv
+        tv[1] += cy * bv
+        if col is not None:
+            N[0][col] -= cx
+            N[1][col] -= cy
+            N[col][col] += 1
+            tu[col] -= bu
+            tv[col] -= bv
+
+    for i, a in tube.anchored:
+        add(i, None, a)
+    for j, (_, members) in enumerate(tube.pieces):
+        for i, off in members:
+            add(i, 2 + j, off)
+    for j in range(1, m):
+        for i in range(min(j, 2)):
+            N[j][i] = N[i][j]
+    return N, tu, tv

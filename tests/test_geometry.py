@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -14,15 +15,16 @@ from knotss.geometry import (ALL_LEMMAS, Params, TermRows, Tube,
                              anchor_centers, attack_term, attack_zero_facts,
                              check_lemma, default_params, e_embed, eps_P,
                              in_E, parse_expr, parse_term, project_mean,
-                             rand_point, tube_dist2, _diagonal_sample,
-                             _excised_sample, _ls_step, _near_tube_sample,
-                             _normal_equations, _power_check_terms,
+                             tube_dist2, _diagonal_sample, _excised_sample,
+                             _ls_step, _near_tube_sample, _power_check_terms,
                              _translation_free, _try_escape_excision)
 from knotss.linalg import Matrix, VerificationError, kernel_basis, solve_many
 from knotss.partgraph import (PGraph, Partition, discrete_partition,
                               enumerate_partitions, parse_graph)
 
-from geometry_reference import (closed_form_projection_checks, project_pi,
+from geometry_reference import (FractionTube, as_fractions, as_point,
+                                closed_form_projection_checks,
+                                normal_equations, project_pi, rand_point,
                                 reference_in_space)
 
 
@@ -63,9 +65,11 @@ def test_embed_identity_and_composition():
     tube = Tube(params, P)
     for _ in range(10):
         xs = tube.sample_space_point(rng)
+        centers = as_fractions(tube.e_P(xs))
+        xs = as_fractions(xs)
         assert e_embed(params, P, P, xs) == xs
         via = e_embed(params, Q, R, e_embed(params, P, Q, xs))
-        assert via == e_embed(params, P, R, xs) == tube.e_P(xs)
+        assert via == e_embed(params, P, R, xs) == centers
     with pytest.raises(ValueError):
         e_embed(params, Q, P, [rand_point(rng)] * 3)  # not a refinement
 
@@ -88,8 +92,8 @@ def test_tube_distance_zero_on_embedded_points():
     tube = Tube(params, P)
     for _ in range(10):
         xs = tube.sample_space_point(rng)
-        d2, proj = tube_dist2(params, P, tube.e_P(xs))
-        assert d2 == 0 and proj == xs
+        d2, proj = tube_dist2(params, P, as_fractions(tube.e_P(xs)))
+        assert d2 == 0 and proj == as_fractions(xs)
 
 
 def test_compiled_tube_matches_projection_and_embedding():
@@ -105,7 +109,7 @@ def test_compiled_tube_matches_projection_and_embedding():
             for _ in range(3):
                 ys = [rand_point(rng, 2) for _ in range(n)]
                 xs = project_pi(params, P, ys)
-                centers = tube.e_P(xs)
+                centers = as_fractions(tube.e_P(as_point(xs)))
                 want = Fraction(0)
                 for k in range(1, n + 1):
                     if k in anchors:
@@ -141,12 +145,12 @@ def test_stage_layout_matches_its_definition():
                     want[k] = (start + rho * c[k] / 2, v)
                     start += rho * c[k]
             tube = Tube(params, P)
-            centers = tube.e_P(xs)
+            centers = as_fractions(tube.e_P(as_point(xs)))
             assert centers == [want[k] for k in range(1, n + 1)], str(P)
             assert centers == e_embed(params, P, discrete_partition(n), xs)
             anchored = set(pieces[0] + pieces[-1]) - {0, n + 1}
             assert anchor_centers(params, P) == {k: want[k] for k in anchored}
-            assert tube.dist2(centers) == (0, xs), str(P)
+            assert tube_dist2(params, P, centers) == (0, xs), str(P)
 
 
 def test_projection_routes_agree():
@@ -172,9 +176,9 @@ def test_tube_pencil_matches_three_point_quadratic():
             for _ in range(2):
                 A = [rand_point(rng, 2) for _ in range(n)]
                 B = [rand_point(rng, 2) for _ in range(n)]
-                d0, dh, d1 = (tube.dist2([(a[0] + t * b[0], a[1] + t * b[1])
-                                          for a, b in zip(A, B)])[0]
-                              for t in (0, half, 1))
+                d0, dh, d1 = (tube_dist2(params, P, [
+                    (a[0] + t * b[0], a[1] + t * b[1])
+                    for a, b in zip(A, B)])[0] for t in (0, half, 1))
                 assert tube.pencil(*_over_one_den(A), *_over_one_den(B)) \
                     == (-3 * d0 + 4 * dh - d1, 2 * d0 - 4 * dh + 2 * d1), str(P)
 
@@ -195,7 +199,8 @@ def test_integer_rounds_on_pieces_of_sizes_two_and_three():
     c = [Fraction(300 ** i, (i + 2) * 300 ** 8) for i in range(8)]
     c.append(1 - sum(c))
     P = Partition(7, (2, 2, 3, 2))
-    tube = Tube(Params(n=7, rho=Fraction(1, 2), eps=c[0] / 2000, c=c), P)
+    params = Params(n=7, rho=Fraction(1, 2), eps=c[0] / 2000, c=c)
+    tube = Tube(params, P)
     anchors = [a for _, a in tube.anchored]
     assert tube.L == 6 and len(anchors) == 2
     assert anchors[0].denominator != anchors[1].denominator
@@ -208,8 +213,8 @@ def test_integer_rounds_on_pieces_of_sizes_two_and_three():
         B = [(u / rng.randint(1, 99), v / rng.randint(1, 99))
              for u, v in (rand_point(rng, 2) for _ in range(7))]
         B[rng.randrange(7)] = (Fraction(0), Fraction(0))
-        d0, dh, d1 = (tube.dist2([(a[0] + t * b[0], a[1] + t * b[1])
-                                  for a, b in zip(A, B)])[0]
+        d0, dh, d1 = (tube_dist2(params, P, [(a[0] + t * b[0], a[1] + t * b[1])
+                                             for a, b in zip(A, B)])[0]
                       for t in (0, half, 1))
         assert tube.pencil(*_over_one_den(A), *_over_one_den(B)) \
             == (-3 * d0 + 4 * dh - d1, 2 * d0 - 4 * dh + 2 * d1)
@@ -217,7 +222,7 @@ def test_integer_rounds_on_pieces_of_sizes_two_and_three():
         for _ in range(3):
             rows = _component_rows(rng, P, kind)
             expr = MapExpr([[Poly.const(c) for c in row] for row in rows])
-            N, tu, tv = _normal_equations(tube, rows)
+            N, tu, tv = normal_equations(tube, rows)
             su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
             assert _ls_step(tube, *TermRows(expr)({})) \
                 == ((su[0], sv[0]), (su[1], sv[1])), kind
@@ -292,21 +297,14 @@ def test_line_search_holds_the_current_image(monkeypatch):
     assert len(checked) > 100 and all(checked)
 
 
-def test_closed_form_step_matches_solve_many(monkeypatch):
+def test_closed_form_step_matches_solve_many():
     # the Schur/Cramer solve returns exactly the solution solve_many
     # gives on the assembled normal equations, nonsingular or singular,
-    # and reaches solve_many only when S = 0
-    calls = []
-
-    def counted(M, bs):
-        calls.append(M)
-        return solve_many(M, bs)
-
-    monkeypatch.setattr(geometry, "solve_many", counted)
+    # S = 0 (nullity 2) included
     rng = random.Random(31)
     kinds = ("general", "translation-free", "cx = cy", "no x",
              "constant per piece")
-    seen, full_rank = set(), 0
+    seen = set()
     for n in range(1, 5):
         params = default_params(n)
         for P in enumerate_partitions(n):
@@ -314,27 +312,75 @@ def test_closed_form_step_matches_solve_many(monkeypatch):
             for kind in kinds:
                 rows = _component_rows(rng, P, kind)
                 expr = MapExpr([[Poly.const(c) for c in row] for row in rows])
-                N, tu, tv = _normal_equations(tube, rows)
+                N, tu, tv = normal_equations(tube, rows)
                 su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
-                before = len(calls)
                 got = _ls_step(tube, *TermRows(expr)({}))
                 assert got == ((su[0], sv[0]), (su[1], sv[1])), (str(P), kind)
-                found = _kernel_kind(N)
-                assert (len(calls) > before) == (found == "nullity 2")
-                seen.add((found, P.num_internal > 0))
+                seen.add((_kernel_kind(N), P.num_internal > 0))
     assert seen >= {("nullity 0", True), ("nullity 0", False),
                     ("piece", True), ("y", True), ("y", False), ("x", True),
                     ("nullity 2", True)}
 
 
+def test_zero_schur_complement_matches_the_solve_many_reference():
+    # S = 0: every number in an internal piece, cx and cy shared within
+    # each piece, so N's kernel is two-dimensional and the closed form
+    # zeroes two coordinates; random stages and rows, some pieces with
+    # cx = cy = 0 or with proportional (cx, cy), and the inside term of
+    # collapse-cases at 1+1+2+1+1, the one S = 0 term the harnesses meet
+    rng = random.Random(61)
+
+    def rand():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+    zero_pieces = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        sizes = [1]
+        while sum(sizes) < n + 1:
+            sizes.append(rng.randint(1, n + 1 - sum(sizes)))
+        P = Partition(n, tuple(sizes + [1]))
+        tube = Tube(default_params(n), P)
+        shape = rng.choice(("free", "zero", "parallel"))
+        per_piece = [(rand(), rand()) for _ in P.pieces()]
+        if shape == "zero":
+            per_piece = [(0, 0) if rng.randrange(2) else p for p in per_piece]
+        elif shape == "parallel":
+            per_piece = [(t * per_piece[0][0], t * per_piece[0][1])
+                         for t in (rand() for _ in per_piece)]
+        rows = []
+        for k in range(1, n + 1):
+            pos = next(i for i, piece in enumerate(P.pieces()) if k in piece)
+            rows.append(per_piece[pos] + (rand(), rand()))
+        zero_pieces += any(r[:2] == (0, 0) for r in rows)
+        N, tu, tv = normal_equations(tube, rows)
+        assert _kernel_kind(N) == "nullity 2", str(P)
+        su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
+        expr = MapExpr([[Poly.const(c) for c in row] for row in rows])
+        assert _ls_step(tube, *TermRows(expr)({})) \
+            == ((su[0], sv[0]), (su[1], sv[1])), (str(P), rows)
+    assert zero_pieces
+    inside = geometry._collapse_case_instances()[0]
+    tube = Tube(default_params(4), inside.label.partition)
+    compiled = TermRows(inside.expr)
+    for s1 in (Fraction(0), Fraction(1, 3), Fraction(-7, 5)):
+        rows, den = compiled({"s1": s1})
+        N, tu, tv = normal_equations(
+            tube, [[Fraction(c, den) for c in row] for row in rows])
+        assert _kernel_kind(N) == "nullity 2"
+        su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
+        assert _ls_step(tube, rows, den) == ((su[0], sv[0]), (su[1], sv[1]))
+
+
 def test_step_fallback_rejects_inconsistent_equations(monkeypatch):
-    # S = 0 (every number in an internal piece, cx and cy constant on
-    # each) goes to solve_many; an inconsistent answer there is a
-    # verification failure, not an assert
-    params = default_params(4)
-    tube = Tube(params, Partition(4, (1, 4, 1)))
+    # the normal equations are always consistent, so a singular S with a
+    # nonzero reduced right-hand side has no solution: _schur_solve says
+    # None, and the step raises a verification failure, not an assert
+    assert geometry._schur_solve(0, 0, 0, [(1, 0, [])]) is None
+    assert geometry._schur_solve(1, 1, 1, [(1, 0, [])]) is None
+    tube = Tube(default_params(4), Partition(4, (1, 4, 1)))
     expr = parse_expr("x;x;x;x", 4)
-    monkeypatch.setattr(geometry, "solve_many", lambda M, bs: [None, None])
+    monkeypatch.setattr(geometry, "_schur_solve", lambda *args: None)
     with pytest.raises(VerificationError, match="inconsistent normal equations"):
         _ls_step(tube, *TermRows(expr)({}))
 
@@ -346,6 +392,7 @@ def test_region_predicates():
     rng = random.Random(17)
     xs = tube.sample_space_point(rng)
     assert tube.in_space(xs)
+    xs = as_fractions(xs)
     assert not in_E(params, P, xs)
     # pushing a piece past its window lands in the excision region
     bad = list(xs)
@@ -353,14 +400,14 @@ def test_region_predicates():
     assert in_E(params, P, bad)
     # strictly closer than the legal spacing is deep in the diagonal
     close = list(xs)
-    d = tube.diagonals[1, 2][0] + eps_P(params, P)
+    d = Fraction(tube.diagonals[1, 2], tube.G) + eps_P(params, P)
     close[1] = (close[0][0] + d / 2, close[0][1])
-    assert tube.in_D_ab(close, 1, 2)
-    assert not tube.in_space(close)
+    assert tube.in_D_ab(as_point(close), 1, 2)
+    assert not tube.in_space(as_point(close))
     # the minimum legal spacing sits just outside the shrunk region
     edge = list(xs)
     edge[1] = (edge[0][0] + d, edge[0][1])
-    assert not tube.in_D_ab(edge, 1, 2)
+    assert not tube.in_D_ab(as_point(edge), 1, 2)
 
 
 def test_anchor_centers_extreme_pieces():
@@ -407,7 +454,7 @@ def test_attack_finds_genuine_witnesses():
         y = [Fraction(c) for c in rep["witness"]["y"]]
         vals = {k: Fraction(v) for k, v in rep["witness"]["params"].items()}
         ys = term.expr.evaluate(x, y, vals)
-        assert tube.nonbase_projection(ys) is not None
+        assert tube.nonbase_projection(as_point(ys)) is not None
 
 
 def test_excision_slide_of_a_translation_free_term():
@@ -422,14 +469,14 @@ def test_excision_slide_of_a_translation_free_term():
                        ("x;y;y;0", False)):
         expr = parse_expr(text, 4)
         assert _translation_free(expr) == free
-        ys = expr.evaluate(x, y, values)
+        ys = as_point(expr.evaluate(x, y, values))
         d2, xs = tube.dist2(ys)
-        assert d2 < tube.eps2 and tube.excised(xs)
+        assert Fraction(*d2) < Fraction(*tube.eps2) and tube.excised(xs)
         hit = _try_escape_excision(tube, free, x, y, ys, d2, xs)
         if not free:
             assert hit is None, text
             continue
-        slid = expr.evaluate(*hit, values)
+        slid = as_point(expr.evaluate(*hit, values))
         xs = tube.nonbase_projection(slid)
         assert xs is not None, text
         d2, _ = tube.dist2(slid)
@@ -441,13 +488,15 @@ def test_a_slide_changes_the_tube_distance_only_at_the_anchors():
     # by (s, 0) moves each projection by s, keeps each piece's spread,
     # and adds s (2 (u - anchor) + s) per anchored number
     rng = random.Random(29)
+    params = default_params(4)
     for sizes in ((1, 2, 2, 1), (2, 1, 1, 2), (3, 2, 1), (1, 1, 1, 1, 1, 1)):
-        tube = Tube(default_params(4), Partition(4, sizes))
+        P = Partition(4, sizes)
+        tube = Tube(params, P)
         for _ in range(5):
             ys = [rand_point(rng) for _ in range(4)]
             s = rng.choice((Fraction(1, 3), Fraction(-2, 7), Fraction(0)))
-            d2, xs = tube.dist2(ys)
-            slid2, slid_xs = tube.dist2([(u + s, v) for u, v in ys])
+            d2, xs = tube_dist2(params, P, ys)
+            slid2, slid_xs = tube_dist2(params, P, [(u + s, v) for u, v in ys])
             assert slid2 == d2 + sum(s * (2 * (ys[i][0] - a) + s)
                                      for i, a in tube.anchored)
             assert slid_xs == [(u + s, v) for u, v in xs]
@@ -533,14 +582,16 @@ def test_compiled_in_space_matches_the_reference():
                 continue
             tube = Tube(params, P)
             delta = tube.epsp / 1000
-            left = [(lo, zero) for _, lo, _ in tube.space]
-            right = [(hi, zero) for _, _, hi in tube.space]
-            middle = [((lo + hi) / 2, zero) for _, lo, hi in tube.space]
+            space = FractionTube(params, P).space
+            left = [(lo, zero) for _, lo, _ in space]
+            right = [(hi, zero) for _, _, hi in space]
+            middle = [((lo + hi) / 2, zero) for _, lo, hi in space]
             j = rng.randrange(P.num_internal)
             far = middle[:j] + [(middle[j][0], Fraction(1))] + middle[j + 1:]
             low = [(left[0][0] - delta, zero)] + left[1:]
             high = right[:-1] + [(right[-1][0] + delta, zero)]
-            cases = [(tube.sample_space_point(rng), True), (left, True),
+            cases = [(as_fractions(tube.sample_space_point(rng)), True),
+                     (left, True),
                      (right, True), (middle, True), (far, False),
                      (low, False), (high, False)]
             if P.num_internal > 1:
@@ -549,7 +600,7 @@ def test_compiled_in_space_matches_the_reference():
             cases += [([rand_point(rng) for _ in range(P.num_internal)], None)
                       for _ in range(3)]
             for xs, inside in cases:
-                got = tube.in_space(xs)
+                got = tube.in_space(as_point(xs))
                 assert got == reference_in_space(params, P, xs), (str(P), xs)
                 assert inside is None or got == inside, (str(P), xs)
 
@@ -570,10 +621,11 @@ def test_sample_streams_are_pinned():
         tube = Tube(params, Partition(4, sizes))
         for _ in range(5):
             xs = tube.sample_space_point(rng)
+            # the points as the Fraction pairs they stand for
             for out in (xs, tube.e_P(xs), _near_tube_sample(tube, rng),
                         _excised_sample(tube, rng),
                         _diagonal_sample(tube, rng)):
-                h.update(repr(out).encode())
+                h.update(repr(as_fractions(out)).encode())
     assert h.hexdigest() == SAMPLE_STREAM_SHA256
 
 
@@ -631,10 +683,12 @@ def test_lemma_sample_points_are_pinned(monkeypatch):
     def recorded(name):
         method = getattr(Tube, name)
 
-        def wrapper(self, *args):
+        def wrapper(self, xs, *args):
+            # the point as the Fraction pairs it stands for
             if not paused:
-                digest[0].update(repr((name, args)).encode())
-            return method(self, *args)
+                digest[0].update(repr((name, (as_fractions(xs),) + args))
+                                 .encode())
+            return method(self, xs, *args)
         return wrapper
 
     def attack(*args, **kwargs):
@@ -653,3 +707,152 @@ def test_lemma_sample_points_are_pinned(monkeypatch):
         check_lemma(name, samples=200, seed=7)
         got[name] = digest[0].hexdigest()
     assert got == LEMMA_POINTS_SHA256
+
+
+def _norm2(p):
+    return p[0] * p[0] + p[1] * p[1]
+
+
+def _inflated(xs, k):
+    """The point xs with its numerators and denominator multiplied by k:
+    the same rationals over another denominator."""
+    X, D = xs
+    return [(u * k, v * k) for u, v in X], D * k
+
+
+def test_integer_queries_match_the_fraction_reference():
+    # every stage up to five strands: dist2, nonbase_projection,
+    # in_space, in_D_ab and excised on integer numerators agree with
+    # the Fraction reference, on random points whose coordinates carry
+    # unrelated denominators, on near-tube samples, and on both over an
+    # inflated denominator
+    rng = random.Random(67)
+
+    def rand():
+        den = rng.choice((1, 7, 4096, 10 ** 6, rng.randint(1, 10 ** 9)))
+        return Fraction(rng.randint(-3 * 10 ** 6, 3 * 10 ** 6), den)
+
+    for n in range(1, 6):
+        params = default_params(n)
+        for P in enumerate_partitions(n):
+            tube, ref = Tube(params, P), FractionTube(params, P)
+            points = [[(rand() / 1000, rand() / 1000) for _ in range(n)]
+                      for _ in range(3)]
+            if P.num_internal:
+                points += [as_fractions(_near_tube_sample(tube, rng))
+                           for _ in range(3)]
+            for ys in points:
+                for pt in (as_point(ys), _inflated(as_point(ys), 91)):
+                    d2, xs = tube.dist2(pt)
+                    want_d2, want_xs = ref.dist2(ys)
+                    assert (Fraction(*d2), as_fractions(xs)) \
+                        == (want_d2, want_xs), str(P)
+                    got = tube.nonbase_projection(pt)
+                    want = ref.nonbase_projection(ys)
+                    assert (got and as_fractions(got)) == want, str(P)
+                    assert tube.excised(xs) == ref.excised(want_xs)
+                    xs = _inflated(xs, 3)
+                    assert tube.in_space(xs) == ref.in_space(want_xs)
+                    for a, b in ref.diagonals:
+                        assert tube.in_D_ab(xs, a, b) \
+                            == ref.in_D_ab(want_xs, a, b), (str(P), a, b)
+
+
+def _on_circle(r, c):
+    """A rational point at distance exactly r from 0 whose first
+    coordinate is near c, from the rational parametrisation of the
+    circle."""
+    t = Fraction(math.sqrt((r - c) / (r + c))).limit_denominator(10 ** 6)
+    return (r * (1 - t * t) / (1 + t * t), r * 2 * t / (1 + t * t))
+
+
+def test_integer_queries_on_every_boundary_match_the_reference():
+    # points exactly on each boundary, and just across it: d^2 = eps_P^2
+    # (strict), u = lo and u = hi of a space window (closed) and of an
+    # excision window (the region is closed), |x|^2 = r^2 of the space
+    # (closed) and of the excision sphere (closed), a distance^2 = gap^2
+    # (allowed) and a distance^2 = d_ab^2 (inside the diagonal region);
+    # the integer queries agree with the reference and with the rule.
+    # "Just across" is a step far below 1/G, so that a bound off by one
+    # numerator over G shows
+    zero = Fraction(0)
+    seen = set()
+    for n, sizes in ((4, (1, 2, 2, 1)), (4, (2, 1, 1, 2)), (4, (1, 3, 1, 1)),
+                     (4, (1, 1, 1, 1, 1, 1)), (5, (2, 2, 1, 2)),
+                     (5, (1, 1, 1, 3, 1))):
+        params = default_params(n)
+        P = Partition(n, sizes)
+        tube, ref = Tube(params, P), FractionTube(params, P)
+        G, eps = tube.G, tube.epsp
+        tiny = Fraction(1, 1000 * G)
+        middle = [((lo + hi) / 2, zero) for _, lo, hi in ref.space]
+
+        def check(query, xs, want, *args):
+            seen.add((query, want))
+            for pt in (as_point(xs), _inflated(as_point(xs), 13)):
+                assert getattr(tube, query)(pt, *args) == want, \
+                    (str(P), query, xs)
+            assert getattr(ref, query)(xs, *args) == want, (str(P), query)
+
+        # the tube's edge: one anchored number, or two members of a piece
+        # moved apart, puts the point at squared distance exactly eps_P^2
+        centers = as_fractions(tube.e_P(as_point(middle)))
+        moves = []
+        if ref.anchored:
+            moves.append({ref.anchored[0][0]: (3 * eps / 5, 4 * eps / 5)})
+        for _, members in ref.pieces:
+            if len(members) == 2:
+                (i, _), (j, _) = members
+                moves.append({i: (eps / 2, eps / 2), j: (-eps / 2, -eps / 2)})
+        for move in moves:
+            for scale, inside in ((1, False), (1 - tiny, True)):
+                ys = [(u + scale * move[k][0], v + scale * move[k][1])
+                      if k in move else (u, v)
+                      for k, (u, v) in enumerate(centers)]
+                assert tube_dist2(params, P, ys)[0] \
+                    == scale * scale * eps * eps
+                got = tube.nonbase_projection(as_point(ys))
+                assert (got is not None) == inside == \
+                    (ref.nonbase_projection(ys) is not None), str(P)
+                seen.add(("eps2", inside))
+        for j, (r2, lo, hi) in enumerate(ref.space):
+            r = Fraction(tube.space[j][0], G)
+            # the space window's ends and radius are inside
+            for u, step in ((lo, -tiny), (hi, tiny)):
+                at = middle[:j] + [(u, zero)] + middle[j + 1:]
+                past = middle[:j] + [(u + step, zero)] + middle[j + 1:]
+                if j in (0, len(middle) - 1) or len(middle) == 1:
+                    check("in_space", at, True)
+                    check("in_space", past, False)
+            on = _on_circle(r, middle[j][0])
+            check("in_space", middle[:j] + [on] + middle[j + 1:], True)
+            out = (on[0] * (1 + tiny), on[1] * (1 + tiny))
+            check("in_space", middle[:j] + [out] + middle[j + 1:], False)
+            # the excision window's ends and sphere are excised
+            w_r2, w_lo, w_hi = ref.windows[j]
+            for u, step in ((w_lo, tiny), (w_hi, -tiny)):
+                check("excised", middle[:j] + [(u, zero)] + middle[j + 1:],
+                      True)
+                check("excised",
+                      middle[:j] + [(u + step, zero)] + middle[j + 1:], False)
+            on = _on_circle(r + eps, middle[j][0])
+            assert _norm2(on) == w_r2
+            check("excised", middle[:j] + [on] + middle[j + 1:], True)
+            inside = (on[0] * (1 - tiny), on[1] * (1 - tiny))
+            check("excised", middle[:j] + [inside] + middle[j + 1:], False)
+        # centres exactly a gap apart are allowed, and a little closer not
+        check("in_space", middle, True)
+        for i, j, gap2 in ref.gaps:
+            assert _norm2((middle[j][0] - middle[i][0], zero)) == gap2
+            closer = list(middle)
+            closer[j] = (middle[j][0] - tiny, zero)
+            check("in_space", closer, False)
+        # a pair exactly d_ab apart is in the deep diagonal region
+        for (a, b), (d, _) in ref.diagonals.items():
+            for scale, inside in ((1, True), (1 + tiny, False)):
+                xs = list(middle)
+                xs[b - 1] = (xs[a - 1][0] + scale * 3 * d / 5,
+                             xs[a - 1][1] + scale * 4 * d / 5)
+                check("in_D_ab", xs, inside, a, b)
+    assert seen >= {(q, w) for q in ("in_space", "excised", "in_D_ab", "eps2")
+                    for w in (True, False)}
