@@ -12,15 +12,15 @@ affine map of one randrange (Draw).
 
 All arithmetic is exact, with no tolerances, and runs on integers: a
 point is (numerators, D), integer (u, v) pairs over one positive D, and
-every Tube query cross-multiplies it with the Tube's integer constants.
-A Fraction is built only for parameter values, reports, and the module
-functions that take Fraction points.
+a parameter value (numerator, denominator) in lowest terms; Tube queries
+cross-multiply with integer constants.  A Fraction is built only for
+layout constants, reports, and the module functions on Fraction points.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import VerificationError
 from .partgraph import (PGraph, Partition, discrete_partition, is_subdivision,
@@ -102,10 +102,6 @@ def space_window(params, piece):
 # 2-vector and point helpers; a point is (numerators, D)
 
 
-def _add(p, q):
-    return (p[0] + q[0], p[1] + q[1])
-
-
 def _num(c, d):
     """The numerator of the rational c over d, a denominator multiple."""
     return c.numerator * (d // c.denominator)
@@ -139,6 +135,18 @@ def _less(p, q):
 # embeddings
 
 
+def _piece_map(P, Q):
+    """Internal Q-piece position -> position of the containing P-piece."""
+    qp, pp = Q.pieces(), P.pieces()
+    out = {}
+    for qpos in range(1, len(qp) - 1):
+        for ppos, piece in enumerate(pp):
+            if piece[0] <= qp[qpos][0] and qp[qpos][-1] <= piece[-1]:
+                out[qpos] = ppos
+                break
+    return out
+
+
 def e_embed(params, P, Q, xs):
     """The standard embedding from the configuration coordinates of the
     coarser partition P to those of the finer Q: each P-piece carries a
@@ -161,7 +169,7 @@ def e_embed(params, P, Q, xs):
                                     % (beta, Q, P))
         if 0 < ppos < len(p_pieces) - 1:
             off = params.rho * (mid(params, beta) - mid(params, piece))
-            out.append(_add(xs[ppos - 1], (off, Fraction(0))))
+            out.append((xs[ppos - 1][0] + off, xs[ppos - 1][1]))
         else:
             out.append((space_window(params, beta)[ppos > 0], Fraction(0)))
     return out
@@ -319,14 +327,14 @@ class Tube:
         return (L * total - cent, D * D * T * T * L), (X, D * T * L)
 
     def pencil(self, A, D, B, Db):
-        """(b1, a2) with dist2(A/D + t B/Db) = dist2(A/D) + b1 t + a2
-        t^2, for point lists A and B of integer numerators over the
-        positive D and Db.  An anchored number adds 2<A/D - anchor, B/Db>
-        and |B/Db|^2, a piece the same centred on its members' mean as in
-        dist2, with z = A/D - offset over D T (offsets from A only) and w
-        = B/Db over Db: a1 = b1/2 sits over D T Db L and a2 over Db^2 L.
-        A zero coordinate of B adds no product, and a piece where B is 0
-        adds nothing."""
+        """(b1, a2), each (numerator, positive denominator), with
+        dist2(A/D + t B/Db) = dist2(A/D) + b1 t + a2 t^2 for the integer
+        point lists A and B over D, Db > 0.  An anchored number adds
+        2<A/D - anchor, B/Db> and |B/Db|^2, a piece the same centred on
+        its members' mean as in dist2, with z = A/D - offset over D T
+        (offsets from A only) and w = B/Db over Db: a1 = b1/2 sits over
+        D T Db L and a2 over Db^2 L.  A zero coordinate of B adds no
+        product, and a piece where B is 0 adds nothing."""
         T = self.T
         a1 = a2 = 0  # plain sums, multiplied by L below
         c1 = c2 = 0  # the pieces' centring terms, already times L
@@ -360,8 +368,8 @@ class Tube:
             c1 += w * (zu * wu + zv * wv)
             c2 += w * (wu * wu + wv * wv)
         L = self.L
-        return (Fraction(2 * (L * a1 - c1), D * T * Db * L),
-                Fraction(L * a2 - c2, Db * Db * L))
+        return ((2 * (L * a1 - c1), D * T * Db * L),
+                (L * a2 - c2, Db * Db * L))
 
     def excised(self, xs):
         """in_E at the projection xs = (X, E): an internal piece near the
@@ -422,17 +430,16 @@ class Draw:
     def __call__(self, rng):
         return self.a + self.b * rng.randrange((1 << 12) + 1)
 
-    def frac(self, rng):
-        return Fraction(self(rng), self.d)
+    def pair(self, rng):
+        """A draw as (numerator, denominator) in lowest terms."""
+        n = self(rng)
+        g = gcd(n, self.d)
+        return n // g, self.d // g
 
 
 _TRANSVERSE = Draw(Fraction(-1, 100), Fraction(1, 100))
 _UNIT = Draw(-1, 1)
-
-
-def rand_frac(rng, lo, hi):
-    """lo + (hi - lo) k / 2^12 for a uniform k in 0..2^12."""
-    return Draw(lo, hi).frac(rng)
+_UNIT_INTERVAL = Draw(0, 1)
 
 
 def jitter(rng, ys, scale):
@@ -488,58 +495,50 @@ def _diagonal_sample(tube, rng):
 
 def _schur_solve(s00, s01, s11, rhs):
     """The (x_c, y_c) part of the solution solve_many picks for N z = t,
-    for each right-hand side, from the Schur complement S = (s00 s01;
-    s01 s11) left once the piece unknowns are eliminated.  All inputs
-    are integers: rhs holds, per right-hand side, the reduced (r0, r1)
-    and, per piece, (sum cx, sum cy, sum b) over its members.  S, the
-    r and the piece sums may carry any common positive scale of the
-    equations (with the piece unknowns scaled to match): x, y and the
-    zero pattern of N's kernel do not change under it.
-
-    Cramer's rule when S is invertible.  Otherwise N's kernel is (k, a_j
-    = (sum cx k_0 + sum cy k_1) / size_j) for k in the kernel of S, and
-    solve_many's solution is 0 where the kernel's echelon basis is last
-    nonzero: at the last coordinate not identically 0 on the kernel,
-    and when S = 0 also at the last one before it independent of it.
-    Each zero is an equation in (x, y), x = 0, y = 0 or a_j = 0, that is
-    sum cx x + sum cy y = sum b; with S's own equation when S has rank
-    1, Cramer's rule solves the two.  None when a singular system is
-    inconsistent."""
+    per right-hand side, from the Schur complement S = (s00 s01; s01
+    s11) left once the piece unknowns are eliminated, as the (x, y)
+    numerators of each over one positive M, the lcm of the Cramer
+    determinants; None when a singular system is inconsistent.  rhs
+    holds per right-hand side the integer (r0, r1) and per piece (sum
+    cx, sum cy, sum b); a common positive scale of the equations moves
+    neither x, y nor N's kernel.  Cramer's rule when S is invertible.
+    Otherwise solve_many zeroes the coordinates where the echelon basis
+    of N's kernel, (k, a_j = (sum cx k_0 + sum cy k_1) / size_j) for k
+    in ker S, is last nonzero; each zero (x = 0, y = 0 or a_j = 0) is an
+    equation sum cx x + sum cy y = sum b, solved with S's own equation
+    (rank 1) or the next independent zero (S = 0)."""
     det = s00 * s11 - s01 * s01
     if det:
-        return [(Fraction(r0 * s11 - s01 * r1, det),
-                 Fraction(s00 * r1 - s01 * r0, det)) for r0, r1, _ in rhs]
-    out = []
-    for r0, r1, pieces in rhs:
-        if (s00 * r1 != s01 * r0 or s01 * r1 != s11 * r0
-                or not (s00 or s11) and (r0 or r1)):
-            return None
-        # the equations of the coordinates a zero may fall on, last first
-        eqs = [p for p in reversed(pieces) if p[0] or p[1]]
-        eqs += [(0, 1, 0), (1, 0, 0)]
-        a, b, e = ((s00, s01, r0) if s00 else (0, s11, r1) if s11
-                   else eqs.pop(0))
-        c, d, f = next(q for q in eqs if a * q[1] != b * q[0])
-        det = a * d - b * c
-        out.append((Fraction(e * d - b * f, det),
-                    Fraction(a * f - e * c, det)))
-    return out
+        out = [(r0 * s11 - s01 * r1, s00 * r1 - s01 * r0, det)
+               for r0, r1, _ in rhs]
+    else:
+        out = []
+        for r0, r1, pieces in rhs:
+            if (s00 * r1 != s01 * r0 or s01 * r1 != s11 * r0
+                    or not (s00 or s11) and (r0 or r1)):
+                return None
+            # the equations of the coordinates a zero may fall on, last first
+            eqs = [p for p in reversed(pieces) if p[0] or p[1]]
+            eqs += [(0, 1, 0), (1, 0, 0)]
+            a, b, e = ((s00, s01, r0) if s00 else (0, s11, r1) if s11
+                       else eqs.pop(0))
+            c, d, f = next(q for q in eqs if a * q[1] != b * q[0])
+            out.append((e * d - b * f, a * f - e * c, a * d - b * c))
+    M = lcm(*(m for _, _, m in out))
+    return [(x * (M // m), y * (M // m)) for x, y, m in out], M
 
 
 def _ls_step(tube, rows, den):
     """One exact least squares step for the configuration (x, y) at
-    fixed parameters, from the evaluated (cx, cy, qu, qv) of every
-    component as integer numerators rows over den (TermRows).  In the
-    unknowns (x_c, y_c, a_1..a_p), number k asks cx_k x_c + cy_k y_c -
-    a_(piece of k) = offset_k - q_k in an internal piece, and cx_k x_c +
-    cy_k y_c = anchor_k - q_k when anchored.  Both coordinates share the
-    normal matrix N.  The a_j form a diagonal block of N, holding the
-    size of piece j, so they are eliminated and the 2x2 Schur complement
-    S is solved (_schur_solve), singular or not.
-
-    In integers: every equation is multiplied by K = den T and a_j is
-    replaced by K a_j, so each stays in integers with a_j at coefficient
-    -1; S and r are multiplied by L, so that 1/size_j is L/size_j."""
+    fixed parameters, from the (cx, cy, qu, qv) of every component as
+    integer numerators rows over den (TermRows): (X, Y), E, x and y over
+    the lcm of their coordinates' reduced denominators.  Number k asks
+    cx_k x_c + cy_k y_c - a_(piece of k) = offset_k - q_k in an internal
+    piece, and cx_k x_c + cy_k y_c = anchor_k - q_k when anchored; the
+    a_j, a diagonal block of the shared normal matrix N, are eliminated
+    and the 2x2 Schur complement S is solved (_schur_solve).  Every
+    equation is multiplied by K = den T and a_j replaced by K a_j, and S
+    and r by L, so that 1/size_j is the integer L/size_j."""
     T = tube.T
     s00 = s01 = s11 = ru0 = ru1 = rv0 = rv1 = 0
     sums = []  # per piece: (L / size or 0, sum ex, sum ey, sum bu, sum bv)
@@ -587,15 +586,16 @@ def _ls_step(tube, rows, den):
             rv1 -= w * ey * ev
             if ex:
                 s01 -= w * ex * ey
-    uv = _schur_solve(s00, s01, s11,
-                      [(ru0, ru1, [e[1:4] for e in sums]),
-                       (rv0, rv1, [e[1:3] + e[4:] for e in sums])])
-    if uv is None:  # normal equations are always consistent
+    solved = _schur_solve(s00, s01, s11,
+                          [(ru0, ru1, [e[1:4] for e in sums]),
+                           (rv0, rv1, [e[1:3] + e[4:] for e in sums])])
+    if solved is None:  # normal equations are always consistent
         raise VerificationError(
             "inconsistent normal equations for the coefficient rows %s over %d"
             % (rows, den))
-    (xu, yu), (xv, yv) = uv
-    return (xu, xv), (yu, yv)
+    ((xu, yu), (xv, yv)), M = solved
+    g = gcd(M, xu, yu, xv, yv)
+    return ((xu // g, xv // g), (yu // g, yv // g)), M // g
 
 
 def _image(rows, X, Y, E):
@@ -625,7 +625,7 @@ class TermRows:
 
     def __call__(self, values, name=None):
         """(rows, den): the coefficients (cx, cy, qu, qv) at values as
-        integer numerators over den = Dp prod d_x, values[x] = n_x / d_x
+        integer numerators over den = Dp prod d_x, values[x] = (n_x, d_x)
         in lowest terms; a monomial m weighs prod_{x in m} n_x prod_{x
         not in m} d_x.  With name, the same for the derivative along
         name, over den / d_name: the image is affine in each parameter,
@@ -636,7 +636,7 @@ class TermRows:
             if nm == name:  # n = d = 1, and monomials without name drop
                 w = [0] * len(w) + w
             else:
-                d, n = values[nm].denominator, values[nm].numerator
+                n, d = values[nm]
                 w = [a * d for a in w] + [a * n for a in w]
         out = [0] * self.size
         for i, c, m in self.monomials:
@@ -645,24 +645,58 @@ class TermRows:
         return [out[i:i + 4] for i in range(0, self.size, 4)], den
 
 
-def _param_domain(name):
-    return (Fraction(0), None) if name.startswith("s") else (Fraction(0), Fraction(1))
+def _limit(n, d):
+    """n / d (d > 0) in lowest terms as Fraction.limit_denominator(1 <<
+    24) caps it: the closer of the last convergent p1 / q1 within 2^24
+    and the semiconvergent past it, p1 / q1 on a tie."""
+    g, N = gcd(n, d), 1 << 24
+    n, d = n // g, d // g
+    if d <= N:
+        return n, d
+    p0, q0, p1, q1, m, e = 0, 1, 1, 0, n, d
+    while True:
+        a = m // e
+        q2 = q0 + a * q1
+        if q2 > N:
+            break
+        p0, q0, p1, q1, m, e = p1, q1, p0 + a * p1, q2, e, m - a * e
+    k = (N - q0) // q1
+    # the candidates lie 1 / (q1 (q0 + k q1)) apart, p1 / q1 at e / (q1 d)
+    if 2 * e * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
-def _clamp(v, lo, hi):
-    if v < lo:
-        return lo
-    if hi is not None and v > hi:
-        return hi
-    return v
+def _line_step(tube, A, D, B, Db, cur, unit):
+    """The step from cur = (n, d) along the image A/D + (t - cur) B/Db,
+    as (new, A, D) with the image moved to new: the vertex of the
+    Tube.pencil quadratic (cur when a2 = b1 = 0), clamped to [0, 1] if
+    unit else to [0, inf), capped by _limit.  None when a2 = 0 but b1 !=
+    0, which Cauchy-Schwarz rules out for the semidefinite tube form."""
+    (bn, bd), (an, ad) = tube.pencil(A, D, B, Db)
+    n, d = cur
+    if an:  # the vertex cur - b1 / (2 a2)
+        n, d = n * 2 * an * bd - bn * ad * d, 2 * an * bd * d
+    elif bn:
+        return None
+    n = max(n, 0)
+    new = _limit(min(n, d) if unit else n, d)
+    if new != cur:
+        sn, sd = new[0] * cur[1] - cur[0] * new[1], new[1] * cur[1]
+        g = gcd(sn, sd)  # the step new - cur in lowest terms
+        f, g = sd // g * Db, sn // g * D
+        A = [(p[0] * f + g * b[0], p[1] * f + g * b[1]) for p, b in zip(A, B)]
+        D *= f
+    return new, A, D
 
 
 def attack_term(tube, term, rng, restarts=200):
     """Search for a non-basepoint witness of a ledger term by exact
     alternating minimization of the squared tube distance over the
     configuration (x, y) and the bound parameters, three rounds per
-    restart, each parameter step kept to denominators of at most 2^24,
-    on tube, the compiled Tube of the term's stage.
+    restart, on tube, the compiled Tube of the term's stage.  Each
+    parameter, (numerator, denominator) in lowest terms, takes a
+    _line_step, over [0, inf) for s-names and [0, 1] for the others.
 
     A witness is an exact rational input whose image lies inside the
     tube with projection clear of every excision region; finding one
@@ -671,62 +705,41 @@ def attack_term(tube, term, rng, restarts=200):
         raise ValueError("the attack needs at least one restart")
     if tube.P != term.label.partition:
         raise ValueError("the tube is not compiled for the term's stage")
-    expr = term.expr
+    expr, free = term.expr, _translation_free(term.expr)
     coefficients = TermRows(expr)
-    free = _translation_free(expr)
-    best = None
-    witness = None
+    best = witness = None
     scale_hint = tube.params.rho * min(tube.params.c)
+    spans = [Draw(0, scale_hint * k) for k in (1, 4, 16, 64)]
+    ranges = [(nm, not nm.startswith("s")) for nm in coefficients.names]
     for trial in range(restarts):
-        values = {}
-        for nm in coefficients.names:
-            lo, hi = _param_domain(nm)
-            if hi is None:
-                values[nm] = rand_frac(rng, 0, scale_hint
-                                       * rng.choice((1, 4, 16, 64)))
-            else:
-                values[nm] = rand_frac(rng, 0, 1)
+        values = {nm: (_UNIT_INTERVAL if unit else rng.choice(spans)).pair(rng)
+                  for nm, unit in ranges}
         for _ in range(3):
             rows, den = coefficients(values)
-            x, y = _ls_step(tube, rows, den)
-            # x and y over one E; the image A over D = den E
-            (X, Y), E = _point([x, y])
+            (X, Y), E = _ls_step(tube, rows, den)
             A, D = _image(rows, X, Y, E), den * E
-            for nm in coefficients.names:
-                lo, hi = _param_domain(nm)
-                cur = values[nm]
+            for nm, unit in ranges:
                 # the image is affine in any single parameter, A/D + (t -
                 # cur) B/Db at nm = t, so dist^2 is an exact quadratic in t
                 drows, dden = coefficients(values, nm)
-                B, Db = _image(drows, X, Y, E), dden * E
-                b1, a2 = tube.pencil(A, D, B, Db)
-                a1 = b1 - 2 * cur * a2
-                if a2 > 0:
-                    opt = -a1 / (2 * a2)
-                elif a1 > 0:
-                    opt = Fraction(0)
-                elif a1 < 0:
-                    opt = (cur + 1) * 2 if hi is None else Fraction(1)
-                else:
-                    opt = cur
-                new = _clamp(opt, lo, hi).limit_denominator(1 << 24)
-                values[nm] = new
-                if new != cur:
-                    step = new - cur
-                    f, g = step.denominator * Db, step.numerator * D
-                    A = [(p[0] * f + g * b[0], p[1] * f + g * b[1])
-                         for p, b in zip(A, B)]
-                    D *= f
+                step = _line_step(tube, A, D, _image(drows, X, Y, E),
+                                  dden * E, values[nm], unit)
+                if step is None:
+                    raise VerificationError("a2 = 0 but b1 != 0: %s on %s, %s"
+                                            % (expr.text(), term.label, nm))
+                values[nm], A, D = step
         # A / D is the image at the final (x, y) and values
         d2, xs = tube.dist2((A, D))
         if best is None or _less(d2, best):
             best = d2
         if _less(d2, tube.eps2):
+            x, y = _fractions(([X, Y], E))
             hit = _try_escape_excision(tube, free, x, y, (A, D), d2, xs)
             if hit is not None:
                 witness = {"x": [str(c) for c in hit[0]],
                            "y": [str(c) for c in hit[1]],
-                           "params": {k: str(v) for k, v in values.items()},
+                           "params": {k: str(Fraction(*v))
+                                      for k, v in values.items()},
                            "trial": trial}
                 break
     return {"expr": expr.text(), "label": str(term.label),
@@ -768,7 +781,7 @@ def _try_escape_excision(tube, free, x, y, ys, d2, xs):
     if _less(d2, tube.eps2) and not tube.excised(
             ([(2 * G * u + s, 2 * G * v) for u, v in X], F)):
         s = Fraction(s, F)
-        return _add(x, (s, 0)), _add(y, (s, 0))
+        return (x[0] + s, x[1]), (y[0] + s, y[1])
     return None
 
 
@@ -925,18 +938,6 @@ def _check_diagonal_bound(rng, samples, seed):
     return _report("diagonal-bound", samples, bad, seed)
 
 
-def _piece_map(P, Q):
-    """Internal Q-piece position -> position of the containing P-piece."""
-    qp, pp = Q.pieces(), P.pieces()
-    out = {}
-    for qpos in range(1, len(qp) - 1):
-        for ppos, piece in enumerate(pp):
-            if piece[0] <= qp[qpos][0] and qp[qpos][-1] <= piece[-1]:
-                out[qpos] = ppos
-                break
-    return out
-
-
 def _check_diagonal_incl(rng, samples, seed):
     """A non-basepoint of the finer stage sitting in a deep diagonal
     region maps into the corresponding diagonal region downstream, or
@@ -1042,8 +1043,8 @@ def _aimed_inputs(tube, gap, rng, names):
     k, m = E // S, E // near.d
     y = (base[0] * k + near(rng) * m, base[1] * k + near(rng) * m)
     x = (y[0] + _num(gap, E) + near(rng) * m, y[1] + near(rng) * m)
-    values = {nm: (rand_frac(rng, 0, 1) if nm.startswith("t")
-                   else rand_frac(rng, 0, 4 * ep)) for nm in names}
+    values = {nm: (_UNIT_INTERVAL if nm.startswith("t")
+                   else Draw(0, 4 * ep)).pair(rng) for nm in names}
     return x, y, E, values
 
 
@@ -1065,9 +1066,8 @@ def _check_condensed_image(rng, samples, seed):
         else:
             x, y = [(_UNIT(rng), _UNIT(rng)) for _ in "xy"]
             E = _UNIT.d
-            values = {nm: (rand_frac(rng, 0, 1) if nm.startswith("t")
-                           else rand_frac(rng, 0, params.rho))
-                      for nm in names}
+            values = {nm: (_UNIT_INTERVAL if nm.startswith("t")
+                           else Draw(0, params.rho)).pair(rng) for nm in names}
         coeffs, den = rows(values)
         xp = tubes[part].nonbase_projection(
             (_image(coeffs, x, y, E), den * E))
@@ -1123,7 +1123,7 @@ def _check_collapse_cases(rng, samples, seed):
         compiled = TermRows(term.expr)
         for _ in range(per):
             x, y = [(_UNIT(rng), _UNIT(rng)) for _ in "xy"]
-            rows, den = compiled({"s1": rand_frac(rng, 0, params.rho)})
+            rows, den = compiled({"s1": Draw(0, params.rho).pair(rng)})
             if tube.nonbase_projection(
                     (_image(rows, x, y, _UNIT.d), den * _UNIT.d)) is not None:
                 bad.append({"expr": term.expr.text(),
@@ -1156,26 +1156,26 @@ def _check_i_contraction(rng, samples, seed):
     # s drawn below rho or rho / 64; near the merged spacing, s1 below
     # twice the tube width and s2 within it of half the in-piece gap
     spans = (Draw(0, params.rho), Draw(0, params.rho / 64))
-    near_s1, near_s2 = Draw(0, 2 * ep), Draw(-2 * ep, 2 * ep)
     half_gap = params.rho * (mid(params, (2,)) - mid(params, (1,))) / 2
+    near_s1 = Draw(0, 2 * ep)
+    near_s2 = Draw(half_gap - 2 * ep, half_gap + 2 * ep)
     compiled = TermRows(F)
     for k in range(samples):
         x, y = [(_UNIT(rng), _UNIT(rng)) for _ in "xy"]
         E = _UNIT.d
-        s1 = rng.choice(spans).frac(rng)
-        s2 = rng.choice(spans).frac(rng)
+        s1, s2 = (rng.choice(spans).pair(rng) for _ in "12")
         if k % 3 == 0:
             xs, E = tube.sample_space_point(rng)
             x, y = xs[0], xs[-1]
-            s1 = near_s1.frac(rng)
-            s2 = half_gap + near_s2.frac(rng)
+            s1, s2 = near_s1.pair(rng), near_s2.pair(rng)
         rows, den = compiled({"s1": s1, "s2": s2})
         xp = tube.nonbase_projection((_image(rows, x, y, E), den * E))
         if xp is None:
             continue
         for (a, b) in edges:
             if not tube.in_D_ab(xp, a, b):
-                bad.append({"edge": (a, b), "s1": str(s1), "s2": str(s2),
+                bad.append({"edge": (a, b), "s1": str(Fraction(*s1)),
+                            "s2": str(Fraction(*s2)),
                             "x": [str(Fraction(c, E)) for c in x],
                             "y": [str(Fraction(c, E)) for c in y]})
     return _report("i-contraction", samples, bad, seed)

@@ -3,8 +3,9 @@ tests: the least squares projection by exact elimination, the printed
 constant-offset forms of two stages, and the per-call membership test
 of the configuration space, each written from the stage layout rule
 (`mid`, `c_piece`, `space_window`) without a compiled Tube; the tube
-queries in Fractions (`FractionTube`); and the normal equations of the
-attack's least squares step, for `solve_many`."""
+queries in Fractions (`FractionTube`); the normal equations of the
+attack's least squares step, for `solve_many`; and the attack's
+parameter step in Fractions (`fraction_line_step`)."""
 
 import random
 from fractions import Fraction
@@ -35,7 +36,7 @@ def rand_point(rng, scale=1):
     """A Fraction point of the square [-scale, scale]^2, one Draw per
     coordinate."""
     draw = Draw(-scale, scale)
-    return (draw.frac(rng), draw.frac(rng))
+    return (Fraction(draw(rng), draw.d), Fraction(draw(rng), draw.d))
 
 
 def as_point(ys):
@@ -241,3 +242,36 @@ def normal_equations(tube, coeffs):
         for i in range(min(j, 2)):
             N[j][i] = N[i][j]
     return N, tu, tv
+
+
+def fraction_line_step(tube, A, D, B, Db, cur, unit):
+    """The attack's parameter step in Fractions, from cur along the image
+    A/D + (t - cur) B/Db, with the same (new, A, D) return as
+    `geometry._line_step`: the exact quadratic's vertex, clamped to [0,
+    1] when unit and to [0, inf) otherwise, then
+    Fraction.limit_denominator(1 << 24), and the image moved by the
+    step.  It keeps the two branches for a2 = 0 with b1 != 0, which a
+    semidefinite pencil never reaches."""
+    b1, a2 = (Fraction(*c) for c in tube.pencil(A, D, B, Db))
+    lo, hi = Fraction(0), (Fraction(1) if unit else None)
+    a1 = b1 - 2 * cur * a2
+    if a2 > 0:
+        opt = -a1 / (2 * a2)
+    elif a1 > 0:
+        opt = Fraction(0)
+    elif a1 < 0:
+        opt = (cur + 1) * 2 if hi is None else Fraction(1)
+    else:
+        opt = cur
+    if opt < lo:
+        opt = lo
+    elif hi is not None and opt > hi:
+        opt = hi
+    new = opt.limit_denominator(1 << 24)
+    if new != cur:
+        step = new - cur
+        f, g = step.denominator * Db, step.numerator * D
+        A = [(p[0] * f + g * b[0], p[1] * f + g * b[1])
+             for p, b in zip(A, B)]
+        D *= f
+    return new, A, D

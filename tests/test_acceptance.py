@@ -111,8 +111,8 @@ def test_criterion_07_algebraic_degeneration():
     t0 = time.time()
     ok = True
     for F in FIELDS:
-        C = build_sinha_complex(6, F)
-        pages = page_ranks(C, 6)
+        C = build_sinha_complex(7, F)
+        pages = page_ranks(C, 7)
         ok = ok and not any(e["d_rank"] for page in pages[2:]
                             for e in page.table.values())
         # the independent side: E_2 from the pairs against the oracle's
@@ -120,7 +120,7 @@ def test_criterion_07_algebraic_degeneration():
         # with r >= 2 vanishes
         e2 = {(-mp, q): d for (mp, q), d in pages[2].dims().items()}
         ok = ok and e2 == total_homology_graded(C)
-    _line(7, "d_r = 0 for r>=2, p<=6; E_2 = graded H(Tot)", ok, t0)
+    _line(7, "d_r = 0 for r>=2, p<=7; E_2 = graded H(Tot)", ok, t0)
 
 
 def test_criterion_08_ainf_d_squared():

@@ -231,12 +231,14 @@ def test_compiled_rows_match_the_reference_route():
         assert compiled.names == sorted(expr.names())
         for _ in range(6):
             values = {nm: rand(nm) for nm in compiled.names}
-            rows, den = compiled(values)
+            pairs = {nm: (v.numerator, v.denominator)
+                     for nm, v in values.items()}
+            rows, den = compiled(pairs)
             assert (rows, den) == reference_scaled_coefficients(expr, values)
             assert [[Fraction(c, den) for c in row] for row in rows] \
                 == expr.coefficients(values)
             for nm in compiled.names:
-                rows, den = compiled(values, nm)
+                rows, den = compiled(pairs, nm)
                 assert (rows, den) \
                     == reference_scaled_coefficients(expr, values, nm)
                 one, zero = (expr.coefficients({**values, nm: Fraction(v)})

@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import random
+import re
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -24,8 +26,8 @@ from knotss.partgraph import (PGraph, Partition, discrete_partition,
 
 from geometry_reference import (FractionTube, as_fractions, as_point,
                                 closed_form_projection_checks,
-                                normal_equations, project_pi, rand_point,
-                                reference_in_space)
+                                fraction_line_step, normal_equations,
+                                project_pi, rand_point, reference_in_space)
 
 
 def test_params_validation():
@@ -179,7 +181,7 @@ def test_tube_pencil_matches_three_point_quadratic():
                 d0, dh, d1 = (tube_dist2(params, P, [
                     (a[0] + t * b[0], a[1] + t * b[1])
                     for a, b in zip(A, B)])[0] for t in (0, half, 1))
-                assert tube.pencil(*_over_one_den(A), *_over_one_den(B)) \
+                assert _pencil(tube, A, B) \
                     == (-3 * d0 + 4 * dh - d1, 2 * d0 - 4 * dh + 2 * d1), str(P)
 
 
@@ -189,6 +191,24 @@ def _over_one_den(points):
     D = lcm(*(c.denominator for p in points for c in p))
     return [tuple(c.numerator * (D // c.denominator) for c in p)
             for p in points], D
+
+
+def _pencil(tube, A, B):
+    """Tube.pencil on the Fraction point lists A and B, its (numerator,
+    denominator) pairs read as Fractions; every denominator positive."""
+    pencil = tube.pencil(*_over_one_den(A), *_over_one_den(B))
+    assert all(d > 0 for _, d in pencil)
+    return tuple(Fraction(*c) for c in pencil)
+
+
+def _step(tube, rows, den):
+    """_ls_step's x and y as Fraction pairs, after checking that E is the
+    lcm of their four coordinates' reduced denominators, the one
+    denominator the image update builds on."""
+    (X, Y), E = _ls_step(tube, rows, den)
+    xy = [Fraction(c, E) for c in X + Y]
+    assert E == lcm(*(c.denominator for c in xy))
+    return tuple(xy[:2]), tuple(xy[2:])
 
 
 def test_integer_rounds_on_pieces_of_sizes_two_and_three():
@@ -216,7 +236,7 @@ def test_integer_rounds_on_pieces_of_sizes_two_and_three():
         d0, dh, d1 = (tube_dist2(params, P, [(a[0] + t * b[0], a[1] + t * b[1])
                                              for a, b in zip(A, B)])[0]
                       for t in (0, half, 1))
-        assert tube.pencil(*_over_one_den(A), *_over_one_den(B)) \
+        assert _pencil(tube, A, B) \
             == (-3 * d0 + 4 * dh - d1, 2 * d0 - 4 * dh + 2 * d1)
     for kind in ("general", "translation-free", "cx = cy", "no x"):
         for _ in range(3):
@@ -224,7 +244,7 @@ def test_integer_rounds_on_pieces_of_sizes_two_and_three():
             expr = MapExpr([[Poly.const(c) for c in row] for row in rows])
             N, tu, tv = normal_equations(tube, rows)
             su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
-            assert _ls_step(tube, *TermRows(expr)({})) \
+            assert _step(tube, *TermRows(expr)({})) \
                 == ((su[0], sv[0]), (su[1], sv[1])), kind
 
 
@@ -272,15 +292,16 @@ def test_line_search_holds_the_current_image(monkeypatch):
         geometry._ls_step, TermRows.__init__, TermRows.__call__, Tube.pencil)
 
     def spy_ls_step(tube, rows, den):
-        args[:2] = ls_step(tube, rows, den)
-        return tuple(args[:2])
+        (X, Y), E = out = ls_step(tube, rows, den)
+        args[:2] = [[Fraction(c, E) for c in p] for p in (X, Y)]
+        return out
 
     def spy_compile(compiled, expr):
         args[2] = expr
         compile_rows(compiled, expr)
 
     def spy_rows(compiled, values, name=None):
-        args[3] = dict(values)
+        args[3] = {nm: Fraction(*v) for nm, v in values.items()}
         return rows_at(compiled, values, name)
 
     def spy_pencil(tube, A, D, B, Db):
@@ -314,7 +335,7 @@ def test_closed_form_step_matches_solve_many():
                 expr = MapExpr([[Poly.const(c) for c in row] for row in rows])
                 N, tu, tv = normal_equations(tube, rows)
                 su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
-                got = _ls_step(tube, *TermRows(expr)({}))
+                got = _step(tube, *TermRows(expr)({}))
                 assert got == ((su[0], sv[0]), (su[1], sv[1])), (str(P), kind)
                 seen.add((_kernel_kind(N), P.num_internal > 0))
     assert seen >= {("nullity 0", True), ("nullity 0", False),
@@ -357,19 +378,19 @@ def test_zero_schur_complement_matches_the_solve_many_reference():
         assert _kernel_kind(N) == "nullity 2", str(P)
         su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
         expr = MapExpr([[Poly.const(c) for c in row] for row in rows])
-        assert _ls_step(tube, *TermRows(expr)({})) \
+        assert _step(tube, *TermRows(expr)({})) \
             == ((su[0], sv[0]), (su[1], sv[1])), (str(P), rows)
     assert zero_pieces
     inside = geometry._collapse_case_instances()[0]
     tube = Tube(default_params(4), inside.label.partition)
     compiled = TermRows(inside.expr)
     for s1 in (Fraction(0), Fraction(1, 3), Fraction(-7, 5)):
-        rows, den = compiled({"s1": s1})
+        rows, den = compiled({"s1": (s1.numerator, s1.denominator)})
         N, tu, tv = normal_equations(
             tube, [[Fraction(c, den) for c in row] for row in rows])
         assert _kernel_kind(N) == "nullity 2"
         su, sv = solve_many(Matrix(QQ, N, coerce=False), [tu, tv])
-        assert _ls_step(tube, rows, den) == ((su[0], sv[0]), (su[1], sv[1]))
+        assert _step(tube, rows, den) == ((su[0], sv[0]), (su[1], sv[1]))
 
 
 def test_step_fallback_rejects_inconsistent_equations(monkeypatch):
@@ -383,6 +404,113 @@ def test_step_fallback_rejects_inconsistent_equations(monkeypatch):
     monkeypatch.setattr(geometry, "_schur_solve", lambda *args: None)
     with pytest.raises(VerificationError, match="inconsistent normal equations"):
         _ls_step(tube, *TermRows(expr)({}))
+
+
+def _check_limit(limit, n, d):
+    want = Fraction(n, d).limit_denominator(1 << 24)
+    assert limit(n, d) == (want.numerator, want.denominator), (n, d)
+
+
+def test_limit_matches_limit_denominator(monkeypatch):
+    # _limit is Fraction.limit_denominator(1 << 24) on integers: 0 and 1,
+    # random rationals (unreduced too) with denominators on both sides of
+    # 2^24, exact ties between its two candidates, and every value a real
+    # attack run caps
+    N, limit = 1 << 24, geometry._limit
+    rng = random.Random(83)
+    for n, d in ((0, 1), (0, 9), (1, 1), (7, 7), (N, N), (1, 2 * N)):
+        _check_limit(limit, n, d)
+    for _ in range(500):
+        d = rng.choice((rng.randrange(1, N + 1), rng.randrange(N, 4 * N),
+                        rng.randrange(1, 1 << 90)))
+        k = rng.choice((1, 1, rng.randrange(2, 1 << 30)))
+        _check_limit(limit, rng.randrange(-3 * d, 3 * d) * k, d * k)
+    # the midpoint of Farey neighbours p/q < r/s, both denominators at
+    # most 2^24 with q + s past it, is as close to one as to the other
+    ties = 0
+    while ties < 40:
+        s = rng.randrange(N // 2, N + 1)
+        r = rng.randrange(1, s)
+        if gcd(r, s) != 1:
+            continue
+        q = pow(r, -1, s)  # r q - p s = 1
+        p = (r * q - 1) // s
+        x = Fraction(p * s + r * q, 2 * q * s)
+        if q + s > N and x.denominator > N:
+            assert x - Fraction(p, q) == Fraction(r, s) - x
+            _check_limit(limit, x.numerator, x.denominator)
+            ties += 1
+    seen = []
+
+    def spy(n, d):
+        seen.append((n, d))
+        return limit(n, d)
+
+    monkeypatch.setattr(geometry, "_limit", spy)
+    attack_zero_facts(ZeroFacts.load(), restarts=1, seed=7)
+    assert sum(Fraction(n, d).denominator > N for n, d in seen) > 50
+    for n, d in seen:
+        _check_limit(limit, n, d)
+
+
+def test_a_pencil_with_a2_zero_and_b1_nonzero_is_rejected(monkeypatch):
+    # a2 is the tube's semidefinite form on the derivative image and b1
+    # twice its pairing with the image, so a2 = 0 forces b1 = 0; a pencil
+    # corrupted to break that stops the attack with the term and the
+    # parameter named
+    tube, term = _first_fact_term("interior-order")
+    monkeypatch.setattr(Tube, "pencil",
+                        lambda self, A, D, B, Db: ((-3, 7), (0, 1)))
+    named = "a2 = 0 but b1 != 0: %s on %s, s1" % (
+        re.escape(term.expr.text()), re.escape(str(term.label)))
+    with pytest.raises(VerificationError, match=named):
+        attack_term(tube, term, random.Random(5), restarts=1)
+
+
+def test_line_step_matches_the_fraction_reference():
+    # the integer parameter step against the Fraction step it replaced,
+    # on random images, derivatives and current values over several
+    # stages: new value and moved image agree exactly on every path
+    rng = random.Random(89)
+    N = 1 << 24
+    paths = Counter()
+    for n in (2, 3, 4):
+        params = default_params(n)
+        for P in enumerate_partitions(n):
+            tube = Tube(params, P)
+            for _ in range(12):
+                unit = rng.randrange(2)
+                d = rng.choice((1, 7, 1 << 12, N, rng.randrange(N, 1 << 40)))
+                cur = Fraction(rng.randrange(0, (1 if unit else 3) * d + 1), d)
+                shape = rng.choice(("random", "random", "vertex", "still"))
+                B = [rand_point(rng, rng.choice((1, Fraction(1, 1000))))
+                     for _ in range(n)]
+                if shape == "still":
+                    B = [(Fraction(0), Fraction(0))] * n
+                if shape == "vertex":
+                    # dist^2 is 0 at t = v on an embedded point, so the
+                    # vertex is v itself, with a small denominator
+                    v = Fraction(rng.randrange(0, 3 * 64 + 1), 64)
+                    base = as_fractions(tube.e_P(tube.sample_space_point(rng)))
+                    A = [(p[0] + (cur - v) * b[0], p[1] + (cur - v) * b[1])
+                         for p, b in zip(base, B)]
+                else:
+                    A = [rand_point(rng, 2) for _ in range(n)]
+                (A, D), (B, Db) = as_point(A), as_point(B)
+                new, A2, D2 = fraction_line_step(tube, A, D, B, Db, cur, unit)
+                got = geometry._line_step(
+                    tube, A, D, B, Db, (cur.numerator, cur.denominator), unit)
+                assert got == ((new.numerator, new.denominator), A2, D2), \
+                    (str(P), shape)
+                b1, a2 = (Fraction(*c) for c in tube.pencil(A, D, B, Db))
+                opt = cur - b1 / (2 * a2) if a2 else cur
+                paths["a2 = 0" if not a2 else "clamped at 0" if opt < 0
+                      else "clamped at 1" if unit and opt > 1
+                      else "capped" if opt.denominator > N else "vertex"] += 1
+                paths["unmoved"] += new == cur
+    assert all(paths[k] >= 5 for k in ("a2 = 0", "clamped at 0",
+                                        "clamped at 1", "capped", "vertex",
+                                        "unmoved")), paths
 
 
 def test_region_predicates():
