@@ -135,18 +135,6 @@ def _less(p, q):
 # embeddings
 
 
-def _piece_map(P, Q):
-    """Internal Q-piece position -> position of the containing P-piece."""
-    qp, pp = Q.pieces(), P.pieces()
-    out = {}
-    for qpos in range(1, len(qp) - 1):
-        for ppos, piece in enumerate(pp):
-            if piece[0] <= qp[qpos][0] and qp[qpos][-1] <= piece[-1]:
-                out[qpos] = ppos
-                break
-    return out
-
-
 def e_embed(params, P, Q, xs):
     """The standard embedding from the configuration coordinates of the
     coarser partition P to those of the finer Q: each P-piece carries a
@@ -936,6 +924,18 @@ def _check_diagonal_bound(rng, samples, seed):
             bad.append({"P": str(P), "Q": str(Q),
                         "y": [list(map(str, v)) for v in _fractions(ys)]})
     return _report("diagonal-bound", samples, bad, seed)
+
+
+def _piece_map(P, Q):
+    """Internal Q-piece position -> position of the containing P-piece."""
+    qp, pp = Q.pieces(), P.pieces()
+    out = {}
+    for qpos in range(1, len(qp) - 1):
+        for ppos, piece in enumerate(pp):
+            if piece[0] <= qp[qpos][0] and qp[qpos][-1] <= piece[-1]:
+                out[qpos] = ppos
+                break
+    return out
 
 
 def _check_diagonal_incl(rng, samples, seed):
