@@ -18,13 +18,14 @@ first coordinates inside a piece) or in a table of zero facts that are
 verified separately by geometric sampling.  It tests each term alone,
 so it may run after any linear combination.
 
-A term works on its key: per component, the (monomial, coefficient)
-pairs of its four coefficient polynomials, integral coefficients as
-int.  Canonicalization renames the key and keeps the least renaming,
-and the restriction part of D substitutes on the key; a canonical term
-builds its MapExpr from the key only when something reads it (text,
-the collapse filters, evaluation).  D is linear term by term, so D of
-an assembled chain is the weighted sum of its parts' D.
+A Poly keeps an integral coefficient as an int and any other as a
+Fraction, so its sorted terms are its key.  A term works on its key:
+per component, the keys of its four coefficient polynomials.
+Canonicalization renames the key and keeps the least renaming, and the
+restriction part of D substitutes on the key; a canonical term builds
+its MapExpr from the key only when something reads it (text, the
+collapse filters, evaluation).  D is linear term by term, so D of an
+assembled chain is the weighted sum of its parts' D.
 """
 
 import json
@@ -41,7 +42,8 @@ from .partgraph import PGraph, delta_graph, inversion_sign
 
 
 class Poly:
-    """Multilinear polynomial; terms maps sorted name tuples to Fraction."""
+    """Multilinear polynomial; terms maps sorted name tuples to nonzero
+    coefficients, an int when integral and a Fraction otherwise."""
 
     __slots__ = ("terms",)
 
@@ -95,7 +97,6 @@ class Poly:
         return Poly._of(out)
 
     def subst(self, name, value):
-        value = Fraction(value)
         out = {}
         for m, c in self.terms.items():
             if name in m:
@@ -116,7 +117,8 @@ class Poly:
         return acc
 
     def key(self):
-        return _poly_key(self.terms)
+        """The sorted (monomial, coefficient) pairs."""
+        return tuple(sorted(self.terms.items()))
 
     def text(self):
         if not self.terms:
@@ -135,21 +137,14 @@ class Poly:
 
 
 def _accumulate(terms, m, c):
-    """terms[m] += c, keeping only nonzero coefficients."""
+    """terms[m] += c, keeping only nonzero coefficients, an integral one
+    as an int."""
     if m in terms:
         c += terms[m]
     if c:
-        terms[m] = c
+        terms[m] = c.numerator if c.denominator == 1 else c
     else:
         terms.pop(m, None)
-
-
-def _poly_key(terms):
-    """The sorted (monomial, coefficient) pairs of terms, an integral
-    coefficient written as an int: it sorts, compares and hashes as its
-    Fraction, and hashes much faster."""
-    return tuple(sorted((m, c.numerator if c.denominator == 1 else c)
-                        for m, c in terms.items()))
 
 
 _Z = Poly()
@@ -393,8 +388,8 @@ class Term:
     @property
     def expr(self):
         if self._expr is None:
-            self._expr = MapExpr([[Poly._of({m: Fraction(c) for m, c in pk})
-                                   for pk in comp] for comp in self.ekey])
+            self._expr = MapExpr([[Poly._of(dict(pk)) for pk in comp]
+                                  for comp in self.ekey])
         return self._expr
 
     def key(self):
@@ -580,16 +575,9 @@ def boundary_D(chain):
 def _restrict_key(ekey, name, value):
     """The key of the expression of key ekey with name := value, 0 or 1."""
     def restrict(pk):
-        if not pk or not pk[-1][0]:
+        if not pk or not pk[-1][0]:  # a constant: monomials sort () first
             return pk
-        out = {}
-        for m, c in pk:
-            if name in m:
-                if not value:
-                    continue
-                m = tuple(x for x in m if x != name)
-            _accumulate(out, m, c)
-        return _poly_key(out)
+        return Poly._of(dict(pk)).subst(name, value).key()
     return tuple(tuple(restrict(pk) for pk in comp) for comp in ekey)
 
 

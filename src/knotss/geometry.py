@@ -4,17 +4,19 @@ tube projections, the excision and deep-diagonal regions, sampling
 harnesses for the geometric collapse lemmas, and the witness attack
 used to certify the zero facts consumed by the chain ledger.
 
-Each stage P is compiled once under params into a Tube: its anchors
-and offsets, its space windows, radii and gaps, its diagonal bounds and
-its excision windows.  The lemma harnesses build one Tube per stage and
-sample, embed and test on its constants; each random draw is one exact
-affine map of one randrange (Draw).
+Each stage P is compiled once under params into a Tube, which holds
+one integer form of each constant: its anchors and offsets over one
+denominator, its space windows, radii and gaps, its diagonal bounds and
+its excision windows over another.  The lemma harnesses build one Tube
+per stage and sample, embed and test on its constants; each random
+draw is one exact affine map of one randrange (Draw).
 
 All arithmetic is exact, with no tolerances, and runs on integers: a
 point is (numerators, D), integer (u, v) pairs over one positive D, and
-a parameter value (numerator, denominator) in lowest terms; Tube queries
-cross-multiply with integer constants.  A Fraction is built only for
-layout constants, reports, and the module functions on Fraction points.
+a parameter value (numerator, denominator) in lowest terms; Tube
+queries cross-multiply with integer constants.  A Fraction is built
+only for layout constants while a Tube compiles, for reports and
+witnesses, and in the module functions on Fraction points.
 """
 
 import random
@@ -135,6 +137,23 @@ def _less(p, q):
 # embeddings
 
 
+def _piece_map(P, Q):
+    """Internal Q-piece position -> position of the containing P-piece,
+    in order of the Q-pieces."""
+    qp, pp = Q.pieces(), P.pieces()
+    out = {}
+    for qpos in range(1, len(qp) - 1):
+        beta = qp[qpos]
+        for ppos, piece in enumerate(pp):
+            if piece[0] <= beta[0] and beta[-1] <= piece[-1]:
+                out[qpos] = ppos
+                break
+        else:
+            raise VerificationError("piece %r of %s is not covered by %s"
+                                    % (beta, Q, P))
+    return out
+
+
 def e_embed(params, P, Q, xs):
     """The standard embedding from the configuration coordinates of the
     coarser partition P to those of the finer Q: each P-piece carries a
@@ -147,14 +166,8 @@ def e_embed(params, P, Q, xs):
         raise ValueError("coordinate count mismatch")
     p_pieces, q_pieces = P.pieces(), Q.pieces()
     out = []
-    for qpos in range(1, len(q_pieces) - 1):
-        beta = q_pieces[qpos]
-        for ppos, piece in enumerate(p_pieces):
-            if piece[0] <= beta[0] and beta[-1] <= piece[-1]:
-                break
-        else:
-            raise VerificationError("piece %r of %s is not covered by %s"
-                                    % (beta, Q, P))
+    for qpos, ppos in _piece_map(P, Q).items():
+        beta, piece = q_pieces[qpos], p_pieces[ppos]
         if 0 < ppos < len(p_pieces) - 1:
             off = params.rho * (mid(params, beta) - mid(params, piece))
             out.append((xs[ppos - 1][0] + off, xs[ppos - 1][1]))
@@ -166,7 +179,9 @@ def e_embed(params, P, Q, xs):
 def anchor_centers(params, P):
     """Centers of the numbers lying in the extreme pieces (constants):
     each sits at its own window's end on the side of its anchor."""
-    return {i + 1: (a, Fraction(0)) for i, a in Tube(params, P).anchored}
+    tube = Tube(params, P)
+    return {i + 1: (Fraction(a, tube.T), Fraction(0))
+            for i, a in tube.anchored}
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +190,19 @@ def anchor_centers(params, P):
 
 class Tube:
     """The tube of one stage P under params, compiled once; numbers by
-    index k - 1, internal pieces by position - 1.  anchored holds the
-    anchored numbers with their anchors' first coordinates, pieces per
-    internal piece 1 / size and its members' u-offsets: together the
-    embedding e_P.  int_anchored and int_pieces hold them over T, their
-    denominators' lcm, with L / size for L the lcm of the sizes above 1.
-    Over one denominator G: space and windows, (r, lo, hi) per internal
-    piece, the radius and first-coordinate window of the configuration
-    space and of the excision region (widened by eps = eps_P); gaps, (i,
-    j, gap), the least distance of two centers; diagonals, d_ab = gap -
-    eps_P per positions a < b.  eps2 is eps_P^2 as (numerator,
-    denominator).  draws holds per piece the Draw of a first coordinate
-    in the middle three quarters of its window and its factor to S, the
-    draws' lcm.  A query cross-multiplies a point (X, E) of any E."""
+    index k - 1, internal pieces by position - 1.  Over T, the lcm of
+    their denominators: anchored holds the anchored numbers with the
+    first coordinates of their anchors, pieces per internal piece L /
+    size, for L the lcm of the sizes above 1, and its members'
+    u-offsets; together the embedding e_P.  Over one denominator G:
+    space and windows, (r, lo, hi) per internal piece, the radius and
+    first-coordinate window of the configuration space and of the
+    excision region (widened by eps = eps_P); gaps, (i, j, gap), the
+    least distance of two centers; diagonals, d_ab = gap - eps_P per
+    positions a < b.  eps2 is eps_P^2 as (numerator, denominator).
+    draws holds per piece the Draw of a first coordinate in the middle
+    three quarters of its window and its factor to S, the draws' lcm.
+    A query cross-multiplies a point (X, E) of any E."""
 
     def __init__(self, params, P):
         self.params, self.P = params, P
@@ -200,16 +215,14 @@ class Tube:
         margin = width / 8
         low = {k: space_window(params, (k,))[0] for k in range(1, n + 1)}
         # (k - 1, anchor u); anchors sit at v = 0
-        self.anchored = ([(k - 1, low[k]) for k in pieces[0][1:]]
-                         + [(k - 1, low[k] + width) for k in pieces[-1][:-1]])
+        anchored = ([(k - 1, low[k]) for k in pieces[0][1:]]
+                    + [(k - 1, low[k] + width) for k in pieces[-1][:-1]])
         self.epsp = epsp = eps_P(params, P)
-        self.pieces, space, draws = [], [], []
+        offsets, space, draws = [], [], []
         for piece in pieces[1:-1]:
             lo = low[piece[0]] if len(piece) == 1 else \
                 space_window(params, piece)[0]
-            # (1 / size, [(k - 1, u-offset)])
-            self.pieces.append((Fraction(1, len(piece)),
-                                [(k - 1, low[k] - lo) for k in piece]))
+            offsets.append([(k - 1, low[k] - lo) for k in piece])
             r = 1 - rho * c_piece(params, piece) / 2
             space.append((r, lo, lo + width))
             draws.append(Draw(lo + margin, lo + width - margin))
@@ -227,16 +240,16 @@ class Tube:
                 self.diagonals[i + 1, j + 1] = gap - e
         self.S = S = lcm(_TRANSVERSE.d, *(d.d for d in draws))
         self.draws = [(d, S // d.d) for d in draws]
-        self.T = T = lcm(*(a.denominator for _, a in self.anchored),
-                         *(off.denominator for _, members in self.pieces
+        self.T = T = lcm(*(a.denominator for _, a in anchored),
+                         *(off.denominator for members in offsets
                            for _, off in members))
-        self.L = L = lcm(*(len(members) for _, members in self.pieces
+        self.L = L = lcm(*(len(members) for members in offsets
                            if len(members) > 1))
-        self.int_anchored = [(i, _num(a, T)) for i, a in self.anchored]
+        self.anchored = [(i, _num(a, T)) for i, a in anchored]
         # (L / size, [(k - 1, u-offset over T)]) per internal piece
-        self.int_pieces = [(L // len(members),
-                            [(i, _num(off, T)) for i, off in members])
-                           for _, members in self.pieces]
+        self.pieces = [(L // len(members),
+                        [(i, _num(off, T)) for i, off in members])
+                       for members in offsets]
 
     def e_P(self, xs):
         """The embedding of xs = (X, E) into the discrete stage, one
@@ -245,9 +258,9 @@ class Tube:
         X, M = _rebase(xs, self.T)
         t = M // self.T
         out = [None] * self.n
-        for i, a in self.int_anchored:
+        for i, a in self.anchored:
             out[i] = (a * t, 0)
-        for (u, v), (_, members) in zip(X, self.int_pieces):
+        for (u, v), (_, members) in zip(X, self.pieces):
             for i, off in members:
                 out[i] = (u + off * t, v)
         return out, M
@@ -296,12 +309,12 @@ class Tube:
         A, D = ys
         T = self.T
         total = cent = 0  # the plain sum, and the pieces' centring terms
-        for i, a in self.int_anchored:
+        for i, a in self.anchored:
             u, v = A[i]
             u, v = u * T - a * D, v * T
             total += u * u + v * v
         X = []
-        for w, members in self.int_pieces:
+        for w, members in self.pieces:
             zu = zv = 0
             for i, off in members:
                 u, v = A[i]
@@ -326,7 +339,7 @@ class Tube:
         T = self.T
         a1 = a2 = 0  # plain sums, multiplied by L below
         c1 = c2 = 0  # the pieces' centring terms, already times L
-        for i, a in self.int_anchored:
+        for i, a in self.anchored:
             (zu, zv), (wu, wv) = A[i], B[i]
             if wu:
                 a1 += (zu * T - a * D) * wu
@@ -334,7 +347,7 @@ class Tube:
             if wv:
                 a1 += zv * T * wv
                 a2 += wv * wv
-        for w, members in self.int_pieces:
+        for w, members in self.pieces:
             if len(members) == 1 or not any(B[i][0] or B[i][1]
                                             for i, _ in members):
                 continue
@@ -530,7 +543,7 @@ def _ls_step(tube, rows, den):
     T = tube.T
     s00 = s01 = s11 = ru0 = ru1 = rv0 = rv1 = 0
     sums = []  # per piece: (L / size or 0, sum ex, sum ey, sum bu, sum bv)
-    for w, group in [(None, tube.int_anchored)] + tube.int_pieces:
+    for w, group in [(None, tube.anchored)] + tube.pieces:
         # a single-member a_j absorbs its one equation: nothing reaches S
         alone = w is not None and len(group) == 1
         ex = ey = eu = ev = 0
@@ -687,8 +700,9 @@ def attack_term(tube, term, rng, restarts=200):
     _line_step, over [0, inf) for s-names and [0, 1] for the others.
 
     A witness is an exact rational input whose image lies inside the
-    tube with projection clear of every excision region; finding one
-    disproves the zero fact for the term."""
+    tube with projection clear of every excision region, after the
+    slide _try_escape_excision finds; finding one disproves the zero
+    fact for the term.  Fractions are built only for the report."""
     if restarts < 1:
         raise ValueError("the attack needs at least one restart")
     if tube.P != term.label.partition:
@@ -721,11 +735,13 @@ def attack_term(tube, term, rng, restarts=200):
         if best is None or _less(d2, best):
             best = d2
         if _less(d2, tube.eps2):
-            x, y = _fractions(([X, Y], E))
-            hit = _try_escape_excision(tube, free, x, y, (A, D), d2, xs)
-            if hit is not None:
-                witness = {"x": [str(c) for c in hit[0]],
-                           "y": [str(c) for c in hit[1]],
+            slide = _try_escape_excision(tube, free, (A, D), d2, xs)
+            if slide is not None:
+                s = Fraction(*slide)
+                witness = {"x": [str(Fraction(X[0], E) + s),
+                                 str(Fraction(X[1], E))],
+                           "y": [str(Fraction(Y[0], E) + s),
+                                 str(Fraction(Y[1], E))],
                            "params": {k: str(Fraction(*v))
                                       for k, v in values.items()},
                            "trial": trial}
@@ -742,17 +758,18 @@ def _translation_free(expr):
     return all((cx + cy).terms == {(): 1} for cx, cy, _, _ in expr.comps)
 
 
-def _try_escape_excision(tube, free, x, y, ys, d2, xs):
-    """ys = (A, D), the image of (x, y), lies inside the tube at squared
-    distance d2 = (numerator, denominator) with projection xs = (X, E).
-    It is a witness only if that projection avoids the excision regions;
-    when the map is translation free (free), slide (x, y) along the
-    first coordinate into the allowed windows (lo and hi over G E, s over
-    F = 2 G E): each projection moves by s and each piece keeps its
-    spread, so d2 changes only at anchored numbers, by s (2 (u - anchor)
-    + s) each."""
+def _try_escape_excision(tube, free, ys, d2, xs):
+    """The slide s along the first coordinate, as (numerator, positive
+    denominator), that makes a witness of an input (x, y) whose image ys
+    = (A, D) lies inside the tube at squared distance d2 = (numerator,
+    denominator) with projection xs = (X, E): (0, 1) when that projection
+    already avoids the excision regions, None when no slide is tried or
+    works.  Only a translation-free map (free) slides, to the middle of
+    the allowed windows (lo and hi over G E, s over F = 2 G E): each
+    projection moves by s and each piece keeps its spread, so d2 changes
+    only at anchored numbers, by s (2 (u - anchor) + s) each."""
     if not tube.excised(xs):
-        return x, y
+        return 0, 1
     if not free:
         return None
     (X, E), G = xs, tube.G
@@ -763,13 +780,12 @@ def _try_escape_excision(tube, free, x, y, ys, d2, xs):
     (A, D), (n, d), T = ys, d2, tube.T
     s, F, DT = lo + hi, 2 * G * E, D * T
     # the sum of u - anchor over D T; d2 plus s (2 z + k s) over d F^2 D T
-    z = sum(A[i][0] * T - a * D for i, a in tube.int_anchored)
-    d2 = (n * F * F * DT + s * (2 * z * F + len(tube.int_anchored) * s * DT)
+    z = sum(A[i][0] * T - a * D for i, a in tube.anchored)
+    d2 = (n * F * F * DT + s * (2 * z * F + len(tube.anchored) * s * DT)
           * d, d * F * F * DT)
     if _less(d2, tube.eps2) and not tube.excised(
             ([(2 * G * u + s, 2 * G * v) for u, v in X], F)):
-        s = Fraction(s, F)
-        return (x[0] + s, x[1]), (y[0] + s, y[1])
+        return s, F
     return None
 
 
@@ -924,18 +940,6 @@ def _check_diagonal_bound(rng, samples, seed):
             bad.append({"P": str(P), "Q": str(Q),
                         "y": [list(map(str, v)) for v in _fractions(ys)]})
     return _report("diagonal-bound", samples, bad, seed)
-
-
-def _piece_map(P, Q):
-    """Internal Q-piece position -> position of the containing P-piece."""
-    qp, pp = Q.pieces(), P.pieces()
-    out = {}
-    for qpos in range(1, len(qp) - 1):
-        for ppos, piece in enumerate(pp):
-            if piece[0] <= qp[qpos][0] and qp[qpos][-1] <= piece[-1]:
-                out[qpos] = ppos
-                break
-    return out
 
 
 def _check_diagonal_incl(rng, samples, seed):

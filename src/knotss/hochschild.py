@@ -46,8 +46,8 @@ class OperadPresentation:
     right[(l, i, p, q)]: matrix of y -> y o_i mu_l, same shape, for
         1 <= i <= p - l + 1.
 
-    Missing keys mean zero maps.  The Hochschild differential is built
-    from the duals (transposes) of these.
+    Missing keys mean zero maps.  The Hochschild differential is the
+    sum of the duals (transposes) of these, read off their rows.
     """
 
     def __init__(self, field, dims, mu_arities, left=None, right=None):
@@ -77,49 +77,37 @@ class OperadPresentation:
                              "degree %d) has shape %dx%d, expected %dx%d"
                              % (l, i, p, q, M.nrows, M.ncols, tgt, src))
 
-    def dual_terms(self, l, p, q):
-        """The delta summands for mu_l out of the dual slot (p, q).
-
-        Returns (target slot, list of dual matrices in position order:
-        x o_1 mu_l, then mu_l o_i x for i = 1..p-l+1, then x o_l mu_l).
-        Positions whose primal matrix is absent contribute zero.
-        """
-        tp, tq = p - l + 1, q - l + 2
-        src, tgt = self.dim(p, q), self.dim(tp, tq)
-        zero = Matrix.zeros(self.field, tgt, src)
-        if tp < 1 or src == 0 or tgt == 0:
-            return (tp, tq), []
-
-        def dual(M):
-            return M.transpose() if M is not None else zero
-
-        mats = [dual(self.left.get((l, 1, p, tq)))]
-        for i in range(1, p - l + 2):
-            mats.append(dual(self.right.get((l, i, p, tq))))
-        mats.append(dual(self.left.get((l, l, p, tq))))
-        return (tp, tq), mats
-
 
 def _delta_blocks(O, p, q):
-    """delta out of the dual slot (p, q) as {target slot: matrix}, one
-    block per contributing mu_l: the sum of its dual summands, the one
-    at position i signed (-1)^i.  No two mu_l share a target slot, since
+    """delta out of the dual slot (p, q) as {target slot: columns}, one
+    block per contributing mu_l, columns[t] the image of the t-th dual
+    basis vector.  The dual of a composition matrix sends that vector to
+    the matrix's row t, so columns[t] sums row t of each summand's
+    matrix in position order (x o_1 mu_l, then mu_l o_i x for i =
+    1..p-l+1, then x o_l mu_l), the one at position i signed (-1)^i; an
+    absent matrix adds nothing.  No two mu_l share a target slot, since
     each lowers the arity by a different l - 1."""
     F = O.field
-    minus = F.neg(F.one)
+    src = O.dim(p, q)
     out = {}
     for l in O.mu_arities:
-        (tp, tq), mats = O.dual_terms(l, p, q)
-        if not mats:
+        tp, tq = p - l + 1, q - l + 2
+        tgt = O.dim(tp, tq)
+        if tp < 1 or not src or not tgt:
             continue
-        rows = [[F.zero] * mats[0].ncols for _ in range(mats[0].nrows)]
+        mats = ([O.left.get((l, 1, p, tq))]
+                + [O.right.get((l, i, p, tq)) for i in range(1, p - l + 2)]
+                + [O.left.get((l, l, p, tq))])
+        cols = [[F.zero] * tgt for _ in range(src)]
         for pos, M in enumerate(mats):
-            sign = minus if pos % 2 else F.one
-            for acc, row in zip(rows, M.rows):
+            if M is None:
+                continue
+            add = F.sub if pos % 2 else F.add
+            for col, row in zip(cols, M.rows):
                 for j, a in enumerate(row):
                     if a:
-                        acc[j] = F.add(acc[j], F.mul(sign, a))
-        out[(tp, tq)] = Matrix(F, rows, coerce=False)
+                        col[j] = add(col[j], a)
+        out[(tp, tq)] = cols
     return out
 
 
@@ -131,9 +119,13 @@ def hochschild_delta(O, x, p, q):
     if len(x) != O.dim(p, q):
         raise ValueError("vector of length %d at slot %s of dimension %d"
                          % (len(x), (p, q), O.dim(p, q)))
+    F = O.field
     out = {}
-    for slot, block in _delta_blocks(O, p, q).items():
-        vec = block.mul_vector(x)
+    for slot, cols in _delta_blocks(O, p, q).items():
+        vec = [F.zero] * len(cols[0])
+        for c, col in zip(x, cols):
+            if c:
+                vec = [F.add(v, F.mul(c, a)) for v, a in zip(vec, col)]
         if any(vec):
             out[slot] = vec
     return out
@@ -153,13 +145,13 @@ def hochschild_complex(O):
         slots.extend([(p, q)] * O.dim(p, q))
     columns = {}
     for (p, q) in keys:
-        blocks = [(offsets[slot], block.rows) for slot, block
+        blocks = [(offsets[slot], cols) for slot, cols
                   in _delta_blocks(O, p, q).items() if slot in offsets]
         for t in range(O.dim(p, q)):
-            columns[offsets[(p, q)] + t] = {base + s: row[t]
-                                            for base, rows in blocks
-                                            for s, row in enumerate(rows)
-                                            if row[t]}
+            columns[offsets[(p, q)] + t] = {base + s: a
+                                            for base, cols in blocks
+                                            for s, a in enumerate(cols[t])
+                                            if a}
     return FilteredComplex(F, slots, columns)
 
 

@@ -5,7 +5,8 @@ of the configuration space, each written from the stage layout rule
 (`mid`, `c_piece`, `space_window`) without a compiled Tube; the tube
 queries in Fractions (`FractionTube`); the normal equations of the
 attack's least squares step, for `solve_many`; and the attack's
-parameter step in Fractions (`fraction_line_step`)."""
+parameter step and excision slide in Fractions (`fraction_line_step`,
+`fraction_slide`)."""
 
 import random
 from fractions import Fraction
@@ -211,8 +212,10 @@ class FractionTube:
 def normal_equations(tube, coeffs):
     """The normal matrix N and the u and v right-hand sides of the
     attack's least squares step in the unknowns (x_c, y_c, a_1..a_p),
-    from the (cx, cy, qu, qv) of every component, for `solve_many`."""
-    m = 2 + len(tube.pieces)
+    from the (cx, cy, qu, qv) of every component, for `solve_many`; the
+    anchors and offsets of the tube's stage come from `FractionTube`."""
+    ref = FractionTube(tube.params, tube.P)
+    m = 2 + len(ref.pieces)
     N = [[Fraction(0)] * m for _ in range(m)]
     tu, tv = [Fraction(0)] * m, [Fraction(0)] * m
 
@@ -233,9 +236,9 @@ def normal_equations(tube, coeffs):
             tu[col] -= bu
             tv[col] -= bv
 
-    for i, a in tube.anchored:
+    for i, a in ref.anchored:
         add(i, None, a)
-    for j, (_, members) in enumerate(tube.pieces):
+    for j, (_, members) in enumerate(ref.pieces):
         for i, off in members:
             add(i, 2 + j, off)
     for j in range(1, m):
@@ -275,3 +278,23 @@ def fraction_line_step(tube, A, D, B, Db, cur, unit):
              for p, b in zip(A, B)]
         D *= f
     return new, A, D
+
+
+def fraction_slide(ref, ys):
+    """The excision slide in Fractions on a `FractionTube`, for the
+    Fraction points ys of a translation-free image inside the tube: 0
+    when the projection is clear of the excision regions, else the
+    middle s of the shifts that move every projection into its window,
+    when the image shifted by (s, 0) stays inside the tube with its
+    projection clear; None otherwise."""
+    _, xs = ref.dist2(ys)
+    if not ref.excised(xs):
+        return Fraction(0)
+    lo = max(w_lo - u for (u, _), (_, w_lo, _) in zip(xs, ref.windows))
+    hi = min(w_hi - u for (u, _), (_, _, w_hi) in zip(xs, ref.windows))
+    if lo >= hi:
+        return None
+    s = (lo + hi) / 2
+    if ref.nonbase_projection([(u + s, v) for u, v in ys]) is None:
+        return None
+    return s

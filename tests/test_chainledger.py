@@ -629,6 +629,28 @@ def test_case_chains_are_pinned(case_chains):
     assert len(rows) == 37 and digest == CASE_CHAINS_SHA256
 
 
+def test_case_chain_and_fact_polynomials_are_pinned_to_int_keys(case_chains):
+    # the ledger keys its terms on the Poly terms themselves: every
+    # coefficient of every case-chain term and of every parsed fact is
+    # integral and stored as an int, and a key is the sorted terms
+    facts = ZeroFacts.load()
+    exprs = [t.expr for _, _, ch in case_chains for _, t in ch.items()]
+    exprs += [parse_expr(etext, rec["n"])
+              for (etext, _), rec in facts.table.items()]
+    polys = [p for expr in exprs for comp in expr.comps for p in comp]
+    assert len(exprs) > 300 and len(polys) == 4 * sum(e.n for e in exprs)
+    assert all(type(c) is int for p in polys for c in p.terms.values())
+    assert all(p.key() == tuple(sorted(p.terms.items())) for p in polys)
+
+
+def test_poly_stores_integral_coefficients_as_ints():
+    half, a = Poly.const(Fraction(1, 2)), Poly.var("a")
+    for p in (half + half, half * 2, (a * Fraction(2, 3)).subst("a", 3),
+              Poly({("a",): Fraction(4, 2)}), -(a * half) * 4):
+        assert all(type(c) is int for c in p.terms.values()), p
+    assert (half * 3).terms == {(): Fraction(3, 2)}
+
+
 def test_zero_facts_table_loads_and_applies():
     facts = ZeroFacts.load()
     assert len(facts.table) >= 50

@@ -26,8 +26,9 @@ from knotss.partgraph import (PGraph, Partition, discrete_partition,
 
 from geometry_reference import (FractionTube, as_fractions, as_point,
                                 closed_form_projection_checks,
-                                fraction_line_step, normal_equations,
-                                project_pi, rand_point, reference_in_space)
+                                fraction_line_step, fraction_slide,
+                                normal_equations, project_pi, rand_point,
+                                reference_in_space)
 
 
 def test_params_validation():
@@ -211,6 +212,25 @@ def _step(tube, rows, den):
     return tuple(xy[:2]), tuple(xy[2:])
 
 
+def test_tube_embedding_matches_the_fraction_reference():
+    # the tube holds one form of e_P, integers: anchors and offsets over
+    # T, and per piece L / size; over T and L they are FractionTube's
+    # anchors, offsets and 1 / size
+    for n in range(1, 6):
+        params = default_params(n)
+        for P in enumerate_partitions(n):
+            tube, ref = Tube(params, P), FractionTube(params, P)
+            T, L = tube.T, tube.L
+            assert all(type(a) is int for _, a in tube.anchored)
+            assert all(type(c) is int for w, members in tube.pieces
+                       for c in (w, *(off for _, off in members)))
+            assert [(i, Fraction(a, T)) for i, a in tube.anchored] \
+                == ref.anchored, str(P)
+            assert [(Fraction(w, L), [(i, Fraction(off, T))
+                                      for i, off in members])
+                    for w, members in tube.pieces] == ref.pieces, str(P)
+
+
 def test_integer_rounds_on_pieces_of_sizes_two_and_three():
     # the pencil against the three-point quadratic and the least squares
     # step against solve_many where L = 6 and the anchors' denominators
@@ -221,11 +241,11 @@ def test_integer_rounds_on_pieces_of_sizes_two_and_three():
     P = Partition(7, (2, 2, 3, 2))
     params = Params(n=7, rho=Fraction(1, 2), eps=c[0] / 2000, c=c)
     tube = Tube(params, P)
-    anchors = [a for _, a in tube.anchored]
+    anchors = [Fraction(a, tube.T) for _, a in tube.anchored]
     assert tube.L == 6 and len(anchors) == 2
     assert anchors[0].denominator != anchors[1].denominator
-    assert all(off.denominator != tube.T for _, members in tube.pieces
-               for _, off in members)
+    assert all(Fraction(off, tube.T).denominator != tube.T
+               for _, members in tube.pieces for _, off in members)
     rng = random.Random(59)
     half = Fraction(1, 2)
     for _ in range(6):
@@ -600,15 +620,50 @@ def test_excision_slide_of_a_translation_free_term():
         ys = as_point(expr.evaluate(x, y, values))
         d2, xs = tube.dist2(ys)
         assert Fraction(*d2) < Fraction(*tube.eps2) and tube.excised(xs)
-        hit = _try_escape_excision(tube, free, x, y, ys, d2, xs)
+        slide = _try_escape_excision(tube, free, ys, d2, xs)
         if not free:
-            assert hit is None, text
+            assert slide is None, text
             continue
-        slid = as_point(expr.evaluate(*hit, values))
+        s = Fraction(*slide)
+        slid = as_point(expr.evaluate((x[0] + s, x[1]), (y[0] + s, y[1]),
+                                      values))
         xs = tube.nonbase_projection(slid)
         assert xs is not None, text
         d2, _ = tube.dist2(slid)
-        assert _try_escape_excision(tube, free, *hit, slid, d2, xs) == hit
+        assert _try_escape_excision(tube, free, slid, d2, xs) == (0, 1)
+
+
+def test_excision_slide_matches_the_fraction_reference():
+    # the integer slide against the Fraction one on images inside the
+    # tube of every stage with an internal piece at two to four strands,
+    # excised or not: the same slide, None where the reference finds
+    # none, and (0, 1) on a clear projection, where a map that is not
+    # translation free also stops; it alone gets None on an excised
+    # projection
+    rng = random.Random(67)
+    seen = Counter()
+    for n in (2, 3, 4):
+        params = default_params(n)
+        for P in enumerate_partitions(n):
+            if not P.num_internal:
+                continue
+            tube, ref = Tube(params, P), FractionTube(params, P)
+            for k in range(12):
+                sample = _excised_sample if k % 2 else _near_tube_sample
+                ys = sample(tube, rng)
+                d2, xs = tube.dist2(ys)
+                if not geometry._less(d2, tube.eps2):
+                    continue
+                want = fraction_slide(ref, as_fractions(ys))
+                got = _try_escape_excision(tube, True, ys, d2, xs)
+                assert (None if got is None else Fraction(*got)) == want
+                if want == 0:
+                    assert got == (0, 1)
+                assert _try_escape_excision(tube, False, ys, d2, xs) \
+                    == ((0, 1) if want == 0 else None)
+                seen["none" if want is None else "clear" if want == 0
+                     else "slid"] += 1
+    assert min(seen[k] for k in ("clear", "slid", "none")) >= 5, seen
 
 
 def test_a_slide_changes_the_tube_distance_only_at_the_anchors():
@@ -625,8 +680,9 @@ def test_a_slide_changes_the_tube_distance_only_at_the_anchors():
             s = rng.choice((Fraction(1, 3), Fraction(-2, 7), Fraction(0)))
             d2, xs = tube_dist2(params, P, ys)
             slid2, slid_xs = tube_dist2(params, P, [(u + s, v) for u, v in ys])
-            assert slid2 == d2 + sum(s * (2 * (ys[i][0] - a) + s)
-                                     for i, a in tube.anchored)
+            assert slid2 == d2 + sum(
+                s * (2 * (ys[i][0] - Fraction(a, tube.T)) + s)
+                for i, a in tube.anchored)
             assert slid_xs == [(u + s, v) for u, v in xs]
 
 
