@@ -72,8 +72,9 @@ def _contracted(G, directions, tail=()):
     """(edge positions js, coefficient (-1)^(sum js + 1) / #directions,
     factor word: s-factors a, then b, for the edges, then tail) of each
     contracted term: every edge, then every pair of edges when G has
-    more than two."""
-    m, wt = len(G.edges), Fraction(1, len(directions))
+    more than two; the coefficient is an int for one direction."""
+    m = len(G.edges)
+    wt = 1 if len(directions) == 1 else Fraction(1, len(directions))
     subsets = [(j,) for j in range(1, m + 1)]
     if m > 2:
         subsets += combinations(range(1, m + 1), 2)

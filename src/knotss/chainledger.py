@@ -18,14 +18,15 @@ first coordinates inside a piece) or in a table of zero facts that are
 verified separately by geometric sampling.  It tests each term alone,
 so it may run after any linear combination.
 
-A Poly keeps an integral coefficient as an int and any other as a
-Fraction, so its sorted terms are its key.  A term works on its key:
-per component, the keys of its four coefficient polynomials.
-Canonicalization renames the key and keeps the least renaming, and the
-restriction part of D substitutes on the key; a canonical term builds
-its MapExpr from the key only when something reads it (text, the
-collapse filters, evaluation).  D is linear term by term, so D of an
-assembled chain is the weighted sum of its parts' D.
+A Poly and a Chain keep an integral coefficient as an int and any
+other as a Fraction, so a Poly's sorted terms are its key.  A term
+works on its key: per component, the keys of its four coefficient
+polynomials.  Canonicalization renames the key and keeps the least
+renaming; the restriction part of D drops (s, t := 0) or strips and
+merges (t := 1) the monomials of the key that hold the name.  A
+canonical term builds its MapExpr from the key only when something
+reads it (text, the collapse filters, evaluation).  D is linear term
+by term, so D of an assembled chain is the weighted sum of its parts' D.
 """
 
 import json
@@ -136,13 +137,18 @@ class Poly:
         return "Poly(%s)" % self.text()
 
 
+def _rational(c):
+    """An int or Fraction c as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _accumulate(terms, m, c):
     """terms[m] += c, keeping only nonzero coefficients, an integral one
     as an int."""
     if m in terms:
         c += terms[m]
     if c:
-        terms[m] = c.numerator if c.denominator == 1 else c
+        terms[m] = _rational(c)
     else:
         terms.pop(m, None)
 
@@ -192,7 +198,8 @@ class MapExpr:
     def scale(self, p):
         if not isinstance(p, Poly):
             p = Poly.const(p)
-        return MapExpr([[p * a for a in comp] for comp in self.comps])
+        return MapExpr([[p * a if a.terms else a for a in comp]
+                        for comp in self.comps])
 
     def names(self):
         out = set()
@@ -311,12 +318,11 @@ def edge_signs(G, e):
 def contraction(expr, G, e, s_name, direction=1):
     """expr + A_e(s) in the v direction; direction=-1 reverses it."""
     signs = edge_signs(G, e)
-    s = Poly.var(s_name)
     comps = []
     for comp, sg in zip(expr.comps, signs):
         comp = list(comp)
         if sg:
-            comp[3] = comp[3] + s * Poly.const(sg * direction)
+            comp[3] = comp[3] + Poly._of({(s_name,): sg * direction})
         comps.append(comp)
     return MapExpr(comps)
 
@@ -333,10 +339,9 @@ def i_contraction(expr, i, s_name, eps=1):
     """+eps*s*u on component i, -eps*s*u on component i+1 (1-based)."""
     if not (1 <= i <= expr.n - 1):
         raise ValueError("component index %d out of range" % i)
-    s = Poly.var(s_name)
     comps = [list(c) for c in expr.comps]
-    comps[i - 1][2] = comps[i - 1][2] + s * Poly.const(eps)
-    comps[i][2] = comps[i][2] - s * Poly.const(eps)
+    comps[i - 1][2] = comps[i - 1][2] + Poly._of({(s_name,): eps})
+    comps[i][2] = comps[i][2] + Poly._of({(s_name,): -eps})
     return MapExpr(comps)
 
 
@@ -452,13 +457,13 @@ def _canon_key(coeff, ekey, weight, label):
 
 
 class Chain:
-    """Rational combination of canonical ledger terms."""
+    """Rational combination of canonical ledger terms; a coefficient is
+    an int when integral and a Fraction otherwise, as in Poly."""
 
     def __init__(self):
         self.terms = {}  # key -> [coeff, Term]
 
     def add(self, coeff, expr, weight, label):
-        coeff = Fraction(coeff)
         if not coeff:
             return self
         return self._put(*canon_term(coeff, expr, weight, label))
@@ -466,19 +471,17 @@ class Chain:
     def add_word(self, coeff, expr, factors, label):
         """Add in place with factor-order normalization (see make_weight)."""
         weight, sign = make_weight(factors)
-        return self.add(Fraction(coeff) * sign, expr, weight, label)
+        return self.add(coeff * sign, expr, weight, label)
 
     def _put(self, coeff, term):
         """Add coeff * term for a term that is already canonical."""
         key = term.key()
-        entry = self.terms.get(key)
-        if entry is None:
-            if coeff:
-                self.terms[key] = [coeff, term]
+        entry = self.terms.setdefault(key, [0, term])
+        coeff += entry[0]
+        if coeff:
+            entry[0] = _rational(coeff)
         else:
-            entry[0] += coeff
-            if not entry[0]:
-                del self.terms[key]
+            del self.terms[key]
         return self
 
     def add_scaled(self, c, other):
@@ -573,11 +576,22 @@ def boundary_D(chain):
 
 
 def _restrict_key(ekey, name, value):
-    """The key of the expression of key ekey with name := value, 0 or 1."""
+    """The key of the expression of key ekey with name := value, 0 or 1:
+    := 0 drops the monomials that hold name, := 1 strips it and merges."""
     def restrict(pk):
-        if not pk or not pk[-1][0]:  # a constant: monomials sort () first
+        for m, _ in pk:
+            if name in m:
+                break
+        else:
             return pk
-        return Poly._of(dict(pk)).subst(name, value).key()
+        if not value:
+            return tuple((m, c) for m, c in pk if name not in m)
+        out = {}
+        for m, c in pk:
+            if name in m:
+                m = tuple(x for x in m if x != name)
+            _accumulate(out, m, c)
+        return tuple(sorted(out.items()))
     return tuple(tuple(restrict(pk) for pk in comp) for comp in ekey)
 
 

@@ -24,7 +24,9 @@ element survives to E_infinity.  `knotss ss-table` and einf_dims read
 the pairs.
 total_homology_graded, the oracle for E_infinity, reads neither route:
 it takes ranks of images and filtered kernels of D's sparse columns,
-with the same Eliminator (the tests keep a separate reduction loop).
+with one column_kernel per total degree in (p, index) order, whose
+prefixes are the filtered kernels, and the same Eliminator (the tests
+keep a separate reduction loop and the per-prefix oracle).
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -102,9 +104,6 @@ class FilteredComplex:
     @property
     def dim(self):
         return len(self.slots)
-
-    def degrees(self):
-        return sorted({q - p for (p, q) in self.slots})
 
     def filtration_range(self):
         ps = [p for (p, _) in self.slots]
@@ -223,26 +222,29 @@ def total_homology_graded(C):
 
         dim (ker D_n cap F_p + im D_{n-1}) - dim (ker D_n cap F_{p-1} + im D_{n-1})
 
-    where ker D_n cap F_p is the column_kernel of D's columns of degree
-    n and filtration at most p.  These kernels grow with p, so one
-    Eliminator per n, holding im D_{n-1}, takes each in turn.
+    One column_kernel per degree n runs over D's columns of degree n in
+    (p, index) order.  The kernel vector of a non-pivot column c is 0
+    past c, so it lies in F_{p_c}, and those with p_c <= p span
+    ker D_n cap F_p (a kernel of the prefix through level p).  An
+    Eliminator holding im D_{n-1} takes them in column order, and each
+    one that raises its rank adds 1 at its column's slot.
     """
     F = C.field
+    by_degree = {}
+    for j, (p, q) in enumerate(C.slots):
+        by_degree.setdefault(q - p, []).append(j)
     out = {}
-    for n in C.degrees():
+    for n in sorted(by_degree):
         elim = Eliminator(F)
-        for j in C.indices(degree=n - 1):
+        for j in by_degree.get(n - 1, ()):
             if j in C.columns:
                 elim.add(C.columns[j])
-        prev_rank = elim.rank
-        for p in sorted({C.slots[j][0] for j in C.indices(degree=n)}):
-            cols = C.indices(max_p=p, degree=n)
-            _, kernel = column_kernel(F, [C.columns.get(j, {}) for j in cols])
-            for v in kernel:
-                elim.add({cols[k]: x for k, x in v.items()})
-            if elim.rank > prev_rank:
-                out[(p, n + p)] = elim.rank - prev_rank
-            prev_rank = elim.rank
+        cols = sorted(by_degree[n], key=lambda j: (C.slots[j][0], j))
+        _, kernel = column_kernel(F, [C.columns.get(j, {}) for j in cols])
+        for v in kernel:
+            if elim.add({cols[k]: x for k, x in v.items()}):
+                p = C.slots[cols[max(v)]][0]
+                out[(p, n + p)] = out.get((p, n + p), 0) + 1
     return out
 
 

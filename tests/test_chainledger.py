@@ -651,6 +651,103 @@ def test_poly_stores_integral_coefficients_as_ints():
     assert (half * 3).terms == {(): Fraction(3, 2)}
 
 
+def reference_restrict_key(ekey, name, value):
+    """The reference for chainledger._restrict_key: each coefficient
+    polynomial rebuilt from its key, substituted with Poly.subst and
+    keyed again."""
+    return tuple(tuple(Poly(dict(pk)).subst(name, value).key() for pk in comp)
+                 for comp in ekey)
+
+
+def _typed(ekey):
+    """ekey with the type of each coefficient beside it."""
+    return [[[(m, type(c), c) for m, c in pk] for pk in comp] for comp in ekey]
+
+
+def _scaled_key(ekey, f):
+    """ekey with every coefficient times f, an integral one as an int."""
+    def scale(c):
+        c = Fraction(c) * f
+        return c.numerator if c.denominator == 1 else c
+    return tuple(tuple(tuple((m, scale(c)) for m, c in pk) for pk in comp)
+                 for comp in ekey)
+
+
+def test_restrict_key_matches_the_reference_on_the_case_calls(monkeypatch):
+    # every restriction that boundary_D makes in the six cases, and the
+    # keys of ch3-3term with Fraction coefficients (scaled by 1/2 and by
+    # 2/3): the key-level route gives the key of the Poly.subst route,
+    # coefficient types included
+    calls = []
+    restrict = chainledger._restrict_key
+
+    def recording(ekey, name, value):
+        calls.append((case, ekey, name, value))
+        return restrict(ekey, name, value)
+
+    monkeypatch.setattr(chainledger, "_restrict_key", recording)
+    facts = ZeroFacts.load()
+    for case in all_cases():
+        assert run_case(case, facts=facts)["pass"]
+    assert len(calls) == 735
+    three_term = [c for c in calls if c[0] == "ch3-3term"]
+    assert len(three_term) == 152
+    inputs = [c[1:] for c in calls]
+    inputs += [(_scaled_key(ekey, f), name, value)
+               for _, ekey, name, value in three_term
+               for f in (Fraction(1, 2), Fraction(2, 3))]
+    cancels = 0
+    for ekey, name, value in inputs:
+        got = restrict(ekey, name, value)
+        assert _typed(got) == _typed(reference_restrict_key(ekey, name, value)), \
+            (ekey, name, value)
+        # a t := 1 merge in which a monomial cancels
+        cancels += value == 1 and any(
+            len(out) < len({tuple(x for x in m if x != name) for m, _ in pk})
+            for comp, rcomp in zip(ekey, got) for pk, out in zip(comp, rcomp))
+    assert cancels > 100
+    assert any(type(c) is Fraction for ekey, _, _ in inputs
+               for comp in ekey for pk in comp for _, c in pk)
+
+
+def test_restrict_key_merges_and_cancels_on_t_equal_one():
+    # 1/2 + a - a t + t/2: t := 1 cancels a and merges 1/2 + 1/2 into
+    # the int 1; t := 0 and a := 0 drop the monomials that hold the name
+    half = Fraction(1, 2)
+    pk = Poly({(): half, ("a",): 1, ("a", "t"): -1, ("t",): half}).key()
+    one, t = (((), 1),), ((("t",), 1),)
+    ekey = ((pk, (), t, ()),)
+    wants = {("t", 1): ((one, (), one, ()),),
+             ("t", 0): (((((), half), (("a",), 1)), (), (), ()),),
+             ("a", 0): (((((), half), (("t",), half)), (), t, ()),)}
+    for (name, value), want in wants.items():
+        got = chainledger._restrict_key(ekey, name, value)
+        assert _typed(got) == _typed(want) == \
+            _typed(reference_restrict_key(ekey, name, value)), (name, value)
+
+
+def test_chain_stores_integral_coefficients_as_ints(case_chains):
+    # an integral sum is stored as an int, and 1/2 + 1/2 reports as 1
+    f, w = f_graph(G1), WeightSpec((), ())
+    half = Fraction(1, 2)
+    ch = Chain().add(half, f, w, G1).add(half, f, w, G1)
+    assert [type(c) for c, _ in ch.items()] == [int]
+    # canonicalization picks the sphere-swapped x;y;y;x
+    assert ch.diff_report(Chain(), 0) == [("1", "y;x;x;y", str(G1))]
+    assert Chain().add(Fraction(4, 2), f, w, G1).items()[0][0] == 2
+    assert type(Chain().add(Fraction(4, 2), f, w, G1).items()[0][0]) is int
+    ch.add(half, f, w, G1)
+    assert ch.items()[0][0] == Fraction(3, 2)
+    assert ch.add_scaled(-3, Chain().add(half, f, w, G1)).is_zero()
+    # one push direction builds int coefficients only; the averaged
+    # contractions of the three-term relation and of c(G,i) add halves
+    for name, args, built in case_chains:
+        coeffs = [c for c, _ in built.items()]
+        if name != "chain_cycle_ch3" and args[-1] == (1,):
+            assert all(type(c) is int for c in coeffs), (name, args)
+        assert all(type(c) is int or c.denominator == 2 for c in coeffs)
+
+
 def test_zero_facts_table_loads_and_applies():
     facts = ZeroFacts.load()
     assert len(facts.table) >= 50
