@@ -17,8 +17,8 @@ import sys
 import time
 
 from knotss.cases import _load_cases, all_cases, run_case
-from knotss.chainledger import ZeroFacts
-from knotss.geometry import Tube, attack_term, default_params, parse_term
+from knotss.chainledger import ZeroFacts, parse_term
+from knotss.geometry import Tube, attack_term, default_params
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "..", "src", "knotss", "data")

@@ -27,6 +27,8 @@ merges (t := 1) the monomials of the key that hold the name.  A
 canonical term builds its MapExpr from the key only when something
 reads it (text, the collapse filters, evaluation).  D is linear term
 by term, so D of an assembled chain is the weighted sum of its parts' D.
+parse_expr and parse_term read back the text that MapExpr.text and the
+graph labels print, as the fact table stores it.
 """
 
 import json
@@ -36,7 +38,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .linalg import VerificationError
-from .partgraph import PGraph, delta_graph, inversion_sign
+from .partgraph import PGraph, delta_graph, inversion_sign, parse_graph
 
 # ---------------------------------------------------------------------------
 # polynomials over Q in named parameters, multilinear (affine in each name)
@@ -248,6 +250,76 @@ class MapExpr:
 
     def __repr__(self):
         return "MapExpr(%s)" % self.text()
+
+
+# ---------------------------------------------------------------------------
+# expression text parsing: the inverse of MapExpr.text, for the fact table
+
+
+def parse_expr(text, n):
+    """Inverse of MapExpr.text for the restricted grammar it emits."""
+    comps = []
+    for part in text.split(";"):
+        comp = {b: Poly() for b in "xyuv"}
+        for piece, sign in _split_signed(part):
+            if piece == "0":
+                continue
+            if piece.startswith("("):
+                body, base = piece[1:].split(")", 1)
+                poly = _parse_poly(body)
+            else:
+                base = piece
+                poly = Poly.const(1)
+            if base not in comp:
+                raise ValueError("bad basis %r" % base)
+            comp[base] = comp[base] + (-poly if sign < 0 else poly)
+        comps.append([comp["x"], comp["y"], comp["u"], comp["v"]])
+    expr = MapExpr(comps)
+    if expr.n != n:
+        raise ValueError("component count mismatch")
+    return expr
+
+
+def parse_term(etext, ltext, n):
+    """The term of a fact-table entry: expression text on label text,
+    its s- and t-names bound in sorted order."""
+    expr = parse_expr(etext, n)
+    names = sorted(expr.names())
+    weight = WeightSpec(tuple(x for x in names if x.startswith("s")),
+                        tuple(x for x in names if x.startswith("t")))
+    return Term(expr, weight, parse_graph(ltext, n))
+
+
+def _split_signed(text):
+    out, cur, sign, depth = [], "", 1, 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch in "+-" and depth == 0:
+            if cur:
+                out.append((cur, sign))
+            cur, sign = "", (1 if ch == "+" else -1)
+        else:
+            cur += ch
+    if cur:
+        out.append((cur, sign))
+    return out
+
+
+def _parse_poly(text):
+    total = Poly()
+    for piece, sign in _split_signed(text):
+        coeff = Fraction(sign)
+        mono = []
+        for factor in piece.split("*"):
+            try:
+                coeff *= Fraction(factor)
+            except ValueError:
+                mono.append(factor)
+        total = total + Poly({tuple(mono): coeff})
+    return total
 
 
 # ---------------------------------------------------------------------------

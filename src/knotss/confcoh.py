@@ -92,24 +92,6 @@ def _straighten_sorted(fs, memo):
     return hit
 
 
-@dataclass(frozen=True)
-class GMonomial:
-    """A product of generators g_{ij} at a fixed arity."""
-
-    arity: int
-    factors: tuple
-
-    def __post_init__(self):
-        for (i, j) in self.factors:
-            if not (1 <= i < j <= self.arity):
-                raise ValueError("generator g(%d,%d) out of range at arity %d"
-                                 % (i, j, self.arity))
-
-    @property
-    def degree(self):
-        return len(self.factors)
-
-
 @dataclass
 class CohClass:
     """Linear combination of admissible monomials in H^q(Conf_p)."""
@@ -179,13 +161,17 @@ class CohClass:
 
 def normal_form(arity, factors, field, coeff=1):
     """Straighten a single product of generators into a CohClass."""
-    GMonomial(arity, tuple(factors))  # range validation
+    factors = tuple(factors)
+    for (i, j) in factors:
+        if not (1 <= i < j <= arity):
+            raise ValueError("generator g(%d,%d) out of range at arity %d"
+                             % (i, j, arity))
     F = field
     c = F.of(coeff)
     terms = {}
     for m, z in straighten(factors).items():
         terms[m] = F.add(terms.get(m, F.zero), F.mul(F.of(z), c))
-    return CohClass(arity, len(tuple(factors)), F, terms)
+    return CohClass(arity, len(factors), F, terms)
 
 
 def zero_class(arity, degree, field):

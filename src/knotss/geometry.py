@@ -792,6 +792,7 @@ def _try_escape_excision(tube, free, ys, d2, xs):
 def attack_zero_facts(facts, restarts=200, seed=20260823):
     """Attack every recorded zero fact, on one compiled Tube per stage;
     the table passes when no term admits a witness."""
+    from .chainledger import parse_term
     if restarts < 1:
         raise ValueError("the attack needs at least one restart")
     terms = [(parse_term(etext, ltext, rec["n"]), rec)
@@ -809,97 +810,14 @@ def attack_zero_facts(facts, restarts=200, seed=20260823):
 
 
 # ---------------------------------------------------------------------------
-# expression text parsing (for the data-driven fact table)
-
-
-def parse_expr(text, n):
-    """Inverse of MapExpr.text for the restricted grammar it emits."""
-    from .chainledger import MapExpr, Poly
-    comps = []
-    for part in text.split(";"):
-        comp = {b: Poly() for b in "xyuv"}
-        for piece, sign in _split_signed(part):
-            if piece == "0":
-                continue
-            if piece.startswith("("):
-                body, base = piece[1:].split(")", 1)
-                poly = _parse_poly(body)
-            else:
-                base = piece
-                poly = Poly.const(1)
-            if base not in comp:
-                raise ValueError("bad basis %r" % base)
-            comp[base] = comp[base] + (-poly if sign < 0 else poly)
-        comps.append([comp["x"], comp["y"], comp["u"], comp["v"]])
-    expr = MapExpr(comps)
-    if expr.n != n:
-        raise ValueError("component count mismatch")
-    return expr
-
-
-def parse_term(etext, ltext, n):
-    """The term of a fact-table entry: expression text on label text,
-    its s- and t-names bound in sorted order."""
-    from .chainledger import Term, WeightSpec
-    expr = parse_expr(etext, n)
-    names = sorted(expr.names())
-    weight = WeightSpec(tuple(x for x in names if x.startswith("s")),
-                        tuple(x for x in names if x.startswith("t")))
-    return Term(expr, weight, parse_graph(ltext, n))
-
-
-def _split_signed(text):
-    out, cur, sign, depth = [], "", 1, 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            if cur:
-                out.append((cur, sign))
-            cur, sign = "", (1 if ch == "+" else -1)
-        else:
-            cur += ch
-    if cur:
-        out.append((cur, sign))
-    return out
-
-
-def _parse_poly(text):
-    from .chainledger import Poly
-    total = Poly()
-    for piece, sign in _split_signed(text):
-        coeff = Fraction(sign)
-        mono = []
-        for factor in piece.split("*"):
-            try:
-                coeff *= Fraction(factor)
-            except ValueError:
-                mono.append(factor)
-        total = total + Poly({tuple(mono): coeff})
-    return total
-
-
-# ---------------------------------------------------------------------------
 # lemma harnesses
 
 
-ALL_LEMMAS = ("condensed-image", "diagonal-bound", "diagonal-incl",
-              "collapse0", "collapse-cases", "i-contraction")
-
-
 def check_lemma(name, samples=1000, seed=20260823):
-    rng = random.Random("%s:%d" % (name, seed))
-    fn = {"condensed-image": _check_condensed_image,
-          "diagonal-bound": _check_diagonal_bound,
-          "diagonal-incl": _check_diagonal_incl,
-          "collapse0": _check_collapse0,
-          "collapse-cases": _check_collapse_cases,
-          "i-contraction": _check_i_contraction}.get(name)
+    fn = _LEMMAS.get(name)
     if fn is None:
         raise ValueError("unknown lemma %r" % name)
-    return fn(rng, samples, seed)
+    return fn(random.Random("%s:%d" % (name, seed)), samples, seed)
 
 
 def _report(lemma, samples, counterexamples, seed):
@@ -1088,7 +1006,7 @@ def _check_condensed_image(rng, samples, seed):
 def _collapse_case_instances():
     """Terms that must collapse: an edge contracted inside one merged
     piece, and an extreme merge pinning a cluster to an anchor."""
-    from .chainledger import Term, WeightSpec
+    from .chainledger import Term, WeightSpec, parse_expr
     inside = parse_expr("x;y+(1*s1)v;y+(-1*s1)v;x", 4)
     P_in = Partition(4, (1, 1, 2, 1, 1))
     extreme = parse_expr("y+(1*s1)v;x;y+(-1*s1)v;x", 4)
@@ -1101,7 +1019,7 @@ def _collapse_case_instances():
 def _power_check_terms():
     """Terms with genuine non-basepoint content; the attack must find
     witnesses for these or it has no teeth."""
-    from .chainledger import Term, WeightSpec
+    from .chainledger import Term, WeightSpec, parse_expr
     f2 = parse_expr("x;y+(1*s1)v;y+(-1*s1)v;x", 4)
     psi1 = parse_expr("(1-1*t1)x+(1*t1)y+(1*s1)v;(1*t1)x+(1-1*t1)y+(-1*s1)v;"
                       "y+(-1*s1)v;x+(-1*s1)v", 4)
@@ -1183,3 +1101,13 @@ def _check_i_contraction(rng, samples, seed):
                             "x": [str(Fraction(c, E)) for c in x],
                             "y": [str(Fraction(c, E)) for c in y]})
     return _report("i-contraction", samples, bad, seed)
+
+
+# the harnesses by lemma name, in report order
+_LEMMAS = {"condensed-image": _check_condensed_image,
+           "diagonal-bound": _check_diagonal_bound,
+           "diagonal-incl": _check_diagonal_incl,
+           "collapse0": _check_collapse0,
+           "collapse-cases": _check_collapse_cases,
+           "i-contraction": _check_i_contraction}
+ALL_LEMMAS = tuple(_LEMMAS)

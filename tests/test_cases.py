@@ -8,8 +8,11 @@ import pytest
 from knotss import cases
 from knotss.cases import (all_cases, chain_c, chain_cycle_ch3, chain_pair,
                           chain_triple, run_case, _load_cases)
-from knotss.chainledger import (Chain, ZeroFacts, apply_delta, boundary_D,
-                                canon_term, contraction, f_graph, single)
+from knotss.chainledger import (Chain, ZeroFacts, apply_delta, apply_facts,
+                                boundary_D, canon_term, contraction, f_graph,
+                                single)
+from knotss.fields import Field
+from knotss.linalg import column_kernel
 from knotss.partgraph import PGraph, parse_graph
 
 FACTS = ZeroFacts.load()
@@ -102,16 +105,13 @@ ASSEMBLED = ("ch2-bounding", "ch3-first-bounding", "ch3-3term")
 
 def _assembled_parts(spec):
     """(weight, chain) of each part of a bounding case's assembled chain
-    (pairs and corrections) or of a three-term case's relation chain
-    (pairs and the triple chain)."""
+    (its pairs) or of a three-term case's relation chain (pairs and the
+    triple chain)."""
     n = spec["n"]
     directions = (1, -1) if spec["kind"] == "three-term" else (1,)
     parts = [(w, chain_pair(parse_graph(g, n), parse_graph(h, n), i, directions))
              for (g, h, i, _, _, w) in spec["pairs"]]
-    if spec["kind"] == "bounding":
-        parts += [(w, chain_cycle_ch3(parse_graph(g, n), i))
-                  for (g, i, w) in spec.get("corrections", [])]
-    else:
+    if spec["kind"] == "three-term":
         graphs = [parse_graph(g, n) for g in spec["graphs"]]
         parts.append((spec["triple_weight"],
                       chain_triple(*graphs, spec["triple"])))
@@ -151,6 +151,176 @@ def test_a_wrong_part_weight_fails_the_assembled_check(name):
         failed = [c["name"] for c in rep["checks"] if not c["pass"]]
         assert len(failed) == 1 and ("assembled" in failed[0]
                                      or "relation" in failed[0]), (key, k)
+
+
+# ---------------------------------------------------------------------------
+# the weights solved, not given: each weighted check says that a weighted
+# sum of building blocks vanishes mod char after the facts, so the weight
+# vectors it accepts are the kernel of the blocks as columns over F_char
+
+
+def _blocks(spec):
+    """The building blocks of each weighted check of an assembled case,
+    as chains: per pair ("pair", k), D c(G,H,i), delta_i c(G) and
+    delta_i c(H); for "assembled", D of each pair chain (and of the
+    triple chain), then the merge image of each c(G)."""
+    n = spec["n"]
+    directions = (1, -1) if spec["kind"] == "three-term" else (1,)
+    graphs = {t: parse_graph(t, n) for t in spec["graphs"]}
+    cycles = {t: chain_c(G, directions) for t, G in graphs.items()}
+    blocks, parts = {}, []
+    for k, (g, h, i, _, _, _) in enumerate(spec["pairs"]):
+        parts.append(boundary_D(chain_pair(graphs[g], graphs[h], i,
+                                           directions)))
+        blocks["pair", k] = [parts[-1], apply_delta(cycles[g], i),
+                             apply_delta(cycles[h], i)]
+    if spec["kind"] == "three-term":
+        parts.append(boundary_D(chain_triple(*graphs.values(),
+                                             spec["triple"])))
+    blocks["assembled"] = parts + [apply_delta(cycles[t])
+                                   for t in spec["graphs"]]
+    return blocks
+
+
+def _weights(spec):
+    """The spec's numbers for each check of _blocks, in its column order:
+    (1, -sg, -sh) per pair; the pair weights (and the triple weight),
+    then -assembly_sign times each assembly entry."""
+    weights = {("pair", k): [1, -sg, -sh]
+               for k, (_, _, _, sg, sh, _) in enumerate(spec["pairs"])}
+    parts = [w for (*_, w) in spec["pairs"]]
+    parts += [spec["triple_weight"]] if "triple_weight" in spec else []
+    weights["assembled"] = parts + [-spec["assembly_sign"] * a
+                                    for a in spec["assembly"]]
+    return weights
+
+
+def _columns(chains, char):
+    """Each chain reduced mod char and filtered by apply_facts, as a
+    sparse vector over F_char on one index of the Term keys."""
+    F, index = Field(char), {}
+    return [{index.setdefault(t.key(), len(index)): F.of(c)
+             for c, t in apply_facts(ch.reduce(char), FACTS).items()}
+            for ch in chains]
+
+
+def _kernel(char, cols):
+    return column_kernel(Field(char), cols)[1]
+
+
+def _on_line(char, v, weights):
+    """True when the weights mod char are a nonzero multiple of the
+    kernel vector v, which column_kernel makes 1 at its last column."""
+    F = Field(char)
+    s = F.of(weights[max(v)])
+    return bool(s) and [F.of(w) for w in weights] == [
+        F.mul(s, v.get(c, 0)) for c in range(len(weights))]
+
+
+def _corrections(specs):
+    """D of each correction c(G,i) that ch3-cycles checks."""
+    return [boundary_D(chain_cycle_ch3(parse_graph(g, 5), i))
+            for g, i in specs["ch3-cycles"]["corrections"]]
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """{case: {check: columns}} for the assembled cases, and for
+    ch3-first-bounding also "with corrections": its assembled columns
+    followed by the D of ch3-cycles' three corrections."""
+    specs = _load_cases()
+    out = {}
+    for name in ASSEMBLED:
+        blocks = _blocks(specs[name])
+        if name == "ch3-first-bounding":
+            blocks["with corrections"] = (blocks["assembled"]
+                                          + _corrections(specs))
+        out[name] = {check: _columns(chains, specs[name]["char"])
+                     for check, chains in blocks.items()}
+    return out
+
+
+def test_the_checked_in_weights_are_the_only_solution(solved):
+    # every pair check and every assembled check has a one-dimensional
+    # kernel, the line through the checked-in numbers: no sign, weight
+    # or assembly entry of the three assembled cases is free
+    specs = _load_cases()
+    pairs = 0
+    for name in ASSEMBLED:
+        spec, char = specs[name], specs[name]["char"]
+        weights = _weights(spec)
+        assert set(weights) == set(solved[name]) - {"with corrections"}
+        for check, want in weights.items():
+            kernel = _kernel(char, solved[name][check])
+            assert len(kernel) == 1, (name, check, len(kernel))
+            assert _on_line(char, kernel[0], want), (name, check)
+            pairs += check != "assembled"
+    assert pairs == 10
+
+
+def test_the_corrections_are_free_cycles_of_the_first_bounding(solved):
+    # ch3-cycles' three corrections c(G,i) have a D that is 0 after the
+    # facts mod 3, so as columns of ch3-first-bounding they add one free
+    # direction each (the kernel grows from 1 to 4): a bounding chain is
+    # fixed only up to cycles modulo the facts, and the spec adds none
+    cols = solved["ch3-first-bounding"]["with corrections"]
+    m = len(cols) - 3
+    assert cols[m:] == [{}, {}, {}]
+    kernel = _kernel(3, cols)
+    assert len(kernel) == 4
+    assert kernel[1:] == [{m: 1}, {m + 1: 1}, {m + 2: 1}]
+    want = _weights(_load_cases()["ch3-first-bounding"])["assembled"]
+    assert _on_line(3, kernel[0], want)
+
+
+def test_the_merge_3_pair_carries_both_survivors():
+    # the survivors case reads ch2-bounding's pairs; after the facts mod
+    # 2 their merge images keep 2, 0 and 0 terms, so the weights of the
+    # merge-1 and merge-2 pairs are free there and the merge-3 pair
+    # alone gives the two expected survivors
+    specs = _load_cases()
+    spec = specs["ch2-d2-survivors"]
+    source = specs[spec["bounding"]]
+    merged = [apply_facts(apply_delta(chain_pair(parse_graph(g, 4),
+                                                 parse_graph(h, 4), i)),
+                          FACTS).reduce(2)
+              for (g, h, i, _, _, _) in source["pairs"]]
+    assert [len(ch) for ch in merged] == [2, 0, 0]
+    assert [p[2] for p in source["pairs"]] == [3, 1, 2]
+    got = sorted([t.expr.text(), str(t.label)] for _, t in merged[0].items())
+    assert got == sorted(spec["expected"])
+
+
+def _mutants(spec):
+    """Copies of an assembled spec with one number changed: a pair's sg
+    flipped, a pair weight zeroed, an assembly entry flipped (mod 2,
+    where flipping is invisible, set to 0)."""
+    flip = (lambda x: 0) if spec["char"] == 2 else (lambda x: -x)
+    for k in range(len(spec["pairs"])):
+        for at, change in ((3, flip), (5, lambda x: 0)):
+            bad = copy.deepcopy(spec)
+            bad["pairs"][k][at] = change(bad["pairs"][k][at])
+            yield ("pairs", k, at), bad
+    for k in range(len(spec["assembly"])):
+        bad = copy.deepcopy(spec)
+        bad["assembly"][k] = flip(bad["assembly"][k])
+        yield ("assembly", k), bad
+
+
+def test_a_wrong_spec_number_is_off_the_solved_line(solved):
+    # the solved kernels reject every one-number mutant of the specs
+    specs = _load_cases()
+    count = 0
+    for name in ASSEMBLED:
+        char = specs[name]["char"]
+        kernels = {check: _kernel(char, cols)
+                   for check, cols in solved[name].items()}
+        for what, bad in _mutants(specs[name]):
+            assert not all(_on_line(char, kernels[check][0], want)
+                           for check, want in _weights(bad).items()), \
+                (name, what)
+            count += 1
+    assert count == 2 * 10 + 3 + 4 + 3
 
 
 def test_one_pair_identity_is_exact_over_Q():

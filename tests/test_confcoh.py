@@ -46,6 +46,17 @@ def test_normal_form_examples():
     assert y == parse_class("g12*g23", 3, QQ).scale(-1)
 
 
+def test_normal_form_rejects_generators_out_of_range():
+    # normal_form checks its own factors: parse_class validates first,
+    # so this is the only route that reaches the check
+    for arity, factors, bad in ((3, [(1, 2), (1, 4)], "g(1,4)"),
+                                (4, [(2, 2)], "g(2,2)")):
+        with pytest.raises(ValueError) as err:
+            normal_form(arity, factors, QQ)
+        assert str(err.value) == ("generator %s out of range at arity %d"
+                                  % (bad, arity))
+
+
 def reference_straighten(factors):
     """Worklist straightening, the reference for straighten: sort each
     product by (second, first) index with the sign of the permutation,

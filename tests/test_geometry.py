@@ -10,16 +10,16 @@ from math import gcd, lcm
 import pytest
 
 from knotss import geometry
-from knotss.chainledger import (MapExpr, Poly, ZeroFacts, contraction,
-                                f_graph, straight)
+from knotss.chainledger import (MapExpr, Poly, ZeroFacts, parse_expr,
+                                parse_term)
 from knotss.fields import QQ
 from knotss.geometry import (ALL_LEMMAS, Params, TermRows, Tube,
                              anchor_centers, attack_term, attack_zero_facts,
                              check_lemma, default_params, e_embed, eps_P,
-                             in_E, parse_expr, parse_term, project_mean,
-                             tube_dist2, _diagonal_sample, _excised_sample,
-                             _ls_step, _near_tube_sample, _power_check_terms,
-                             _translation_free, _try_escape_excision)
+                             in_E, project_mean, tube_dist2, _diagonal_sample,
+                             _excised_sample, _ls_step, _near_tube_sample,
+                             _power_check_terms, _translation_free,
+                             _try_escape_excision)
 from knotss.linalg import Matrix, VerificationError, kernel_basis, solve_many
 from knotss.partgraph import (PGraph, Partition, discrete_partition,
                               enumerate_partitions, parse_graph)
@@ -567,19 +567,6 @@ def test_anchor_centers_extreme_pieces():
     assert anchors[1][1] == 0
 
 
-def test_parse_expr_roundtrip():
-    G = parse_graph("(1,4)(2,3)", 4)
-    f = f_graph(G)
-    exprs = [f,
-             contraction(f, G, (2, 3), "s1"),
-             contraction(contraction(f, G, (1, 4), "s1"), G, (2, 3), "s2"),
-             straight(f, f.swap_xy(), "t1")]
-    for e in exprs:
-        assert parse_expr(e.text(), 4) == e
-    with pytest.raises(ValueError):
-        parse_expr("x;y", 4)
-
-
 # the attack's exact search path at this seed: the first restart of each
 # power check finds these, and any change to the search's arithmetic
 # that moves a restart shows here
@@ -750,6 +737,13 @@ def test_recorded_tube_widths():
 def test_lemma_harness_quick(name):
     rep = check_lemma(name, samples=80)
     assert rep["pass"], rep["counterexamples"][:3]
+
+
+def test_check_lemma_rejects_an_unknown_name():
+    assert ALL_LEMMAS == ("condensed-image", "diagonal-bound", "diagonal-incl",
+                          "collapse0", "collapse-cases", "i-contraction")
+    with pytest.raises(ValueError):
+        check_lemma("nope")
 
 
 def test_compiled_in_space_matches_the_reference():
