@@ -35,14 +35,20 @@ class Field:
         return "q" if self.p is None else "f%d" % self.p
 
     def of(self, x):
-        """Coerce an int or Fraction into this field."""
-        if self.p is None:
-            return Fraction(x)
+        """Coerce an int or Fraction into this field.  Anything else is a
+        TypeError, and a Fraction whose denominator p divides is a
+        ValueError over F_p."""
         if isinstance(x, int):
-            return x % self.p
-        x = Fraction(x)
-        den_inv = pow(x.denominator % self.p, -1, self.p)
-        return (x.numerator * den_inv) % self.p
+            return Fraction(x) if self.p is None else x % self.p
+        if not isinstance(x, Fraction):
+            raise TypeError("field value must be an int or a Fraction, got %r"
+                            % (x,))
+        if self.p is None:
+            return x
+        if not x.denominator % self.p:
+            raise ValueError("%s has no value in F_%d: its denominator is "
+                             "divisible by %d" % (x, self.p, self.p))
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p if self.p is not None else a + b

@@ -32,8 +32,7 @@ keep a separate reduction loop and the per-prefix oracle).
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import (Eliminator, Matrix, Subspace, VerificationError,
-                     column_kernel, induced_map, rank, solve_many, sparse,
-                     subquotient)
+                     column_kernel, induced_map, rank, sub_scaled, subquotient)
 
 
 class FilteredComplex:
@@ -254,7 +253,13 @@ def random_filtered_complex(rng, field, max_basis=30):
 
     Built as a sum of two-term complexes plus free generators, then
     conjugated by a random unipotent, filtration-lowering change of
-    basis (which preserves the allowed block pattern and D^2 = 0).
+    basis g = 1 + N (which preserves the allowed block pattern and
+    D^2 = 0), on sparse columns: D is {source: (target, weight)}, with
+    no entry where a weight vanishes in the field.  N strictly lowers
+    p, so one pass in increasing p gives g^-1 e_j = e_j - sum_i
+    N_ij g^-1 e_i from columns already known, and column j of
+    g D g^-1 sums, over D's entries, w e_s -> e_t, the entry of
+    g^-1 e_j at s times w (e_t + N e_t).
     """
     n_pairs = rng.randint(0, max_basis // 2)
     n_free = rng.randint(0, max_basis - 2 * n_pairs)
@@ -273,22 +278,36 @@ def random_filtered_complex(rng, field, max_basis=30):
         deg = rng.randint(0, 3)
         slots.append((p, p + deg))
     dim = len(slots)
-    D = Matrix.zeros(field, dim, dim)
-    for (j, i) in pairs:
-        D.rows[i][j] = field.of(rng.randint(1, 4))
-    # unipotent change of basis: g = I + (same degree, strictly lower p)
-    g = Matrix.identity(field, dim)
+    zero, one = field.zero, field.one
+    D = {}
+    for (j, t) in pairs:
+        if w := field.of(rng.randint(1, 4)):
+            D[j] = (t, w)
+    # N = g - 1, by columns: same degree, strictly lower p
+    N = [{} for _ in range(dim)]
     for j in range(dim):
+        pj, qj = slots[j]
         for i in range(dim):
             pi, qi = slots[i]
-            pj, qj = slots[j]
             if qi - pi == qj - pj and pi < pj and rng.random() < 0.3:
-                g.rows[i][j] = field.of(rng.randint(-2, 2))
-    ginv = Matrix.from_columns(
-        field, solve_many(g, Matrix.identity(field, dim).columns()), ambient=dim)
-    Dc = g.mul_matrix(D).mul_matrix(ginv)
-    return FilteredComplex(field, slots,
-                           {j: sparse(col) for j, col in enumerate(Dc.columns())})
+                if x := field.of(rng.randint(-2, 2)):
+                    N[j][i] = x
+    ginv = [None] * dim
+    for j in sorted(range(dim), key=lambda j: slots[j][0]):
+        ginv[j] = h = {j: one}
+        for i, x in N[j].items():
+            sub_scaled(field, zero, h, x, ginv[i].items())
+    columns = {}
+    for j in range(dim):
+        col = {}
+        for k, (t, w) in D.items():
+            x = ginv[j].get(k)
+            if x:
+                sub_scaled(field, zero, col, field.neg(field.mul(x, w)),
+                           ((t, one), *N[t].items()))
+        if col:
+            columns[j] = {i: col[i] for i in sorted(col)}
+    return FilteredComplex(field, slots, columns)
 
 
 def _reduce(C):

@@ -53,6 +53,29 @@ def test_int_coercion_matches_the_fraction_route():
     assert (QQ.zero, QQ.one) == (0, 1) and type(QQ.of(3)) is Fraction
 
 
+
+@pytest.mark.parametrize("F", [F2, F3, Field(5), QQ], ids=lambda F: F.name)
+@pytest.mark.parametrize("x", [0.5, 0.1, 2.0, "1/2", None],
+                         ids=["half", "tenth", "float-two", "str", "none"])
+def test_field_of_rejects_what_is_not_an_int_or_a_fraction(F, x):
+    # a float would be rounded to a binary fraction (0.1 over Q) or
+    # taken mod p (0.5 over F_3 gave 2); neither is an exact value
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        F.of(x)
+
+
+def test_field_of_names_a_denominator_that_vanishes_mod_p():
+    for F, x in [(F2, Fraction(1, 2)), (F3, Fraction(1, 3)),
+                 (F3, Fraction(-5, 6)), (Field(5), Fraction(7, 10))]:
+        with pytest.raises(ValueError) as err:
+            F.of(x)
+        assert str(err.value) == ("%s has no value in F_%d: its denominator "
+                                  "is divisible by %d" % (x, F.p, F.p))
+    # other denominators are inverted mod p, and Q keeps the Fraction
+    assert F3.of(Fraction(1, 2)) == 2 and Field(5).of(Fraction(-7, 3)) == 1
+    assert QQ.of(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(QQ.of(Fraction(4, 2))) is Fraction
+
 def test_rank_trivial_cases():
     assert rank(Matrix.identity(Field(5), 3)) == 3
     assert rank(Matrix(QQ, [[1, 2], [2, 4]])) == 1

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from knotss import linalg, spectral
-from knotss.fields import F2, F3, QQ
-from knotss.linalg import Matrix, VerificationError, sparse, sub_scaled
+from knotss.fields import F2, F3, QQ, Field
+from knotss.linalg import (Matrix, VerificationError, solve_many, sparse,
+                           sub_scaled)
 from knotss.hochschild import build_sinha_complex
 from knotss.spectral import (FilteredComplex, einf_dims, filtration_pairs,
                              page_ranks, random_filtered_complex, ss_pages,
@@ -167,6 +168,105 @@ def reference_total_homology_graded(C):
                 out[(p, n + p)] = elim.rank - prev_rank
             prev_rank = elim.rank
     return out
+
+
+def reference_random_filtered_complex(rng, field, max_basis=30, seen=None):
+    """random_filtered_complex by the dense route: D as a Matrix, g as a
+    Matrix, g^-1 from solve_many on the identity's columns and
+    g D g^-1 from two mul_matrix products; the same draws from rng.
+    When seen is a set, it gets "no pairs", "N empty" and ("vanished",
+    p) for a pair weight that is 0 in F_p, as they occur."""
+    n_pairs = rng.randint(0, max_basis // 2)
+    n_free = rng.randint(0, max_basis - 2 * n_pairs)
+    slots = []
+    pairs = []
+    for _ in range(n_pairs):
+        p = rng.randint(0, 4)
+        deg = rng.randint(0, 2)
+        r = rng.randint(0, p)
+        src = (p, p + deg)
+        tgt = (p - r, p + deg - r + 1)
+        pairs.append((len(slots), len(slots) + 1))
+        slots.extend([src, tgt])
+    for _ in range(n_free):
+        p = rng.randint(0, 4)
+        deg = rng.randint(0, 3)
+        slots.append((p, p + deg))
+    dim = len(slots)
+    D = Matrix.zeros(field, dim, dim)
+    for (j, i) in pairs:
+        D.rows[i][j] = field.of(rng.randint(1, 4))
+        if seen is not None and not D.rows[i][j]:
+            seen.add(("vanished", field.p))
+    # unipotent change of basis: g = I + (same degree, strictly lower p)
+    g = Matrix.identity(field, dim)
+    for j in range(dim):
+        for i in range(dim):
+            pi, qi = slots[i]
+            pj, qj = slots[j]
+            if qi - pi == qj - pj and pi < pj and rng.random() < 0.3:
+                g.rows[i][j] = field.of(rng.randint(-2, 2))
+    if seen is not None:
+        if not pairs:
+            seen.add("no pairs")
+        if g == Matrix.identity(field, dim):
+            seen.add("N empty")
+    ginv = Matrix.from_columns(
+        field, solve_many(g, Matrix.identity(field, dim).columns()), ambient=dim)
+    Dc = g.mul_matrix(D).mul_matrix(ginv)
+    return FilteredComplex(field, slots,
+                           {j: sparse(col) for j, col in enumerate(Dc.columns())})
+
+
+class _Forbidden:
+    """Stands in for a dense routine that the sparse generator must not
+    reach: calling it or reading any attribute raises."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("random_filtered_complex called %s" % self.name)
+
+    def __getattr__(self, attr):
+        raise AssertionError("random_filtered_complex read %s.%s"
+                             % (self.name, attr))
+
+
+def _layout(C):
+    """Everything of a complex the two routes must agree on, in order:
+    the slots, the column order, and each column's entry order, values
+    and value types."""
+    return C.slots, [(j, [(i, x, type(x)) for i, x in col.items()])
+                     for j, col in C.columns.items()]
+
+
+def test_random_complex_matches_the_dense_reference(monkeypatch):
+    # the sparse conjugation against the dense one, draw by draw from two
+    # generators seeded alike: the same complex, stored in the same
+    # order, and the same generator state after the draw
+    fields = [F2, F3, Field(5), Field(7), QQ]
+    seen = set()
+    draws = 0
+    for seed in (1, 2, 3):
+        for field in fields:
+            for max_basis in (0, 1, 2, 8, 14, 30):
+                ref_rng, rng = random.Random(seed), random.Random(seed)
+                for k in range(12):
+                    want = reference_random_filtered_complex(
+                        ref_rng, field, max_basis, seen=seen)
+                    with monkeypatch.context() as m:
+                        m.setattr(spectral, "Matrix", _Forbidden("Matrix"))
+                        m.setattr(linalg, "solve_many",
+                                  _Forbidden("solve_many"))
+                        got = random_filtered_complex(rng, field, max_basis)
+                    where = (seed, field, max_basis, k)
+                    assert _layout(got) == _layout(want), where
+                    assert rng.getstate() == ref_rng.getstate(), where
+                    draws += 1
+    assert draws == 3 * 5 * 6 * 12
+    # the draws the sparse route treats apart all occur in the sample
+    assert {("vanished", 2), ("vanished", 3), "N empty", "no pairs"} <= seen
 
 
 def _oracle_without_pairs(monkeypatch, C):
