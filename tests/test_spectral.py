@@ -247,7 +247,6 @@ def test_random_complex_matches_the_dense_reference(monkeypatch):
     # order, and the same generator state after the draw
     fields = [F2, F3, Field(5), Field(7), QQ]
     seen = set()
-    draws = 0
     for seed in (1, 2, 3):
         for field in fields:
             for max_basis in (0, 1, 2, 8, 14, 30):
@@ -263,8 +262,6 @@ def test_random_complex_matches_the_dense_reference(monkeypatch):
                     where = (seed, field, max_basis, k)
                     assert _layout(got) == _layout(want), where
                     assert rng.getstate() == ref_rng.getstate(), where
-                    draws += 1
-    assert draws == 3 * 5 * 6 * 12
     # the draws the sparse route treats apart all occur in the sample
     assert {("vanished", 2), ("vanished", 3), "N empty", "no pairs"} <= seen
 
