@@ -5,6 +5,12 @@ the table commands) echoing its resolved configuration and a schema
 version.  Exit codes: 0 success, 1 a verification failed (the report,
 or for a VerificationError the message on stderr, carries the witness),
 2 usage error.
+
+A run imports only the modules its subcommand executes.  conf-dims,
+ss-table and verify-cycle need confcoh, fields, hochschild, linalg and
+spectral, imported at the top.  The other subcommands import their own
+modules (geometry, partgraph, operads, cases, chainledger) inside their
+cmd_ function, so a page-table run neither loads nor compiles them.
 """
 
 import argparse
@@ -14,12 +20,8 @@ import sys
 
 from .confcoh import ParseError, admissible_basis, dim_cohomology, parse_class
 from .fields import field_by_name
-from .geometry import ALL_LEMMAS, check_lemma
 from .hochschild import MAX_ARITY, build_sinha_complex, e2_report
 from .linalg import VerificationError
-from .operads import d_squared_report
-from .partgraph import (count_graphs, discrete_partition, enumerate_partitions,
-                        verify_commutation)
 from .spectral import page_ranks
 
 SCHEMA_VERSION = "knotss-output/1"
@@ -116,6 +118,7 @@ def cmd_ledger(args):
 
 
 def cmd_ainf_check(args):
+    from .operads import d_squared_report
     _at_least("--max-arity", args.max_arity, 2)
     F = field_by_name(args.field)
     rep = d_squared_report(args.max_arity, F)
@@ -123,6 +126,8 @@ def cmd_ainf_check(args):
 
 
 def cmd_triple_commute(args):
+    from .partgraph import (count_graphs, discrete_partition,
+                            enumerate_partitions, verify_commutation)
     _at_least("--n", args.n, 1, 8)
     if args.max_edges is not None:
         _at_least("--max-edges", args.max_edges, 0)
@@ -139,6 +144,7 @@ def cmd_triple_commute(args):
 
 
 def cmd_geom(args):
+    from .geometry import ALL_LEMMAS, check_lemma
     _at_least("--samples", args.samples, 1)
     # only geom reads KNOTSS_SEED, so no other subcommand fails on it
     if args.seed is None:

@@ -19,10 +19,7 @@ images and drops it when it returns.
 """
 
 import re
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
-
-from .fields import Field
 
 
 def _sort_with_sign(factors):
@@ -92,17 +89,15 @@ def _straighten_sorted(fs, memo):
     return hit
 
 
-@dataclass
 class CohClass:
     """Linear combination of admissible monomials in H^q(Conf_p)."""
 
-    arity: int
-    degree: int
-    field: Field
-    terms: dict = dc_field(default_factory=dict)  # factor tuple -> field value
-
-    def __post_init__(self):
-        self.terms = {m: v for m, v in self.terms.items() if v}
+    def __init__(self, arity, degree, field, terms=None):
+        self.arity = arity
+        self.degree = degree
+        self.field = field
+        # factor tuple -> field value, zeros dropped
+        self.terms = {m: v for m, v in (terms or {}).items() if v}
         for m in self.terms:
             if len(m) != self.degree:
                 raise ValueError("mixed degrees in class")

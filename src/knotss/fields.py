@@ -66,7 +66,7 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.p is None:
-            return 1 / a
+            return self.one / a
         return pow(a, -1, self.p)
 
     def __eq__(self, other):

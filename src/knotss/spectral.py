@@ -29,8 +29,6 @@ prefixes are the filtered kernels, and the same Eliminator (the tests
 keep a separate reduction loop and the per-prefix oracle).
 """
 
-from dataclasses import dataclass, field as dc_field
-
 from .linalg import (Eliminator, Matrix, Subspace, VerificationError,
                      column_kernel, induced_map, rank, sub_scaled, subquotient)
 
@@ -135,15 +133,23 @@ def _span(field, ambient, vectors):
     return Subspace(field, ambient, [v for v in vectors if v and elim.add(v)])
 
 
-@dataclass
 class SSPage:
     """One page: per slot (-p, q) an entry with the dimension ("dim"),
     the rank of d_r out of the slot ("d_rank") and its target slot
     ("target"); ss_pages adds representatives in the total complex as
     sparse vectors ("reps") and the matrix of d_r ("d")."""
 
-    r: int
-    table: dict = dc_field(default_factory=dict)  # (-p, q) -> entry dict
+    def __init__(self, r, table=None):
+        self.r = r
+        self.table = {} if table is None else table  # (-p, q) -> entry dict
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.r, self.table) == (other.r, other.table)
+
+    def __repr__(self):
+        return "SSPage(r=%r, table=%r)" % (self.r, self.table)
 
     def dim(self, mp, q):
         e = self.table.get((mp, q))

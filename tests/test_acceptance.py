@@ -12,16 +12,17 @@ from knotss.chainledger import ZeroFacts, boundary_D
 from knotss.confcoh import dim_cohomology, parse_class, sinha_d1
 from knotss.fields import F2, F3, QQ
 from knotss.geometry import ALL_LEMMAS, attack_zero_facts, check_lemma
-from knotss.hochschild import (Matrix, build_sinha_complex, d2_via_lifting,
-                               e2_report, hochschild_complex, hochschild_delta,
-                               mu3_obstruction_rank, pointwise_presentation,
-                               toy_mu3_presentation)
+from knotss.hochschild import (Matrix, build_sinha_complex, e2_report,
+                               mu3_obstruction_rank)
 from knotss.operads import d_squared_report
 from knotss.partgraph import parse_graph, verify_commutation
 from knotss.spectral import (einf_dims, page_ranks, random_filtered_complex,
                              ss_pages, total_homology_graded)
 
 from geometry_reference import closed_form_projection_checks
+from hochschild_reference import (d2_via_lifting, hochschild_complex,
+                                  hochschild_delta, pointwise_presentation,
+                                  toy_mu3_presentation)
 
 FIELDS = (F2, F3, QQ)
 # sha256 of the 200-restart attack report (json, sorted keys): any change

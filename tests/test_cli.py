@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
+import knotss
 from knotss.cli import DEFAULT_SEED, main
 from knotss.linalg import VerificationError
 
@@ -98,6 +101,51 @@ def test_vacuous_run_is_usage_error(capsys, argv):
     assert argv[1] in err
 
 
+# modules that only ledger, ainf-check, triple-commute or geom execute
+UNUSED_BY_PAGES = ("geometry", "partgraph", "operads", "chainledger", "cases")
+
+
+def _fresh_modules(code):
+    """Run code in a fresh interpreter that imports knotss from this
+    checkout; returns what it printed as JSON."""
+    src = os.path.dirname(os.path.dirname(knotss.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_page_commands_load_only_the_modules_they_use(tmp_path):
+    # a worker compiles every module it imports from source, so the page
+    # commands must not import what only the other subcommands execute
+    loaded = _fresh_modules("""
+import json, sys
+names = lambda: sorted(m[7:] for m in sys.modules if m.startswith("knotss."))
+import knotss.cli
+seen = {"import": names()}
+for argv in (["conf-dims", "--max-arity", "4"],
+             ["ss-table", "--max-arity", "4", "--field", "f2"],
+             ["verify-cycle", "--arity", "3", "--class", "g12*g13"]):
+    knotss.cli.main(argv + ["--output", %r])
+    seen[argv[0]] = names()
+print(json.dumps(seen))
+""" % str(tmp_path / "out.json"))
+    for step, names in loaded.items():
+        assert not set(UNUSED_BY_PAGES) & set(names), (step, names)
+    assert loaded["import"] == loaded["verify-cycle"]
+
+
+@pytest.mark.parametrize("module", ["knotss.cli", "knotss.hochschild"])
+def test_page_modules_do_not_load_dataclasses(module):
+    before, after = _fresh_modules("""
+import json, sys
+before = "dataclasses" in sys.modules
+import %s
+print(json.dumps([before, "dataclasses" in sys.modules]))
+""" % module)
+    assert after == before
+
+
 def test_triple_commute_bounds_the_graph_count(capsys, monkeypatch):
     # the count is taken by binomials before any graph is built: --n 6
     # (41,658 graphs) and --n 8 --max-edges 2 (15,422) fit under 2^16,
@@ -108,7 +156,7 @@ def test_triple_commute_bounds_the_graph_count(capsys, monkeypatch):
         calls.append((n, max_edges))
         return {"pass": True}
 
-    monkeypatch.setattr("knotss.cli.verify_commutation", stub)
+    monkeypatch.setattr("knotss.partgraph.verify_commutation", stub)
     assert main(["triple-commute", "--n", "6"]) == 0
     assert main(["triple-commute", "--n", "8", "--max-edges", "2"]) == 0
     assert calls == [(6, None), (8, 2)]

@@ -7,18 +7,18 @@ from knotss.confcoh import (CohClass, admissible_basis, coface_terms,
                             dim_cohomology, normal_form, parse_class, sinha_d1)
 from knotss import hochschild
 from knotss.fields import F2, F3, QQ
-from knotss.hochschild import (MAX_ARITY, OperadPresentation,
-                               build_sinha_complex, conf_delta_matrix,
-                               d2_via_lifting, e2_report, hochschild_complex,
-                               hochschild_delta, mu3_obstruction_rank,
-                               normalized_slot, pointwise_presentation,
-                               toy_mu3_presentation)
+from knotss.hochschild import (MAX_ARITY, build_sinha_complex,
+                               conf_delta_matrix, e2_report,
+                               mu3_obstruction_rank, normalized_slot)
 from knotss.linalg import (Eliminator, Matrix, VerificationError,
                            kernel_basis, solve_many, sparse)
 from knotss.spectral import (FilteredComplex, einf_dims, page_ranks, ss_pages,
                              total_homology_graded)
 
 from confcoh_reference import class_to_vector, codegeneracy_pullback
+from hochschild_reference import (OperadPresentation, d2_via_lifting,
+                                  hochschild_complex, hochschild_delta,
+                                  pointwise_presentation, toy_mu3_presentation)
 
 FIELDS = [F2, F3, QQ]
 

@@ -76,6 +76,20 @@ def test_field_of_names_a_denominator_that_vanishes_mod_p():
     assert QQ.of(Fraction(1, 3)) == Fraction(1, 3)
     assert type(QQ.of(Fraction(4, 2))) is Fraction
 
+
+def test_qq_inverse_of_an_int_is_an_exact_fraction():
+    # 1 / 3 would be the float 0.333...; an Eliminator over Q fed ints
+    # scales its rows by these inverses
+    for a in (1, -1, 2, 3, -6, 10 ** 20 + 1):
+        inv = QQ.inv(a)
+        assert type(inv) is Fraction and inv * a == 1
+    elim = Eliminator(QQ)
+    elim.add({0: 2, 1: 3})
+    elim.add({0: 1, 2: 3})
+    rows = [x for row, _ in elim.rows.values() for x in row.values()]
+    assert rows == [Fraction(2, 3), 1, Fraction(1, 3), 1]
+    assert all(type(x) is Fraction for x in rows)
+
 def test_rank_trivial_cases():
     assert rank(Matrix.identity(Field(5), 3)) == 3
     assert rank(Matrix(QQ, [[1, 2], [2, 4]])) == 1

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -375,6 +376,35 @@ def test_pairs_match_the_reference_reduction_on_the_sinha_complex(
     for m in range(1, 7):
         C = build_sinha_complex(m, field, normalized=normalized)
         assert filtration_pairs(C) == _reference_pairs(monkeypatch, C), m
+
+
+def test_int_entries_over_q_reduce_like_fraction_entries():
+    # ints are exact over Q too: the reduction must divide by pivots in
+    # Fractions, not in floats, and give the pairs and pages of the
+    # Fraction-built complex
+    rng = random.Random(47)
+    complexes = [random_filtered_complex(rng, QQ, max_basis=14)
+                 for _ in range(60)]
+    complexes += [build_sinha_complex(5, QQ, normalized=n) for n in (True, False)]
+    divided = 0
+    for C in complexes:
+        columns = {j: {i: int(x) for i, x in col.items()}
+                   for j, col in C.columns.items()}
+        assert all(x.denominator == 1 for col in C.columns.values()
+                   for x in col.values())
+        Ci = FilteredComplex(QQ, C.slots, columns)
+        assert filtration_pairs(Ci) == filtration_pairs(C)
+        assert ranks(page_ranks(Ci, 6)) == ranks(page_ranks(C, 6))
+        _, R, V = spectral._reduce(C)
+        _, Ri, Vi = spectral._reduce(Ci)
+        assert (Ri, Vi) == (R, V)
+        # V holds Fractions only; a reduced column keeps an int entry only
+        # where no division touched it
+        assert all(type(x) is Fraction for v in Vi.values() for x in v.values())
+        assert all(type(x) in (int, Fraction) for r in Ri.values()
+                   for x in r.values())
+        divided += sum(x.denominator > 1 for v in Vi.values() for x in v.values())
+    assert divided  # some pivot was not +-1
 
 
 def _corrupt(monkeypatch, corruption):
