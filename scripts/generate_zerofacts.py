@@ -12,13 +12,12 @@ attack are recorded as zero facts with a structural classification.
 import argparse
 import json
 import os
-import random
 import sys
 import time
 
 from knotss.cases import _load_cases, all_cases, run_case
 from knotss.chainledger import ZeroFacts, parse_term
-from knotss.geometry import Tube, attack_term, default_params
+from knotss.geometry import attack_zero_facts
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "..", "src", "knotss", "data")
@@ -69,21 +68,18 @@ def main():
     ap.add_argument("--restarts", type=int, default=200)
     ap.add_argument("--seed", type=int, default=20260823)
     args = ap.parse_args()
-    rng = random.Random(args.seed)
 
     candidates = collect_candidates()
     print("residual candidates: %d" % len(candidates))
 
-    facts, survivors, failures = [], [], []
-    tubes = {}  # one compiled tube per stage
+    # attack_zero_facts walks the sorted keys with one random.Random(seed)
+    residue = ZeroFacts([{"expr": etext, "label": ltext, "n": info["n"]}
+                         for (etext, ltext), info in candidates.items()])
     t0 = time.time()
-    for (etext, ltext), info in sorted(candidates.items()):
-        n = info["n"]
-        term = parse_term(etext, ltext, n)
-        P = term.label.partition
-        if P not in tubes:
-            tubes[P] = Tube(default_params(n), P)
-        rep = attack_term(tubes[P], term, rng, restarts=args.restarts)
+    attack = attack_zero_facts(residue, restarts=args.restarts, seed=args.seed)
+    facts, survivors, failures = [], [], []
+    for ((etext, ltext), info), rep in zip(sorted(candidates.items()),
+                                           attack["reports"]):
         from_survivor_case = any("survivor" in c for c in info["cases"])
         if rep["witness"] is not None:
             if from_survivor_case:
@@ -95,8 +91,8 @@ def main():
                 print("WITNESS for a term that must vanish: %s @ %s"
                       % (etext, ltext))
         else:
-            kind, citation = classify(term.label)
-            facts.append({"expr": etext, "label": ltext, "n": n,
+            kind, citation = classify(parse_term(etext, ltext, info["n"]).label)
+            facts.append({"expr": etext, "label": ltext, "n": info["n"],
                           "kind": kind, "citation": citation,
                           "cases": sorted(info["cases"]),
                           "attack": {"restarts": args.restarts,

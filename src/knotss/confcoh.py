@@ -16,10 +16,18 @@ when an inner coface i meets factors with second indices i and i+1.
 The rewrite recurses on sorted factor tuples and memoizes its nodes in
 a dict the caller may pass: each d_1 assembly passes one for all of its
 images and drops it when it returns.
+
+Coefficients stay integers until they meet a field value, and meet it
+once.  parse_class sums the straightened terms of a class over Z and
+calls Field.of once per monomial; normal_form coerces its coeff once.
+coface_pullback and the class sum and product add the (monomial, int)
+pairs of coface_terms and straighten through linalg.sub_scaled.
 """
 
 import re
 from itertools import combinations
+
+from .linalg import sub_scaled
 
 
 def _sort_with_sign(factors):
@@ -110,8 +118,7 @@ class CohClass:
             raise ValueError("incompatible classes")
         F = self.field
         terms = dict(self.terms)
-        for m, v in other.terms.items():
-            terms[m] = F.add(terms.get(m, F.zero), v)
+        sub_scaled(F, F.zero, terms, F.neg(F.one), other.terms.items())
         return CohClass(self.arity, self.degree, F, terms)
 
     def scale(self, c):
@@ -138,10 +145,8 @@ class CohClass:
         terms = {}
         for m1, v1 in self.terms.items():
             for m2, v2 in other.terms.items():
-                c = F.mul(v1, v2)
-                for m, z in straighten(m1 + m2).items():
-                    zc = F.mul(F.of(z), c)
-                    terms[m] = F.add(terms.get(m, F.zero), zc)
+                sub_scaled(F, F.zero, terms, F.neg(F.mul(v1, v2)),
+                           straighten(m1 + m2).items())
         return CohClass(self.arity, self.degree + other.degree, F, terms)
 
     def __repr__(self):
@@ -161,12 +166,9 @@ def normal_form(arity, factors, field, coeff=1):
         if not (1 <= i < j <= arity):
             raise ValueError("generator g(%d,%d) out of range at arity %d"
                              % (i, j, arity))
-    F = field
-    c = F.of(coeff)
-    terms = {}
-    for m, z in straighten(factors).items():
-        terms[m] = F.add(terms.get(m, F.zero), F.mul(F.of(z), c))
-    return CohClass(arity, len(factors), F, terms)
+    c = field.of(coeff)
+    return CohClass(arity, len(factors), field,
+                    {m: field.mul(c, z) for m, z in straighten(factors).items()})
 
 
 def zero_class(arity, degree, field):
@@ -244,24 +246,17 @@ def coface_terms(i, p, m, memo=None):
     return pairs if sign == 1 else tuple((mm, -z) for mm, z in pairs)
 
 
-def coface_image(i, p, m):
-    """coface_terms as a dict {admissible factor tuple: int}."""
-    return dict(coface_terms(i, p, m))
-
-
 def coface_pullback(i, x):
-    """Pullback of the class x along the i-th coface (see coface_image)."""
+    """Pullback of the class x along the i-th coface (see coface_terms)."""
     p = x.arity
     if p < 2:
         raise ValueError("arity must be at least 2")
     if not (0 <= i <= p):
         raise ValueError("coface index %d out of range 0..%d" % (i, p))
     F = x.field
-    terms = {}
+    terms, memo = {}, {}
     for m, c in x.terms.items():
-        for mm, z in coface_image(i, p, m).items():
-            zc = F.mul(F.of(z), c)
-            terms[mm] = F.add(terms.get(mm, F.zero), zc)
+        sub_scaled(F, F.zero, terms, F.neg(c), coface_terms(i, p, m, memo))
     return CohClass(p - 1, x.degree, F, terms)
 
 
@@ -281,71 +276,75 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<star>\*)"
-                    r"|g\((?P<a>\d+),\s*(?P<b>\d+)\)|g(?P<c>\d)(?P<d>\d))")
+_TOKEN = re.compile(r"(?:(?P<sign>[+-])|(?P<int>\d+)|(?P<star>\*)"
+                    r"|g\((?P<a>\d+),\s*(?P<b>\d+)\)|g(?P<c>\d)(?P<d>\d))\s*")
 
 
 def parse_class(text, arity, field):
     """Parse 'g14*g23 + g13*g24' or '-2*g(1,3)*g(2,4) + ...' into a class.
 
-    Grammar: signed terms joined by + / -; each term an optional integer
-    coefficient and '*'-joined generators, written gAB for single-digit
-    indices or g(A,B) in general.
+    Grammar: terms joined by + or -, the first with an optional sign;
+    each term an optional integer coefficient and generators, joined by
+    '*' or juxtaposed, written gAB for single-digit indices or g(A,B) in
+    general.  A sign needs a term after it and a '*' a factor on each
+    side; a ParseError names the position of the offending token.
+
+    The straightened coefficients of all terms are summed over Z, and
+    each monomial's sum meets the field once, in Field.of.
     """
-    pos = 0
-    terms = []  # (coeff, factors)
-    sign = 1
-    expect_term = True
-    coeff = None
-    factors = None
+    terms = []  # (int coefficient, factor tuple)
+    sign, coeff, factors = 1, None, []
+    sign_at = star_at = None  # a sign or '*' still waiting for its factor
 
-    def flush(at):
-        nonlocal coeff, factors, sign
-        if factors is None and coeff is None:
-            raise ParseError("empty term", at)
-        if factors is None:
-            factors = []
-        terms.append((sign * (1 if coeff is None else coeff), list(factors)))
-        coeff, factors, sign = None, None, 1
+    def term():
+        return sign * (1 if coeff is None else coeff), tuple(factors)
 
+    pos = len(text) - len(text.lstrip())
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
-                break
             raise ParseError("unexpected character %r" % text[pos], pos)
-        pos = m.end()
+        at, pos = pos, m.end()
+        gen = m.group("a") or m.group("c")
+        if star_at is not None and not gen:
+            raise ParseError("'*' without a generator after it", star_at)
         if m.group("sign"):
-            if not expect_term:
-                flush(m.start())
-            sign = 1 if m.group("sign") == "+" else -1
-            expect_term = True
-        elif m.group("int"):
-            if coeff is not None or factors is not None:
-                raise ParseError("misplaced coefficient", m.start())
-            coeff = int(m.group("int"))
-            expect_term = False
+            if sign_at is not None:
+                raise ParseError("sign after a sign", at)
+            if coeff is not None or factors:
+                terms.append(term())
+                coeff, factors = None, []
+            sign, sign_at = (1 if m.group("sign") == "+" else -1), at
         elif m.group("star"):
-            expect_term = False
+            if coeff is None and not factors:
+                raise ParseError("'*' without a factor before it", at)
+            star_at = at
+        elif m.group("int"):
+            if coeff is not None or factors:
+                raise ParseError("misplaced coefficient", at)
+            coeff, sign_at = int(m.group("int")), None
         else:
-            a = int(m.group("a") or m.group("c"))
-            b = int(m.group("b") or m.group("d"))
+            a, b = int(gen), int(m.group("b") or m.group("d"))
             if not (1 <= a < b):
-                raise ParseError("generator indices must satisfy i < j", m.start())
+                raise ParseError("generator indices must satisfy i < j", at)
             if b > arity:
-                raise ParseError("index %d exceeds arity %d" % (b, arity), m.start())
-            if factors is None:
-                factors = []
+                raise ParseError("index %d exceeds arity %d" % (b, arity), at)
             factors.append((a, b))
-            expect_term = False
-    if coeff is not None or factors is not None:
-        flush(len(text))
+            sign_at = star_at = None
+    if star_at is not None:
+        raise ParseError("'*' without a generator after it", star_at)
+    if sign_at is not None:
+        raise ParseError("sign without a term after it", sign_at)
+    if coeff is not None or factors:
+        terms.append(term())
     if not terms:
         raise ParseError("empty expression", 0)
     degrees = {len(fs) for _, fs in terms}
     if len(degrees) > 1:
         raise ParseError("mixed degrees %s" % sorted(degrees), 0)
-    out = zero_class(arity, degrees.pop(), field)
+    total = {}
     for c, fs in terms:
-        out = out + normal_form(arity, fs, field, coeff=c)
-    return out
+        for mono, z in straighten(fs).items():
+            total[mono] = total.get(mono, 0) + c * z
+    return CohClass(arity, degrees.pop(), field,
+                    {mono: field.of(z) for mono, z in total.items() if z})

@@ -1,37 +1,27 @@
-"""Hochschild-style complex of an operad with multiplication, built on
-the dual spaces, and its arity-filtered spectral sequence.
+"""The Sinha complex of the configuration-space tower: its d_1, the
+filtered complex build_sinha_complex hands to spectral, and e2_report,
+the second-page verdicts of verify-cycle.
 
-For an operad O with distinguished elements mu_l in O(l) of degree
-l - 2, the complex has slots Hoch^{p,q} = (O(p)_q)^dual and
-differential delta, where
+Slot (p, q) holds H^q(Conf_p(R^2)) on the admissible monomials of
+confcoh, and d_1 out of it is Sinha's: the alternating sum of the coface
+pullbacks into slot (p - 1, q), the i-th signed (-1)^i.  delta_columns
+computes it on one sparse integer route, on the slots' monomials in
+source and target: all admissible monomials for the plain complex, the
+normalized ones for the normalized complex.  Its callers coerce each
+nonzero entry into the field once.  conf_delta_matrix is its dense
+view; confcoh.sinha_d1 computes the same sum on classes, and the tests
+compare the two.  build_sinha_complex filters the tower by arity, so
+d_1 is the differential of the spectral sequence's first page.
 
-    delta(x) = sum_l ( x o_1 mu_l + sum_i mu_l o_i x + x o_l mu_l )
-
-with (x o_i mu_l)(y) = x(mu_l o_i y) for 1 <= i <= l and
-(mu_l o_i x)(y) = x(y o_i mu_l) for 1 <= i <= p - l + 1.  Each l-term
-lowers arity by l - 1 and lowers the internal degree by l - 2, so the
-blocks fit the filtered-complex pattern (p, q) -> (p - r, q - r + 1)
-with r = l - 1 and the arity filtration gives a spectral sequence.
-
-The summands carry +1, (-1)^i, (-1)^{p-l+2} in the order listed, i.e.
-(-1)^position.
-
-The motivating operad is the homology of the framed little-intervals
-tower whose dual pieces are the configuration-space cohomology rings of
-confcoh; for it delta is Sinha's d_1, the alternating sum of the coface
-pullbacks.  build_sinha_complex takes that d_1 from one sparse integer
-route, delta_columns, on the slots' monomials in source and target: all
-admissible monomials for the plain complex, the normalized ones for the
-normalized complex.  conf_delta_matrix is its dense view;
-confcoh.sinha_d1 computes the same sum on classes, and the tests compare
-the two.
-
-The general route, an operad given by explicit composition matrices
-with delta read off their rows (OperadPresentation, hochschild_complex,
+The d_1 is the Hochschild-style delta of the operad whose dual pieces
+are these cohomology rings, delta(x) = sum_l (x o_1 mu_l + sum_i mu_l
+o_i x + x o_l mu_l) with the positional sign (-1)^position.  The
+general route, an operad given by explicit composition matrices with
+delta read off their rows (OperadPresentation, hochschild_complex,
 d2_via_lifting and two synthetic presentations), runs in no command and
 lives beside the tests in tests/hochschild_reference.py.  This module
-imports only what ss-table and verify-cycle execute: confcoh, linalg and
-spectral.
+imports only what ss-table and verify-cycle execute: confcoh, linalg
+and spectral.
 """
 
 from .confcoh import admissible_basis, coface_terms, dim_cohomology

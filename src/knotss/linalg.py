@@ -13,6 +13,8 @@ and induced_map takes its map as a callable from sparse vectors to
 sparse vectors.  Entries pass through Field.of only at the edges:
 Matrix(field, rows) and the right-hand side of solve (solve_many takes
 field values); everything else keeps field values as they are.
+sub_scaled, the sparse update v -= c * w, also takes w with int
+entries: confcoh and operads sum over Z and meet the field there.
 """
 
 
@@ -173,12 +175,19 @@ def solve_many(M, bs):
 
 
 def sub_scaled(F, zero, v, c, items):
-    """v -= c * w in place, for a sparse v and the (t, w_t) of w's support."""
+    """v -= c * w in place, for a sparse v of field values, a field
+    value c and the (t, w_t) of w's support; a t may repeat.
+
+    This is the one sparse update for field values: the w_t may be
+    plain ints, which F.mul(c, w_t) brings into the field, so a caller
+    keeps integer coefficients (straighten, coface_terms, tree signs)
+    as they are until this edge and coerces nothing per term.
+    """
     for t, x in items:
         s = F.sub(v.get(t, zero), F.mul(c, x))
         if s:
             v[t] = s
-        else:
+        elif t in v:  # an int w_t may be 0 mod p where v has no t
             del v[t]
 
 

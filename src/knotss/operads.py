@@ -11,7 +11,14 @@ extended to trees as a derivation.  The summand mu_l o_{p+1} mu_q
 carries (-1)^{p + q(l-p-1)} and the derivation rule carries Koszul
 signs, so d squares to zero over any field.  Over F2 every sign is 1;
 over F3 and Q the unsigned sum fails d^2 = 0 from arity 4 on.
+
+Coefficients meet the field once.  The public FreeElement(field, terms)
+coerces its values and checks that its trees share one degree; _d_tree
+gives its Koszul signs as ints, and free_differential and + add them
+through linalg.sub_scaled into the unchecked FreeElement._of.
 """
+
+from .linalg import sub_scaled
 
 LEAF = "*"
 
@@ -76,6 +83,14 @@ class FreeElement:
             raise ValueError("inhomogeneous element: degrees %s" % sorted(degs))
 
     @classmethod
+    def _of(cls, field, terms):
+        """Internal constructor for nonzero field values on trees of one
+        degree."""
+        x = cls.__new__(cls)
+        x.field, x.terms = field, terms
+        return x
+
+    @classmethod
     def single(cls, field, tree, coeff=1):
         return cls(field, {tree: coeff})
 
@@ -85,15 +100,8 @@ class FreeElement:
     def __add__(self, other):
         F = self.field
         terms = dict(self.terms)
-        for t, c in other.terms.items():
-            v = F.add(terms.get(t, F.zero), c)
-            if v:
-                terms[t] = v
-            elif t in terms:
-                del terms[t]
-        out = FreeElement(F)
-        out.terms = terms
-        return out
+        sub_scaled(F, F.zero, terms, F.neg(F.one), other.terms.items())
+        return FreeElement._of(F, terms)
 
     def __eq__(self, other):
         return isinstance(other, FreeElement) and self.field == other.field \
@@ -104,28 +112,15 @@ class FreeElement:
                           sorted(self.terms.items(), key=lambda kv: repr(kv[0]))) or "0"
 
 
-def compose_free(a, i, b):
-    """Bilinear partial composition a o_i b."""
-    if a.field != b.field:
-        raise ValueError("mixed fields")
-    F = a.field
-    out = FreeElement(F)
-    for ta, ca in a.terms.items():
-        for tb, cb in b.terms.items():
-            out = out + FreeElement.single(F, graft(ta, i, tb), F.mul(ca, cb))
-    return out
-
-
 def ainf_differential(k, field):
     """d mu_k as a free element: the root summands of the derivation on
     generator(k); zero for k = 2."""
     return free_differential(FreeElement.single(field, generator(k)))
 
 
-def _d_tree(tree, field):
+def _d_tree(tree):
     """Derivation extension of the generator differential, as a list of
-    (coefficient, tree) with Koszul signs."""
-    F = field
+    (tree, sign) pairs with the Koszul signs as ints +1 and -1."""
     if tree == LEAF:
         return []
     k = tree[0]
@@ -142,15 +137,14 @@ def _d_tree(tree, field):
             for pos in range(k, 0, -1):
                 full = graft(full, pos, children[pos - 1])
             passed = sum(tree_degree(c) for c in children[:p])
-            sign = (-1) ** (p + q * (l - p - 1) + q * passed)
-            out.append((F.of(sign), full))
+            out.append((full, (-1) ** (p + q * (l - p - 1) + q * passed)))
     # differentiate inside each child, passing over the root and the
     # preceding children
     sign = (-1) ** (k - 2)
     for idx, child in enumerate(children):
-        for c0, sub in _d_tree(child, F):
-            coeff = F.mul(F.of(sign), c0)
-            out.append((coeff, (k,) + children[:idx] + (sub,) + children[idx + 1:]))
+        for sub, s in _d_tree(child):
+            out.append(((k,) + children[:idx] + (sub,) + children[idx + 1:],
+                        sign * s))
         sign *= (-1) ** (tree_degree(child) % 2)
     return out
 
@@ -158,11 +152,10 @@ def _d_tree(tree, field):
 def free_differential(x):
     """d on a formal sum of trees."""
     F = x.field
-    out = FreeElement(F)
+    terms = {}
     for t, c in x.terms.items():
-        for c0, t2 in _d_tree(t, F):
-            out = out + FreeElement.single(F, t2, F.mul(c, F.of(c0)))
-    return out
+        sub_scaled(F, F.zero, terms, F.neg(c), _d_tree(t))
+    return FreeElement._of(F, terms)
 
 
 def d_squared_report(max_arity, field):

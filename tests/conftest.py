@@ -1,6 +1,7 @@
 import pytest
 
 from knotss import hochschild
+from knotss.fields import Field
 
 
 @pytest.fixture
@@ -22,3 +23,17 @@ def flipped_delta_sign(monkeypatch):
         return cols
 
     monkeypatch.setattr(hochschild, "delta_columns", flipped)
+
+
+@pytest.fixture
+def field_of_calls(monkeypatch):
+    """A one-item list that counts the Field.of calls made after it is
+    set up; a test may reset it to 0."""
+    calls, of = [0], Field.of
+
+    def counted(self, x):
+        calls[0] += 1
+        return of(self, x)
+
+    monkeypatch.setattr(Field, "of", counted)
+    return calls

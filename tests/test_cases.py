@@ -1,5 +1,6 @@
 import copy
 import importlib.util
+import itertools
 import json
 import os
 
@@ -12,7 +13,7 @@ from knotss.chainledger import (Chain, ZeroFacts, apply_delta, apply_facts,
                                 boundary_D, canon_term, contraction, f_graph,
                                 single)
 from knotss.fields import Field
-from knotss.linalg import column_kernel
+from knotss.linalg import Eliminator, column_kernel
 from knotss.partgraph import PGraph, parse_graph
 
 FACTS = ZeroFacts.load()
@@ -289,6 +290,45 @@ def test_the_merge_3_pair_carries_both_survivors():
     assert [p[2] for p in source["pairs"]] == [3, 1, 2]
     got = sorted([t.expr.text(), str(t.label)] for _, t in merged[0].items())
     assert got == sorted(spec["expected"])
+
+
+def _accepted_pairs(spec):
+    """c(G,H,i) for every (G, H, i), G != H, among a case's graphs that
+    chain_pair accepts (it raises ValueError when the merged graphs
+    delta_i G and delta_i H differ)."""
+    graphs = {t: parse_graph(t, spec["n"]) for t in spec["graphs"]}
+    out = []
+    for g, h in itertools.permutations(spec["graphs"], 2):
+        for i in range(graphs[g].partition.num_pieces - 1):
+            try:
+                out.append(chain_pair(graphs[g], graphs[h], i))
+            except ValueError:
+                continue
+    return out
+
+
+@pytest.mark.parametrize("name, pairs, dim", [("ch2-bounding", 6, 4),
+                                              ("ch3-first-bounding", 12, 6)])
+def test_the_widened_pair_sets_keep_the_checked_in_assembly(name, pairs, dim):
+    # D of every accepted pair chain as a column, then the merge images
+    # of the case's c(G): the pair part of a bounding chain is not
+    # unique (kernel dimension 4 and 6), but the merge coordinates of
+    # the kernel span one line, through the checked-in assembly
+    spec = _load_cases()[name]
+    char, n = spec["char"], spec["n"]
+    chains = [boundary_D(ch) for ch in _accepted_pairs(spec)]
+    assert len(chains) == pairs
+    chains += [apply_delta(chain_c(parse_graph(t, n))) for t in spec["graphs"]]
+    kernel = _kernel(char, _columns(chains, char))
+    assert len(kernel) == dim
+    F = Field(char)
+    merge = Eliminator(F)
+    for v in kernel:
+        merge.add({j - pairs: x for j, x in v.items() if j >= pairs})
+    assert merge.rank == 1
+    # [1, 1, 1] for ch2, (-1, 1, 1, 1) mod 3 for ch3
+    assembly = {j: x for j, a in enumerate(spec["assembly"]) if (x := F.of(a))}
+    assert assembly and not merge.add(assembly)
 
 
 def _mutants(spec):

@@ -228,6 +228,14 @@ def test_verify_cycle_verdicts(capsys):
     assert main(["verify-cycle", "--class", "g1*bogus", "--arity", "4"]) == 2
 
 
+def test_verify_cycle_sign_after_a_sign_is_usage_error(capsys):
+    assert main(["verify-cycle", "--class", "g12 - + g13",
+                 "--arity", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: sign after a sign (at position 6)\n"
+
+
 def test_verify_cycle_over_q_at_arity_7_is_pinned(capsys):
     # sha256 of `knotss verify-cycle --arity 7 --field q --class
     # "g12*g34*g56*g17"` recorded while Eliminator still reduced each

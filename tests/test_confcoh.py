@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from knotss import confcoh
 from knotss.confcoh import (CohClass, ParseError, admissible_basis,
-                            coface_image, coface_pullback, coface_terms,
-                            dim_cohomology, normal_form,
-                            parse_class, sinha_d1, straighten, zero_class)
+                            coface_pullback, coface_terms, dim_cohomology,
+                            normal_form, parse_class, sinha_d1, straighten,
+                            zero_class)
 from knotss.fields import F2, F3, QQ
 
 from confcoh_reference import class_to_vector, codegeneracy_pullback
@@ -164,7 +164,7 @@ def test_coface_image_is_the_ring_map_of_the_generator_images():
                                 break
                             expected = expected * normal_form(p - 1, [g], F)
                         got = {mm: F.of(z)
-                               for mm, z in coface_image(i, p, m).items()}
+                               for mm, z in coface_terms(i, p, m)}
                         assert set(got) <= target, (p, m, i)
                         assert CohClass(p - 1, q, F, got) == expected, (p, m, i)
 
@@ -180,8 +180,8 @@ def test_coface_terms_match_the_reference_on_every_coface(monkeypatch):
     # over Z, on every admissible monomial with p <= 7 and every coface:
     # distinct admissible monomials with nonzero ints, whose dict is the
     # reference straightening of the generator images, with and without
-    # a shared memo; coface_image is that dict.  Every clashing image,
-    # and no other, reaches the rewrite, and some do at every p >= 3.
+    # a shared memo.  Every clashing image, and no other, reaches the
+    # rewrite, and some do at every p >= 3.
     rewrite, depth, calls = confcoh._straighten_sorted, [0], [0]
 
     def counted(fs, memo):
@@ -212,8 +212,7 @@ def test_coface_terms_match_the_reference_on_every_coface(monkeypatch):
                             assert type(z) is int and z, (p, m, i)
                             assert all(1 <= a < b < p for a, b in mm)
                             assert all(f[1] < g[1] for f, g in zip(mm, mm[1:]))
-                    assert coface_image(i, p, m) == expected, (p, m, i)
-        assert calls[0] == 3 * clashes, p
+        assert calls[0] == 2 * clashes, p
         assert clashes > 0 or p < 3, p
 
 
@@ -329,6 +328,40 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         parse_class("g12 & g13", 4, QQ)
     assert parse_class("g12*g12", 4, QQ).is_zero()
+
+
+@pytest.mark.parametrize("text, position", [
+    ("g12*g23 - + g12*g13", 10),  # a sign after a sign
+    ("--g12", 1),
+    ("g12+", 3),  # a trailing sign
+    ("g12*", 3),  # a '*' with no factor after it
+    ("*g12", 0),  # or before it
+    ("g12**g13", 3),
+])
+def test_parse_rejects_a_sign_or_star_without_its_factor(text, position):
+    # each of these once parsed as a class: a second sign overwrote the
+    # first, and a trailing sign or a dangling '*' was dropped
+    with pytest.raises(ParseError) as err:
+        parse_class(text, 3, QQ)
+    assert err.value.position == position
+
+
+def test_parse_keeps_a_single_leading_sign():
+    # criterion 04's class opens with -g(1,3)*...
+    assert parse_class("-g(1,3)*g(2,3)", 3, QQ) == \
+        normal_form(3, [(1, 3), (2, 3)], QQ, coeff=-1)
+    assert parse_class(" + g12 - g13", 3, QQ) == \
+        parse_class("g12", 3, QQ) - parse_class("g13", 3, QQ)
+
+
+def test_parse_class_coerces_once_per_monomial(field_of_calls):
+    # the four terms of criterion 04's class straighten to 8 distinct
+    # monomials; their integer sums meet the field once each
+    calls = field_of_calls
+    for F in FIELDS:
+        calls[0] = 0
+        x = parse_class(FOUR_TERM, 5, F)
+        assert calls[0] == len(x.terms) == 8, F
 
 
 def test_parse_paren_and_coefficients():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotss import operads
 from knotss.fields import F2, F3, QQ
-from knotss.operads import (LEAF, FreeElement, ainf_differential, compose_free,
+from knotss.operads import (LEAF, FreeElement, ainf_differential,
                             d_squared_report, free_differential, generator,
                             graft, leaf_count, tree_degree)
 
@@ -16,11 +16,23 @@ MU3 = generator(3)
 SIGNED_D_TREE = operads._d_tree
 
 
-def unsigned_d_tree(tree, field):
-    """operads._d_tree with every coefficient 1: the tree differential
-    without its Koszul signs, which tests patch in as a fault.  It is
-    the signed d over F2, where -1 = 1."""
-    return [(field.one, t) for _, t in SIGNED_D_TREE(tree, field)]
+def unsigned_d_tree(tree):
+    """operads._d_tree with every sign 1: the tree differential without
+    its Koszul signs, which tests patch in as a fault.  It is the signed
+    d over F2, where -1 = 1."""
+    return [(t, 1) for t, _ in SIGNED_D_TREE(tree)]
+
+
+def compose_free(a, i, b):
+    """Bilinear partial composition a o_i b."""
+    if a.field != b.field:
+        raise ValueError("mixed fields")
+    F = a.field
+    out = FreeElement(F)
+    for ta, ca in a.terms.items():
+        for tb, cb in b.terms.items():
+            out = out + FreeElement.single(F, graft(ta, i, tb), F.mul(ca, cb))
+    return out
 
 
 def test_generator_shape():
@@ -123,6 +135,18 @@ def test_d_squared_signed_all_fields():
                      (3, MU3, mu4, LEAF)]:
             x = FreeElement.single(F, tree)
             assert free_differential(free_differential(x)).is_zero(), (F, tree)
+
+
+def test_d_squared_report_coerces_only_in_the_public_constructor(
+        field_of_calls):
+    # _d_tree's signs are ints and the sums run through sub_scaled, so
+    # the only Field.of is FreeElement.single's, once per d mu_k
+    calls = field_of_calls
+    for F in FIELDS:
+        for k in (2, 5, 8):
+            calls[0] = 0
+            assert d_squared_report(k, F)["pass"]
+            assert calls[0] == k - 1, (F, k)
 
 
 def test_derivation_leibniz_on_composite():
