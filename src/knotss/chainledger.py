@@ -33,6 +33,7 @@ graph labels print, as the fact table stores it.
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -255,29 +256,46 @@ class MapExpr:
 # ---------------------------------------------------------------------------
 # expression text parsing: the inverse of MapExpr.text, for the fact table
 
+# a signed piece: an optional sign, then parenthesised groups (without
+# nested parentheses) and characters other than signs and parentheses
+_PIECE = re.compile(r"([+-]?)((?:\([^()]*\)|[^-+()])+)")
+_NUMERAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
 
 def parse_expr(text, n):
-    """Inverse of MapExpr.text for the restricted grammar it emits."""
+    """Inverse of MapExpr.text: the MapExpr of n components that text
+    writes.
+
+    Grammar: n components joined by ';'.  A component is "0" or signed
+    pieces joined by '+' or '-', the first with an optional sign; a piece
+    is a basis letter (x, y, u or v) or "(poly)" followed by one, and a
+    piece "0" adds nothing.  The coefficients of one basis letter sum.
+    Malformed text, a bad basis or a count other than n raises
+    ValueError.
+    """
+    parts = text.split(";")
+    if len(parts) != n:
+        raise ValueError("component count mismatch: %d in %r, want %d"
+                         % (len(parts), text, n))
     comps = []
-    for part in text.split(";"):
-        comp = {b: Poly() for b in "xyuv"}
-        for piece, sign in _split_signed(part):
-            if piece == "0":
+    for part in parts:
+        comp = {"x": {}, "y": {}, "u": {}, "v": {}}
+        for neg, body in _signed_pieces(part):
+            if body == "0":
                 continue
-            if piece.startswith("("):
-                body, base = piece[1:].split(")", 1)
-                poly = _parse_poly(body)
+            if body[0] == "(":
+                poly, base = body[1:].split(")", 1)
             else:
-                base = piece
-                poly = Poly.const(1)
-            if base not in comp:
-                raise ValueError("bad basis %r" % base)
-            comp[base] = comp[base] + (-poly if sign < 0 else poly)
-        comps.append([comp["x"], comp["y"], comp["u"], comp["v"]])
-    expr = MapExpr(comps)
-    if expr.n != n:
-        raise ValueError("component count mismatch")
-    return expr
+                poly, base = None, body
+            terms = comp.get(base)
+            if terms is None:
+                raise ValueError("bad basis %r in %r" % (base, part))
+            if poly is None:
+                _accumulate(terms, (), -1 if neg else 1)
+            else:
+                _parse_poly(poly, neg, terms)
+        comps.append([Poly._of(comp[b]) for b in MapExpr.BASIS])
+    return MapExpr(comps)
 
 
 def parse_term(etext, ltext, n):
@@ -290,36 +308,57 @@ def parse_term(etext, ltext, n):
     return Term(expr, weight, parse_graph(ltext, n))
 
 
-def _split_signed(text):
-    out, cur, sign, depth = [], "", 1, 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0:
-            if cur:
-                out.append((cur, sign))
-            cur, sign = "", (1 if ch == "+" else -1)
-        else:
-            cur += ch
-    if cur:
-        out.append((cur, sign))
+def _signed_pieces(text):
+    """(negative, body) of each signed piece of text, in order.  The
+    pieces must cover text exactly: empty text, a sign without a body
+    after it, or an unmatched or nested parenthesis raises ValueError."""
+    out, pos, end = [], 0, len(text)
+    while pos < end:
+        m = _PIECE.match(text, pos)
+        if m is None:
+            raise ValueError("malformed text %r at position %d" % (text, pos))
+        out.append((m.group(1) == "-", m.group(2)))
+        pos = m.end()
+    if not out:
+        raise ValueError("no term in %r" % text)
     return out
 
 
-def _parse_poly(text):
-    total = Poly()
-    for piece, sign in _split_signed(text):
-        coeff = Fraction(sign)
-        mono = []
-        for factor in piece.split("*"):
-            try:
-                coeff *= Fraction(factor)
-            except ValueError:
-                mono.append(factor)
-        total = total + Poly({tuple(mono): coeff})
-    return total
+def _parse_poly(text, neg, terms):
+    """Add the polynomial text, negated when neg, into terms, a dict of
+    sorted name tuples to coefficients.
+
+    Grammar: signed pieces joined by '+' or '-', the first with an
+    optional sign; a piece is factors joined by '*'.  A factor that
+    starts with a letter is a name, and every other factor is a numeral,
+    an integer "123" or a fraction "1/2" with a nonzero denominator.  The
+    numerals of a piece multiply into its coefficient; a name may occur
+    once per piece.
+    """
+    for minus, body in _signed_pieces(text):
+        coeff, names = -1 if minus != neg else 1, []
+        for factor in body.split("*"):
+            if factor[:1].isalpha():
+                names.append(factor)
+            else:
+                coeff *= _numeral(factor, text)
+        mono = tuple(sorted(names))
+        if len(set(mono)) != len(mono):
+            raise ValueError("monomial %r repeats a name in %r" % (body, text))
+        _accumulate(terms, mono, coeff)
+
+
+def _numeral(factor, text):
+    """The int or Fraction a numeral factor of text writes."""
+    m = _NUMERAL.fullmatch(factor)
+    if m is None:
+        raise ValueError("bad numeral %r in %r" % (factor, text))
+    num, den = m.groups()
+    if den is None:
+        return int(num)
+    if not int(den):
+        raise ValueError("zero denominator in %r" % text)
+    return Fraction(int(num), int(den))
 
 
 # ---------------------------------------------------------------------------

@@ -262,8 +262,20 @@ def _tsv_lines(command, report):
             yield "%s\t%s" % (k, json.dumps(v, sort_keys=True, default=str))
 
 
+def _join_class(argv):
+    """argv with each "--class" joined to the argument after it, so that
+    a class opening with a sign ("--class -g12") is not read as a flag."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--class":
+            out[-1] = "--class=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_class(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -271,7 +283,7 @@ def main(argv=None):
             # config values are defaults: put them before the real flags
             extra = _read_config(args.config)
             sub = argv[0]
-            args = parser.parse_args([sub] + extra + argv[1:])
+            args = parser.parse_args(_join_class([sub] + extra + argv[1:]))
         report, ok = args.fn(args)
         doc = {"schema": SCHEMA_VERSION, "command": args.command,
                "config": _echo_config(args), "report": report, "pass": ok}

@@ -18,8 +18,10 @@ a dict the caller may pass: each d_1 assembly passes one for all of its
 images and drops it when it returns.
 
 Coefficients stay integers until they meet a field value, and meet it
-once.  parse_class sums the straightened terms of a class over Z and
-calls Field.of once per monomial; normal_form coerces its coeff once.
+once.  The CohClass constructor coerces every value it is given;
+everything here builds through the unchecked CohClass._of instead.
+parse_class sums the straightened terms of a class over Z and calls
+Field.of once per monomial; normal_form coerces its coeff once.
 coface_pullback and the class sum and product add the (monomial, int)
 pairs of coface_terms and straighten through linalg.sub_scaled.
 """
@@ -98,17 +100,29 @@ def _straighten_sorted(fs, memo):
 
 
 class CohClass:
-    """Linear combination of admissible monomials in H^q(Conf_p)."""
+    """Linear combination of admissible monomials in H^q(Conf_p); terms
+    maps factor tuples to nonzero field values.  The constructor coerces
+    each value through field.of, as FreeElement's does."""
 
     def __init__(self, arity, degree, field, terms=None):
         self.arity = arity
         self.degree = degree
         self.field = field
-        # factor tuple -> field value, zeros dropped
-        self.terms = {m: v for m, v in (terms or {}).items() if v}
-        for m in self.terms:
-            if len(m) != self.degree:
-                raise ValueError("mixed degrees in class")
+        self.terms = {}
+        for m, v in (terms or {}).items():
+            v = field.of(v)
+            if v:
+                if len(m) != degree:
+                    raise ValueError("mixed degrees in class")
+                self.terms[m] = v
+
+    @classmethod
+    def _of(cls, arity, degree, field, terms):
+        """Internal constructor for nonzero field values on monomials of
+        the given degree."""
+        x = cls.__new__(cls)
+        x.arity, x.degree, x.field, x.terms = arity, degree, field, terms
+        return x
 
     def is_zero(self):
         return not self.terms
@@ -119,13 +133,14 @@ class CohClass:
         F = self.field
         terms = dict(self.terms)
         sub_scaled(F, F.zero, terms, F.neg(F.one), other.terms.items())
-        return CohClass(self.arity, self.degree, F, terms)
+        return CohClass._of(self.arity, self.degree, F, terms)
 
     def scale(self, c):
         F = self.field
         c = F.of(c)
-        return CohClass(self.arity, self.degree, F,
-                        {m: F.mul(c, v) for m, v in self.terms.items()})
+        return CohClass._of(self.arity, self.degree, F,
+                            {m: F.mul(c, v) for m, v in self.terms.items()}
+                            if c else {})
 
     def __neg__(self):
         return self.scale(-1)
@@ -147,7 +162,7 @@ class CohClass:
             for m2, v2 in other.terms.items():
                 sub_scaled(F, F.zero, terms, F.neg(F.mul(v1, v2)),
                            straighten(m1 + m2).items())
-        return CohClass(self.arity, self.degree + other.degree, F, terms)
+        return CohClass._of(self.arity, self.degree + other.degree, F, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -167,12 +182,13 @@ def normal_form(arity, factors, field, coeff=1):
             raise ValueError("generator g(%d,%d) out of range at arity %d"
                              % (i, j, arity))
     c = field.of(coeff)
-    return CohClass(arity, len(factors), field,
-                    {m: field.mul(c, z) for m, z in straighten(factors).items()})
+    return CohClass._of(arity, len(factors), field,
+                        {m: v for m, z in straighten(factors).items()
+                         if (v := field.mul(c, z))})
 
 
 def zero_class(arity, degree, field):
-    return CohClass(arity, degree, field, {})
+    return CohClass._of(arity, degree, field, {})
 
 
 def dim_cohomology(p, q):
@@ -257,7 +273,7 @@ def coface_pullback(i, x):
     terms, memo = {}, {}
     for m, c in x.terms.items():
         sub_scaled(F, F.zero, terms, F.neg(c), coface_terms(i, p, m, memo))
-    return CohClass(p - 1, x.degree, F, terms)
+    return CohClass._of(p - 1, x.degree, F, terms)
 
 
 def sinha_d1(x):
@@ -346,5 +362,6 @@ def parse_class(text, arity, field):
     for c, fs in terms:
         for mono, z in straighten(fs).items():
             total[mono] = total.get(mono, 0) + c * z
-    return CohClass(arity, degrees.pop(), field,
-                    {mono: field.of(z) for mono, z in total.items() if z})
+    return CohClass._of(arity, degrees.pop(), field,
+                        {mono: v for mono, z in total.items()
+                         if z and (v := field.of(z))})

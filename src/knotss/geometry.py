@@ -790,15 +790,17 @@ def _try_escape_excision(tube, free, ys, d2, xs):
 
 
 def attack_zero_facts(facts, restarts=200, seed=20260823):
-    """Attack every recorded zero fact, on one compiled Tube per stage;
-    the table passes when no term admits a witness."""
+    """Attack every recorded zero fact, on one compiled Tube per stage
+    and one (immutable) Params per arity; the table passes when no term
+    admits a witness."""
     from .chainledger import parse_term
     if restarts < 1:
         raise ValueError("the attack needs at least one restart")
     terms = [(parse_term(etext, ltext, rec["n"]), rec)
              for (etext, ltext), rec in sorted(facts.table.items())]
-    tubes = {P: Tube(default_params(P.n), P)
-             for P in {term.label.partition for term, _ in terms}}
+    stages = {term.label.partition for term, _ in terms}
+    params = {n: default_params(n) for n in {P.n for P in stages}}
+    tubes = {P: Tube(params[P.n], P) for P in stages}
     reports, rng = [], random.Random(seed)
     for term, rec in terms:
         rep = attack_term(tubes[term.label.partition], term, rng,

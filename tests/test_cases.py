@@ -293,35 +293,41 @@ def test_the_merge_3_pair_carries_both_survivors():
 
 
 def _accepted_pairs(spec):
-    """c(G,H,i) for every (G, H, i), G != H, among a case's graphs that
-    chain_pair accepts (it raises ValueError when the merged graphs
-    delta_i G and delta_i H differ)."""
+    """{(G, H, i): c(G,H,i)} for every (G, H, i), G != H, among a case's
+    graphs that chain_pair accepts (it raises ValueError when the merged
+    graphs delta_i G and delta_i H differ)."""
     graphs = {t: parse_graph(t, spec["n"]) for t in spec["graphs"]}
-    out = []
+    out = {}
     for g, h in itertools.permutations(spec["graphs"], 2):
         for i in range(graphs[g].partition.num_pieces - 1):
             try:
-                out.append(chain_pair(graphs[g], graphs[h], i))
+                out[g, h, i] = chain_pair(graphs[g], graphs[h], i)
             except ValueError:
                 continue
     return out
 
 
+def _widened_kernel(spec, pairs):
+    """The kernel mod the case's char of D of every accepted pair chain
+    as a column, then the merge images of the case's c(G)."""
+    chains = [boundary_D(ch) for ch in pairs.values()]
+    chains += [apply_delta(chain_c(parse_graph(t, spec["n"])))
+               for t in spec["graphs"]]
+    return _kernel(spec["char"], _columns(chains, spec["char"]))
+
+
 @pytest.mark.parametrize("name, pairs, dim", [("ch2-bounding", 6, 4),
                                               ("ch3-first-bounding", 12, 6)])
 def test_the_widened_pair_sets_keep_the_checked_in_assembly(name, pairs, dim):
-    # D of every accepted pair chain as a column, then the merge images
-    # of the case's c(G): the pair part of a bounding chain is not
-    # unique (kernel dimension 4 and 6), but the merge coordinates of
-    # the kernel span one line, through the checked-in assembly
+    # the pair part of a bounding chain is not unique (kernel dimension
+    # 4 and 6), but the merge coordinates of the kernel span one line,
+    # through the checked-in assembly
     spec = _load_cases()[name]
-    char, n = spec["char"], spec["n"]
-    chains = [boundary_D(ch) for ch in _accepted_pairs(spec)]
-    assert len(chains) == pairs
-    chains += [apply_delta(chain_c(parse_graph(t, n))) for t in spec["graphs"]]
-    kernel = _kernel(char, _columns(chains, char))
+    accepted = _accepted_pairs(spec)
+    assert len(accepted) == pairs
+    kernel = _widened_kernel(spec, accepted)
     assert len(kernel) == dim
-    F = Field(char)
+    F = Field(spec["char"])
     merge = Eliminator(F)
     for v in kernel:
         merge.add({j - pairs: x for j, x in v.items() if j >= pairs})
@@ -329,6 +335,46 @@ def test_the_widened_pair_sets_keep_the_checked_in_assembly(name, pairs, dim):
     # [1, 1, 1] for ch2, (-1, 1, 1, 1) mod 3 for ch3
     assembly = {j: x for j, a in enumerate(spec["assembly"]) if (x := F.of(a))}
     assert assembly and not merge.add(assembly)
+
+
+CH2 = ("(1,4)(2,3)", "(1,3)(2,4)", "(1,2)(3,4)")
+CH3 = ("(1,3)(2,3)(4,5)", "(1,4)(2,4)(3,5)", "(1,4)(2,5)(3,4)",
+       "(1,5)(2,4)(3,4)")
+
+
+@pytest.mark.parametrize("name, graphs, reversals, triangles, bound", [
+    ("ch2-bounding", CH2, [(0, 1, 1), (0, 1, 3), (1, 2, 2)], [], []),
+    ("ch3-first-bounding", CH3, [(0, 1, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)],
+     [(1, 2, 3, 4)], [(1, 2, 2), (2, 3, 1)])],
+    ids=("ch2-bounding", "ch3-first-bounding"))
+def test_the_free_pair_directions_are_reversals_and_a_triangle(
+        name, graphs, reversals, triangles, bound):
+    # besides the line through the checked-in weights, the widened
+    # kernels hold only pair directions, named here (graphs by their
+    # index in the case): each reversal c(G,H,i) + c(H,G,i), whose D
+    # vanishes after the facts, and in ch3 the triangle c(B,C,4) -
+    # c(B,D,4) + c(C,D,4) of three straightenings at one merge.  They are
+    # independent and, with that line, span the kernel.  The reversals
+    # at ch3's merges 2 and 1, whose pair chains' D differ in size, are
+    # not free
+    spec = _load_cases()[name]
+    assert tuple(spec["graphs"]) == graphs
+    pairs = _accepted_pairs(spec)
+    at = {(graphs.index(g), graphs.index(h), i): j
+          for j, (g, h, i) in enumerate(pairs)}
+    F = Field(spec["char"])
+    kernel = _widened_kernel(spec, pairs)
+    span, named = Eliminator(F), Eliminator(F)
+    for v in kernel:
+        span.add(v)
+    free = [{at[g, h, i]: 1, at[h, g, i]: 1} for g, h, i in reversals]
+    free += [{at[b, c, i]: 1, at[b, d, i]: F.of(-1), at[c, d, i]: 1}
+             for b, c, d, i in triangles]
+    assert len(free) == len(kernel) - 1
+    for v in free:
+        assert not span.add(v) and named.add(v)
+    for g, h, i in bound:
+        assert span.add({at[g, h, i]: 1, at[h, g, i]: 1})
 
 
 def _mutants(spec):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotss import cases, chainledger
+from knotss import cases, chainledger, geometry
 from knotss.chainledger import (Chain, MapExpr, Poly, Term, WeightSpec,
                                 ZeroFacts, apply_delta, apply_facts,
                                 boundary_D, canon_term, contraction,
@@ -150,6 +151,47 @@ def test_parse_expr_roundtrip():
         assert parse_expr(e.text(), 4) == e
     with pytest.raises(ValueError):
         parse_expr("x;y", 4)
+
+
+def test_parse_expr_reads_back_every_fact_and_harness_literal():
+    # the parser inverts MapExpr.text on every stored fact and on every
+    # literal text the geometry harnesses parse, and keeps a coefficient
+    # an int when integral and a Fraction otherwise
+    texts = [(rec["expr"], rec["n"]) for rec in ZeroFacts.load().table.values()]
+    with open(geometry.__file__) as fh:
+        texts += [tuple(a.value for a in node.args)
+                  for node in ast.walk(ast.parse(fh.read()))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "parse_expr"]
+    assert len(texts) == 62 + 4
+    for text, n in texts:
+        expr = parse_expr(text, n)
+        assert expr.text() == text
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for comp in expr.comps for p in comp
+                   for c in p.terms.values()), text
+
+
+@pytest.mark.parametrize("text, n", [
+    ("x+)y", 1),           # a gap: ')' opens no piece
+    ("(1*s1x", 1),         # an unclosed parenthesis
+    ("((1))x", 1),         # a nested one
+    ("x++y", 1),           # a sign after a sign
+    ("x+", 1),             # a trailing sign
+    ("x;", 2),             # an empty component
+    ("()x", 1),            # an empty polynomial
+    ("(2.5*s1)x", 1),      # not an integer or a fraction
+    ("(1*1x)x", 1),        # a name must start with a letter
+    ("(1/0*s1)x", 1),      # a zero denominator
+    ("(1**s1)x", 1),       # an empty factor
+    ("(1*s1*s1)x", 1),     # a repeated name
+    ("z", 1),              # a bad basis
+    ("(1*s1)", 1),         # no basis
+    ("x;y", 4),            # a wrong component count
+])
+def test_parse_expr_rejects_malformed_text(text, n):
+    with pytest.raises(ValueError):
+        parse_expr(text, n)
 
 
 def test_mapexpr_derivative_matches_evaluate():

@@ -236,6 +236,26 @@ def test_verify_cycle_sign_after_a_sign_is_usage_error(capsys):
     assert err == "error: sign after a sign (at position 6)\n"
 
 
+@pytest.mark.parametrize("cls, arity", [
+    ("-g12", "3"),
+    ("-g(1,3)*g(2,3)*g(4,5)+g(1,4)*g(2,4)*g(3,5)"
+     "+g(1,4)*g(2,5)*g(3,4)+g(1,5)*g(2,4)*g(3,4)", "5")])
+def test_verify_cycle_class_opening_with_a_sign_takes_either_form(
+        capsys, tmp_path, cls, arity):
+    # argparse reads a separate value that opens with '-' as a flag, so
+    # main joins --class to the argument after it, in both of its parses:
+    # "--class -g12" prints what "--class=-g12" prints, also beside a
+    # config file whose own signed class the command line overrides
+    flags = ["verify-cycle", "--arity", arity, "--field", "f3"]
+    code, joined = run(capsys, *flags, "--class=" + cls)
+    assert code == 0 and json.loads(joined)["report"]["is_d1_cycle"]
+    assert run(capsys, *flags, "--class", cls) == (0, joined)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("class = -g13\nfield = f3\n")
+    assert run(capsys, "verify-cycle", "--arity", arity, "--config", str(cfg),
+               "--class", cls) == (0, joined)
+
+
 def test_verify_cycle_over_q_at_arity_7_is_pinned(capsys):
     # sha256 of `knotss verify-cycle --arity 7 --field q --class
     # "g12*g34*g56*g17"` recorded while Eliminator still reduced each

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -362,6 +363,16 @@ def test_parse_class_coerces_once_per_monomial(field_of_calls):
         calls[0] = 0
         x = parse_class(FOUR_TERM, 5, F)
         assert calls[0] == len(x.terms) == 8, F
+
+
+def test_the_constructor_coerces_its_values():
+    # as FreeElement's does: 4 is 1 in F3, and a value 3 vanishes there
+    x = CohClass(2, 1, F3, {((1, 2),): 4})
+    assert x == parse_class("g12", 2, F3) and repr(x) == "1·g(1,2)"
+    assert repr(x + parse_class("g12", 2, F3)) == "2·g(1,2)"
+    assert CohClass(2, 1, F3, {((1, 2),): 3}).is_zero()
+    v = CohClass(2, 1, QQ, {((1, 2),): 2}).terms[(1, 2),]
+    assert type(v) is Fraction and v == 2
 
 
 def test_parse_paren_and_coefficients():
