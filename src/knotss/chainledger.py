@@ -34,12 +34,12 @@ graph labels print, as the fact table stores it.
 import json
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .linalg import VerificationError
-from .partgraph import PGraph, delta_graph, inversion_sign, parse_graph
+from .errors import VerificationError
+from .partgraph import (PGraph, Record, delta_graph, inversion_sign,
+                        parse_graph)
 
 # ---------------------------------------------------------------------------
 # polynomials over Q in named parameters, multilinear (affine in each name)
@@ -460,12 +460,13 @@ def i_contraction(expr, i, s_name, eps=1):
 # weights and ledger terms
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Record):
     """Two sphere factors, then w_infty factors bound to s-parameters,
     then w_I factors bound to t-parameters, in this order."""
-    s_names: tuple
-    t_names: tuple
+    __slots__ = _fields = ("s_names", "t_names")
+
+    def __init__(self, s_names, t_names):
+        self._set(s_names, t_names)
 
     @property
     def degree(self):

@@ -7,10 +7,11 @@ or for a VerificationError the message on stderr, carries the witness),
 2 usage error.
 
 A run imports only the modules its subcommand executes.  conf-dims,
-ss-table and verify-cycle need confcoh, fields, hochschild, linalg and
-spectral, imported at the top.  The other subcommands import their own
-modules (geometry, partgraph, operads, cases, chainledger) inside their
-cmd_ function, so a page-table run neither loads nor compiles them.
+ss-table and verify-cycle need confcoh, errors, fields, hochschild,
+linalg and spectral, imported at the top.  The other subcommands import
+their own modules (geometry, partgraph, operads, cases, chainledger)
+inside their cmd_ function, so a page-table run neither loads nor
+compiles them.
 """
 
 import argparse
@@ -19,9 +20,9 @@ import os
 import sys
 
 from .confcoh import ParseError, admissible_basis, dim_cohomology, parse_class
+from .errors import VerificationError
 from .fields import field_by_name
 from .hochschild import MAX_ARITY, build_sinha_complex, e2_report
-from .linalg import VerificationError
 from .spectral import page_ranks
 
 SCHEMA_VERSION = "knotss-output/1"
@@ -224,6 +225,17 @@ def build_parser():
     return ap
 
 
+def _config_path(argv):
+    """The last value given as "--config PATH" or "--config=PATH"."""
+    path = None
+    for flag, value in zip(argv, argv[1:] + [None]):
+        if flag == "--config":
+            path = value
+        elif flag.startswith("--config="):
+            path = flag[len("--config="):]
+    return path
+
+
 def _read_config(path):
     extra = []
     with open(path) as fh:
@@ -276,14 +288,16 @@ def _join_class(argv):
 
 def main(argv=None):
     argv = _join_class(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # config values are defaults: put them before the real flags
-            extra = _read_config(args.config)
-            sub = argv[0]
-            args = parser.parse_args(_join_class([sub] + extra + argv[1:]))
+        # read before the one full parse, so the file can give required
+        # flags; its values go first, so the command line overrides them
+        config = _config_path(argv)
+        if config:
+            argv = _join_class(argv[:1] + _read_config(config) + argv[1:])
+        args = build_parser().parse_args(argv)
+        if args.config != config:
+            raise ValueError("write --config in full, as --config PATH "
+                             "or --config=PATH")
         report, ok = args.fn(args)
         doc = {"schema": SCHEMA_VERSION, "command": args.command,
                "config": _echo_config(args), "report": report, "pass": ok}

@@ -20,35 +20,29 @@ witnesses, and in the module functions on Fraction points.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import VerificationError
-from .partgraph import (PGraph, Partition, discrete_partition, is_subdivision,
-                        parse_graph)
+from .errors import VerificationError
+from .partgraph import (PGraph, Partition, Record, discrete_partition,
+                        is_subdivision, parse_graph)
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(Record):
     """Segment lengths c_0..c_{n+1} (summing to 1), scale rho, and the
     tube half-width eps, constrained so that each segment dwarfs the
     total length of everything before it.  edges[k] = c_0 + ... +
-    c_{k-1} places every number on [0, 1]."""
-    n: int
-    rho: Fraction
-    eps: Fraction
-    c: tuple
-    edges: tuple = field(init=False, repr=False, compare=False)
+    c_{k-1} places every number on [0, 1]; it is derived, so it takes
+    no part in equality, hash or repr."""
+    __slots__ = ("n", "rho", "eps", "c", "edges")
+    _fields = ("n", "rho", "eps", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
+    def __init__(self, n, rho, eps, c):
+        c = tuple(Fraction(x) for x in c)
         edges = [Fraction(0)]
-        for x in self.c:
+        for x in c:
             edges.append(edges[-1] + x)
-        object.__setattr__(self, "edges", tuple(edges))
+        self._set(n, Fraction(rho), Fraction(eps), c, tuple(edges))
         self.validate()
 
     def validate(self):

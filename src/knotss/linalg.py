@@ -15,12 +15,11 @@ Matrix(field, rows) and the right-hand side of solve (solve_many takes
 field values); everything else keeps field values as they are.
 sub_scaled, the sparse update v -= c * w, also takes w with int
 entries: confcoh and operads sum over Z and meet the field there.
+VerificationError, which these checks raise, comes from the leaf
+module knotss.errors, so that every module raises and catches one class.
 """
 
-
-class VerificationError(ValueError):
-    """An exactness check failed on computed data; the message names
-    the witness (a column, a slot or a vector)."""
+from .errors import VerificationError
 
 
 class Matrix:

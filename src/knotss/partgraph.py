@@ -15,28 +15,67 @@ dict whose nonzero entries are reduced into the field once.  The route over
 field-valued shape chains that it replaced is kept in the tests as the
 reference.  Partition._of and PGraph._of skip validation for the
 partitions and graphs this module derives from valid ones; the public
-constructors and parse_graph validate.
+constructors and parse_graph validate.  Record, the base of these two
+records and of chainledger.WeightSpec and geometry.Params, gives them
+what a frozen dataclass would without importing dataclasses, which
+loads inspect, ast, dis and tokenize at every start.
 """
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Partition:
-    n: int
-    sizes: tuple
+class Record:
+    """A frozen record with __slots__, compared, hashed and printed by
+    _fields, which lead its __slots__; equal only within its class."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.sizes) < 2:
+    def __init_subclass__(cls):
+        # an attrgetter is no descriptor: self._key is the getter itself
+        cls._key = attrgetter(*cls._fields)
+
+    def _set(self, *values):
+        """Store values in the slots, in __slots__ order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor
+        return self.__class__, self._key(self)
+
+
+class Partition(Record):
+    __slots__ = _fields = ("n", "sizes")
+
+    def __init__(self, n, sizes):
+        if len(sizes) < 2:
             raise ValueError("a partition needs at least two pieces")
-        if any(s < 1 for s in self.sizes):
+        if any(s < 1 for s in sizes):
             raise ValueError("piece sizes must be positive")
-        if sum(self.sizes) != self.n + 2:
+        if sum(sizes) != n + 2:
             raise ValueError("piece sizes must cover {0..n+1}")
+        self._set(n, sizes)
 
     @classmethod
     def _of(cls, n, sizes):
@@ -106,21 +145,20 @@ def is_subdivision(P, Q):
     return P != Q and P.boundaries() <= Q.boundaries()
 
 
-@dataclass(frozen=True)
-class PGraph:
-    partition: Partition
-    edges: tuple
+class PGraph(Record):
+    __slots__ = ("partition", "edges", "_hash")
+    _fields = ("partition", "edges")
 
-    def __post_init__(self):
-        m = self.partition.num_internal
+    def __init__(self, partition, edges):
+        m = partition.num_internal
         seen = set()
-        for (a, b) in self.edges:
+        for (a, b) in edges:
             if not (1 <= a < b <= m):
                 raise ValueError("edge (%d,%d) must join distinct internal pieces" % (a, b))
             if (a, b) in seen:
                 raise ValueError("double edge (%d,%d)" % (a, b))
             seen.add((a, b))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        self._set(partition, tuple(sorted(edges)))
 
     @classmethod
     def _of(cls, partition, edges):
@@ -132,9 +170,10 @@ class PGraph:
 
     def __hash__(self):
         # computed on first use and stored: graphs label every chain term
-        h = self.__dict__.get("_hash")
+        h = getattr(self, "_hash", None)
         if h is None:
-            h = self.__dict__["_hash"] = hash((self.partition, self.edges))
+            h = hash((self.partition, self.edges))
+            object.__setattr__(self, "_hash", h)
         return h
 
     def __str__(self):

@@ -135,8 +135,15 @@ print(json.dumps(seen))
     assert loaded["import"] == loaded["verify-cycle"]
 
 
-@pytest.mark.parametrize("module", ["knotss.cli", "knotss.hochschild"])
+KNOTSS_MODULES = sorted(
+    "knotss." + name[:-3] for name in os.listdir(os.path.dirname(knotss.__file__))
+    if name.endswith(".py") and name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", KNOTSS_MODULES)
 def test_page_modules_do_not_load_dataclasses(module):
+    # no module imports dataclasses, which loads inspect, ast, dis and
+    # tokenize: the records subclass partgraph.Record instead
     before, after = _fresh_modules("""
 import json, sys
 before = "dataclasses" in sys.modules
@@ -144,6 +151,25 @@ import %s
 print(json.dumps([before, "dataclasses" in sys.modules]))
 """ % module)
     assert after == before
+
+
+def test_attack_modules_do_not_load_linalg():
+    # the ledger and the geometry raise VerificationError from the leaf
+    # knotss.errors, so the witness attack compiles no linear algebra
+    loaded = _fresh_modules("""
+import json, sys
+import knotss.chainledger, knotss.geometry
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("knotss."))))
+""")
+    assert "knotss.errors" in loaded
+    assert not {"knotss.linalg", "knotss.spectral"} & set(loaded)
+
+
+def test_verification_error_is_one_class():
+    from knotss import errors, linalg, spectral
+    assert linalg.VerificationError is errors.VerificationError
+    assert spectral.VerificationError is errors.VerificationError
+    assert VerificationError is errors.VerificationError
 
 
 def test_triple_commute_bounds_the_graph_count(capsys, monkeypatch):
@@ -395,6 +421,31 @@ def test_config_file_defaults_and_overrides(capsys, tmp_path):
     code, doc = run_json(capsys, "conf-dims", "--config", str(cfg),
                          "--field", "q")
     assert doc["config"]["field"] == "q"  # explicit flags win
+
+
+def test_config_file_can_supply_required_flags(capsys, tmp_path):
+    # main reads the file before its one full parse, so the file can give
+    # the flags verify-cycle requires; the command line still overrides
+    # it, and a flag missing from both is still a usage error
+    code, out = run(capsys, "verify-cycle", "--arity", "3", "--class", "g12",
+                    "--field", "f3")
+    assert code == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("arity = 3\nclass = g12\nfield = f3\n")
+    assert run(capsys, "verify-cycle", "--config", str(cfg)) == (0, out)
+    assert run(capsys, "verify-cycle", "--config=" + str(cfg)) == (0, out)
+    cfg.write_text("arity = 3\nclass = g13\nfield = f2\n")
+    assert run(capsys, "verify-cycle", "--config", str(cfg), "--class", "g12",
+               "--field", "f3") == (0, out)
+    cfg.write_text("arity = 3\n")
+    assert main(["verify-cycle", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "required: --class" in err
+    # argparse would take "--conf" for --config, which main reads only
+    # in full, so the abbreviation exits 2 instead of leaving the file unread
+    assert main(["verify-cycle", "--arity", "3", "--class", "g12",
+                 "--conf", str(cfg)]) == 2
+    assert "write --config in full" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, expected", [("false", False),

@@ -1,4 +1,7 @@
+import copy
 import hashlib
+import pickle
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -6,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotss import partgraph
+from knotss.chainledger import WeightSpec
 from knotss.cli import main
 from knotss.fields import F2, F3, QQ
+from knotss.geometry import Params, default_params
 from knotss.partgraph import (Partition, PGraph, all_graphs, count_graphs,
                               delta_graph, discrete_partition,
                               enumerate_partitions, is_subdivision,
@@ -270,6 +275,59 @@ def test_partition_and_graph_internal_constructors_match():
                     G, H = PGraph(P, edges), PGraph._of(P2, edges)
                     assert G == H and hash(G) == hash(H)
                     assert {G: 1}[H] == 1
+
+
+def _records():
+    """(record, its field tuple, its repr as a frozen dataclass printed it)
+    for each of the four records built on partgraph.Record."""
+    P, Q = Partition(4, (1, 2, 2, 1)), default_params(1)
+    return [
+        (P, (4, (1, 2, 2, 1)), "Partition(n=4, sizes=(1, 2, 2, 1))"),
+        (PGraph(P, ((1, 2),)), (P, ((1, 2),)),
+         "PGraph(partition=Partition(n=4, sizes=(1, 2, 2, 1)), "
+         "edges=((1, 2),))"),
+        (WeightSpec(("s1",), ("t1", "t2")), (("s1",), ("t1", "t2")),
+         "WeightSpec(s_names=('s1',), t_names=('t1', 't2'))"),
+        (Q, (1, Fraction(1, 2), Fraction(1, 6181800), Q.c),
+         "Params(n=1, rho=Fraction(1, 2), eps=Fraction(1, 6181800), "
+         "c=(Fraction(1, 10303), Fraction(101, 10303), "
+         "Fraction(10201, 10303)))")]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_records_keep_what_a_frozen_dataclass_gave_them(k):
+    record, fields, text = _records()[k]
+    cls = type(record)
+    assert cls(*fields) == record
+    assert cls(**dict(zip(cls._fields, fields))) == record
+    # the hash of the field tuple, so set and dict orders stay put
+    assert hash(record) == hash(fields) == hash(cls(*fields))
+    assert repr(record) == text
+    # equal only within the class: not to its fields, nor to another
+    # record class holding the same values
+    other = WeightSpec if cls is not WeightSpec else Partition._of
+    assert record.__eq__(fields) is NotImplemented
+    assert record != fields and record != other(*fields[:2])
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert not hasattr(record, "__dict__")
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_params_compare_without_edges_and_graphs_keep_their_hash():
+    Q = default_params(1)
+    R = Params(n=1, rho=Q.rho, eps=Q.eps, c=Q.c)
+    object.__setattr__(R, "edges", ())
+    assert R == Q and hash(R) == hash(Q) and repr(R) == repr(Q)
+    assert Params(1, Q.rho, 2 * Q.eps, Q.c) != Q
+    # a graph hashes its fields once and keeps the value in a slot
+    G = parse_graph("1+2+2+1:(1,2)", 4)
+    h = hash((G.partition, G.edges))
+    assert hash(G) == h and G._hash == h and hash(G) == h
 
 
 def test_delta_graph_matches_vertex_map_reference():
