@@ -6,7 +6,9 @@ version.  Exit codes: 0 success, 1 a verification failed (the report,
 or for a VerificationError the message on stderr, carries the witness),
 2 usage error.
 
-A run imports only the modules its subcommand executes.  conf-dims,
+main builds the parser of the one subcommand argv names, from the
+COMMANDS table; with no subcommand, an unknown one or --help it builds
+all seven.  A run imports only the modules its subcommand executes.  conf-dims,
 ss-table and verify-cycle need confcoh, errors, fields, hochschild,
 linalg and spectral, imported at the top.  The other subcommands import
 their own modules (geometry, partgraph, operads, cases, chainledger)
@@ -169,59 +171,54 @@ def _add_common(sp):
     sp.add_argument("--output", default=None, help="write here, not stdout")
 
 
-def build_parser():
+_BOOL = argparse.BooleanOptionalAction
+
+# name -> (help, the subcommand's own flags with their add_argument
+# keywords, cmd_ function)
+COMMANDS = {
+    "conf-dims": ("cohomology dimension table", {
+        "--max-arity": dict(type=int, default=7),
+        "--field": dict(default="q")}, cmd_conf_dims),
+    "ss-table": ("spectral sequence pages", {
+        "--max-arity": dict(type=int, default=5),
+        "--field": dict(default="f3"), "--r-max": dict(type=int, default=3),
+        "--normalized": dict(action=_BOOL, default=True)}, cmd_ss_table),
+    "verify-cycle": ("first-page cycle verdict", {
+        "--class": dict(required=True),
+        "--arity": dict(type=int, required=True),
+        "--field": dict(default="f2")}, cmd_verify_cycle),
+    "ledger": ("run the checked-in chain cases", {
+        "--case": dict(default="all")}, cmd_ledger),
+    "ainf-check": ("d squared on the tree differential", {
+        "--max-arity": dict(type=int, default=6),
+        "--field": dict(default="f2")}, cmd_ainf_check),
+    "triple-commute": ("merge maps against the Cech differential", {
+        "--n": dict(type=int, default=4), "--field": dict(default="q"),
+        "--discrete-only": dict(action=_BOOL, default=False),
+        "--max-edges": dict(type=int, default=None)}, cmd_triple_commute),
+    "geom": ("geometric lemma sampling harnesses", {
+        "--lemma": dict(default="all"),
+        "--samples": dict(type=int, default=200),
+        "--seed": dict(type=int, default=None)}, cmd_geom),
+}
+
+
+def build_parser(command=None):
+    """The parser with only the subparser of command when it names one,
+    else with all of them (no command, an unknown one, or --help).  A
+    lone subparser keeps the full list of names as the usage line's
+    metavar, so every usage line reads as with the full tree."""
     ap = argparse.ArgumentParser(prog="knotss", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("conf-dims", help="cohomology dimension table")
-    sp.add_argument("--max-arity", type=int, default=7)
-    sp.add_argument("--field", default="q")
-    sp.set_defaults(fn=cmd_conf_dims)
-    _add_common(sp)
-
-    sp = sub.add_parser("ss-table", help="spectral sequence pages")
-    sp.add_argument("--max-arity", type=int, default=5)
-    sp.add_argument("--field", default="f3")
-    sp.add_argument("--r-max", type=int, default=3)
-    sp.add_argument("--normalized", action=argparse.BooleanOptionalAction,
-                    default=True)
-    sp.set_defaults(fn=cmd_ss_table)
-    _add_common(sp)
-
-    sp = sub.add_parser("verify-cycle", help="first-page cycle verdict")
-    sp.add_argument("--class", required=True)
-    sp.add_argument("--arity", type=int, required=True)
-    sp.add_argument("--field", default="f2")
-    sp.set_defaults(fn=cmd_verify_cycle)
-    _add_common(sp)
-
-    sp = sub.add_parser("ledger", help="run the checked-in chain cases")
-    sp.add_argument("--case", default="all")
-    sp.set_defaults(fn=cmd_ledger)
-    _add_common(sp)
-
-    sp = sub.add_parser("ainf-check", help="d squared on the tree differential")
-    sp.add_argument("--max-arity", type=int, default=6)
-    sp.add_argument("--field", default="f2")
-    sp.set_defaults(fn=cmd_ainf_check)
-    _add_common(sp)
-
-    sp = sub.add_parser("triple-commute",
-                        help="merge maps against the Cech differential")
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--field", default="q")
-    sp.add_argument("--discrete-only", action=argparse.BooleanOptionalAction,
-                    default=False)
-    sp.add_argument("--max-edges", type=int, default=None)
-    sp.set_defaults(fn=cmd_triple_commute)
-    _add_common(sp)
-
-    sp = sub.add_parser("geom", help="geometric lemma sampling harnesses")
-    sp.add_argument("--lemma", default="all")
-    sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(fn=cmd_geom)
-    _add_common(sp)
+    one = command in COMMANDS
+    sub = ap.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(COMMANDS) if one else None))
+    for name in [command] if one else COMMANDS:
+        text, flags, fn = COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
+        for flag, keywords in flags.items():
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(fn=fn)
+        _add_common(sp)
     return ap
 
 
@@ -294,7 +291,7 @@ def main(argv=None):
         config = _config_path(argv)
         if config:
             argv = _join_class(argv[:1] + _read_config(config) + argv[1:])
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         if args.config != config:
             raise ValueError("write --config in full, as --config PATH "
                              "or --config=PATH")

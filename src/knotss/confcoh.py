@@ -27,7 +27,7 @@ pairs of coface_terms and straighten through linalg.sub_scaled.
 """
 
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 from .linalg import sub_scaled
 
@@ -132,7 +132,7 @@ class CohClass:
             raise ValueError("incompatible classes")
         F = self.field
         terms = dict(self.terms)
-        sub_scaled(F, F.zero, terms, F.neg(F.one), other.terms.items())
+        sub_scaled(F, terms, F.neg(F.one), other.terms.items())
         return CohClass._of(self.arity, self.degree, F, terms)
 
     def scale(self, c):
@@ -160,7 +160,7 @@ class CohClass:
         terms = {}
         for m1, v1 in self.terms.items():
             for m2, v2 in other.terms.items():
-                sub_scaled(F, F.zero, terms, F.neg(F.mul(v1, v2)),
+                sub_scaled(F, terms, F.neg(F.mul(v1, v2)),
                            straighten(m1 + m2).items())
         return CohClass._of(self.arity, self.degree + other.degree, F, terms)
 
@@ -205,14 +205,7 @@ def admissible_basis(p, q):
     """All admissible degree-q monomials at arity p, sorted."""
     out = []
     for seconds in combinations(range(2, p + 1), q):
-        def grow(idx, acc):
-            if idx == q:
-                out.append(tuple(acc))
-                return
-            k = seconds[idx]
-            for i in range(1, k):
-                grow(idx + 1, acc + [(i, k)])
-        grow(0, [])
+        out.extend(product(*[[(i, k) for i in range(1, k)] for k in seconds]))
     return sorted(out)
 
 
@@ -272,7 +265,7 @@ def coface_pullback(i, x):
     F = x.field
     terms, memo = {}, {}
     for m, c in x.terms.items():
-        sub_scaled(F, F.zero, terms, F.neg(c), coface_terms(i, p, m, memo))
+        sub_scaled(F, terms, F.neg(c), coface_terms(i, p, m, memo))
     return CohClass._of(p - 1, x.degree, F, terms)
 
 

@@ -3,7 +3,10 @@
 Elements are stored as plain Python values (int residues in 0..p-1 for
 F_p, Fraction for Q); a Field object supplies the arithmetic.  Matrices
 and chains carry a field tag instead of wrapping every entry, which
-keeps elimination loops cheap.
+keeps elimination loops cheap.  The per-entry loops (linalg.sub_scaled,
+Eliminator's pivot scaling, Matrix.mul_vector, FilteredComplex.apply)
+call no Field method: they use the plain operators and reduce mod
+Field.p, which is None for Q.  add, sub, mul and neg serve the edges.
 """
 
 from fractions import Fraction

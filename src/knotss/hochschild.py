@@ -24,6 +24,8 @@ imports only what ss-table and verify-cycle execute: confcoh, linalg
 and spectral.
 """
 
+from itertools import chain
+
 from .confcoh import admissible_basis, coface_terms, dim_cohomology
 from .linalg import Eliminator, Matrix, column_kernel, rank, sub_scaled
 from .spectral import FilteredComplex
@@ -87,7 +89,7 @@ def normalized_slot(p, q):
     subspace of the monomials that miss some index.
     """
     return [m for m in admissible_basis(p, q)
-            if len({a for f in m for a in f}) == p]
+            if len(set(chain.from_iterable(m))) == p]
 
 
 def build_sinha_complex(max_p, field, normalized=True):
@@ -147,7 +149,7 @@ def e2_report(x):
     v = {index[m]: c for m, c in x.terms.items() if c}
     image = {}
     for j, c in v.items():
-        sub_scaled(F, F.zero, image, F.neg(c), d_out[j].items())
+        sub_scaled(F, image, F.neg(c), d_out[j].items())
     is_cycle = not image
     # the kept columns are independent, so [x] has unique coordinates on
     # them, and x is a boundary exactly when those past n_bnd vanish

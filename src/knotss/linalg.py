@@ -14,7 +14,10 @@ sparse vectors.  Entries pass through Field.of only at the edges:
 Matrix(field, rows) and the right-hand side of solve (solve_many takes
 field values); everything else keeps field values as they are.
 sub_scaled, the sparse update v -= c * w, also takes w with int
-entries: confcoh and operads sum over Z and meet the field there.
+entries: confcoh and operads sum over Z and meet the field there.  It,
+the pivot scaling of Eliminator.insert and Matrix.mul_vector do the
+field arithmetic inline, with the plain operators and a reduction mod
+F.p over F_p, and call no Field method per entry.
 VerificationError, which these checks raise, comes from the leaf
 module knotss.errors, so that every module raises and catches one class.
 """
@@ -78,16 +81,16 @@ class Matrix:
     def mul_vector(self, v):
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch: %d cols, vector of %d" % (self.ncols, len(v)))
-        F = self.field
+        p, zero = self.field.p, self.field.zero
         support = [(j, x) for j, x in enumerate(v) if x]
         out = []
         for row in self.rows:
-            acc = F.zero
+            acc = zero
             for j, x in support:
                 a = row[j]
                 if a:
-                    acc = F.add(acc, F.mul(a, x))
-            out.append(acc)
+                    acc += a * x
+            out.append(acc if p is None else acc % p)
         return out
 
     def mul_matrix(self, other):
@@ -173,17 +176,22 @@ def solve_many(M, bs):
     return out
 
 
-def sub_scaled(F, zero, v, c, items):
-    """v -= c * w in place, for a sparse v of field values, a field
+def sub_scaled(F, v, c, items):
+    """v -= c * w in place, for a sparse v of field values of F, a field
     value c and the (t, w_t) of w's support; a t may repeat.
 
     This is the one sparse update for field values: the w_t may be
-    plain ints, which F.mul(c, w_t) brings into the field, so a caller
-    keeps integer coefficients (straighten, coface_terms, tree signs)
-    as they are until this edge and coerces nothing per term.
+    plain ints, which the product with c brings into the field, so a
+    caller keeps integer coefficients (straighten, coface_terms, tree
+    signs) as they are until this edge and coerces nothing per term.
+    The arithmetic is inline: over F_p the difference is reduced mod p,
+    over Q the Fraction operators give field values as they are.
     """
+    p, zero = F.p, F.zero
     for t, x in items:
-        s = F.sub(v.get(t, zero), F.mul(c, x))
+        s = v.get(t, zero) - c * x
+        if p is not None:
+            s %= p
         if s:
             v[t] = s
         elif t in v:  # an int w_t may be 0 mod p where v has no t
@@ -208,14 +216,13 @@ class Eliminator:
 
     def _reduce(self, v, comb):
         F = self.field
-        zero = F.zero
         v = dict(v)
         while (pivot := max(v, default=None)) in self.rows:
             row, rcomb = self.rows[pivot]
             c = v[pivot]
-            sub_scaled(F, zero, v, c, row.items())
+            sub_scaled(F, v, c, row.items())
             if comb is not None:
-                sub_scaled(F, zero, comb, c, rcomb.items())
+                sub_scaled(F, comb, c, rcomb.items())
         return v, comb
 
     def add(self, v):
@@ -240,9 +247,12 @@ class Eliminator:
         pivot = max(v)
         inv = F.inv(v[pivot])
         if inv != F.one:
-            v = {t: F.mul(inv, x) for t, x in v.items()}
+            p = F.p
+            v = {t: inv * x if p is None else inv * x % p
+                 for t, x in v.items()}
             if comb is not None:
-                comb = {t: F.mul(inv, c) for t, c in comb.items()}
+                comb = {t: inv * c if p is None else inv * c % p
+                        for t, c in comb.items()}
         self.rows[pivot] = (v, comb)
         return None
 

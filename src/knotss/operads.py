@@ -100,7 +100,7 @@ class FreeElement:
     def __add__(self, other):
         F = self.field
         terms = dict(self.terms)
-        sub_scaled(F, F.zero, terms, F.neg(F.one), other.terms.items())
+        sub_scaled(F, terms, F.neg(F.one), other.terms.items())
         return FreeElement._of(F, terms)
 
     def __eq__(self, other):
@@ -154,7 +154,7 @@ def free_differential(x):
     F = x.field
     terms = {}
     for t, c in x.terms.items():
-        sub_scaled(F, F.zero, terms, F.neg(c), _d_tree(t))
+        sub_scaled(F, terms, F.neg(c), _d_tree(t))
     return FreeElement._of(F, terms)
 
 

@@ -9,7 +9,8 @@ are the classical subquotients
     E_r(p, n) = Z_r(p, n) / (Z_{r-1}(p-1, n) + D Z_{r-1}(p+r-1, n-1))
 
 with d_r induced by D, over the complex's field.  D is stored once, as
-its nonzero columns {j: {i: value}}.
+its nonzero columns {j: {i: value}}; FilteredComplex.apply multiplies
+by it with the field arithmetic inline, as linalg.sub_scaled does.
 
 Two routes compute the pages.  ss_pages builds every Z, B,
 representative and induced d_r matrix by subquotients of sparse vectors
@@ -83,15 +84,16 @@ class FilteredComplex:
 
     def apply(self, v):
         """The sparse product D v of a sparse vector v."""
-        F = self.field
-        zero = F.zero
+        p, zero = self.field.p, self.field.zero
         out = {}
         for j, x in v.items():
             col = self.columns.get(j)
             if col is None:
                 continue
             for i, a in col.items():
-                s = F.add(out.get(i, zero), F.mul(a, x))
+                s = out.get(i, zero) + a * x
+                if p is not None:
+                    s %= p
                 if s:
                     out[i] = s
                 else:
@@ -284,7 +286,7 @@ def random_filtered_complex(rng, field, max_basis=30):
         deg = rng.randint(0, 3)
         slots.append((p, p + deg))
     dim = len(slots)
-    zero, one = field.zero, field.one
+    one = field.one
     D = {}
     for (j, t) in pairs:
         if w := field.of(rng.randint(1, 4)):
@@ -302,14 +304,14 @@ def random_filtered_complex(rng, field, max_basis=30):
     for j in sorted(range(dim), key=lambda j: slots[j][0]):
         ginv[j] = h = {j: one}
         for i, x in N[j].items():
-            sub_scaled(field, zero, h, x, ginv[i].items())
+            sub_scaled(field, h, x, ginv[i].items())
     columns = {}
     for j in range(dim):
         col = {}
         for k, (t, w) in D.items():
             x = ginv[j].get(k)
             if x:
-                sub_scaled(field, zero, col, field.neg(field.mul(x, w)),
+                sub_scaled(field, col, field.neg(field.mul(x, w)),
                            ((t, one), *N[t].items()))
         if col:
             columns[j] = {i: col[i] for i in sorted(col)}

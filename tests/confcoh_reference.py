@@ -1,8 +1,34 @@
 """Reference routes on configuration-space classes that the engine does
-not need: the tests read classes as dense coordinate vectors and check
-the normalized slots against the codegeneracy pullbacks."""
+not need: the tests read classes as dense coordinate vectors, check
+the normalized slots against the codegeneracy pullbacks, and compare
+the slot bases with the recursive enumeration and per-monomial index
+set they were first built by."""
+
+from itertools import combinations
 
 from knotss.confcoh import CohClass, straighten
+
+
+def admissible_basis(p, q):
+    """All admissible degree-q monomials at arity p, sorted."""
+    out = []
+    for seconds in combinations(range(2, p + 1), q):
+        def grow(idx, acc):
+            if idx == q:
+                out.append(tuple(acc))
+                return
+            k = seconds[idx]
+            for i in range(1, k):
+                grow(idx + 1, acc + [(i, k)])
+        grow(0, [])
+    return sorted(out)
+
+
+def normalized_slot(p, q):
+    """The monomials of admissible_basis(p, q), in order, whose factors
+    touch every index 1..p."""
+    return [m for m in admissible_basis(p, q)
+            if len({a for f in m for a in f}) == p]
 
 
 def class_to_vector(x, basis):

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import knotss
-from knotss.cli import DEFAULT_SEED, main
+from knotss.cli import COMMANDS, DEFAULT_SEED, build_parser, main
 from knotss.linalg import VerificationError
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "src",
@@ -221,6 +221,42 @@ def test_unknown_flag_is_usage_error(capsys):
     assert main(["ainf-check", "--mode", "verbatim"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments: --mode verbatim" in err
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert len(COMMANDS) == 7
+    for name, (text, _, _) in COMMANDS.items():
+        assert name in out and text in out
+
+
+def test_unknown_subcommand_is_usage_error(capsys):
+    assert main(["bogus", "--max-arity", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert "knotss: error: argument command: invalid choice: 'bogus'" in err
+
+
+def _full_tree_text(capsys, argv):
+    """What the parser with every subparser prints for argv."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    return capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_a_lone_subparser_prints_what_the_full_tree_prints(capsys, name):
+    # main builds only the named subparser: its help, and the usage
+    # error of a flag it does not know, read as with all seven
+    for argv in ([name, "--help"], [name, "--bogus"]):
+        want = _full_tree_text(capsys, argv)
+        assert want.out or want.err
+        main(argv)
+        assert capsys.readouterr() == want
+    with pytest.raises(SystemExit):
+        build_parser(name).parse_args([min(set(COMMANDS) - {name})])
 
 
 def test_output_into_a_missing_directory_is_usage_error(capsys, tmp_path):

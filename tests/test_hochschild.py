@@ -15,6 +15,7 @@ from knotss.linalg import (Eliminator, Matrix, VerificationError,
 from knotss.spectral import (FilteredComplex, einf_dims, page_ranks, ss_pages,
                              total_homology_graded)
 
+import confcoh_reference
 from confcoh_reference import class_to_vector, codegeneracy_pullback
 from hochschild_reference import (OperadPresentation, d2_via_lifting,
                                   hochschild_complex, hochschild_delta,
@@ -449,3 +450,12 @@ def test_lifting_rejects_a_non_cycle():
         with pytest.raises(ValueError, match="does not vanish"):
             d2_via_lifting(O, [F.one], 2, 0)
 
+
+def test_slot_bases_match_the_recursive_reference():
+    # every slot up to the tower's top arity, plain and normalized, in order
+    for p in range(MAX_ARITY + 1):
+        for q in range(p + 1):
+            assert admissible_basis(p, q) == \
+                confcoh_reference.admissible_basis(p, q)
+            assert normalized_slot(p, q) == \
+                confcoh_reference.normalized_slot(p, q)

@@ -9,7 +9,10 @@ from knotss import linalg
 from knotss.fields import F2, F3, QQ, Field, field_by_name
 from knotss.linalg import (Eliminator, Matrix, Subspace, VerificationError,
                            column_kernel, induced_map, kernel_basis, rank,
-                           solve, solve_many, sparse, subquotient)
+                           solve, solve_many, sparse, sub_scaled,
+                           subquotient)
+
+import linalg_reference
 
 FIELDS = [F2, F3, QQ]
 
@@ -435,9 +438,9 @@ def test_labelled_insert_returns_the_relation_by_label(F, monkeypatch):
         v = [F.add(x, F.mul(a, y)) for x, y in zip(v, u)]
     calls, original = [], linalg.sub_scaled
 
-    def counted(*args):
-        calls.append(args)
-        original(*args)
+    def counted(F, v, c, items):
+        calls.append(c)
+        original(F, v, c, items)
 
     monkeypatch.setattr(linalg, "sub_scaled", counted)
     assert elim.insert(sparse(v)) == \
@@ -465,3 +468,34 @@ def test_mul_vector_reads_the_rows_as_edited():
         M.rows[0][0] = F.add(M.rows[0][0], F.one)
         assert M.mul_vector(v) != before
         assert M.mul_vector(v) == _ref_mul_vector(F, M.rows, v)
+
+
+@pytest.mark.parametrize("F", [F2, F3, Field(5), QQ], ids=str)
+def test_sub_scaled_matches_the_field_method_reference(F):
+    """The inline update gives the Field-method loop's dict, with values
+    of the field's type: an int in 1..p-1 over F_p, a Fraction over Q."""
+    rng = random.Random(20261021)
+
+    def value():
+        if F.p is None and rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        return F.of(rng.randint(-9, 9))
+
+    for _ in range(300):
+        v = {t: x for t in rng.sample(range(12), rng.randint(0, 8))
+             if (x := value())}
+        c = value()
+        # int and field-value entries, repeated keys, and an int that is
+        # 0 in the field at a key v lacks
+        items = [(rng.randrange(14), rng.choice([rng.randint(-7, 7), value()]))
+                 for _ in range(rng.randint(0, 10))]
+        items.append((rng.randint(14, 20), (F.p or 0) * rng.randint(-3, 3)))
+        got, want = dict(v), dict(v)
+        sub_scaled(F, got, c, items)
+        linalg_reference.sub_scaled(F, F.zero, want, c, items)
+        assert got == want
+        for x in got.values():
+            if F.p is None:
+                assert type(x) is Fraction and x
+            else:
+                assert type(x) is int and 0 < x < F.p

@@ -5,12 +5,13 @@ import pytest
 
 from knotss import linalg, spectral
 from knotss.fields import F2, F3, QQ, Field
-from knotss.linalg import (Matrix, VerificationError, solve_many, sparse,
-                           sub_scaled)
+from knotss.linalg import Matrix, VerificationError, solve_many, sparse
 from knotss.hochschild import build_sinha_complex
 from knotss.spectral import (FilteredComplex, einf_dims, filtration_pairs,
                              page_ranks, random_filtered_complex, ss_pages,
                              total_homology_graded)
+
+import linalg_reference
 
 FIELDS = [F2, F3, QQ]
 
@@ -327,7 +328,8 @@ def test_pairs_match_ss_pages_on_the_sinha_complex(field, normalized):
 
 def reference_reduce(C):
     """The column reduction of D in filtration order as a loop of its own,
-    outside linalg.Eliminator: (order, R, V), the form of spectral._reduce.
+    outside linalg.Eliminator, with the Field-method sparse update of
+    linalg_reference: (order, R, V), the form of spectral._reduce.
 
     While the pivot of R[j] (its entry latest in the (p, j) order) is the
     pivot of an earlier column k, the multiple of R[k] that clears it is
@@ -347,8 +349,8 @@ def reference_reduce(C):
                 owner[i] = j
                 break
             c = F.mul(r[i], F.inv(R[k][i]))
-            sub_scaled(F, zero, r, c, R[k].items())
-            sub_scaled(F, zero, v, c, V[k].items())
+            linalg_reference.sub_scaled(F, zero, r, c, R[k].items())
+            linalg_reference.sub_scaled(F, zero, v, c, V[k].items())
         R[j], V[j] = r, v
     return order, R, V
 
@@ -470,3 +472,19 @@ def test_ss_pages_leaves_no_state_on_the_complex():
         before = dict(vars(C))
         ss_pages(C, 3)
         assert vars(C) == before
+
+
+@pytest.mark.parametrize("F", [F2, F3, Field(5), QQ], ids=str)
+def test_apply_matches_the_field_method_reference(F):
+    """D v with the inline arithmetic equals the Field-method loop's, on
+    random complexes and vectors, with values of the field's type."""
+    rng = random.Random(20261021)
+    for _ in range(60):
+        C = random_filtered_complex(rng, F)
+        v = {j: x for j in rng.sample(range(C.dim), rng.randint(0, C.dim))
+             if (x := F.of(rng.randint(-4, 4)))}
+        got = C.apply(v)
+        assert got == linalg_reference.apply(C, v)
+        for x in got.values():
+            assert type(x) is (int if F.p else Fraction) and x
+            assert F.p is None or 0 < x < F.p
