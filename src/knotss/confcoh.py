@@ -11,8 +11,11 @@ The cosimplicial structure enters through coface pullbacks on
 generators and the alternating-sum differential d_1.  Coface images are
 computed over Z on factor tuples, as (monomial, int) pairs
 (coface_terms); hochschild sums them into one sparse integer d_1 and
-coerces once per nonzero entry.  An image needs the 3-term rewrite only
-when an inner coface i meets factors with second indices i and i+1.
+coerces once per nonzero entry, evaluating only the cofaces that
+live_cofaces keeps: not those that kill the monomial, and one per run
+of cofaces with equal images.  An image needs the 3-term rewrite only
+when an inner coface i meets factors with second indices i and i+1 and
+different first indices.
 The rewrite recurses on sorted factor tuples and memoizes its nodes in
 a dict the caller may pass: each d_1 assembly passes one for all of its
 images and drops it when it returns.
@@ -221,9 +224,11 @@ def coface_terms(i, p, m, memo=None):
     The outer cofaces keep second indices strictly increasing, and an
     inner coface i breaks that order only when m has a factor with
     second index i and one with second index i+1; every other image is
-    already admissible and comes back with coefficient 1.  A clash
-    leaves at most that tied pair out of order: one swap, with its sign,
-    sorts the image for the memoized rewrite.
+    already admissible and comes back with coefficient 1.  When both
+    factors have the same first index a, the image is g_{a,i}^2 = 0 and
+    comes back as () without the rewrite.  Any other clash leaves at
+    most that tied pair out of order: one swap, with its sign, sorts the
+    image for the memoized rewrite.
     """
     mapped, sign = [], 0  # sign stays 0 unless the image clashes
     if i == 0:
@@ -242,6 +247,8 @@ def coface_terms(i, p, m, memo=None):
                     return ()
                 # m is admissible: second index i, if any, comes just before
                 if mapped and mapped[-1][1] == i:
+                    if mapped[-1][0] == a:
+                        return ()  # g_{a,i} g_{a,i+1} -> g_{a,i}^2 = 0
                     sign = 1
                     if mapped[-1][0] > a:
                         mapped.insert(-1, (a, i))
@@ -253,6 +260,41 @@ def coface_terms(i, p, m, memo=None):
         return ((tuple(mapped), 1),)
     pairs = _straighten_sorted(tuple(mapped), {} if memo is None else memo)
     return pairs if sign == 1 else tuple((mm, -z) for mm, z in pairs)
+
+
+def live_cofaces(p, m):
+    """The cofaces whose pullbacks of the admissible factor tuple m can
+    contribute to d_1 at arity p, as (i, sign) pairs: d_1 m is the sum of
+    sign * coface_terms(i, p, m) over them.
+
+    Two rules skip the rest.  Cofaces i - 1 and i agree on m when no
+    factor of m touches index i, so the indices m touches cut 0..p into
+    runs of equal images; a run from start adds (-1)^start once when its
+    length is odd and cancels when it is even.  A run is dead, its image
+    0, when its start i kills m: i = 0 and m has a factor g_{1b}, i = p
+    and m has g_{bp}, or i inner and the factors of m join i to i + 1
+    (g_{i,i+1} itself, or a path such as g_{a,i} g_{a,i+1}, whose image
+    holds a cycle and vanishes by the 3-term relation).  Only a start can
+    kill: the other cofaces of a run meet no factor at their own index.
+
+    The factors of m form a forest in which g_{ab} hangs b below a < b,
+    so each one joins a new index b to the tree of a, and i joins i + 1
+    exactly when the tree of i + 1 has the root of i.
+    """
+    root, touched, dead = {}, 0, 0
+    for a, b in m:
+        r = root[b] = root.get(a, a)
+        touched |= 1 << a | 1 << b
+        if root.get(b - 1, b - 1) == r:
+            dead |= 1 << b - 1
+    dead |= touched >> 1 & 1 | touched & 1 << p
+    live, start = [], 0
+    for i in range(1, p + 2):
+        if touched >> i & 1 or i > p:
+            if (i - start) & 1 and not dead >> start & 1:
+                live.append((start, -1 if start & 1 else 1))
+            start = i
+    return live
 
 
 def coface_pullback(i, x):

@@ -7,7 +7,8 @@ confcoh, and d_1 out of it is Sinha's: the alternating sum of the coface
 pullbacks into slot (p - 1, q), the i-th signed (-1)^i.  delta_columns
 computes it on one sparse integer route, on the slots' monomials in
 source and target: all admissible monomials for the plain complex, the
-normalized ones for the normalized complex.  Its callers coerce each
+normalized ones for the normalized complex, and it evaluates only the
+coface pullbacks confcoh.live_cofaces keeps.  Its callers coerce each
 nonzero entry into the field once.  conf_delta_matrix is its dense
 view; confcoh.sinha_d1 computes the same sum on classes, and the tests
 compare the two.  build_sinha_complex filters the tower by arity, so
@@ -24,9 +25,10 @@ imports only what ss-table and verify-cycle execute: confcoh, linalg
 and spectral.
 """
 
-from itertools import chain
+from itertools import combinations
 
-from .confcoh import admissible_basis, coface_terms, dim_cohomology
+from .confcoh import (admissible_basis, coface_terms, dim_cohomology,
+                      live_cofaces)
 from .linalg import Eliminator, Matrix, column_kernel, rank, sub_scaled
 from .spectral import FilteredComplex
 
@@ -39,14 +41,16 @@ def delta_columns(p, q, sources, index):
     index maps admissible monomials of slot (p - 1, q) to rows.  Each
     column sums the coface images of its source, the i-th signed (-1)^i,
     as {row: int}, read off the (monomial, int) pairs of coface_terms;
-    images outside index are dropped, and a sum that cancels stays as a
-    0 entry for the caller to skip.  One rewrite memo serves the call.
+    images outside index are dropped.  Only the cofaces of
+    confcoh.live_cofaces are evaluated: a coface that kills the source
+    is skipped, and a run of cofaces with equal images is summed once,
+    its signs cancelling in pairs.  Distinct images can still cancel, as
+    a 0 entry for the caller to skip.  One rewrite memo serves the call.
     """
-    signs = [(-1) ** i for i in range(p + 1)] if index else []
     memo = {}
     for m in sources:
         col = {}
-        for i, sign in enumerate(signs):
+        for i, sign in live_cofaces(p, m) if index else ():
             for mm, z in coface_terms(i, p, m, memo):
                 t = index.get(mm)
                 if t is not None:
@@ -87,9 +91,31 @@ def normalized_slot(p, q):
     misses index i + 1, and a monomial missing index k is s^(k-1) of its
     own down-shift.  The degenerate span is therefore the coordinate
     subspace of the monomials that miss some index.
+
+    They are enumerated directly.  q factors touch at most 2q indices,
+    and p can only be a second index, so a slot with 2q < p is empty and
+    a set of second indices must hold p.  The indices that are no second
+    index must each be the first index of a factor, so a partial monomial
+    that leaves more of them uncovered than it has factors left is cut.
     """
-    return [m for m in admissible_basis(p, q)
-            if len(set(chain.from_iterable(m))) == p]
+    out = []
+    if 2 * q < p:
+        return out
+    for seconds in combinations(range(2, p + 1), q):
+        if p and seconds[-1:] != (p,):
+            continue
+        uncovered = (1 << p + 1) - 2  # bits of 1..p
+        for k in seconds:
+            uncovered &= ~(1 << k)
+        partial, left = [((), uncovered)], q
+        for k in seconds:
+            left -= 1
+            partial = [(m + ((i, k),), u) for m, v in partial
+                       for i in range(1, k)
+                       if (u := v & ~(1 << i)).bit_count() <= left]
+        out.extend(m for m, _ in partial)
+    out.sort()
+    return out
 
 
 def build_sinha_complex(max_p, field, normalized=True):

@@ -5,12 +5,12 @@ One elimination, on sparse vectors {index: nonzero field value}:
 Eliminator, which reduces by pivot lookup and also runs spectral's
 filtration-order reduction; column_kernel gives the pivots and kernel
 of a list of sparse columns.  A dense Matrix is a list of rows whose
-mul_vector sums over the nonzero entries of its vector; rank,
-kernel_basis, solve and solve_many take a Matrix and run Eliminator on
-its rows or columns, and sparse(v) converts a dense vector at that
-boundary.  Subspace, subquotient and induced_map hold sparse vectors,
-and induced_map takes its map as a callable from sparse vectors to
-sparse vectors.  Entries pass through Field.of only at the edges:
+mul_vector sums over the nonzero entries of its vector, found by
+itertools.compress; rank, kernel_basis, solve and solve_many take a
+Matrix and run Eliminator on its rows or columns, and sparse(v)
+converts a dense vector at that boundary.  Subspace, subquotient and
+induced_map hold sparse vectors, and induced_map takes its map as a
+callable from sparse vectors to sparse vectors.  Entries pass through Field.of only at the edges:
 Matrix(field, rows) and the right-hand side of solve (solve_many takes
 field values); everything else keeps field values as they are.
 sub_scaled, the sparse update v -= c * w, also takes w with int
@@ -21,6 +21,8 @@ F.p over F_p, and call no Field method per entry.
 VerificationError, which these checks raise, comes from the leaf
 module knotss.errors, so that every module raises and catches one class.
 """
+
+from itertools import compress
 
 from .errors import VerificationError
 
@@ -82,7 +84,7 @@ class Matrix:
         if len(v) != self.ncols:
             raise ValueError("dimension mismatch: %d cols, vector of %d" % (self.ncols, len(v)))
         p, zero = self.field.p, self.field.zero
-        support = [(j, x) for j, x in enumerate(v) if x]
+        support = [(j, v[j]) for j in compress(range(len(v)), v)]
         out = []
         for row in self.rows:
             acc = zero

@@ -6,10 +6,28 @@ columns (_delta_blocks, hochschild_delta), the complex it defines
 (d2_via_lifting), and two synthetic presentations that cross-check the
 page machinery (pointwise_presentation, toy_mu3_presentation).  The
 engine builds the Sinha complex from hochschild.delta_columns and needs
-none of it."""
+none of it.  delta_columns here is the engine's d_1 loop as it was
+before it skipped cofaces: every coface pullback of every source."""
 
+from knotss.confcoh import coface_terms
 from knotss.linalg import Matrix, rank, solve_many
 from knotss.spectral import FilteredComplex
+
+
+def delta_columns(p, q, sources, index):
+    """d_1 over Z out of slot (p, q), one sparse column {row: int} per
+    source: the sum of all p + 1 coface images, the i-th signed (-1)^i,
+    images outside index dropped; a sum that cancels stays as a 0 entry."""
+    signs = [(-1) ** i for i in range(p + 1)] if index else []
+    memo = {}
+    for m in sources:
+        col = {}
+        for i, sign in enumerate(signs):
+            for mm, z in coface_terms(i, p, m, memo):
+                t = index.get(mm)
+                if t is not None:
+                    col[t] = col.get(t, 0) + sign * z
+        yield col
 
 
 class OperadPresentation:

@@ -172,9 +172,12 @@ def test_coface_image_is_the_ring_map_of_the_generator_images():
 
 def _clashes(i, p, m):
     """The inner coface i meets factors of m with second indices i and
-    i + 1, neither of them g_{i,i+1}: the image needs the rewrite."""
-    seconds = {b for _, b in m}
-    return (0 < i < p and {i, i + 1} <= seconds and (i, i + 1) not in m)
+    i + 1, neither of them g_{i,i+1}, with different first indices: the
+    image needs the rewrite.  g_{a,i} g_{a,i+1} maps to g_{a,i}^2 = 0
+    without it."""
+    first = {b: a for a, b in m}
+    return (0 < i < p and {i, i + 1} <= first.keys()
+            and first[i + 1] not in (i, first[i]))
 
 
 def test_coface_terms_match_the_reference_on_every_coface(monkeypatch):
@@ -182,7 +185,8 @@ def test_coface_terms_match_the_reference_on_every_coface(monkeypatch):
     # distinct admissible monomials with nonzero ints, whose dict is the
     # reference straightening of the generator images, with and without
     # a shared memo.  Every clashing image, and no other, reaches the
-    # rewrite, and some do at every p >= 3.
+    # rewrite, and some do at every p >= 4 (at p = 3 the only pairs with
+    # second indices 2 and 3 are g_12 g_13 and g_12 g_23).
     rewrite, depth, calls = confcoh._straighten_sorted, [0], [0]
 
     def counted(fs, memo):
@@ -214,7 +218,46 @@ def test_coface_terms_match_the_reference_on_every_coface(monkeypatch):
                             assert all(1 <= a < b < p for a, b in mm)
                             assert all(f[1] < g[1] for f, g in zip(mm, mm[1:]))
         assert calls[0] == 2 * clashes, p
-        assert clashes > 0 or p < 3, p
+        assert clashes > 0 or p < 4, p
+
+
+def _kills(i, p, m):
+    """Coface i sends m to 0: an outer coface meets a factor at the point
+    it drops, or an inner one meets a path of factors from i to i + 1,
+    whose image holds g_{i,i+1} or a cycle of generators."""
+    touched = {x for f in m for x in f}
+    if i in (0, p):
+        return (i or 1) in touched
+    reach, grown = {i}, True
+    while grown:
+        grown = False
+        for a, b in m:
+            if (a in reach) != (b in reach):
+                reach |= {a, b}
+                grown = True
+    return i + 1 in reach
+
+
+def test_live_cofaces_rules_hold_on_every_coface():
+    # every admissible m and every coface for p <= 8: coface_terms is ()
+    # exactly when the coface kills m, cofaces i - 1 and i agree when no
+    # factor touches i, and live_cofaces keeps the start of each odd run
+    # that lives, with its sign (-1)^start
+    for p in range(1, 9):
+        for q in range(p):
+            memo = {}
+            for m in admissible_basis(p, q):
+                images = [coface_terms(i, p, m, memo) for i in range(p + 1)]
+                touched = {x for f in m for x in f}
+                starts = [0] + sorted(touched)
+                want = []
+                for s, e in zip(starts, starts[1:] + [p + 1]):
+                    assert all(images[i] == images[s] for i in range(s, e))
+                    if (e - s) % 2 and images[s]:
+                        want.append((s, (-1) ** s))
+                for i, pairs in enumerate(images):
+                    assert (pairs == ()) == _kills(i, p, m), (p, m, i)
+                assert confcoh.live_cofaces(p, m) == want, (p, m)
 
 
 def reference_straighten_sorted(fs, memo):
