@@ -8,12 +8,14 @@ mod 2 (arity 4) or mod 3 (arity 5).  The three-term relation takes the
 same two constructors with each contraction averaged over both push
 directions.  All four builders share one contraction loop: c(G,i) and
 the triple chain take c(G)'s contracted terms (_contracted, _contract).
-Chains are assembled from the generic constructors in chainledger; the
-graph lists, pairing data, and expected identities are checked-in data
-(data/cases.json) interpreted by run_case; the survivors case names
-its bounding case and reads that case's graphs and pairs.  Merge
-images enter a difference unfiltered, and run_case filters each
-difference once with apply_facts after reducing it mod char.
+Each term goes to Chain.add with its WeightSpec already in canonical
+order: the s-names a, b of the contracted edges and c of c(G,i), then
+the homotopy's t.  The graph lists, pairing data, and expected
+identities are checked-in data (data/cases.json) interpreted by
+run_case; the survivors case names its bounding case and reads that
+case's graphs and pairs.  Merge images enter a difference unfiltered,
+and run_case filters each difference once with apply_facts after
+reducing it mod char.
 """
 
 import json
@@ -21,9 +23,9 @@ import os
 from fractions import Fraction
 from itertools import combinations
 
-from .chainledger import (Chain, ZeroFacts, apply_delta, apply_facts,
-                          boundary_D, contraction, f_graph, i_contraction,
-                          single, straight)
+from .chainledger import (Chain, WeightSpec, ZeroFacts, apply_delta,
+                          apply_facts, boundary_D, contraction, f_graph,
+                          i_contraction, straight)
 from .partgraph import PGraph, delta_graph, parse_graph
 
 
@@ -69,18 +71,23 @@ def pair_data(G, H, i):
 # signed chains, reduced mod 2 at arity 4 and mod 3 at arity 5
 
 
-def _contracted(G, directions, tail=()):
+# the weights of the uncontracted terms: f(w_0), and the homotopies on w_01
+_W0, _WT = WeightSpec((), ()), WeightSpec((), ("t",))
+
+
+def _contracted(G, directions, tail=_W0):
     """(edge positions js, coefficient (-1)^(sum js + 1) / #directions,
-    factor word: s-factors a, then b, for the edges, then tail) of each
-    contracted term: every edge, then every pair of edges when G has
-    more than two; the coefficient is an int for one direction."""
+    weight: s-names a, then b, for the edges, then tail's s-names, and
+    tail's t-names) of each contracted term: every edge, then every pair
+    of edges when G has more than two; the coefficient is an int for one
+    direction."""
     m = len(G.edges)
     wt = 1 if len(directions) == 1 else Fraction(1, len(directions))
     subsets = [(j,) for j in range(1, m + 1)]
     if m > 2:
         subsets += combinations(range(1, m + 1), 2)
     return [(js, wt * (-1) ** (sum(js) + 1),
-             [("s", s) for s in "ab"[:len(js)]] + list(tail))
+             WeightSpec(("a", "b")[:len(js)] + tail.s_names, tail.t_names))
             for js in subsets]
 
 
@@ -99,12 +106,12 @@ def chain_c(G, directions=(1,)):
     mod 2, and with directions (1, -1) it is c'(G) of the three-term
     relation."""
     f = f_graph(G)
-    ch = single(1, f, [], G)
-    for js, coeff, word in _contracted(G, directions):
+    ch = Chain().add(1, f, _W0, G)
+    for js, coeff, w in _contracted(G, directions):
         edges = [G.edges[j - 1] for j in js]
         for d in directions:
-            ch.add_word(coeff * (-1) ** len(js), _contract(f, G, edges, d),
-                        word, subgraph(G, edges))
+            ch.add(coeff * (-1) ** len(js), _contract(f, G, edges, d), w,
+                   subgraph(G, edges))
     return ch
 
 
@@ -113,8 +120,8 @@ def chain_pair(G, H, i, directions=(1,)):
     - lambda'_j)(w_11) + the same over edge pairs with (-1)^{j+k+1} on
     w_21, each contraction averaged over the push directions."""
     f, fp, dG, dH, edges, psi = pair_data(G, H, i)
-    ch = single(1, psi, [("t", "t")], dG)
-    for js, coeff, word in _contracted(G, directions, [("t", "t")]):
+    ch = Chain().add(1, psi, _WT, dG)
+    for js, coeff, w in _contracted(G, directions, _WT):
         eg, ebar, eh = zip(*(edges[j - 1] for j in js))
         label = subgraph(dG, ebar)
         for d in directions:
@@ -124,7 +131,7 @@ def chain_pair(G, H, i, directions=(1,)):
                             _contract(fp, dH, ebar, d), "t")
             psij = _contract(psi, dG, ebar, d)
             for sgn, expr in ((coeff, psij), (coeff, lam), (-coeff, lamp)):
-                ch.add_word(sgn, expr, word, label)
+                ch.add(sgn, expr, w, label)
     return ch
 
 
@@ -136,14 +143,14 @@ def chain_cycle_ch3(G, i):
         raise ValueError("c(G,i) needs a graph with three edges or more")
     f = f_graph(G)
     ch = Chain()
-    for js, coeff, word in _contracted(G, (1, -1), [("s", "c")]):
+    for js, coeff, w in _contracted(G, (1, -1), WeightSpec(("c",), ())):
         edges = [G.edges[j - 1] for j in js]
         hit = delta_graph(i, subgraph(G, edges))
         if hit is None:
             continue
         expr = _contract(f, G, edges, 1)
         for eps in (1, -1):
-            ch.add_word(coeff, i_contraction(expr, i, "c", eps), word, hit[0])
+            ch.add(coeff, i_contraction(expr, i, "c", eps), w, hit[0])
     return ch
 
 
@@ -157,23 +164,21 @@ def chain_triple(G5, G6, G7, i):
         raise ValueError("merged graphs do not assemble a triangle")
     psi = straight(f5, homotopy_target(f5, f6, i), "t")
     phi = straight(f5, homotopy_target(f5, f7, i), "t")
-    ch = single(1, f5, [], tri)
-    ch.add_word(1, psi, [("t", "t")], d6)
-    ch.add_word(1, phi, [("t", "t")], d7)
+    ch = Chain().add(1, f5, _W0, tri).add(1, psi, _WT, d6).add(1, phi, _WT, d7)
     for hom, dG in ((psi, d6), (phi, d7)):
-        for js, coeff, word in _contracted(dG, (1, -1), [("t", "t")]):
+        for js, coeff, w in _contracted(dG, (1, -1), _WT):
             ebar = [dG.edges[j - 1] for j in js]
             for d in (1, -1):
-                ch.add_word(coeff, _contract(hom, dG, ebar, d), word,
-                            subgraph(dG, ebar))
+                ch.add(coeff, _contract(hom, dG, ebar, d), w,
+                       subgraph(dG, ebar))
     for sgn, fk, G, dG in ((1, f5, G5, d5), (-1, f6, G6, d6), (-1, f7, G7, d7)):
-        for js, coeff, word in _contracted(G, (1, -1), [("t", "t")]):
+        for js, coeff, w in _contracted(G, (1, -1), _WT):
             eg = [G.edges[j - 1] for j in js]
             ebar = [merged_edge(i, G, e) for e in eg]
             for d in (1, -1):
                 lam = straight(_contract(fk, G, eg, d),
                                _contract(fk, dG, ebar, d), "t")
-                ch.add_word(sgn * coeff, lam, word, subgraph(dG, ebar))
+                ch.add(sgn * coeff, lam, w, subgraph(dG, ebar))
     return ch
 
 

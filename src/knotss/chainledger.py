@@ -4,7 +4,8 @@ tower of Thom spaces.
 A chain is a rational combination of terms f(w), where f is an affine
 map expression R^4 x (parameter box) -> R^{2n} and w is a weight built
 from two sphere factors, interval-at-infinity factors bound to
-s-parameters, and unit-interval factors bound to t-parameters.  The
+s-parameters, and unit-interval factors bound to t-parameters, in this
+order: Chain.add takes w as a WeightSpec already so ordered.  The
 boundary D = d + (-1)^degree partial has a restriction part d (s := 0;
 t := 1 minus t := 0, with Koszul signs read off the weight order) and a
 Cech part partial removing one edge of the label graph at a time.
@@ -473,24 +474,6 @@ class WeightSpec(Record):
         return 4 + len(self.s_names) + len(self.t_names)
 
 
-def make_weight(factors):
-    """Normalize a factor word [('s', name) | ('t', name), ...] to the
-    canonical s-block/t-block order; returns (WeightSpec, Koszul sign)."""
-    s_names, t_names, sign = [], [], 1
-    pending_t = 0
-    for kind, name in factors:
-        if kind == "s":
-            s_names.append(name)
-            if pending_t % 2:
-                sign = -sign
-        elif kind == "t":
-            t_names.append(name)
-            pending_t += 1
-        else:
-            raise ValueError("unknown factor kind %r" % kind)
-    return WeightSpec(tuple(s_names), tuple(t_names)), sign
-
-
 class Term:
     """expr(weight) on a graph label, carrying ekey = expr.key().  A term
     made from its key alone (expr None) builds expr on first read."""
@@ -576,14 +559,10 @@ class Chain:
         self.terms = {}  # key -> [coeff, Term]
 
     def add(self, coeff, expr, weight, label):
+        """Add coeff * expr(weight) on label in place."""
         if not coeff:
             return self
         return self._put(*canon_term(coeff, expr, weight, label))
-
-    def add_word(self, coeff, expr, factors, label):
-        """Add in place with factor-order normalization (see make_weight)."""
-        weight, sign = make_weight(factors)
-        return self.add(coeff * sign, expr, weight, label)
 
     def _put(self, coeff, term):
         """Add coeff * term for a term that is already canonical."""
@@ -638,11 +617,6 @@ class Chain:
 
     def __repr__(self):
         return "Chain(%d terms)" % len(self.terms)
-
-
-def single(coeff, expr, factors, label):
-    """Convenience: one-term chain with factor-order normalization."""
-    return Chain().add_word(coeff, expr, factors, label)
 
 
 # ---------------------------------------------------------------------------

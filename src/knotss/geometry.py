@@ -813,13 +813,9 @@ def check_lemma(name, samples=1000, seed=20260823):
     fn = _LEMMAS.get(name)
     if fn is None:
         raise ValueError("unknown lemma %r" % name)
-    return fn(random.Random("%s:%d" % (name, seed)), samples, seed)
-
-
-def _report(lemma, samples, counterexamples, seed):
-    return {"lemma": lemma, "samples": samples, "seed": seed,
-            "counterexamples": counterexamples,
-            "pass": not counterexamples}
+    bad = fn(random.Random("%s:%d" % (name, seed)), samples)
+    return {"lemma": name, "samples": samples, "seed": seed,
+            "counterexamples": bad, "pass": not bad}
 
 
 def _refinement_pairs():
@@ -835,7 +831,7 @@ def _tubes(params, partitions):
     return {P: Tube(params, P) for P in set(partitions)}
 
 
-def _check_diagonal_bound(rng, samples, seed):
+def _check_diagonal_bound(rng, samples):
     """Basepoints of the finer stage stay basepoints of the coarser
     stage, so the collapse map between the two is well defined."""
     params = default_params(4)
@@ -853,10 +849,10 @@ def _check_diagonal_bound(rng, samples, seed):
                 and tubes[P].nonbase_projection(ys) is not None):
             bad.append({"P": str(P), "Q": str(Q),
                         "y": [list(map(str, v)) for v in _fractions(ys)]})
-    return _report("diagonal-bound", samples, bad, seed)
+    return bad
 
 
-def _check_diagonal_incl(rng, samples, seed):
+def _check_diagonal_incl(rng, samples):
     """A non-basepoint of the finer stage sitting in a deep diagonal
     region maps into the corresponding diagonal region downstream, or
     to the basepoint when the pair merges or touches an extreme
@@ -886,10 +882,10 @@ def _check_diagonal_incl(rng, samples, seed):
             if not ok:
                 bad.append({"P": str(P), "Q": str(Q), "pair": (a, b),
                             "y": [list(map(str, v)) for v in _fractions(ys)]})
-    return _report("diagonal-incl", samples, bad, seed)
+    return bad
 
 
-def _check_collapse0(rng, samples, seed):
+def _check_collapse0(rng, samples):
     """Non-basepoint tube membership pins every component into its
     refined first-coordinate window and its exact in-piece gaps, up to
     twice the tube width."""
@@ -929,7 +925,7 @@ def _check_collapse0(rng, samples, seed):
                 bad.append({"P": str(P), "k": b, "kind": "window"}
                            if a is None else
                            {"P": str(P), "pair": (a, b), "kind": "gap"})
-    return _report("collapse0", samples, bad, seed)
+    return bad
 
 
 def _condensed_instances():
@@ -966,7 +962,7 @@ def _aimed_inputs(tube, gap, rng, names):
     return x, y, E, values
 
 
-def _check_condensed_image(rng, samples, seed):
+def _check_condensed_image(rng, samples):
     """Condensed maps, their contractions, and their straightening
     homotopies only meet the tube along the deep diagonal regions of
     their stage graph."""
@@ -996,7 +992,7 @@ def _check_condensed_image(rng, samples, seed):
                 bad.append({"edge": (a, b), "expr": expr.text(),
                             "x": [str(Fraction(c, E)) for c in x],
                             "y": [str(Fraction(c, E)) for c in y]})
-    return _report("condensed-image", samples, bad, seed)
+    return bad
 
 
 def _collapse_case_instances():
@@ -1025,7 +1021,7 @@ def _power_check_terms():
                  PGraph(Partition(4, (1, 2, 2, 1)), ()))]
 
 
-def _check_collapse_cases(rng, samples, seed):
+def _check_collapse_cases(rng, samples):
     """The two collapse mechanisms behind the zero facts admit no
     witnesses, while the attack does find witnesses for two maps that
     genuinely survive (its power check)."""
@@ -1051,10 +1047,10 @@ def _check_collapse_cases(rng, samples, seed):
                           restarts=40)
         if rep["witness"] is None:
             bad.append({"kind": "power-check", "detail": rep})
-    return _report("collapse-cases", samples, bad, seed)
+    return bad
 
 
-def _check_i_contraction(rng, samples, seed):
+def _check_i_contraction(rng, samples):
     """Pulling two adjacent components apart along the first coordinate
     keeps the image inside the diagonal regions of the merged stage."""
     from .chainledger import contraction, f_graph, i_contraction
@@ -1096,7 +1092,7 @@ def _check_i_contraction(rng, samples, seed):
                             "s2": str(Fraction(*s2)),
                             "x": [str(Fraction(c, E)) for c in x],
                             "y": [str(Fraction(c, E)) for c in y]})
-    return _report("i-contraction", samples, bad, seed)
+    return bad
 
 
 # the harnesses by lemma name, in report order

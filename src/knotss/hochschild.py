@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .confcoh import (admissible_basis, coface_terms, dim_cohomology,
                       live_cofaces)
-from .linalg import Eliminator, Matrix, column_kernel, rank, sub_scaled
+from .linalg import Eliminator, Matrix, column_kernel, sub_scaled
 from .spectral import FilteredComplex
 
 MAX_ARITY = 8  # largest max_p of build_sinha_complex
@@ -148,12 +148,6 @@ def build_sinha_complex(max_p, field, normalized=True):
             cols = delta_columns(p, q, reps[(p, q)], index)
             columns.update(enumerate(_field_columns(F, cols), offsets[(p, q)]))
     return FilteredComplex(F, slots, columns)
-
-
-def mu3_obstruction_rank(field):
-    """Rank of delta from slot (4, 1) to slot (3, 1): the pairing that
-    detects the nontrivial ternary bracket on the second page."""
-    return rank(conf_delta_matrix(4, 1, field))
 
 
 def e2_report(x):

@@ -85,6 +85,8 @@ class Matrix:
             raise ValueError("dimension mismatch: %d cols, vector of %d" % (self.ncols, len(v)))
         p, zero = self.field.p, self.field.zero
         support = [(j, v[j]) for j in compress(range(len(v)), v)]
+        if not support:
+            return [zero] * self.nrows
         out = []
         for row in self.rows:
             acc = zero

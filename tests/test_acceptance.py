@@ -12,8 +12,9 @@ from knotss.chainledger import ZeroFacts, boundary_D
 from knotss.confcoh import dim_cohomology, parse_class, sinha_d1
 from knotss.fields import F2, F3, QQ
 from knotss.geometry import ALL_LEMMAS, attack_zero_facts, check_lemma
-from knotss.hochschild import (Matrix, build_sinha_complex, e2_report,
-                               mu3_obstruction_rank)
+from knotss.hochschild import (Matrix, build_sinha_complex,
+                               conf_delta_matrix, e2_report)
+from knotss.linalg import rank
 from knotss.operads import d_squared_report
 from knotss.partgraph import parse_graph, verify_commutation
 from knotss.spectral import (einf_dims, page_ranks, random_filtered_complex,
@@ -104,7 +105,7 @@ def test_criterion_05_e2_generators():
 
 def test_criterion_06_mu3_obstruction():
     t0 = time.time()
-    ok = all(mu3_obstruction_rank(F) == 3 for F in FIELDS)
+    ok = all(rank(conf_delta_matrix(4, 1, F)) == 3 for F in FIELDS)
     _line(6, "mu_3 obstruction pairing has rank 3, 3 fields", ok, t0)
 
 

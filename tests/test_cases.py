@@ -9,9 +9,9 @@ import pytest
 from knotss import cases
 from knotss.cases import (all_cases, chain_c, chain_cycle_ch3, chain_pair,
                           chain_triple, run_case, _load_cases)
-from knotss.chainledger import (Chain, ZeroFacts, apply_delta, apply_facts,
-                                boundary_D, canon_term, contraction, f_graph,
-                                single)
+from knotss.chainledger import (Chain, WeightSpec, ZeroFacts, apply_delta,
+                                apply_facts, boundary_D, canon_term,
+                                contraction, f_graph)
 from knotss.fields import Field
 from knotss.linalg import Eliminator, column_kernel
 from knotss.partgraph import PGraph, parse_graph
@@ -435,10 +435,11 @@ def test_char2_chains_close_over_Z():
         ch = chain_c(G)
         assert boundary_D(ch).is_zero(), text
         f = f_graph(G)
-        paper = single(1, f, [], G)
+        paper = Chain().add(1, f, WeightSpec((), ()), G)
         for e in G.edges:
             rest = PGraph(G.partition, tuple(x for x in G.edges if x != e))
-            paper.add_word(1, contraction(f, G, e, "a"), [("s", "a")], rest)
+            paper.add(1, contraction(f, G, e, "a"), WeightSpec(("a",), ()),
+                      rest)
         assert ch.reduce(2).diff_report(paper, 2) == [], text
 
 

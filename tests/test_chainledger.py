@@ -15,8 +15,8 @@ from knotss.chainledger import (Chain, MapExpr, Poly, Term, WeightSpec,
                                 ZeroFacts, apply_delta, apply_facts,
                                 boundary_D, canon_term, contraction,
                                 edge_signs, f_graph, first_coord_collapse,
-                                i_contraction, make_weight, parse_expr,
-                                parse_term, piece_positions, single, straight)
+                                i_contraction, parse_expr, parse_term,
+                                piece_positions, straight)
 from knotss.cases import all_cases, chain_c, chain_pair, pair_data, run_case
 from knotss.geometry import TermRows, _power_check_terms
 from knotss.linalg import VerificationError
@@ -351,21 +351,11 @@ def test_i_contraction_components():
     assert g.comps[0][2].is_zero() and g.comps[3][2].is_zero()
 
 
-def test_make_weight_koszul_sign():
-    w, sign = make_weight([("s", "a"), ("t", "t")])
-    assert (w.s_names, w.t_names, sign) == (("a",), ("t",), 1)
-    w, sign = make_weight([("t", "t"), ("s", "a")])
-    assert (w.s_names, w.t_names, sign) == (("a",), ("t",), -1)
-    w, sign = make_weight([("t", "t1"), ("s", "a"), ("s", "b")])
-    assert sign == 1  # two odd factors moved past one odd factor
-    assert w.degree == 4 + 3
-
-
 def test_canon_term_antisymmetry():
     # transposing two interval-at-infinity factors is a sign
     f = contraction(contraction(f_graph(G1), G1, (1, 4), "a"), G1, (2, 3), "b")
-    ch = single(1, f, [("s", "a"), ("s", "b")], G1).add_word(
-        1, f, [("s", "b"), ("s", "a")], G1)
+    ch = Chain().add(1, f, WeightSpec(("a", "b"), ()), G1).add(
+        1, f, WeightSpec(("b", "a"), ()), G1)
     assert ch.is_zero()
 
 
@@ -373,16 +363,15 @@ def test_term_equal_to_its_negative_is_zero():
     # f is symmetric in a and b, so transposing the two odd factors maps
     # the term to its own negative: it is zero over Q
     f = contraction(contraction(f_graph(G1), G1, (1, 4), "a"), G1, (1, 4), "b")
-    w, _ = make_weight([("s", "a"), ("s", "b")])
+    w = WeightSpec(("a", "b"), ())
     assert canon_term(Fraction(1), f, w, G1)[0] == 0
-    ch = single(1, f, [("s", "a"), ("s", "b")], G1).add_word(
-        1, f, [("s", "b"), ("s", "a")], G1)
+    ch = Chain().add(1, f, w, G1).add(1, f, WeightSpec(("b", "a"), ()), G1)
     assert ch.is_zero()
 
 
 def test_canon_term_is_idempotent_and_ignores_the_label():
     f = contraction(contraction(f_graph(G1), G1, (1, 4), "b"), G1, (2, 3), "a")
-    w, _ = make_weight([("s", "a"), ("s", "b")])
+    w = WeightSpec(("a", "b"), ())
     c, t = canon_term(Fraction(3), f, w, G1)
     for label in (G1, PGraph(G1.partition, ())):
         c2, t2 = canon_term(c, t.expr, t.weight, label)
@@ -391,7 +380,7 @@ def test_canon_term_is_idempotent_and_ignores_the_label():
 
 
 def test_reduce_rejects_coefficient_undefined_mod_char():
-    ch = single(Fraction(1, 2), f_graph(G1), [], G1)
+    ch = Chain().add(Fraction(1, 2), f_graph(G1), WeightSpec((), ()), G1)
     assert ch.reduce(0).items()[0][0] == Fraction(1, 2)
     assert ch.reduce(3).items()[0][0] == Fraction(1, 2)
     with pytest.raises(VerificationError) as info:
@@ -402,14 +391,15 @@ def test_reduce_rejects_coefficient_undefined_mod_char():
 
 def test_canon_term_sphere_swap_is_free():
     f = f_graph(G1)
-    ch = single(1, f, [], G1) - single(1, f.swap_xy(), [], G1)
+    w = WeightSpec((), ())
+    ch = Chain().add(1, f, w, G1) - Chain().add(1, f.swap_xy(), w, G1)
     assert ch.is_zero()
 
 
 def test_canon_term_rejects_unbound_parameter():
     f = contraction(f_graph(G1), G1, (1, 4), "a")
     with pytest.raises(ValueError):
-        single(1, f, [], G1)
+        Chain().add(1, f, WeightSpec((), ()), G1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -417,13 +407,13 @@ def test_canon_term_rejects_unbound_parameter():
 def test_canon_term_permutation_invariance(order):
     f = contraction(contraction(f_graph(G1), G1, (1, 4), "a"), G1, (2, 3), "b")
     f = i_contraction(f, 2, "c")
-    base = single(1, f, [("s", "a"), ("s", "b"), ("s", "c")], G1)
+    base = Chain().add(1, f, WeightSpec(("a", "b", "c"), ()), G1)
     perm_sign = 1
     for i in range(3):
         for j in range(i + 1, 3):
             if order[i] > order[j]:
                 perm_sign = -perm_sign
-    other = single(perm_sign, f, [("s", x) for x in order], G1)
+    other = Chain().add(perm_sign, f, WeightSpec(tuple(order), ()), G1)
     assert (base - other).is_zero()
 
 
@@ -520,7 +510,7 @@ def test_canon_term_matches_the_reference_route_on_renamed_terms(data):
 
 def test_boundary_restriction_part():
     f = contraction(f_graph(G1), G1, (2, 3), "a")
-    ch = single(1, f, [("s", "a")], G1)
+    ch = Chain().add(1, f, WeightSpec(("a",), ()), G1)
     out = boundary_D(ch)
     # s := 0 gives the plain graph map; the Cech part drops one edge at
     # a time, signed (-1)^5 by the degree of the weight and (-1)^pos by
@@ -534,7 +524,8 @@ def test_boundary_restriction_part():
                      ("1", "y;x;x;y", "(1,4)(2,3)")]
     # on a one-edge label the Cech part would leave no edge, and is
     # truncated away
-    one_edge = single(1, f, [("s", "a")], PGraph(G1.partition, ((2, 3),)))
+    one_edge = Chain().add(1, f, WeightSpec(("a",), ()),
+                           PGraph(G1.partition, ((2, 3),)))
     assert [(str(c), t.expr.text(), str(t.label))
             for c, t in boundary_D(one_edge).items()] == \
         [("1", "y;x;x;y", "(2,3)")]
@@ -547,7 +538,7 @@ def test_boundary_degenerate_simplex_dropped():
     dG, _ = delta_graph(3, G1)
     lam = straight(contraction(f, G1, (1, 4), "a"),
                    contraction(f, dG, (1, 3), "a"), "t")
-    ch = single(1, lam, [("s", "a"), ("t", "t")], dG)
+    ch = Chain().add(1, lam, WeightSpec(("a",), ("t",)), dG)
     out = boundary_D(ch)
     for _, t in out.items():
         for name in t.weight.t_names:
@@ -585,7 +576,7 @@ def test_first_coord_collapse():
 
 
 def test_apply_delta_shape_kills_and_signs():
-    ch = single(1, f_graph(G1), [], G1)
+    ch = Chain().add(1, f_graph(G1), WeightSpec((), ()), G1)
     # merging pieces 2,3 makes the edge (2,3) a loop
     assert delta_graph(2, G1) is None
     assert apply_delta(ch, 2).is_zero()

@@ -9,9 +9,9 @@ from knotss import hochschild
 from knotss.fields import F2, F3, QQ
 from knotss.hochschild import (MAX_ARITY, build_sinha_complex,
                                conf_delta_matrix, e2_report,
-                               mu3_obstruction_rank, normalized_slot)
+                               normalized_slot)
 from knotss.linalg import (Eliminator, Matrix, VerificationError,
-                           kernel_basis, solve_many, sparse)
+                           kernel_basis, rank, solve_many, sparse)
 from knotss.spectral import (FilteredComplex, einf_dims, page_ranks, ss_pages,
                              total_homology_graded)
 
@@ -331,7 +331,7 @@ def test_e2_report_matches_the_two_elimination_route(monkeypatch):
 
 def test_mu3_obstruction_rank():
     for F in FIELDS:
-        assert mu3_obstruction_rank(F) == 3
+        assert rank(conf_delta_matrix(4, 1, F)) == 3
 
 
 def test_normalized_and_plain_towers_agree_on_page_two():
