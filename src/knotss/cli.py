@@ -9,8 +9,9 @@ or for a VerificationError the message on stderr, carries the witness),
 main builds the parser of the one subcommand argv names, from the
 COMMANDS table; with no subcommand, an unknown one or --help it builds
 all seven.  A run imports only the modules its subcommand executes.  conf-dims,
-ss-table and verify-cycle need confcoh, errors, fields, hochschild,
-linalg and spectral, imported at the top.  The other subcommands import
+ss-table and verify-cycle need confcoh, errors, fields, hochschild and
+linalg, imported at the top; ss-table reads its pages off hochschild's
+block route and loads no spectral.  The other subcommands import
 their own modules (geometry, partgraph, operads, cases, chainledger)
 inside their cmd_ function, so a page-table run neither loads nor
 compiles them.
@@ -24,8 +25,8 @@ import sys
 from .confcoh import ParseError, admissible_basis, dim_cohomology, parse_class
 from .errors import VerificationError
 from .fields import field_by_name
-from .hochschild import MAX_ARITY, build_sinha_complex, e2_report
-from .spectral import page_ranks
+from .hochschild import (MAX_ARITY, block_pages, block_ranks, check_d_squared,
+                         e2_report, sinha_blocks)
 
 SCHEMA_VERSION = "knotss-output/1"
 DEFAULT_SEED = 20260823
@@ -74,23 +75,20 @@ def cmd_ss_table(args):
     _at_least("--r-max", args.r_max, 2)
     _at_least("--max-arity", args.max_arity, 4, MAX_ARITY)
     F = field_by_name(args.field)
-    C = build_sinha_complex(args.max_arity, F, normalized=args.normalized)
+    dims, blocks = sinha_blocks(args.max_arity, normalized=args.normalized)
+    check_d_squared(blocks)
     try:
-        pages = page_ranks(C, args.r_max)
+        ranks = block_ranks(blocks, F)
     except VerificationError as exc:
         return {"error": str(exc)}, False
-    out, nonzero = [], []
-    for page in pages:
-        slots = {}
-        for (mp, q), e in sorted(page.table.items()):
-            slots["%d,%d" % (mp, q)] = {"dim": e["dim"],
-                                        "d_rank": e["d_rank"],
-                                        "target": "%d,%d" % e["target"]}
-            if page.r >= 2 and e["d_rank"]:
-                nonzero.append({"r": page.r, "slot": [mp, q],
-                                "rank": e["d_rank"]})
-        out.append({"r": page.r, "slots": slots})
-    return {"pages": out, "nonzero_higher": nonzero}, not nonzero
+    pages = [{"r": r, "slots": {
+        "%d,%d" % (mp, q): {"dim": e["dim"], "d_rank": e["d_rank"],
+                            "target": "%d,%d" % e["target"]}
+        for (mp, q), e in table.items()}}
+        for r, table in enumerate(block_pages(dims, ranks, args.r_max))]
+    # every d_1 block goes (p, q) -> (p - 1, q), so no d_r with r >= 2
+    # has a nonzero entry and block_pages gives each rank 0
+    return {"pages": pages, "nonzero_higher": []}, True
 
 
 def cmd_verify_cycle(args):

@@ -262,10 +262,13 @@ def coface_terms(i, p, m, memo=None):
     return pairs if sign == 1 else tuple((mm, -z) for mm, z in pairs)
 
 
-def live_cofaces(p, m):
+def live_cofaces(p, m, table=None):
     """The cofaces whose pullbacks of the admissible factor tuple m can
     contribute to d_1 at arity p, as (i, sign) pairs: d_1 m is the sum of
-    sign * coface_terms(i, p, m) over them.
+    sign * coface_terms(i, p, m) over them.  The list depends only on
+    the bit masks of the indices m touches and of the starts that kill
+    m, so table, a dict serving one arity p, keeps it by those masks;
+    callers must not change the list it returns.
 
     Two rules skip the rest.  Cofaces i - 1 and i agree on m when no
     factor of m touches index i, so the indices m touches cut 0..p into
@@ -288,12 +291,17 @@ def live_cofaces(p, m):
         if root.get(b - 1, b - 1) == r:
             dead |= 1 << b - 1
     dead |= touched >> 1 & 1 | touched & 1 << p
-    live, start = [], 0
-    for i in range(1, p + 2):
-        if touched >> i & 1 or i > p:
-            if (i - start) & 1 and not dead >> start & 1:
-                live.append((start, -1 if start & 1 else 1))
-            start = i
+    if table is None:
+        table = {}
+    live = table.get((touched, dead))
+    if live is None:
+        live = table[touched, dead] = []
+        start = 0
+        for i in range(1, p + 2):
+            if touched >> i & 1 or i > p:
+                if (i - start) & 1 and not dead >> start & 1:
+                    live.append((start, -1 if start & 1 else 1))
+                start = i
     return live
 
 

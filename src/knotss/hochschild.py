@@ -1,6 +1,6 @@
 """The Sinha complex of the configuration-space tower: its d_1, the
-filtered complex build_sinha_complex hands to spectral, and e2_report,
-the second-page verdicts of verify-cycle.
+page tables of ss-table, and e2_report, the second-page verdicts of
+verify-cycle.
 
 Slot (p, q) holds H^q(Conf_p(R^2)) on the admissible monomials of
 confcoh, and d_1 out of it is Sinha's: the alternating sum of the coface
@@ -8,11 +8,20 @@ pullbacks into slot (p - 1, q), the i-th signed (-1)^i.  delta_columns
 computes it on one sparse integer route, on the slots' monomials in
 source and target: all admissible monomials for the plain complex, the
 normalized ones for the normalized complex, and it evaluates only the
-coface pullbacks confcoh.live_cofaces keeps.  Its callers coerce each
-nonzero entry into the field once.  conf_delta_matrix is its dense
-view; confcoh.sinha_d1 computes the same sum on classes, and the tests
-compare the two.  build_sinha_complex filters the tower by arity, so
-d_1 is the differential of the spectral sequence's first page.
+coface pullbacks confcoh.live_cofaces keeps.  conf_delta_matrix is its
+dense view; confcoh.sinha_d1 computes the same sum on classes, and the
+tests compare the two.
+
+Filtered by arity, every entry of the tower's differential lies in a
+block (p, q) -> (p - 1, q), so d_1 is that differential and E_2 =
+E_infinity.  The block route of ss-table reads every page off the slot
+dimensions and one rank per block: sinha_blocks holds the integer
+blocks, check_d_squared composes consecutive blocks over Z, block_ranks
+runs one linalg.integer_elimination per block, mod p or fraction-free
+over Z for Q, and checks each rank from both sides, and block_pages
+writes the tables.  build_sinha_complex hands the same blocks, coerced
+once per nonzero entry, to spectral as a FilteredComplex for the page
+and E_infinity routes that criterion 07 and the tests compare against.
 
 The d_1 is the Hochschild-style delta of the operad whose dual pieces
 are these cohomology rings, delta(x) = sum_l (x o_1 mu_l + sum_i mu_l
@@ -21,18 +30,18 @@ general route, an operad given by explicit composition matrices with
 delta read off their rows (OperadPresentation, hochschild_complex,
 d2_via_lifting and two synthetic presentations), runs in no command and
 lives beside the tests in tests/hochschild_reference.py.  This module
-imports only what ss-table and verify-cycle execute: confcoh, linalg
-and spectral.
+imports only what ss-table and verify-cycle execute: confcoh, errors
+and linalg; build_sinha_complex imports spectral when it is called.
 """
 
 from itertools import combinations
 
-from .confcoh import (admissible_basis, coface_terms, dim_cohomology,
-                      live_cofaces)
-from .linalg import Eliminator, Matrix, column_kernel, sub_scaled
-from .spectral import FilteredComplex
+from .confcoh import admissible_basis, coface_terms, live_cofaces
+from .errors import VerificationError
+from .linalg import (Eliminator, Matrix, column_kernel, integer_elimination,
+                     sub_scaled)
 
-MAX_ARITY = 8  # largest max_p of build_sinha_complex
+MAX_ARITY = 8  # largest max_p of sinha_blocks and build_sinha_complex
 
 
 def delta_columns(p, q, sources, index):
@@ -45,12 +54,13 @@ def delta_columns(p, q, sources, index):
     confcoh.live_cofaces are evaluated: a coface that kills the source
     is skipped, and a run of cofaces with equal images is summed once,
     its signs cancelling in pairs.  Distinct images can still cancel, as
-    a 0 entry for the caller to skip.  One rewrite memo serves the call.
+    a 0 entry for the caller to skip.  One rewrite memo and one
+    live_cofaces table serve the call.
     """
-    memo = {}
+    memo, table = {}, {}
     for m in sources:
         col = {}
-        for i, sign in live_cofaces(p, m) if index else ():
+        for i, sign in live_cofaces(p, m, table) if index else ():
             for mm, z in coface_terms(i, p, m, memo):
                 t = index.get(mm)
                 if t is not None:
@@ -75,10 +85,11 @@ def conf_delta_matrix(p, q, field, mode="signed"):
     return M
 
 
-def _field_columns(field, cols):
-    """The integer columns of delta_columns as sparse field columns."""
+def _field_columns(field, cols, base=0):
+    """The integer columns of delta_columns as sparse field columns, their
+    rows shifted by base."""
     for col in cols:
-        yield {t: x for t in sorted(col) if (x := field.of(col[t]))}
+        yield {base + t: x for t in sorted(col) if (x := field.of(col[t]))}
 
 
 def normalized_slot(p, q):
@@ -118,36 +129,135 @@ def normalized_slot(p, q):
     return out
 
 
-def build_sinha_complex(max_p, field, normalized=True):
-    """FilteredComplex of the configuration-space tower up to arity max_p.
+def sinha_blocks(max_p, normalized=True):
+    """(dims, blocks) of the tower up to arity max_p, over Z.
 
-    Slots are (p, q) for 1 <= p <= max_p, 0 <= q <= p - 1, and D is
-    delta_columns on each slot's monomials in source and target.  The
-    plain complex takes every admissible monomial.  With normalized=True
-    a slot keeps the monomials touching every index 1..p
+    Slots are (p, q) for 1 <= p <= max_p, 0 <= q <= p - 1.  The plain
+    complex takes every admissible monomial.  With normalized=True a
+    slot keeps the monomials touching every index 1..p
     (normalized_slot), a basis of the quotient of H^q(Conf_p) by the
     codegeneracy pullback images; delta maps degenerates to degenerates,
-    so D is delta on the quotient.
+    so d_1 is delta on the quotient.  dims holds the size of each
+    nonempty slot in (p, q) order, and blocks holds, for each slot whose
+    target (p - 1, q) is nonempty, the delta_columns out of it, with rows
+    numbered within the target.
     """
     if not (1 <= max_p <= MAX_ARITY):
         raise ValueError("max_p must be between 1 and %d" % MAX_ARITY)
-    F = field
     basis = normalized_slot if normalized else admissible_basis
-    keys = [(p, q) for p in range(1, max_p + 1) for q in range(p)
-            if dim_cohomology(p, q)]
-    reps, offsets, slots = {}, {}, []
-    for k in keys:
-        reps[k] = basis(*k)
+    reps = {(p, q): m for p in range(1, max_p + 1) for q in range(p)
+            if (m := basis(p, q))}
+    blocks = {}
+    for (p, q), sources in reps.items():
+        if (p - 1, q) in reps:
+            index = {m: t for t, m in enumerate(reps[(p - 1, q)])}
+            blocks[(p, q)] = list(delta_columns(p, q, sources, index))
+    return {k: len(m) for k, m in reps.items()}, blocks
+
+
+def _apply(cols, v, p):
+    """The sparse product sum v_k * cols[k] over Z, or mod p."""
+    out = {}
+    for k, x in v.items():
+        for t, z in cols[k].items():
+            out[t] = out.get(t, 0) + x * z
+    if p is None:
+        return {t: s for t, s in out.items() if s}
+    return {t: r for t, s in out.items() if (r := s % p)}
+
+
+def check_d_squared(blocks):
+    """d_1 d_1 = 0 over Z on each pair of consecutive blocks of
+    sinha_blocks, hence over every field; a column that fails raises
+    VerificationError naming it and its slot."""
+    for (p, q), cols in blocks.items():
+        below = blocks.get((p - 1, q))
+        for j, col in enumerate(cols if below else ()):
+            if _apply(below, col, None):
+                raise VerificationError(
+                    "differential does not square to zero (witness column "
+                    "%d of slot %s)" % (j, (p, q)))
+
+
+def block_ranks(blocks, field):
+    """The rank of each block of sinha_blocks over field, from one
+    integer_elimination per block (over Z for Q), checked from both
+    sides before it is returned.
+
+    At least r: the r stored columns have distinct pivots, and each is d_1
+    applied to its combination, so r independent vectors lie in the
+    image.  At most r: each of the other columns has a relation that is
+    nonzero at the column, zero past it and sent to 0 by d_1, so they
+    give that many independent kernel vectors.  A violation raises
+    VerificationError naming the column and its slot.
+    """
+    p = field.p
+    ranks = {}
+    for slot, cols in blocks.items():
+        stored, relations = integer_elimination(cols, p)
+        owner = {}
+        for j, (r, c) in stored.items():
+            if not r or _apply(cols, c, p) != r:
+                raise VerificationError(
+                    "stored column %d of slot %s is not d_1 applied to its "
+                    "combination" % (j, slot))
+            if (i := max(r)) in owner:
+                raise VerificationError(
+                    "stored columns %d and %d of slot %s share the pivot %d"
+                    % (owner[i], j, slot, i))
+            owner[i] = j
+        for j, v in relations.items():
+            diagonal = v.get(j, 0)
+            if not (diagonal if p is None else diagonal % p) or max(v) != j:
+                raise VerificationError(
+                    "relation of column %d of slot %s is not zero past the "
+                    "column and nonzero at it" % (j, slot))
+            if _apply(cols, v, p):
+                raise VerificationError(
+                    "relation of column %d of slot %s is not sent to 0 by d_1"
+                    % (j, slot))
+        if len(stored) + len(relations) != len(cols):
+            raise VerificationError(
+                "%d stored columns and %d relations for the %d columns of "
+                "slot %s" % (len(stored), len(relations), len(cols), slot))
+        ranks[slot] = len(stored)
+    return ranks
+
+
+def block_pages(dims, ranks, r_max):
+    """Pages E_0 .. E_{r_max} from sinha_blocks' dims and block_ranks,
+    as tables {(-p, q): {"dim", "d_rank", "target"}} with the keys and
+    entries of spectral.page_ranks.
+
+    Every entry of D lies in a block (p, q) -> (p - 1, q), so d_0 = 0,
+    E_0 and E_1 are the slots themselves and d_1 has the block rank.
+    E_2 = E_infinity: every later page has dim - rank(d_1 out) -
+    rank(d_1 in) at each slot, and d_r = 0.
+    """
+    e2 = {(p, q): n - ranks.get((p, q), 0) - ranks.get((p + 1, q), 0)
+          for (p, q), n in dims.items()}
+    return [{(-p, q): {"dim": n if r < 2 else e2[(p, q)],
+                       "d_rank": ranks.get((p, q), 0) if r == 1 else 0,
+                       "target": (r - p, q - r + 1)}
+             for (p, q), n in dims.items()}
+            for r in range(r_max + 1)]
+
+
+def build_sinha_complex(max_p, field, normalized=True):
+    """FilteredComplex of the configuration-space tower up to arity max_p
+    over field: the slots and blocks of sinha_blocks, filtered by arity,
+    so d_1 is the differential of the spectral sequence's first page."""
+    from .spectral import FilteredComplex
+    dims, blocks = sinha_blocks(max_p, normalized)
+    offsets, slots = {}, []
+    for k, n in dims.items():
         offsets[k] = len(slots)
-        slots.extend([k] * len(reps[k]))
+        slots.extend([k] * n)
     columns = {}
-    for (p, q) in keys:
-        if (p - 1, q) in offsets:
-            base = offsets[(p - 1, q)]
-            index = {m: base + i for i, m in enumerate(reps[(p - 1, q)])}
-            cols = delta_columns(p, q, reps[(p, q)], index)
-            columns.update(enumerate(_field_columns(F, cols), offsets[(p, q)]))
-    return FilteredComplex(F, slots, columns)
+    for (p, q), cols in blocks.items():
+        columns.update(enumerate(
+            _field_columns(field, cols, offsets[(p - 1, q)]), offsets[(p, q)]))
+    return FilteredComplex(field, slots, columns)
 
 
 def e2_report(x):

@@ -4,7 +4,9 @@ subquotients, and induced maps on subquotients.
 One elimination, on sparse vectors {index: nonzero field value}:
 Eliminator, which reduces by pivot lookup and also runs spectral's
 filtration-order reduction; column_kernel gives the pivots and kernel
-of a list of sparse columns.  A dense Matrix is a list of rows whose
+of a list of sparse columns.  integer_elimination runs the same loop on
+integer columns with no Field: mod p, or fraction-free over Z.  A dense
+Matrix is a list of rows whose
 mul_vector sums over the nonzero entries of its vector, found by
 itertools.compress; rank, kernel_basis, solve and solve_many take a
 Matrix and run Eliminator on its rows or columns, and sparse(v)
@@ -23,6 +25,7 @@ module knotss.errors, so that every module raises and catches one class.
 """
 
 from itertools import compress
+from math import gcd
 
 from .errors import VerificationError
 
@@ -200,6 +203,76 @@ def sub_scaled(F, v, c, items):
             v[t] = s
         elif t in v:  # an int w_t may be 0 mod p where v has no t
             del v[t]
+
+
+def _sub_int(v, b, items, p):
+    """v -= b * w in place for int entries, reduced mod p unless p is
+    None.  b and every w_t are nonzero (mod p), so a sum that vanishes
+    had t in v."""
+    for t, x in items:
+        s = v.get(t, 0) - b * x
+        if p is not None:
+            s %= p
+        if s:
+            v[t] = s
+        else:
+            del v[t]
+
+
+def integer_elimination(cols, p=None):
+    """Column elimination of sparse integer columns: (stored, relations).
+
+    The loop is Eliminator's: a column is reduced by the column stored
+    under its current pivot (its largest index) until the pivot is free
+    or the column is 0, and each column carries its combination, {k: c}
+    with the column equal to sum c * cols[k].  Over F_p (p prime) the
+    entries are residues mod p, and each stored column is scaled to 1 at
+    its pivot.  Over Z (p None) the elimination is fraction-free, in the
+    manner of Bareiss (Math. Comp. 22, 1968): a pivot entry b is cleared
+    by r <- a * r - b * R, where a is R's pivot entry and a, b are
+    divided by their gcd, and each column is divided, with its
+    combination, by their content, signed so that a stored pivot is
+    positive.
+
+    stored maps each independent column j to its (reduced column,
+    combination); relations maps each dependent column j to its
+    combination, which is nonzero at j, zero past j and sums the columns
+    to 0.  Over Z, len(stored) is the rank over Q.
+    """
+    rows, stored, relations = {}, {}, {}
+    for j, col in enumerate(cols):
+        if p is None:
+            v = {t: z for t, z in col.items() if z}
+        else:
+            v = {t: r for t, z in col.items() if (r := z % p)}
+        c = {j: 1}
+        while v and (hit := rows.get(pivot := max(v))):
+            R, C = hit
+            b = v[pivot]
+            if p is None:
+                a = R[pivot]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    v = {t: a * x for t, x in v.items()}
+                    c = {t: a * x for t, x in c.items()}
+            _sub_int(v, b, R.items(), p)
+            _sub_int(c, b, C.items(), p)
+        if p is None:
+            g = gcd(*v.values(), *c.values())
+            if v and v[pivot] < 0:
+                g = -g
+            if g != 1:
+                v = {t: x // g for t, x in v.items()}
+                c = {t: x // g for t, x in c.items()}
+        elif v and (inv := pow(v[pivot], -1, p)) != 1:
+            v = {t: inv * x % p for t, x in v.items()}
+            c = {t: inv * x % p for t, x in c.items()}
+        if v:
+            rows[pivot] = stored[j] = (v, c)
+        else:
+            relations[j] = c
+    return stored, relations
 
 
 class Eliminator:

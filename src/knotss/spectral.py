@@ -21,8 +21,10 @@ reduction of D in filtration order, as in persistent homology, which
 linalg.Eliminator runs on D's rows renamed to that order: a pair
 (tau, sigma) with r = p_sigma - p_tau lives on E_0 .. E_r at both of its
 slots and adds 1 to the rank of d_r out of sigma's slot, and an unpaired
-element survives to E_infinity.  `knotss ss-table` and einf_dims read
-the pairs.
+element survives to E_infinity.  einf_dims reads the pairs.
+`knotss ss-table` reads neither route: its complex has every entry in a
+block (p, q) -> (p - 1, q), and hochschild's block route gives its pages
+from one rank per block.
 total_homology_graded, the oracle for E_infinity, reads neither route:
 it takes ranks of images and filtered kernels of D's sparse columns,
 with one column_kernel per total degree in (p, index) order, whose

@@ -110,6 +110,10 @@ def test_criterion_06_mu3_obstruction():
 
 
 def test_criterion_07_algebraic_degeneration():
+    # build_sinha_complex puts every entry of D in a block (p, q) ->
+    # (p - 1, q), so the first half, d_r = 0 for r >= 2, holds for every
+    # complex it can build; the second half, E_2 = graded H(Tot) against
+    # an oracle that reads no pages, is the real check
     t0 = time.time()
     ok = True
     for F in FIELDS:

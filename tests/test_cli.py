@@ -202,10 +202,10 @@ def test_failed_verification_exits_1_with_witness(capsys, flipped_delta_sign):
 
 
 def test_page_inconsistency_is_reported(capsys, monkeypatch):
-    def inconsistent(C, r_max):
+    def inconsistent(blocks, field):
         raise VerificationError("page inconsistency at r=1 slot (-2, 1)")
 
-    monkeypatch.setattr("knotss.cli.page_ranks", inconsistent)
+    monkeypatch.setattr("knotss.cli.block_ranks", inconsistent)
     code, doc = run_json(capsys, "ss-table", "--max-arity", "4")
     assert code == 1 and not doc["pass"]
     assert doc["report"] == {"error": "page inconsistency at r=1 slot (-2, 1)"}

@@ -242,8 +242,10 @@ def test_live_cofaces_rules_hold_on_every_coface():
     # every admissible m and every coface for p <= 8: coface_terms is ()
     # exactly when the coface kills m, cofaces i - 1 and i agree when no
     # factor touches i, and live_cofaces keeps the start of each odd run
-    # that lives, with its sign (-1)^start
+    # that lives, with its sign (-1)^start, also when the lists are kept
+    # in a table by bit masks across every slot of the arity
     for p in range(1, 9):
+        table = {}  # shared by every slot of the arity
         for q in range(p):
             memo = {}
             for m in admissible_basis(p, q):
@@ -258,6 +260,7 @@ def test_live_cofaces_rules_hold_on_every_coface():
                 for i, pairs in enumerate(images):
                     assert (pairs == ()) == _kills(i, p, m), (p, m, i)
                 assert confcoh.live_cofaces(p, m) == want, (p, m)
+                assert confcoh.live_cofaces(p, m, table) == want, (p, m)
 
 
 def reference_straighten_sorted(fs, memo):

@@ -1,15 +1,23 @@
 import hashlib
+import json
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
+import knotss
+from knotss.cli import main
 from knotss.confcoh import (CohClass, admissible_basis, coface_terms,
                             dim_cohomology, normal_form, parse_class, sinha_d1)
 from knotss import hochschild
-from knotss.fields import F2, F3, QQ
-from knotss.hochschild import (MAX_ARITY, build_sinha_complex,
+from knotss.fields import F2, F3, QQ, Field
+from knotss.hochschild import (MAX_ARITY, block_pages, block_ranks,
+                               build_sinha_complex, check_d_squared,
                                conf_delta_matrix, e2_report,
-                               normalized_slot)
+                               normalized_slot, sinha_blocks)
 from knotss.linalg import (Eliminator, Matrix, VerificationError,
                            kernel_basis, rank, solve_many, sparse)
 from knotss.spectral import (FilteredComplex, einf_dims, page_ranks, ss_pages,
@@ -531,3 +539,123 @@ def test_d1_squares_to_zero_over_z():
                 assert not any(image.values()), (basis.__name__, p, q, j)
                 composed += any(col.values())
         assert composed > 0
+
+
+def test_block_route_matches_page_ranks():
+    # the pages from the block ranks against the filtration-order
+    # reduction of the whole complex, every slot of every page, plain and
+    # normalized, over three prime fields and Q
+    for F in (F2, F3, Field(5), QQ):
+        for normalized in (True, False):
+            for max_p in (1, 4, 7):
+                C = build_sinha_complex(max_p, F, normalized=normalized)
+                want = [page.table for page in page_ranks(C, max_p + 1)]
+                dims, blocks = sinha_blocks(max_p, normalized)
+                check_d_squared(blocks)
+                got = block_pages(dims, block_ranks(blocks, F), max_p + 1)
+                assert got == want, (F, normalized, max_p)
+
+
+def corrupt_first_block(monkeypatch, corrupt):
+    """Patch the block route's integer_elimination so that
+    corrupt(cols, p, stored, relations) may change its output in place;
+    once it returns True, later blocks are left as they are."""
+    original, done = hochschild.integer_elimination, []
+
+    def patched(cols, p=None):
+        stored, relations = original(cols, p)
+        if not done and corrupt(cols, p, stored, relations):
+            done.append(True)
+        return stored, relations
+
+    monkeypatch.setattr(hochschild, "integer_elimination", patched)
+
+
+def changed_combination(cols, p, stored, relations):
+    # one more copy of a stored column in its own combination moves d_1
+    # of the combination by that column, which is nonzero in the field
+    for j, (_, c) in stored.items():
+        c[j] += 1
+        return True
+
+
+def relation_past_its_column(cols, p, stored, relations):
+    for j, v in relations.items():
+        if j + 1 < len(cols):
+            v[j + 1] = 1
+            return True
+
+
+def shared_pivot(cols, p, stored, relations):
+    # a copy of a stored column and its combination passes d_1 c = r
+    if len(stored) > 1:
+        first, second = list(stored)[:2]
+        stored[second] = stored[first]
+        return True
+
+
+def relation_off_the_kernel(cols, p, stored, relations):
+    # an earlier column, nonzero in the field, added to a relation
+    for j, v in relations.items():
+        for k in range(j):
+            if any(z if p is None else z % p for z in cols[k].values()):
+                v[k] = v.get(k, 0) + 1
+                return True
+
+
+def dropped_relation(cols, p, stored, relations):
+    for j in relations:
+        del relations[j]
+        return True
+
+
+@pytest.mark.parametrize("field", ["f2", "f3", "q"])
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(changed_combination, r"stored column \d+ of slot \(\d, \d\) "
+                 r"is not d_1 applied to its combination",
+                 id="changed-combination"),
+    pytest.param(relation_past_its_column, r"relation of column \d+ of slot "
+                 r"\(\d, \d\) is not zero past the column and nonzero at it",
+                 id="relation-past-its-column"),
+    pytest.param(shared_pivot, r"stored columns \d+ and \d+ of slot "
+                 r"\(\d, \d\) share the pivot \d+", id="shared-pivot"),
+    pytest.param(relation_off_the_kernel, r"relation of column \d+ of slot "
+                 r"\(\d, \d\) is not sent to 0 by d_1",
+                 id="relation-off-the-kernel"),
+    pytest.param(dropped_relation, r"\d+ stored columns and \d+ relations "
+                 r"for the \d+ columns of slot \(\d, \d\)",
+                 id="dropped-relation"),
+])
+def test_ss_table_rejects_a_corrupted_elimination(capsys, monkeypatch,
+                                                  corrupt, message, field):
+    # each corruption breaks one side of a block's rank check, and
+    # ss-table exits 1 with the column and slot in its report
+    corrupt_first_block(monkeypatch, corrupt)
+    code = main(["ss-table", "--max-arity", "5", "--field", field])
+    out, err = capsys.readouterr()
+    assert code == 1 and "Traceback" not in err
+    assert re.fullmatch(message, json.loads(out)["report"]["error"])
+
+
+def test_ss_table_rejects_a_flipped_d1_sign(capsys, flipped_delta_sign):
+    # d_1 d_1 = 0 is checked over Z, so the flipped sign fails even over
+    # F2, where -1 = 1; the witness names its column and slot
+    code = main(["ss-table", "--max-arity", "6", "--field", "f2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert re.search(r"does not square to zero \(witness column \d+ of "
+                     r"slot \(6, 3\)\)", err)
+
+
+def test_ss_table_does_not_import_spectral(tmp_path):
+    code = """
+import json, sys
+import knotss.cli
+code = knotss.cli.main(["ss-table", "--max-arity", "6", "--output", %r])
+print(json.dumps([code, "knotss.spectral" in sys.modules]))
+""" % str(tmp_path / "out.json")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(knotss.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, False]

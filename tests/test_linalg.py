@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from knotss import linalg
 from knotss.fields import F2, F3, QQ, Field, field_by_name
 from knotss.linalg import (Eliminator, Matrix, Subspace, VerificationError,
-                           column_kernel, induced_map, kernel_basis, rank,
+                           column_kernel, induced_map, integer_elimination,
+                           kernel_basis, rank,
                            solve, solve_many, sparse, sub_scaled,
                            subquotient)
 
@@ -499,3 +500,42 @@ def test_sub_scaled_matches_the_field_method_reference(F):
                 assert type(x) is Fraction and x
             else:
                 assert type(x) is int and 0 < x < F.p
+
+
+def test_integer_elimination_matches_the_eliminator_over_each_field():
+    # random integer columns, a third of them integer combinations of
+    # earlier ones: the stored count is the Eliminator's rank over F2,
+    # F3, F5 and Q, and over Z every stored column is an integer
+    # combination with a positive pivot and every relation an integer
+    # kernel vector
+    rng = random.Random(41)
+    for _ in range(200):
+        nrows = rng.randint(0, 6)
+        cols = []
+        for _ in range(rng.randint(0, 7)):
+            if cols and rng.random() < 0.35:
+                a, b = rng.choice(cols), rng.choice(cols)
+                x, y = rng.randint(-5, 5), rng.randint(-5, 5)
+                cols.append({t: x * a.get(t, 0) + y * b.get(t, 0)
+                             for t in set(a) | set(b)})
+            else:
+                cols.append({t: rng.randint(-9, 9) for t in range(nrows)
+                             if rng.random() < 0.6})
+        for F in (F2, F3, Field(5), QQ):
+            stored, relations = integer_elimination(cols, F.p)
+            elim = Eliminator(F)
+            want = sum(elim.add({t: x for t, z in col.items()
+                                 if (x := F.of(z))}) for col in cols)
+            assert len(stored) == want
+            assert sorted([*stored, *relations]) == list(range(len(cols)))
+        for r, c in stored.values():
+            assert r[max(r)] > 0
+            total = {}
+            for k, x in c.items():
+                for t, z in cols[k].items():
+                    total[t] = total.get(t, 0) + x * z
+            assert {t: z for t, z in total.items() if z} == r
+        for j, v in relations.items():
+            assert max(v) == j and v[j]
+            assert not any(sum(x * cols[k].get(t, 0) for k, x in v.items())
+                           for t in range(nrows))
